@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench bench-smoke bench-cpu bench-cache bench-fluid bench-fluid-contended bench-cluster bench-trend bench-trend-update serve-smoke verify-fw ci lint examples results clean
+.PHONY: install test test-fast bench bench-smoke bench-cpu bench-cache bench-fluid bench-fluid-contended bench-cluster bench-trend bench-trend-update serve-smoke verify-fw ci lint isa-doc-check examples results clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -17,9 +17,10 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
 # Fast parallel-path regression check: a tiny sweep through the worker
-# pool, the kernel events/sec and ISS instructions/sec probes, and the
-# deterministic resilience-shape benchmarks.  Fits in the tier-1
-# budget.  Set REPRO_CI=1 to relax the perf floors for shared runners.
+# pool, the kernel events/sec and ISS instructions/sec probes, the
+# per-package source line counts, and the deterministic
+# resilience-shape benchmarks.  Fits in the tier-1 budget.  Set
+# REPRO_CI=1 to relax the perf floors for shared runners.
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli sweep --sizes 512,1024 --rpu-set 8,16 \
 		--jobs 2 --warmup 200 --packets 500
@@ -29,6 +30,7 @@ bench-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/fluid_probe.py
 	PYTHONPATH=src $(PYTHON) benchmarks/fluid_contended_probe.py
 	PYTHONPATH=src $(PYTHON) benchmarks/cluster_probe.py
+	PYTHONPATH=src $(PYTHON) benchmarks/loc_probe.py
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_resilience.py \
 		benchmarks/test_cluster_resilience.py -q
 
@@ -44,9 +46,15 @@ bench-trend:
 bench-trend-update:
 	PYTHONPATH=src $(PYTHON) benchmarks/trend.py --update
 
-# Lint + determinism lint + bytecode-compile; ruff is optional locally
-# (CI always has it), the detlint AST pass always runs.
-lint:
+# docs/ISA.md is generated from the instruction table in
+# src/repro/riscv/isa.py; fail when the committed copy is stale.
+# Regenerate with: PYTHONPATH=src python -m repro.riscv.isa > docs/ISA.md
+isa-doc-check:
+	PYTHONPATH=src $(PYTHON) -W ignore::RuntimeWarning -m repro.riscv.isa | diff -u docs/ISA.md -
+
+# Lint + determinism lint + generated-doc check + bytecode-compile;
+# ruff is optional locally (CI always has it), the rest always runs.
+lint: isa-doc-check
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks; \
 	else \

@@ -78,6 +78,9 @@ def default_band(key: str, value: Any) -> Dict[str, Any]:
     """The auto-assigned baseline entry for one metric."""
     if isinstance(value, bool):
         return {"value": value, "exact": True}
+    if key.endswith("_lines"):
+        # source size (loc_probe): any growth takes a baseline bump
+        return {"value": value, "tolerance": 0.0, "direction": "lower"}
     seconds = key.endswith("_s") or any(h in key for h in ABS_SECONDS_HINTS)
     lower = seconds or any(h in key for h in LOWER_IS_BETTER_HINTS)
     if seconds:

@@ -18,26 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .isa import (
-    OP_BRANCH,
-    OP_IMM,
-    OP_JAL,
-    OP_JALR,
-    OP_LOAD,
-    OP_LUI,
-    OP_AUIPC,
-    OP_REG,
-    OP_STORE,
-    OP_SYSTEM,
-    DecodeError,
-    encode_b,
-    encode_i,
-    encode_j,
-    encode_r,
-    encode_s,
-    encode_u,
-    parse_register,
-)
+from .isa import CSR_NAMES, OPS, PSEUDO, DecodeError, check_range, encode, parse_register
 
 
 class AssemblerError(ValueError):
@@ -66,26 +47,6 @@ class Program:
 
 _MEM_OPERAND = re.compile(r"^(.*)\(\s*([a-zA-Z0-9]+)\s*\)$")
 _HI_LO = re.compile(r"^%(hi|lo)\((.+)\)$")
-
-# funct3 tables for plain encodings
-_BRANCHES = {"beq": 0, "bne": 1, "blt": 4, "bge": 5, "bltu": 6, "bgeu": 7}
-_LOADS = {"lb": 0, "lh": 1, "lw": 2, "lbu": 4, "lhu": 5}
-_STORES = {"sb": 0, "sh": 1, "sw": 2}
-_OP_IMMS = {"addi": 0, "slti": 2, "sltiu": 3, "xori": 4, "ori": 6, "andi": 7}
-_OPS = {
-    "add": (0, 0), "sub": (0, 0x20), "sll": (1, 0), "slt": (2, 0), "sltu": (3, 0),
-    "xor": (4, 0), "srl": (5, 0), "sra": (5, 0x20), "or": (6, 0), "and": (7, 0),
-    "mul": (0, 1), "mulh": (1, 1), "mulhsu": (2, 1), "mulhu": (3, 1),
-    "div": (4, 1), "divu": (5, 1), "rem": (6, 1), "remu": (7, 1),
-}
-_SHIFT_IMMS = {"slli": (1, 0), "srli": (5, 0), "srai": (5, 0x20)}
-_CSR_OPS = {"csrrw": 1, "csrrs": 2, "csrrc": 3, "csrrwi": 5, "csrrsi": 6, "csrrci": 7}
-
-_CSR_NAMES = {
-    "mstatus": 0x300, "mie": 0x304, "mtvec": 0x305, "mscratch": 0x340,
-    "mepc": 0x341, "mcause": 0x342, "mtval": 0x343, "mip": 0x344,
-    "mcycle": 0xB00, "minstret": 0xB02, "mhartid": 0xF14,
-}
 
 
 @dataclass
@@ -241,162 +202,66 @@ class Assembler:
         lineno = line.lineno
         assert m is not None
 
-        def reg(i: int) -> int:
-            try:
-                return parse_register(ops[i])
-            except (IndexError, DecodeError) as exc:
-                raise AssemblerError(str(exc), lineno) from exc
-
-        def const(i: int) -> int:
-            return self._const(ops[i], symbols, lineno)
-
-        def rel(i: int) -> int:
-            return self._const(ops[i], symbols, lineno) - line.addr
-
         def need(n: int) -> None:
             if len(ops) != n:
                 raise AssemblerError(f"{m} expects {n} operands, got {len(ops)}", lineno)
 
         try:
-            # --- plain encodings ---
-            if m in _OPS:
-                need(3)
-                f3, f7 = _OPS[m]
-                return [encode_r(f7, reg(2), reg(1), f3, reg(0), OP_REG)]
-            if m in _OP_IMMS:
-                need(3)
-                return [encode_i(const(2), reg(1), _OP_IMMS[m], reg(0), OP_IMM)]
-            if m in _SHIFT_IMMS:
-                need(3)
-                f3, f7 = _SHIFT_IMMS[m]
-                shamt = const(2)
-                if not 0 <= shamt <= 31:
-                    raise AssemblerError(f"shift amount {shamt} out of range", lineno)
-                return [encode_r(f7, shamt, reg(1), f3, reg(0), OP_IMM)]
-            if m in _BRANCHES:
-                need(3)
-                return [encode_b(rel(2), reg(1), reg(0), _BRANCHES[m], OP_BRANCH)]
-            if m in _LOADS:
-                need(2)
-                base_reg, offset = self._mem_operand(ops[1], symbols, lineno)
-                return [encode_i(offset, base_reg, _LOADS[m], reg(0), OP_LOAD)]
-            if m in _STORES:
-                need(2)
-                base_reg, offset = self._mem_operand(ops[1], symbols, lineno)
-                return [encode_s(offset, reg(0), base_reg, _STORES[m], OP_STORE)]
-            if m == "lui":
-                need(2)
-                return [encode_u(const(1) << 12, reg(0), OP_LUI)]
-            if m == "auipc":
-                need(2)
-                return [encode_u(const(1) << 12, reg(0), OP_AUIPC)]
-            if m == "jal":
-                if len(ops) == 1:  # jal offset  (rd=ra)
-                    return [encode_j(rel(0), 1, OP_JAL)]
-                need(2)
-                return [encode_j(rel(1), reg(0), OP_JAL)]
-            if m == "jalr":
-                if len(ops) == 1:  # jalr rs -> jalr ra, rs, 0
-                    return [encode_i(0, reg(0), 0, 1, OP_JALR)]
-                need(2)
-                base_reg, offset = self._mem_operand(ops[1], symbols, lineno)
-                return [encode_i(offset, base_reg, 0, reg(0), OP_JALR)]
-            if m in _CSR_OPS:
-                need(3)
-                csr = self._csr(ops[1], symbols, lineno)
-                if m.endswith("i"):
-                    zimm = const(2)
-                    if not 0 <= zimm <= 31:
-                        raise AssemblerError("csr immediate out of range", lineno)
-                    return [encode_i(0, zimm, _CSR_OPS[m], reg(0), OP_SYSTEM) | (csr << 20)]
-                return [encode_i(0, reg(2), _CSR_OPS[m], reg(0), OP_SYSTEM) | (csr << 20)]
-            if m == "ecall":
-                return [0x00000073]
-            if m == "ebreak":
-                return [0x00100073]
-            if m == "mret":
-                return [0x30200073]
-            if m == "wfi":
-                return [0x10500073]
-            if m == "fence":
-                return [0x0000000F]
-
-            # --- pseudo-instructions ---
-            if m == "nop":
-                return [encode_i(0, 0, 0, 0, OP_IMM)]
-            if m == "mv":
-                need(2)
-                return [encode_i(0, reg(1), 0, reg(0), OP_IMM)]
-            if m == "not":
-                need(2)
-                return [encode_i(-1, reg(1), 4, reg(0), OP_IMM)]
-            if m == "neg":
-                need(2)
-                return [encode_r(0x20, reg(1), 0, 0, reg(0), OP_REG)]
-            if m == "seqz":
-                need(2)
-                return [encode_i(1, reg(1), 3, reg(0), OP_IMM)]
-            if m == "snez":
-                need(2)
-                return [encode_r(0, reg(1), 0, 3, reg(0), OP_REG)]
-            if m == "j":
-                need(1)
-                return [encode_j(rel(0), 0, OP_JAL)]
-            if m == "jr":
-                need(1)
-                return [encode_i(0, reg(0), 0, 0, OP_JALR)]
-            if m == "ret":
-                return [encode_i(0, 1, 0, 0, OP_JALR)]
-            if m in ("beqz", "bnez", "bltz", "bgez", "blez", "bgtz"):
-                need(2)
-                offset = rel(1)
-                r = reg(0)
-                if m == "beqz":
-                    return [encode_b(offset, 0, r, 0, OP_BRANCH)]
-                if m == "bnez":
-                    return [encode_b(offset, 0, r, 1, OP_BRANCH)]
-                if m == "bltz":
-                    return [encode_b(offset, 0, r, 4, OP_BRANCH)]
-                if m == "bgez":
-                    return [encode_b(offset, 0, r, 5, OP_BRANCH)]
-                if m == "blez":  # r <= 0  <=>  0 >= r  <=> bge zero, r
-                    return [encode_b(offset, r, 0, 5, OP_BRANCH)]
-                return [encode_b(offset, r, 0, 4, OP_BRANCH)]  # bgtz: blt zero, r
-            if m in ("bgt", "ble", "bgtu", "bleu"):
-                need(3)
-                offset = rel(2)
-                f3 = {"bgt": 4, "ble": 5, "bgtu": 6, "bleu": 7}[m]
-                # swap operands: bgt a,b -> blt b,a
-                return [encode_b(offset, reg(0), reg(1), f3, OP_BRANCH)]
-            if m == "csrr":
-                need(2)
-                csr = self._csr(ops[1], symbols, lineno)
-                return [encode_i(0, 0, 2, reg(0), OP_SYSTEM) | (csr << 20)]
-            if m == "csrw":
-                need(2)
-                csr = self._csr(ops[0], symbols, lineno)
-                return [encode_i(0, reg(1), 1, 0, OP_SYSTEM) | (csr << 20)]
+            # --- two-word pseudo-instructions ---
             if m in ("li", "la"):
                 need(2)
-                value = const(1) & 0xFFFFFFFF
-                return _expand_li(reg(0), value)
+                value = self._const(ops[1], symbols, lineno) & 0xFFFFFFFF
+                return _expand_li(self._reg(ops[0], lineno), value)
             if m in ("call", "tail"):
                 need(1)
-                target = self._const(ops[0], symbols, lineno)
-                offset = target - line.addr
-                rd = 1 if m == "call" else 0
+                offset = self._const(ops[0], symbols, lineno) - line.addr
+                # call links through ra; tail goes through t1 and links nothing
+                link, scratch = (1, 1) if m == "call" else (0, 6)
                 upper = (offset + 0x800) & 0xFFFFF000
-                lower = offset - upper
                 return [
-                    encode_u(upper, rd, OP_AUIPC),
-                    encode_i(lower, rd, 0, rd, OP_JALR),
+                    encode(OPS["auipc"], rd=scratch, imm=upper),
+                    encode(OPS["jalr"], rd=link, rs1=scratch, imm=offset - upper),
                 ]
+
+            # --- table rows, and pseudo-instructions that expand to one ---
+            op = OPS.get(m)
+            fields: Dict[str, int] = {}
+            if m in PSEUDO and (op is None or len(ops) != len(op.operands)):
+                real, shape, fixed = PSEUDO[m]
+                op = OPS[real]
+                fields.update(fixed)
+            elif op is not None:
+                shape = op.operands
+            else:
+                raise AssemblerError(f"unknown mnemonic {m!r}", lineno)
+            need(len(shape))
+            for text, operand in zip(ops, shape):
+                if operand in ("rd", "rs1", "rs2"):
+                    fields[operand] = self._reg(text, lineno)
+                elif operand == "mem":
+                    fields["rs1"], fields["imm"] = self._mem_operand(text, symbols, lineno)
+                elif operand == "csr":
+                    fields["csr"] = self._csr(text, symbols, lineno)
+                elif operand == "zimm":  # the uimm travels in the rs1 field
+                    fields["rs1"] = check_range("zimm", self._const(text, symbols, lineno))
+                else:  # imm, shamt, imm20 (the operand of lui/auipc), target (pc-relative)
+                    value = self._const(text, symbols, lineno)
+                    if operand == "imm20":
+                        value <<= 12
+                    elif operand == "target":
+                        value -= line.addr
+                    fields["imm"] = value
+            return [encode(op, **fields)]
         except DecodeError as exc:
             raise AssemblerError(str(exc), lineno) from exc
 
-        raise AssemblerError(f"unknown mnemonic {m!r}", lineno)
-
     # -- operand helpers --------------------------------------------------------
+
+    def _reg(self, text: str, lineno: int) -> int:
+        try:
+            return parse_register(text)
+        except DecodeError as exc:
+            raise AssemblerError(str(exc), lineno) from exc
 
     def _mem_operand(
         self, text: str, symbols: Dict[str, int], lineno: int
@@ -405,20 +270,13 @@ class Assembler:
         if not match:
             raise AssemblerError(f"expected offset(reg), got {text!r}", lineno)
         offset_text = match.group(1).strip() or "0"
-        try:
-            base_reg = parse_register(match.group(2))
-        except DecodeError as exc:
-            raise AssemblerError(str(exc), lineno) from exc
-        return base_reg, self._const(offset_text, symbols, lineno)
+        return self._reg(match.group(2), lineno), self._const(offset_text, symbols, lineno)
 
     def _csr(self, text: str, symbols: Dict[str, int], lineno: int) -> int:
         name = text.strip().lower()
-        if name in _CSR_NAMES:
-            return _CSR_NAMES[name]
-        value = self._const(text, symbols, lineno)
-        if not 0 <= value <= 0xFFF:
-            raise AssemblerError(f"CSR address {value} out of range", lineno)
-        return value
+        if name in CSR_NAMES:
+            return CSR_NAMES[name]
+        return self._const(text, symbols, lineno)
 
     def _const(self, text: str, symbols: Dict[str, int], lineno: int) -> int:
         text = text.strip()
@@ -445,8 +303,8 @@ def _expand_li(rd: int, value: int) -> List[int]:
         lower += 1 << 32
     lower = ((lower + 0x800) & 0xFFF) - 0x800
     return [
-        encode_u(upper, rd, OP_LUI),
-        encode_i(lower, rd, 0, rd, OP_IMM),
+        encode(OPS["lui"], rd=rd, imm=upper),
+        encode(OPS["addi"], rd=rd, rs1=rd, imm=lower),
     ]
 
 

@@ -20,31 +20,25 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from .isa import DecodeError, Instruction, decode
+from .isa import OPS, DecodeError, Instruction, decode
 
 #: Longest straight-line run fused into one superblock.
 MAX_BLOCK = 64
 
 _MASK32 = 0xFFFFFFFF
 
-#: Mnemonics that always end a superblock (``csr*`` forms are matched
-#: by prefix in :func:`is_block_terminal`, not listed here).
-TERMINAL_MNEMONICS = frozenset(
-    {
-        "beq", "bne", "blt", "bge", "bltu", "bgeu",
-        "jal", "jalr",
-        "mret", "ecall", "ebreak", "wfi",
-    }
-)
+#: Mnemonics that always end a superblock: the ``terminal`` rows of the
+#: instruction table.
+TERMINAL_MNEMONICS = frozenset(m for m, op in OPS.items() if op.terminal)
 
 #: The conditional-branch subset of :data:`TERMINAL_MNEMONICS` (two
 #: successors: taken target and fall-through).
-BRANCH_MNEMONICS = frozenset({"beq", "bne", "blt", "bge", "bltu", "bgeu"})
+BRANCH_MNEMONICS = frozenset(m for m, op in OPS.items() if op.kind == "branch")
 
 
 def is_block_terminal(mnemonic: str) -> bool:
     """True when ``mnemonic`` must end a superblock / basic block."""
-    return mnemonic in TERMINAL_MNEMONICS or mnemonic.startswith("csr")
+    return mnemonic in TERMINAL_MNEMONICS
 
 
 def static_successors(inst: Instruction, pc: int) -> Tuple[int, ...]:

@@ -8,34 +8,43 @@ supported instruction set (property-tested).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from .isa import DecodeError, Instruction, decode
+from .isa import ABI_NAMES, CSR_NAMES, OPS, PSEUDO, DecodeError, Instruction, decode
 
-_REG_NAMES = [
-    "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2",
-    "s0", "s1", "a0", "a1", "a2", "a3", "a4", "a5",
-    "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7",
-    "s8", "s9", "s10", "s11", "t3", "t4", "t5", "t6",
-]
+# the first ABI name listed for an index wins (s0 over fp)
+_REG_NAMES = {index: name for name, index in reversed(ABI_NAMES.items())}
+_CSR_NAMES = {address: name for name, address in CSR_NAMES.items()}
 
-_CSR_NAMES: Dict[int, str] = {
-    0x300: "mstatus", 0x304: "mie", 0x305: "mtvec", 0x340: "mscratch",
-    0x341: "mepc", 0x342: "mcause", 0x343: "mtval", 0x344: "mip",
-    0xB00: "mcycle", 0xB02: "minstret", 0xF14: "mhartid",
+#: The pseudo-instructions rendered in place of the instruction they
+#: expand to, most specific first.  ``li`` (``addi rd, zero, imm``) is
+#: not in :data:`PSEUDO` because the assembler expands it to two words.
+_LI = ("addi", ("rd", "imm"), {"rs1": 0})
+_SHORTHANDS = tuple(
+    (name, *(_LI if name == "li" else PSEUDO[name]))
+    for name in ("nop", "li", "mv", "j", "ret", "beqz", "bnez", "bltz", "bgez")
+)
+
+
+def _target(inst: Instruction, pc: Optional[int]) -> str:
+    if pc is not None:
+        return f"{(pc + inst.imm) & 0xFFFFFFFF:#x}"
+    return f"{inst.imm:+d}"
+
+
+#: operand kind of a table row's shape -> its text for one instruction
+_RENDER = {
+    "rd": lambda inst, pc: reg_name(inst.rd),
+    "rs1": lambda inst, pc: reg_name(inst.rs1),
+    "rs2": lambda inst, pc: reg_name(inst.rs2),
+    "imm": lambda inst, pc: str(inst.imm),
+    "shamt": lambda inst, pc: str(inst.imm),
+    "imm20": lambda inst, pc: f"{(inst.imm >> 12) & 0xFFFFF:#x}",
+    "mem": lambda inst, pc: f"{inst.imm}({reg_name(inst.rs1)})",
+    "target": _target,
+    "csr": lambda inst, pc: csr_name(inst.csr),
+    "zimm": lambda inst, pc: str(inst.rs1),
 }
-
-_LOADS = {"lb", "lh", "lw", "lbu", "lhu"}
-_STORES = {"sb", "sh", "sw"}
-_BRANCHES = {"beq", "bne", "blt", "bge", "bltu", "bgeu"}
-_R_TYPE = {
-    "add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or", "and",
-    "mul", "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu",
-}
-_I_ARITH = {"addi", "slti", "sltiu", "xori", "ori", "andi"}
-_SHIFTS = {"slli", "srli", "srai"}
-_CSR_OPS = {"csrrw", "csrrs", "csrrc", "csrrwi", "csrrsi", "csrrci"}
-_BARE = {"ecall", "ebreak", "mret", "wfi", "fence"}
 
 
 def reg_name(index: int) -> str:
@@ -53,55 +62,12 @@ def format_instruction(inst: Instruction, pc: Optional[int] = None) -> str:
     When ``pc`` is given, branch/jump targets are rendered as absolute
     addresses instead of relative offsets.
     """
-    m = inst.mnemonic
-    rd, rs1, rs2 = reg_name(inst.rd), reg_name(inst.rs1), reg_name(inst.rs2)
-
-    def target() -> str:
-        if pc is not None:
-            return f"{(pc + inst.imm) & 0xFFFFFFFF:#x}"
-        return f"{inst.imm:+d}"
-
-    if m in _BARE:
-        return m
-    if m == "lui" or m == "auipc":
-        return f"{m} {rd}, {(inst.imm >> 12) & 0xFFFFF:#x}"
-    if m == "jal":
-        if inst.rd == 0:
-            return f"j {target()}"
-        return f"jal {rd}, {target()}"
-    if m == "jalr":
-        if inst.rd == 0 and inst.imm == 0 and inst.rs1 == 1:
-            return "ret"
-        return f"jalr {rd}, {inst.imm}({rs1})"
-    if m in _BRANCHES:
-        if inst.rs2 == 0:
-            shorthand = {"beq": "beqz", "bne": "bnez", "blt": "bltz", "bge": "bgez"}
-            if m in shorthand:
-                return f"{shorthand[m]} {rs1}, {target()}"
-        return f"{m} {rs1}, {rs2}, {target()}"
-    if m in _LOADS:
-        return f"{m} {rd}, {inst.imm}({rs1})"
-    if m in _STORES:
-        return f"{m} {rs2}, {inst.imm}({rs1})"
-    if m in _SHIFTS:
-        return f"{m} {rd}, {rs1}, {inst.imm}"
-    if m in _I_ARITH:
-        if m == "addi":
-            if inst.rs1 == 0:
-                return f"li {rd}, {inst.imm}"
-            if inst.imm == 0:
-                return f"mv {rd}, {rs1}"
-            if inst.rd == 0 and inst.rs1 == 0 and inst.imm == 0:
-                return "nop"
-        return f"{m} {rd}, {rs1}, {inst.imm}"
-    if m in _R_TYPE:
-        return f"{m} {rd}, {rs1}, {rs2}"
-    if m in _CSR_OPS:
-        csr = csr_name(inst.csr)
-        if m.endswith("i"):
-            return f"{m} {rd}, {csr}, {inst.rs1}"
-        return f"{m} {rd}, {csr}, {rs1}"
-    raise DecodeError(f"cannot format {m}")  # pragma: no cover
+    name, shape = inst.mnemonic, OPS[inst.mnemonic].operands
+    for pseudo, real, bound, fixed in _SHORTHANDS:
+        if real == inst.mnemonic and all(getattr(inst, f) == v for f, v in fixed.items()):
+            name, shape = pseudo, bound
+            break
+    return " ".join([name, ", ".join(_RENDER[operand](inst, pc) for operand in shape)]).strip()
 
 
 def disassemble_word(word: int, pc: Optional[int] = None) -> str:

@@ -28,19 +28,20 @@ enforce these against the interpreter):
 
 Hot-path tricks, in decreasing order of impact: per-site inline caches
 for load/store regions (bound method + bounds, like a JIT's monomorphic
-IC), factory-specialized closures for the common ALU/branch forms (no
-generic-lambda frame), signed compares via the XOR-``0x80000000`` bias,
-and a rare-exception protocol (:class:`_BlockAbort`) instead of a
+IC), closures generated per table row with the row's expression in the
+closure body (no generic-lambda frame), signed compares via the
+XOR-``0x80000000`` bias, and a rare-exception protocol (:class:`_BlockAbort`) instead of a
 per-instruction flag check for mid-block invalidation/interrupts.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .blocks import MAX_BLOCK, is_block_terminal
 from .bus import BusError
-from .isa import CC_BRANCH, DecodeError, decode
+from .isa import EXPR_GLOBALS, OPS, PURE_KINDS, DecodeError, decode
 from .cpu import (
     CSR_MEPC,
     CSR_MIE,
@@ -50,14 +51,7 @@ from .cpu import (
     MSTATUS_MIE,
     MSTATUS_MPIE,
     CpuHalted,
-    _div,
-    _rem,
-    _signed,
 )
-
-#: XOR bias that maps two's-complement order onto unsigned order, so
-#: signed compares need no sign conversion calls.
-_BIAS = 0x80000000
 
 _OpFn = Callable[[], int]
 
@@ -72,389 +66,140 @@ class _BlockAbort(Exception):
     inside them), so no other closure pays for the check."""
 
 
-# -- specialized closure factories -------------------------------------------
+# -- closure templates ---------------------------------------------------------
 #
-# Each factory binds one decoded instruction's operands and returns the
-# closure that executes it.  The common ALU and branch forms get their
-# own factory so the hot path has no operator-lambda indirection; the
-# long tail (M extension, shifts-by-register, ...) goes through the
-# generic tables below.
+# One factory per table row is generated at import from the template of
+# the row's kind, with the row's expression substituted into the closure
+# body: operands become direct ``regs[...]`` reads or the bound
+# immediate and the constants become literals, so no closure pays an
+# operator-lambda frame.  Every factory takes the same arguments and
+# returns the zero-argument closure that executes one instruction.
 
-def _f_addi(cpu, regs, rd, rs1, rs2, imm, cost, next_pc):
+_FACTORY_ARGS = "cpu, regs, rd, rs1, rs2, imm, pc, next_pc, cost, taken_cost"
+
+#: rd = value (ALU and upper rows)
+_ALU_TEMPLATE = """
     def fn():
-        regs[rd] = (regs[rs1] + imm) & MASK32
+        regs[rd] = {expr}
         cpu.cycles += cost
         cpu.instret += 1
         return next_pc
-    return fn
+"""
 
-
-def _f_andi(cpu, regs, rd, rs1, rs2, imm, cost, next_pc):
+_BRANCH_TEMPLATE = """
+    target = (pc + imm) & 0xFFFFFFFF
     def fn():
-        regs[rd] = regs[rs1] & imm & MASK32
+        if {expr}:
+            cpu.cycles += taken_cost
+            cpu.instret += 1
+            return target
         cpu.cycles += cost
         cpu.instret += 1
         return next_pc
-    return fn
+"""
 
-
-def _f_ori(cpu, regs, rd, rs1, rs2, imm, cost, next_pc):
+_JUMP_TEMPLATE = """
     def fn():
-        regs[rd] = (regs[rs1] | imm) & MASK32
+        target = {expr}
+        if rd:
+            regs[rd] = next_pc
         cpu.cycles += cost
         cpu.instret += 1
-        return next_pc
-    return fn
+        return target
+"""
 
-
-def _f_xori(cpu, regs, rd, rs1, rs2, imm, cost, next_pc):
+# The inline cache: a given load site almost always hits the same
+# region, so remember [base, limit, innermost reader] and skip the bus
+# scan plus all dispatch frames on the hit path.  The cached callable is
+# the offset-based ``_read`` - the raw MMIO handler itself, or
+# RamRegion's offset twin - so RAM and MMIO cost one call frame alike;
+# the row expression masks or sign-extends the result because raw
+# handlers are allowed to return unmasked values.
+_LOAD_TEMPLATE = """
+    find = cpu.bus._find
+    cache = [1, 0, None]
     def fn():
-        regs[rd] = (regs[rs1] ^ imm) & MASK32
+        addr = (regs[rs1] + imm) & 0xFFFFFFFF
+        if not cache[0] <= addr < cache[1]:
+            region = find(addr)
+            cache[0] = region.base
+            cache[1] = region.base + region.size
+            cache[2] = region._read
+        v = cache[2](addr - cache[0], {nbytes})
+        if rd:
+            regs[rd] = {expr}
         cpu.cycles += cost
         cpu.instret += 1
+        if cpu._break_block:
+            cpu.pc = next_pc
+            raise _BlockAbort
         return next_pc
-    return fn
+"""
 
-
-def _f_slti(cpu, regs, rd, rs1, rs2, imm, cost, next_pc):
-    biased = (imm & MASK32) ^ _BIAS
-    def fn():
-        regs[rd] = 1 if (regs[rs1] ^ _BIAS) < biased else 0
-        cpu.cycles += cost
-        cpu.instret += 1
-        return next_pc
-    return fn
-
-
-def _f_sltiu(cpu, regs, rd, rs1, rs2, imm, cost, next_pc):
-    uimm = imm & MASK32
-    def fn():
-        regs[rd] = 1 if regs[rs1] < uimm else 0
-        cpu.cycles += cost
-        cpu.instret += 1
-        return next_pc
-    return fn
-
-
-def _f_slli(cpu, regs, rd, rs1, rs2, imm, cost, next_pc):
-    sh = imm & 0x1F
-    def fn():
-        regs[rd] = (regs[rs1] << sh) & MASK32
-        cpu.cycles += cost
-        cpu.instret += 1
-        return next_pc
-    return fn
-
-
-def _f_srli(cpu, regs, rd, rs1, rs2, imm, cost, next_pc):
-    sh = imm & 0x1F
-    def fn():
-        regs[rd] = regs[rs1] >> sh
-        cpu.cycles += cost
-        cpu.instret += 1
-        return next_pc
-    return fn
-
-
-def _f_srai(cpu, regs, rd, rs1, rs2, imm, cost, next_pc):
-    sh = imm & 0x1F
-    def fn():
-        regs[rd] = (_signed(regs[rs1]) >> sh) & MASK32
-        cpu.cycles += cost
-        cpu.instret += 1
-        return next_pc
-    return fn
-
-
-def _f_add(cpu, regs, rd, rs1, rs2, imm, cost, next_pc):
-    def fn():
-        regs[rd] = (regs[rs1] + regs[rs2]) & MASK32
-        cpu.cycles += cost
-        cpu.instret += 1
-        return next_pc
-    return fn
-
-
-def _f_sub(cpu, regs, rd, rs1, rs2, imm, cost, next_pc):
-    def fn():
-        regs[rd] = (regs[rs1] - regs[rs2]) & MASK32
-        cpu.cycles += cost
-        cpu.instret += 1
-        return next_pc
-    return fn
-
-
-def _f_and(cpu, regs, rd, rs1, rs2, imm, cost, next_pc):
-    def fn():
-        regs[rd] = regs[rs1] & regs[rs2]
-        cpu.cycles += cost
-        cpu.instret += 1
-        return next_pc
-    return fn
-
-
-def _f_or(cpu, regs, rd, rs1, rs2, imm, cost, next_pc):
-    def fn():
-        regs[rd] = regs[rs1] | regs[rs2]
-        cpu.cycles += cost
-        cpu.instret += 1
-        return next_pc
-    return fn
-
-
-def _f_xor(cpu, regs, rd, rs1, rs2, imm, cost, next_pc):
-    def fn():
-        regs[rd] = regs[rs1] ^ regs[rs2]
-        cpu.cycles += cost
-        cpu.instret += 1
-        return next_pc
-    return fn
-
-
-def _f_slt(cpu, regs, rd, rs1, rs2, imm, cost, next_pc):
-    def fn():
-        regs[rd] = 1 if (regs[rs1] ^ _BIAS) < (regs[rs2] ^ _BIAS) else 0
-        cpu.cycles += cost
-        cpu.instret += 1
-        return next_pc
-    return fn
-
-
-def _f_sltu(cpu, regs, rd, rs1, rs2, imm, cost, next_pc):
-    def fn():
-        regs[rd] = 1 if regs[rs1] < regs[rs2] else 0
-        cpu.cycles += cost
-        cpu.instret += 1
-        return next_pc
-    return fn
-
-
-_INLINE_OPS = {
-    "addi": _f_addi, "andi": _f_andi, "ori": _f_ori, "xori": _f_xori,
-    "slti": _f_slti, "sltiu": _f_sltiu,
-    "slli": _f_slli, "srli": _f_srli, "srai": _f_srai,
-    "add": _f_add, "sub": _f_sub, "and": _f_and, "or": _f_or,
-    "xor": _f_xor, "slt": _f_slt, "sltu": _f_sltu,
+_TEMPLATES = {
+    "alu-rr": _ALU_TEMPLATE, "alu-imm": _ALU_TEMPLATE, "shift-imm": _ALU_TEMPLATE,
+    "upper": _ALU_TEMPLATE, "branch": _BRANCH_TEMPLATE, "jump": _JUMP_TEMPLATE,
+    "load": _LOAD_TEMPLATE,
 }
 
 
-def _b_beq(cpu, regs, rs1, rs2, target, next_pc, ct, cnt):
-    def fn():
-        if regs[rs1] == regs[rs2]:
-            cpu.cycles += ct
-            cpu.instret += 1
-            return target
-        cpu.cycles += cnt
-        cpu.instret += 1
-        return next_pc
-    return fn
+def _factory(op):
+    """Compile ``op``'s template with its expression in the closure body."""
+    names = {
+        "a": "regs[rs1]",
+        "b": "regs[rs2]" if "rs2" in op.operands else "imm",
+        "M": "0xFFFFFFFF",
+        "SIGN": "0x80000000",
+    }
+    expr = re.sub(r"\b(a|b|M|SIGN)\b", lambda match: names[match.group()], op.expr)
+    hoist = ""
+    if "regs[" not in expr and op.kind != "load":
+        # no register input (lui, auipc, jal): evaluate once per site
+        hoist, expr = f"    value = {expr}", "value"
+    body = _TEMPLATES[op.kind].format(expr=expr, nbytes=op.nbytes)
+    scope = {"s": EXPR_GLOBALS["s"], "_BlockAbort": _BlockAbort}
+    exec(f"def make({_FACTORY_ARGS}):\n{hoist}{body}    return fn\n", scope)
+    return scope["make"]
 
 
-def _b_bne(cpu, regs, rs1, rs2, target, next_pc, ct, cnt):
-    def fn():
-        if regs[rs1] != regs[rs2]:
-            cpu.cycles += ct
-            cpu.instret += 1
-            return target
-        cpu.cycles += cnt
-        cpu.instret += 1
-        return next_pc
-    return fn
-
-
-def _b_blt(cpu, regs, rs1, rs2, target, next_pc, ct, cnt):
-    def fn():
-        if (regs[rs1] ^ _BIAS) < (regs[rs2] ^ _BIAS):
-            cpu.cycles += ct
-            cpu.instret += 1
-            return target
-        cpu.cycles += cnt
-        cpu.instret += 1
-        return next_pc
-    return fn
-
-
-def _b_bge(cpu, regs, rs1, rs2, target, next_pc, ct, cnt):
-    def fn():
-        if (regs[rs1] ^ _BIAS) >= (regs[rs2] ^ _BIAS):
-            cpu.cycles += ct
-            cpu.instret += 1
-            return target
-        cpu.cycles += cnt
-        cpu.instret += 1
-        return next_pc
-    return fn
-
-
-def _b_bltu(cpu, regs, rs1, rs2, target, next_pc, ct, cnt):
-    def fn():
-        if regs[rs1] < regs[rs2]:
-            cpu.cycles += ct
-            cpu.instret += 1
-            return target
-        cpu.cycles += cnt
-        cpu.instret += 1
-        return next_pc
-    return fn
-
-
-def _b_bgeu(cpu, regs, rs1, rs2, target, next_pc, ct, cnt):
-    def fn():
-        if regs[rs1] >= regs[rs2]:
-            cpu.cycles += ct
-            cpu.instret += 1
-            return target
-        cpu.cycles += cnt
-        cpu.instret += 1
-        return next_pc
-    return fn
-
-
-_BRANCH_OPS = {
-    "beq": _b_beq, "bne": _b_bne, "blt": _b_blt,
-    "bge": _b_bge, "bltu": _b_bltu, "bgeu": _b_bgeu,
-}
-
-# generic long tail: value computations as (a, b) lambdas; one extra
-# frame per execution, acceptable for the M extension and friends
-_ALU_RR_TAIL: Dict[str, Callable[[int, int], int]] = {
-    "sll": lambda a, b: (a << (b & 0x1F)) & MASK32,
-    "srl": lambda a, b: a >> (b & 0x1F),
-    "sra": lambda a, b: (_signed(a) >> (b & 0x1F)) & MASK32,
-    "mul": lambda a, b: (a * b) & MASK32,
-    "mulh": lambda a, b: ((_signed(a) * _signed(b)) >> 32) & MASK32,
-    "mulhsu": lambda a, b: ((_signed(a) * b) >> 32) & MASK32,
-    "mulhu": lambda a, b: ((a * b) >> 32) & MASK32,
-    "div": lambda a, b: _div(_signed(a), _signed(b)),
-    "divu": lambda a, b: MASK32 if b == 0 else a // b,
-    "rem": lambda a, b: _rem(_signed(a), _signed(b)),
-    "remu": lambda a, b: a if b == 0 else a % b,
-}
-
-#: rd==0 forms of these are architectural no-ops (pure computations)
-_PURE_RD_OPS = (
-    set(_INLINE_OPS) | set(_ALU_RR_TAIL) | {"lui", "auipc"}
-)
-
-_LOAD_BYTES = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4}
-_STORE_BYTES = {"sb": 1, "sh": 2, "sw": 4}
+_FACTORIES = {m: _factory(op) for m, op in OPS.items() if op.kind in _TEMPLATES}
 
 
 def _compile(cpu, inst, pc: int) -> Tuple[_OpFn, bool]:
     """Compile ``inst`` at ``pc`` into ``(closure, is_block_terminal)``."""
     m = inst.mnemonic
+    op = OPS[m]
     # single source of truth for block boundaries, shared with the
     # static CFG builder (repro.verify.cfg)
     terminal = is_block_terminal(m)
     rd = inst.rd
     rs1 = inst.rs1
     rs2 = inst.rs2
-    imm = inst.imm
+    imm = inst.imm & MASK32
     cost = cpu._cost_table[inst.cost_class]
     next_pc = (pc + 4) & MASK32
     # reset() clears the register file in place, so the list identity is
     # stable for the cpu's lifetime and closures can bind it directly
     regs = cpu.regs
 
-    if rd == 0 and m in _PURE_RD_OPS:
-        def fn() -> int:  # writes x0: architectural no-op beyond its cost
+    if m == "fence" or (rd == 0 and op.kind in PURE_KINDS):
+        def fn() -> int:  # no architectural effect beyond its cost
             cpu.cycles += cost
             cpu.instret += 1
             return next_pc
         return fn, terminal
 
-    factory = _INLINE_OPS.get(m)
+    factory = _FACTORIES.get(m)
     if factory is not None:
-        return factory(cpu, regs, rd, rs1, rs2, imm, cost, next_pc), terminal
-
-    branch = _BRANCH_OPS.get(m)
-    if branch is not None:
-        target = (pc + imm) & MASK32
         return (
-            branch(
-                cpu, regs, rs1, rs2, target, next_pc,
-                cpu._branch_taken_cost, cpu._cost_table[CC_BRANCH],
-            ),
+            factory(cpu, regs, rd, rs1, rs2, imm, pc, next_pc, cost, cpu._branch_taken_cost),
             terminal,
         )
 
-    if m in _ALU_RR_TAIL:
-        op = _ALU_RR_TAIL[m]
-
-        def fn() -> int:
-            regs[rd] = op(regs[rs1], regs[rs2])
-            cpu.cycles += cost
-            cpu.instret += 1
-            return next_pc
-
-        return fn, terminal
-
-    if m == "lw":
+    if op.kind == "store":
         find = cpu.bus._find
-        # inline cache: a given load site almost always hits the same
-        # region, so remember [base, limit, innermost reader] and skip
-        # the bus scan plus all dispatch frames on the hit path.  The
-        # cached callable is the offset-based ``_read`` — the raw MMIO
-        # handler itself, or RamRegion's offset twin — so RAM and MMIO
-        # cost one call frame alike; the result is masked here because
-        # raw handlers are allowed to return unmasked values.
-        cache = [1, 0, None]
-
-        def fn() -> int:
-            addr = (regs[rs1] + imm) & MASK32
-            if not cache[0] <= addr < cache[1]:
-                region = find(addr)
-                cache[0] = region.base
-                cache[1] = region.base + region.size
-                cache[2] = region._read
-            value = cache[2](addr - cache[0], 4) & MASK32
-            if rd:
-                regs[rd] = value
-            cpu.cycles += cost
-            cpu.instret += 1
-            if cpu._break_block:
-                cpu.pc = next_pc
-                raise _BlockAbort
-            return next_pc
-
-        return fn, terminal
-
-    if m in _LOAD_BYTES:
-        find = cpu.bus._find
-        nbytes = _LOAD_BYTES[m]
-        signed_load = m in ("lb", "lh")
-        sign_bit = 1 << (nbytes * 8 - 1)
-        low_mask = sign_bit - 1
-        full_mask = (1 << (nbytes * 8)) - 1
-        cache = [1, 0, None]
-
-        def fn() -> int:
-            addr = (regs[rs1] + imm) & MASK32
-            if not cache[0] <= addr < cache[1]:
-                region = find(addr)
-                cache[0] = region.base
-                cache[1] = region.base + region.size
-                cache[2] = region._read
-            value = cache[2](addr - cache[0], nbytes)
-            if signed_load:
-                value = ((value & low_mask) - (value & sign_bit)) & MASK32
-            else:
-                value &= full_mask
-            if rd:
-                regs[rd] = value
-            cpu.cycles += cost
-            cpu.instret += 1
-            if cpu._break_block:
-                cpu.pc = next_pc
-                raise _BlockAbort
-            return next_pc
-
-        return fn, terminal
-
-    if m in _STORE_BYTES:
-        find = cpu.bus._find
-        nbytes = _STORE_BYTES[m]
-        cache = [1, 0, None]
+        nbytes = op.nbytes
+        cache = [1, 0, None]  # inline cache, as in _LOAD_TEMPLATE
 
         def fn() -> int:
             addr = (regs[rs1] + imm) & MASK32
@@ -469,59 +214,6 @@ def _compile(cpu, inst, pc: int) -> Tuple[_OpFn, bool]:
             if cpu._break_block:
                 cpu.pc = next_pc
                 raise _BlockAbort
-            return next_pc
-
-        return fn, terminal
-
-    if m == "lui":
-        value = imm & MASK32
-
-        def fn() -> int:
-            regs[rd] = value
-            cpu.cycles += cost
-            cpu.instret += 1
-            return next_pc
-
-        return fn, terminal
-
-    if m == "auipc":
-        value = (pc + imm) & MASK32
-
-        def fn() -> int:
-            regs[rd] = value
-            cpu.cycles += cost
-            cpu.instret += 1
-            return next_pc
-
-        return fn, terminal
-
-    if m == "jal":
-        target = (pc + imm) & MASK32
-
-        def fn() -> int:
-            if rd:
-                regs[rd] = next_pc
-            cpu.cycles += cost
-            cpu.instret += 1
-            return target
-
-        return fn, terminal
-
-    if m == "jalr":
-        def fn() -> int:
-            target = (regs[rs1] + imm) & 0xFFFFFFFE
-            if rd:
-                regs[rd] = next_pc
-            cpu.cycles += cost
-            cpu.instret += 1
-            return target
-
-        return fn, terminal
-
-    if m == "fence":
-        def fn() -> int:
-            cpu.cycles += cost
-            cpu.instret += 1
             return next_pc
 
         return fn, terminal
@@ -573,7 +265,7 @@ def _compile(cpu, inst, pc: int) -> Tuple[_OpFn, bool]:
 
         return fn, terminal
 
-    if m.startswith("csr"):
+    if op.kind == "csr":
         # csr* can flip mstatus.MIE / mie, so blocks end here and the
         # run loop re-checks pending interrupts — same boundary as the
         # interpreter's per-step check

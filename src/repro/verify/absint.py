@@ -49,10 +49,9 @@ from ..core.config import RosebudConfig
 from ..riscv.blocks import BRANCH_MNEMONICS
 from ..riscv.isa import (
     BRANCH_RELATIONS,
-    LOAD_BYTES,
     NEGATED_RELATION,
-    SIGNED_LOADS,
-    STORE_BYTES,
+    OPS,
+    constant_result,
     writes_csr,
     writes_rd,
 )
@@ -192,16 +191,12 @@ def _sub(a: AbsVal, b: AbsVal) -> AbsVal:
 def _and_imm(a: AbsVal, imm: int) -> AbsVal:
     if imm >= 0:
         # masking drops the base: result is a small plain number
-        if a.is_const:
-            return const(a.lo & imm)
         hi = min(a.hi, imm) if a.is_plain else imm
         return AbsVal("num", 0, 0, hi)
     # negative imm = alignment mask: x & imm == x - (x mod 2^k) for
     # power-of-two alignments, and in general subtracts at most the
     # cleared low bits — base and pkt_len term survive
     cleared = (~imm) & U32
-    if a.is_const:
-        return const(a.lo & imm)
     return (
         AbsVal("num", 0, max(0, a.lo - cleared), a.hi)
         if a.is_plain
@@ -379,9 +374,10 @@ class MachineEnv:
             value = AbsVal(value.base, value.lc, value.lo, value.hi, ("stream", offset, pc))
         return value
 
-    def load_value(self, addr: AbsVal, mnemonic: str, nbytes: int, pc: int) -> AbsVal:
-        """Abstract value a load at ``pc`` can produce."""
-        if mnemonic in SIGNED_LOADS:
+    def load_value(self, addr: AbsVal, signed: bool, nbytes: int, pc: int) -> AbsVal:
+        """Abstract value a load at ``pc`` can produce (``signed``: the
+        load sign-extends)."""
+        if signed:
             width_default = TOP  # sign extension can reach anywhere
         else:
             width_default = interval(0, (1 << (8 * nbytes)) - 1) if nbytes < 4 else TOP
@@ -399,7 +395,7 @@ class MachineEnv:
         # narrow loads keep the symbolic value only when it provably fits
         if nbytes < 4:
             mask = (1 << (8 * nbytes)) - 1
-            if mnemonic in SIGNED_LOADS:
+            if signed:
                 return TOP
             if self.concrete_max(value) > mask or self.concrete_min(value) < 0:
                 return interval(0, mask)
@@ -474,55 +470,48 @@ class AbsAccess:
     addr: AbsVal
 
 
+def _known(v: AbsVal) -> Optional[int]:
+    """The concrete value of an untagged constant, else ``None``."""
+    return v.lo if v.is_const and v.tag is None else None
+
+
 class _Transfer:
     def __init__(self, env: MachineEnv) -> None:
         self.env = env
 
     def step(self, inst, pc: int, state: AbsState) -> Optional[AbsAccess]:
         m = inst.mnemonic
+        op = OPS[m]
         regs = state.regs
-        rd, rs1, rs2, imm = inst.rd, inst.rs1, inst.rs2, inst.imm
+        rd, imm = inst.rd, inst.imm
+        a, b = regs[inst.rs1], regs[inst.rs2]
         access = None
 
-        if m in LOAD_BYTES:
-            nbytes = LOAD_BYTES[m]
-            addr = _add_imm(regs[rs1], imm)
-            access = AbsAccess(pc, "load", nbytes, addr)
-            if rd:
-                regs[rd] = self.env.load_value(addr, m, nbytes, pc)
-        elif m in STORE_BYTES:
-            access = AbsAccess(pc, "store", STORE_BYTES[m], _add_imm(regs[rs1], imm))
-        elif m == "lui":
-            if rd:
-                regs[rd] = const(imm)
-        elif m == "auipc":
-            if rd:
-                regs[rd] = const(pc + imm)
-        elif m == "addi":
-            if rd:
-                regs[rd] = _add_imm(regs[rs1], imm)
-        elif m == "andi":
-            if rd:
-                regs[rd] = _and_imm(regs[rs1], imm)
-        elif m in ("ori", "xori", "slli", "srli", "srai", "slti", "sltiu"):
-            if rd:
-                regs[rd] = self._alu_imm(m, regs[rs1], imm)
-        elif m in _RR_OPS:
-            if rd:
-                regs[rd] = _RR_OPS[m](self, regs[rs1], regs[rs2])
-        elif m in BRANCH_MNEMONICS or m in ("fence", "wfi", "mret", "ecall", "ebreak"):
-            pass
-        elif m in ("jal", "jalr"):
-            if rd:
-                regs[rd] = const(pc + 4)
-        elif m.startswith("csr"):
+        if op.kind in ("load", "store"):
+            addr = _add_imm(a, imm)
+            access = AbsAccess(pc, op.kind, op.nbytes, addr)
+            if op.kind == "load" and rd:
+                regs[rd] = self.env.load_value(addr, op.signed, op.nbytes, pc)
+        elif op.kind == "csr":
             if writes_csr(inst) and inst.csr == MSTATUS_CSR:
                 state.mie = True
             if rd:
                 regs[rd] = TOP
-        else:
-            if writes_rd(m, rd):
-                regs[rd] = TOP
+        elif writes_rd(m, rd):
+            # known inputs fold through the table row's own expression
+            # (tagged values keep their identity instead); the
+            # per-operator rules below only ever see intervals
+            value = constant_result(inst, pc, _known(a), _known(b))
+            if value is not None:
+                regs[rd] = const(value)
+            elif m == "addi":
+                regs[rd] = _add_imm(a, imm)
+            elif m == "andi":
+                regs[rd] = _and_imm(a, imm)
+            elif op.kind == "alu-rr":
+                regs[rd] = _RR_OPS[m](self, a, b) if m in _RR_OPS else TOP
+            else:
+                regs[rd] = self._alu_imm(m, a, imm)
         regs[0] = ZERO
         return access
 
@@ -530,21 +519,15 @@ class _Transfer:
 
     def _alu_imm(self, m: str, a: AbsVal, imm: int) -> AbsVal:
         if m == "ori":
-            if a.is_const:
-                return const(a.lo | (imm & U32))
             if a.is_plain and imm >= 0:
                 return AbsVal("num", 0, max(a.lo, imm), _bit_hi(a, const(imm)))
             return TOP
         if m == "xori":
-            if a.is_const:
-                return const(a.lo ^ (imm & U32))
             if a.is_plain and imm >= 0:
                 return AbsVal("num", 0, 0, _bit_hi(a, const(imm)))
             return TOP
         if m == "slli":
             s = imm & 0x1F
-            if a.is_const:
-                return const(a.lo << s)
             if a.is_plain and (a.hi << s) <= U32:
                 return AbsVal("num", 0, a.lo << s, a.hi << s)
             return TOP
@@ -557,9 +540,6 @@ class _Transfer:
             s = imm & 0x1F
             if a.is_plain and a.hi < 0x8000_0000:
                 return AbsVal("num", 0, a.lo >> s, a.hi >> s)
-            if a.is_const:
-                v = a.lo - _TWO32 if a.lo & 0x8000_0000 else a.lo
-                return const(v >> s)
             return TOP
         if m == "slti":
             if a.is_plain and a.hi < 0x8000_0000:
@@ -581,8 +561,6 @@ class _Transfer:
     # register-register ALU forms --------------------------------------------
 
     def _and_rr(self, a: AbsVal, b: AbsVal) -> AbsVal:
-        if a.is_const and b.is_const:
-            return const(a.lo & b.lo)
         if b.is_const:
             return _and_imm(a, b.lo - _TWO32 if b.lo & 0x8000_0000 else b.lo)
         if a.is_const:
@@ -592,15 +570,11 @@ class _Transfer:
         return TOP
 
     def _or_rr(self, a: AbsVal, b: AbsVal) -> AbsVal:
-        if a.is_const and b.is_const:
-            return const(a.lo | b.lo)
         if a.is_plain and b.is_plain:
             return AbsVal("num", 0, max(a.lo, b.lo), _bit_hi(a, b))
         return TOP
 
     def _xor_rr(self, a: AbsVal, b: AbsVal) -> AbsVal:
-        if a.is_const and b.is_const:
-            return const(a.lo ^ b.lo)
         if a.is_plain and b.is_plain:
             return AbsVal("num", 0, 0, _bit_hi(a, b))
         return TOP
@@ -614,8 +588,6 @@ class _Transfer:
         return TOP
 
     def _mul_rr(self, a: AbsVal, b: AbsVal) -> AbsVal:
-        if a.is_const and b.is_const:
-            return const(a.lo * b.lo)
         if a.is_plain and b.is_plain and a.hi * b.hi <= U32:
             return AbsVal("num", 0, a.lo * b.lo, a.hi * b.hi)
         return TOP
@@ -661,11 +633,6 @@ _RR_OPS = {
     "mul": _Transfer._mul_rr,
     "divu": _Transfer._divu_rr,
     "remu": _Transfer._remu_rr,
-    "mulh": lambda t, a, b: TOP,
-    "mulhu": lambda t, a, b: TOP,
-    "mulhsu": lambda t, a, b: TOP,
-    "div": lambda t, a, b: TOP,
-    "rem": lambda t, a, b: TOP,
 }
 
 

@@ -28,20 +28,17 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core import funcsim
 from ..riscv.assembler import Program, assemble
 from ..riscv.blocks import (
-    BRANCH_MNEMONICS,
     MAX_BLOCK,
     image_decoder,
     is_block_terminal,
     static_successors,
 )
-from ..riscv.isa import LOAD_BYTES as _LOAD_BYTES
-from ..riscv.isa import STORE_BYTES as _STORE_BYTES
-from ..riscv.isa import Instruction
+from ..riscv.isa import OPS, Instruction, constant_result, sign_extend, writes_rd
 
 _MASK32 = 0xFFFFFFFF
 
@@ -483,79 +480,23 @@ def _report_unreachable(cfg: FirmwareCfg, decode_at) -> None:
 
 RegState = List[Optional[int]]
 
-# Load/store widths come from repro.riscv.isa (imported above) so the
-# dataflow, the abstract interpreter, and the decoder agree on them.
-
-_ALU_IMM: Dict[str, Callable[[int, int], int]] = {
-    "addi": lambda a, i: (a + i) & _MASK32,
-    "andi": lambda a, i: a & i & _MASK32,
-    "ori": lambda a, i: (a | i) & _MASK32,
-    "xori": lambda a, i: (a ^ i) & _MASK32,
-    "slli": lambda a, i: (a << (i & 0x1F)) & _MASK32,
-    "srli": lambda a, i: (a & _MASK32) >> (i & 0x1F),
-    "slti": lambda a, i: 1 if _sgn(a) < i else 0,
-    "sltiu": lambda a, i: 1 if (a & _MASK32) < (i & _MASK32) else 0,
-}
-
-_ALU_RR: Dict[str, Callable[[int, int], int]] = {
-    "add": lambda a, b: (a + b) & _MASK32,
-    "sub": lambda a, b: (a - b) & _MASK32,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "sll": lambda a, b: (a << (b & 0x1F)) & _MASK32,
-    "srl": lambda a, b: a >> (b & 0x1F),
-    "slt": lambda a, b: 1 if _sgn(a) < _sgn(b) else 0,
-    "sltu": lambda a, b: 1 if a < b else 0,
-    "mul": lambda a, b: (a * b) & _MASK32,
-}
-
-
-def _sgn(v: int) -> int:
-    return v - 0x1_0000_0000 if v & 0x8000_0000 else v
-
 
 def _transfer(inst: Instruction, pc: int, regs: RegState) -> Optional[Tuple[str, int, Optional[int]]]:
     """Apply ``inst`` to the register lattice in place; return a memory
-    access descriptor ``(kind, nbytes, addr)`` when it loads or stores."""
-    m = inst.mnemonic
-    rd, rs1, rs2, imm = inst.rd, inst.rs1, inst.rs2, inst.imm
-    access = None
+    access descriptor ``(kind, nbytes, addr)`` when it loads or stores.
 
-    if m in _LOAD_BYTES:
-        a = regs[rs1]
-        addr = (a + imm) & _MASK32 if a is not None else None
-        access = ("load", _LOAD_BYTES[m], addr)
-        if rd:
-            regs[rd] = None
-    elif m in _STORE_BYTES:
-        a = regs[rs1]
-        addr = (a + imm) & _MASK32 if a is not None else None
-        access = ("store", _STORE_BYTES[m], addr)
-    elif m == "lui":
-        if rd:
-            regs[rd] = imm & _MASK32
-    elif m == "auipc":
-        if rd:
-            regs[rd] = (pc + imm) & _MASK32
-    elif m in _ALU_IMM:
-        a = regs[rs1]
-        if rd:
-            regs[rd] = _ALU_IMM[m](a, imm) if a is not None else None
-    elif m in _ALU_RR:
-        a, b = regs[rs1], regs[rs2]
-        if rd:
-            regs[rd] = _ALU_RR[m](a, b) if a is not None and b is not None else None
-    elif m in ("jal", "jalr"):
-        if rd:
-            regs[rd] = (pc + 4) & _MASK32
-    elif m in ("fence", "wfi", "mret", "ecall", "ebreak") or m in BRANCH_MNEMONICS:
-        pass
-    else:
-        # csr reads, M-extension tail, anything else: clobber rd
-        if rd:
-            regs[rd] = None
-    regs[0] = 0
+    What an instruction computes comes from its row of the instruction
+    table (:func:`repro.riscv.isa.constant_result`): ALU results fold
+    when their inputs are known, jumps define the link register, and
+    anything else that writes ``rd`` (loads, CSR reads) clobbers it."""
+    op = OPS[inst.mnemonic]
+    access = None
+    if op.kind in ("load", "store"):
+        a = regs[inst.rs1]
+        addr = (a + inst.imm) & _MASK32 if a is not None else None
+        access = (op.kind, op.nbytes, addr)
+    if writes_rd(inst.mnemonic, inst.rd):
+        regs[inst.rd] = constant_result(inst, pc, regs[inst.rs1], regs[inst.rs2])
     return access
 
 
@@ -641,7 +582,7 @@ def _dataflow(cfg: FirmwareCfg) -> None:
         # stack tracking: known sp in and out -> depth excursion
         sp_out = state[_SP]
         if sp_in is not None and sp_out is not None:
-            delta = _sgn((sp_out - sp_in) & _MASK32)
+            delta = sign_extend(sp_out - sp_in, 32)
             if delta < 0:
                 min_sp_delta = min(min_sp_delta, delta)
                 header = next(

@@ -162,6 +162,20 @@ def test_repo_probe_scripts_all_baselined():
     assert trend.expected_probes() <= baselined
 
 
+def test_source_size_metrics_may_shrink_but_not_grow():
+    """loc_probe's ``*_lines`` get a zero-tolerance, lower-is-better
+    band: one added line needs a baseline bump."""
+    band = trend.default_band("riscv_lines", 2789)
+    assert band == {"value": 2789, "tolerance": 0.0, "direction": "lower"}
+    assert trend.check_metric(band, 2789)["status"] == "ok"
+    assert trend.check_metric(band, 2500)["status"] == "ok"
+    assert trend.check_metric(band, 2790)["status"] == "REGRESSED"
+    committed = trend.load_baselines()
+    loc = {k: v for k, v in committed.items() if k.startswith("loc_probe.")}
+    assert "loc_probe.total_lines" in loc
+    assert all(v["direction"] == "lower" and v["tolerance"] == 0 for v in loc.values())
+
+
 def test_update_preserves_hand_tuned_bands(results_dir, tmp_path):
     baselines_path = tmp_path / "baselines.json"
     trend.update_baselines(trend.collect_results(results_dir), baselines_path)
@@ -206,7 +220,8 @@ def test_committed_baselines_are_well_formed():
         assert "value" in band, key
         if not band.get("exact"):
             assert band.get("direction") in ("higher", "lower"), key
-            assert float(band.get("tolerance", 0)) > 0, key
+            # zero is a band too: source-size metrics may not grow at all
+            assert float(band.get("tolerance", -1)) >= 0, key
     # the tentpole identity guarantee is gated, exactly
     assert metrics["cluster_probe.shards_identical"] == {
         "value": True,

@@ -226,6 +226,19 @@ class TestPseudoInstructions:
         """)
         assert cpu.read_reg(10) == 77
 
+    def test_tail_far_target_links_nothing(self):
+        # tail reaches as far as call but goes through t1 and leaves ra alone
+        cpu = execute("""
+            li ra, 0x123
+            tail fn
+            ebreak
+        .org 0x4000
+        fn:
+            li a0, 78
+            ebreak
+        """)
+        assert cpu.read_reg(10) == 78 and cpu.read_reg(1) == 0x123
+
 
 class TestOperandSyntax:
     def test_memory_operand_with_expression(self):
@@ -279,6 +292,21 @@ class TestOperandSyntax:
     def test_shift_amount_range(self):
         with pytest.raises(AssemblerError):
             assemble("slli a0, a1, 32")
+
+    @pytest.mark.parametrize("line", [
+        "lui a0, 0x100000",  # used to assemble, silently, to lui a0, 0x0
+        "auipc a2, 0x1234567",  # ... and this to auipc a2, 0x34567
+        "lui a0, -0x80001",
+    ])
+    def test_upper_immediate_range(self, line):
+        with pytest.raises(AssemblerError, match="line 2"):
+            assemble(f"nop\n{line}")
+
+    def test_upper_immediate_accepts_both_readings(self):
+        words = assemble("lui a1, -1\nlui a1, 0xFFFFF\nlui a1, -0x80000\nauipc a1, 0").image
+        assert words[0:4] == words[4:8] == (0xFFFFF5B7).to_bytes(4, "little")
+        assert words[8:12] == (0x800005B7).to_bytes(4, "little")
+        assert words[12:16] == (0x00000597).to_bytes(4, "little")
 
     def test_base_address(self):
         program = assemble("target:\n j target", base=0x1000)

@@ -40,6 +40,18 @@ class TestDisassembler:
         word = int.from_bytes(program.image[:4], "little")
         assert disassemble_word(word) == expected
 
+    @pytest.mark.parametrize("source", ["nop", "mv a0, a1", "ret", "ebreak"])
+    def test_shorthands_reassemble(self, source):
+        word = int.from_bytes(assemble(source).image, "little")
+        rendered = disassemble_word(word)
+        assert rendered == source
+        assert int.from_bytes(assemble(rendered).image, "little") == word
+
+    def test_nop_wins_over_li(self):
+        # addi zero, zero, 0 also fits the li and mv shorthands
+        assert disassemble_word(0x00000013) == "nop"
+        assert disassemble_word(0x00000513) == "li a0, 0"
+
     def test_pseudo_recognition(self):
         program = assemble("mv a0, a1")
         word = int.from_bytes(program.image[:4], "little")
