@@ -43,8 +43,10 @@ FLOOR_REPLAY_HIT_RATE = 0.9
 FLOOR_VERIFY_SECONDS = 20.0 if REPRO_CI else 5.0
 #: serve_probe.py: ceiling on the incremental stepper's wall-clock
 #: overhead over the batch run_experiment path for the same spec
-#: (results must be byte-identical; only the pump-per-event bookkeeping
-#: may cost anything).  0.10 = at most 10% slower locally.
+#: (results must be byte-identical).  Batch and stepped runs share one
+#: loop — SimSession.step driving Simulator.run under its observer — so
+#: only re-entering step() once per chunk may cost anything.
+#: 0.10 = at most 10% slower locally.
 FLOOR_SERVE_OVERHEAD = 0.50 if REPRO_CI else 0.10
 #: fluid_probe.py: effective-speedup floor for the fluid fast-forward
 #: tier on a steady-state forwarder run (simulated packets per

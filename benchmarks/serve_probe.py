@@ -5,9 +5,10 @@ Runs the same forwarding spec two ways — the batch
 stepped in fixed event chunks with a telemetry snapshot per chunk —
 and scores the stepper's wall-clock overhead.  Before scoring it
 proves the two paths produced *byte-identical* ``ExperimentResult``
-JSON: the stepper is the batch engine, so the only thing it is allowed
-to cost is the per-event pump/bookkeeping, and
-``FLOOR_SERVE_OVERHEAD`` in ``benchmarks/conftest.py`` bounds that.
+JSON: batch and stepped runs share one loop, so the only thing the
+stepper is allowed to cost is re-entering it and taking a snapshot
+once per chunk, and ``FLOOR_SERVE_OVERHEAD`` in
+``benchmarks/conftest.py`` bounds that.
 
 Timing noise on a shared host is one-sided, so each side is measured
 ``REPS`` times interleaved and the best rep is scored.

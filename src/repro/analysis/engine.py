@@ -48,9 +48,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     workers, and interactive sessions: a thin wrapper that opens a
     :class:`~repro.serve.session.SimSession` (which performs the
     backend/verify/build/replay/fault setup in the canonical order)
-    and steps it to measurement completion.  The stepper is
-    differential-tested to produce byte-identical results to the
-    retired in-line batch loop.
+    and steps it to measurement completion, so batch and interactive
+    runs are the same loop.
     """
     # imported lazily: repro.serve builds on the analysis spec, so the
     # dependency must point session -> spec, not engine -> session at

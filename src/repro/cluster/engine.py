@@ -31,11 +31,10 @@ import pickle
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.spec import ExperimentResult, ExperimentSpec, SpecError
-from ..analysis.harness import ThroughputResult
+from ..analysis.harness import ThroughputMeasurement, sum_readings, window_rates
 from ..core.profiler import Sample
 from ..faults.metrics import dip_profile
 from ..schema import stamp
-from ..sim.clock import max_effective_gbps
 from .shard import ClusterShardError, InlineShard, ProcessShard
 
 #: Horizons with zero cluster-wide progress before the run is declared
@@ -103,26 +102,33 @@ class ClusterEngine:
         self._snapshot_seq = 0
 
         boards = self.cluster.boards
-        self._metrics: List[Optional[Dict[str, Any]]] = [None] * boards
+        #: each board's progress reading at the last barrier, and their sum
+        self._reading = sum_readings(())
+        self._metrics: List[Dict[str, Any]] = [self._reading] * boards
         self._pending: Dict[int, list] = {}
         self._cross_packets = 0
         self._cross_bytes = 0
         self._applied_events: List[Dict[str, Any]] = []
 
-        # cluster measurement phase machine (warmup -> measure -> done)
-        self._phase = "warmup"
-        self._measure_t0 = 0.0
-        self._measure_base: List[Optional[Dict[str, Any]]] = [None] * boards
+        # the rack is measured like one board, on the summed reading
+        self._measurement = ThroughputMeasurement(
+            spec.window,
+            lambda: self.now,
+            lambda: self._reading,
+            lambda: self._reading["completions"],
+            clock=spec.config.clock,
+            packet_size=spec.traffic.packet_size,
+            offered_gbps=spec.traffic.offered_gbps * boards,
+            n_rpus=boards * spec.config.n_rpus,
+            include_host=spec.include_host,
+            include_absorbed=spec.include_absorbed,
+        )
 
-        # cluster-level rate sampler
+        # cluster-level rate sampler: (time, reading) the interval began at
         self.samples: List[Sample] = []
-        self._sample_t0 = 0.0
-        self._sample_base: Optional[Dict[str, int]] = None
-        self._measure_skip = 1
+        self._sample_base = (0.0, self._reading)
 
         # cluster watchdog state
-        self._progress = [0] * boards
-        self._absorbed = [0] * boards
         self._zero_streak = [0] * boards
         self._has_progressed = [False] * boards
         self._admin_drained = set()
@@ -176,7 +182,7 @@ class ClusterEngine:
 
     @property
     def measurement_done(self) -> bool:
-        return self._phase == "done"
+        return self._measurement.done
 
     def _apply_event(self, kind: str, board: int, source: str) -> None:
         for shard in self._shards:
@@ -205,18 +211,6 @@ class ClusterEngine:
             self._apply_event(kind, board, "scheduled")
             self._next_event += 1
 
-    def _completions(self) -> int:
-        return sum(m["completions"] for m in self._metrics if m is not None)
-
-    def _totals(self) -> Dict[str, int]:
-        keys = ("tx_bytes", "tx_packets", "host_bytes", "rx_drops")
-        out = {k: 0 for k in keys}
-        for m in self._metrics:
-            if m is not None:
-                for k in keys:
-                    out[k] += m[k]
-        return out
-
     def advance_horizon(self) -> None:
         """Advance every board one window and run the barrier logic."""
         self.start()
@@ -227,11 +221,13 @@ class ClusterEngine:
         if horizon > self.spec.window.max_cycles:
             raise RuntimeError(
                 f"cluster run exceeded max_cycles={self.spec.window.max_cycles:g} "
-                f"in phase {self._phase!r} at {self._completions()} completions"
+                f"in phase {self._measurement.phase!r} at "
+                f"{self._reading['completions']} completions"
             )
 
         outgoing: List[tuple] = []
-        before = self._completions() if any(self._metrics) else 0
+        previous = list(self._metrics)
+        before = self._reading["completions"]
         for shard in self._shards:
             deliveries = {
                 b: self._pending.pop(b) for b in shard.boards if b in self._pending
@@ -253,30 +249,27 @@ class ClusterEngine:
 
         self.now = horizon
         self.horizons += 1
-        self._watchdog_tick()
+        self._reading = sum_readings(self._metrics)
+        self._watchdog_tick(previous)
         self._sample_tick()
-        self._pump_measurement()
+        self._measurement.pump()
 
-        if self._completions() == before:
+        if self._reading["completions"] == before:
             self._stall_streak += 1
             if self._stall_streak >= _STALL_HORIZONS:
                 raise RuntimeError(
                     f"cluster stalled: no completions for {_STALL_HORIZONS} "
-                    f"horizons (phase {self._phase!r}, "
-                    f"{self._completions()} completions, t={self.now:g})"
+                    f"horizons (phase {self._measurement.phase!r}, "
+                    f"{self._reading['completions']} completions, t={self.now:g})"
                 )
         else:
             self._stall_streak = 0
 
-    def _watchdog_tick(self) -> None:
+    def _watchdog_tick(self, previous: List[Dict[str, Any]]) -> None:
         threshold = self.cluster.watchdog_horizons
-        for board in range(self.cluster.boards):
-            total = self._metrics[board]["completions"]
-            delta = total - self._progress[board]
-            self._progress[board] = total
-            absorbed = self._metrics[board]["absorbed_bytes"]
-            absorbed_delta = absorbed - self._absorbed[board]
-            self._absorbed[board] = absorbed
+        for board, (before, now) in enumerate(zip(previous, self._metrics)):
+            delta = now["completions"] - before["completions"]
+            absorbed_delta = now["absorbed_bytes"] - before["absorbed_bytes"]
             if delta > 0:
                 self._has_progressed[board] = True
                 self._zero_streak[board] = 0
@@ -314,104 +307,18 @@ class ClusterEngine:
                 self._apply_event("evict", board, "watchdog")
 
     def _sample_tick(self) -> None:
-        totals = self._totals()
-        if self._sample_base is None:
-            self._sample_base = totals
-            self._sample_t0 = 0.0
-        if self.now - self._sample_t0 < self.cluster.sample_cycles:
+        t0, base = self._sample_base
+        if self.now - t0 < self.cluster.sample_cycles:
             return
-        clock = self.spec.config.clock
-        seconds = clock.cycles_to_seconds(self.now - self._sample_t0)
-        base = self._sample_base
         self.samples.append(
             Sample(
-                t_start_cycles=self._sample_t0,
+                t_start_cycles=t0,
                 t_end_cycles=self.now,
-                gbps=(totals["tx_bytes"] - base["tx_bytes"]) * 8 / seconds / 1e9,
-                mpps=(totals["tx_packets"] - base["tx_packets"]) / seconds / 1e6,
-                rx_drops=totals["rx_drops"] - base["rx_drops"],
-                host_gbps=(totals["host_bytes"] - base["host_bytes"])
-                * 8
-                / seconds
-                / 1e9,
+                rx_drops=self._reading["rx_drops"] - base["rx_drops"],
+                **window_rates(base, self._reading, self.now - t0, self.spec.config.clock),
             )
         )
-        self._sample_t0 = self.now
-        self._sample_base = totals
-
-    def _pump_measurement(self) -> None:
-        window = self.spec.window
-        while self._phase != "done":
-            done = self._completions()
-            if self._phase == "warmup":
-                if done < window.warmup_packets:
-                    return
-                self._phase = "measure"
-                self._measure_t0 = self.now
-                self._measure_base = [dict(m) for m in self._metrics]
-                self._measure_skip = max(1, len(self.samples))
-            else:
-                if done < window.warmup_packets + window.measure_packets:
-                    return
-                self._finish()
-                self._phase = "done"
-
-    def _finish(self) -> None:
-        spec = self.spec
-        clock = spec.config.clock
-        boards = self.cluster.boards
-        elapsed = self.now - self._measure_t0
-        seconds = clock.cycles_to_seconds(elapsed)
-
-        def delta(key: str) -> int:
-            return sum(
-                self._metrics[b][key] - self._measure_base[b][key]
-                for b in range(boards)
-            )
-
-        tx_bytes = delta("tx_bytes")
-        tx_packets = delta("tx_packets")
-        if spec.include_host:
-            tx_bytes += delta("host_bytes")
-            tx_packets += delta("host_packets")
-        if spec.include_absorbed:
-            tx_bytes = delta("absorbed_bytes")
-            tx_packets = spec.window.measure_packets
-
-        if seconds > 0:
-            achieved_gbps = tx_bytes * 8 / seconds / 1e9
-            achieved_mpps = tx_packets / seconds / 1e6
-        else:
-            achieved_gbps = 0.0
-            achieved_mpps = 0.0
-
-        rpu_counts: List[int] = []
-        for b in range(boards):
-            rpu_counts.extend(
-                now - base
-                for now, base in zip(
-                    self._metrics[b]["rpu_packets"],
-                    self._measure_base[b]["rpu_packets"],
-                )
-            )
-        total_rpus = boards * spec.config.n_rpus
-        cpp = 0.0
-        if achieved_mpps > 0:
-            cpp = total_rpus * clock.freq_hz / (achieved_mpps * 1e6)
-
-        offered_total = spec.traffic.offered_gbps * boards
-        self._throughput = ThroughputResult(
-            packet_size=spec.traffic.packet_size,
-            offered_gbps=offered_total,
-            achieved_gbps=achieved_gbps,
-            achieved_mpps=achieved_mpps,
-            line_rate_gbps=max_effective_gbps(
-                offered_total, spec.traffic.packet_size
-            ),
-            rx_drops=delta("rx_drops"),
-            rpu_packet_counts=rpu_counts,
-            cycles_per_packet=cpp,
-        )
+        self._sample_base = (self.now, self._reading)
 
     # -- results -----------------------------------------------------------
 
@@ -456,8 +363,12 @@ class ClusterEngine:
         mttrs = [
             o["mttr_cycles"] for o in self._outages if o["mttr_cycles"] is not None
         ]
+        # the dip is judged on samples that end inside the measure window
+        warmup_samples = sum(
+            s.t_end_cycles <= self._measurement.t0 for s in self.samples
+        )
         resilience = {
-            "dip": dip_profile(self.samples, skip=self._measure_skip),
+            "dip": dip_profile(self.samples, skip=max(1, warmup_samples)),
             "watchdog": [dict(o) for o in self._outages],
             "mttr_cycles": max(mttrs) if mttrs else 0.0,
             "samples": len(self.samples),
@@ -500,7 +411,7 @@ class ClusterEngine:
 
         result = ExperimentResult(
             spec_key=self.spec_key,
-            throughput=self._throughput,
+            throughput=self._measurement.result,
             counters=counters,
             firmware_totals=firmware_totals,
         )
@@ -590,10 +501,10 @@ class ClusterEngine:
                     and b not in self._auto_evicted,
                     "drained": b in self._admin_drained,
                     "evicted": b in self._auto_evicted,
-                    "completions": 0 if m is None else m["completions"],
-                    "tx_packets": 0 if m is None else m["tx_packets"],
-                    "rx_drops": 0 if m is None else m["rx_drops"],
-                    "fluid": None if m is None else m.get("fluid"),
+                    "completions": m["completions"],
+                    "tx_packets": m["tx_packets"],
+                    "rx_drops": m["rx_drops"],
+                    "fluid": m.get("fluid"),
                 }
             )
         detail = {}
@@ -617,13 +528,9 @@ class ClusterEngine:
             },
             "measurement": {
                 "mode": "throughput",
-                "phase": self._phase,
-                "completions": self._completions() if any(self._metrics) else 0,
-                "target": (
-                    window.warmup_packets
-                    if self._phase == "warmup"
-                    else window.warmup_packets + window.measure_packets
-                ),
+                "phase": self._measurement.phase,
+                "completions": self._reading["completions"],
+                "target": self._measurement.target(),
             },
             "events": [dict(e) for e in self._applied_events],
             "watchdog": [dict(o) for o in self._outages],

@@ -31,6 +31,7 @@ import traceback
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.harness import progress_reading
 from ..analysis.spec import ExperimentSpec, MeasurementWindow
 from .affinity import ClusterAffinity
 from .link import BoardLink
@@ -177,17 +178,12 @@ class BoardHarness:
     # -- telemetry ---------------------------------------------------------
 
     def metrics(self) -> Dict[str, Any]:
-        """The per-barrier progress readings the engine's drivers use.
-        Plain ints (and an int tuple), so they cross the pipe exactly."""
-        system = self.system
-        counters = system.counters
-        completions = counters.value("delivered")
-        if self.include_host:
-            completions += counters.value("to_host")
-            completions += counters.value("dropped_by_firmware")
-        fluid = None
+        """The board's progress reading at a barrier, plus its fluid
+        telemetry.  Plain values, so they cross the pipe exactly."""
+        reading = progress_reading(self.system, self.include_host)
+        reading["fluid"] = None
         if self.fluid is not None:
-            fluid = {
+            reading["fluid"] = {
                 "warps": self.fluid.warps,
                 "periods_warped": self.fluid.periods_warped,
                 "warped_cycles": self.fluid.warped_cycles,
@@ -197,19 +193,7 @@ class BoardHarness:
                 "backlog": self.fluid.backlog_now,
                 "backlog_peak": self.fluid.backlog_peak,
             }
-        return {
-            "completions": completions,
-            "tx_bytes": sum(m.bytes_total for m in system.tx_meters),
-            "tx_packets": sum(m.packets_total for m in system.tx_meters),
-            "host_bytes": system.host_meter.bytes_total,
-            "host_packets": system.host_meter.packets_total,
-            "absorbed_bytes": sum(
-                mac.counters.value("rx_bytes") for mac in system.macs
-            ),
-            "rx_drops": system.total_rx_drops(),
-            "rpu_packets": tuple(system.rpu_packet_counts()),
-            "fluid": fluid,
-        }
+        return reading
 
     def finalize(self) -> Dict[str, Any]:
         from ..analysis.engine import _firmware_totals

@@ -40,61 +40,41 @@ class StatsSampler:
         self.interval_cycles = interval_cycles
         self.samples: List[Sample] = []
         self._running = False
-        self._last_bytes = 0
-        self._last_packets = 0
-        self._last_drops = 0
-        self._last_host_bytes = 0
-        self._last_time = 0.0
-        self._last_replay_hits = 0
-        self._last_replay_lookups = 0
+        #: (time, progress reading, replay hits, replay lookups) at the
+        #: start of the current interval
+        self._last = None
 
     def start(self) -> None:
         if self._running:
             raise RuntimeError("sampler already started")
         self._running = True
-        self._snapshot()
-        self.system.sim.schedule(self.interval_cycles, self._tick, name="sampler")
-
-    def _totals(self):
-        tx_bytes = sum(m.bytes_total for m in self.system.tx_meters)
-        tx_packets = sum(m.packets_total for m in self.system.tx_meters)
-        return tx_bytes, tx_packets
-
-    def _replay_totals(self):
-        stats = self.system.replay_stats()
-        if stats is None:
-            return 0, 0
-        return stats.hits, stats.lookups
-
-    def _snapshot(self) -> None:
-        self._last_bytes, self._last_packets = self._totals()
-        self._last_drops = self.system.total_rx_drops()
-        self._last_host_bytes = self.system.host_meter.bytes_total
-        self._last_time = self.system.sim.now
-        self._last_replay_hits, self._last_replay_lookups = self._replay_totals()
+        self._last = None
+        self._tick()
 
     def _tick(self) -> None:
-        now = self.system.sim.now
-        tx_bytes, tx_packets = self._totals()
-        seconds = self.system.config.clock.cycles_to_seconds(now - self._last_time)
-        host_bytes = self.system.host_meter.bytes_total
-        replay_hits, replay_lookups = self._replay_totals()
-        if seconds > 0:
+        # repro.analysis builds on repro.core, so not a module-level import
+        from ..analysis.harness import progress_reading, window_rates
+
+        system = self.system
+        now = system.sim.now
+        reading = progress_reading(system)
+        stats = system.replay_stats()
+        hits, lookups = (0, 0) if stats is None else (stats.hits, stats.lookups)
+        if self._last is not None and now > self._last[0]:
+            t0, base, hits0, lookups0 = self._last
             self.samples.append(
                 Sample(
-                    t_start_cycles=self._last_time,
+                    t_start_cycles=t0,
                     t_end_cycles=now,
-                    gbps=(tx_bytes - self._last_bytes) * 8 / seconds / 1e9,
-                    mpps=(tx_packets - self._last_packets) / seconds / 1e6,
-                    rx_drops=self.system.total_rx_drops() - self._last_drops,
-                    host_gbps=(host_bytes - self._last_host_bytes) * 8 / seconds / 1e9,
-                    replay_hits=replay_hits - self._last_replay_hits,
-                    replay_lookups=replay_lookups - self._last_replay_lookups,
+                    rx_drops=reading["rx_drops"] - base["rx_drops"],
+                    replay_hits=hits - hits0,
+                    replay_lookups=lookups - lookups0,
+                    **window_rates(base, reading, now - t0, system.config.clock),
                 )
             )
-        self._snapshot()
+        self._last = (now, reading, hits, lookups)
         if self._running:
-            self.system.sim.schedule(self.interval_cycles, self._tick, name="sampler")
+            system.sim.schedule(self.interval_cycles, self._tick, name="sampler")
 
     def stop(self) -> None:
         self._running = False

@@ -542,12 +542,12 @@ class FluidEngine:
 
     # -- the warp ------------------------------------------------------------
 
-    def pre_step(self, until_ts: Optional[float] = None) -> bool:
+    def pre_step(self, until_ts: Optional[float] = None) -> None:
         """If armed at a confirmed boundary, warp as many whole periods as
-        the caps allow.  Returns True when time was skipped (the caller
-        re-enters its pump/step loop without firing an event)."""
+        the caps allow.  Called by the session between events, after the
+        measurement pump."""
         if not (self.enabled and self._armed and self._steady is not None):
-            return False
+            return
         st = self._steady
         now = self.sim.now
         caps: List[int] = []
@@ -566,14 +566,14 @@ class FluidEngine:
         if not caps:
             # free-running session with no bound: nothing requests the
             # future, so there is no budget to warp against
-            return False
+            return
 
         far_min: Optional[float] = None
         for t, name in self.sim.iter_pending():
             if name == _XBOARD_EVENT:
                 # a cross-board delivery is pinned to absolute time;
                 # warping would shift or skip it — hard de-opt
-                return False
+                return
             if t - now > st.horizon and (far_min is None or t < far_min):
                 far_min = t
         if far_min is not None:
@@ -584,9 +584,8 @@ class FluidEngine:
 
         k = min(caps)
         if k < 1:
-            return False
+            return
         self._warp(k, far_min)
-        return True
 
     def _warp(self, k: int, far_min: Optional[float]) -> None:
         st = self._steady

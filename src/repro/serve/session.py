@@ -23,12 +23,13 @@ traffic feeds and exposes:
 Batch :func:`repro.analysis.engine.run_experiment` is a thin wrapper —
 open a session from the spec, :meth:`run_to_completion` — and produces
 byte-identical :class:`~repro.analysis.spec.ExperimentResult`s because
-the measurement drivers here replicate the legacy harness loops at
-exact event granularity: phase transitions happen at the same
-completion boundaries, baselines are snapshotted at the same instant,
-and the result envelope is frozen the moment the measure target is
-reached (so an interactive ``step`` overshooting the window cannot
-perturb it).
+there is one loop: :meth:`step` hands :meth:`Simulator.run
+<repro.sim.kernel.Simulator.run>` an observer that pumps the
+measurement (:mod:`repro.analysis.harness`) after every fired event
+and stops the run on the event that completes it, so the base and
+final readings land on the same events however the caller chunks its
+stepping, and an interactive ``step`` overshooting the window cannot
+perturb the result.
 """
 
 from __future__ import annotations
@@ -36,9 +37,15 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.firmware_api import FirmwareModel
-from ..sim.clock import max_effective_gbps
 from ..sim.stats import Histogram
-from ..analysis.harness import ThroughputResult
+from ..analysis.harness import (
+    LatencyMeasurement,
+    MeasurementPhases,
+    ThroughputMeasurement,
+    ThroughputResult,
+    progress_reading,
+    window_rates,
+)
 from ..analysis.spec import (
     LB_REGISTRY,
     ExperimentResult,
@@ -51,205 +58,6 @@ from .feed import SourceFeed, TrafficFeed
 
 class SessionError(RuntimeError):
     """An operation that does not make sense in the session's state."""
-
-
-# -- measurement state machines --------------------------------------------
-#
-# These replicate analysis/harness.py's retired batch loops as
-# resumable drivers: ``pump()`` performs every phase transition whose
-# completion target has been reached, and the caller (the session)
-# interleaves ``pump()`` with single ``sim.step()`` calls.  Byte
-# identity with the legacy loops rests on pumping *before every fired
-# event*, so baselines and final readings land on the same event
-# boundaries regardless of how the caller chunks its stepping.
-
-
-class _MeasurementDriver:
-    """Phase machine: ``warmup`` -> ``measure`` -> ``done``."""
-
-    mode = ""
-
-    def __init__(self, system, window: MeasurementWindow) -> None:
-        self.system = system
-        self.sim = system.sim
-        self.window = window
-        self.deadline = self.sim.now + window.max_cycles
-        self.phase = "warmup"
-        self.result: Any = None
-
-    @property
-    def done(self) -> bool:
-        return self.phase == "done"
-
-    def completions(self) -> int:
-        raise NotImplementedError
-
-    def target(self) -> int:
-        if self.phase == "warmup":
-            return self.window.warmup_packets
-        return self.window.warmup_packets + self.window.measure_packets
-
-    def pump(self) -> None:
-        """Run every phase transition whose target has been reached."""
-        while self.phase != "done" and self.completions() >= self.target():
-            if self.phase == "warmup":
-                self._begin_measure()
-                self.phase = "measure"
-            else:
-                self._finish()
-                self.phase = "done"
-
-    def check_stall(self) -> None:
-        """The legacy loops' stall guard, evaluated between events."""
-        if self.sim.peek() is None or self.sim.now > self.deadline:
-            raise RuntimeError(self._stall_message())
-
-    def status(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"mode": self.mode, "phase": self.phase}
-        if not self.done:
-            out["completions"] = self.completions()
-            out["target"] = self.target()
-        return out
-
-    # -- subclass hooks ----------------------------------------------------
-
-    def _begin_measure(self) -> None:
-        raise NotImplementedError
-
-    def _finish(self) -> None:
-        raise NotImplementedError
-
-    def _stall_message(self) -> str:
-        raise NotImplementedError
-
-
-class _ThroughputDriver(_MeasurementDriver):
-    """Steady-state rate measurement (was ``_measure_throughput``).
-
-    Completion is counted at MAC TX (plus the host link and firmware
-    drops, so drop/punt middleboxes measure their full served rate).
-    """
-
-    mode = "throughput"
-
-    def __init__(
-        self,
-        system,
-        window: MeasurementWindow,
-        packet_size: int,
-        offered_gbps_total: float,
-        include_host: bool = True,
-        include_absorbed: bool = False,
-    ) -> None:
-        super().__init__(system, window)
-        self.packet_size = packet_size
-        self.offered_gbps_total = offered_gbps_total
-        self.include_host = include_host
-        self.include_absorbed = include_absorbed
-
-    def completions(self) -> int:
-        done = self.system.counters.value("delivered")
-        if self.include_host:
-            done += self.system.counters.value("to_host")
-            done += self.system.counters.value("dropped_by_firmware")
-        return done
-
-    def _begin_measure(self) -> None:
-        system = self.system
-        self._t0 = self.sim.now
-        self._base_tx = [
-            (meter.bytes_total, meter.packets_total) for meter in system.tx_meters
-        ]
-        self._base_host = (
-            system.host_meter.bytes_total,
-            system.host_meter.packets_total,
-        )
-        self._base_absorbed = sum(
-            mac.counters.value("rx_bytes") for mac in system.macs
-        )
-        self._base_drops = system.total_rx_drops()
-        self._base_rpu = list(system.rpu_packet_counts())
-
-    def _finish(self) -> None:
-        system = self.system
-        elapsed_cycles = self.sim.now - self._t0
-        seconds = system.config.clock.cycles_to_seconds(elapsed_cycles)
-
-        tx_bytes = sum(
-            meter.bytes_total - b0
-            for meter, (b0, _p0) in zip(system.tx_meters, self._base_tx)
-        )
-        tx_packets = sum(
-            meter.packets_total - p0
-            for meter, (_b0, p0) in zip(system.tx_meters, self._base_tx)
-        )
-        if self.include_host:
-            tx_bytes += system.host_meter.bytes_total - self._base_host[0]
-            tx_packets += system.host_meter.packets_total - self._base_host[1]
-        if self.include_absorbed:
-            tx_bytes = (
-                sum(mac.counters.value("rx_bytes") for mac in system.macs)
-                - self._base_absorbed
-            )
-            tx_packets = self.window.measure_packets
-
-        if seconds > 0:
-            achieved_gbps = tx_bytes * 8 / seconds / 1e9
-            achieved_mpps = tx_packets / seconds / 1e6
-        else:
-            # a zero-length measurement window (e.g. measure_packets=0
-            # drives both phase transitions through one pump() with no
-            # event in between): rates are undefined, report zero
-            achieved_gbps = 0.0
-            achieved_mpps = 0.0
-        rpu_counts = [
-            now - before
-            for now, before in zip(system.rpu_packet_counts(), self._base_rpu)
-        ]
-        cpp = 0.0
-        if achieved_mpps > 0:
-            cpp = (
-                system.config.n_rpus
-                * system.config.clock.freq_hz
-                / (achieved_mpps * 1e6)
-            )
-
-        self.result = ThroughputResult(
-            packet_size=self.packet_size,
-            offered_gbps=self.offered_gbps_total,
-            achieved_gbps=achieved_gbps,
-            achieved_mpps=achieved_mpps,
-            line_rate_gbps=max_effective_gbps(
-                self.offered_gbps_total, self.packet_size
-            ),
-            rx_drops=system.total_rx_drops() - self._base_drops,
-            rpu_packet_counts=rpu_counts,
-            cycles_per_packet=cpp,
-        )
-
-    def _stall_message(self) -> str:
-        return f"stalled at {self.completions()} completions (target {self.target()})"
-
-
-class _LatencyDriver(_MeasurementDriver):
-    """Forwarding-latency histogram (was ``_measure_latency``)."""
-
-    mode = "latency"
-
-    def completions(self) -> int:
-        return self.system.counters.value("delivered")
-
-    def _begin_measure(self) -> None:
-        self._histogram = Histogram("latency_us")
-        self._original = self.system.latency_us
-        self.system.latency_us = self._histogram
-
-    def _finish(self) -> None:
-        self.system.latency_us = self._original
-        self.result = self._histogram
-
-    def _stall_message(self) -> str:
-        return "latency run stalled"
 
 
 # -- the session ------------------------------------------------------------
@@ -266,9 +74,9 @@ class SimSession:
       reproduces :func:`~repro.analysis.engine.run_experiment` byte for
       byte.
     * :meth:`SimSession.for_system` wraps a hand-built system (and
-      optional already-constructed sources) for interactive use and for
-      callers migrating off the removed ``measure_throughput`` /
-      ``measure_latency`` harness wrappers.
+      optional already-constructed sources) for interactive use and
+      for :meth:`measure_throughput` / :meth:`measure_latency` on a live
+      system.
     """
 
     def __init__(self, spec: Optional[ExperimentSpec] = None, *, _system=None) -> None:
@@ -276,14 +84,14 @@ class SimSession:
         self.spec_key = ""
         self._feeds: List[TrafficFeed] = []
         self._started = False
-        self._measurement: Optional[_MeasurementDriver] = None
+        self._measurement: Optional[MeasurementPhases] = None
         self._result: Optional[Any] = None
         self._host = None
         self._controller = None
         self._replay_cache = None
         self._replay_base: Dict[str, int] = {}
         self._snapshot_seq = 0
-        self._last_rates: Optional[Dict[str, float]] = None
+        self._last_rates: Optional[tuple] = None  # (time, reading) of the last snapshot
         self._fluid = None
         self._last_fidelity: Optional[Dict[str, float]] = None
 
@@ -299,7 +107,6 @@ class SimSession:
                 "`repro cluster`, which route there)"
             )
 
-        # -- replicate run_experiment's setup, in its exact order --------
         if spec.cpu_backend is not None:
             # set before build: workers in a spawn pool don't inherit the
             # parent's default, so the spec carries the backend choice
@@ -352,7 +159,7 @@ class SimSession:
 
     @classmethod
     def for_system(cls, system, sources: Sequence = ()) -> "SimSession":
-        """Wrap an already-built system (interactive / migration path)."""
+        """Wrap an already-built system."""
         session = cls(_system=system)
         for source in sources:
             session.add_feed(source if isinstance(source, TrafficFeed) else SourceFeed(source))
@@ -399,9 +206,9 @@ class SimSession:
         if self.spec is not None and self._measurement is None:
             spec = self.spec
             if spec.measure == "latency":
-                self._measurement = _LatencyDriver(self.system, spec.window)
+                self._measurement = LatencyMeasurement(self.system, spec.window)
             else:
-                self._measurement = _ThroughputDriver(
+                self._measurement = ThroughputMeasurement.for_system(
                     self.system,
                     spec.window,
                     spec.traffic.packet_size,
@@ -423,46 +230,49 @@ class SimSession:
         Fires at most ``n_events`` events and/or every event up to
         absolute time ``until_ts`` (``cycles`` is relative shorthand);
         with no bound, runs until the event queue drains or the active
-        measurement completes.  The measurement state machine is pumped
-        before every event, and stepping pauses the instant a
-        measurement finishes so its result is frozen at the same event
-        boundary the batch engine would have stopped on.
+        measurement completes.  The measurement is pumped after every
+        event (and once before the first), and the run stops on the
+        event that completes it, so the result is frozen at that event
+        however large the step.  When both bounds are given and
+        ``n_events`` runs out first, the clock stays at the last fired
+        event; it reaches ``until_ts`` only once nothing is left to
+        fire before it.
         """
         self.start()
         sim = self.sim
         if cycles is not None:
             bound = sim.now + cycles
             until_ts = bound if until_ts is None else min(until_ts, bound)
-        fired = 0
-        froze = False
         driver = self._measurement
+        if driver is not None and driver.done:
+            driver = None
         fluid = self._fluid
-        while True:
-            if driver is not None and not driver.done:
+        fired = 0
+
+        def settle() -> bool:
+            """Between events: pump, then let the fluid tier warp.
+            True once the measurement has just completed."""
+            if driver is not None:
                 driver.pump()
                 if driver.done:
                     self._finalize()
-                    froze = True
-                    break
-            if n_events is not None and fired >= n_events:
-                break
-            if fluid is not None and fluid.pre_step(until_ts):
-                # time was warped analytically; re-enter the loop so the
-                # measurement pump observes the advanced ledger
-                continue
-            upcoming = sim.peek()
-            if upcoming is None:
-                break
-            if until_ts is not None and upcoming > until_ts:
-                break
-            sim.step()
+                    return True
+            if fluid is not None and fired != n_events:
+                # a warp belongs to the step that fires the next event:
+                # that step's until_ts is its cap
+                fluid.pre_step(until_ts)
+            return False
+
+        def after(event) -> None:
+            nonlocal fired
+            fired += 1
             if fluid is not None:
                 fluid.after_event()
-            fired += 1
-        if until_ts is not None and not froze and sim.now < until_ts:
-            # no events left before the bound: advance the clock to it
-            # (matches Simulator.run(until=...) semantics)
-            sim.run(until=until_ts)
+            if settle():
+                sim.stop()
+
+        if not settle():
+            sim.run(until=until_ts, max_events=n_events, observer=after)
         return {
             "events": fired,
             "now": sim.now,
@@ -472,10 +282,10 @@ class SimSession:
     def run_to_completion(self) -> Any:
         """Step until the active measurement finishes (the batch path).
 
-        Replicates the legacy harness loop exactly, including its stall
-        diagnostics; returns the finalized result (an
-        :class:`ExperimentResult` for spec sessions, the raw
-        measurement for :meth:`for_system` sessions).
+        Returns the finalized result (an :class:`ExperimentResult` for
+        spec sessions, the raw measurement for :meth:`for_system`
+        sessions); raises ``RuntimeError`` if the event queue drains or
+        the window's ``max_cycles`` pass first.
         """
         self.start()
         driver = self._measurement
@@ -484,20 +294,10 @@ class SimSession:
                 "no measurement configured; open the session from a spec or "
                 "call measure_throughput()/measure_latency()"
             )
-        sim = self.sim
-        fluid = self._fluid
-        while not driver.done:
-            driver.pump()
-            if driver.done:
-                break
-            if fluid is not None and fluid.pre_step(None):
-                continue
-            driver.check_stall()
-            sim.step()
-            if fluid is not None:
-                fluid.after_event()
-        if self._result is None:
-            self._finalize()
+        if not driver.done:
+            self.step(until_ts=driver.deadline)
+            if not driver.done:
+                raise RuntimeError(driver.stall_message())
         return self._result
 
     def result(self) -> Any:
@@ -511,8 +311,8 @@ class SimSession:
         if self.spec is None:
             self._result = driver.result
             return
-        # assemble the ExperimentResult envelope exactly as the batch
-        # engine always has, at the same instant (no events in between)
+        # assembled inside the completing event's observer call: no
+        # event fires between the final reading and this envelope
         from ..analysis.engine import _firmware_totals
 
         if self.spec.measure == "latency":
@@ -535,7 +335,7 @@ class SimSession:
             result.resilience = resilience_report(self._controller)
         self._result = result
 
-    # -- live-system measurements (migration path) -------------------------
+    # -- live-system measurements -------------------------------------------
 
     def measure_throughput(
         self,
@@ -549,7 +349,7 @@ class SimSession:
     ) -> ThroughputResult:
         """Measure steady-state rates on this session's live system."""
         self._arm(
-            _ThroughputDriver(
+            ThroughputMeasurement.for_system(
                 self.system,
                 MeasurementWindow(
                     warmup_packets=warmup_packets,
@@ -572,7 +372,7 @@ class SimSession:
     ) -> Histogram:
         """Collect the forwarding-latency histogram on this session."""
         self._arm(
-            _LatencyDriver(
+            LatencyMeasurement(
                 self.system,
                 MeasurementWindow(
                     warmup_packets=warmup_packets,
@@ -583,13 +383,11 @@ class SimSession:
         )
         return self.run_to_completion()
 
-    def _arm(self, driver: _MeasurementDriver) -> None:
+    def _arm(self, driver: MeasurementPhases) -> None:
         if self.spec is not None:
             raise SessionError("spec sessions carry their own measurement")
         if self._measurement is not None and not self._measurement.done:
             raise SessionError("a measurement is already in progress")
-        # order matches the legacy harness: traffic starts, then the
-        # stall deadline is pinned relative to the current clock
         self.start()
         self._result = None
         self._measurement = driver
@@ -792,26 +590,15 @@ class SimSession:
         self._snapshot_seq += 1
         now = sim.now
 
-        tx_bytes = sum(m.bytes_total for m in system.tx_meters)
-        tx_packets = sum(m.packets_total for m in system.tx_meters)
-        host_bytes = system.host_meter.bytes_total
-
-        rates: Dict[str, float] = {"tx_gbps": 0.0, "tx_mpps": 0.0, "host_gbps": 0.0}
-        if self._last_rates is not None and now > self._last_rates["t"]:
-            seconds = system.config.clock.cycles_to_seconds(
-                now - self._last_rates["t"]
-            )
-            rates["tx_gbps"] = (tx_bytes - self._last_rates["tx_bytes"]) * 8 / seconds / 1e9
-            rates["tx_mpps"] = (tx_packets - self._last_rates["tx_packets"]) / seconds / 1e6
-            rates["host_gbps"] = (
-                (host_bytes - self._last_rates["host_bytes"]) * 8 / seconds / 1e9
-            )
-        self._last_rates = {
-            "t": now,
-            "tx_bytes": tx_bytes,
-            "tx_packets": tx_packets,
-            "host_bytes": host_bytes,
+        reading = progress_reading(system)
+        last_t, last_reading = self._last_rates or (now, reading)
+        window = window_rates(last_reading, reading, now - last_t, system.config.clock)
+        rates = {
+            "tx_gbps": window["gbps"],
+            "tx_mpps": window["mpps"],
+            "host_gbps": window["host_gbps"],
         }
+        self._last_rates = (now, reading)
 
         def mac_total(counter: str) -> int:
             return sum(mac.counters.value(counter) for mac in system.macs)
@@ -873,7 +660,7 @@ class SimSession:
             "events_processed": sim.events_processed,
             "counters": system.counters.snapshot(),
             "drops": {
-                "rx_overflow": system.total_rx_drops(),
+                "rx_overflow": reading["rx_drops"],
                 "firmware": system.counters.value("dropped_by_firmware"),
                 "rx_csum": mac_total("rx_csum_drops"),
                 "rx_link": mac_total("rx_link_drops"),

@@ -117,7 +117,6 @@ class Simulator:
         self._batch_time: Optional[float] = None
         self._seq = 0
         self._now = 0.0
-        self._running = False
         self._stopped = False
         self._n_pending = 0  # live (non-cancelled) events queued
         self._n_cancelled = 0  # cancelled events still stored
@@ -332,62 +331,54 @@ class Simulator:
         self._n_cancelled = 0
         self._now = new_now
 
-    def _pop_next(self) -> Optional[Event]:
-        """The next live event, already removed from the queue."""
-        if self.peek() is None:
-            return None
-        event = self._batch[self._batch_pos]
-        self._batch_pos += 1
-        self._n_pending -= 1
-        return event
+    def run(
+        self,
+        until: Optional[float] = None,
+        max_events: Optional[int] = None,
+        observer: Optional[Callable[[Event], Any]] = None,
+    ) -> float:
+        """Run events until the queue drains, ``until`` is reached,
+        ``max_events`` have fired, or :meth:`stop` is called.  Returns
+        the final time.
 
-    def step(self) -> bool:
-        """Run the single next event.  Returns False if none remain.
+        This is the only place a callback is dispatched.  ``observer``
+        is called with each fired :class:`Event` after its callback
+        returns; it may call :meth:`stop`, schedule, or :meth:`warp`.
 
-        ``events_processed`` counts only fired callbacks; events that
-        were cancelled before firing are purged here without touching
-        the counter.
+        When ``until`` is given and no live event at or before it
+        remains, time is advanced to exactly ``until``, mirroring how a
+        testbench runs for a fixed interval.  A run that ends early
+        (``max_events``, :meth:`stop`) leaves the clock at the last
+        fired event, so the clock never has to move back to reach the
+        events still queued.  ``events_processed`` counts only fired
+        callbacks; cancelled events are purged without touching it.
         """
-        event = self._pop_next()
-        if event is None:
-            return False
-        self._now = event.time
-        self.events_processed += 1
-        event.callback()
-        return True
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` have been processed.  Returns the final time.
-
-        When ``until`` is given, time is advanced to exactly ``until``
-        even if the last event fired earlier, mirroring how a testbench
-        runs for a fixed interval.
-        """
-        self._running = True
         self._stopped = False
         processed = 0
-        try:
-            while not self._stopped:
-                next_time = self.peek()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                if max_events is not None and processed >= max_events:
-                    break
-                event = self._batch[self._batch_pos]
-                self._batch_pos += 1
-                self._n_pending -= 1
-                self._now = event.time
-                self.events_processed += 1
-                event.callback()
-                processed += 1
-        finally:
-            self._running = False
-        if until is not None and self._now < until and not self._stopped:
-            self._now = until
+        while not self._stopped:
+            next_time = self.peek()
+            if next_time is None or (until is not None and next_time > until):
+                if until is not None and self._now < until:
+                    self._now = until
+                break
+            if max_events is not None and processed >= max_events:
+                break
+            event = self._batch[self._batch_pos]
+            self._batch_pos += 1
+            self._n_pending -= 1
+            self._now = event.time
+            self.events_processed += 1
+            event.callback()
+            processed += 1
+            if observer is not None:
+                observer(event)
         return self._now
+
+    def step(self) -> bool:
+        """Run the single next event.  Returns False if none remain."""
+        before = self.events_processed
+        self.run(max_events=1)
+        return self.events_processed != before
 
     def run_profile(
         self,
@@ -395,41 +386,21 @@ class Simulator:
         max_events: Optional[int] = None,
         top: int = 10,
     ) -> SimProfile:
-        """Like :meth:`run`, but measure events/sec and count event names.
+        """:meth:`run` under an observer that counts event names, timed.
 
         Returns a :class:`SimProfile` with wall-clock dispatch rate and
         the ``top`` most frequent event names — the probe the benchmark
         suite tracks so kernel regressions surface as a number.
         """
         counts: Dict[str, int] = {}
+
+        def count(event: Event) -> None:
+            counts[event.name] = counts.get(event.name, 0) + 1
+
         fired_before = self.events_processed
-        self._running = True
-        self._stopped = False
-        processed = 0
         t0 = _time.perf_counter()  # detlint: ok(profiling wall-clock dispatch rate, not simulated time)
-        try:
-            while not self._stopped:
-                next_time = self.peek()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                if max_events is not None and processed >= max_events:
-                    break
-                event = self._batch[self._batch_pos]
-                self._batch_pos += 1
-                self._n_pending -= 1
-                self._now = event.time
-                self.events_processed += 1
-                name = event.name
-                counts[name] = counts.get(name, 0) + 1
-                event.callback()
-                processed += 1
-        finally:
-            self._running = False
+        self.run(until, max_events, observer=count)
         wall = _time.perf_counter() - t0  # detlint: ok(profiling wall-clock dispatch rate, not simulated time)
-        if until is not None and self._now < until and not self._stopped:
-            self._now = until
         fired = self.events_processed - fired_before
         ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
         return SimProfile(

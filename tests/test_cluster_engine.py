@@ -9,6 +9,7 @@ step/control/snapshot surface, and the engine's termination guards.
 import pytest
 
 from repro import ExperimentSpec, MeasurementWindow, TrafficProfile, run_experiment
+from repro.analysis.harness import sum_readings, throughput_result
 from repro.analysis.spec import SpecError
 from repro.cluster import ClusterSpec
 from repro.cluster.affinity import ClusterAffinity
@@ -75,6 +76,38 @@ def test_affinity_local_policy_keeps_flows_on_arrival_board():
 
 
 # -- whole-rack behaviour --------------------------------------------------
+
+
+def test_rack_throughput_is_the_board_measurement_over_summed_readings():
+    spec = cluster_spec(boards=2)
+    engine = ClusterEngine(spec)
+    engine.start()
+    barriers = []
+    try:
+        while not engine.measurement_done:
+            engine.advance_horizon()
+            harnesses = engine._shards[0].harnesses
+            barriers.append((engine.now, sum_readings(h.metrics() for h in harnesses)))
+        measured = engine.result().throughput
+    finally:
+        engine.close()
+    t0, base = next(
+        b for b in barriers if b[1]["completions"] >= FAST.warmup_packets
+    )
+    t1, final = barriers[-1]
+    assert t1 > t0
+    assert measured == throughput_result(
+        base,
+        final,
+        t1 - t0,
+        clock=spec.config.clock,
+        packet_size=512,
+        offered_gbps=80.0,
+        n_rpus=2 * spec.config.n_rpus,
+        measure_packets=FAST.measure_packets,
+        include_host=spec.include_host,
+        include_absorbed=spec.include_absorbed,
+    )
 
 
 def test_single_board_cluster_degenerates_cleanly():

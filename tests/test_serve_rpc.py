@@ -110,6 +110,15 @@ class TestServeServer:
         assert closed["ok"] and closed["result"]["closed"]
         assert server.errors == 0
 
+    def test_step_with_both_bounds_honours_the_event_budget(self):
+        server = ServeServer()
+        _call(server, "open", _open_params())
+        stepped = _call(server, "step", {"n_events": 5, "until_ts": 2000})
+        assert stepped["result"]["events"] == 5
+        assert stepped["result"]["now"] < 2000
+        snap = _call(server, "snapshot")
+        assert snap["result"]["events_processed"] == 5
+
     def test_inject_synthetic_burst(self):
         server = ServeServer()
         _call(server, "open", _open_params())

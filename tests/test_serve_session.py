@@ -9,6 +9,7 @@ and chaos campaigns, plus the live-control/telemetry surface.
 """
 
 import json
+import random
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro import (
 from repro.analysis import engine
 from repro.core import RosebudConfig, RosebudSystem
 from repro.firmware import ForwarderFirmware
+from repro.fluid import diff_results
 from repro.serve import SessionError, spec_from_params
 from repro.traffic import FixedSizeSource
 
@@ -45,15 +47,28 @@ def _batch(spec):
     return run_experiment(spec).to_dict()
 
 
-def _stepped(spec, n_events=None, cycles=None):
-    """The same run, stepped in fixed chunks from a cold cache."""
+def _stepped(spec, n_events=None, cycles=None, mix_seed=None):
+    """The same run, stepped in chunks from a cold cache: fixed chunks,
+    or with ``mix_seed`` a seeded-random mix of every bound ``step``
+    takes (events, relative cycles, absolute time, events and time)."""
     engine._WARM_REPLAY_CACHES.clear()
     session = SimSession(spec)
+    rng = random.Random(mix_seed)
     for _ in range(1_000_000):
-        out = session.step(n_events=n_events, cycles=cycles)
+        bounds = {"n_events": n_events, "cycles": cycles}
+        if mix_seed is not None:
+            until_ts = session.sim.now + rng.randrange(1, 5_000)
+            bounds = [
+                {"n_events": rng.randrange(1, 400)},
+                {"cycles": float(rng.randrange(1, 3_000))},
+                {"until_ts": until_ts},
+                {"n_events": rng.randrange(1, 400), "until_ts": until_ts},
+            ][rng.randrange(4)]
+        before = session.sim.now
+        out = session.step(**bounds)
         if out["measurement_done"]:
             break
-        assert out["events"] > 0, "stepper drained the queue before completion"
+        assert out["events"] > 0 or out["now"] > before, "stepper made no progress"
     return session.result().to_dict()
 
 
@@ -61,6 +76,18 @@ def _assert_identical(spec, **step_kwargs):
     batch = _batch(spec)
     stepped = _stepped(spec, **step_kwargs)
     assert json.dumps(batch, sort_keys=True) == json.dumps(stepped, sort_keys=True)
+
+
+#: offered > capacity: backlogged MAC FIFOs, drops every period, and a
+#: rotating period the fluid tier proves and warps
+_CONTENDED_FLUID = ExperimentSpec(
+    config=RosebudConfig(n_rpus=4, mac_rx_fifo_packets=8),
+    traffic=TrafficProfile(packet_size=256, offered_gbps=200.0, n_ports=2),
+    window=MeasurementWindow(
+        warmup_packets=1000, measure_packets=30_000, max_cycles=5e9
+    ),
+    fidelity="fluid",
+)
 
 
 class TestStepperBatchIdentity:
@@ -71,6 +98,26 @@ class TestStepperBatchIdentity:
 
     def test_forwarder_cycle_chunks(self):
         _assert_identical(_forwarder_spec(), cycles=10_000.0)
+
+    def test_forwarder_mixed_bounds(self):
+        _assert_identical(_forwarder_spec(), mix_seed=7)
+
+    def test_contended_fluid_event_chunks(self):
+        # an event budget never caps a warp, so even the fluid
+        # accounting block is identical
+        batch = _batch(_CONTENDED_FLUID)
+        assert batch["fluid"]["warps"] >= 1
+        assert batch == _stepped(_CONTENDED_FLUID, n_events=337)
+
+    def test_contended_fluid_mixed_bounds(self):
+        # time bounds clip warps, so the two runs warp different spans:
+        # identical under the fluid tier's own contract (every integer
+        # equal, floats to 1e-6, the `fluid` block describing the
+        # warps excluded)
+        batch = _batch(_CONTENDED_FLUID)
+        stepped = _stepped(_CONTENDED_FLUID, mix_seed=7)
+        assert stepped["fluid"]["warps"] > batch["fluid"]["warps"]
+        assert diff_results(stepped, batch) == []
 
     def test_forwarder_with_replay_cache(self):
         _assert_identical(_forwarder_spec(replay_cache=True), n_events=337)
@@ -149,6 +196,20 @@ class TestSessionLifecycle:
         session = SimSession.for_system(system)
         out = session.step(until_ts=5_000.0)
         assert out["now"] == pytest.approx(5_000.0)
+
+    def test_both_bounds_stop_at_whichever_comes_first(self):
+        """Regression: with n_events spent and events still due before
+        until_ts, step used to report n_events but run on to until_ts
+        outside the measurement pump (5 reported, 1491 fired)."""
+        session = SimSession(_forwarder_spec())
+        out = session.step(n_events=5, until_ts=2_000.0)
+        assert out["events"] == 5 == session.sim.events_processed
+        assert out["now"] == session.sim.now < 2_000.0
+        assert session.sim.peek() <= 2_000.0
+        # with the time bound the nearer one, the clock lands on it
+        fired = session.step(n_events=10**6, until_ts=2_000.0)["events"]
+        assert session.sim.now == 2_000.0 < session.sim.peek()
+        assert session.sim.events_processed == 5 + fired
 
     def test_spec_sessions_reject_manual_measurements(self):
         session = SimSession(_forwarder_spec())

@@ -13,8 +13,9 @@ cadence, scripts mix event/cycle/deadline bounds):
 
 The schedules are seeded-random so failures reproduce exactly, and the
 same seeds drive a finite workload to a drained end state for the
-conservation check.  Also holds the zero-duration rate-division
-regression (``_ThroughputDriver._finish`` on an empty window).
+conservation check.  Also holds the session-level zero-duration
+window cases (the arithmetic itself is unit-tested in
+``test_analysis_harness.py``).
 """
 
 import random
@@ -116,8 +117,8 @@ class TestRandomChunking:
 
 
 class TestZeroDurationRates:
-    """Regression: a measurement window that opens and closes on the
-    same cycle used to divide by zero in ``_ThroughputDriver._finish``."""
+    """A measurement window that opens and closes on the same cycle
+    (both phase transitions in one pump) reports zero rates."""
 
     def test_empty_measure_window_reports_zero_rates(self):
         spec = ExperimentSpec(

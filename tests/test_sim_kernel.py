@@ -103,6 +103,37 @@ class TestRunControl:
         sim.run(max_events=4)
         assert len(count) == 4
 
+    def test_max_events_inside_until_never_rewinds_clock(self):
+        # Regression: stopping on max_events with a live event <= until
+        # still queued used to jump the clock to `until`, so the next
+        # run() moved it *back* to that event (100 -> 20).
+        sim = Simulator()
+        seen = []
+        sim.schedule(10, lambda: seen.append(sim.now))
+        sim.schedule(20, lambda: seen.append(sim.now))
+        assert sim.run(until=100, max_events=1) == 10
+        assert sim.run() == 20
+        assert seen == [10, 20]
+        # with nothing left before the bound, the clock does reach it
+        assert sim.run(until=100, max_events=1) == 100
+
+    def test_observer_sees_each_fired_event_and_can_stop(self):
+        sim = Simulator()
+        names = []
+
+        def observer(event):
+            names.append((event.name, sim.now))
+            if event.name == "b":
+                sim.stop()
+
+        for t, name in ((1, "a"), (2, "b"), (3, "c")):
+            sim.schedule(t, lambda: None, name=name)
+        sim.schedule(1, lambda: None, name="doomed").cancel()
+        sim.run(until=50, observer=observer)
+        assert names == [("a", 1), ("b", 2)]
+        assert sim.now == 2  # a stopped run does not advance to `until`
+        assert sim.events_processed == 2
+
     def test_step_returns_false_when_empty(self):
         sim = Simulator()
         assert sim.step() is False
