@@ -110,10 +110,6 @@ class Accelerator:
 
     # -- fault injection (repro.faults) ------------------------------------------
 
-    @property
-    def fault_active(self) -> bool:
-        return self._fault_active
-
     def inject_fault(self, active: bool = True) -> None:
         """Arm (or clear) the poisoned-result fault: while active, every
         result passed through :meth:`guard` comes back corrupted with
@@ -134,7 +130,7 @@ class Accelerator:
             return value ^ 0x1, False
         return value, True
 
-    # -- replay cache (repro.replay) ---------------------------------------------
+    # -- ISS replay cache (repro.replay) -----------------------------------------
 
     def replay_token(self):
         """Digest of every piece of mutable state the accelerator's MMIO

@@ -47,7 +47,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     This is the one construction path shared by the CLI, the pool
     workers, and interactive sessions: a thin wrapper that opens a
     :class:`~repro.serve.session.SimSession` (which performs the
-    backend/verify/build/replay/fault setup in the canonical order)
+    backend/verify/build/fault setup in the canonical order)
     and steps it to measurement completion, so batch and interactive
     runs are the same loop.
     """
@@ -64,43 +64,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     from ..serve.session import SimSession
 
     return SimSession(spec).run_to_completion()
-
-
-#: Warm behavioural replay caches, keyed by firmware construction
-#: fingerprint.  Kept per process: inline sweeps (``jobs=1`` or
-#: unpicklable specs) reuse records across every point that runs the
-#: same firmware build; spawn-pool workers start cold (fresh module
-#: state per process) and simply warm their own copy.
-_WARM_REPLAY_CACHES: Dict[str, Any] = {}
-_WARM_REPLAY_LIMIT = 8
-
-
-def _replay_cache_for(spec: ExperimentSpec) -> Any:
-    """The warm cache for this spec's firmware build (or a fresh one).
-
-    The behavioural record key does not cover firmware *construction*
-    (a firewall built from a different blacklist carries the same
-    replay token), so warm reuse is only sound between specs that build
-    the firmware identically — hence the fingerprint.  Chaos points get
-    a private cache: their injectors flush on arm/disarm and sharing
-    would just cold-start the neighbours.
-    """
-    from ..replay import FirmwareReplayCache
-
-    if spec.faults:
-        return FirmwareReplayCache()
-    d = spec.to_dict()
-    fingerprint = json.dumps(
-        {k: d[k] for k in ("firmware", "firmware_args", "firmware_kwargs")},
-        sort_keys=True,
-    )
-    cache = _WARM_REPLAY_CACHES.get(fingerprint)
-    if cache is None:
-        if len(_WARM_REPLAY_CACHES) >= _WARM_REPLAY_LIMIT:
-            _WARM_REPLAY_CACHES.clear()
-        cache = FirmwareReplayCache()
-        _WARM_REPLAY_CACHES[fingerprint] = cache
-    return cache
 
 
 def _firmware_totals(system: Any) -> Dict[str, int]:

@@ -35,17 +35,10 @@ from ..core.system import RosebudSystem
 from ..cluster.spec import ClusterSpec
 from ..faults.spec import FaultSpec
 
-#: Bump when the measurement semantics change incompatibly, so stale
-#: cache entries from older code never satisfy a new run.
-#: v2: cpu_backend field (closure-translated ISS fast path).
-#: v3: faults field (repro.faults chaos campaigns + resilience report).
-#: v4: replay_cache field (packet-class firmware memoization).
-#: v5: verify field (static pre-flight: WCET budget + replay lint).
-#: v6: fidelity field (fluid fast-forward tier, repro.fluid).
-#: v7: cluster field (N-board racks with flow affinity, repro.cluster).
-#: v8: cluster x fluid composition (per-board fluid engines with warps
-#:     clipped to the sync horizon; the v7 exclusion is lifted).
-SPEC_VERSION = 8
+#: Part of every cache key: bump when a field or the measurement
+#: semantics change, so entries written by older code miss instead of
+#: satisfying a new run (per-version history is in ``CHANGES.md``).
+SPEC_VERSION = 9
 
 #: Named load-balancer policies (constructed per-spec so state is fresh).
 LB_REGISTRY: Dict[str, Callable[[int], LBPolicy]] = {
@@ -240,11 +233,6 @@ class ExperimentSpec:
     source_factory: Optional[Callable[[RosebudSystem, int, float], Any]] = None
     cpu_backend: Optional[str] = None
     faults: Tuple[FaultSpec, ...] = ()
-    #: memoize per-packet firmware execution by packet class (the
-    #: replay cache, repro.replay).  Statistics are guaranteed
-    #: byte-identical with the cache on or off; only wall-clock and the
-    #: ``replay`` counter block of the result change.
-    replay_cache: bool = False
     #: static pre-flight verification (repro.verify) before building
     #: the system: False (off), "warn" (run + warn on FAIL), or "fail"
     #: (run + raise VerificationError on FAIL).  ``True`` is accepted
@@ -403,7 +391,6 @@ class ExperimentSpec:
             else _qualname(self.source_factory),
             "cpu_backend": self.cpu_backend,
             "faults": [f.to_dict() for f in self.faults],
-            "replay_cache": self.replay_cache,
             "verify": self.verify,
             "fidelity": self.fidelity,
             "cluster": None if self.cluster is None else self.cluster.to_dict(),
@@ -441,21 +428,14 @@ class ExperimentResult:
     counters: Dict[str, int] = field(default_factory=dict)
     firmware_totals: Dict[str, int] = field(default_factory=dict)
     resilience: Optional[Dict[str, Any]] = None  # resilience_report()
-    #: replay-cache accounting for this point (hits/misses/...), or
-    #: None when the spec ran without a cache.  Deliberately excluded
-    #: from statistical comparisons: it describes simulator work saved,
-    #: not network behaviour.
-    replay: Optional[Dict[str, int]] = None
     #: fluid-tier accounting (eligibility, warps, occupancy, de-opts),
-    #: or None for pure event runs.  Like ``replay``, excluded from
-    #: statistical comparisons: it describes simulator work saved, not
-    #: network behaviour.
+    #: or None for pure event runs.  Excluded from statistical
+    #: comparisons: it describes simulator work saved, not network
+    #: behaviour.
     fluid: Optional[Dict[str, Any]] = None
     #: cluster accounting (per-board totals, cross-board traffic,
     #: events, watchdog outages, dip/MTTR), or None for single-board
-    #: points.  The replay block is always None for cluster points:
-    #: per-board caches are private and cold, so layout-dependent
-    #: hit/miss counts never leak into a comparable result.
+    #: points.
     cluster: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -472,8 +452,6 @@ class ExperimentResult:
             out["latency"] = dict(self.latency)
         if self.resilience is not None:
             out["resilience"] = dict(self.resilience)
-        if self.replay is not None:
-            out["replay"] = dict(self.replay)
         if self.fluid is not None:
             out["fluid"] = dict(self.fluid)
         if self.cluster is not None:
@@ -500,7 +478,6 @@ class ExperimentResult:
             counters=data.get("counters", {}),
             firmware_totals=data.get("firmware_totals", {}),
             resilience=data.get("resilience"),
-            replay=data.get("replay"),
             fluid=data.get("fluid"),
             cluster=data.get("cluster"),
         )

@@ -74,10 +74,6 @@ def _backend(args: argparse.Namespace) -> Optional[str]:
     return getattr(args, "cpu_backend", None)
 
 
-def _replay(args: argparse.Namespace) -> bool:
-    return bool(getattr(args, "replay_cache", False))
-
-
 def _fidelity(args: argparse.Namespace) -> str:
     return getattr(args, "fidelity", None) or "event"
 
@@ -100,28 +96,6 @@ def _print_fluid(outcome) -> None:
     print(line)
 
 
-def _replay_rate(replay: Dict[str, int]) -> float:
-    lookups = sum(
-        replay.get(k, 0) for k in ("hits", "misses", "fallbacks", "bypasses")
-    )
-    return replay.get("hits", 0) / lookups if lookups else 0.0
-
-
-def _print_replay(outcome) -> None:
-    """One-line replay-cache accounting after a point's main table."""
-    replay = getattr(outcome, "replay", None)
-    if replay is None:
-        return
-    print(
-        f"replay cache: hits={replay.get('hits', 0)} "
-        f"misses={replay.get('misses', 0)} "
-        f"fallbacks={replay.get('fallbacks', 0)} "
-        f"bypasses={replay.get('bypasses', 0)} "
-        f"invalidations={replay.get('invalidations', 0)} "
-        f"hit rate={100 * _replay_rate(replay):.1f}%"
-    )
-
-
 def _window(args: argparse.Namespace) -> MeasurementWindow:
     return MeasurementWindow(
         warmup_packets=args.warmup, measure_packets=args.packets
@@ -139,7 +113,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         window=_window(args),
         lb=_lb(args),
         cpu_backend=_backend(args),
-        replay_cache=_replay(args),
         fidelity=_fidelity(args),
     )
     outcome = run_experiment(spec)
@@ -150,7 +123,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
           result.achieved_mpps, 100 * result.fraction_of_line]],
         title="basic_fw forwarding profile",
     ))
-    _print_replay(outcome)
     _print_fluid(outcome)
     return 0
 
@@ -171,7 +143,6 @@ def cmd_latency(args: argparse.Namespace) -> int:
             lb=_lb(args),
             measure="latency",
             cpu_backend=_backend(args),
-            replay_cache=_replay(args),
             fidelity=_fidelity(args),
         )
         summary = run_experiment(spec).latency
@@ -198,7 +169,6 @@ def cmd_firewall(args: argparse.Namespace) -> int:
         lb=_lb(args),
         include_absorbed=True,
         cpu_backend=_backend(args),
-        replay_cache=_replay(args),
         fidelity=_fidelity(args),
     )
     outcome = run_experiment(spec)
@@ -209,7 +179,6 @@ def cmd_firewall(args: argparse.Namespace) -> int:
           outcome.counters.get("dropped_by_firmware", 0)]],
         title=f"firewall ({args.rules} blacklist entries, {args.rpus} RPUs)",
     ))
-    _print_replay(outcome)
     _print_fluid(outcome)
     return 0
 
@@ -239,7 +208,6 @@ def cmd_ids(args: argparse.Namespace) -> int:
         window=_window(args),
         lb=lb,
         cpu_backend=_backend(args),
-        replay_cache=_replay(args),
         fidelity=_fidelity(args),
     )
     outcome = run_experiment(spec)
@@ -250,7 +218,6 @@ def cmd_ids(args: argparse.Namespace) -> int:
           result.cycles_per_packet, outcome.counters.get("to_host", 0)]],
         title=f"pigasus IPS ({args.rules} rules, {args.rpus} RPUs)",
     ))
-    _print_replay(outcome)
     _print_fluid(outcome)
     return 0
 
@@ -271,7 +238,6 @@ def _sweep_spec(args: argparse.Namespace, rpus: int, size: int, gbps: float) -> 
         window=_window(args),
         lb=_lb(args, default="hash" if args.firmware == "nat" else None),
         cpu_backend=_backend(args),
-        replay_cache=_replay(args),
         fidelity=_fidelity(args),
         name=f"{args.firmware} rpus={rpus} size={size} gbps={gbps:g}",
     )
@@ -329,11 +295,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     fluid["occupancy"]["fluid"] if fluid is not None else 0.0
                 ),
             }
-            replay = point.result.replay
-            if replay is not None:
-                row["replay_hits"] = replay.get("hits", 0)
-                row["replay_misses"] = replay.get("misses", 0)
-                row["replay_hit_rate"] = _replay_rate(replay)
             csv_rows.append(row)
         else:
             rows.append([
@@ -401,7 +362,6 @@ def cmd_nat(args: argparse.Namespace) -> int:
         window=_window(args),
         lb=_lb(args, default="hash"),
         cpu_backend=_backend(args),
-        replay_cache=_replay(args),
         fidelity=_fidelity(args),
     )
     outcome = run_experiment(spec)
@@ -412,7 +372,6 @@ def cmd_nat(args: argparse.Namespace) -> int:
           outcome.firmware_totals.get("translated", 0)]],
         title=f"NAT middlebox ({args.rpus} RPUs, {spec.lb or 'hash'} LB)",
     ))
-    _print_replay(outcome)
     _print_fluid(outcome)
     return 0
 
@@ -496,7 +455,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         window=_window(args),
         lb=_lb(args),
         cpu_backend=_backend(args),
-        replay_cache=_replay(args),
         fidelity=_fidelity(args),
         faults=faults,
     )
@@ -527,7 +485,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
           f"csum drops: {mac.get('rx_csum_drops', 0)}; "
           f"link drops: {mac.get('rx_link_drops', 0)}; "
           f"poisoned accel results: {resilience.get('accel_results_poisoned', 0)}")
-    _print_replay(outcome)
     _print_fluid(outcome)
     if args.json:
         import json as _json
@@ -575,7 +532,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         window=_window(args),
         lb=_lb(args),
         cpu_backend=_backend(args),
-        replay_cache=_replay(args),
         fidelity=_fidelity(args),
         cluster=ClusterSpec(
             boards=args.boards,
@@ -633,7 +589,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
               f"min={dip['min_gbps']:.1f} Gbps depth={dip['depth']:.3f} "
               f"width={dip['width_cycles']:g} cyc; "
               f"MTTR={resilience['mttr_cycles']:g} cyc")
-    _print_replay(outcome)
     if args.json:
         import json as _json
 
@@ -660,7 +615,6 @@ def cmd_loopback(args: argparse.Namespace) -> int:
         window=_window(args),
         setup=functools.partial(_loopback_setup, args.rpus),
         cpu_backend=_backend(args),
-        replay_cache=_replay(args),
         fidelity=_fidelity(args),
     )
     outcome = run_experiment(spec)
@@ -671,7 +625,6 @@ def cmd_loopback(args: argparse.Namespace) -> int:
           outcome.counters.get("loopbacked", 0)]],
         title="two-step forwarding over the loopback port",
     ))
-    _print_replay(outcome)
     _print_fluid(outcome)
     return 0
 
@@ -891,9 +844,6 @@ def _common_parser() -> argparse.ArgumentParser:
                         help="warmup packets before the window")
     common.add_argument("--packets", type=int, default=3000,
                         help="packets in the measurement window")
-    common.add_argument("--replay-cache", action="store_true",
-                        help="memoize per-packet firmware execution by packet "
-                             "class (identical statistics, less wall clock)")
     common.add_argument("--cpu-backend", choices=["interp", "translated"],
                         default=None,
                         help="ISS execution backend (default: translated)")

@@ -52,10 +52,8 @@ def board_spec(spec: ExperimentSpec, board: int) -> ExperimentSpec:
 
     The board runs the host spec's config/firmware/traffic with its
     generator seeds decorrelated by ``seed_stride``, no ``cluster``
-    field (it *is* one board), an unbounded measurement window (see
-    :data:`_NEVER_PACKETS`), and no warm replay-cache sharing — the
-    harness attaches a private cold cache instead, so cache state can
-    never differ between process layouts.
+    field (it *is* one board) and an unbounded measurement window (see
+    :data:`_NEVER_PACKETS`).
     """
     cluster = spec.cluster
     traffic = replace(
@@ -71,7 +69,6 @@ def board_spec(spec: ExperimentSpec, board: int) -> ExperimentSpec:
         cluster=None,
         traffic=traffic,
         window=window,
-        replay_cache=False,
         name=f"{spec.name or 'cluster'}/board{board}",
     )
 
@@ -87,13 +84,6 @@ class BoardHarness:
         self.include_host = spec.include_host
         self.session = SimSession(board_spec(spec, board))
         self.system = self.session.system
-        if spec.replay_cache:
-            # a fresh private cache per board: statistics are identical
-            # with or without it (the replay guarantee), and cold-start
-            # symmetry keeps every process layout byte-identical
-            from ..replay import FirmwareReplayCache
-
-            self.system.attach_replay_cache(FirmwareReplayCache())
         self.affinity = ClusterAffinity(cluster, board)
         #: the board's fluid engine (None for event-fidelity specs).
         #: Warps are clipped to the sync horizon automatically (advance()
@@ -206,7 +196,7 @@ class BoardHarness:
         }
 
     def snapshot(self) -> Dict[str, Any]:
-        """The board's full repro-snapshot/1 block (inline shards only)."""
+        """The board's full repro-snapshot/2 block (inline shards only)."""
         return self.session.snapshot()
 
 

@@ -64,6 +64,14 @@ class FirmwareModel:
 
     name = "firmware"
 
+    #: Declaration that :meth:`process` is a pure function of (packet
+    #: class, ingress port, rpu index) that mutates nothing beyond
+    #: ``self.x += n`` counter bumps.  ``verify.replaylint`` checks the
+    #: claim against the source and the fluid gate admits only firmware
+    #: that passes.  Firmware with per-flow state (NAT, flow tables)
+    #: keeps the default.
+    replay_safe = False
+
     def on_boot(self, rpu_index: int, config) -> None:
         """Called when the RPU boots; default is stateless."""
 
@@ -73,23 +81,3 @@ class FirmwareModel:
     def clone(self) -> "FirmwareModel":
         """A fresh instance for another RPU (firmware state is per-RPU)."""
         return type(self)()
-
-    # -- replay cache (repro.replay) --------------------------------------
-
-    def replay_token(self) -> object:
-        """Digest of the mutable state :meth:`process` decisions depend
-        on, or ``None`` to opt out of replay caching.
-
-        Returning a token is a promise: for a fixed ``(packet class,
-        ingress port, rpu index, token)``, :meth:`process` returns an
-        equivalent :class:`FirmwareResult` and mutates nothing beyond
-        public integer counters on :meth:`replay_owners`.  Firmware with
-        per-flow state (NAT, flow tables) must keep the default
-        ``None`` — the cache then bypasses it entirely.
-        """
-        return None
-
-    def replay_owners(self) -> list:
-        """Objects whose public integer counters :meth:`process` may
-        bump (diffed on a cache miss, re-applied on a hit)."""
-        return [self]

@@ -26,10 +26,6 @@ class Sample:
     mpps: float
     rx_drops: int
     host_gbps: float
-    #: replay-cache activity this interval (both zero when no cache is
-    #: attached): lookups = hits + misses + fallbacks + bypasses
-    replay_hits: int = 0
-    replay_lookups: int = 0
 
 
 class StatsSampler:
@@ -40,8 +36,7 @@ class StatsSampler:
         self.interval_cycles = interval_cycles
         self.samples: List[Sample] = []
         self._running = False
-        #: (time, progress reading, replay hits, replay lookups) at the
-        #: start of the current interval
+        #: (time, progress reading) at the start of the current interval
         self._last = None
 
     def start(self) -> None:
@@ -58,21 +53,17 @@ class StatsSampler:
         system = self.system
         now = system.sim.now
         reading = progress_reading(system)
-        stats = system.replay_stats()
-        hits, lookups = (0, 0) if stats is None else (stats.hits, stats.lookups)
         if self._last is not None and now > self._last[0]:
-            t0, base, hits0, lookups0 = self._last
+            t0, base = self._last
             self.samples.append(
                 Sample(
                     t_start_cycles=t0,
                     t_end_cycles=now,
                     rx_drops=reading["rx_drops"] - base["rx_drops"],
-                    replay_hits=hits - hits0,
-                    replay_lookups=lookups - lookups0,
                     **window_rates(base, reading, now - t0, system.config.clock),
                 )
             )
-        self._last = (now, reading, hits, lookups)
+        self._last = (now, reading)
         if self._running:
             system.sim.schedule(self.interval_cycles, self._tick, name="sampler")
 

@@ -65,9 +65,6 @@ class RpuModel:
         self.last_progress = 0.0
         #: bumped by evict(): stale in-flight completions are ignored
         self._generation = 0
-        #: behavioural replay cache (repro.replay.FirmwareReplayCache);
-        #: attached by the system/engine when the spec enables it
-        self.replay_cache = None
         firmware.on_boot(index, config)
 
     # -- occupancy (for drain detection during reconfiguration) ---------------
@@ -101,11 +98,7 @@ class RpuModel:
         if self._sw_busy or self.paused or self._wedged or not self._in_queue:
             return
         packet = self._in_queue.popleft()
-        cache = self.replay_cache
-        if cache is not None:
-            result = cache.execute(self.firmware, packet, self.index)
-        else:
-            result = self.firmware.process(packet, self.index)
+        result = self.firmware.process(packet, self.index)
         self._results[packet.packet_id] = result
         self._sw_busy = True
         self.counters.add("packets")

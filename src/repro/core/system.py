@@ -251,33 +251,6 @@ class RosebudSystem:
     def _record_host(self, packet: Packet) -> None:
         self.host_rx.append(packet)
 
-    # -- replay cache (repro.replay) ----------------------------------------------------
-
-    def attach_replay_cache(self, cache) -> None:
-        """Give every RPU the same behavioural replay cache (records are
-        keyed by rpu index, so sharing one cache is safe and lets warm
-        state persist when the engine reuses it across runs)."""
-        for rpu in self.rpus:
-            rpu.replay_cache = cache
-
-    def invalidate_replay_caches(self, reason: str = "invalidate") -> None:
-        """Flush all attached replay caches (fault injectors call this
-        when they mutate state the cache keys cannot see)."""
-        seen = set()
-        for rpu in self.rpus:
-            cache = rpu.replay_cache
-            if cache is not None and id(cache) not in seen:
-                seen.add(id(cache))
-                cache.invalidate(reason)
-
-    def replay_stats(self):
-        """The :class:`~repro.replay.ReplayStats` of the attached cache,
-        or None when no RPU has one."""
-        for rpu in self.rpus:
-            if rpu.replay_cache is not None:
-                return rpu.replay_cache.stats
-        return None
-
     # -- fluid fast-forward (repro.fluid) -----------------------------------------------
 
     def shift_live_packets(self, delta: float) -> int:
@@ -315,34 +288,6 @@ class RosebudSystem:
 
     def total_rx_drops(self) -> int:
         return sum(mac.counters.value("rx_drops") for mac in self.macs)
-
-    def achieved_gbps(self, elapsed_cycles: float) -> float:
-        seconds = self.config.clock.cycles_to_seconds(elapsed_cycles)
-        return sum(meter.gbps(seconds) for meter in self.tx_meters)
-
-    def achieved_mpps(self, elapsed_cycles: float) -> float:
-        seconds = self.config.clock.cycles_to_seconds(elapsed_cycles)
-        return sum(meter.mpps(seconds) for meter in self.tx_meters)
-
-    def processed_gbps(self, elapsed_cycles: float) -> float:
-        """Throughput including host-punted traffic (the IPS "RX bytes"
-        view of §7.1.3: matched packets go to the host, safe out a port)."""
-        seconds = self.config.clock.cycles_to_seconds(elapsed_cycles)
-        return self.achieved_gbps(elapsed_cycles) + self.host_meter.gbps(seconds)
-
-    def processed_mpps(self, elapsed_cycles: float) -> float:
-        seconds = self.config.clock.cycles_to_seconds(elapsed_cycles)
-        return self.achieved_mpps(elapsed_cycles) + self.host_meter.mpps(seconds)
-
-    def absorbed_gbps(self, elapsed_cycles: float) -> float:
-        """Rate of traffic accepted into the MAC RX FIFOs — the host
-        utility's "RX bytes" reading for drop-type middleboxes like the
-        firewall, where dropped attack packets still count as served."""
-        seconds = self.config.clock.cycles_to_seconds(elapsed_cycles)
-        if seconds <= 0:
-            return 0.0
-        total_bytes = sum(mac.counters.value("rx_bytes") for mac in self.macs)
-        return total_bytes * 8 / seconds / 1e9
 
     def rpu_packet_counts(self) -> List[int]:
         """Per-RPU processed-packet counters (host-visible, §4.3)."""

@@ -219,7 +219,7 @@ class MacCorruptInjector(FaultInjector):
                 data[index] ^= 1 + rng.randrange(255)
                 packet.data = bytes(data)
             # headers changed: reparse lazily AND leave the packet's
-            # replay class (corrupted frames must never hit the cache)
+            # class (a corrupted frame is no longer its template's twin)
             packet.mark_mutated()
             return packet
 
@@ -263,23 +263,13 @@ class AccelFaultInjector(FaultInjector):
                 f"rpu {self.spec.target} firmware has no accelerator to fault"
             )
 
-        system = controller.system
-
-        def arm() -> None:
+        def set_fault(active: bool) -> None:
             for accel in accels:
-                accel.inject_fault(True)
-            # records made while healthy must not replay against a
-            # poisoned accelerator (and vice versa); tokens usually
-            # cover fault_active, but flushing is cheap and makes the
-            # guarantee unconditional
-            system.invalidate_replay_caches("accel_fault armed")
+                accel.inject_fault(active)
 
-        def disarm() -> None:
-            for accel in accels:
-                accel.inject_fault(False)
-            system.invalidate_replay_caches("accel_fault disarmed")
-
-        self._schedule_window(controller, arm, disarm)
+        self._schedule_window(
+            controller, lambda: set_fault(True), lambda: set_fault(False)
+        )
 
 
 @REGISTRY.register

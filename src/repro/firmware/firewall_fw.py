@@ -41,6 +41,9 @@ class FirewallFirmware(FirmwareModel):
     """
 
     name = "firewall"
+    #: decisions depend on the packet class (src IP) and the immutable
+    #: compiled prefix tables; counters are the only mutations
+    replay_safe = True
 
     def __init__(self, matcher: IpBlacklistMatcher) -> None:
         self.matcher = matcher
@@ -82,17 +85,6 @@ class FirewallFirmware(FirmwareModel):
             sw_cycles=sw_cycles,
             egress_port=packet.ingress_port ^ 1,
         )
-
-    def replay_token(self) -> object:
-        # decisions depend on the packet class (src IP), the immutable
-        # compiled prefix tables, and whether a fault is armed on the
-        # matcher; counters are the only mutations
-        return ("firewall", self.matcher.fault_active)
-
-    def replay_owners(self) -> list:
-        # the shared matcher's lookups/results_poisoned counters move
-        # with every packet too
-        return [self, self.matcher]
 
     def clone(self) -> "FirewallFirmware":
         return FirewallFirmware(self.matcher)

@@ -30,6 +30,7 @@ class ForwarderFirmware(FirmwareModel):
     """
 
     name = "basic_fw"
+    replay_safe = True
 
     def __init__(self, sw_cycles: int = FORWARDER_CYCLES, single_port: int = -1) -> None:
         self.sw_cycles = sw_cycles
@@ -43,10 +44,6 @@ class ForwarderFirmware(FirmwareModel):
         return FirmwareResult(
             action=ACTION_FORWARD, sw_cycles=self.sw_cycles, egress_port=egress
         )
-
-    def replay_token(self) -> object:
-        # stateless: the decision is a pure function of the packet class
-        return ("forwarder", self.sw_cycles, self.single_port)
 
     def clone(self) -> "ForwarderFirmware":
         return ForwarderFirmware(self.sw_cycles, self.single_port)
@@ -89,6 +86,7 @@ class TwoStepForwarder(FirmwareModel):
     """
 
     name = "loopback_fw"
+    replay_safe = True
 
     def __init__(self, n_rpus: int, sw_cycles: int = FORWARDER_CYCLES) -> None:
         self.n_rpus = n_rpus
@@ -107,11 +105,6 @@ class TwoStepForwarder(FirmwareModel):
             sw_cycles=self.sw_cycles,
             egress_port=packet.ingress_port ^ 1,
         )
-
-    def replay_token(self) -> object:
-        # stateless, but rpu_index-sensitive — safe because the cache
-        # key carries the rpu index
-        return ("loopback_fw", self.n_rpus, self.sw_cycles)
 
     def clone(self) -> "TwoStepForwarder":
         return TwoStepForwarder(self.n_rpus, self.sw_cycles)

@@ -279,10 +279,6 @@ class FluidEngine:
             ints.append((f"tx_meter{i}.packets", meter, "packets_total"))
         ints.append(("host_meter.bytes", system.host_meter, "bytes_total"))
         ints.append(("host_meter.packets", system.host_meter, "packets_total"))
-        stats = system.replay_stats()
-        if stats is not None:
-            for attr in ("hits", "misses", "fallbacks", "bypasses", "invalidations"):
-                ints.append((f"replay.{attr}", stats, attr))
         for src in self.sources:
             ints.append((f"src.p{src.port}.sent", src, "sent"))
 

@@ -9,10 +9,9 @@ free-lists, source flow-cycle phases).  Two boundaries with equal
 signatures evolve identically modulo the clock — which is exactly the
 license the engine needs to replace simulated periods with arithmetic.
 
-Packets are identified by their replay-cache *class key*
-(:mod:`repro.packet.template`): fluid skipping leans on the same
-flyweight class signatures the replay cache memoizes by, so "the same
-packet mix" means the same thing to both tiers.
+Packets are identified by their *class key*
+(:mod:`repro.packet.template`), the flyweight signature byte-identical
+frames on one ingress port share.
 
 Pending-event offsets are rounded to 1e-3 cycles before comparison:
 steady-state offsets reproduce exactly up to float accumulation noise

@@ -94,9 +94,9 @@ class Packet:
         self.seq_index = seq_index
         self.route = None  # FirmwareResult once an RPU has decided
         self.src_slot = None  # (rpu, slot) while traversing egress
-        # replay-cache class signature: stamped by the traffic layer
-        # when the packet comes from a flyweight template (byte-identical
-        # frames share a key); None means "not classifiable, never cache"
+        # class signature: stamped by the traffic layer when the packet
+        # comes from a flyweight template (byte-identical frames share a
+        # key); None means "not classifiable"
         self.class_key: Optional[object] = None
         self._parsed: Optional[ParsedHeaders] = None
 
@@ -188,8 +188,8 @@ class Packet:
 
     def mark_mutated(self) -> None:
         """Call after mutating ``data``: drops the parse cache *and* the
-        class signature, so the replay cache can never treat the packet
-        as its original template (fault injectors corrupting bytes,
+        class signature, so nothing keyed on it can treat the packet as
+        its original template (fault injectors corrupting bytes,
         firmware appending rule IDs, NAT rewrites)."""
         self._parsed = None
         self.class_key = None

@@ -5,14 +5,14 @@ headers — or even re-parsing them — per emission dominates generation
 cost at simulation scale.  A :class:`PacketTemplate` owns one immutable
 frame, parses it exactly once, and stamps every packet it mints with a
 **class signature**: a stable digest of ``(ingress port, frame bytes)``
-computed once per template.  The replay caches key on that signature,
-so the contract is strict — two packets share a class key only if their
-frame bytes and ingress port are identical.
+computed once per template.  The ISS replay cache and the fluid
+signature key on it, so the contract is strict — two packets share a
+class key only if their frame bytes and ingress port are identical.
 
 Templates are interned (one instance per distinct ``(port, bytes)``),
 which keeps the signature computation amortized even when sources are
-rebuilt per sweep point; the digest is content-based, so warm caches
-persist across points that generate the same flows.
+rebuilt per sweep point; the digest is content-based, so it is the
+same in every process that generates the same flows.
 """
 
 from __future__ import annotations

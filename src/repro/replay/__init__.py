@@ -3,35 +3,31 @@
 The paper's workloads spend almost all simulated CPU time re-executing
 the *same* firmware path for behaviourally identical packets: same
 headers, same size, same accelerator verdict, different payload bytes.
-This package memoizes that work at both simulation layers:
+:class:`ReplayCache` memoizes that work for the functional simulator
+(``core.funcsim``), at the instruction level.  A miss records the packet
+bracket (every bus transaction the firmware performs between picking
+up a descriptor and posting its send) together with the architectural
+start/end state; a hit re-validates the start state and the record's
+read set against live memory and then applies the captured effects —
+identical register file, identical memory, identical cycle stamps —
+without entering the CPU.
 
-* :class:`ReplayCache` — instruction-level record/replay for the
-  functional simulator (``core.funcsim``).  A miss records the packet
-  bracket (every bus transaction the firmware performs between picking
-  up a descriptor and posting its send) together with the architectural
-  start/end state; a hit re-validates the start state and the record's
-  read set against live memory and then applies the captured effects —
-  identical register file, identical memory, identical cycle stamps —
-  without entering the CPU.
-* :class:`FirmwareReplayCache` — behavioural-model memoization for the
-  event-driven system simulator (``core.rpu``).  A record stores the
-  :class:`~repro.core.firmware_api.FirmwareResult` plus the integer
-  counter deltas the firmware applied, keyed by the packet-class
-  signature the traffic layer stamps on flyweight templates.
+The contract is **correctness over hit rate**.  Any read outside the
+packet class (mutable per-flow state, cycle counters, un-tokenized
+accelerator state) either falls back to real execution or marks the
+record non-replayable.  Differential tests assert cached and uncached
+runs are byte-identical.
 
-Both caches share one contract: **correctness over hit rate**.  Any
-read outside the packet class (mutable per-flow state, cycle counters,
-un-tokenized accelerator state) either falls back to real execution or
-marks the record non-replayable.  Differential tests assert cached and
-uncached runs are byte-identical, including under fault injection.
+The event-driven simulator has no replay cache: its behavioural
+``FirmwareModel.process()`` is under 1 % of an event-tier run, so
+memoizing it measured slower than calling it (see ``CHANGES.md``, PR 16).
 """
 
-from .cache import FirmwareReplayCache, ReplayCache
+from .cache import ReplayCache
 from .record import ReplayDivergenceError, ReplayRecord, TraceRecorder
 from .stats import ReplayStats
 
 __all__ = [
-    "FirmwareReplayCache",
     "ReplayCache",
     "ReplayDivergenceError",
     "ReplayRecord",

@@ -1,4 +1,4 @@
-"""The two replay-cache layers: instruction-level and behavioural."""
+"""The instruction-level replay cache: a per-CPU store of packet brackets."""
 
 from __future__ import annotations
 
@@ -75,83 +75,3 @@ class ReplayCache:
 
     def __len__(self) -> int:
         return self._size
-
-
-class FirmwareReplayCache:
-    """Behavioural-model memoization for the event-driven simulator.
-
-    Wraps :meth:`FirmwareModel.process`: a record stores the returned
-    :class:`~repro.core.firmware_api.FirmwareResult` (results are
-    treated as immutable by the datapath) plus the public integer
-    counter deltas the call applied to the firmware's replay owners.
-    The key is ``(firmware class, class signature, ingress port,
-    rpu index, firmware token)`` — the token is the firmware's own
-    digest of the mutable state its decisions depend on; ``None``
-    (the default) bypasses caching entirely.
-
-    One instance is shared by every RPU of a system (clones share
-    behaviour; deltas are re-bound to the calling clone's owners), and
-    may persist across sweep points that run the same firmware.
-    """
-
-    def __init__(
-        self, stats: Optional[ReplayStats] = None, max_records: int = 65536
-    ) -> None:
-        self.stats = stats if stats is not None else ReplayStats()
-        self.max_records = max_records
-        self._records: Dict[tuple, Tuple[Any, tuple]] = {}
-
-    def execute(self, firmware: Any, packet: Any, rpu_index: int) -> Any:
-        token = firmware.replay_token()
-        class_key = packet.class_key
-        if token is None or class_key is None:
-            self.stats.bypasses += 1
-            return firmware.process(packet, rpu_index)
-        key = (type(firmware), class_key, packet.ingress_port, rpu_index, token)
-        rec = self._records.get(key)
-        if rec is not None:
-            result, deltas = rec
-            if deltas:
-                owners = firmware.replay_owners()
-                for owner_index, name, delta in deltas:
-                    owner = owners[owner_index]
-                    setattr(owner, name, getattr(owner, name) + delta)
-            self.stats.hits += 1
-            return result
-        owners = firmware.replay_owners()
-        before = [_int_attrs(owner) for owner in owners]
-        result = firmware.process(packet, rpu_index)
-        self.stats.misses += 1
-        if firmware.replay_token() != token:
-            # processing itself moved the token (stateful after all):
-            # the record would never validate — don't store it
-            return result
-        deltas: List[Tuple[int, str, int]] = []
-        for owner_index, owner in enumerate(owners):
-            old = before[owner_index]
-            for name, value in _int_attrs(owner).items():
-                delta = value - old.get(name, 0)
-                if delta:
-                    deltas.append((owner_index, name, delta))
-        if len(self._records) < self.max_records:
-            self._records[key] = (result, tuple(deltas))
-        return result
-
-    def invalidate(self, reason: str = "") -> None:
-        self._records.clear()
-        self.stats.invalidations += 1
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
-def _int_attrs(owner: Any) -> Dict[str, int]:
-    """Public integer counters of a replay owner (the same attribute
-    slice ``analysis.engine._firmware_totals`` aggregates)."""
-    out: Dict[str, int] = {}
-    for name, value in vars(owner).items():
-        if name.startswith("_") or isinstance(value, bool):
-            continue
-        if isinstance(value, int):
-            out[name] = value
-    return out

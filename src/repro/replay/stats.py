@@ -1,4 +1,4 @@
-"""Shared hit/miss accounting for both replay-cache layers."""
+"""Hit/miss accounting for the replay cache."""
 
 from __future__ import annotations
 
@@ -12,10 +12,10 @@ class ReplayStats:
     * ``misses`` — no record for the key yet; real execution recorded.
     * ``fallbacks`` — a record existed but its guard failed (start
       state, read set, or accelerator token diverged); real execution.
-    * ``bypasses`` — caching declined up front (no class signature, no
-      firmware token, or a record marked non-replayable).
-    * ``invalidations`` — explicit flushes (fault injectors, firmware
-      reload, self-modifying code).
+    * ``bypasses`` — caching declined up front (no class signature, or
+      a record marked non-replayable).
+    * ``invalidations`` — whole-store flushes on a code-epoch change
+      (firmware reload, self-modifying code).
     """
 
     __slots__ = ("hits", "misses", "fallbacks", "bypasses", "invalidations")
@@ -42,13 +42,8 @@ class ReplayStats:
         return {name: getattr(self, name) for name in self.FIELDS}
 
     def delta(self, base: Dict[str, int]) -> Dict[str, int]:
-        """Counters accumulated since ``base`` (a prior snapshot) —
-        per-point reporting for warm caches shared across sweep points."""
+        """Counters accumulated since ``base`` (a prior snapshot)."""
         return {name: getattr(self, name) - base.get(name, 0) for name in self.FIELDS}
-
-    def merge(self, other: "ReplayStats") -> None:
-        for name in self.FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"{n}={getattr(self, n)}" for n in self.FIELDS)

@@ -18,7 +18,7 @@ from typing import Any, Dict, Optional
 #: family -> current version.  One registry so a grep for a schema
 #: string has exactly one place to look.
 SCHEMAS: Dict[str, int] = {
-    "repro-snapshot": 1,
+    "repro-snapshot": 2,
     "repro-cluster-snapshot": 1,
     "repro-result": 1,
     "repro-verify": 1,

@@ -126,7 +126,6 @@ def spec_from_params(params: Dict[str, Any]) -> ExperimentSpec:
         "window": window,
         "lb": p.pop("lb", default_lb),
         "measure": p.pop("measure", "throughput"),
-        "replay_cache": bool(p.pop("replay_cache", False)),
         "include_absorbed": bool(p.pop("include_absorbed", name == "firewall")),
         "faults": tuple(p.pop("faults", ())),
         "fidelity": p.pop("fidelity", "event"),

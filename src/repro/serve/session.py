@@ -17,8 +17,7 @@ traffic feeds and exposes:
   :mod:`repro.faults`, LB policy swap, receive-mask writes, watchdog
   lifecycle, eviction;
 * :meth:`snapshot` — rolling telemetry (per-RPU utilization, drop
-  taxonomy, queue depths, replay-cache hit rate) as versioned JSON
-  (``repro-snapshot/1``).
+  taxonomy, queue depths) as versioned JSON (``repro-snapshot/2``).
 
 Batch :func:`repro.analysis.engine.run_experiment` is a thin wrapper —
 open a session from the spec, :meth:`run_to_completion` — and produces
@@ -69,8 +68,8 @@ class SimSession:
     Two construction paths:
 
     * ``SimSession(spec)`` builds everything the batch engine would —
-      backend, verification pre-flight, system, sources, replay cache,
-      fault campaign — in the same order, so stepping to completion
+      backend, verification pre-flight, system, sources, fault
+      campaign — in the same order, so stepping to completion
       reproduces :func:`~repro.analysis.engine.run_experiment` byte for
       byte.
     * :meth:`SimSession.for_system` wraps a hand-built system (and
@@ -88,8 +87,6 @@ class SimSession:
         self._result: Optional[Any] = None
         self._host = None
         self._controller = None
-        self._replay_cache = None
-        self._replay_base: Dict[str, int] = {}
         self._snapshot_seq = 0
         self._last_rates: Optional[tuple] = None  # (time, reading) of the last snapshot
         self._fluid = None
@@ -137,12 +134,6 @@ class SimSession:
 
         self.system = spec.build_system()
         sources = spec.build_sources(self.system)
-        if spec.replay_cache:
-            from ..analysis.engine import _replay_cache_for
-
-            self._replay_cache = _replay_cache_for(spec)
-            self._replay_base = self._replay_cache.stats.snapshot()
-            self.system.attach_replay_cache(self._replay_cache)
         if spec.faults:
             # chaos path: schedule the campaign before traffic starts so
             # fault times are absolute simulation cycles
@@ -323,8 +314,6 @@ class SimSession:
             result = ExperimentResult(spec_key=self.spec_key, throughput=driver.result)
         result.counters = self.system.counters.snapshot()
         result.firmware_totals = _firmware_totals(self.system)
-        if self._replay_cache is not None:
-            result.replay = self._replay_cache.stats.delta(self._replay_base)
         if self._fluid is not None:
             result.fluid = self._fluid.stats()
         if self._controller is not None:
@@ -507,9 +496,6 @@ class SimSession:
             )
         old = type(self.system.lb.policy).name
         self.system.lb.policy = factory(self.system.config.n_rpus)
-        # replayed records may assume the old packet->RPU mapping;
-        # flush so per-flow-state firmware stays sound under the swap
-        self.system.invalidate_replay_caches("lb policy swap")
         return {"old": old, "new": type(self.system.lb.policy).name}
 
     def _ctl_set_receive_mask(self, mask: int = 0) -> Dict:
@@ -581,7 +567,7 @@ class SimSession:
         }
 
     def snapshot(self) -> Dict[str, Any]:
-        """Rolling telemetry as a versioned (``repro-snapshot/1``) JSON
+        """Rolling telemetry as a versioned (``repro-snapshot/2``) JSON
         document.  Every counter is cumulative, so consecutive snapshots
         are monotone; ``rates`` covers the interval since the previous
         snapshot."""
@@ -619,16 +605,6 @@ class SimSession:
                     "slot_occupancy": system.lb.slots.occupancy(rpu.index),
                 }
             )
-
-        replay = None
-        stats = system.replay_stats()
-        if stats is not None:
-            counts = stats.snapshot()
-            lookups = sum(
-                counts.get(k, 0) for k in ("hits", "misses", "fallbacks", "bypasses")
-            )
-            replay = dict(counts)
-            replay["hit_rate"] = counts.get("hits", 0) / lookups if lookups else 0.0
 
         host = self._controller.host if self._controller is not None else self._host
         reconfig = []
@@ -681,7 +657,6 @@ class SimSession:
             },
             "rates": rates,
             "fidelity": self._fidelity_block(now),
-            "replay": replay,
             "measurement": (
                 self._measurement.status() if self._measurement is not None else None
             ),

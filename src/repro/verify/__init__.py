@@ -13,7 +13,8 @@ The subsystem answers, *before* any simulation runs:
 * does its MMIO footprint match the interconnect map and the configured
   accelerator's register set?
 * does it store into its own text segment (self-modifying code)?
-* is its behavioural twin safe to memoize in the replay cache?
+* is its behavioural twin's per-packet effect pure, so the fluid tier
+  may skip repeated periods?  (:mod:`repro.verify.replaylint`)
 * does the simulator source itself stay deterministic?
   (:mod:`repro.verify.detlint`, wired into ``make lint``)
 

@@ -3,8 +3,8 @@
 ``repro.fluid`` may only skip simulated time it can prove would have
 been repetitive, and half of that proof is static: the firmware must be
 replay-safe (its per-packet effect is a pure function of the packet
-class plus allowed counter bumps — the same AST verdict the replay
-cache trusts) and must carry a sound WCET bound so the analytic budget
+class plus allowed counter bumps — :mod:`repro.verify.replaylint`'s
+AST verdict) and must carry a sound WCET bound so the analytic budget
 formulas have a worst case to pin the steady-state rate against.
 
 :func:`fluid_gate` evaluates both from the spec alone, before any

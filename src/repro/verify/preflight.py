@@ -4,11 +4,12 @@
 set.  The behavioural firmware class on the spec is mapped to its
 assembly twin in the registry, the twin's WCET bound is checked against
 the spec's (clock, RPUs, size, offered Gbps) operating point with the
-same centralized budget formula ``repro verify`` uses, and — when the
-spec enables the replay cache — the replay linter vets the firmware
-class.  A FAIL either warns (``verify="warn"``) or raises
-:class:`VerificationError` (``verify="fail"``/``True``) before any pool
-time is spent; sweep workers surface the raise as a per-point error.
+same centralized budget formula ``repro verify`` uses.  The replay
+lint's classification of the class is reported alongside; it gates the
+fluid tier, not the pre-flight.  A FAIL either warns
+(``verify="warn"``) or raises :class:`VerificationError`
+(``verify="fail"``/``True``) before any pool time is spent; sweep
+workers surface the raise as a per-point error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .budget import BudgetVerdict, budget_verdict
 from .cfg import Diagnostic
 from .memsafe import MemSafetyReport, check_memory_safety
 from .registry import bundled_firmwares
-from .replaylint import CLASS_UNSAFE, ReplayLintReport, lint_firmware_class
+from .replaylint import ReplayLintReport, lint_firmware_class
 from .wcet import WcetReport, analyze_wcet
 
 
@@ -59,19 +60,12 @@ class PreflightReport:
     safety: Optional[MemSafetyReport] = None
     lint: Optional[ReplayLintReport] = None
     diagnostics: List[Diagnostic] = field(default_factory=list)
-    lint_required: bool = False  # spec asked for the replay cache
 
     @property
     def failed(self) -> bool:
         if self.verdict is not None and not self.verdict.passed:
             return True
         if self.verdict is not None and self.verdict.memory_safe is False:
-            return True
-        if (
-            self.lint_required
-            and self.lint is not None
-            and self.lint.classification == CLASS_UNSAFE
-        ):
             return True
         return False
 
@@ -140,10 +134,7 @@ def preflight_spec(spec) -> PreflightReport:
     firmware = spec.firmware
     cls = firmware if isinstance(firmware, type) else type(firmware)
     cls_name = getattr(cls, "__name__", str(cls))
-    report = PreflightReport(
-        spec_name=spec.describe(), firmware_cls=cls_name,
-        lint_required=bool(spec.replay_cache),
-    )
+    report = PreflightReport(spec_name=spec.describe(), firmware_cls=cls_name)
 
     twin = FIRMWARE_ASM_TWINS.get(cls_name)
     if twin is not None:

@@ -1,25 +1,23 @@
-"""AST linter: is a behavioural firmware replay-cacheable?
+"""AST linter: is a behavioural firmware's per-packet effect pure?
 
-``FirmwareReplayCache`` (PR 4) decides eligibility at runtime: a
-``FirmwareModel`` whose :meth:`replay_token` returns ``None`` is
-bypassed on every packet.  This linter makes the same call *statically*
-so eligibility is declared, not discovered mid-sweep:
+The fluid tier (``repro.fluid``) may only skip periods it can prove
+repetitive, and that needs ``FirmwareModel.process()`` to be a pure
+function of the packet class.  A firmware claims so with the class-level
+declaration ``replay_safe = True``; this linter checks the claim against
+the source, and :func:`repro.verify.fluidgate.fluid_gate` admits only
+``replay-safe`` classes:
 
-* ``replay-safe`` — overrides ``replay_token`` and ``process()`` (plus
-  every ``self.*()`` method it calls) performs no mutation beyond the
-  counter bumps the token contract explicitly allows
-  (``self.x += 1``-style integer adds on ``replay_owners``).
-* ``stateful`` — keeps the default ``replay_token`` (opting out); the
-  runtime cache bypasses it.  Mutations found are reported as evidence
-  the opt-out is correct.
-* ``unsafe`` — overrides ``replay_token`` (promising purity) **but**
-  the linter finds mutable attribute/subscript writes, container
-  mutators on ``self``-rooted state, or ``random``/``time`` use: the
-  promise is not credible and replaying would diverge.
+* ``replay-safe`` — declares ``replay_safe`` and ``process()`` (plus
+  every ``self.*()`` method it calls) performs no mutation beyond
+  ``self.x += 1``-style counter bumps.
+* ``stateful`` — keeps the default ``replay_safe = False``.  Mutations
+  found are reported as evidence the opt-out is correct.
+* ``unsafe`` — declares ``replay_safe`` **but** the linter finds mutable
+  attribute/subscript writes, container mutators on ``self``-rooted
+  state, or ``random``/``time`` use: the declaration is not credible.
 
-The differential test (``tests/test_replay_lint.py``) pins the linter's
-safe/stateful split to the observed runtime bypass behaviour for every
-bundled firmware.
+``tests/test_replay_lint.py`` pins the classification of every bundled
+firmware and its agreement with the fluid gate.
 """
 
 from __future__ import annotations
@@ -30,8 +28,6 @@ import textwrap
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
-from ..core.firmware_api import FirmwareModel
-
 #: Container methods that mutate their receiver.
 _MUTATORS = frozenset(
     {
@@ -40,7 +36,7 @@ _MUTATORS = frozenset(
     }
 )
 
-#: Modules whose use inside ``process`` makes results non-replayable.
+#: Modules whose use inside ``process`` makes results non-repeatable.
 _NONDETERMINISTIC = frozenset({"random", "secrets", "time", "datetime"})
 
 CLASS_REPLAY_SAFE = "replay-safe"
@@ -71,20 +67,14 @@ class LintFinding:
 class ReplayLintReport:
     cls_name: str
     classification: str
-    token_overridden: bool
     findings: List[LintFinding] = field(default_factory=list)
     counter_bumps: int = 0  # allowed self.x += 1 style adds
     notes: List[str] = field(default_factory=list)
-
-    @property
-    def cacheable(self) -> bool:
-        return self.classification == CLASS_REPLAY_SAFE
 
     def to_dict(self) -> dict:
         return {
             "class": self.cls_name,
             "classification": self.classification,
-            "token_overridden": self.token_overridden,
             "findings": [f.to_dict() for f in self.findings],
             "counter_bumps": self.counter_bumps,
             "notes": self.notes,
@@ -140,8 +130,8 @@ class _MethodLinter(ast.NodeVisitor):
         target = node.target
         if isinstance(target, ast.Attribute):
             if isinstance(node.op, ast.Add) and _root_is_self(target):
-                # the one mutation the replay_token contract allows:
-                # integer counter bumps, diffed/re-applied by the cache
+                # the one mutation a replay_safe firmware may make:
+                # integer counter bumps (the fluid ledger scales them)
                 self.counter_bumps += 1
             else:
                 self._finding(
@@ -176,7 +166,7 @@ class _MethodLinter(ast.NodeVisitor):
         if node.id in _NONDETERMINISTIC:
             self._finding(
                 "nondeterminism",
-                f"uses module '{node.id}' (results not replayable)",
+                f"uses module '{node.id}' (results not repeatable)",
                 node,
             )
         self.generic_visit(node)
@@ -200,7 +190,6 @@ def lint_firmware_class(cls) -> ReplayLintReport:
     """Classify one :class:`FirmwareModel` subclass (or instance)."""
     if not isinstance(cls, type):
         cls = type(cls)
-    token_overridden = cls.replay_token is not FirmwareModel.replay_token
 
     findings: List[LintFinding] = []
     counter_bumps = 0
@@ -225,12 +214,12 @@ def lint_firmware_class(cls) -> ReplayLintReport:
         counter_bumps += linter.counter_bumps
         queue.extend(linter.self_calls - visited)
 
-    if not token_overridden:
+    if not getattr(cls, "replay_safe", False):
         classification = CLASS_STATEFUL
         if not findings:
             notes.append(
-                "no mutations found, but replay_token is not overridden: "
-                "the cache bypasses this firmware (add a token to opt in)"
+                "no mutations found, but replay_safe is not declared: "
+                "the fluid tier refuses this firmware (declare it to opt in)"
             )
     elif findings:
         classification = CLASS_UNSAFE
@@ -240,7 +229,6 @@ def lint_firmware_class(cls) -> ReplayLintReport:
     return ReplayLintReport(
         cls_name=cls.__name__,
         classification=classification,
-        token_overridden=token_overridden,
         findings=findings,
         counter_bumps=counter_bumps,
         notes=notes,

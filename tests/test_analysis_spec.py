@@ -58,6 +58,10 @@ class TestSpecConstruction:
         with pytest.raises(SpecError):
             _spec(measure="power")
 
+    def test_removed_replay_cache_field_rejected(self):
+        with pytest.raises(TypeError, match="replay_cache"):
+            ExperimentSpec(replay_cache=True)
+
     def test_lb_registry_builds_policy(self):
         from repro.core import HashLB
 

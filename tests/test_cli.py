@@ -90,6 +90,13 @@ class TestSweep:
             assert args.gbps == 100.0 and args.lb == "hash"
 
 
+    def test_removed_replay_cache_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--replay-cache"])
+        assert exc.value.code == 2
+        assert "--replay-cache" in capsys.readouterr().err
+
+
 class TestResourcesAndTrace:
     def test_resources_16(self, capsys):
         assert main(["resources", "--rpus", "16"]) == 0

@@ -43,18 +43,6 @@ def test_shard_counts_are_byte_identical():
     assert result_blob(spec, shards=4) == inline
 
 
-def test_shard_identity_holds_with_replay_cache():
-    spec = four_board_spec(replay_cache=True)
-    inline = result_blob(spec, shards=1)
-    assert result_blob(spec, shards=2) == inline
-    # and the cache changes nothing but the spec key (the replay
-    # guarantee, now rack-level): statistics match the uncached run
-    uncached = json.loads(result_blob(four_board_spec(), shards=1))
-    cached = json.loads(inline)
-    assert cached.pop("spec_key") != uncached.pop("spec_key")
-    assert cached == uncached
-
-
 def test_shard_identity_holds_under_drain_events():
     spec = four_board_spec()
     events = [(1_000.0, "drain", 1), (3_000.0, "restore", 1)]

@@ -25,6 +25,8 @@ from repro.faults import (
     install_faults,
 )
 from repro.firmware import ForwarderFirmware
+from repro.packet import build_tcp
+from repro.packet.template import intern_template
 from repro.traffic import FixedSizeSource
 
 FAST = MeasurementWindow(warmup_packets=200, measure_packets=2000)
@@ -186,6 +188,25 @@ class TestInstallFaults:
             mac.counters.value("rx_csum_drops")
             <= mac.counters.value("rx_drops")
         )
+
+    @pytest.mark.parametrize("mode", ["corrupt", "truncate"])
+    def test_mac_corrupt_clears_class_key(self, mode):
+        """A frame mutated in place leaves its template's class: the
+        fluid signature and ISS replay keys must not see it as a twin."""
+        system = _live_system()
+        install_faults(
+            system,
+            [FaultSpec(kind="mac_corrupt", at_cycles=0.0, target=0,
+                       magnitude=1.0, seed=11, params={"mode": mode})],
+        )
+        system.sim.run(until=1)
+        template = intern_template(build_tcp("10.0.0.1", "10.0.0.2", 1, 80, pad_to=256).data)
+        packet = template.make_packet()
+        assert packet.class_key == template.class_key
+        mutated = system.macs[0].rx_fault_hook(packet)
+        assert mutated.data != template.data
+        assert mutated.class_key is None
+        assert mutated._parsed is None  # re-parsed from the new bytes
 
     def test_mac_corrupt_is_seed_deterministic(self):
         def run(seed):

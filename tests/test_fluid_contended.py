@@ -179,7 +179,7 @@ class TestClusterFluid:
     clipped to the sync horizon, de-opted by cross-board traffic."""
 
     @staticmethod
-    def _spec(fidelity, affinity="local", replay_cache=False, packets=20_000):
+    def _spec(fidelity, affinity="local", packets=20_000):
         return ExperimentSpec(
             config=RosebudConfig(n_rpus=8),
             traffic=TrafficProfile(
@@ -187,7 +187,6 @@ class TestClusterFluid:
             ),
             window=MeasurementWindow(warmup_packets=500, measure_packets=packets),
             fidelity=fidelity,
-            replay_cache=replay_cache,
             cluster=ClusterSpec(
                 boards=2,
                 link_gbps=100.0,
@@ -206,14 +205,9 @@ class TestClusterFluid:
         assert agg["warps"] >= 2 and agg["cross_deopts"] == 0
         assert ev.cluster["fluid"] is None
 
-    @pytest.mark.parametrize("replay_cache", [False, True])
-    def test_shards_invariant(self, replay_cache):
-        one = ClusterEngine(
-            self._spec("fluid", replay_cache=replay_cache), shards=1
-        ).run_to_completion()
-        two = ClusterEngine(
-            self._spec("fluid", replay_cache=replay_cache), shards=2
-        ).run_to_completion()
+    def test_shards_invariant(self):
+        one = ClusterEngine(self._spec("fluid"), shards=1).run_to_completion()
+        two = ClusterEngine(self._spec("fluid"), shards=2).run_to_completion()
         assert json.dumps(one.to_dict(), sort_keys=True) == json.dumps(
             two.to_dict(), sort_keys=True
         )

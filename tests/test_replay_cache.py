@@ -2,29 +2,19 @@
 
 The cache's one contract is *correctness over hit rate*: with the
 cache on, every observable — send streams including per-packet cycle
-stamps, packet/data memory images, accelerator traffic, experiment
-statistics, resilience reports — must be byte-identical to the
-uncached run.  These tests drive both simulation layers with the
-cache on and off and diff the observables, including the cases that
-must force a fallback or bypass (per-flow mutable state,
-self-modifying code, fault injection).
+stamps, packet/data memory images, accelerator traffic — must be
+byte-identical to the uncached run.  These tests drive the functional
+simulator with the cache on and off and diff the observables,
+including the cases that must force a fallback or bypass (per-flow
+mutable state, self-modifying code).
 """
 
 import pytest
 
 from repro.accel import IpBlacklistMatcher, generate_blacklist, parse_blacklist
-from repro.analysis import (
-    ExperimentSpec,
-    MeasurementWindow,
-    SweepRunner,
-    TrafficProfile,
-    run_experiment,
-)
-from repro.core import RosebudConfig
 from repro.core.funccluster import FunctionalCluster
 from repro.core.funcsim import FunctionalRpu
-from repro.faults import FaultSpec
-from repro.firmware import FIREWALL_ASM, FORWARDER_ASM, FirewallFirmware, ForwarderFirmware
+from repro.firmware import FIREWALL_ASM, FORWARDER_ASM
 from repro.firmware.asm_sources import FLOW_COUNTER_ASM
 from repro.packet import build_tcp, build_udp, int_to_ip
 from repro.replay import ReplayCache
@@ -243,126 +233,3 @@ class TestFuncsimDifferential:
         rpu.push_packet(_clean_frame(), port=0)
         with pytest.raises(RuntimeError, match="swapped"):
             rpu.run_until_sent(2)
-
-
-# -- event-driven-simulator differentials -----------------------------------
-
-FAST = MeasurementWindow(warmup_packets=100, measure_packets=600)
-
-
-def _firewall_spec(**kw):
-    defaults = dict(
-        config=RosebudConfig(n_rpus=4),
-        firmware=FirewallFirmware,
-        firmware_args=(IpBlacklistMatcher(BLACKLIST),),
-        traffic=TrafficProfile(packet_size=512, offered_gbps=40.0),
-        window=FAST,
-        include_absorbed=True,
-    )
-    defaults.update(kw)
-    return ExperimentSpec(**defaults)
-
-
-def _differential(make_spec):
-    """Run ``make_spec(replay_cache=...)`` both ways; the dicts must be
-    identical except for the spec hash (the flag is part of it) and the
-    replay counter block.  Returns the counters for extra asserts."""
-    off = run_experiment(make_spec(replay_cache=False)).to_dict()
-    on = run_experiment(make_spec(replay_cache=True)).to_dict()
-    replay = on.pop("replay")
-    off.pop("spec_key")
-    on.pop("spec_key")
-    assert on == off
-    return replay
-
-
-class TestEventSimDifferential:
-    def test_uniform_firewall(self):
-        replay = _differential(lambda **kw: _firewall_spec(**kw))
-        assert replay["hits"] > 0
-        assert replay["fallbacks"] == 0
-
-    def test_imix_forwarder(self):
-        replay = _differential(lambda **kw: ExperimentSpec(
-            config=RosebudConfig(n_rpus=4),
-            firmware=ForwarderFirmware,
-            traffic=TrafficProfile(packet_size=512, offered_gbps=40.0,
-                                   source="imix"),
-            window=FAST,
-            **kw,
-        ))
-        assert replay["hits"] > 0
-
-    def test_attack_flows_bypass(self):
-        """Flow traffic with an attack mix builds every frame
-        individually (no flyweight template, no class signature), so
-        the cache must bypass — and the stats must not move."""
-        replay = _differential(lambda **kw: _firewall_spec(
-            traffic=TrafficProfile(
-                packet_size=512,
-                offered_gbps=40.0,
-                source="flows",
-                source_kwargs={
-                    "n_flows": 16,
-                    "attack_fraction": 0.1,
-                    "attack_payloads": (b"XATTACKX",),
-                },
-            ),
-            **kw,
-        ))
-        assert replay["hits"] == 0
-        assert replay["bypasses"] > 0
-
-    def test_latency_measurement(self):
-        _differential(lambda **kw: _firewall_spec(measure="latency", **kw))
-
-    def test_accel_fault_chaos_identical(self):
-        """Fault campaigns must stay byte-identical too: the injector
-        invalidates the (private, never warm-shared) cache when it arms
-        and disarms, so poisoned windows never replay stale verdicts."""
-        fault = FaultSpec(
-            kind="accel_fault", at_cycles=30_000.0, target=0,
-            duration_cycles=40_000.0, magnitude=1.0, seed=7,
-        )
-        window = MeasurementWindow(warmup_packets=100, measure_packets=1500)
-        replay = _differential(lambda **kw: _firewall_spec(
-            faults=(fault,), window=window, **kw,
-        ))
-        assert replay["invalidations"] >= 2  # arm + disarm
-
-    def test_mac_corrupt_chaos_identical(self):
-        """Corrupted frames are mutated in place; mark_mutated() drops
-        their class signature so they can never serve or seed a hit."""
-        fault = FaultSpec(
-            kind="mac_corrupt", at_cycles=20_000.0, target=0,
-            duration_cycles=30_000.0, magnitude=0.5, seed=11,
-        )
-        replay = _differential(lambda **kw: _firewall_spec(
-            faults=(fault,), **kw,
-        ))
-        assert replay["hits"] > 0  # clean traffic still replays
-
-    def test_warm_cache_across_sweep_points(self):
-        """Two fault-free points with the same firmware fingerprint
-        share the warm cache in a serial sweep: the second point starts
-        hot and records (almost) nothing new."""
-        matcher = IpBlacklistMatcher(parse_blacklist(generate_blacklist(977)))
-        common = dict(
-            config=RosebudConfig(n_rpus=4),
-            firmware=FirewallFirmware,
-            firmware_args=(matcher,),
-            traffic=TrafficProfile(packet_size=512, offered_gbps=40.0),
-            include_absorbed=True,
-            replay_cache=True,
-        )
-        specs = [
-            ExperimentSpec(window=FAST, name="cold", **common),
-            ExperimentSpec(window=MeasurementWindow(
-                warmup_packets=100, measure_packets=400), name="warm", **common),
-        ]
-        outcome = SweepRunner(jobs=1).run(specs)
-        first = outcome[0].result.replay
-        second = outcome[1].result.replay
-        assert first["misses"] > 0
-        assert second["hits"] > 0
-        assert second["misses"] < first["misses"]

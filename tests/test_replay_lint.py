@@ -1,27 +1,19 @@
-"""Replay linter vs the runtime cache: the differential contract.
+"""Replay linter vs its consumer, the fluid gate.
 
-The linter's classification must agree with what
-:class:`FirmwareReplayCache` actually does at runtime: ``replay-safe``
-firmwares get cached (hits accumulate), ``stateful`` ones are bypassed
-on every packet.  ``unsafe`` means the linter caught a firmware
-promising a token while mutating state the token cannot cover — the
-case the static check exists to catch *before* a sweep silently
-diverges.
+The linter checks a firmware's ``replay_safe`` declaration against its
+source: ``replay-safe`` firmwares are the ones the fluid gate admits,
+``stateful`` ones (no declaration) are refused.  ``unsafe`` means the
+linter caught a firmware declaring purity while mutating state — the
+case the static check exists to catch *before* the fluid tier skips
+periods that were not repetitive.
 """
 
 import random
 
 import pytest
 
-from repro.accel import IpBlacklistMatcher, generate_blacklist, parse_blacklist
+from repro.analysis import ExperimentSpec
 from repro.core.firmware_api import ACTION_FORWARD, FirmwareModel, FirmwareResult
-from repro.firmware import (
-    FirewallFirmware,
-    ForwarderFirmware,
-    TwoStepForwarder,
-)
-from repro.packet import Packet, build_tcp
-from repro.replay import FirmwareReplayCache
 from repro.verify import (
     CLASS_REPLAY_SAFE,
     CLASS_STATEFUL,
@@ -30,27 +22,7 @@ from repro.verify import (
     lint_all_models,
     lint_firmware_class,
 )
-
-
-def _packet(key="k"):
-    packet = Packet(build_tcp("10.0.0.1", "10.0.0.2", 1000, 80, pad_to=64).data)
-    packet.class_key = key
-    return packet
-
-
-def _instantiate(cls):
-    """Build each bundled firmware the way its tests do."""
-    if cls is FirewallFirmware:
-        return cls(IpBlacklistMatcher(parse_blacklist(generate_blacklist(8))))
-    if cls is TwoStepForwarder:
-        return cls(n_rpus=4)
-    if cls.__name__.startswith("Pigasus"):
-        from repro.accel.pigasus import generate_ruleset, parse_rules
-
-        return cls(parse_rules(generate_ruleset(4)))
-    if cls.__name__ == "ChainStageFirmware":
-        return cls(ForwarderFirmware(), next_rpu=None)
-    return cls()
+from repro.verify.fluidgate import fluid_gate
 
 
 class TestBundledClassifications:
@@ -76,68 +48,60 @@ class TestBundledClassifications:
             )
 
     def test_no_bundled_model_is_unsafe(self):
-        # unsafe = broken token promise; the repo must never ship one
+        # unsafe = broken purity declaration; the repo must never ship one
         assert all(
             r.classification != CLASS_UNSAFE for r in lint_all_models()
         )
 
     def test_classification_matches_token_override(self):
-        for report in lint_all_models():
-            assert report.cacheable == (
-                report.token_overridden and not report.findings
+        reports = zip(bundled_firmware_classes(), lint_all_models())
+        for cls, report in reports:
+            assert (report.classification == CLASS_REPLAY_SAFE) == (
+                cls.replay_safe and not report.findings
             )
 
 
 class TestRuntimeDifferential:
-    """lint says replay-safe  <=>  the runtime cache caches it."""
+    """lint says replay-safe  <=>  the fluid gate admits the class."""
 
     @pytest.mark.parametrize("cls", bundled_firmware_classes(),
                              ids=lambda c: c.__name__)
     def test_lint_agrees_with_cache_bypass(self, cls):
-        firmware = _instantiate(cls)
+        # the gate reads the class off the spec without building it
         report = lint_firmware_class(cls)
-        cache = FirmwareReplayCache()
-        for _ in range(3):
-            cache.execute(firmware, _packet(), rpu_index=0)
-        if report.cacheable:
-            # same packet class: first call misses, rest hit
-            assert cache.stats.bypasses == 0, report.to_dict()
-            assert cache.stats.hits >= 1
-        else:
-            # runtime agrees the firmware opted out: every call bypasses
-            assert cache.stats.hits == 0, report.to_dict()
-            assert cache.stats.bypasses == 3
+        gate = fluid_gate(ExperimentSpec(firmware=cls))
+        assert gate.lint_classification == report.classification
+        lint_reasons = [r for r in gate.reasons if "replay lint" in r]
+        assert (report.classification == CLASS_REPLAY_SAFE) == (not lint_reasons), (
+            report.to_dict(), gate.reasons,
+        )
 
     def test_runtime_token_is_none_iff_lint_stateful(self):
         for cls in bundled_firmware_classes():
-            firmware = _instantiate(cls)
             report = lint_firmware_class(cls)
-            if report.classification == CLASS_STATEFUL:
-                assert firmware.replay_token() is None, cls.__name__
-            else:
-                assert firmware.replay_token() is not None, cls.__name__
+            assert (report.classification == CLASS_STATEFUL) == (
+                not cls.replay_safe
+            ), cls.__name__
 
 
 class _UnsafeTokenFirmware(FirmwareModel):
-    """Promises a token but stashes the packet — the lie the linter
+    """Declares purity but stashes the packet — the lie the linter
     exists to catch."""
 
-    def replay_token(self):
-        return ("unsafe", 0)
+    replay_safe = True
 
     def process(self, packet, rpu_index):
-        self.last_packet = packet  # mutation a token can't cover
+        self.last_packet = packet  # not a counter bump
         return FirmwareResult(ACTION_FORWARD, sw_cycles=10)
 
 
 class _CounterBumpFirmware(FirmwareModel):
-    """Counter bumps are the one mutation the token contract allows."""
+    """Counter bumps are the one mutation the declaration allows."""
+
+    replay_safe = True
 
     def __init__(self):
         self.forwarded = 0
-
-    def replay_token(self):
-        return ("counter", 0)
 
     def process(self, packet, rpu_index):
         self.forwarded += 1
@@ -145,8 +109,7 @@ class _CounterBumpFirmware(FirmwareModel):
 
 
 class _RandomFirmware(FirmwareModel):
-    def replay_token(self):
-        return ("rng", 0)
+    replay_safe = True
 
     def process(self, packet, rpu_index):
         return FirmwareResult(
@@ -155,11 +118,10 @@ class _RandomFirmware(FirmwareModel):
 
 
 class _ContainerMutator(FirmwareModel):
+    replay_safe = True
+
     def __init__(self):
         self.seen = []
-
-    def replay_token(self):
-        return ("mut", 0)
 
     def process(self, packet, rpu_index):
         self.seen.append(packet.flow_hash)
@@ -187,22 +149,9 @@ class TestCraftedClasses:
         assert report.classification == CLASS_UNSAFE
         assert any(f.code == "container-mutation" for f in report.findings)
 
-    def test_counter_bumps_replay_correctly(self):
-        # the allowed mutation really is replay-equivalent: counter
-        # totals match between cached and uncached runs
-        cached = _CounterBumpFirmware()
-        plain = _CounterBumpFirmware()
-        cache = FirmwareReplayCache()
-        for _ in range(5):
-            cache.execute(cached, _packet(), rpu_index=0)
-            plain.process(_packet(), rpu_index=0)
-        assert cache.stats.hits == 4
-        assert cached.forwarded == plain.forwarded == 5
-
     def test_transitive_helper_mutation_found(self):
         class _Indirect(FirmwareModel):
-            def replay_token(self):
-                return ("t", 0)
+            replay_safe = True
 
             def _stash(self, packet):
                 self.last = packet

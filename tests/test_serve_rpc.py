@@ -51,6 +51,12 @@ class TestSpecFromParams:
 
 
 class TestServeServer:
+    def test_open_rejects_removed_replay_cache_param_by_name(self):
+        reply = _call(ServeServer(), "open", _open_params(replay_cache=False))
+        assert not reply["ok"]
+        assert reply["error"]["type"] == "SpecError"
+        assert "unknown open parameters: ['replay_cache']" in reply["error"]["message"]
+
     def test_ping(self):
         reply = _call(ServeServer(), "ping")
         assert reply == {
@@ -96,7 +102,7 @@ class TestServeServer:
         assert stepped["ok"] and stepped["result"]["events"] == 500
 
         snap = _call(server, "snapshot", request_id=3)
-        assert snap["ok"] and snap["result"]["schema"] == "repro-snapshot/1"
+        assert snap["ok"] and snap["result"]["schema"] == "repro-snapshot/2"
 
         ran = _call(server, "run", request_id=4)
         assert ran["ok"] and ran["result"]["done"]
@@ -175,7 +181,7 @@ class TestServeLoop:
         assert all(r["ok"] for r in replies)
         snapshots = [
             r["result"] for r in replies
-            if isinstance(r["result"], dict) and r["result"].get("schema") == "repro-snapshot/1"
+            if isinstance(r["result"], dict) and r["result"].get("schema") == "repro-snapshot/2"
         ]
         # the scenario's contract: reconfig recovery and watchdog MTTR
         # become visible in the telemetry stream

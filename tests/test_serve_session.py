@@ -22,7 +22,6 @@ from repro import (
     TrafficProfile,
     run_experiment,
 )
-from repro.analysis import engine
 from repro.core import RosebudConfig, RosebudSystem
 from repro.firmware import ForwarderFirmware
 from repro.fluid import diff_results
@@ -42,16 +41,14 @@ def _forwarder_spec(**changes):
 
 
 def _batch(spec):
-    """One batch run from a cold replay cache."""
-    engine._WARM_REPLAY_CACHES.clear()
+    """One batch run."""
     return run_experiment(spec).to_dict()
 
 
 def _stepped(spec, n_events=None, cycles=None, mix_seed=None):
-    """The same run, stepped in chunks from a cold cache: fixed chunks,
-    or with ``mix_seed`` a seeded-random mix of every bound ``step``
-    takes (events, relative cycles, absolute time, events and time)."""
-    engine._WARM_REPLAY_CACHES.clear()
+    """The same run, stepped in chunks: fixed chunks, or with
+    ``mix_seed`` a seeded-random mix of every bound ``step`` takes
+    (events, relative cycles, absolute time, events and time)."""
     session = SimSession(spec)
     rng = random.Random(mix_seed)
     for _ in range(1_000_000):
@@ -119,9 +116,6 @@ class TestStepperBatchIdentity:
         assert stepped["fluid"]["warps"] > batch["fluid"]["warps"]
         assert diff_results(stepped, batch) == []
 
-    def test_forwarder_with_replay_cache(self):
-        _assert_identical(_forwarder_spec(replay_cache=True), n_events=337)
-
     def test_latency_mode(self):
         _assert_identical(
             _forwarder_spec(
@@ -143,13 +137,6 @@ class TestStepperBatchIdentity:
         spec = spec_from_params({
             "firmware": "pigasus_hw", "rules": 8, "rpus": 4, "size": 512,
             "gbps": 40, "warmup": 200, "packets": 600,
-        })
-        _assert_identical(spec, n_events=409)
-
-    def test_pigasus_with_replay_cache(self):
-        spec = spec_from_params({
-            "firmware": "pigasus_hw", "rules": 8, "rpus": 4, "size": 512,
-            "gbps": 40, "warmup": 200, "packets": 600, "replay_cache": True,
         })
         _assert_identical(spec, n_events=409)
 
@@ -175,7 +162,6 @@ class TestStepperBatchIdentity:
         """A single huge step freezes the result at the same boundary as
         the batch loop (the window must not stretch to the step size)."""
         batch = _batch(_forwarder_spec())
-        engine._WARM_REPLAY_CACHES.clear()
         session = SimSession(_forwarder_spec())
         session.step(cycles=1e9)
         assert json.dumps(batch, sort_keys=True) == json.dumps(
@@ -305,7 +291,7 @@ class TestSnapshots:
     def test_schema_and_monotonicity(self):
         session = SimSession(_forwarder_spec())
         prev = session.snapshot()
-        assert prev["schema"] == "repro-snapshot/1"
+        assert prev["schema"] == "repro-snapshot/2"
         for _ in range(5):
             session.step(n_events=400)
             snap = session.snapshot()
@@ -320,16 +306,14 @@ class TestSnapshots:
             prev = snap
 
     def test_snapshot_is_json_serializable(self):
-        session = SimSession(_forwarder_spec(replay_cache=True))
+        session = SimSession(_forwarder_spec())
         session.step(n_events=2000)
         snap = session.snapshot()
         clone = json.loads(json.dumps(snap, sort_keys=True))
-        assert clone["replay"]["hit_rate"] >= 0.0
         assert clone["measurement"]["mode"] == "throughput"
 
     def test_snapshots_do_not_perturb_measurement(self):
         batch = _batch(_forwarder_spec())
-        engine._WARM_REPLAY_CACHES.clear()
         session = SimSession(_forwarder_spec())
         while not session.measurement_done:
             session.step(n_events=250)
