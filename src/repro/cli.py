@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -737,14 +738,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 print(f"  handler {handler}: {cycles:.0f} cycles (incl. trap entry)")
             if r.lint is not None:
                 print(f"  replay lint: {r.lint.cls_name} is {r.lint.classification}")
-            if r.safety is not None:
-                s = r.safety
-                print(
-                    f"  memory safety: {'PASS' if s.passed else 'FAIL'} — "
-                    f"{s.proven} proven / {s.unproven} unproven / "
-                    f"{s.violations} violation(s); stack "
-                    f"{s.stack_depth_bytes}/{s.stack_limit_bytes} B"
-                )
+            s = r.safety
+            print(
+                f"  memory safety: {'PASS' if s.passed else 'FAIL'} — "
+                f"{s.proven} proven / {s.unproven} unproven / "
+                f"{s.violations} violation(s); stack "
+                f"{s.stack_depth_bytes}/{s.stack_limit_bytes} B"
+            )
             if args.deep:
                 bounds = r.wcet.loop_bounds or {}
                 prov = r.wcet.bound_provenance or {}
@@ -753,19 +753,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
                         f"  loop {label}: bound {bounds[label]} "
                         f"({prov.get(label, 'default')})"
                     )
-                if r.safety is not None:
-                    for c in r.safety.checks:
-                        extra = ""
-                        if c.within_pkt_len is not None:
-                            extra = (
-                                "  [within pkt_len]" if c.within_pkt_len
-                                else "  [may exceed pkt_len]"
-                            )
-                        print(
-                            f"    {c.pc:#06x} {c.kind:<5} {c.nbytes}B "
-                            f"{c.addr_desc:<28} {c.verdict:<9} "
-                            f"{c.region or '-':<12} {c.detail}{extra}"
+                for c in s.checks:
+                    extra = ""
+                    if c.within_pkt_len is not None:
+                        extra = (
+                            "  [within pkt_len]" if c.within_pkt_len
+                            else "  [may exceed pkt_len]"
                         )
+                    print(
+                        f"    {c.pc:#06x} {c.kind:<5} {c.nbytes}B "
+                        f"{c.addr_desc:<28} {c.verdict:<9} "
+                        f"{c.region or '-':<12} {c.detail}{extra}"
+                    )
             for d in r.all_diagnostics():
                 print(f"  {d.format()}")
             rows.append([
@@ -783,42 +782,43 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _bundled_asm() -> dict:
+    """``{name: assembly source}`` for every firmware in the registry."""
+    from .verify import bundled_firmwares
+
+    return {fw.name: fw.asm for fw in bundled_firmwares()}
+
+
 def cmd_disasm(args: argparse.Namespace) -> int:
-    """Disassemble a built-in firmware or an RFW image file."""
-    from .firmware import FIREWALL_ASM, FORWARDER_ASM, PIGASUS_ASM
+    """Disassemble a bundled firmware or an RFW image file."""
     from .riscv import assemble
     from .riscv.disasm import disassemble
     from .riscv.image import FirmwareImage, SEG_IMEM
 
-    builtin = {
-        "forwarder": FORWARDER_ASM,
-        "firewall": FIREWALL_ASM,
-        "pigasus": PIGASUS_ASM,
-    }
-    if args.target in builtin:
-        image_bytes = assemble(builtin[args.target]).image
+    bundled = _bundled_asm()
+    if args.target in bundled:
+        image_bytes = assemble(bundled[args.target]).image
+    elif os.path.isfile(args.target):
+        with open(args.target, "rb") as fh:
+            image_bytes = FirmwareImage.from_bytes(fh.read()).segment(SEG_IMEM).payload
     else:
-        blob = open(args.target, "rb").read()
-        image_bytes = FirmwareImage.from_bytes(blob).segment(SEG_IMEM).payload
+        print(f"{args.target!r} is neither an RFW file nor a bundled "
+              f"firmware; bundled: {list(bundled)}")
+        return 2
     for line in disassemble(image_bytes):
         print(line)
     return 0
 
 
 def cmd_image(args: argparse.Namespace) -> int:
-    """Build an RFW firmware image from a built-in firmware."""
-    from .firmware import FIREWALL_ASM, FORWARDER_ASM, PIGASUS_ASM
+    """Build an RFW firmware image from a bundled firmware."""
     from .riscv.image import FirmwareImage
 
-    builtin = {
-        "forwarder": FORWARDER_ASM,
-        "firewall": FIREWALL_ASM,
-        "pigasus": PIGASUS_ASM,
-    }
-    if args.firmware not in builtin:
-        print(f"unknown firmware {args.firmware!r}; choices: {sorted(builtin)}")
-        return 1
-    image = FirmwareImage.from_asm(builtin[args.firmware])
+    bundled = _bundled_asm()
+    if args.firmware not in bundled:
+        print(f"unknown firmware {args.firmware!r}; bundled: {list(bundled)}")
+        return 2
+    image = FirmwareImage.from_asm(bundled[args.firmware])
     blob = image.to_bytes()
     with open(args.out, "wb") as fh:
         fh.write(blob)
@@ -981,11 +981,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify, rpus=None, size=None, gbps=None)
 
     p = sub.add_parser("disasm", parents=[_common_parser()], help="disassemble firmware")
-    p.add_argument("target", help="builtin name (forwarder/firewall/pigasus) or .rfw file")
+    p.add_argument("target", help="bundled firmware name (see `verify --all`) or .rfw file")
     p.set_defaults(func=cmd_disasm)
 
     p = sub.add_parser("image", parents=[_common_parser()], help="build an RFW firmware image")
-    p.add_argument("firmware", help="builtin name (forwarder/firewall/pigasus)")
+    p.add_argument("firmware", help="bundled firmware name (see `verify --all`)")
     p.add_argument("--out", default="firmware.rfw")
     p.set_defaults(func=cmd_image)
 

@@ -10,20 +10,26 @@ The subsystem answers, *before* any simulation runs:
 * what bounds its loops?  Induction-variable and accelerator-stream
   analysis infer them; ``# loop-bound`` annotations are cross-checks
   (:mod:`repro.verify.loopbound`).
-* does its MMIO footprint match the interconnect map and the configured
-  accelerator's register set?
+* does its MMIO footprint — trap handlers included — match the
+  interconnect map and the configured accelerator's register set?
 * does it store into its own text segment (self-modifying code)?
 * is its behavioural twin's per-packet effect pure, so the fluid tier
   may skip repeated periods?  (:mod:`repro.verify.replaylint`)
 * does the simulator source itself stay deterministic?
   (:mod:`repro.verify.detlint`, wired into ``make lint``)
 
+Every fact about a value — an address, a loop bound, the stack depth —
+comes from one abstract-interpretation fixpoint per firmware, and the
+passes are chained in exactly one place, :func:`analyze_firmware`
+(structural CFG → ``deep_analyze`` → WCET + memory safety).
+
 Entry points: :func:`verify_firmware` / :func:`verify_all` (the
 ``repro verify`` CLI and CI gate), :func:`preflight_spec` (the engine
-hook behind ``ExperimentSpec.verify``), and the lower-level
-:func:`build_cfg` / :func:`deep_analyze` / :func:`analyze_wcet` /
-:func:`check_memory_safety` / :func:`lint_firmware_class` passes.
-See ``docs/STATIC_ANALYSIS.md``.
+hook behind ``ExperimentSpec.verify``), :func:`analyze_firmware` for
+any assembly source, and the individual :func:`build_cfg` /
+:func:`deep_analyze` / :func:`analyze_wcet` /
+:func:`check_memory_safety` / :func:`lint_firmware_class` passes it
+chains.  See ``docs/STATIC_ANALYSIS.md``.
 """
 
 from .absint import (
@@ -44,10 +50,9 @@ from .cfg import (
     Diagnostic,
     FirmwareCfg,
     Loop,
-    MemAccess,
     analyze_source,
     build_cfg,
-    region_of,
+    parse_loop_bounds,
 )
 from .detlint import Finding, lint_paths, lint_source
 from .loopbound import (
@@ -67,8 +72,10 @@ from .preflight import (
 from .registry import (
     INTERCONNECT_REGISTERS,
     BundledFirmware,
+    FirmwareAnalysis,
     FirmwareVerifyReport,
     OperatingPoint,
+    analyze_firmware,
     bundled_firmware_names,
     bundled_firmwares,
     reports_to_json,
@@ -93,7 +100,6 @@ from .wcet import (
     IrreducibleCfgError,
     WcetReport,
     analyze_wcet,
-    parse_loop_bounds,
 )
 
 __all__ = [
@@ -113,6 +119,7 @@ __all__ = [
     "Diagnostic",
     "FIRMWARE_ASM_TWINS",
     "Finding",
+    "FirmwareAnalysis",
     "FirmwareCfg",
     "FluidGate",
     "FirmwareVerifyReport",
@@ -125,7 +132,6 @@ __all__ = [
     "LoopBound",
     "LoopBoundReport",
     "MachineEnv",
-    "MemAccess",
     "MemSafetyReport",
     "OperatingPoint",
     "PreflightReport",
@@ -135,6 +141,7 @@ __all__ = [
     "VerificationError",
     "WcetReport",
     "analyze_cfg",
+    "analyze_firmware",
     "analyze_source",
     "analyze_wcet",
     "budget_verdict",
@@ -154,7 +161,6 @@ __all__ = [
     "local_dominators",
     "parse_loop_bounds",
     "preflight_spec",
-    "region_of",
     "reports_to_json",
     "verify_all",
     "verify_firmware",

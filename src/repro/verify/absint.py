@@ -42,7 +42,7 @@ See ``docs/STATIC_ANALYSIS.md`` for the domain write-up.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core import funcsim
 from ..core.config import RosebudConfig
@@ -335,11 +335,13 @@ class MachineEnv:
     def concrete_max(self, v: AbsVal) -> int:
         return v.hi + v.lc * self.max_frame
 
-    def region_at(self, name: str) -> Region:
+    def region_of(self, addr: int) -> Tuple[Optional[str], int]:
+        """``(region name, offset within it)`` for an absolute address;
+        ``(None, addr)`` in an unmapped hole."""
         for region in self.regions:
-            if region.name == name:
-                return region
-        raise KeyError(name)
+            if region.base <= addr < region.end:
+                return region.name, addr - region.base
+        return None, addr
 
     # -- MMIO read semantics -------------------------------------------------
 
@@ -383,13 +385,11 @@ class MachineEnv:
             width_default = interval(0, (1 << (8 * nbytes)) - 1) if nbytes < 4 else TOP
         if not addr.is_const:
             return width_default
-        a = addr.lo
-        io = self.region_at("interconnect")
-        ext = self.region_at("accel")
-        if io.base <= a < io.end:
-            value = self._io_value(a - io.base)
-        elif ext.base <= a < ext.end:
-            value = self._accel_value(a - ext.base, pc)
+        region, offset = self.region_of(addr.lo)
+        if region == "interconnect":
+            value = self._io_value(offset)
+        elif region == "accel":
+            value = self._accel_value(offset, pc)
         else:
             return width_default
         # narrow loads keep the symbolic value only when it provably fits
@@ -734,14 +734,10 @@ class AbsintResult:
         if start is None or start not in self.in_states:
             return None
         state = self.in_states[start].copy()
-        transfer = _Transfer(self.env)
         block = self.cfg.blocks[start]
-        for bpc, inst in zip(block.pcs, block.insts):
-            if bpc == pc:
-                return state
-            transfer.step(inst, bpc, state)
-            _apply_clobbers(state, self._clobber_union)
-        return None
+        for _ in _replay(block, state, _Transfer(self.env), self._clobber_union, stop=pc):
+            pass
+        return state
 
     def access_at(self, pc: int) -> Optional[AbsAccess]:
         for acc in self.accesses:
@@ -749,24 +745,57 @@ class AbsintResult:
                 return acc
         return None
 
+    def resolved(self) -> Iterator[Tuple[AbsAccess, Optional[str], int]]:
+        """``(access, region name, offset)`` for every site whose address
+        the fixpoint pinned to one constant (region ``None``: a hole)."""
+        for acc in self.accesses:
+            if acc.addr.is_const:
+                yield (acc, *self.env.region_of(acc.addr.lo))
 
-def _apply_clobbers(state: AbsState, clobbers: Set[int]) -> None:
-    if state.mie and clobbers:
-        for r in clobbers:
-            if r:
+    def mmio_footprint(self) -> Dict[str, Dict[int, Set[str]]]:
+        """``{"interconnect"|"accel": {offset: {"load"/"store"}}}`` over
+        every resolved MMIO access, trap handlers included."""
+        out: Dict[str, Dict[int, Set[str]]] = {"interconnect": {}, "accel": {}}
+        for acc, region, offset in self.resolved():
+            if region in out:
+                out[region].setdefault(offset, set()).add(acc.kind)
+        return out
+
+
+def _replay(
+    block, state: AbsState, transfer: "_Transfer", clobbers: Set[int],
+    stop: Optional[int] = None,
+) -> Iterator[Optional[AbsAccess]]:
+    """Step ``state`` (a copy of the block's fixpoint in-state) through
+    ``block`` in place, halting before pc ``stop``.  Yields each
+    instruction's access (or ``None``) once it has executed and before
+    the trap handlers' clobbers land — the states an interrupt can
+    really see."""
+    for pc, inst in zip(block.pcs, block.insts):
+        if pc == stop:
+            return
+        yield transfer.step(inst, pc, state)
+        if state.mie:
+            for r in clobbers:
                 state.regs[r] = TOP
 
 
-def _reachable(cfg: FirmwareCfg, root: int) -> Set[int]:
-    seen: Set[int] = set()
-    work = [root]
-    while work:
-        node = work.pop()
-        if node in seen or node not in cfg.blocks:
-            continue
-        seen.add(node)
-        work.extend(cfg.blocks[node].successors)
-    return seen
+def _out_edges(block, state: AbsState) -> Iterator[Tuple[int, Optional[AbsState]]]:
+    """``(successor, state on that edge)`` out of ``block``; the state is
+    ``None`` when a conditional branch proves the edge infeasible."""
+    last = block.last
+    if (
+        block.end_reason == "terminal"
+        and last is not None
+        and last.mnemonic in BRANCH_MNEMONICS
+    ):
+        target = (block.pcs[-1] + last.imm) & U32
+        if target != (block.pcs[-1] + 4) & U32:
+            for succ in block.successors:
+                yield succ, _refine_edge(state, last, taken=(succ == target))
+            return
+    for succ in block.successors:
+        yield succ, state
 
 
 # -- the fixpoint engine ------------------------------------------------------
@@ -802,7 +831,7 @@ class _Engine:
             if root not in cfg.blocks:
                 continue
             regs: Set[int] = set()
-            for start in _reachable(cfg, root):
+            for start in cfg.reachable(root):
                 for inst in cfg.blocks[start].insts:
                     if writes_rd(inst.mnemonic, inst.rd):
                         regs.add(inst.rd)
@@ -872,29 +901,14 @@ class _Engine:
                 return
             start = self.worklist.pop(0)
             state = self.in_states[start].copy()
-            block = blocks[start]
-            for pc, inst in zip(block.pcs, block.insts):
-                self.transfer.step(inst, pc, state)
-                _apply_clobbers(state, self.clobber_union)
-            last = block.last
-            branching = (
-                block.end_reason == "terminal"
-                and last is not None
-                and last.mnemonic in BRANCH_MNEMONICS
-            )
-            if branching:
-                target = (block.pcs[-1] + last.imm) & U32
-                fall = (block.pcs[-1] + 4) & U32
-                for succ in block.successors:
-                    if target == fall:
-                        self._update(start, succ, state)
-                        continue
-                    refined = _refine_edge(state, last, taken=(succ == target))
-                    if refined is not None:
-                        self._update(start, succ, refined)
-            else:
-                for succ in block.successors:
-                    self._update(start, succ, state)
+            for _ in self._replay(start, state):
+                pass
+            for succ, out in _out_edges(blocks[start], state):
+                if out is not None:
+                    self._update(start, succ, out)
+
+    def _replay(self, start: int, state: AbsState):
+        return _replay(self.cfg.blocks[start], state, self.transfer, self.clobber_union)
 
     # -- post-fixpoint sweeps ------------------------------------------------
 
@@ -906,13 +920,10 @@ class _Engine:
             if start not in self.in_states:
                 continue
             state = self.in_states[start].copy()
-            block = self.cfg.blocks[start]
-            for pc, inst in zip(block.pcs, block.insts):
-                self.transfer.step(inst, pc, state)
+            for _ in self._replay(start, state):
                 if state.mie:
                     snap = state.copy()
                     acc = snap if acc is None else _join_states(acc, snap)[0]
-                _apply_clobbers(state, self.clobber_union)
         return acc
 
     def final_sweep(self) -> Tuple[List[AbsAccess], Set[Tuple[int, int]]]:
@@ -920,25 +931,10 @@ class _Engine:
         infeasible: Set[Tuple[int, int]] = set()
         for start in sorted(self.in_states):
             state = self.in_states[start].copy()
-            block = self.cfg.blocks[start]
-            for pc, inst in zip(block.pcs, block.insts):
-                acc = self.transfer.step(inst, pc, state)
-                if acc is not None:
-                    accesses.append(acc)
-                _apply_clobbers(state, self.clobber_union)
-            last = block.last
-            if (
-                block.end_reason == "terminal"
-                and last is not None
-                and last.mnemonic in BRANCH_MNEMONICS
-            ):
-                target = (block.pcs[-1] + last.imm) & U32
-                fall = (block.pcs[-1] + 4) & U32
-                if target == fall:
-                    continue
-                for succ in block.successors:
-                    if _refine_edge(state, last, taken=(succ == target)) is None:
-                        infeasible.add((start, succ))
+            accesses.extend(acc for acc in self._replay(start, state) if acc is not None)
+            for succ, out in _out_edges(self.cfg.blocks[start], state):
+                if out is None:
+                    infeasible.add((start, succ))
         return accesses, infeasible
 
 
@@ -958,7 +954,7 @@ def analyze_cfg(
     engine.seed(cfg.entry, AbsState.reset())
     engine.run()
 
-    main_blocks = _reachable(cfg, cfg.entry)
+    main_blocks = cfg.reachable(cfg.entry)
     handler_entries: Dict[int, AbsState] = {}
     handler_roots = [r for r in cfg.entries[1:] if r in cfg.blocks]
     if handler_roots and not engine.incomplete:
@@ -986,20 +982,17 @@ def analyze_cfg(
     )
 
 
-def deep_analyze(
-    cfg: FirmwareCfg,
-    env: Optional[MachineEnv] = None,
-    annotations: Optional[Dict[str, int]] = None,
-) -> AbsintResult:
-    """The two-pass pipeline: widening fixpoint, loop-bound inference,
-    then a clamped re-run that recovers induction-variable precision.
-    The result carries the :class:`~repro.verify.loopbound.LoopBoundReport`
-    in ``loop_bounds``."""
+def deep_analyze(cfg: FirmwareCfg, env: Optional[MachineEnv] = None) -> AbsintResult:
+    """The two-pass pipeline: widening fixpoint, loop-bound inference
+    (``# loop-bound`` annotations, already on ``cfg.loops``, are its
+    cross-checks), then a clamped re-run that recovers
+    induction-variable precision.  The result carries the
+    :class:`~repro.verify.loopbound.LoopBoundReport` in ``loop_bounds``."""
     from .loopbound import induction_clamps, infer_loop_bounds
 
     env = env or MachineEnv()
     first = analyze_cfg(cfg, env)
-    report = infer_loop_bounds(cfg, first, env, annotations=annotations)
+    report = infer_loop_bounds(cfg, first, env)
     clamps = induction_clamps(cfg, first, report)
     if clamps:
         second = analyze_cfg(cfg, env, clamps=clamps)

@@ -9,18 +9,11 @@ The only difference is that a CFG block additionally ends *before* a
 join point (another block's entry), so every CFG block is a prefix of
 the superblock starting at the same pc.
 
-On top of the graph the builder runs a small constant-propagation
-dataflow (registers lattice: known 32-bit value / unknown) so that
-absolute load/store addresses — ``li``-built MMIO window pointers, the
-dominant idiom in the bundled firmwares — can be classified by memory
-region.  That classification powers the structural checks:
-
-* static self-modifying-code detection (stores into the text segment;
-  the runtime twin is ``RiscvCpu._store_watch``),
-* MMIO footprint extraction (which interconnect / accelerator window
-  offsets each firmware can touch),
-* worst-case stack depth (``sp`` deltas along paths),
-* unreachable-block reporting.
+This module is purely structural — blocks, edges, natural loops with
+their nesting, reachability, unreachable code.  Every fact about a
+*value* (which address a load/store touches, the MMIO footprint, the
+stack depth, stores into the text segment) comes from the abstract
+interpreter in :mod:`repro.verify.absint`, which runs over this graph.
 """
 
 from __future__ import annotations
@@ -30,7 +23,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core import funcsim
 from ..riscv.assembler import Program, assemble
 from ..riscv.blocks import (
     MAX_BLOCK,
@@ -38,33 +30,9 @@ from ..riscv.blocks import (
     is_block_terminal,
     static_successors,
 )
-from ..riscv.isa import OPS, Instruction, constant_result, sign_extend, writes_rd
+from ..riscv.isa import Instruction
 
 _MASK32 = 0xFFFFFFFF
-
-#: Register index of the stack pointer in the RV32 ABI.
-_SP = 2
-
-#: Memory regions of the functional RPU, in ascending base order.
-#: The names match ``repro.core.funcsim``'s constants.
-REGIONS: Tuple[Tuple[str, int], ...] = (
-    ("imem", funcsim.IMEM_BASE),
-    ("dmem", funcsim.DMEM_BASE),
-    ("pmem", funcsim.PMEM_BASE),
-    ("accmem", funcsim.ACCMEM_BASE),
-    ("interconnect", funcsim.IO_BASE),
-    ("accel", funcsim.IO_EXT_BASE),
-)
-
-
-def region_of(addr: int) -> Tuple[str, int]:
-    """``(region name, offset within region)`` for an absolute address."""
-    name, base = REGIONS[0]
-    for candidate, cbase in REGIONS:
-        if addr < cbase:
-            break
-        name, base = candidate, cbase
-    return name, addr - base
 
 
 @dataclass(frozen=True)
@@ -90,23 +58,6 @@ class Diagnostic:
             "pc": self.pc,
             "firmware": self.firmware,
         }
-
-
-@dataclass
-class MemAccess:
-    """A load or store site, with its statically-resolved address when
-    the dataflow proved one."""
-
-    pc: int
-    kind: str  # "load" | "store"
-    nbytes: int
-    addr: Optional[int]  # absolute address, or None when unproven
-    region: Optional[str] = None
-    offset: Optional[int] = None  # offset within the region
-
-    def __post_init__(self) -> None:
-        if self.addr is not None and self.region is None:
-            self.region, self.offset = region_of(self.addr)
 
 
 @dataclass
@@ -139,6 +90,8 @@ class Loop:
     back_edges: List[Tuple[int, int]]
     bound: Optional[int] = None  # iterations, from "# loop-bound N"
     annotated: bool = False
+    #: header of the innermost loop strictly enclosing this one
+    parent: Optional[int] = None
 
 
 @dataclass
@@ -151,9 +104,7 @@ class FirmwareCfg:
     entries: Tuple[int, ...]
     blocks: Dict[int, BasicBlock] = field(default_factory=dict)
     loops: Dict[int, Loop] = field(default_factory=dict)
-    accesses: List[MemAccess] = field(default_factory=list)
     diagnostics: List[Diagnostic] = field(default_factory=list)
-    max_stack_bytes: int = 0
 
     # -- derived views ------------------------------------------------------
 
@@ -167,14 +118,17 @@ class FirmwareCfg:
         label = self.label_at(pc)
         return f"{label}(0x{pc:x})" if label else f"0x{pc:x}"
 
-    def mmio_footprint(self) -> Dict[str, Dict[int, Set[str]]]:
-        """``{"interconnect"|"accel": {offset: {"load"/"store"}}}`` over
-        all proven MMIO accesses."""
-        out: Dict[str, Dict[int, Set[str]]] = {"interconnect": {}, "accel": {}}
-        for acc in self.accesses:
-            if acc.region in out and acc.offset is not None:
-                out[acc.region].setdefault(acc.offset, set()).add(acc.kind)
-        return out
+    def reachable(self, root: int) -> Set[int]:
+        """Start pcs of every block reachable from ``root``."""
+        seen: Set[int] = set()
+        work = [root]
+        while work:
+            node = work.pop()
+            if node in seen or node not in self.blocks:
+                continue
+            seen.add(node)
+            work.extend(self.blocks[node].successors)
+        return seen
 
     def errors(self) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.level == "error"]
@@ -200,11 +154,6 @@ class FirmwareCfg:
                 }
                 for lp in sorted(self.loops.values(), key=lambda lp: lp.header)
             },
-            "mmio": {
-                region: {hex(off): sorted(kinds) for off, kinds in sorted(offs.items())}
-                for region, offs in self.mmio_footprint().items()
-            },
-            "max_stack_bytes": self.max_stack_bytes,
             "diagnostics": [d.to_dict() for d in self.diagnostics],
         }
 
@@ -333,7 +282,6 @@ def build_cfg(
 
     _find_loops(cfg)
     _report_unreachable(cfg, decode_at)
-    _dataflow(cfg)
     return cfg
 
 
@@ -391,7 +339,8 @@ def parse_loop_bounds(source: str) -> Dict[str, int]:
 
 def _find_loops(cfg: FirmwareCfg) -> None:
     """DFS back-edge detection + natural-loop bodies (blocks are the
-    nodes).  Multiple back edges to one header merge into one loop."""
+    nodes).  Multiple back edges to one header merge into one loop.
+    Nesting is settled here, once, as ``Loop.parent``."""
     color: Dict[int, int] = {}  # 0 absent/white, 1 grey, 2 black
     back_edges: List[Tuple[int, int]] = []
 
@@ -440,6 +389,14 @@ def _find_loops(cfg: FirmwareCfg) -> None:
             loop.body.add(node)
             work.extend(p for p in preds.get(node, ()) if p not in loop.body)
 
+    # innermost first: a loop's parent is the next-smallest body
+    # holding its header
+    by_size = sorted(cfg.loops.values(), key=lambda lp: (len(lp.body), lp.header))
+    for i, loop in enumerate(by_size):
+        loop.parent = next(
+            (o.header for o in by_size[i + 1 :] if loop.header in o.body), None
+        )
+
 
 def _report_unreachable(cfg: FirmwareCfg, decode_at) -> None:
     reached = {pc for block in cfg.blocks.values() for pc in block.pcs}
@@ -471,162 +428,6 @@ def _report_unreachable(cfg: FirmwareCfg, decode_at) -> None:
                 "unreachable-words",
                 f"{orphan_words} decodable word(s) not reached from any "
                 "entry (trailing data or padding)",
-                firmware=cfg.name,
-            )
-        )
-
-
-# -- constant-propagation dataflow --------------------------------------------
-
-RegState = List[Optional[int]]
-
-
-def _transfer(inst: Instruction, pc: int, regs: RegState) -> Optional[Tuple[str, int, Optional[int]]]:
-    """Apply ``inst`` to the register lattice in place; return a memory
-    access descriptor ``(kind, nbytes, addr)`` when it loads or stores.
-
-    What an instruction computes comes from its row of the instruction
-    table (:func:`repro.riscv.isa.constant_result`): ALU results fold
-    when their inputs are known, jumps define the link register, and
-    anything else that writes ``rd`` (loads, CSR reads) clobbers it."""
-    op = OPS[inst.mnemonic]
-    access = None
-    if op.kind in ("load", "store"):
-        a = regs[inst.rs1]
-        addr = (a + inst.imm) & _MASK32 if a is not None else None
-        access = (op.kind, op.nbytes, addr)
-    if writes_rd(inst.mnemonic, inst.rd):
-        regs[inst.rd] = constant_result(inst, pc, regs[inst.rs1], regs[inst.rs2])
-    return access
-
-
-def _join(a: RegState, b: RegState) -> Tuple[RegState, bool]:
-    changed = False
-    out = list(a)
-    for i in range(32):
-        if out[i] is not None and out[i] != b[i]:
-            out[i] = None
-            changed = True
-    return out, changed
-
-
-def _dataflow(cfg: FirmwareCfg) -> None:
-    """Worklist constant propagation; classifies every load/store and
-    runs the structural checks that need addresses."""
-    blocks = cfg.blocks
-    # entry state: the core resets its register file to zero, so the
-    # primary entry starts fully known; handler entries inherit nothing
-    in_states: Dict[int, RegState] = {}
-    for i, root in enumerate(cfg.entries):
-        if root in blocks:
-            in_states[root] = [0] * 32 if i == 0 else [None] * 32
-            in_states[root][0] = 0
-
-    worklist = [root for root in cfg.entries if root in blocks]
-    final_in: Dict[int, RegState] = {}
-    iterations = 0
-    cap = max(64, 16 * len(blocks))
-    while worklist and iterations < cap * 4:
-        iterations += 1
-        start = worklist.pop(0)
-        state = list(in_states[start])
-        final_in[start] = list(state)
-        block = blocks[start]
-        for pc, inst in zip(block.pcs, block.insts):
-            _transfer(inst, pc, state)
-        for succ in block.successors:
-            if succ not in blocks:
-                continue
-            prev = in_states.get(succ)
-            if prev is None:
-                in_states[succ] = list(state)
-                worklist.append(succ)
-            else:
-                joined, changed = _join(prev, state)
-                if changed:
-                    in_states[succ] = joined
-                    if succ not in worklist:
-                        worklist.append(succ)
-
-    # final pass: with the fixpoint in-states, record accesses + checks
-    text_lo = cfg.program.base
-    text_hi = text_lo + len(cfg.program.image)
-    sp_tracked = True
-    min_sp_delta = 0  # most negative sp excursion seen (bytes)
-
-    for start in sorted(final_in):
-        state = list(final_in[start])
-        block = blocks[start]
-        sp_in = state[_SP]
-        for pc, inst in zip(block.pcs, block.insts):
-            access = _transfer(inst, pc, state)
-            if access is None:
-                continue
-            kind, nbytes, addr = access
-            mem = MemAccess(pc=pc, kind=kind, nbytes=nbytes, addr=addr)
-            cfg.accesses.append(mem)
-            if addr is None:
-                continue
-            if kind == "store" and addr < text_hi and addr + nbytes > text_lo:
-                cfg.diagnostics.append(
-                    Diagnostic(
-                        "error",
-                        "smc-store",
-                        f"store into the text segment (0x{addr:x}); the "
-                        "runtime _store_watch would invalidate translated "
-                        "code here",
-                        pc=pc,
-                        firmware=cfg.name,
-                    )
-                )
-        # stack tracking: known sp in and out -> depth excursion
-        sp_out = state[_SP]
-        if sp_in is not None and sp_out is not None:
-            delta = sign_extend(sp_out - sp_in, 32)
-            if delta < 0:
-                min_sp_delta = min(min_sp_delta, delta)
-                header = next(
-                    (lp for lp in cfg.loops.values() if start in lp.body), None
-                )
-                if header is not None:
-                    cfg.diagnostics.append(
-                        Diagnostic(
-                            "warning",
-                            "stack-grows-in-loop",
-                            f"block {cfg.describe(start)} lowers sp by "
-                            f"{-delta} bytes inside a loop; worst-case "
-                            "stack depth is unbounded",
-                            pc=start,
-                            firmware=cfg.name,
-                        )
-                    )
-        elif sp_in is None and any(i.rd == _SP for i in block.insts):
-            sp_tracked = False
-
-    cfg.max_stack_bytes = -min_sp_delta
-    if not sp_tracked:
-        cfg.diagnostics.append(
-            Diagnostic(
-                "note",
-                "stack-unproven",
-                "sp written from a statically-unknown value; stack depth "
-                "bound is best-effort",
-                firmware=cfg.name,
-            )
-        )
-
-    # unproven MMIO-looking accesses: flag stores through unknown
-    # pointers only when the firmware never proves *any* address —
-    # computed addresses into dmem tables (flow counter) are normal.
-    unproven = sum(1 for a in cfg.accesses if a.addr is None)
-    if unproven:
-        cfg.diagnostics.append(
-            Diagnostic(
-                "note",
-                "unproven-addresses",
-                f"{unproven} access(es) through statically-unknown "
-                "pointers (packet data / table indexing); excluded from "
-                "the MMIO footprint",
                 firmware=cfg.name,
             )
         )

@@ -133,13 +133,29 @@ def _defs_of(cfg: FirmwareCfg, loop: Loop, reg: int) -> List[Tuple[int, int, obj
     return out
 
 
-def _in_nested_loop(cfg: FirmwareCfg, loop: Loop, start: int) -> bool:
-    for other in cfg.loops.values():
-        if other.header == loop.header:
+def _stepped_registers(cfg: FirmwareCfg, loop: Loop) -> Dict[int, Tuple[int, int]]:
+    """``{reg: (def block, step)}`` for every register whose only write
+    in the body is an ``addi r, r, step`` at this loop's own nesting
+    level (not inside a deeper loop)."""
+    written = {
+        inst.rd
+        for start in loop.body
+        for inst in cfg.blocks[start].insts
+        if writes_rd(inst.mnemonic, inst.rd)
+    }
+    deeper = [o.body for o in cfg.loops.values() if o.parent == loop.header]
+    out: Dict[int, Tuple[int, int]] = {}
+    for reg in sorted(written):
+        defs = _defs_of(cfg, loop, reg)
+        if len(defs) != 1:
             continue
-        if other.header in loop.body and start in other.body:
-            return True
-    return False
+        start, _, inst = defs[0]
+        if inst.mnemonic != "addi" or inst.rs1 != reg or inst.imm == 0:
+            continue
+        if any(start in body for body in deeper):
+            continue
+        out[reg] = (start, inst.imm)
+    return out
 
 
 def _dominates_all_tails(doms: Dict[int, Set[int]], loop: Loop, start: int) -> bool:
@@ -199,31 +215,13 @@ def _infer_induction(
     if not guards:
         return None
 
-    # candidate induction registers: single-def addi r, r, c in the
-    # body, def dominating every back edge and not nested deeper
-    candidates: Dict[int, Tuple[int, int, int]] = {}  # reg -> (block, pc, step)
-    regs_seen: Set[int] = set()
-    for start in sorted(loop.body):
-        block = cfg.blocks.get(start)
-        if block is None:
-            continue
-        for pc, inst in zip(block.pcs, block.insts):
-            if writes_rd(inst.mnemonic, inst.rd):
-                regs_seen.add(inst.rd)
-    for reg in sorted(regs_seen):
-        if reg == 0:
-            continue
-        defs = _defs_of(cfg, loop, reg)
-        if len(defs) != 1:
-            continue
-        start, pc, inst = defs[0]
-        if inst.mnemonic != "addi" or inst.rs1 != reg or inst.imm == 0:
-            continue
-        if not _dominates_all_tails(doms, loop, start):
-            continue
-        if _in_nested_loop(cfg, loop, start):
-            continue
-        candidates[reg] = (start, pc, inst.imm)
+    # candidate induction registers: a stepped register whose def
+    # dominates every back edge
+    candidates = {
+        reg: cand
+        for reg, cand in _stepped_registers(cfg, loop).items()
+        if _dominates_all_tails(doms, loop, cand[0])
+    }
 
     entry = absres.entry_joins.get(loop.header)
     if entry is None or not candidates:
@@ -232,7 +230,7 @@ def _infer_induction(
     for guard in guards:
         block = cfg.blocks[guard]
         last = block.last
-        for reg, (def_block, def_pc, step) in sorted(candidates.items()):
+        for reg, (def_block, step) in sorted(candidates.items()):
             if last.rs1 == reg and last.rs2 != reg:
                 bound_reg = last.rs2
                 swap = False
@@ -319,7 +317,6 @@ def _infer_stream(
     reg_meta = getattr(accel, "reg_meta", None)
     if not callable(reg_meta):
         return None
-    ext = env.region_at("accel")
 
     for guard in _guard_blocks(cfg, loop, doms):
         block = cfg.blocks[guard]
@@ -347,14 +344,12 @@ def _infer_stream(
         if not depth:
             continue
         # the tagged load must run on every iteration
-        load_block = next(
-            (s for s in loop.body if load_pc in cfg.blocks.get(s, _EMPTY).pcs), None
-        )
+        load_block = _body_block(cfg, loop, load_pc)
         if load_block is None or not _dominates_all_tails(doms, loop, load_block):
             continue
         # ... and so must an advance of the same stream, or the FIFO
         # head never moves and the loop spins forever
-        if not _has_dominating_advance(cfg, absres, loop, doms, ext, reg_meta):
+        if not _has_dominating_advance(cfg, absres, loop, doms, reg_meta):
             continue
         return LoopBound(
             header=loop.header,
@@ -368,26 +363,18 @@ def _infer_stream(
     return None
 
 
-class _Empty:
-    pcs: Tuple[int, ...] = ()
+def _body_block(cfg: FirmwareCfg, loop: Loop, pc: int) -> Optional[int]:
+    """The body block holding ``pc``, if any."""
+    return next((s for s in loop.body if pc in cfg.blocks[s].pcs), None)
 
 
-_EMPTY = _Empty()
-
-
-def _has_dominating_advance(cfg, absres, loop, doms, ext, reg_meta) -> bool:
-    for acc in absres.accesses:
-        if acc.kind != "store" or not acc.addr.is_const:
+def _has_dominating_advance(cfg, absres, loop, doms, reg_meta) -> bool:
+    for acc, region, offset in absres.resolved():
+        if acc.kind != "store" or region != "accel":
             continue
-        a = acc.addr.lo
-        if not (ext.base <= a < ext.end):
+        if not (reg_meta(offset) or {}).get("stream_advance"):
             continue
-        meta = reg_meta(a - ext.base) or {}
-        if not meta.get("stream_advance"):
-            continue
-        store_block = next(
-            (s for s in loop.body if acc.pc in cfg.blocks.get(s, _EMPTY).pcs), None
-        )
+        store_block = _body_block(cfg, loop, acc.pc)
         if store_block is not None and _dominates_all_tails(doms, loop, store_block):
             return True
     return False
@@ -400,23 +387,12 @@ def infer_loop_bounds(
     cfg: FirmwareCfg,
     absres: AbsintResult,
     env: Optional[MachineEnv] = None,
-    annotations: Optional[Dict[int, int]] = None,
 ) -> LoopBoundReport:
-    """Infer a bound for every loop in ``cfg`` and cross-check against
-    annotations.
-
-    ``annotations`` maps header pc to the ``# loop-bound N`` value; when
-    omitted it is taken from ``cfg.loops`` (the builder already parses
-    annotations into ``Loop.bound``).
-    """
+    """Infer a bound for every loop in ``cfg`` and cross-check it against
+    the ``# loop-bound N`` annotation :func:`~repro.verify.cfg.analyze_source`
+    left on the loop (``Loop.bound``), if any."""
     env = env or absres.env
     report = LoopBoundReport()
-    if annotations is None:
-        annotations = {
-            lp.header: lp.bound
-            for lp in cfg.loops.values()
-            if lp.annotated and lp.bound is not None
-        }
 
     for header in sorted(cfg.loops):
         loop = cfg.loops[header]
@@ -425,7 +401,7 @@ def infer_loop_bounds(
         if inferred is None:
             inferred = _infer_stream(cfg, absres, env, loop, doms)
 
-        annotated = annotations.get(header)
+        annotated = loop.bound
         if inferred is not None:
             if annotated is not None and annotated != inferred.bound:
                 report.diagnostics.append(
@@ -481,29 +457,10 @@ def induction_clamps(
         entry = absres.entry_joins.get(header)
         if loop is None or entry is None:
             continue
-        doms = local_dominators(cfg, loop)
-        regs_seen: Set[int] = set()
-        for start in sorted(loop.body):
-            block = cfg.blocks.get(start)
-            if block is None:
-                continue
-            for inst in block.insts:
-                if writes_rd(inst.mnemonic, inst.rd):
-                    regs_seen.add(inst.rd)
-        for reg in sorted(regs_seen):
-            if reg == 0:
-                continue
-            defs = _defs_of(cfg, loop, reg)
-            if len(defs) != 1:
-                continue
-            start, _, inst = defs[0]
-            if inst.mnemonic != "addi" or inst.rs1 != reg or inst.imm == 0:
-                continue
-            if _in_nested_loop(cfg, loop, start):
-                continue
+        for reg, (_, step) in _stepped_registers(cfg, loop).items():
             init = entry.regs[reg]
-            span = abs(inst.imm) * lb.bound
-            if inst.imm > 0:
+            span = abs(step) * lb.bound
+            if step > 0:
                 lo, hi = init.lo, init.hi + span
             else:
                 lo, hi = init.lo - span, init.hi

@@ -24,14 +24,16 @@ the access is also within the received frame (``pkt_len``) rather than
 merely within the slot.  **Stack pointers** (base ``sp``) become depth
 obligations — the worst excursion is checked against the per-RPU
 ``RosebudConfig.stack_bytes`` allocation.  **Plain numbers** are
-checked against the region map (imem is never writable: the runtime
-twin is ``RiscvCpu._store_watch``).
+checked against the region map; a store that can only land in the
+read-only text segment is reported as ``error[smc-store]`` (the static
+twin of the runtime ``RiscvCpu._store_watch``), every other violation
+as ``error[memsafe-violation]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .absint import U32, AbsAccess, AbsintResult, MachineEnv
 from .cfg import Diagnostic, FirmwareCfg
@@ -255,7 +257,8 @@ def check_memory_safety(
         analysis_incomplete=absres.incomplete,
     )
 
-    stack_depth = cfg.max_stack_bytes
+    read_only = {region.name for region in env.regions if not region.writable}
+    stack_depth = 0  # deepest *accessed* byte below the stack top
     for acc in absres.accesses:
         addr = acc.addr
         if addr.base == "pkt":
@@ -281,7 +284,7 @@ def check_memory_safety(
             report.diagnostics.append(
                 Diagnostic(
                     "error",
-                    "memsafe-violation",
+                    "smc-store" if check.region in read_only else "memsafe-violation",
                     f"{check.kind} of {check.nbytes} byte(s) at "
                     f"{check.addr_desc}: {check.detail}",
                     pc=check.pc,

@@ -19,10 +19,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .budget import BudgetVerdict, budget_verdict
 from .cfg import Diagnostic
-from .memsafe import MemSafetyReport, check_memory_safety
-from .registry import bundled_firmwares
+from .memsafe import MemSafetyReport
+from .registry import analyze_firmware, bundled_firmwares
 from .replaylint import ReplayLintReport, lint_firmware_class
-from .wcet import WcetReport, analyze_wcet
+from .wcet import WcetReport
 
 
 class VerificationError(RuntimeError):
@@ -34,20 +34,17 @@ class VerificationError(RuntimeError):
 
 
 #: Behavioural firmware class name -> bundled assembly twin whose WCET
-#: stands in for it.  Classes without a twin (NAT, chain stages) get an
-#: informational note instead of a budget verdict.
-FIRMWARE_ASM_TWINS: Dict[str, str] = {
-    "ForwarderFirmware": "forwarder",
-    "TwoStepForwarder": "forwarder",
-    "NicFirmware": "forwarder",
-    "FirewallFirmware": "firewall",
-    "PigasusHwReorderFirmware": "pigasus",
-    "PigasusSwReorderFirmware": "pigasus",
-}
+#: stands in for it, derived from the registry's ``models`` (the first
+#: entry naming a class wins).  Classes without a twin (NAT, chain
+#: stages) get an informational note instead of a budget verdict.
+FIRMWARE_ASM_TWINS: Dict[str, str] = {}
+for _fw in bundled_firmwares():
+    for _cls_name in _fw.models:
+        FIRMWARE_ASM_TWINS.setdefault(_cls_name, _fw.name)
 
-#: (asm name) -> (WcetReport, accel, MemSafetyReport) cache; the deep
-#: CFG + abstract-interpretation + WCET pass is pure, so sweeps
-#: re-verify each point with arithmetic only.
+#: (asm name) -> (WcetReport, accel, MemSafetyReport) cache; the
+#: ``analyze_firmware`` pass is pure, so sweeps re-verify each point
+#: with arithmetic only.
 _WCET_CACHE: Dict[str, Tuple[WcetReport, Optional[object], MemSafetyReport]] = {}
 
 
@@ -81,7 +78,7 @@ class PreflightReport:
         if self.verdict is not None and self.verdict.memory_safe is False:
             parts.append(
                 f"{self.asm_twin}: memory safety NOT proven "
-                f"({len(self.safety.violations) if self.safety else '?'} "
+                f"({self.safety.violations if self.safety else '?'} "
                 "violation(s))"
             )
         if self.lint is not None:
@@ -109,21 +106,12 @@ def _twin_wcet(asm_name: str):
     (WCET, accelerator, memory-safety) triple — the abstract
     interpretation is deterministic and spec-independent."""
     cached = _WCET_CACHE.get(asm_name)
-    if cached is not None:
-        return cached
-    from .absint import MachineEnv, deep_analyze
-    from .cfg import analyze_source
-    from .registry import _annotations_by_pc
-
-    fw = next(f for f in bundled_firmwares() if f.name == asm_name)
-    accel = fw.accel_factory() if fw.accel_factory else None
-    cfg = analyze_source(fw.asm, name=asm_name)
-    env = MachineEnv(accel=accel)
-    absres = deep_analyze(cfg, env, annotations=_annotations_by_pc(cfg, fw.asm))
-    wcet = analyze_wcet(cfg, source=fw.asm, absres=absres)
-    safety = check_memory_safety(cfg, absres, env)
-    _WCET_CACHE[asm_name] = (wcet, accel, safety)
-    return wcet, accel, safety
+    if cached is None:
+        fw = next(f for f in bundled_firmwares() if f.name == asm_name)
+        accel = fw.accel_factory() if fw.accel_factory else None
+        analysis = analyze_firmware(fw.asm, name=asm_name, accel=accel)
+        cached = _WCET_CACHE[asm_name] = (analysis.wcet, accel, analysis.safety)
+    return cached
 
 
 def preflight_spec(spec) -> PreflightReport:

@@ -1,22 +1,26 @@
 """Bundled-firmware registry + the full verification pipeline.
 
 One entry per assembly firmware the repo ships: its source, the
-accelerator it drives (if any), the behavioural ``FirmwareModel`` twin
-the event simulator runs, and the **documented operating point** the CI
+accelerator it drives (if any), the behavioural ``FirmwareModel``
+classes it stands in for, and the **documented operating point** the CI
 gate re-verifies on every build (``make verify-fw``).  The operating
 points mirror the paper's claims — e.g. the firewall holding 200 Gbps
 from 256 B packets up on 16 RPUs (§7.2).
+
+:func:`analyze_firmware` is the one place the analysis passes are
+chained; ``repro verify``, the engine pre-flight and the fluid gate all
+go through it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from ..riscv.cpu import CycleModel
 from ..sim.clock import ROSEBUD_CLOCK
-from .absint import IO_REGISTER_SPECS, MachineEnv, deep_analyze
+from .absint import IO_REGISTER_SPECS, AbsintResult, MachineEnv, deep_analyze
 from .budget import BudgetVerdict, budget_verdict
 from .cfg import Diagnostic, FirmwareCfg, analyze_source
 from .memsafe import MemSafetyReport, check_memory_safety
@@ -45,7 +49,11 @@ class BundledFirmware:
     asm: str
     point: OperatingPoint
     accel_factory: Optional[Callable[[], object]] = None
-    behavioural: Optional[str] = None  # class name in repro.firmware
+    #: ``repro.firmware`` class names this twin's WCET stands in for
+    #: (``preflight.FIRMWARE_ASM_TWINS`` is derived from these; the
+    #: first registry entry naming a class is its twin).  The first
+    #: class is the one ``repro verify`` replay-lints.
+    models: Tuple[str, ...] = ()
     note: str = ""
 
 
@@ -78,18 +86,18 @@ def bundled_firmwares() -> List[BundledFirmware]:
     return [
         BundledFirmware(
             "forwarder", FORWARDER_ASM, OperatingPoint(16, 512, 200.0),
-            behavioural="ForwarderFirmware",
+            models=("ForwarderFirmware", "TwoStepForwarder", "NicFirmware"),
             note="basic_fw; paper §6.1 holds 200G from 512B up",
         ),
         BundledFirmware(
             "firewall", FIREWALL_ASM, OperatingPoint(16, 256, 200.0),
             accel_factory=_firewall_matcher,
-            behavioural="FirewallFirmware",
+            models=("FirewallFirmware",),
             note="paper §7.2: line rate for >=256B packets",
         ),
         BundledFirmware(
             "forwarder_irq", FORWARDER_IRQ_ASM, OperatingPoint(16, 512, 200.0),
-            behavioural="ForwarderFirmware",
+            models=("ForwarderFirmware",),
             note="basic_fw + poke-interrupt checkpoint handler (§3.4)",
         ),
         BundledFirmware(
@@ -103,7 +111,7 @@ def bundled_firmwares() -> List[BundledFirmware]:
         BundledFirmware(
             "pigasus", PIGASUS_ASM, OperatingPoint(8, 1500, 50.0),
             accel_factory=_pigasus_matcher,
-            behavioural="PigasusHwReorderFirmware",
+            models=("PigasusHwReorderFirmware", "PigasusSwReorderFirmware"),
             note="IPS orchestration; drain loop bound inferred from the "
             "matcher's declared FIFO depth",
         ),
@@ -112,6 +120,39 @@ def bundled_firmwares() -> List[BundledFirmware]:
 
 def bundled_firmware_names() -> List[str]:
     return [fw.name for fw in bundled_firmwares()]
+
+
+class FirmwareAnalysis(NamedTuple):
+    """What :func:`analyze_firmware` proved about one assembly source."""
+
+    cfg: FirmwareCfg
+    absres: AbsintResult
+    wcet: WcetReport
+    safety: MemSafetyReport
+
+
+def analyze_firmware(
+    source: str,
+    *,
+    name: str = "",
+    accel=None,
+    config=None,
+    cycle_model: Optional[CycleModel] = None,
+) -> FirmwareAnalysis:
+    """The analysis pipeline, chained here and nowhere else: structural
+    CFG (``# loop-bound`` annotations attached to their loops), one deep
+    abstract-interpretation fixpoint over it (``accel``/``config`` set
+    the machine environment: accelerator register contracts, memory
+    sizes, frame envelope), then WCET and memory safety, both read off
+    that one fixpoint."""
+    cfg = analyze_source(source, name=name)
+    absres = deep_analyze(cfg, MachineEnv(config=config, accel=accel))
+    return FirmwareAnalysis(
+        cfg,
+        absres,
+        analyze_wcet(cfg, absres, cycle_model),
+        check_memory_safety(cfg, absres),
+    )
 
 
 @dataclass
@@ -123,7 +164,8 @@ class FirmwareVerifyReport:
     cfg: FirmwareCfg
     wcet: WcetReport
     verdict: BudgetVerdict
-    safety: Optional[MemSafetyReport] = None
+    absres: AbsintResult
+    safety: MemSafetyReport
     lint: Optional[ReplayLintReport] = None
     diagnostics: List[Diagnostic] = field(default_factory=list)
 
@@ -134,10 +176,10 @@ class FirmwareVerifyReport:
         )
 
     def all_diagnostics(self) -> List[Diagnostic]:
-        out = self.cfg.diagnostics + self.wcet.diagnostics + self.diagnostics
-        if self.safety is not None:
-            out = out + self.safety.diagnostics
-        return out
+        return (
+            self.cfg.diagnostics + self.wcet.diagnostics + self.diagnostics
+            + self.safety.diagnostics
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -150,9 +192,12 @@ class FirmwareVerifyReport:
             "passed": self.passed,
             "verdict": self.verdict.to_dict(),
             "wcet": self.wcet.to_dict(),
-            "safety": self.safety.to_dict() if self.safety else None,
-            "mmio": self.cfg.to_dict()["mmio"],
-            "max_stack_bytes": self.cfg.max_stack_bytes,
+            "safety": self.safety.to_dict(),
+            "mmio": {
+                region: {hex(off): sorted(kinds) for off, kinds in sorted(offs.items())}
+                for region, offs in self.absres.mmio_footprint().items()
+            },
+            "max_stack_bytes": self.safety.stack_depth_bytes,
             "lint": self.lint.to_dict() if self.lint else None,
             "diagnostics": [d.to_dict() for d in self.all_diagnostics()],
         }
@@ -173,11 +218,24 @@ def _accel_worst_cycles(accel, packet_size: int) -> float:
 
 
 def _check_mmio(
-    cfg: FirmwareCfg, accel, name: str, diags: List[Diagnostic]
+    absres: AbsintResult, accel, name: str, diags: List[Diagnostic]
 ) -> None:
-    """Validate the extracted MMIO footprint against the interconnect
-    map and the configured accelerator's register set."""
-    footprint = cfg.mmio_footprint()
+    """Validate the MMIO footprint (main loop and trap handlers alike)
+    against the interconnect map and the configured accelerator's
+    register set."""
+    unresolved = sum(1 for acc in absres.accesses if not acc.addr.is_const)
+    if unresolved:
+        diags.append(
+            Diagnostic(
+                "note",
+                "unproven-addresses",
+                f"{unresolved} access(es) through statically-unknown "
+                "pointers (packet data / table indexing); excluded from "
+                "the MMIO footprint",
+                firmware=name,
+            )
+        )
+    footprint = absres.mmio_footprint()
     for offset, kinds in sorted(footprint["interconnect"].items()):
         if offset not in INTERCONNECT_REGISTERS:
             diags.append(
@@ -286,18 +344,12 @@ def verify_firmware(
     )
 
     accel = fw.accel_factory() if fw.accel_factory else None
-    cfg = analyze_source(fw.asm, name=name)
-
-    # the deep pipeline runs once: value-range fixpoint, loop-bound
-    # inference (annotations demoted to cross-checks), memory safety —
-    # then the WCET analysis consumes its bounds and infeasible edges
-    env = MachineEnv(accel=accel)
-    absres = deep_analyze(cfg, env, annotations=_annotations_by_pc(cfg, fw.asm))
-    wcet = analyze_wcet(cfg, cycle_model=cycle_model, source=fw.asm, absres=absres)
-    safety = check_memory_safety(cfg, absres, env)
+    cfg, absres, wcet, safety = analyze_firmware(
+        fw.asm, name=name, accel=accel, cycle_model=cycle_model
+    )
 
     diags: List[Diagnostic] = []
-    _check_mmio(cfg, accel, name, diags)
+    _check_mmio(absres, accel, name, diags)
     _check_floorplan(point.n_rpus, name, diags)
 
     verdict = budget_verdict(
@@ -312,28 +364,17 @@ def verify_firmware(
     )
 
     lint = None
-    if fw.behavioural:
+    if fw.models:
         import repro.firmware as firmware_mod
 
-        cls = getattr(firmware_mod, fw.behavioural, None)
+        cls = getattr(firmware_mod, fw.models[0], None)
         if cls is not None:
             lint = lint_firmware_class(cls)
 
     return FirmwareVerifyReport(
         name=name, point=point, cfg=cfg, wcet=wcet, verdict=verdict,
-        safety=safety, lint=lint, diagnostics=diags,
+        absres=absres, safety=safety, lint=lint, diagnostics=diags,
     )
-
-
-def _annotations_by_pc(cfg: FirmwareCfg, source: str) -> dict:
-    """``# loop-bound`` annotations keyed by header pc (cross-checks)."""
-    from .wcet import parse_loop_bounds
-
-    return {
-        cfg.program.symbols[label]: value
-        for label, value in parse_loop_bounds(source).items()
-        if label in cfg.program.symbols
-    }
 
 
 def verify_all(

@@ -6,8 +6,9 @@ reducible loop nests:
 1. find the **packet loop** — the outermost natural loop that touches
    the interconnect window (every bundled firmware's ``loop:``),
 2. collapse each nested loop into a supernode costing
-   ``bound x iteration-WCET`` (bounds come from ``# loop-bound N``
-   annotations in the assembly source, or a conservative default),
+   ``bound x iteration-WCET`` (bounds are the ones
+   :mod:`repro.verify.loopbound` inferred — ``# loop-bound N``
+   annotations are its cross-checks — or a conservative default),
 3. take the longest path through the resulting DAG from the loop
    header back around any back edge.
 
@@ -22,6 +23,11 @@ Soundness caveats are documented in ``docs/STATIC_ANALYSIS.md``:
 ``jalr`` targets are not followed (flagged as a diagnostic), and
 unannotated inner loops get :data:`DEFAULT_LOOP_BOUND` with a warning
 rather than a proof.
+
+Every value fact comes in through the one
+:class:`~repro.verify.absint.AbsintResult` the caller passes —
+:func:`repro.verify.registry.analyze_firmware` is where the passes are
+chained.
 """
 
 from __future__ import annotations
@@ -31,13 +37,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..riscv.blocks import BRANCH_MNEMONICS
 from ..riscv.cpu import CycleModel
-from .cfg import (
-    BasicBlock,
-    Diagnostic,
-    FirmwareCfg,
-    Loop,
-    parse_loop_bounds,
-)
+from .absint import AbsintResult
+from .cfg import BasicBlock, Diagnostic, FirmwareCfg, Loop
 
 __all__ = [
     "DEFAULT_LOOP_BOUND",
@@ -46,7 +47,6 @@ __all__ = [
     "WcetReport",
     "IrreducibleCfgError",
     "analyze_wcet",
-    "parse_loop_bounds",
 ]
 
 _MASK32 = 0xFFFFFFFF
@@ -117,11 +117,9 @@ class _Wcet:
     def __init__(
         self,
         cfg: FirmwareCfg,
+        absres: AbsintResult,
         cycle_model: CycleModel,
-        bounds_by_label: Dict[str, int],
-        pc_bounds: Optional[Dict[int, int]] = None,
-        pc_provenance: Optional[Dict[int, str]] = None,
-        infeasible: Optional[Set[Tuple[int, int]]] = None,
+        infeasible: Set[Tuple[int, int]],
     ) -> None:
         self.cfg = cfg
         self.costs = cycle_model.cost_table()
@@ -129,26 +127,13 @@ class _Wcet:
         self.diags: List[Diagnostic] = []
         self.used_bounds: Dict[str, int] = {}
         self.used_provenance: Dict[str, str] = {}
-        #: loop header pc -> iteration bound
-        self.bounds: Dict[int, int] = {}
-        #: loop header pc -> bound provenance label
-        self.provenance: Dict[int, str] = {}
-        for header in cfg.loops:
-            label = cfg.label_at(header)
-            if label is not None and label in bounds_by_label:
-                self.bounds[header] = bounds_by_label[label]
-                self.provenance[header] = "annotation"
-        if pc_bounds:
-            self.bounds.update(pc_bounds)
-            for header in pc_bounds:
-                self.provenance[header] = "inferred"
-        if pc_provenance:
-            self.provenance.update(pc_provenance)
+        #: loop header pc -> :class:`~repro.verify.loopbound.LoopBound`
+        self.bounds = absres.loop_bounds.bounds if absres.loop_bounds else {}
         #: CFG edges the abstract interpreter proved can never be taken;
         #: the longest-path search skips them (loop back edges are never
         #: in this set — the final-sweep refinement runs on loop-exit
         #: tests with the fixpoint state, which keeps the continue edge)
-        self.infeasible: Set[Tuple[int, int]] = set(infeasible or ())
+        self.infeasible = infeasible
 
     # node/edge costs ------------------------------------------------------
 
@@ -179,11 +164,13 @@ class _Wcet:
         return self.costs[last.cost_class]
 
     def bound_for(self, header: int) -> int:
-        bound = self.bounds.get(header)
         label = self.cfg.label_at(header) or f"0x{header:x}"
-        if bound is None:
-            bound = DEFAULT_LOOP_BOUND
-            self.provenance[header] = "default"
+        proven = self.bounds.get(header)
+        if proven is not None:
+            bound = proven.bound
+            provenance = "annotation" if proven.source == "annotation" else "inferred"
+        else:
+            bound, provenance = DEFAULT_LOOP_BOUND, "default"
             self.diags.append(
                 Diagnostic(
                     "warning",
@@ -196,176 +183,82 @@ class _Wcet:
                 )
             )
         self.used_bounds[label] = bound
-        self.used_provenance[label] = self.provenance.get(header, "annotation")
+        self.used_provenance[label] = provenance
         return bound
 
-    # loop collapse --------------------------------------------------------
+    # collapse, then longest path ------------------------------------------
 
-    def immediate_children(self, loop: Loop) -> List[Loop]:
-        """Outermost loops strictly nested inside ``loop``."""
-        nested = [
-            other
-            for other in self.cfg.loops.values()
-            if other.header != loop.header and other.header in loop.body
-        ]
-        return [
-            child
-            for child in nested
-            if not any(
-                child.header in mid.body and mid.header != child.header
-                for mid in nested
-            )
-        ]
-
-    def iteration_wcet(self, loop: Loop) -> Tuple[float, List[CriticalStep]]:
-        """Worst-case cycles for one full iteration of ``loop``
-        (header back around the costliest back edge), with nested loops
-        collapsed at their bounds."""
-        children = self.immediate_children(loop)
-        child_of: Dict[int, Loop] = {}
-        for child in children:
-            for node in child.body:
-                child_of[node] = child
-        if loop.header in child_of:
+    def longest(
+        self, nodes: Set[int], src: int, own: Optional[Loop] = None
+    ) -> Tuple[float, List[CriticalStep]]:
+        """Worst-case cycles from ``src`` through ``nodes``, every loop
+        nested in them collapsed into a supernode costing ``bound x
+        iteration-WCET``.  With ``own`` (the loop whose body ``nodes``
+        is) the path runs from the header back around the costliest
+        back edge — one full iteration; without, to the costliest sink
+        of the region."""
+        cfg = self.cfg
+        inside = {h for h, lp in cfg.loops.items() if lp is not own and lp.body <= nodes}
+        tops = {h for h in inside if cfg.loops[h].parent not in inside}
+        rep = {node: h for h in tops for node in cfg.loops[h].body}
+        if own is not None and src in rep:
             raise IrreducibleCfgError(
-                f"loop {self.cfg.describe(loop.header)} header sits inside "
-                "a nested loop body"
+                f"loop {cfg.describe(src)} header sits inside a nested loop body"
             )
+        src = rep.get(src, src)
 
-        # collapsed node id: block pc, or child-loop header pc
-        def rep(node: int) -> int:
-            child = child_of.get(node)
-            return child.header if child else node
-
-        nodes: Set[int] = {rep(n) for n in loop.body}
-        edges: Dict[int, List[Tuple[int, float]]] = {n: [] for n in nodes}
-        back_sources = {tail for tail, _ in loop.back_edges}
-        for node in loop.body:
-            block = self.cfg.blocks[node]
+        # collapsed node id: block pc, or collapsed-loop header pc
+        cnodes = {rep.get(n, n) for n in nodes}
+        edges: Dict[int, List[Tuple[int, float]]] = {n: [] for n in cnodes}
+        for node in sorted(nodes):
+            block = cfg.blocks[node]
             for succ in block.successors:
-                if succ not in loop.body:
-                    continue  # loop exit: charged by the caller
-                if succ == loop.header and node in back_sources:
+                if succ not in nodes:
+                    continue  # leaves the region: charged by the caller
+                if own is not None and (node, succ) in own.back_edges:
                     continue  # the back edge closes the iteration
                 if (node, succ) in self.infeasible:
                     continue  # proven never-taken: prune the path
-                ru, rv = rep(node), rep(succ)
-                if ru == rv:
-                    continue  # internal to one collapsed child
-                edges[ru].append((rv, self.edge_cost(block, succ)))
+                ru, rv = rep.get(node, node), rep.get(succ, succ)
+                if ru != rv:  # else internal to one collapsed loop
+                    edges[ru].append((rv, self.edge_cost(block, succ)))
 
         weights: Dict[int, float] = {}
         notes: Dict[int, str] = {}
-        for n in nodes:
-            child = child_of.get(n)
-            if child is not None:
-                bound = self.bound_for(child.header)
-                inner, _ = self.iteration_wcet(child)
+        for n in sorted(cnodes):
+            if n in tops:
+                bound = self.bound_for(n)
+                inner, _ = self.longest(cfg.loops[n].body, n, cfg.loops[n])
                 weights[n] = bound * inner
-                notes[n] = (
-                    f"loop {self.cfg.describe(child.header)} x{bound}"
-                )
+                notes[n] = f"loop {cfg.describe(n)} x{bound}"
             else:
-                weights[n] = float(self.body_cost(self.cfg.blocks[n]))
-                notes[n] = self.cfg.describe(n)
+                weights[n] = float(self.body_cost(cfg.blocks[n]))
+                notes[n] = cfg.describe(n)
 
+        # where a path may end, and what ending there costs on top
+        if own is not None:
+            ends = [
+                (rep.get(tail, tail), self.edge_cost(cfg.blocks[tail], header))
+                for tail, header in own.back_edges
+            ]
+        else:
+            ends = [
+                (n, 0.0 if n in tops else float(self.exit_cost(cfg.blocks[n])))
+                for n in sorted(cnodes)
+                if not edges[n]
+            ]
         best = -1.0
         best_path: List[CriticalStep] = []
-        for tail, header in loop.back_edges:
-            close = self.edge_cost(self.cfg.blocks[tail], header)
-            cycles, path = _longest_path(
-                loop.header, rep(tail), nodes, edges, weights, notes
-            )
-            if cycles < 0:
-                continue  # tail unreachable without re-crossing header
-            total = cycles + close
-            if total > best:
-                best = total
-                best_path = path
+        for end, extra in ends:
+            cycles, path = _longest_path(src, end, cnodes, edges, weights, notes)
+            if cycles >= 0 and cycles + extra > best:
+                best, best_path = cycles + extra, path
         if best < 0:
+            # also what infeasible-edge pruning that disconnected the
+            # region looks like: analyze_wcet retries without pruning
             raise IrreducibleCfgError(
-                f"no path from header {self.cfg.describe(loop.header)} to "
-                "any back edge"
-            )
-        return best, best_path
-
-    # whole-region (non-loop) paths ----------------------------------------
-
-    def region_wcet(
-        self, root: int, nodes: Set[int]
-    ) -> Tuple[float, List[CriticalStep]]:
-        """Longest path from ``root`` to any sink within ``nodes``,
-        collapsing loops fully contained in the region."""
-        contained = [
-            lp for lp in self.cfg.loops.values() if lp.body <= nodes
-        ]
-        outer = [
-            lp
-            for lp in contained
-            if not any(
-                lp.header in other.body and other.header != lp.header
-                for other in contained
-            )
-        ]
-        loop_of: Dict[int, Loop] = {}
-        for lp in outer:
-            for node in lp.body:
-                loop_of[node] = lp
-
-        def rep(node: int) -> int:
-            lp = loop_of.get(node)
-            return lp.header if lp else node
-
-        rnodes = {rep(n) for n in nodes}
-        edges: Dict[int, List[Tuple[int, float]]] = {n: [] for n in rnodes}
-        weights: Dict[int, float] = {}
-        notes: Dict[int, str] = {}
-        sink_extra: Dict[int, float] = {}
-        for n in rnodes:
-            lp = loop_of.get(n)
-            if lp is not None:
-                bound = self.bound_for(lp.header)
-                inner, _ = self.iteration_wcet(lp)
-                weights[n] = bound * inner
-                notes[n] = f"loop {self.cfg.describe(lp.header)} x{bound}"
-            else:
-                block = self.cfg.blocks[n]
-                weights[n] = float(self.body_cost(block))
-                notes[n] = self.cfg.describe(n)
-                if not block.successors:
-                    sink_extra[n] = float(self.exit_cost(block))
-        for node in nodes:
-            block = self.cfg.blocks[node]
-            lp = loop_of.get(node)
-            for succ in block.successors:
-                if succ not in nodes:
-                    continue
-                if lp is not None and succ in lp.body:
-                    continue  # internal to a collapsed loop
-                if (node, succ) in self.infeasible:
-                    continue  # proven never-taken: prune the path
-                edges[rep(node)].append((rep(succ), self.edge_cost(block, succ)))
-
-        best = 0.0
-        best_path: List[CriticalStep] = []
-        for sink in rnodes:
-            if edges[sink] and sink not in sink_extra:
-                continue
-            cycles, path = _longest_path(
-                rep(root), sink, rnodes, edges, weights, notes
-            )
-            if cycles < 0:
-                continue
-            cycles += sink_extra.get(sink, 0.0)
-            if cycles > best or not best_path:
-                best = cycles
-                best_path = path
-        if not best_path and rnodes and self.infeasible:
-            # pruning disconnected every sink: retry without it (the
-            # caller reruns with an empty infeasible set — looser but
-            # still sound)
-            raise IrreducibleCfgError(
-                "infeasible-edge pruning disconnected the region"
+                f"no path from {cfg.describe(src)} to "
+                + ("any back edge" if own is not None else "any sink")
             )
         return best, best_path
 
@@ -425,75 +318,32 @@ def _longest_path(
 
 def analyze_wcet(
     cfg: FirmwareCfg,
+    absres: AbsintResult,
     cycle_model: Optional[CycleModel] = None,
-    source: Optional[str] = None,
     *,
-    accel=None,
-    config=None,
-    bounds: Optional[Dict[int, int]] = None,
     infeasible: Optional[Set[Tuple[int, int]]] = None,
-    infer: bool = True,
-    absres=None,
 ) -> WcetReport:
     """Worst-case cycles-per-packet bound for ``cfg``.
 
-    Loop bounds are **inferred** by default: the abstract-interpretation
-    pipeline (:func:`repro.verify.absint.deep_analyze` — induction
-    variables, accelerator stream depths) runs once, and any
-    ``# loop-bound N`` annotation in ``source`` becomes a *cross-check*
-    against the inferred value rather than a trusted input.  The same
-    pass supplies statically infeasible edges, which the longest-path
-    search prunes (path-sensitive refinement).
-
-    ``accel``/``config`` parameterize the machine environment for
-    inference (accelerator stream contracts, frame envelope).  Callers
-    that already ran the deep pipeline pass its ``absres`` (an
-    :class:`~repro.verify.absint.AbsintResult` carrying ``loop_bounds``)
-    or raw ``bounds`` (header pc -> iterations) and ``infeasible``
-    directly; ``infer=False`` restores the annotation-only PR-5
-    behaviour.
+    ``absres`` is the deep abstract-interpretation result for ``cfg``
+    (:func:`repro.verify.absint.deep_analyze`): its ``loop_bounds``
+    supply every loop's iteration bound and provenance, its resolved
+    accesses find the packet loop, and its statically infeasible edges
+    are pruned from the longest-path search (``infeasible`` overrides
+    that set — pass ``set()`` for the unpruned bound).
     """
     cm = cycle_model or CycleModel.vexriscv_full()
-    label_bounds = parse_loop_bounds(source) if source else {}
-    extra_diags: List[Diagnostic] = []
-    pc_provenance: Dict[int, str] = {}
+    if infeasible is None:
+        infeasible = absres.infeasible_edges
+    diags: List[Diagnostic] = []
+    if absres.loop_bounds is not None:
+        diags.extend(absres.loop_bounds.diagnostics)
 
-    if bounds is None and cfg.loops and (infer or absres is not None):
-        if absres is None:
-            from .absint import MachineEnv, deep_analyze
-
-            annotations = {
-                cfg.program.symbols[label]: value
-                for label, value in label_bounds.items()
-                if label in cfg.program.symbols
-            }
-            env = MachineEnv(config=config, accel=accel)
-            absres = deep_analyze(cfg, env, annotations=annotations)
-        lb_report = absres.loop_bounds
-        if lb_report is not None:
-            bounds = lb_report.bound_map()
-            pc_provenance = {
-                h: ("annotation" if b.source == "annotation" else "inferred")
-                for h, b in lb_report.bounds.items()
-            }
-            extra_diags.extend(lb_report.diagnostics)
-            label_bounds = {}  # annotations were consumed as cross-checks
-        if infeasible is None:
-            infeasible = absres.infeasible_edges
-
-    for attempt_infeasible in (set(infeasible or ()), set()):
-        w = _Wcet(
-            cfg,
-            cm,
-            label_bounds,
-            pc_bounds=bounds,
-            pc_provenance=pc_provenance,
-            infeasible=attempt_infeasible,
-        )
-        report = _analyze_with(cfg, w)
+    for attempt_infeasible in (set(infeasible), set()):
+        report = _analyze_with(cfg, absres, _Wcet(cfg, absres, cm, attempt_infeasible))
         failed = any(d.code == "irreducible-cfg" for d in report.diagnostics)
         if failed and attempt_infeasible:
-            extra_diags.append(
+            diags.append(
                 Diagnostic(
                     "note",
                     "infeasible-pruning-disabled",
@@ -505,40 +355,29 @@ def analyze_wcet(
             continue
         break
 
-    report.diagnostics = extra_diags + report.diagnostics
+    report.diagnostics = diags + report.diagnostics
     return report
 
 
-def _analyze_with(cfg: FirmwareCfg, w: _Wcet) -> WcetReport:
+def _analyze_with(cfg: FirmwareCfg, absres: AbsintResult, w: _Wcet) -> WcetReport:
     report = WcetReport(name=cfg.name, wcet_cycles=0.0, packet_loop=None)
 
     # the packet loop: outermost loop touching the interconnect window
     io_pcs = {
-        acc.pc for acc in cfg.accesses if acc.region == "interconnect"
+        acc.pc for acc, region, _ in absres.resolved() if region == "interconnect"
     }
-    outermost = [
-        lp
-        for lp in cfg.loops.values()
-        if not any(
-            lp.header in other.body and other.header != lp.header
-            for other in cfg.loops.values()
-        )
-    ]
     candidates = [
         lp
-        for lp in outermost
-        if any(
-            pc in io_pcs
-            for node in lp.body
-            for pc in cfg.blocks[node].pcs
-        )
+        for lp in cfg.loops.values()
+        if lp.parent is None
+        and any(pc in io_pcs for node in lp.body for pc in cfg.blocks[node].pcs)
     ]
 
     try:
         if candidates:
             best = -1.0
             for lp in candidates:
-                cycles, path = w.iteration_wcet(lp)
+                cycles, path = w.longest(lp.body, lp.header, lp)
                 if cycles > best:
                     best = cycles
                     report.packet_loop = lp.header
@@ -557,8 +396,7 @@ def _analyze_with(cfg: FirmwareCfg, w: _Wcet) -> WcetReport:
         else:
             # straight-line firmware (or loops never touch the
             # interconnect): bound the entry-to-halt path instead
-            main_nodes = _reachable_blocks(cfg, cfg.entry)
-            cycles, path = w.region_wcet(cfg.entry, main_nodes)
+            cycles, path = w.longest(cfg.reachable(cfg.entry), cfg.entry)
             report.wcet_cycles = cycles
             report.critical_path = path
             w.diags.append(
@@ -585,8 +423,7 @@ def _analyze_with(cfg: FirmwareCfg, w: _Wcet) -> WcetReport:
     for root in cfg.entries[1:]:
         label = cfg.label_at(root) or f"0x{root:x}"
         try:
-            nodes = _reachable_blocks(cfg, root)
-            cycles, _ = w.region_wcet(root, nodes)
+            cycles, _ = w.longest(cfg.reachable(root), root)
             report.handlers[label] = TRAP_ENTRY_CYCLES + cycles
         except IrreducibleCfgError as exc:
             report.handlers[label] = float("inf")
@@ -604,15 +441,3 @@ def _analyze_with(cfg: FirmwareCfg, w: _Wcet) -> WcetReport:
     report.bound_provenance = dict(w.used_provenance)
     report.diagnostics = w.diags
     return report
-
-
-def _reachable_blocks(cfg: FirmwareCfg, root: int) -> Set[int]:
-    seen: Set[int] = set()
-    work = [root]
-    while work:
-        node = work.pop()
-        if node in seen or node not in cfg.blocks:
-            continue
-        seen.add(node)
-        work.extend(cfg.blocks[node].successors)
-    return seen

@@ -1,7 +1,9 @@
 """Tests for the extended CLI subcommands."""
 
+import pytest
 
 from repro.cli import main
+from repro.verify import bundled_firmware_names
 
 
 class TestNatCommand:
@@ -38,6 +40,15 @@ class TestDisasmCommand:
         out = capsys.readouterr().out
         assert "lhu" in out  # the ethertype load
 
+    @pytest.mark.parametrize("name", bundled_firmware_names())
+    def test_every_registry_firmware(self, name, capsys):
+        assert main(["disasm", name]) == 0
+        assert "lui" in capsys.readouterr().out  # every one builds IO_BASE
+
+    def test_neither_name_nor_file_exits_2(self, capsys):
+        assert main(["disasm", "bogus"]) == 2
+        assert "flow_counter" in capsys.readouterr().out  # the bundled list
+
 
 class TestImageCommand:
     def test_builds_loadable_image(self, tmp_path, capsys):
@@ -55,7 +66,16 @@ class TestImageCommand:
         assert rpu.sent[0].port == 1
 
     def test_unknown_firmware(self, capsys):
-        assert main(["image", "bogus"]) == 1
+        assert main(["image", "bogus"]) == 2  # cmd_verify's convention
+        assert "flow_counter" in capsys.readouterr().out  # the bundled list
+
+    @pytest.mark.parametrize("name", bundled_firmware_names())
+    def test_every_registry_firmware(self, name, tmp_path, capsys):
+        from repro.riscv.image import FirmwareImage
+
+        image_path = tmp_path / f"{name}.rfw"
+        assert main(["image", name, "--out", str(image_path)]) == 0
+        assert FirmwareImage.from_bytes(image_path.read_bytes()).segments
 
 
 class TestVerifyCommand:

@@ -20,10 +20,7 @@ import pytest
 
 from repro.core.funcsim import DMEM_BASE
 from repro.riscv import MemoryBus, RiscvCpu, assemble
-from repro.verify.absint import MachineEnv, deep_analyze
-from repro.verify.cfg import analyze_source
-from repro.verify.memsafe import check_memory_safety
-from repro.verify.wcet import analyze_wcet
+from repro.verify import analyze_firmware, analyze_wcet
 
 U32 = 0xFFFFFFFF
 
@@ -111,12 +108,8 @@ def _contains(val, concrete: int) -> bool:
 def _check_containment(asm: str, seed: int) -> int:
     """Run ``asm`` concretely, asserting per-step interval containment.
     Returns the number of instructions checked."""
-    cfg = analyze_source(asm, name=f"prop{seed}")
-    env = MachineEnv()
-    absres = deep_analyze(cfg, env)
+    _, absres, _, safety = analyze_firmware(asm, name=f"prop{seed}")
     assert not absres.incomplete, f"seed {seed}: analysis incomplete"
-
-    safety = check_memory_safety(cfg, absres, env)
     assert safety.violations == 0, (
         f"seed {seed}: spurious violation: "
         + "; ".join(d.format() for d in safety.diagnostics)
@@ -184,8 +177,7 @@ class TestWidening:
         blt t0, t2, loopz
         ebreak
         """
-        cfg = analyze_source(asm, name="widen")
-        absres = deep_analyze(cfg, MachineEnv())
+        cfg, absres, _, _ = analyze_firmware(asm, name="widen")
         assert not absres.incomplete
         # the 2000-trip loop must have triggered widening (WIDEN_AFTER
         # is far below 2000 joins) ...
@@ -234,12 +226,10 @@ class TestInfeasibleEdges:
     """
 
     def test_always_taken_branch_prunes_the_expensive_path(self):
-        cfg = analyze_source(self.ASM, name="prune")
-        absres = deep_analyze(cfg, MachineEnv())
+        cfg, absres, pruned, _ = analyze_firmware(self.ASM, name="prune")
         # 3 < 10 is a constant fact: the fall-through edge is infeasible
         assert absres.infeasible_edges
-        pruned = analyze_wcet(cfg, absres=absres)
-        loose = analyze_wcet(cfg, absres=absres, infeasible=set())
+        loose = analyze_wcet(cfg, absres, infeasible=set())
         assert pruned.wcet_cycles < loose.wcet_cycles
         # both still use the inferred trip count, so the gap is purely
         # the pruned mul chain
@@ -255,10 +245,7 @@ class TestIntentionalViolation:
         sw t1, 0(t0)
         ebreak
         """
-        cfg = analyze_source(asm, name="oob")
-        env = MachineEnv()
-        absres = deep_analyze(cfg, env)
-        safety = check_memory_safety(cfg, absres, env)
+        safety = analyze_firmware(asm, name="oob").safety
         assert safety.violations == 1
         assert not safety.passed
         codes = [d.code for d in safety.diagnostics]
@@ -273,10 +260,7 @@ class TestIntentionalViolation:
         sw t0, 0(t0)
         ebreak
         """
-        cfg = analyze_source(asm, name="selfmod")
-        env = MachineEnv()
-        absres = deep_analyze(cfg, env)
-        safety = check_memory_safety(cfg, absres, env)
+        safety = analyze_firmware(asm, name="selfmod").safety
         assert safety.violations == 1
         bad = next(c for c in safety.checks if c.verdict == "violation")
         assert bad.region == "imem"

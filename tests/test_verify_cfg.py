@@ -4,7 +4,9 @@ The structural half of the static-analysis contract: the CFG the
 verifier reasons over must agree with the superblocks the translator
 actually executes (satellite: shared leader discovery in
 ``repro.riscv.blocks``), and static findings (self-modifying code,
-MMIO footprint) must agree with what the runtime observes.
+MMIO footprint — both read off the one abstract-interpretation
+fixpoint ``analyze_firmware`` runs over that CFG) must agree with what
+the runtime observes.
 """
 
 import pytest
@@ -18,7 +20,8 @@ from repro.firmware.asm_sources import (
     PKT_GEN_ASM,
 )
 from repro.riscv import assemble, image_decoder, superblock_pcs
-from repro.verify import analyze_source, build_cfg, region_of
+from repro.verify import MachineEnv, analyze_firmware, analyze_source, build_cfg
+from repro.verify.registry import _check_mmio
 
 ALL_ASMS = {
     "forwarder": FORWARDER_ASM,
@@ -34,6 +37,12 @@ ALL_ASMS = {
 def named_cfg(request):
     name = request.param
     return name, analyze_source(ALL_ASMS[name], name=name)
+
+
+@pytest.fixture(params=sorted(ALL_ASMS))
+def named_analysis(request):
+    name = request.param
+    return name, analyze_firmware(ALL_ASMS[name], name=name)
 
 
 class TestCfgStructure:
@@ -112,25 +121,72 @@ class TestBlockDifferential:
 
 class TestMmioFootprint:
     def test_forwarder_touches_interconnect_only(self):
-        cfg = analyze_source(FORWARDER_ASM, name="forwarder")
-        footprint = cfg.mmio_footprint()
+        footprint = analyze_firmware(FORWARDER_ASM).absres.mmio_footprint()
         assert footprint["interconnect"]
         assert not footprint["accel"]
 
     def test_firewall_touches_accelerator(self):
-        cfg = analyze_source(FIREWALL_ASM, name="firewall")
-        footprint = cfg.mmio_footprint()
+        footprint = analyze_firmware(FIREWALL_ASM).absres.mmio_footprint()
         assert footprint["accel"], "blacklist MMIO window not detected"
         # the documented interconnect handshake registers all appear
         assert 0x00 in footprint["interconnect"]  # RECV_READY
         assert 0x20 in footprint["interconnect"]  # SEND_PORT_GO
 
     def test_region_classifier(self):
+        region_of = MachineEnv().region_of  # the one region map
         assert region_of(0x0000_0000)[0] == "imem"
         assert region_of(0x0001_0000)[0] == "dmem"
         assert region_of(0x0010_0000)[0] == "pmem"
         assert region_of(0x0100_0000)[0] == "interconnect"
         assert region_of(0x0200_0004) == ("accel", 0x4)
+
+    # a firmware that spills without first loading sp: the stack top is
+    # symbolic, not address 0, so the spill is a stack access
+    SPILL_ASM = """
+    .equ IO_BASE, 0x01000000
+main:
+    li   a0, IO_BASE
+    addi sp, sp, -16
+loop:
+    lw   t0, 0(a0)        # RECV_READY
+    beqz t0, loop
+    lw   t1, 4(a0)        # tag
+    lw   t2, 8(a0)        # len
+    sw   t1, 0(sp)        # spill to the bottom of the 16-byte frame
+    sw   zero, 20(a0)     # release
+    lw   t1, 0(sp)        # reload
+    sw   t1, 24(a0)       # SEND_TAG
+    sw   t2, 28(a0)       # SEND_LEN
+    sw   zero, 32(a0)     # SEND_PORT_GO
+    j    loop
+"""
+
+    @staticmethod
+    def _mmio_errors(asm):
+        """The analysis plus the error codes ``verify_firmware``'s
+        footprint check raises for it (no accelerator configured)."""
+        analysis = analyze_firmware(asm)
+        diags = []
+        _check_mmio(analysis.absres, None, "t", diags)
+        return analysis, [d.code for d in diags if d.level == "error"]
+
+    def test_stack_spill_is_not_an_accelerator_access(self):
+        analysis, errors = self._mmio_errors(self.SPILL_ASM)
+        assert analysis.absres.mmio_footprint()["accel"] == {}
+        assert errors == []  # const-prop filed the spill under no-accelerator
+        assert analysis.safety.proven == len(analysis.safety.checks) == 9
+        assert analysis.safety.stack_depth_bytes == 16
+
+    def test_handler_mmio_is_in_the_footprint(self):
+        interconnect = analyze_firmware(FORWARDER_IRQ_ASM).absres.mmio_footprint()["interconnect"]
+        assert interconnect[0x28] == {"store"}  # DEBUG_OUT_L, poke_handler only
+        assert interconnect[0x2C] == {"store"}  # DEBUG_OUT_H, poke_handler only
+
+    def test_handler_store_to_undefined_register_is_an_error(self):
+        asm = FORWARDER_IRQ_ASM.replace("sw   s4, 40(a0)", "sw   s4, 0x40(a0)")
+        assert asm != FORWARDER_IRQ_ASM
+        assert self._mmio_errors(FORWARDER_IRQ_ASM)[1] == []
+        assert self._mmio_errors(asm)[1] == ["unknown-interconnect-register"]
 
 
 class TestSelfModifyingCode:
@@ -154,9 +210,10 @@ loop:
 """
 
     def test_static_smc_detection(self):
-        cfg = analyze_source(self.SMC_ASM, name="smc")
-        codes = [d.code for d in cfg.errors()]
-        assert "smc-store" in codes
+        safety = analyze_firmware(self.SMC_ASM, name="smc").safety
+        codes = [d.code for d in safety.diagnostics if d.level == "error"]
+        # one store, one detection
+        assert codes == ["smc-store"]
 
     def test_runtime_agrees_code_epoch_bumps(self):
         # the translated backend's store watch catches the same store:
@@ -170,9 +227,9 @@ loop:
         rpu.run_until_sent(1)
         assert rpu.cpu.code_epoch > before
 
-    def test_bundled_firmwares_are_smc_free(self, named_cfg):
-        name, cfg = named_cfg
-        assert not any(d.code == "smc-store" for d in cfg.diagnostics), name
+    def test_bundled_firmwares_are_smc_free(self, named_analysis):
+        name, analysis = named_analysis
+        assert not any(d.code == "smc-store" for d in analysis.safety.diagnostics), name
 
 
 class TestUnreachable:

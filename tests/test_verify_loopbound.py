@@ -9,14 +9,11 @@ trusted but flagged.
 
 from repro.accel.pigasus import PigasusStringMatcher
 from repro.firmware.asm_sources import PIGASUS_ASM, PKT_GEN_ASM
-from repro.verify.absint import MachineEnv, deep_analyze
-from repro.verify.cfg import analyze_source
-from repro.verify.loopbound import local_dominators
+from repro.verify import analyze_firmware, analyze_source, local_dominators
 
 
 def _bounds(asm, name="t", accel=None):
-    cfg = analyze_source(asm, name=name)
-    absres = deep_analyze(cfg, MachineEnv(accel=accel))
+    cfg, absres, _, _ = analyze_firmware(asm, name=name, accel=accel)
     return cfg, absres.loop_bounds
 
 

@@ -9,17 +9,11 @@ catch.
 
 import pytest
 
-from repro.verify.absint import MachineEnv, deep_analyze
-from repro.verify.cfg import analyze_source
-from repro.verify.memsafe import check_memory_safety
-from repro.verify.registry import _annotations_by_pc, bundled_firmwares
+from repro.verify import analyze_firmware, bundled_firmwares
 
 
 def _safety(asm, name="t", accel=None, config=None):
-    cfg = analyze_source(asm, name=name)
-    env = MachineEnv(config=config, accel=accel)
-    absres = deep_analyze(cfg, env)
-    return check_memory_safety(cfg, absres, env)
+    return analyze_firmware(asm, name=name, accel=accel, config=config).safety
 
 
 class TestBundledFirmwares:
@@ -28,12 +22,7 @@ class TestBundledFirmwares:
     )
     def test_every_access_site_is_proven(self, fw):
         accel = fw.accel_factory() if fw.accel_factory else None
-        cfg = analyze_source(fw.asm, name=fw.name)
-        env = MachineEnv(accel=accel)
-        absres = deep_analyze(
-            cfg, env, annotations=_annotations_by_pc(cfg, fw.asm)
-        )
-        s = check_memory_safety(cfg, absres, env)
+        s = _safety(fw.asm, name=fw.name, accel=accel)
         assert s.passed
         assert s.violations == 0
         assert s.unproven == 0, [
@@ -47,10 +36,7 @@ class TestBundledFirmwares:
         # (pkt+len+...): in-slot (proven) but flagged as growing the
         # packet — exactly what an append is supposed to do
         fw = next(f for f in bundled_firmwares() if f.name == "pigasus")
-        cfg = analyze_source(fw.asm, name="pigasus")
-        env = MachineEnv(accel=fw.accel_factory())
-        absres = deep_analyze(cfg, env)
-        s = check_memory_safety(cfg, absres, env)
+        s = _safety(fw.asm, name="pigasus", accel=fw.accel_factory())
         append = [c for c in s.checks
                   if c.kind == "store" and "pkt+len" in c.addr_desc]
         assert append

@@ -29,8 +29,7 @@ from repro.packet import build_tcp
 from repro.sim.clock import ROSEBUD_CLOCK, line_rate_pps
 from repro.verify import (
     VerificationError,
-    analyze_source,
-    analyze_wcet,
+    analyze_firmware,
     budget_verdict,
     parse_loop_bounds,
     preflight_spec,
@@ -55,8 +54,7 @@ class TestWcetSoundness:
     """static bound >= every measured per-packet cost."""
 
     def test_forwarder_sound_and_tight(self):
-        cfg = analyze_source(FORWARDER_ASM, name="forwarder")
-        wcet = analyze_wcet(cfg, source=FORWARDER_ASM)
+        wcet = analyze_firmware(FORWARDER_ASM, name="forwarder").wcet
         measured = _measured_cycles(FORWARDER_ASM, _packets())
         assert wcet.wcet_cycles >= measured
         # the forwarder is branch-free past the spin, so the bound is exact
@@ -70,8 +68,7 @@ class TestWcetSoundness:
         )
 
         blacklist = parse_blacklist(generate_blacklist(64) + "\n10.0.0.1/32")
-        cfg = analyze_source(FIREWALL_ASM, name="firewall")
-        wcet = analyze_wcet(cfg, source=FIREWALL_ASM)
+        wcet = analyze_firmware(FIREWALL_ASM, name="firewall").wcet
         # clean path: no blacklist hit, packets forwarded
         clean = _measured_cycles(
             FIREWALL_ASM,
@@ -99,10 +96,9 @@ class TestWcetSoundness:
     def test_pigasus_sound_via_loop_bound(self):
         from repro.accel.pigasus import PigasusStringMatcher
 
-        cfg = analyze_source(PIGASUS_ASM, name="pigasus")
-        wcet = analyze_wcet(
-            cfg, source=PIGASUS_ASM, accel=PigasusStringMatcher()
-        )
+        wcet = analyze_firmware(
+            PIGASUS_ASM, name="pigasus", accel=PigasusStringMatcher()
+        ).wcet
         # the drain loop bound is *inferred* from the matcher's declared
         # 8-deep match FIFO (stream rule) — the source carries no
         # annotation any more
@@ -115,8 +111,7 @@ class TestWcetSoundness:
         # no accelerator -> no stream contract -> the drain loop gets
         # the conservative default and a warning, and the bound can
         # only move in the sound (larger) direction
-        cfg = analyze_source(PIGASUS_ASM, name="pigasus")
-        wcet = analyze_wcet(cfg, source=PIGASUS_ASM)
+        wcet = analyze_firmware(PIGASUS_ASM, name="pigasus").wcet
         assert wcet.loop_bounds["drain"] == 64
         assert wcet.bound_provenance["drain"] == "default"
         assert wcet.wcet_cycles > 175
@@ -148,8 +143,7 @@ inner:
     sw   zero, 32(a0)
     j    loop
 """
-        cfg = analyze_source(asm, name="inner_loop")
-        wcet = analyze_wcet(cfg, source=asm)
+        wcet = analyze_firmware(asm, name="inner_loop").wcet
         assert any(d.code == "unannotated-loop" for d in wcet.diagnostics)
         assert wcet.loop_bounds["inner"] == 64  # conservative default
 
@@ -237,6 +231,30 @@ class TestVerifyFirmware:
         r = verify_firmware("forwarder_irq")
         assert r.wcet.handlers == {"poke_handler": 10.0}
 
+    def test_one_twin_map(self):
+        # the registry's ``models`` is the only hand-kept relation: the
+        # pre-flight's class -> twin map is derived from it, and the
+        # class each report replay-lints is its twin's first model
+        from repro.verify import FIRMWARE_ASM_TWINS
+
+        assert FIRMWARE_ASM_TWINS == {
+            "ForwarderFirmware": "forwarder",
+            "TwoStepForwarder": "forwarder",
+            "NicFirmware": "forwarder",
+            "FirewallFirmware": "firewall",
+            "PigasusHwReorderFirmware": "pigasus",
+            "PigasusSwReorderFirmware": "pigasus",
+        }
+        linted = {r.name: r.lint.cls_name if r.lint else None for r in verify_all()}
+        assert linted == {
+            "forwarder": "ForwarderFirmware",
+            "firewall": "FirewallFirmware",
+            "forwarder_irq": "ForwarderFirmware",
+            "flow_counter": None,
+            "pkt_gen": None,
+            "pigasus": "PigasusHwReorderFirmware",
+        }
+
     def test_floorplan_violation_is_error(self):
         r = verify_firmware("forwarder", n_rpus=64)
         assert any(d.code == "floorplan" for d in r.diagnostics)
@@ -304,6 +322,28 @@ class TestPreflight:
         outcome = SweepRunner(jobs=1).run([self._bad_spec("fail")])
         assert outcome[0].status == "error"
         assert "VerificationError" in outcome[0].error
+
+    def test_memory_unsafe_twin_raises_the_named_error(self, monkeypatch):
+        # a twin with one violating access: the report must summarise
+        # (twin + count) and the session must refuse with the named
+        # error, not die formatting the message
+        from repro.serve import SimSession
+        from repro.verify import preflight
+        from repro.verify.memsafe import AccessCheck, MemSafetyReport
+
+        wcet, accel, _ = preflight._twin_wcet("forwarder")
+        unsafe = MemSafetyReport(
+            firmware="forwarder",
+            checks=[AccessCheck(0x8, "store", 4, "0x8", "violation", region="imem")],
+        )
+        monkeypatch.setitem(preflight._WCET_CACHE, "forwarder", (wcet, accel, unsafe))
+        spec = ExperimentSpec(firmware=ForwarderFirmware, verify="fail")
+        pre = preflight_spec(spec)
+        assert pre.failed
+        assert "forwarder: memory safety NOT proven (1 violation(s))" in pre.summary()
+        with pytest.raises(VerificationError) as excinfo:
+            SimSession(spec)
+        assert excinfo.value.report.safety.violations == 1
 
     def test_unknown_firmware_is_nonfailing_note(self):
         spec = ExperimentSpec(firmware=NatFirmware, verify="fail")
