@@ -19,6 +19,7 @@ offset    register
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set, Tuple
@@ -105,6 +106,11 @@ class IpBlacklistMatcher(Accelerator):
         self.define_register(
             self.REG_MATCH, 1, read=lambda: self._match_flag, value_range=(0, 1)
         )
+
+    def __repr__(self) -> str:
+        # the rules, not the address: a spec carrying this matcher keeps one cache key
+        digest = hashlib.sha256(",".join(map(str, self.prefixes)).encode()).hexdigest()
+        return f"IpBlacklistMatcher({len(self.prefixes)} prefixes, sha256:{digest})"
 
     def _write_ip(self, ip: int) -> None:
         # firmware does a little-endian word load of the network-order

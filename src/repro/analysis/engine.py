@@ -13,8 +13,9 @@ own event simulation, so a sweep is embarrassingly parallel.  The
 * **isolated** — a point that raises fails *that point* (status
   ``error`` with the worker traceback); a point that wedges past
   ``point_timeout`` seconds is marked ``timeout``; a worker that dies
-  outright (segfault, ``os._exit``) breaks only its point and the pool
-  is rebuilt for the remainder;
+  outright (segfault, ``os._exit``) breaks only its point: the points
+  that were in flight with it are re-run one per pool to find out
+  which one it was, and a fresh pool takes the remainder;
 * **cached** — with a ``cache_dir``, finished points are stored as
   JSON keyed by :meth:`ExperimentSpec.cache_key` (a stable hash of
   config + firmware + traffic + window), so re-running a benchmark
@@ -32,7 +33,7 @@ import json
 import pickle
 import time
 import traceback
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, TimeoutError
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
@@ -270,59 +271,61 @@ class SweepRunner:
         return self._finish(index, spec, key, status, payload, time.perf_counter() - t0)
 
     def _run_pool(self, poolable) -> List[PointOutcome]:
+        # A dead worker breaks its pool and fails every future in it, so
+        # the points in flight at that moment are only suspects: each is
+        # re-run on a pool of its own, and a point is blamed only if it
+        # breaks that one too.  Unsubmitted points go to a fresh pool.
         outcomes: List[PointOutcome] = []
         remaining = list(poolable)
-        # The pool is rebuilt after a hard worker death (BrokenExecutor);
-        # each rebuild resubmits only the still-unfinished points.
         while remaining:
-            context = get_context(self.mp_context)
-            executor = ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(remaining)), mp_context=context
-            )
-            futures: List[Tuple[int, ExperimentSpec, str, Future]] = []
-            try:
-                for index, spec, key in remaining:
-                    futures.append(
-                        (index, spec, key, executor.submit(_execute_point, spec))
-                    )
-                remaining = []
-                broken = False
-                for position, (index, spec, key, future) in enumerate(futures):
-                    if broken:
-                        # A dead worker poisons every future submitted to
-                        # this pool; resubmit the not-yet-collected tail.
-                        if not future.done() or future.exception() is not None:
-                            remaining.append((index, spec, key))
-                            continue
-                    t0 = time.perf_counter()
-                    try:
-                        status, payload = future.result(timeout=self.point_timeout)
-                    except TimeoutError:
-                        future.cancel()
-                        outcomes.append(
-                            self._finish(
-                                index, spec, key, "timeout",
-                                f"point exceeded {self.point_timeout}s wall clock",
-                                time.perf_counter() - t0,
-                            )
-                        )
-                        continue
-                    except BrokenExecutor:
-                        outcomes.append(
-                            self._finish(
-                                index, spec, key, "error",
-                                "worker process died (crash or OOM)",
-                                time.perf_counter() - t0,
-                            )
-                        )
-                        broken = True
-                        continue
-                    outcomes.append(
-                        self._finish(
-                            index, spec, key, status, payload,
-                            time.perf_counter() - t0,
-                        )
-                    )
-            finally:
-                executor.shutdown(wait=False, cancel_futures=True)
+            done, suspects, remaining = self._pool_pass(remaining, self.jobs)
+            outcomes += done
+            for item in suspects:
+                t0 = time.perf_counter()
+                done = self._pool_pass([item], 1)[0]
+                outcomes += done or [self._finish(
+                    *item, "error", "worker process died (crash or OOM)",
+                    time.perf_counter() - t0,
+                )]
         return outcomes
+
+    def _pool_pass(self, items, workers: int):
+        """Run ``items`` on one pool with at most ``workers`` in flight;
+        returns ``(outcomes, in_flight, unsubmitted)``, the last two empty
+        unless a worker died and broke the pool."""
+        executor = ProcessPoolExecutor(min(workers, len(items)), get_context(self.mp_context))
+        limit = self.point_timeout
+        queue, running, outcomes = list(items), {}, []
+        try:
+            while queue or running:
+                try:
+                    while queue and len(running) < workers:
+                        future = executor.submit(_execute_point, queue[0][1])
+                        running[future] = (queue.pop(0), time.perf_counter())
+                except BrokenExecutor:
+                    # broke since the last wait; in-flight futures report it below
+                    if not running:
+                        return outcomes, [], queue
+                oldest = min(t0 for _, t0 in running.values())
+                timeout = None if limit is None else max(0.0, oldest + limit - time.perf_counter())
+                broken = []
+                for future in wait(running, timeout, FIRST_COMPLETED).done:
+                    item, t0 = running.pop(future)
+                    try:
+                        status, payload = future.result()
+                    except BrokenExecutor:
+                        broken.append(item)
+                        continue
+                    outcomes.append(self._finish(*item, status, payload, time.perf_counter() - t0))
+                if broken:
+                    return outcomes, sorted(broken + [i for i, _ in running.values()]), queue
+                for future, (item, t0) in list(running.items()):
+                    elapsed = time.perf_counter() - t0
+                    if limit is not None and elapsed >= limit:
+                        del running[future]
+                        outcomes.append(self._finish(
+                            *item, "timeout", f"point exceeded {limit}s wall clock", elapsed
+                        ))
+        finally:
+            executor.shutdown(wait=False, cancel_futures=True)
+        return outcomes, [], []

@@ -27,7 +27,7 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.config import RosebudConfig
 from ..core.lb import HashLB, LBPolicy, LeastLoadedLB, PowerOfTwoChoicesLB, RoundRobinLB
@@ -47,6 +47,49 @@ LB_REGISTRY: Dict[str, Callable[[int], LBPolicy]] = {
     "p2c": lambda n_rpus: PowerOfTwoChoicesLB(n_rpus),
     "least": lambda n_rpus: LeastLoadedLB(),
 }
+
+
+def _blacklist(rules: int) -> Tuple[Tuple[Any, ...], Dict[str, Any]]:
+    from ..accel import IpBlacklistMatcher, generate_blacklist, parse_blacklist
+
+    return (IpBlacklistMatcher(parse_blacklist(generate_blacklist(rules))),), {}
+
+
+def _ruleset(rules: int) -> Tuple[Tuple[Any, ...], Dict[str, Any]]:
+    from ..accel.pigasus import generate_ruleset, parse_rules
+
+    parsed = parse_rules(generate_ruleset(rules))
+    return (parsed,), {"source_kwargs": {
+        "attack_fraction": 0.01,
+        "attack_payloads": tuple(r.content for r in parsed),
+        "reorder_fraction": 0.003,
+        "n_flows": 2048,
+    }}
+
+
+class FirmwareRow(NamedTuple):
+    """A named middlebox: its :mod:`repro.firmware` class (resolved when
+    a spec is built, so importing this module loads no firmware), an
+    optional ``rules -> (firmware_args, params)`` builder, and default
+    :func:`spec_from_params` params that explicit ones override."""
+
+    factory: str
+    rules: Optional[Callable[[int], Tuple[Tuple[Any, ...], Dict[str, Any]]]] = None
+    defaults: Dict[str, Any] = {}
+
+
+_PIGASUS = {"slots_per_rpu": 32, "source": "flows", "respect_generator_cap": False}
+
+#: The middleboxes both front doors (CLI, ``repro serve`` ``open``) name.
+FIRMWARE_REGISTRY: Dict[str, FirmwareRow] = {
+    "forwarder": FirmwareRow("ForwarderFirmware"),
+    "nat": FirmwareRow("NatFirmware", None, {"lb": "hash", "respect_generator_cap": False}),
+    "firewall": FirmwareRow("FirewallFirmware", _blacklist,
+                            {"respect_generator_cap": False, "include_absorbed": True}),
+    "pigasus_hw": FirmwareRow("PigasusHwReorderFirmware", _ruleset, _PIGASUS),
+    "pigasus_sw": FirmwareRow("PigasusSwReorderFirmware", _ruleset, {**_PIGASUS, "lb": "hash"}),
+}
+FIRMWARE_REGISTRY["pigasus"] = FIRMWARE_REGISTRY["pigasus_hw"]
 
 
 class SpecError(ValueError):
@@ -409,6 +452,73 @@ class ExperimentSpec:
             or f"{fw} rpus={self.config.n_rpus} size={t.packet_size} "
             f"gbps={t.offered_gbps:g} {self.measure}"
         )
+
+
+def spec_from_params(params: Dict[str, Any]) -> ExperimentSpec:
+    """Build the spec for a named middlebox at a point.
+
+    The one builder behind both front doors: the CLI's experiment
+    subcommands pass their parsed flags and ``repro serve`` passes its
+    ``open`` params.  ``firmware`` names a :data:`FIRMWARE_REGISTRY`
+    row; unknown params raise :class:`SpecError`.
+    """
+    p = dict(params)
+    name = p.pop("firmware", "forwarder")
+    if name not in FIRMWARE_REGISTRY:
+        raise SpecError(f"unknown firmware {name!r}; choices: {sorted(FIRMWARE_REGISTRY)}")
+    row = FIRMWARE_REGISTRY[name]
+    rules = int(p.pop("rules", 120))
+    fw_args, derived = row.rules(rules) if row.rules is not None else ((), {})
+    p = {**row.defaults, **derived, **p}
+
+    config_kwargs: Dict[str, Any] = {"n_rpus": int(p.pop("rpus", 16))}
+    if "slots_per_rpu" in p:
+        config_kwargs["slots_per_rpu"] = int(p.pop("slots_per_rpu"))
+
+    traffic_kwargs: Dict[str, Any] = dict(
+        packet_size=int(p.pop("size", 512)),
+        offered_gbps=float(p.pop("gbps", 100.0)),
+        n_ports=int(p.pop("ports", 2)),
+    )
+    for key, cast in (("source", str), ("source_kwargs", dict), ("seed_base", int),
+                      ("respect_generator_cap", bool)):
+        if key in p:
+            traffic_kwargs[key] = cast(p.pop(key))
+
+    window = MeasurementWindow(
+        warmup_packets=int(p.pop("warmup", 800)),
+        measure_packets=int(p.pop("packets", 3000)),
+        max_cycles=float(p.pop("max_cycles", 500_000_000)),
+    )
+
+    from .. import firmware
+
+    spec_kwargs: Dict[str, Any] = {
+        "config": RosebudConfig(**config_kwargs),
+        "firmware": getattr(firmware, row.factory),
+        "firmware_args": fw_args,
+        "traffic": TrafficProfile(**traffic_kwargs),
+        "window": window,
+        "lb": p.pop("lb", None),
+        "measure": p.pop("measure", "throughput"),
+        "include_absorbed": bool(p.pop("include_absorbed", False)),
+        "faults": tuple(p.pop("faults", ())),
+        "fidelity": p.pop("fidelity", "event"),
+    }
+    if "cluster" in p:
+        cluster = p.pop("cluster")
+        if isinstance(cluster, int):
+            cluster = {"boards": cluster}
+        # a dict is normalised to a ClusterSpec by the spec itself
+        spec_kwargs["cluster"] = cluster
+    if "include_host" in p:
+        spec_kwargs["include_host"] = bool(p.pop("include_host"))
+    for key in ("cpu_backend", "verify"):
+        if key in p:
+            spec_kwargs[key] = p.pop(key)
+    if p:
+        raise SpecError(f"unknown open parameters: {sorted(p)}")
+    return ExperimentSpec(**spec_kwargs)
 
 
 @dataclass

@@ -12,50 +12,83 @@ This module provides the equivalent entry points::
     python -m repro.cli resources --rpus 16
     python -m repro.cli trace     --kind firewall --out attack.pcap
 
-Every measurement subcommand shares one parent parser (``--rpus``,
-``--size``, ``--gbps``, ``--lb``, ``--warmup``, ``--packets``) and
-builds its point as an :class:`~repro.analysis.ExperimentSpec`, so the
-CLI, the harness, and the parallel engine construct systems the same
-way.  ``sweep`` fans a grid out over a worker pool (``--jobs``) with
-an optional on-disk result cache (``--cache-dir``).
+Every experiment subcommand hands its parsed flags to
+:func:`~repro.analysis.spec.spec_from_params`, the builder behind
+``repro serve``'s ``open`` too, so both front doors build the same
+:class:`~repro.analysis.ExperimentSpec` for the same named middlebox.
+The single-point commands are rows of :data:`POINTS` sharing one
+build → run → print path; ``sweep`` fans a grid out over a worker pool
+(``--jobs``) with an optional on-disk result cache (``--cache-dir``).
+Each subcommand accepts only the flags it reads.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .accel import IpBlacklistMatcher, generate_blacklist, parse_blacklist
-from .accel.pigasus import generate_ruleset, parse_rules
 from .analysis import (
     ExperimentSpec,
-    MeasurementWindow,
     SweepRunner,
     SweepResult,
-    TrafficProfile,
     estimated_latency_us,
     format_table,
     format_utilization_row,
     run_experiment,
 )
-from .core import RosebudConfig
+from .analysis.spec import spec_from_params
 from .faults import KNOWN_FAULT_KINDS, FaultSpec
-from .firmware import (
-    FirewallFirmware,
-    ForwarderFirmware,
-    NatFirmware,
-    PigasusHwReorderFirmware,
-    PigasusSwReorderFirmware,
-    TwoStepForwarder,
-)
+from .firmware import TwoStepForwarder
 from .hw import FpgaDevice, VU9P_CAPACITY
-from .packet import write_pcap
-from .traffic import attack_trace_from_rules, firewall_trace
 
 LB_CHOICES = ["none", "hash", "rr", "p2c", "least"]
+
+#: The point flags, added per subparser by name so that each command
+#: accepts only the ones it reads.
+FLAGS: Dict[str, Dict[str, Any]] = {
+    "rpus": dict(type=int, default=16, help="number of RPUs"),
+    "size": dict(type=int, default=512, help="packet size, bytes"),
+    "gbps": dict(type=float, default=200.0, help="total offered rate, Gbps"),
+    "lb": dict(choices=LB_CHOICES, default=None,
+               help="load-balancer policy override"),
+    "warmup": dict(type=int, default=800,
+                   help="warmup packets before the window"),
+    "packets": dict(type=int, default=3000,
+                    help="packets in the measurement window"),
+    "cpu_backend": dict(choices=["interp", "translated"], default=None,
+                        help="ISS execution backend (default: translated)"),
+    "fidelity": dict(choices=["event", "fluid"], default=None,
+                     help="simulation fidelity tier: event (pure "
+                          "discrete-event) or fluid (skip provably "
+                          "repetitive steady-state periods arithmetically; "
+                          "counters stay byte-identical)"),
+}
+
+#: Parsed flags that are ``spec_from_params`` params of the same name.
+_PARAMS = ("firmware", "rules", "rpus", "size", "gbps", "ports", "warmup",
+           "packets", "cpu_backend", "fidelity")
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str, **defaults: Any) -> None:
+    for name in names or FLAGS:
+        kwargs = dict(FLAGS[name])
+        kwargs["default"] = defaults.get(name, kwargs["default"])
+        parser.add_argument("--" + name.replace("_", "-"), **kwargs)
+
+
+def _spec(args: argparse.Namespace, **params: Any) -> ExperimentSpec:
+    """``spec_from_params`` over the given params plus the parsed flags."""
+    for name in _PARAMS:
+        if getattr(args, name, None) is not None:
+            params.setdefault(name, getattr(args, name))
+    if getattr(args, "lb", None) is not None:
+        params.setdefault("lb", None if args.lb == "none" else args.lb)
+    return spec_from_params(params)
 
 
 def _parse_sizes(text: str) -> List[int]:
@@ -64,19 +97,6 @@ def _parse_sizes(text: str) -> List[int]:
 
 def _parse_floats(text: str) -> List[float]:
     return [float(part) for part in text.split(",") if part]
-
-
-def _lb(args: argparse.Namespace, default: Optional[str] = None) -> Optional[str]:
-    choice = getattr(args, "lb", None) or default
-    return None if choice in (None, "none") else choice
-
-
-def _backend(args: argparse.Namespace) -> Optional[str]:
-    return getattr(args, "cpu_backend", None)
-
-
-def _fidelity(args: argparse.Namespace) -> str:
-    return getattr(args, "fidelity", None) or "event"
 
 
 def _print_fluid(outcome) -> None:
@@ -97,32 +117,96 @@ def _print_fluid(outcome) -> None:
     print(line)
 
 
-def _window(args: argparse.Namespace) -> MeasurementWindow:
-    return MeasurementWindow(
-        warmup_packets=args.warmup, measure_packets=args.packets
-    )
+def _write_report(path: Optional[str], outcome) -> None:
+    if path:
+        with open(path, "w") as fh:
+            json.dump(outcome.to_dict(), fh, sort_keys=True, indent=1)
+        print(f"wrote report to {path}")
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Forwarding throughput for one (rpus, size, rate) point."""
-    spec = ExperimentSpec(
-        config=RosebudConfig(n_rpus=args.rpus),
-        firmware=ForwarderFirmware,
-        traffic=TrafficProfile(
-            packet_size=args.size, offered_gbps=args.gbps, n_ports=args.ports
-        ),
-        window=_window(args),
-        lb=_lb(args),
-        cpu_backend=_backend(args),
-        fidelity=_fidelity(args),
-    )
-    outcome = run_experiment(spec)
-    result = outcome.throughput
-    print(format_table(
+def _loopback_setup(n_rpus: int, system) -> None:
+    system.lb.host_write(system.lb.REG_ENABLE_MASK, (1 << (n_rpus // 2)) - 1)
+
+
+@dataclass(frozen=True)
+class Point:
+    """A single-point subcommand: its spec, its flags, its one-row table.
+
+    ``row`` gets ``(args, outcome, outcome.throughput)``; ``title`` gets
+    ``(args, spec)``.
+    """
+
+    help: str
+    spec: Callable[[argparse.Namespace], ExperimentSpec]
+    columns: List[str]
+    row: Callable[..., List[Any]]
+    title: Callable[[argparse.Namespace, ExperimentSpec], str]
+    flags: Tuple[Tuple[str, Dict[str, Any]], ...] = ()
+    defaults: Dict[str, Any] = field(default_factory=dict)
+
+
+POINTS: Dict[str, Point] = {
+    "profile": Point(
+        "forwarding throughput point",
+        _spec,
         ["RPUs", "size(B)", "offered Gbps", "achieved Gbps", "MPPS", "% of line"],
-        [[args.rpus, args.size, args.gbps, result.achieved_gbps,
-          result.achieved_mpps, 100 * result.fraction_of_line]],
-        title="basic_fw forwarding profile",
+        lambda a, o, t: [a.rpus, a.size, a.gbps, t.achieved_gbps,
+                         t.achieved_mpps, 100 * t.fraction_of_line],
+        lambda a, s: "basic_fw forwarding profile",
+        flags=(("--ports", dict(type=int, default=2)),),
+    ),
+    "firewall": Point(
+        "firewall case study point",
+        lambda a: _spec(a, firmware="firewall"),
+        ["size(B)", "absorbed Gbps", "% of line", "fw drops"],
+        lambda a, o, t: [a.size, t.achieved_gbps, 100 * t.fraction_of_line,
+                         o.counters.get("dropped_by_firmware", 0)],
+        lambda a, s: f"firewall ({a.rules} blacklist entries, {a.rpus} RPUs)",
+        flags=(("--rules", dict(type=int, default=1050)),),
+    ),
+    "ids": Point(
+        "pigasus IPS case study point",
+        lambda a: _spec(a, firmware=f"pigasus_{a.mode}"),
+        ["mode", "size(B)", "Gbps", "MPPS", "cycles/pkt", "to host"],
+        lambda a, o, t: [a.mode, a.size, t.achieved_gbps, t.achieved_mpps,
+                         t.cycles_per_packet, o.counters.get("to_host", 0)],
+        lambda a, s: f"pigasus IPS ({a.rules} rules, {a.rpus} RPUs)",
+        flags=(("--mode", dict(choices=["hw", "sw"], default="hw")),
+               ("--rules", dict(type=int, default=120))),
+        defaults=dict(rpus=8, size=800),
+    ),
+    "nat": Point(
+        "NAT middlebox point",
+        lambda a: _spec(a, firmware="nat", ports=1),
+        ["size(B)", "Gbps", "MPPS", "translated"],
+        lambda a, o, t: [a.size, t.achieved_gbps, t.achieved_mpps,
+                         o.firmware_totals.get("translated", 0)],
+        lambda a, s: f"NAT middlebox ({a.rpus} RPUs, {s.lb or 'hash'} LB)",
+        defaults=dict(rpus=8, gbps=100.0),
+    ),
+    "loopback": Point(
+        "two-step loopback measurement",
+        lambda a: _spec(a, ports=1, respect_generator_cap=False).with_(
+            firmware=TwoStepForwarder, firmware_args=(a.rpus,),
+            setup=functools.partial(_loopback_setup, a.rpus),
+        ),
+        ["size(B)", "Gbps", "% of line", "loopbacked"],
+        lambda a, o, t: [a.size, t.achieved_gbps, 100 * t.fraction_of_line,
+                         o.counters.get("loopbacked", 0)],
+        lambda a, s: "two-step forwarding over the loopback port",
+        defaults=dict(size=128, gbps=100.0),
+    ),
+}
+
+
+def cmd_point(args: argparse.Namespace) -> int:
+    """Run one :data:`POINTS` subcommand and print its one-row table."""
+    point = POINTS[args.command]
+    spec = point.spec(args)
+    outcome = run_experiment(spec)
+    print(format_table(
+        point.columns, [point.row(args, outcome, outcome.throughput)],
+        title=point.title(args, spec),
     ))
     _print_fluid(outcome)
     return 0
@@ -132,20 +216,8 @@ def cmd_latency(args: argparse.Namespace) -> int:
     """Low-load forwarding latency vs Eq. 1 for a size sweep."""
     rows = []
     for size in _parse_sizes(args.sizes):
-        spec = ExperimentSpec(
-            config=RosebudConfig(n_rpus=args.rpus),
-            firmware=ForwarderFirmware,
-            traffic=TrafficProfile(
-                packet_size=size, offered_gbps=2.0, n_ports=2
-            ),
-            window=MeasurementWindow(
-                warmup_packets=50, measure_packets=args.packets
-            ),
-            lb=_lb(args),
-            measure="latency",
-            cpu_backend=_backend(args),
-            fidelity=_fidelity(args),
-        )
+        spec = _spec(args, size=size, gbps=2.0, ports=2, warmup=50,
+                     measure="latency")
         summary = run_experiment(spec).latency
         rows.append([size, summary["mean"], estimated_latency_us(size)])
     print(format_table(
@@ -154,106 +226,15 @@ def cmd_latency(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_firewall(args: argparse.Namespace) -> int:
-    """The §7.2 firewall at one packet size."""
-    prefixes = parse_blacklist(generate_blacklist(args.rules))
-    matcher = IpBlacklistMatcher(prefixes)
-    spec = ExperimentSpec(
-        config=RosebudConfig(n_rpus=args.rpus),
-        firmware=FirewallFirmware,
-        firmware_args=(matcher,),
-        traffic=TrafficProfile(
-            packet_size=args.size, offered_gbps=args.gbps, n_ports=2,
-            respect_generator_cap=False,
-        ),
-        window=_window(args),
-        lb=_lb(args),
-        include_absorbed=True,
-        cpu_backend=_backend(args),
-        fidelity=_fidelity(args),
-    )
-    outcome = run_experiment(spec)
-    result = outcome.throughput
-    print(format_table(
-        ["size(B)", "absorbed Gbps", "% of line", "fw drops"],
-        [[args.size, result.achieved_gbps, 100 * result.fraction_of_line,
-          outcome.counters.get("dropped_by_firmware", 0)]],
-        title=f"firewall ({args.rules} blacklist entries, {args.rpus} RPUs)",
-    ))
-    _print_fluid(outcome)
-    return 0
-
-
-def cmd_ids(args: argparse.Namespace) -> int:
-    """The §7.1 IPS at one packet size (hw or sw reordering)."""
-    rules = parse_rules(generate_ruleset(args.rules))
-    payloads = [r.content for r in rules]
-    if args.mode == "hw":
-        firmware, lb = PigasusHwReorderFirmware, _lb(args)
-    else:
-        firmware, lb = PigasusSwReorderFirmware, _lb(args, default="hash")
-    spec = ExperimentSpec(
-        config=RosebudConfig(n_rpus=args.rpus, slots_per_rpu=32),
-        firmware=firmware,
-        firmware_args=(rules,),
-        traffic=TrafficProfile(
-            packet_size=args.size, offered_gbps=args.gbps, n_ports=2,
-            source="flows", respect_generator_cap=False,
-            source_kwargs={
-                "attack_fraction": 0.01,
-                "attack_payloads": tuple(payloads),
-                "reorder_fraction": 0.003,
-                "n_flows": 2048,
-            },
-        ),
-        window=_window(args),
-        lb=lb,
-        cpu_backend=_backend(args),
-        fidelity=_fidelity(args),
-    )
-    outcome = run_experiment(spec)
-    result = outcome.throughput
-    print(format_table(
-        ["mode", "size(B)", "Gbps", "MPPS", "cycles/pkt", "to host"],
-        [[args.mode, args.size, result.achieved_gbps, result.achieved_mpps,
-          result.cycles_per_packet, outcome.counters.get("to_host", 0)]],
-        title=f"pigasus IPS ({args.rules} rules, {args.rpus} RPUs)",
-    ))
-    _print_fluid(outcome)
-    return 0
-
-
-FIRMWARE_CHOICES = {
-    "forwarder": ForwarderFirmware,
-    "nat": NatFirmware,
-}
-
-
-def _sweep_spec(args: argparse.Namespace, rpus: int, size: int, gbps: float) -> ExperimentSpec:
-    return ExperimentSpec(
-        config=RosebudConfig(n_rpus=rpus),
-        firmware=FIRMWARE_CHOICES[args.firmware],
-        traffic=TrafficProfile(
-            packet_size=size, offered_gbps=gbps, n_ports=args.ports
-        ),
-        window=_window(args),
-        lb=_lb(args, default="hash" if args.firmware == "nat" else None),
-        cpu_backend=_backend(args),
-        fidelity=_fidelity(args),
-        name=f"{args.firmware} rpus={rpus} size={size} gbps={gbps:g}",
-    )
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a (rpus x size x gbps) grid through the parallel engine."""
-    sizes = _parse_sizes(args.sizes)
-    rpu_set = _parse_sizes(args.rpu_set)
-    gbps_set = _parse_floats(args.gbps_set)
     specs = [
-        _sweep_spec(args, rpus, size, gbps)
-        for rpus in rpu_set
-        for size in sizes
-        for gbps in gbps_set
+        _spec(args, rpus=rpus, size=size, gbps=gbps).with_(
+            name=f"{args.firmware} rpus={rpus} size={size} gbps={gbps:g}"
+        )
+        for rpus in _parse_sizes(args.rpu_set)
+        for size in _parse_sizes(args.sizes)
+        for gbps in _parse_floats(args.gbps_set)
     ]
     if not specs:
         print("sweep: empty grid (check --sizes/--rpu-set/--gbps-set)",
@@ -340,40 +321,21 @@ def cmd_resources(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Generate an attack trace pcap (the artifact's `make gen`)."""
+    from .packet import write_pcap
+    from .traffic import attack_trace_from_rules, firewall_trace
+
     if args.kind == "firewall":
+        from .accel import generate_blacklist, parse_blacklist
+
         prefixes = parse_blacklist(generate_blacklist(args.rules))
         packets = firewall_trace(prefixes, packet_size=args.size)
     else:
+        from .accel.pigasus import generate_ruleset, parse_rules
+
         rules = parse_rules(generate_ruleset(args.rules))
         packets = attack_trace_from_rules(rules, packet_size=args.size)
     count = write_pcap(args.out, packets)
     print(f"wrote {count} packets to {args.out}")
-    return 0
-
-
-def cmd_nat(args: argparse.Namespace) -> int:
-    """Run the NAT middlebox at one packet size."""
-    spec = ExperimentSpec(
-        config=RosebudConfig(n_rpus=args.rpus),
-        firmware=NatFirmware,
-        traffic=TrafficProfile(
-            packet_size=args.size, offered_gbps=args.gbps, n_ports=1,
-            respect_generator_cap=False,
-        ),
-        window=_window(args),
-        lb=_lb(args, default="hash"),
-        cpu_backend=_backend(args),
-        fidelity=_fidelity(args),
-    )
-    outcome = run_experiment(spec)
-    result = outcome.throughput
-    print(format_table(
-        ["size(B)", "Gbps", "MPPS", "translated"],
-        [[args.size, result.achieved_gbps, result.achieved_mpps,
-          outcome.firmware_totals.get("translated", 0)]],
-        title=f"NAT middlebox ({args.rpus} RPUs, {spec.lb or 'hash'} LB)",
-    ))
-    _print_fluid(outcome)
     return 0
 
 
@@ -441,24 +403,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print("chaos: no --fault given (try --fault reconfig:at=200000,"
               "target=0,pr_load_ms=0.1)", file=sys.stderr)
         return 2
-    if args.firmware == "firewall":
-        prefixes = parse_blacklist(generate_blacklist(args.rules))
-        firmware, fw_args = FirewallFirmware, (IpBlacklistMatcher(prefixes),)
-    else:
-        firmware, fw_args = ForwarderFirmware, ()
-    spec = ExperimentSpec(
-        config=RosebudConfig(n_rpus=args.rpus),
-        firmware=firmware,
-        firmware_args=fw_args,
-        traffic=TrafficProfile(
-            packet_size=args.size, offered_gbps=args.gbps, n_ports=args.ports
-        ),
-        window=_window(args),
-        lb=_lb(args),
-        cpu_backend=_backend(args),
-        fidelity=_fidelity(args),
-        faults=faults,
-    )
+    spec = _spec(args, faults=faults)
     outcome = run_experiment(spec)
     result = outcome.throughput
     resilience = outcome.resilience or {}
@@ -487,12 +432,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
           f"link drops: {mac.get('rx_link_drops', 0)}; "
           f"poisoned accel results: {resilience.get('accel_results_poisoned', 0)}")
     _print_fluid(outcome)
-    if args.json:
-        import json as _json
-
-        with open(args.json, "w") as fh:
-            _json.dump(outcome.to_dict(), fh, sort_keys=True, indent=1)
-        print(f"wrote report to {args.json}")
+    _write_report(args.json, outcome)
     return 0
 
 
@@ -510,7 +450,6 @@ def parse_cluster_event(text: str):
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     """Run an N-board cluster point and print the rack-level report."""
-    from .cluster import ClusterSpec
     from .cluster.engine import ClusterEngine
 
     try:
@@ -518,30 +457,13 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"cluster: {exc}", file=sys.stderr)
         return 2
-    if args.firmware == "firewall":
-        prefixes = parse_blacklist(generate_blacklist(args.rules))
-        firmware, fw_args = FirewallFirmware, (IpBlacklistMatcher(prefixes),)
-    else:
-        firmware, fw_args = ForwarderFirmware, ()
-    spec = ExperimentSpec(
-        config=RosebudConfig(n_rpus=args.rpus),
-        firmware=firmware,
-        firmware_args=fw_args,
-        traffic=TrafficProfile(
-            packet_size=args.size, offered_gbps=args.gbps, n_ports=args.ports
-        ),
-        window=_window(args),
-        lb=_lb(args),
-        cpu_backend=_backend(args),
-        fidelity=_fidelity(args),
-        cluster=ClusterSpec(
-            boards=args.boards,
-            link_gbps=args.link_gbps,
-            link_latency_cycles=args.link_latency_cycles,
-            affinity=args.affinity,
-            watchdog_horizons=args.watchdog_horizons,
-        ),
-    )
+    spec = _spec(args, cluster=dict(
+        boards=args.boards,
+        link_gbps=args.link_gbps,
+        link_latency_cycles=args.link_latency_cycles,
+        affinity=args.affinity,
+        watchdog_horizons=args.watchdog_horizons,
+    ))
     outcome = ClusterEngine(spec, shards=args.shards, events=events).run_to_completion()
     result = outcome.throughput
     cluster = outcome.cluster
@@ -590,43 +512,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
               f"min={dip['min_gbps']:.1f} Gbps depth={dip['depth']:.3f} "
               f"width={dip['width_cycles']:g} cyc; "
               f"MTTR={resilience['mttr_cycles']:g} cyc")
-    if args.json:
-        import json as _json
-
-        with open(args.json, "w") as fh:
-            _json.dump(outcome.to_dict(), fh, sort_keys=True, indent=1)
-        print(f"wrote report to {args.json}")
-    return 0
-
-
-def _loopback_setup(n_rpus: int, system) -> None:
-    system.lb.host_write(system.lb.REG_ENABLE_MASK, (1 << (n_rpus // 2)) - 1)
-
-
-def cmd_loopback(args: argparse.Namespace) -> int:
-    """The §6.3 two-step-forwarding loopback measurement."""
-    spec = ExperimentSpec(
-        config=RosebudConfig(n_rpus=args.rpus),
-        firmware=TwoStepForwarder,
-        firmware_args=(args.rpus,),
-        traffic=TrafficProfile(
-            packet_size=args.size, offered_gbps=args.gbps, n_ports=1,
-            respect_generator_cap=False, seed_base=1,
-        ),
-        window=_window(args),
-        setup=functools.partial(_loopback_setup, args.rpus),
-        cpu_backend=_backend(args),
-        fidelity=_fidelity(args),
-    )
-    outcome = run_experiment(spec)
-    result = outcome.throughput
-    print(format_table(
-        ["size(B)", "Gbps", "% of line", "loopbacked"],
-        [[args.size, result.achieved_gbps, 100 * result.fraction_of_line,
-          outcome.counters.get("loopbacked", 0)]],
-        title="two-step forwarding over the loopback port",
-    ))
-    _print_fluid(outcome)
+    _write_report(args.json, outcome)
     return 0
 
 
@@ -643,7 +529,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     from .firmware import FORWARDER_ASM
     from .riscv import get_default_backend
 
-    backend = _backend(args) or get_default_backend()
+    backend = args.cpu_backend or get_default_backend()
     rpu = FunctionalRpu(FORWARDER_ASM, cpu_backend=backend)
     payload = bytes(range(256)) * ((args.size + 255) // 256)
     packets = max(args.packets, 10)
@@ -826,33 +712,15 @@ def cmd_image(args: argparse.Namespace) -> int:
     return 0
 
 
-def _common_parser() -> argparse.ArgumentParser:
-    """The point-selection flags every experiment subcommand accepts.
-
-    Built fresh per subparser: ``set_defaults`` mutates the matching
-    action objects, so a *shared* parent would leak one subcommand's
-    defaults (e.g. loopback's ``size=128``) into every other.
-    """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rpus", type=int, default=16, help="number of RPUs")
-    common.add_argument("--size", type=int, default=512, help="packet size, bytes")
-    common.add_argument("--gbps", type=float, default=200.0,
-                        help="total offered rate, Gbps")
-    common.add_argument("--lb", choices=LB_CHOICES, default=None,
-                        help="load-balancer policy override")
-    common.add_argument("--warmup", type=int, default=800,
-                        help="warmup packets before the window")
-    common.add_argument("--packets", type=int, default=3000,
-                        help="packets in the measurement window")
-    common.add_argument("--cpu-backend", choices=["interp", "translated"],
-                        default=None,
-                        help="ISS execution backend (default: translated)")
-    common.add_argument("--fidelity", choices=["event", "fluid"], default=None,
-                        help="simulation fidelity tier: event (pure "
-                             "discrete-event) or fluid (skip provably "
-                             "repetitive steady-state periods arithmetically; "
-                             "counters stay byte-identical)")
-    return common
+def _campaign_flags(p: argparse.ArgumentParser, **defaults: Any) -> None:
+    """The point flags plus what chaos and cluster both add to them."""
+    _add_flags(p, **defaults)
+    p.add_argument("--firmware", choices=["forwarder", "firewall"],
+                   default="forwarder")
+    p.add_argument("--rules", type=int, default=1050,
+                   help="blacklist size for --firmware firewall")
+    p.add_argument("--ports", type=int, default=2)
+    p.add_argument("--json", default=None, help="write the full report as JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -861,28 +729,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("profile", parents=[_common_parser()],
-                       help="forwarding throughput point")
-    p.add_argument("--ports", type=int, default=2)
-    p.set_defaults(func=cmd_profile)
+    for name, point in POINTS.items():
+        p = sub.add_parser(name, help=point.help)
+        _add_flags(p, **point.defaults)
+        for flag, kwargs in point.flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=cmd_point)
 
-    p = sub.add_parser("latency", parents=[_common_parser()], help="latency sweep vs Eq.1")
+    # no prefix matching where a point flag would abbreviate a grid
+    # flag (--size -> --sizes, --gbps -> --gbps-set) instead of failing
+    p = sub.add_parser("latency", help="latency sweep vs Eq.1", allow_abbrev=False)
+    _add_flags(p, "rpus", "lb", "packets", "cpu_backend", "fidelity", packets=200)
     p.add_argument("--sizes", default="64,512,1500")
-    p.set_defaults(func=cmd_latency, packets=200)
+    p.set_defaults(func=cmd_latency)
 
-    p = sub.add_parser("firewall", parents=[_common_parser()],
-                       help="firewall case study point")
-    p.add_argument("--rules", type=int, default=1050)
-    p.set_defaults(func=cmd_firewall)
-
-    p = sub.add_parser("ids", parents=[_common_parser()], help="pigasus IPS case study point")
-    p.add_argument("--mode", choices=["hw", "sw"], default="hw")
-    p.add_argument("--rules", type=int, default=120)
-    p.set_defaults(func=cmd_ids, rpus=8, size=800)
-
-    p = sub.add_parser("sweep", parents=[_common_parser()],
-                       help="grid sweep through the parallel engine")
-    p.add_argument("--firmware", choices=sorted(FIRMWARE_CHOICES), default="forwarder")
+    p = sub.add_parser("sweep", help="grid sweep through the parallel engine",
+                       allow_abbrev=False)
+    _add_flags(p, "lb", "warmup", "packets", "cpu_backend", "fidelity")
+    p.add_argument("--firmware", choices=["forwarder", "nat"], default="forwarder")
     p.add_argument("--sizes", default="64,512,1500",
                    help="comma-separated packet sizes")
     p.add_argument("--rpu-set", default="16", help="comma-separated RPU counts")
@@ -896,22 +760,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV path for the rows")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("chaos", parents=[_common_parser()],
-                       help="fault-injection campaign + resilience report")
+    p = sub.add_parser("chaos", help="fault-injection campaign + resilience report")
+    _campaign_flags(p, gbps=80.0, rpus=8, packets=20000, warmup=2000)
     p.add_argument("--fault", action="append", default=[],
                    metavar="KIND:KEY=VAL,...",
                    help="add a fault, e.g. rpu_wedge:at=100000,target=3 "
                         "(repeatable; kinds: " + ",".join(sorted(KNOWN_FAULT_KINDS)) + ")")
-    p.add_argument("--firmware", choices=["forwarder", "firewall"],
-                   default="forwarder")
-    p.add_argument("--rules", type=int, default=1050,
-                   help="blacklist size for --firmware firewall")
-    p.add_argument("--ports", type=int, default=2)
-    p.add_argument("--json", default=None, help="write the full report as JSON")
-    p.set_defaults(func=cmd_chaos, gbps=80.0, rpus=8, packets=20000, warmup=2000)
+    p.set_defaults(func=cmd_chaos)
 
-    p = sub.add_parser("cluster", parents=[_common_parser()],
-                       help="N-board rack point (flow-affine scale-out)")
+    p = sub.add_parser("cluster", help="N-board rack point (flow-affine scale-out)")
+    _campaign_flags(p, gbps=80.0, rpus=8, packets=6000, warmup=500)
     p.add_argument("--boards", type=int, default=2, help="boards in the rack")
     p.add_argument("--link-gbps", type=float, default=100.0,
                    help="inter-board link rate per direction")
@@ -932,27 +790,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="schedule a liveness event, e.g. drain:50000:1 "
                         "(kinds: drain, restore, wedge_board, unwedge_board; "
                         "repeatable)")
-    p.add_argument("--firmware", choices=["forwarder", "firewall"],
-                   default="forwarder")
-    p.add_argument("--rules", type=int, default=1050,
-                   help="blacklist size for --firmware firewall")
-    p.add_argument("--ports", type=int, default=2)
-    p.add_argument("--json", default=None, help="write the full report as JSON")
-    p.set_defaults(func=cmd_cluster, gbps=80.0, rpus=8, packets=6000, warmup=500)
+    p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("resources", parents=[_common_parser()], help="utilization report")
+    p = sub.add_parser("resources", help="utilization report")
+    _add_flags(p, "rpus")
     p.set_defaults(func=cmd_resources)
 
-    p = sub.add_parser("nat", parents=[_common_parser()], help="NAT middlebox point")
-    p.set_defaults(func=cmd_nat, rpus=8, gbps=100.0)
-
-    p = sub.add_parser("loopback", parents=[_common_parser()],
-                       help="two-step loopback measurement")
-    p.set_defaults(func=cmd_loopback, size=128, gbps=100.0)
-
-    p = sub.add_parser("calibrate", parents=[_common_parser()],
-                       help="ISS speed/cycles-per-packet calibration")
-    p.set_defaults(func=cmd_calibrate, packets=200)
+    p = sub.add_parser("calibrate", help="ISS speed/cycles-per-packet calibration")
+    _add_flags(p, "size", "packets", "cpu_backend", packets=200)
+    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("serve",
                        help="interactive JSON-RPC session over stdin/stdout")
@@ -962,9 +808,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit nonzero if any request errors (scripted mode)")
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("verify", parents=[_common_parser()],
-                       help="static firmware verification (CFG/WCET budget, "
-                            "MMIO footprint, replay lint)")
+    p = sub.add_parser("verify", help="static firmware verification (CFG/WCET "
+                                      "budget, MMIO footprint, replay lint)")
+    # unset point flags fall back to each firmware's registry-documented
+    # operating point, not the generic experiment defaults
+    _add_flags(p, "rpus", "size", "gbps", rpus=None, size=None, gbps=None)
     p.add_argument("--fw", default=None,
                    help="bundled firmware to verify (see repro.verify registry)")
     p.add_argument("--all", action="store_true",
@@ -976,20 +824,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the abstract-interpretation detail: per-access "
                         "memory-safety verdicts with provenance, inferred "
                         "loop bounds, worst-case stack depth")
-    # point flags fall back to each firmware's registry-documented
-    # operating point, not the generic experiment defaults
-    p.set_defaults(func=cmd_verify, rpus=None, size=None, gbps=None)
+    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("disasm", parents=[_common_parser()], help="disassemble firmware")
+    p = sub.add_parser("disasm", help="disassemble firmware")
     p.add_argument("target", help="bundled firmware name (see `verify --all`) or .rfw file")
     p.set_defaults(func=cmd_disasm)
 
-    p = sub.add_parser("image", parents=[_common_parser()], help="build an RFW firmware image")
+    p = sub.add_parser("image", help="build an RFW firmware image")
     p.add_argument("firmware", help="bundled firmware name (see `verify --all`)")
     p.add_argument("--out", default="firmware.rfw")
     p.set_defaults(func=cmd_image)
 
-    p = sub.add_parser("trace", parents=[_common_parser()], help="generate an attack pcap")
+    p = sub.add_parser("trace", help="generate an attack pcap")
+    _add_flags(p, "size")
     p.add_argument("--kind", choices=["firewall", "ids"], default="firewall")
     p.add_argument("--rules", type=int, default=100)
     p.add_argument("--out", default="attack.pcap")
@@ -1000,13 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    backend = getattr(args, "cpu_backend", None)
-    if backend is not None:
-        # covers every RiscvCpu built this process; specs additionally
-        # carry the choice so spawn-pool workers follow it too
-        from .riscv import set_default_backend
-
-        set_default_backend(backend)
     return args.func(args)
 
 

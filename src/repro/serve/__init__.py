@@ -7,8 +7,9 @@ traffic-feed abstraction shared by generators, pcap replay, and
 programmatic injection.
 """
 
+from ..analysis.spec import spec_from_params
 from .feed import PacketBurstFeed, PcapFeed, SourceFeed, TrafficFeed
-from .rpc import ServeServer, run_script, serve_loop, spec_from_params
+from .rpc import ServeServer, run_script, serve_loop
 from .session import SessionError, SimSession
 
 __all__ = [

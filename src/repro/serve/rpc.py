@@ -9,7 +9,8 @@ and each reply is one ``repro-serve/1`` envelope per line::
     {"schema": "repro-serve/1", "id": 1, "ok": true, "result": {...}}
     {"schema": "repro-serve/1", "id": 2, "ok": false, "error": {...}}
 
-Methods: ``open`` (build a session from spec-shaped params), ``step``
+Methods: ``open`` (build a session from params through
+:func:`repro.analysis.spec.spec_from_params`, the CLI's builder), ``step``
 (``n_events`` / ``until_ts`` / ``cycles``), ``run`` (step to
 measurement completion), ``inject`` (synthetic UDP burst or a pcap
 feed), ``control`` (reconfigure / fault / set_lb / watchdog / ...),
@@ -27,124 +28,10 @@ import json
 import sys
 from typing import Any, Dict, IO, List, Optional
 
-from ..analysis.spec import (
-    ExperimentSpec,
-    MeasurementWindow,
-    SpecError,
-    TrafficProfile,
-)
-from ..core.config import RosebudConfig
+from ..analysis.spec import SpecError, spec_from_params
 from ..schema import stamp
 from .feed import PcapFeed
 from .session import SessionError, SimSession
-
-#: firmware name -> builder(rules) returning (factory, firmware_args,
-#: default lb, traffic overrides).  Mirrors the CLI subcommands so a
-#: serve session can open any bundled middlebox.
-SERVE_FIRMWARES = ("forwarder", "nat", "firewall", "pigasus_hw", "pigasus_sw")
-
-
-def _firmware_bundle(name: str, rules: int):
-    if name == "forwarder":
-        from ..firmware import ForwarderFirmware
-
-        return ForwarderFirmware, (), None, {}
-    if name == "nat":
-        from ..firmware import NatFirmware
-
-        return NatFirmware, (), "hash", {"respect_generator_cap": False}
-    if name == "firewall":
-        from ..accel import IpBlacklistMatcher, generate_blacklist, parse_blacklist
-        from ..firmware import FirewallFirmware
-
-        matcher = IpBlacklistMatcher(parse_blacklist(generate_blacklist(rules)))
-        return FirewallFirmware, (matcher,), None, {"respect_generator_cap": False}
-    if name in ("pigasus_hw", "pigasus_sw", "pigasus"):
-        from ..accel.pigasus import generate_ruleset, parse_rules
-        from ..firmware import PigasusHwReorderFirmware, PigasusSwReorderFirmware
-
-        parsed = parse_rules(generate_ruleset(rules))
-        payloads = tuple(r.content for r in parsed)
-        factory = (
-            PigasusSwReorderFirmware if name == "pigasus_sw" else PigasusHwReorderFirmware
-        )
-        lb = "hash" if name == "pigasus_sw" else None
-        overrides = {
-            "source": "flows",
-            "respect_generator_cap": False,
-            "source_kwargs": {
-                "attack_fraction": 0.01,
-                "attack_payloads": payloads,
-                "reorder_fraction": 0.003,
-                "n_flows": 2048,
-            },
-        }
-        return factory, (parsed,), lb, overrides
-    raise SpecError(f"unknown firmware {name!r}; choices: {sorted(SERVE_FIRMWARES)}")
-
-
-def spec_from_params(params: Dict[str, Any]) -> ExperimentSpec:
-    """Build an :class:`ExperimentSpec` from RPC ``open`` parameters."""
-    p = dict(params)
-    name = p.pop("firmware", "forwarder")
-    factory, fw_args, default_lb, overrides = _firmware_bundle(
-        name, int(p.pop("rules", 120))
-    )
-
-    config_kwargs: Dict[str, Any] = {"n_rpus": int(p.pop("rpus", 16))}
-    if "slots_per_rpu" in p:
-        config_kwargs["slots_per_rpu"] = int(p.pop("slots_per_rpu"))
-    elif name in ("pigasus_hw", "pigasus_sw", "pigasus"):
-        config_kwargs["slots_per_rpu"] = 32
-
-    traffic_kwargs: Dict[str, Any] = dict(overrides)
-    traffic_kwargs.update(
-        packet_size=int(p.pop("size", 512)),
-        offered_gbps=float(p.pop("gbps", 100.0)),
-        n_ports=int(p.pop("ports", 2)),
-    )
-    if "source" in p:
-        traffic_kwargs["source"] = p.pop("source")
-    if "source_kwargs" in p:
-        traffic_kwargs["source_kwargs"] = p.pop("source_kwargs")
-    if "seed_base" in p:
-        traffic_kwargs["seed_base"] = int(p.pop("seed_base"))
-    if "respect_generator_cap" in p:
-        traffic_kwargs["respect_generator_cap"] = bool(p.pop("respect_generator_cap"))
-
-    window = MeasurementWindow(
-        warmup_packets=int(p.pop("warmup", 800)),
-        measure_packets=int(p.pop("packets", 3000)),
-        max_cycles=float(p.pop("max_cycles", 500_000_000)),
-    )
-
-    spec_kwargs: Dict[str, Any] = {
-        "config": RosebudConfig(**config_kwargs),
-        "firmware": factory,
-        "firmware_args": fw_args,
-        "traffic": TrafficProfile(**traffic_kwargs),
-        "window": window,
-        "lb": p.pop("lb", default_lb),
-        "measure": p.pop("measure", "throughput"),
-        "include_absorbed": bool(p.pop("include_absorbed", name == "firewall")),
-        "faults": tuple(p.pop("faults", ())),
-        "fidelity": p.pop("fidelity", "event"),
-    }
-    if "cluster" in p:
-        cluster = p.pop("cluster")
-        if isinstance(cluster, int):
-            cluster = {"boards": cluster}
-        # a dict is normalised to a ClusterSpec by the spec itself
-        spec_kwargs["cluster"] = cluster
-    if "include_host" in p:
-        spec_kwargs["include_host"] = bool(p.pop("include_host"))
-    if "cpu_backend" in p:
-        spec_kwargs["cpu_backend"] = p.pop("cpu_backend")
-    if "verify" in p:
-        spec_kwargs["verify"] = p.pop("verify")
-    if p:
-        raise SpecError(f"unknown open parameters: {sorted(p)}")
-    return ExperimentSpec(**spec_kwargs)
 
 
 class ServeServer:
@@ -328,6 +215,4 @@ __all__: List[str] = [
     "ServeServer",
     "serve_loop",
     "run_script",
-    "spec_from_params",
-    "SERVE_FIRMWARES",
 ]

@@ -13,7 +13,7 @@ from .clock import (
 )
 from .kernel import Event, SimProfile, SimulationError, Simulator
 from .resources import BoundedFifo, PriorityArbiter, RoundRobinArbiter, SerialLink
-from .stats import Counter, CounterSet, Histogram, RateMeter, ThroughputSample
+from .stats import Counter, CounterSet, Histogram, RateMeter
 
 __all__ = [
     "Clock",
@@ -37,5 +37,4 @@ __all__ = [
     "CounterSet",
     "Histogram",
     "RateMeter",
-    "ThroughputSample",
 ]

@@ -182,48 +182,13 @@ class Histogram:
 
 @dataclass
 class RateMeter:
-    """Computes average rates over an observation window.
-
-    Feed it byte/packet completions, then ask for Gbps/MPPS given the
-    elapsed time.  This matches how the artifact's host utility reports
-    "RX bytes" averaged over the run.
-    """
+    """Running byte/packet totals for one egress (the artifact's "RX
+    bytes" counters); rates over a window are differenced from these by
+    ``analysis.harness``."""
 
     bytes_total: int = 0
     packets_total: int = 0
-    start_time: float = 0.0
 
     def record_packet(self, nbytes: int) -> None:
         self.bytes_total += nbytes
         self.packets_total += 1
-
-    def gbps(self, elapsed_seconds: float) -> float:
-        if elapsed_seconds <= 0:
-            return 0.0
-        return self.bytes_total * 8 / elapsed_seconds / 1e9
-
-    def mpps(self, elapsed_seconds: float) -> float:
-        if elapsed_seconds <= 0:
-            return 0.0
-        return self.packets_total / elapsed_seconds / 1e6
-
-    def reset(self, now: float = 0.0) -> None:
-        self.bytes_total = 0
-        self.packets_total = 0
-        self.start_time = now
-
-
-@dataclass
-class ThroughputSample:
-    """One point on a throughput-vs-packet-size curve."""
-
-    packet_size: int
-    offered_gbps: float
-    achieved_gbps: float
-    achieved_mpps: float
-
-    @property
-    def fraction_of_offered(self) -> float:
-        if self.offered_gbps == 0:
-            return 0.0
-        return self.achieved_gbps / self.offered_gbps

@@ -93,14 +93,20 @@ class TestParallelDeterminism:
             )
 
     def test_pool_crash_isolates_and_recovers(self):
-        specs = _grid(sizes=(256,))
-        specs.insert(1, specs[0].with_(firmware=_exiting_firmware))
-        specs.append(_grid(sizes=(512,))[0])
-        runner = SweepRunner(jobs=2)
-        outcome = runner.run(specs)
-        statuses = [p.status for p in outcome]
-        assert statuses.count("ok") == 2
-        assert statuses[1] == "error" or "error" in statuses
+        # the neighbour's window is long enough that it is certainly
+        # still running when the crashing point kills its worker and
+        # breaks the shared pool; only the crashing point may be blamed
+        neighbour = _grid(sizes=(256,))[0].with_(
+            window=MeasurementWindow(warmup_packets=150, measure_packets=16000)
+        )
+        specs = [
+            neighbour,
+            neighbour.with_(firmware=_exiting_firmware),
+            _grid(sizes=(512,))[0],
+        ]
+        outcome = SweepRunner(jobs=2).run(specs)
+        assert [p.status for p in outcome] == ["ok", "error", "ok"]
+        assert "worker process died" in outcome[1].error
 
 
 class TestCache:
@@ -141,3 +147,16 @@ class TestCache:
             entry.write_text("{not json")
         runner.run(specs)
         assert runner.stats["simulated"] == 1
+
+    def test_firewall_spec_hits_cache_across_builds(self, tmp_path):
+        from repro.serve import spec_from_params
+
+        def build():
+            return spec_from_params({
+                "firmware": "firewall", "rules": 50, "rpus": 8, "size": 512,
+                "gbps": 100, "warmup": 150, "packets": 400,
+            })
+
+        SweepRunner(jobs=1, cache_dir=tmp_path / "c").run([build()])
+        outcome = SweepRunner(jobs=1, cache_dir=tmp_path / "c").run([build()])
+        assert outcome[0].status == "cached"

@@ -102,6 +102,17 @@ class TestCacheKey:
         payload = json.dumps(_spec(lb="hash").to_dict())
         assert "ForwarderFirmware" in payload
 
+    @pytest.mark.parametrize("firmware", ["firewall", "pigasus_hw"])
+    def test_independent_builds_share_a_key(self, firmware):
+        # rule-carrying firmware args hash by content, never by address
+        from repro.serve import spec_from_params
+
+        a, b = (spec_from_params({"firmware": firmware, "rules": 50}) for _ in "ab")
+        assert a.firmware_args[0] is not b.firmware_args[0]
+        assert " at 0x" not in json.dumps(a.to_dict())
+        assert a.cache_key() == b.cache_key()
+        assert a.cache_key() != spec_from_params({"firmware": firmware, "rules": 51}).cache_key()
+
 
 class TestRunExperiment:
     def test_throughput_point(self):

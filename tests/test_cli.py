@@ -75,13 +75,14 @@ class TestSweep:
         assert "2 cached" in out and "0 simulated" in out
 
     def test_common_flags_accepted_everywhere(self):
-        # the shared parent parser: --rpus/--size/--gbps/--lb parse on
-        # every experiment subcommand
+        # --rpus/--size/--gbps/--lb parse on every subcommand that reads
+        # all four (the others reject what they would ignore: see
+        # TestFlagsAreRead)
         from repro.cli import build_parser
 
         parser = build_parser()
-        for command in ("profile", "latency", "firewall", "ids", "nat",
-                        "loopback", "sweep", "resources", "trace"):
+        for command in ("profile", "firewall", "ids", "nat", "loopback",
+                        "chaos", "cluster"):
             args = parser.parse_args([
                 command, "--rpus", "8", "--size", "256", "--gbps", "100",
                 "--lb", "hash",
@@ -126,3 +127,115 @@ class TestResourcesAndTrace:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["bogus"])
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """The specs a CLI command hands to its run call, captured instead
+    of simulated."""
+    import repro.cli as cli
+    import repro.cluster.engine as cluster_engine
+
+    specs = []
+
+    def capture(spec, **_runtime):
+        specs.append(spec)
+        raise _Captured
+
+    class Runner:
+        def __init__(self, **_options):
+            pass
+
+        def run(self, grid):
+            specs.extend(grid)
+            raise _Captured
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    monkeypatch.setattr(cli, "SweepRunner", Runner)
+    monkeypatch.setattr(cluster_engine, "ClusterEngine", capture)
+    return specs
+
+
+_POINT = ["--rpus", "8", "--size", "256", "--gbps", "100",
+          "--warmup", "150", "--packets", "400"]
+_POINT_PARAMS = {"rpus": 8, "size": 256, "gbps": 100, "warmup": 150, "packets": 400}
+
+
+class TestOneBuilder:
+    """Each CLI experiment command builds the spec ``repro serve``'s
+    ``open`` builds for the same named middlebox at the same point."""
+
+    @pytest.mark.parametrize("argv, params", [
+        (["profile", *_POINT], {"firmware": "forwarder"}),
+        (["firewall", *_POINT, "--rules", "50"], {"firmware": "firewall", "rules": 50}),
+        (["nat", *_POINT], {"firmware": "nat", "ports": 1}),
+        (["ids", "--mode", "hw", *_POINT, "--rules", "8"],
+         {"firmware": "pigasus_hw", "rules": 8}),
+        (["ids", "--mode", "sw", *_POINT, "--rules", "8"],
+         {"firmware": "pigasus_sw", "rules": 8}),
+        (["chaos", "--firmware", "firewall", *_POINT, "--rules", "50",
+          "--fault", "watchdog"],
+         {"firmware": "firewall", "rules": 50, "faults": [{"kind": "watchdog"}]}),
+        (["cluster", "--firmware", "firewall", *_POINT, "--rules", "50"],
+         {"firmware": "firewall", "rules": 50, "cluster": 2}),
+    ], ids=["profile", "firewall", "nat", "ids-hw", "ids-sw", "chaos-firewall",
+            "cluster-firewall"])
+    def test_point_commands(self, captured, argv, params):
+        from repro.serve import spec_from_params
+
+        with pytest.raises(_Captured):
+            main(argv)
+        (spec,) = captured
+        assert spec.to_dict() == spec_from_params({**_POINT_PARAMS, **params}).to_dict()
+
+    def test_sweep_nat(self, captured):
+        from repro.serve import spec_from_params
+
+        with pytest.raises(_Captured):
+            main(["sweep", "--firmware", "nat", "--rpu-set", "8", "--sizes", "256,512",
+                  "--gbps-set", "100", "--warmup", "150", "--packets", "400"])
+        assert [spec.to_dict() for spec in captured] == [
+            spec_from_params({"firmware": "nat", "rpus": 8, "size": size, "gbps": 100,
+                              "warmup": 150, "packets": 400}).to_dict()
+            for size in (256, 512)
+        ]
+        assert captured[0].name == "nat rpus=8 size=256 gbps=100"
+
+    def test_loopback_honours_lb(self, captured):
+        with pytest.raises(_Captured):
+            main(["loopback", "--lb", "rr"])
+        assert captured[0].lb == "rr"
+
+
+#: Point flags each subcommand used to accept and ignore.
+_IGNORED = {
+    "latency": ["--size", "--gbps", "--warmup"],
+    "sweep": ["--size", "--gbps", "--rpus"],
+    "resources": ["--size", "--gbps", "--lb", "--warmup", "--packets",
+                  "--cpu-backend", "--fidelity"],
+    "trace": ["--rpus", "--gbps", "--lb", "--warmup", "--packets",
+              "--cpu-backend", "--fidelity"],
+    "verify": ["--lb", "--warmup", "--packets", "--cpu-backend", "--fidelity"],
+    "calibrate": ["--rpus", "--gbps", "--lb", "--warmup", "--fidelity"],
+    "disasm forwarder": ["--rpus", "--size", "--gbps", "--lb", "--warmup",
+                         "--packets", "--cpu-backend", "--fidelity"],
+    "image forwarder": ["--rpus", "--size", "--gbps", "--lb", "--warmup",
+                        "--packets", "--cpu-backend", "--fidelity"],
+}
+_VALUES = {"--rpus": "8", "--size": "256", "--gbps": "100", "--lb": "hash",
+           "--warmup": "100", "--packets": "100", "--cpu-backend": "interp",
+           "--fidelity": "fluid"}
+
+
+class TestFlagsAreRead:
+    @pytest.mark.parametrize("command", sorted(_IGNORED))
+    def test_ignored_flags_exit_2(self, command, capsys):
+        for flag in _IGNORED[command]:
+            with pytest.raises(SystemExit) as exc:
+                main([*command.split(), flag, _VALUES[flag]])
+            assert exc.value.code == 2, flag
+            assert flag in capsys.readouterr().err

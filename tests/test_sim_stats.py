@@ -1,9 +1,9 @@
-"""Tests for counters, histograms, and rate meters."""
+"""Tests for counters and histograms."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import Counter, CounterSet, Histogram, RateMeter
+from repro.sim import Counter, CounterSet, Histogram
 
 
 class TestCounters:
@@ -95,31 +95,3 @@ class TestHistogram:
             hist.record(value)
         for pct in (0, 25, 50, 75, 99, 100):
             assert min(values) <= hist.percentile(pct) <= max(values)
-
-
-class TestRateMeter:
-    def test_gbps(self):
-        meter = RateMeter()
-        for _ in range(1000):
-            meter.record_packet(125)  # 1000 bits each
-        # 1e6 bits over 1 ms = 1 Gbps
-        assert meter.gbps(1e-3) == pytest.approx(1.0)
-
-    def test_mpps(self):
-        meter = RateMeter()
-        for _ in range(500):
-            meter.record_packet(64)
-        assert meter.mpps(1e-3) == pytest.approx(0.5)
-
-    def test_zero_elapsed_is_safe(self):
-        meter = RateMeter()
-        meter.record_packet(100)
-        assert meter.gbps(0) == 0.0
-        assert meter.mpps(0) == 0.0
-
-    def test_reset(self):
-        meter = RateMeter()
-        meter.record_packet(100)
-        meter.reset(now=5.0)
-        assert meter.bytes_total == 0
-        assert meter.start_time == 5.0
