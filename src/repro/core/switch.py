@@ -15,6 +15,7 @@ which is what fills the MAC FIFO under overload.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from ..packet.packet import Packet
@@ -42,7 +43,9 @@ class PortIngress:
         self.port = port
         self.lb = lb
         self.dispatch = dispatch
-        self.counters = CounterSet(["assigned", "wait_for_slot", "oversize_drops"])
+        #: frames too big for a packet slot, dropped here (one of the five
+        #: sinks that partition every offered packet)
+        self.counters = CounterSet(["oversize_drops"])
         self._current: Optional[Packet] = None
         self._busy = False
         self._waiting_for_slot = False
@@ -76,10 +79,8 @@ class PortIngress:
             # head-of-line block until a slot frees
             self._busy = False
             self._waiting_for_slot = True
-            self.counters.add("wait_for_slot")
             return
         self._waiting_for_slot = False
-        self.counters.add("assigned")
         packet.stamp("lb_assigned", self.sim.now)
         self._current = None
         self._busy = False
@@ -123,7 +124,6 @@ class ClusterSwitch:
         self.sim = sim
         self.config = config
         self.name = name
-        self.counters = CounterSet(["frames", "bytes"])
         self._on_done = on_done
         self._queues = {cls: [] for cls in self.INPUT_CLASSES}
         self._busy = False
@@ -154,14 +154,9 @@ class ClusterSwitch:
         service = float(self.config.cluster_service_cycles(packet.size))
         cut_through = min(service, float(self.config.cluster_cut_through_cycles))
         self.sim.schedule(
-            cut_through, lambda: self._deliver(packet), name=self.name
+            cut_through, lambda: self._on_done(packet), name=self.name
         )
         self.sim.schedule(service, self._grant, name=self.name)
-
-    def _deliver(self, packet: Packet) -> None:
-        self.counters.add("frames")
-        self.counters.add("bytes", packet.size)
-        self._on_done(packet)
 
 
 class RpuLink:
@@ -227,7 +222,7 @@ class DistributionFabric:
                 for c in range(config.n_clusters)
             ]
             self.rpu_links = [
-                RpuLink(sim, config, f"rpu{i}.out", self._rpu_out_done)
+                RpuLink(sim, config, f"rpu{i}.out", partial(self._rpu_out_done, i))
                 for i in range(config.n_rpus)
             ]
 
@@ -257,11 +252,9 @@ class DistributionFabric:
 
     def send_from_rpu(self, packet: Packet, rpu_index: int) -> None:
         assert self.direction == "out"
-        packet.timestamps["egress_rpu"] = rpu_index
         self.rpu_links[rpu_index].send(packet)
 
-    def _rpu_out_done(self, packet: Packet) -> None:
-        rpu_index = packet.timestamps["egress_rpu"]
+    def _rpu_out_done(self, rpu_index: int, packet: Packet) -> None:
         if self.on_rpu_out is not None:
             self.on_rpu_out(packet, rpu_index)
         cluster = self.config.rpu_cluster(rpu_index)

@@ -268,8 +268,7 @@ class RosebudSystem:
             packet.born_at += delta
             if packet.timestamps:
                 for key in packet.timestamps:
-                    if key != "egress_rpu":  # an RPU index, not a time
-                        packet.timestamps[key] += delta
+                    packet.timestamps[key] += delta
         return len(self._live_packets)
 
     # -- running ----------------------------------------------------------------------

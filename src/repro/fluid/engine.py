@@ -11,8 +11,8 @@ whole periods with arithmetic:
    cycle length, the engine records a boundary: the congruence signature
    (:func:`repro.fluid.signature.state_signature`), the queue-occupancy
    vector (:func:`repro.fluid.signature.queue_occupancy`), the value of
-   every integer counter cell, every float accumulator, and the latency
-   samples recorded since the previous boundary.
+   every integer ledger cell, and the latency samples recorded since the
+   previous boundary.
 
 2. **Period confirmation.** Boundaries live in a long phase-indexed
    history (:data:`_HISTORY_LEN` entries) with a signature-hash index,
@@ -22,14 +22,14 @@ whole periods with arithmetic:
    interleaved with the service pattern) is as provable as a trivial
    one-boundary loop.  When the newest boundary's signature equals the
    one ``j`` boundaries back *and* the one ``2j`` back, and the
-   integer-counter deltas across the two windows are **exactly** equal
-   (floats within 1e-6), the window is a proven period: the system's
-   discrete state is congruent and its observable effects repeat.
+   integer-counter deltas across the two windows are **exactly** equal,
+   the window is a proven period: the system's discrete state is
+   congruent and its observable effects repeat.
 
 3. **Warp.** At a confirmed boundary the engine advances the clock by
    ``k`` whole periods in one step (:meth:`Simulator.warp`), adds
-   ``k x delta`` to every ledger cell — counters, meters, busy-time,
-   drop counters, ``events_processed`` — shifts in-flight packet
+   ``k x delta`` to every ledger cell — counters, meters, drop
+   counters, ``events_processed`` — shifts in-flight packet
    timestamps and RPU progress marks, and bulk-records ``k`` copies of
    the period's latency samples.  Integer counters after a warp are
    **byte-identical** to what event simulation would have produced;
@@ -75,7 +75,7 @@ _HISTORY_LEN = 1408
 _MAX_CANDIDATES = 12
 #: de-opt records kept in stats
 _MAX_DEOPTS = 16
-#: relative tolerance for float cells / period durations across windows
+#: relative tolerance for period durations across windows
 _FLOAT_RTOL = 1e-6
 #: event name used by the cluster harness for cross-board deliveries;
 #: a pending event with this name pins absolute time and blocks warps
@@ -89,7 +89,6 @@ class _Boundary:
     sig_hash: Optional[int]
     occupancy: Tuple[int, ...]
     ints: Tuple[int, ...]
-    floats: Tuple[float, ...]
     completions: Optional[int]
     host_rx_len: int
     hist_id: int
@@ -105,7 +104,6 @@ class _Steady:
     period_boundaries: int
     sig: Tuple
     int_deltas: Tuple[int, ...]
-    float_deltas: Tuple[float, ...]
     completions_delta: Optional[int]
     period_samples: Tuple[float, ...]
     horizon: float
@@ -173,7 +171,6 @@ class FluidEngine:
             profile = self._boundary_src.fluid_profile()
             self._boundary_every = max(1, profile[0])
         self._int_cells: List[Tuple[str, Any, str]] = []
-        self._float_cells: List[Tuple[str, Any, str]] = []
         self._sent_ix: List[int] = []
         self._drop_ix: List[int] = []
         self._done_ix: List[int] = []
@@ -233,39 +230,24 @@ class FluidEngine:
     # -- ledger cells --------------------------------------------------------
 
     def _build_cells(self) -> None:
-        """Enumerate every integer counter and float accumulator that event
-        simulation would advance during a period.  The warp adds
+        """Enumerate every integer that event simulation would advance
+        during a period and someone reads: the host-visible counters,
+        meters, firmware state and ``events_processed``.  The warp adds
         ``k x per-period-delta`` to each, so this inventory is exactly the
         engine's claim of observational equivalence."""
         system = self.system
         ints: List[Tuple[str, Any, str]] = []
-        floats: List[Tuple[str, Any, str]] = []
 
         def counters(label: str, cset) -> None:
             for name in sorted(cset._counters):
                 ints.append((f"{label}.{name}", cset._counters[name], "value"))
 
-        def link(label: str, serial) -> None:
-            counters(f"{label}.ctr", serial.counters)
-            counters(f"{label}.q", serial.queue.counters)
-            floats.append((f"{label}.busy_time", serial, "busy_time"))
-
         ints.append(("sim.events_processed", self.sim, "events_processed"))
         counters("system", system.counters)
         for i, mac in enumerate(system.macs):
             counters(f"mac{i}", mac.counters)
-            counters(f"mac{i}.rx_fifo", mac.rx_fifo.counters)
-            link(f"mac{i}.rx_link", mac._rx_link)
-            link(f"mac{i}.tx_link", mac._tx_link)
         for i, ing in enumerate(system.port_ingress):
             counters(f"ingress{i}", ing.counters)
-        for tag, fabric in (("in", system.fabric_in), ("out", system.fabric_out)):
-            for i, sw in enumerate(fabric.cluster_switches):
-                counters(f"fabric_{tag}.sw{i}", sw.counters)
-            for i, rl in enumerate(fabric.rpu_links):
-                link(f"fabric_{tag}.rpu_link{i}", rl.link)
-        link("host_link", system.host_link)
-        link("loopback", system.loopback.link)
         for name in ("dispatched", "deferred"):
             ints.append((f"lb.{name}", system.lb, name))
         for i, rpu in enumerate(system.rpus):
@@ -283,7 +265,6 @@ class FluidEngine:
             ints.append((f"src.p{src.port}.sent", src, "sent"))
 
         self._int_cells = ints
-        self._float_cells = floats
         # index sets for the contended conservation cross-check: offered
         # emissions, MAC-level drop sinks, and completion sinks
         self._sent_ix = [
@@ -303,9 +284,6 @@ class FluidEngine:
 
     def _read_ints(self) -> Tuple[int, ...]:
         return tuple(getattr(obj, attr) for _l, obj, attr in self._int_cells)
-
-    def _read_floats(self) -> Tuple[float, ...]:
-        return tuple(getattr(obj, attr) for _l, obj, attr in self._float_cells)
 
     # -- boundary capture & period confirmation ------------------------------
 
@@ -374,7 +352,6 @@ class FluidEngine:
                 sig_hash=sig_hash,
                 occupancy=occupancy,
                 ints=self._read_ints(),
-                floats=self._read_floats(),
                 completions=completions,
                 host_rx_len=len(self.system.host_rx),
                 hist_id=hist_id,
@@ -460,13 +437,6 @@ class FluidEngine:
         p_bc = b.time - c.time
         if p_ab <= 0 or not math.isclose(p_ab, p_bc, rel_tol=_FLOAT_RTOL):
             return False
-        f_ab = tuple(x - y for x, y in zip(a.floats, b.floats))
-        f_bc = tuple(x - y for x, y in zip(b.floats, c.floats))
-        if any(
-            not math.isclose(x, y, rel_tol=_FLOAT_RTOL, abs_tol=1e-6)
-            for x, y in zip(f_ab, f_bc)
-        ):
-            return False
         if a.host_rx_len != b.host_rx_len:
             # host_rx accumulates real packet objects; extrapolating a
             # growing list is not possible, so never warp across it
@@ -482,7 +452,6 @@ class FluidEngine:
             period_boundaries=j,
             sig=a.signature,
             int_deltas=d_ab,
-            float_deltas=f_ab,
             completions_delta=completions_delta,
             period_samples=samples,
             horizon=self._horizon,
@@ -592,9 +561,6 @@ class FluidEngine:
         for (label, obj, attr), d in zip(self._int_cells, st.int_deltas):
             if d:
                 setattr(obj, attr, getattr(obj, attr) + k * d)
-        for (label, obj, attr), d in zip(self._float_cells, st.float_deltas):
-            if d:
-                setattr(obj, attr, getattr(obj, attr) + k * d)
         for rpu in self.system.rpus:
             rpu.last_progress += delta
         self.system.shift_live_packets(delta)
@@ -615,9 +581,6 @@ class FluidEngine:
             boundary.time += delta
             boundary.ints = tuple(
                 v + k * d for v, d in zip(boundary.ints, st.int_deltas)
-            )
-            boundary.floats = tuple(
-                v + k * d for v, d in zip(boundary.floats, st.float_deltas)
             )
             if boundary.completions is not None and st.completions_delta is not None:
                 boundary.completions += k * st.completions_delta

@@ -38,7 +38,7 @@ def _link_state(link) -> Tuple:
     return (
         bool(link.busy),
         bool(link.paused),
-        tuple(_packet_key(item) for item, _n in link.queue._items),
+        tuple(_packet_key(item) for item, _n in link.queue),
     )
 
 
@@ -75,21 +75,21 @@ def queue_occupancy(system) -> Tuple[int, ...]:
     out = []
     for mac in system.macs:
         out.append(len(mac.rx_fifo._items))
-        out.append(len(mac._rx_link.queue._items))
-        out.append(len(mac._tx_link.queue._items))
+        out.append(len(mac._rx_link.queue))
+        out.append(len(mac._tx_link.queue))
     for ing in system.port_ingress:
         out.append(0 if ing._current is None else 1)
     for fabric in (system.fabric_in, system.fabric_out):
         for sw in fabric.cluster_switches:
             out.append(sum(len(sw._queues[cls]) for cls in sw.INPUT_CLASSES))
         for rl in fabric.rpu_links:
-            out.append(len(rl.link.queue._items))
+            out.append(len(rl.link.queue))
     for rpu in system.rpus:
         out.append(len(rpu._in_queue))
         out.append(len(rpu._accel_queue))
         out.append(len(rpu._results))
-    out.append(len(system.host_link.queue._items))
-    out.append(len(system.loopback.link.queue._items))
+    out.append(len(system.host_link.queue))
+    out.append(len(system.loopback.link.queue))
     out.append(len(system.host_rx))
     return tuple(out)
 

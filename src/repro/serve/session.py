@@ -642,6 +642,7 @@ class SimSession:
                 "rx_link": mac_total("rx_link_drops"),
                 "rx_runts": mac_total("rx_runts"),
                 "rx_giants": mac_total("rx_giants"),
+                "oversize": sum(p.counters.value("oversize_drops") for p in system.port_ingress),
             },
             "queues": {
                 "mac_rx_backlog": [mac.rx_backlog() for mac in system.macs],

@@ -2,16 +2,18 @@
 
 Three primitives cover nearly every contended element in Rosebud:
 
-* :class:`BoundedFifo` — a finite queue with drop-or-block semantics,
-  modelling MAC FIFOs and the width-conversion FIFOs in the switches.
-* :class:`SerialLink` — a link that serializes items for a computed
-  service time, modelling MAC serialization, switch output ports, and
-  the 32 Gbps per-RPU ingress links.
+* :class:`BoundedFifo` — a byte-bounded tail-drop queue, modelling the
+  MAC RX FIFO.
+* :class:`SerialLink` — a store-and-forward link that serializes items
+  for a computed service time, modelling MAC serialization, the 32 Gbps
+  per-RPU links, PCIe and the loopback port.
 * :class:`RoundRobinArbiter` — the default arbitration policy between
   inputs contending for the same output (§4.3).
 
-All of them are *event-driven*: callers hand items to the resource and
-get a callback when the item has passed through.
+The links are *event-driven*: callers hand items to the resource and
+get a callback when the item has passed through.  None of these
+primitives counts anything; the host-visible counters live on the
+components that own them (``MacPort``, ``RpuModel``, ``RosebudSystem``).
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ from collections import deque
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from .kernel import Simulator
-from .stats import CounterSet
 
 
 class BoundedFifo:
-    """A byte-bounded FIFO with configurable overflow behaviour.
+    """A byte-bounded FIFO.
 
     ``capacity_bytes`` of None means unbounded.  When full, ``push``
-    returns False and records a drop (tail-drop, like a MAC FIFO).
+    returns False and leaves the queue unchanged (tail-drop, like a MAC
+    FIFO); the owner counts the drop.
     """
 
     def __init__(
@@ -39,7 +41,6 @@ class BoundedFifo:
         self.capacity_bytes = capacity_bytes
         self._items: Deque[Tuple[Any, int]] = deque()
         self._occupancy = 0
-        self.counters = CounterSet(["pushes", "pops", "drops", "bytes_in", "bytes_out"])
 
     @property
     def occupancy_bytes(self) -> int:
@@ -55,12 +56,9 @@ class BoundedFifo:
 
     def push(self, item: Any, nbytes: int) -> bool:
         if not self.space_for(nbytes):
-            self.counters.add("drops")
             return False
         self._items.append((item, nbytes))
         self._occupancy += nbytes
-        self.counters.add("pushes")
-        self.counters.add("bytes_in", nbytes)
         return True
 
     def pop(self) -> Optional[Tuple[Any, int]]:
@@ -68,8 +66,6 @@ class BoundedFifo:
             return None
         item, nbytes = self._items.popleft()
         self._occupancy -= nbytes
-        self.counters.add("pops")
-        self.counters.add("bytes_out", nbytes)
         return item, nbytes
 
     def peek(self) -> Optional[Tuple[Any, int]]:
@@ -79,7 +75,8 @@ class BoundedFifo:
 class SerialLink:
     """A work-conserving serializer.
 
-    Items queue in arrival order; each occupies the link for a service
+    Items queue in arrival order (the queue is unbounded: upstream slot
+    credits bound it in practice); each occupies the link for a service
     time computed by ``service_time(item, nbytes)``.  ``on_done(item)``
     fires when the item fully exits the link, i.e. after store-and-
     forward serialization — matching how a packet must fully land in an
@@ -92,22 +89,15 @@ class SerialLink:
         name: str,
         service_time: Callable[[Any, int], float],
         on_done: Callable[[Any], None],
-        queue_capacity_bytes: Optional[int] = None,
-        cut_through_cycles: Optional[float] = None,
     ) -> None:
         self.sim = sim
         self.name = name
         self._service_time = service_time
         self._on_done = on_done
-        self.queue = BoundedFifo(name + ".q", queue_capacity_bytes)
+        #: ``(item, nbytes)`` waiting for the link, oldest first
+        self.queue: Deque[Tuple[Any, int]] = deque()
         self._busy = False
         self._paused = False
-        self.busy_time = 0.0
-        #: if set, the item is *delivered* this many time units after
-        #: service starts (cut-through), while the link stays occupied
-        #: for the full service time (store-and-forward otherwise)
-        self.cut_through_cycles = cut_through_cycles
-        self.counters = CounterSet(["sent", "dropped", "bytes"])
 
     @property
     def busy(self) -> bool:
@@ -129,51 +119,24 @@ class SerialLink:
         if not self._busy:
             self._start_next()
 
-    def utilization(self, elapsed: float) -> float:
-        return self.busy_time / elapsed if elapsed > 0 else 0.0
-
-    def offer(self, item: Any, nbytes: int) -> bool:
-        """Enqueue an item; returns False (and drops) if the queue is full."""
-        if not self.queue.push(item, nbytes):
-            self.counters.add("dropped")
-            return False
+    def offer(self, item: Any, nbytes: int) -> None:
+        """Enqueue an item; an idle link starts serializing it at once."""
+        self.queue.append((item, nbytes))
         if not self._busy:
             self._start_next()
-        return True
 
     def _start_next(self) -> None:
-        if self._paused:
+        if self._paused or not self.queue:
             self._busy = False
             return
-        entry = self.queue.pop()
-        if entry is None:
-            self._busy = False
-            return
-        item, nbytes = entry
+        item, nbytes = self.queue.popleft()
         self._busy = True
-        duration = self._service_time(item, nbytes)
-        self.busy_time += duration
-        if self.cut_through_cycles is not None:
-            deliver_at = min(duration, self.cut_through_cycles)
-            self.sim.schedule(
-                deliver_at, lambda: self._deliver(item, nbytes), name=self.name
-            )
-            self.sim.schedule(duration, self._release, name=self.name)
-        else:
-            self.sim.schedule(
-                duration, lambda: self._finish(item, nbytes), name=self.name
-            )
+        self.sim.schedule(
+            self._service_time(item, nbytes), lambda: self._finish(item), name=self.name
+        )
 
-    def _finish(self, item: Any, nbytes: int) -> None:
-        self._deliver(item, nbytes)
-        self._release()
-
-    def _deliver(self, item: Any, nbytes: int) -> None:
-        self.counters.add("sent")
-        self.counters.add("bytes", nbytes)
+    def _finish(self, item: Any) -> None:
         self._on_done(item)
-
-    def _release(self) -> None:
         self._start_next()
 
 

@@ -312,6 +312,30 @@ class TestSnapshots:
         clone = json.loads(json.dumps(snap, sort_keys=True))
         assert clone["measurement"]["mode"] == "throughput"
 
+    def test_drop_taxonomy_partitions_offered(self):
+        """Every offered frame lands in exactly one snapshot sink,
+        including a frame that passes the MAC but not its packet slot."""
+        from repro.packet import build_raw, build_udp
+
+        system = RosebudSystem(
+            RosebudConfig(n_rpus=2, slot_bytes=2048, mac_rx_fifo_packets=100),
+            ForwarderFirmware(),
+        )
+        session = SimSession.for_system(system)
+        session.start()
+        frames = [build_raw(4000)] + [
+            build_udp("10.0.0.1", "10.0.0.2", 1234 + i, 9, pad_to=256) for i in range(4)
+        ]
+        offered = session.inject(frames, port=0)
+        session.step(cycles=100_000.0)
+        snap = session.snapshot()
+        counters, drops = snap["counters"], snap["drops"]
+        assert drops["oversize"] == 1
+        assert (
+            counters["delivered"] + counters["to_host"] + counters["dropped_by_firmware"]
+            + drops["rx_overflow"] + drops["oversize"]
+        ) == offered == 5
+
     def test_snapshots_do_not_perturb_measurement(self):
         batch = _batch(_forwarder_spec())
         session = SimSession(_forwarder_spec())

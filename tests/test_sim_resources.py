@@ -34,7 +34,7 @@ class TestBoundedFifo:
         assert fifo.push("a", 60)
         assert not fifo.push("b", 50)  # would exceed
         assert fifo.push("c", 40)  # exactly fills
-        assert fifo.counters.value("drops") == 1
+        assert len(fifo) == 2
 
     def test_drop_does_not_enqueue(self):
         fifo = BoundedFifo(capacity_bytes=10)
@@ -54,13 +54,6 @@ class TestBoundedFifo:
         assert fifo.peek() == ("a", 1)
         assert len(fifo) == 1
 
-    def test_byte_counters(self):
-        fifo = BoundedFifo()
-        fifo.push("a", 7)
-        fifo.pop()
-        assert fifo.counters.value("bytes_in") == 7
-        assert fifo.counters.value("bytes_out") == 7
-
     @given(st.lists(st.integers(min_value=1, max_value=100), max_size=50))
     def test_occupancy_never_negative_and_conserved(self, sizes):
         fifo = BoundedFifo(capacity_bytes=500)
@@ -79,11 +72,9 @@ class TestBoundedFifo:
 
 
 class TestSerialLink:
-    def _make(self, sim, rate=1.0, **kwargs):
+    def _make(self, sim, rate=1.0):
         done = []
-        link = SerialLink(
-            sim, "l", lambda item, n: n / rate, done.append, **kwargs
-        )
+        link = SerialLink(sim, "l", lambda item, n: n / rate, done.append)
         return link, done
 
     def test_items_serialize_in_order(self):
@@ -103,51 +94,6 @@ class TestSerialLink:
         sim.schedule(5, lambda: link.offer("b", 10))
         sim.run()
         assert sim.now == 25  # 10 done, idle 5 (starts at 15), +10
-
-    def test_queue_capacity_drops(self):
-        sim = Simulator()
-        link, done = self._make(sim, queue_capacity_bytes=10)
-        assert link.offer("a", 10)  # starts serving immediately (dequeued)
-        assert link.offer("b", 10)
-        assert not link.offer("c", 10)
-        sim.run()
-        assert done == ["a", "b"]
-        assert link.counters.value("dropped") == 1
-
-    def test_utilization(self):
-        sim = Simulator()
-        link, done = self._make(sim)
-        link.offer("a", 50)
-        sim.run(until=100)
-        assert link.utilization(100) == pytest.approx(0.5)
-
-    def test_cut_through_delivers_early_but_occupies_fully(self):
-        sim = Simulator()
-        done = []
-        times = []
-        link = SerialLink(
-            sim,
-            "l",
-            lambda item, n: 100.0,
-            lambda item: (done.append(item), times.append(sim.now)),
-            cut_through_cycles=10,
-        )
-        link.offer("a", 64)
-        link.offer("b", 64)
-        sim.run()
-        # a delivered at 10, but b cannot start before 100 -> delivered 110
-        assert times == [10, 110]
-
-    def test_cut_through_never_delivers_after_service(self):
-        sim = Simulator()
-        times = []
-        link = SerialLink(
-            sim, "l", lambda item, n: 3.0, lambda item: times.append(sim.now),
-            cut_through_cycles=10,
-        )
-        link.offer("a", 1)
-        sim.run()
-        assert times == [3.0]
 
 
 class TestArbiters:
