@@ -26,28 +26,13 @@ RESULTS_DIR = Path(__file__).parent / "results"
 REPRO_CI = os.environ.get("REPRO_CI", "") not in ("", "0")
 
 #: Regression floors shared by the pytest benchmarks and the standalone
-#: ``make bench-smoke`` probes (cpu_probe.py / kernel_probe.py).  These
-#: are the single source of truth — probes import them from here.
-FLOOR_TRANSLATED_IPS = 100_000 if REPRO_CI else 500_000
-FLOOR_SPEEDUP = 1.5 if REPRO_CI else 3.0
+#: ``make bench-smoke`` probes (e.g. kernel_probe.py).  These are the
+#: single source of truth — probes import them from here.
 FLOOR_EVENTS_PER_SEC = 10_000 if REPRO_CI else 50_000
-#: cache_probe.py: warm replay-cache speedup on the uniform 512B
-#: firewall cluster, and the hit rate the uniform workload must reach.
-#: The hit rate is deterministic (no timing in the key path) so it is
-#: not relaxed on CI.
-FLOOR_REPLAY_SPEEDUP = 1.5 if REPRO_CI else 3.0
-FLOOR_REPLAY_HIT_RATE = 0.9
 #: verify_probe.py: wall-clock ceiling for statically verifying every
 #: bundled firmware (CFG + WCET + MMIO + lint).  The analyzer must stay
 #: cheap enough to run as a pre-flight on every sweep.
 FLOOR_VERIFY_SECONDS = 20.0 if REPRO_CI else 5.0
-#: serve_probe.py: ceiling on the incremental stepper's wall-clock
-#: overhead over the batch run_experiment path for the same spec
-#: (results must be byte-identical).  Batch and stepped runs share one
-#: loop — SimSession.step driving Simulator.run under its observer — so
-#: only re-entering step() once per chunk may cost anything.
-#: 0.10 = at most 10% slower locally.
-FLOOR_SERVE_OVERHEAD = 0.50 if REPRO_CI else 0.10
 #: fluid_probe.py: effective-speedup floor for the fluid fast-forward
 #: tier on a steady-state forwarder run (simulated packets per
 #: wall-clock second, fluid vs pure event on the same spec).  The
@@ -66,11 +51,6 @@ FLOOR_FLUID_CONTENDED_SPEEDUP = 4.0 if REPRO_CI else 20.0
 #: byte-identical results).  Per-board warps clip to the sync horizon,
 #: so the attainable speedup tracks the horizon length.
 FLOOR_CLUSTER_FLUID_SPEEDUP = 3.0 if REPRO_CI else 10.0
-#: cluster_probe.py: simulated-throughput scaling floor for a 2-board
-#: rack vs one board at the same per-board offered load.  The metric
-#: is deterministic (simulated Gbps, not wall clock) so it is not
-#: relaxed on CI; cross-board steering costs a little, hence < 2.0.
-FLOOR_CLUSTER_SCALE = 1.8
 #: cluster resilience: worst sampled cluster throughput while one of
 #: N boards is wedged must stay above this fraction of the surviving
 #: boards' fair share ((N-1)/N of baseline).  Deterministic.
@@ -97,17 +77,11 @@ def persist_probe_json(name: str, metrics: dict) -> Path:
 def perf_floors():
     """The (possibly CI-relaxed) regression floors, as a dict."""
     return {
-        "translated_ips": FLOOR_TRANSLATED_IPS,
-        "speedup": FLOOR_SPEEDUP,
         "events_per_sec": FLOOR_EVENTS_PER_SEC,
-        "replay_speedup": FLOOR_REPLAY_SPEEDUP,
-        "replay_hit_rate": FLOOR_REPLAY_HIT_RATE,
         "verify_seconds": FLOOR_VERIFY_SECONDS,
-        "serve_overhead": FLOOR_SERVE_OVERHEAD,
         "fluid_speedup": FLOOR_FLUID_SPEEDUP,
         "fluid_contended_speedup": FLOOR_FLUID_CONTENDED_SPEEDUP,
         "cluster_fluid_speedup": FLOOR_CLUSTER_FLUID_SPEEDUP,
-        "cluster_scale": FLOOR_CLUSTER_SCALE,
         "cluster_dip_fraction": FLOOR_CLUSTER_DIP_FRACTION,
     }
 

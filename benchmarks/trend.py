@@ -9,7 +9,7 @@ hard floors still trips the gate.
 
 Baseline entries::
 
-    "cpu_probe.speedup": {"value": 6.2, "tolerance": 0.5, "direction": "higher"}
+    "fluid_probe.speedup": {"value": 297.3, "tolerance": 0.85, "direction": "higher"}
 
 * ``direction: higher`` — the metric must stay >= value * (1 - tolerance)
 * ``direction: lower``  — the metric must stay <= value * (1 + tolerance)

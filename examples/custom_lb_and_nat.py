@@ -67,7 +67,8 @@ def run_the_nat() -> None:
         RosebudConfig(n_rpus=8), NatFirmware(public_ip="198.51.100.1"),
         lb_policy=HashLB(8),
     )
-    system.keep_delivered = True
+    delivered = []
+    system.on_delivery = delivered.append
     for sport in (1111, 2222, 3333):
         system.offer_packet(
             0, build_tcp("10.0.0.5", "93.184.216.34", sport, 443,
@@ -75,7 +76,7 @@ def run_the_nat() -> None:
         )
     system.sim.run()
     rows = []
-    for pkt in system.delivered_packets:
+    for pkt in delivered:
         ip_header = pkt.data[14 : 14 + IPV4_HEADER_SIZE]
         rows.append([
             f"{pkt.parsed.ipv4.src}:{pkt.parsed.tcp.src_port}",

@@ -117,8 +117,6 @@ class RosebudSystem:
         self.tx_meters: List[RateMeter] = [RateMeter() for _ in range(config.n_ports)]
         self.host_meter = RateMeter()
         self.latency_us = Histogram("forwarding_latency_us")
-        self.delivered_packets: List[Packet] = []
-        self.keep_delivered = False
         #: optional hook on every MAC TX completion
         self.on_delivery: Optional[Callable[[Packet], None]] = None
 
@@ -155,8 +153,6 @@ class RosebudSystem:
             self.tx_meters[port].record_packet(packet.size)
             latency_cycles = self.sim.now - packet.born_at
             self.latency_us.record(self.config.clock.cycles_to_us(latency_cycles))
-            if self.keep_delivered:
-                self.delivered_packets.append(packet)
             if self.on_delivery is not None:
                 self.on_delivery(packet)
 

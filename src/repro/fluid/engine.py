@@ -137,8 +137,6 @@ class FluidEngine:
                 self._block(f"{type(src).__name__} emission is not provably periodic")
             elif getattr(src, "n_packets", None) is not None:
                 self._block("finite source drains; no steady state exists")
-        if self.enabled and self.system.keep_delivered:
-            self._block("keep_delivered retains per-packet state")
         if self.enabled and self.system.on_delivery is not None:
             self._block("on_delivery callback observes individual packets")
 

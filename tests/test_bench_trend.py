@@ -222,8 +222,16 @@ def test_committed_baselines_are_well_formed():
             assert band.get("direction") in ("higher", "lower"), key
             # zero is a band too: source-size metrics may not grow at all
             assert float(band.get("tolerance", -1)) >= 0, key
-    # the tentpole identity guarantee is gated, exactly
-    assert metrics["cluster_probe.shards_identical"] == {
+    # the 1-shard == 2-shard rack identity is gated, exactly
+    assert metrics["fluid_contended_probe.cluster_shards_identical"] == {
         "value": True,
         "exact": True,
     }
+
+
+def test_committed_baselines_name_existing_probes():
+    """No orphan bands: every probe a committed baseline names is a
+    ``benchmarks/<probe>.py`` script, so retiring a probe retires its
+    bands with it."""
+    baselined = {key.split(".", 1)[0] for key in trend.load_baselines()}
+    assert baselined - trend.expected_probes() == set()

@@ -142,8 +142,9 @@ def test_run_experiment_routes_cluster_specs():
 def test_two_boards_scale_past_one():
     one = ClusterEngine(cluster_spec(boards=1)).run_to_completion()
     two = ClusterEngine(cluster_spec(boards=2)).run_to_completion()
-    # same per-board offered load: the rack should scale near-linearly
-    assert two.throughput.achieved_gbps > 1.5 * one.throughput.achieved_gbps
+    # same per-board offered load: the rack should scale near-linearly;
+    # cross-board steering costs a little, hence the floor sits below 2.0
+    assert two.throughput.achieved_gbps >= 1.8 * one.throughput.achieved_gbps
 
 
 def test_drain_event_resteers_flows():

@@ -27,7 +27,6 @@ def _pkt(size=128, sport=1):
 class TestForwardPath:
     def test_packet_comes_out_other_port(self):
         system = RosebudSystem(RosebudConfig(n_rpus=16), ForwarderFirmware())
-        system.keep_delivered = True
         pkt = _pkt()
         system.offer_packet(0, pkt)
         system.sim.run()

@@ -61,7 +61,6 @@ class TestVerdictParity:
             RosebudConfig(n_rpus=8, slots_per_rpu=32),
             PigasusHwReorderFirmware(rules),
         )
-        system.keep_delivered = True
         source = FlowTrafficSource(
             system, 0, 20.0, 512, attack_fraction=0.2,
             attack_payloads=payloads, n_flows=32, seed=9, n_packets=300,

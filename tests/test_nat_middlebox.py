@@ -67,20 +67,22 @@ def _inside_pkt(sport=4321, src="10.0.0.5"):
 class TestNatOutbound:
     def test_source_rewritten(self):
         system = _nat_system()
-        system.keep_delivered = True
+        delivered = []
+        system.on_delivery = delivered.append
         system.offer_packet(0, _inside_pkt())
         system.sim.run()
-        (out,) = system.delivered_packets
+        (out,) = delivered
         assert out.parsed.ipv4.src == "198.51.100.1"
         assert out.parsed.ipv4.dst == "93.184.216.34"
         assert out.parsed.tcp.src_port >= 10_000
 
     def test_checksums_remain_valid(self):
         system = _nat_system()
-        system.keep_delivered = True
+        delivered = []
+        system.on_delivery = delivered.append
         system.offer_packet(0, _inside_pkt())
         system.sim.run()
-        (out,) = system.delivered_packets
+        (out,) = delivered
         ip_header = out.data[14 : 14 + IPV4_HEADER_SIZE]
         assert internet_checksum(ip_header) == 0
         segment = out.data[14 + IPV4_HEADER_SIZE :]
@@ -90,31 +92,34 @@ class TestNatOutbound:
 
     def test_same_flow_keeps_its_port(self):
         system = _nat_system()
-        system.keep_delivered = True
+        delivered = []
+        system.on_delivery = delivered.append
         for _ in range(4):
             system.offer_packet(0, _inside_pkt())
         system.sim.run()
-        ports = {p.parsed.tcp.src_port for p in system.delivered_packets}
+        ports = {p.parsed.tcp.src_port for p in delivered}
         assert len(ports) == 1
 
     def test_different_flows_different_ports(self):
         system = _nat_system()
-        system.keep_delivered = True
+        delivered = []
+        system.on_delivery = delivered.append
         for sport in (1001, 1002, 1003):
             system.offer_packet(0, _inside_pkt(sport=sport))
         system.sim.run()
-        ports = {p.parsed.tcp.src_port for p in system.delivered_packets}
+        ports = {p.parsed.tcp.src_port for p in delivered}
         assert len(ports) == 3
 
     def test_rpu_port_ranges_disjoint(self):
         """Per-RPU allocation partitions the public port space."""
         system = _nat_system()
-        system.keep_delivered = True
+        delivered = []
+        system.on_delivery = delivered.append
         for sport in range(1, 64):
             system.offer_packet(0, _inside_pkt(sport=sport))
         system.sim.run()
         span = 4096
-        for pkt in system.delivered_packets:
+        for pkt in delivered:
             nat_port = pkt.parsed.tcp.src_port
             owner = (nat_port - 10_000) // span
             assert 0 <= owner < 8
@@ -126,16 +131,17 @@ class TestNatInbound:
         a symmetric hash... our hash LB keys the 5-tuple directionally,
         so the test routes the reply to the owning RPU explicitly."""
         system = _nat_system(n_rpus=1)  # single RPU: affinity trivially holds
-        system.keep_delivered = True
+        delivered = []
+        system.on_delivery = delivered.append
         system.offer_packet(0, _inside_pkt(sport=7777))
         system.sim.run()
-        out = system.delivered_packets[0]
+        out = delivered[0]
         nat_port = out.parsed.tcp.src_port
         reply = build_tcp("93.184.216.34", "198.51.100.1", 443, nat_port,
                           pad_to=256, payload=b"200 OK")
         system.offer_packet(1, reply)
         system.sim.run()
-        back = system.delivered_packets[1]
+        back = delivered[1]
         assert back.parsed.ipv4.dst == "10.0.0.5"
         assert back.parsed.tcp.dst_port == 7777
 

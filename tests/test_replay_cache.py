@@ -187,8 +187,9 @@ class TestFuncsimDifferential:
         assert rpu.dump_memory("pmem") == ref.dump_memory("pmem")
 
     def test_cluster_parity(self):
-        """The 8-RPU cluster drain path (the bench-cache configuration)
-        with mixed traffic: per-RPU streams and memories identical."""
+        """The 8-RPU cluster drain path (the ``iss-replay-*`` benchmark
+        configuration) with mixed traffic: per-RPU streams and memories
+        identical."""
         classes = [
             (_clean_frame(512), 0),
             (_clean_frame(512, "10.4.4.4"), 1),

@@ -117,14 +117,15 @@ class TestConservation:
         system = RosebudSystem(
             RosebudConfig(n_rpus=8), ForwarderFirmware(), lb_policy=HashLB(8)
         )
-        system.keep_delivered = True
+        delivered = []
+        system.on_delivery = delivered.append
         for seq in range(n_packets):
             system.offer_packet(
                 0,
                 build_tcp("10.0.0.1", "10.0.0.2", 7, 80, seq=seq + 1, pad_to=128),
             )
         system.sim.run()
-        seqs = [p.parsed.tcp.seq for p in system.delivered_packets]
+        seqs = [p.parsed.tcp.seq for p in delivered]
         assert seqs == sorted(seqs)
 
     def test_conservation_under_overload(self):

@@ -30,11 +30,12 @@ class TestFixedSizeSource:
 
     def test_all_packets_requested_size(self):
         system = _system()
-        system.keep_delivered = True
+        delivered = []
+        system.on_delivery = delivered.append
         source = FixedSizeSource(system, 0, 10.0, 512, n_packets=10)
         source.start()
         system.sim.run()
-        assert all(p.size == 512 for p in system.delivered_packets)
+        assert all(p.size == 512 for p in delivered)
 
     def test_offered_rate_paces_arrivals(self):
         system = _system()
@@ -193,12 +194,13 @@ class TestReplaySource:
         rules = parse_rules(generate_ruleset(5))
         trace = attack_trace_from_rules(rules, safe_packets=0)
         system = _system()
-        system.keep_delivered = True
+        delivered = []
+        system.on_delivery = delivered.append
         source = ReplaySource(system, 0, 5.0, trace)
         source.start()
         system.sim.run()
         assert system.counters.value("delivered") == 5
-        for orig, got in zip(trace, system.delivered_packets):
+        for orig, got in zip(trace, delivered):
             assert got.data == orig.data
 
     def test_loop_mode(self):
