@@ -4,11 +4,9 @@ from .clock import (
     Clock,
     ROSEBUD_CLOCK,
     WIRE_OVERHEAD_BYTES,
-    bus_cycles,
     line_rate_gbps,
     line_rate_pps,
     max_effective_gbps,
-    serialization_ns,
     wire_bytes,
 )
 from .kernel import Event, SimProfile, SimulationError, Simulator
@@ -19,11 +17,9 @@ __all__ = [
     "Clock",
     "ROSEBUD_CLOCK",
     "WIRE_OVERHEAD_BYTES",
-    "bus_cycles",
     "line_rate_gbps",
     "line_rate_pps",
     "max_effective_gbps",
-    "serialization_ns",
     "wire_bytes",
     "Event",
     "SimProfile",

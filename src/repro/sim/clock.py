@@ -67,15 +67,3 @@ def line_rate_gbps(pps: float, packet_size: int) -> float:
 def max_effective_gbps(link_gbps: float, packet_size: int) -> float:
     """The paper's dotted "maximum theoretical effective rate" lines."""
     return line_rate_gbps(line_rate_pps(link_gbps, packet_size), packet_size)
-
-
-def serialization_ns(nbytes: int, gbps: float) -> float:
-    """Time to serialize ``nbytes`` over a ``gbps`` link, in ns."""
-    return nbytes * 8 / gbps
-
-
-def bus_cycles(nbytes: int, bus_bits: int) -> int:
-    """Cycles to move ``nbytes`` over a ``bus_bits``-wide bus (one beat
-    per cycle)."""
-    bus_bytes = bus_bits // 8
-    return -(-nbytes // bus_bytes)  # ceil division

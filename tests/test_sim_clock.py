@@ -8,11 +8,9 @@ from repro.sim import (
     Clock,
     ROSEBUD_CLOCK,
     WIRE_OVERHEAD_BYTES,
-    bus_cycles,
     line_rate_gbps,
     line_rate_pps,
     max_effective_gbps,
-    serialization_ns,
     wire_bytes,
 )
 
@@ -62,25 +60,6 @@ class TestFraming:
     def test_line_rate_gbps_inverse(self):
         pps = line_rate_pps(100, 512)
         assert line_rate_gbps(pps, 512) == pytest.approx(max_effective_gbps(100, 512))
-
-
-class TestSerialization:
-    def test_serialization_ns(self):
-        # 100 bytes at 100 Gbps = 8 ns
-        assert serialization_ns(100, 100) == pytest.approx(8.0)
-
-    def test_bus_cycles_exact_multiple(self):
-        assert bus_cycles(128, 512) == 2
-
-    def test_bus_cycles_rounds_up(self):
-        assert bus_cycles(65, 512) == 2
-        assert bus_cycles(1, 128) == 1
-
-    @given(st.integers(min_value=1, max_value=100000), st.sampled_from([128, 256, 512]))
-    def test_bus_cycles_is_ceiling(self, nbytes, bits):
-        cycles = bus_cycles(nbytes, bits)
-        per_beat = bits // 8
-        assert (cycles - 1) * per_beat < nbytes <= cycles * per_beat
 
 
 class TestRateMonotonicity:
