@@ -115,8 +115,6 @@ class FunctionalRpu:
         #: brackets processed through :meth:`step_packet`
         self.replay_cache = None
         self._class_by_tag: Dict[int, object] = {}
-        #: last record applied with no execution since (chain anchor)
-        self._last_applied = None
         #: deferred packet DMA: frame bytes pushed but not yet written
         #: to pmem/dmem (pure replay hits never read the slot, so the
         #: copies are postponed until something can observe them)
@@ -274,7 +272,6 @@ class FunctionalRpu:
 
     def run_until_sent(self, count: int, max_instructions: int = 2_000_000) -> None:
         """Run the core until ``count`` descriptors have been sent."""
-        self._last_applied = None  # real execution breaks the replay chain
         self._flush_dma()
         self.cpu.run(
             max_instructions=max_instructions,
@@ -324,22 +321,13 @@ class FunctionalRpu:
             return "bypass"
         key = (class_key, head[2], tag)
         candidates = cache.lookup(key, self.cpu.code_epoch)
-        if self._pending_dma and any(not r.pure for r in candidates):
-            # impure candidates read memory (guards) or write it on
-            # apply: deferred frames must be in place first
-            self._flush_dma()
-        prev = self._last_applied
-        edges = cache._edges
         for record in candidates:
-            if prev is not None and (id(prev), id(record)) in edges:
-                ok = record.validate_chained(self)
-            else:
-                ok = record.validate(self)
-                if ok and prev is not None:
-                    edges.add((id(prev), id(record)))
-            if ok:
+            if not record.pure:
+                # an impure record reads memory (guards) or writes it on
+                # apply: deferred frames must be in place first
+                self._flush_dma()
+            if record.validate(self):
                 record.apply(self)
-                self._last_applied = record
                 stats.hits += 1
                 return "hit"
         if candidates:
@@ -356,12 +344,7 @@ class FunctionalRpu:
             return status
         record = self._record_bracket(target, max_instructions)
         if record is not None:
-            if cache.store(key, record):
-                # the CPU sits exactly at this record's end state, so it
-                # anchors chain edges for whatever bracket comes next
-                # (only retained records may anchor: edge ids must stay
-                # unambiguous, i.e. alive, until the next flush)
-                self._last_applied = record
+            cache.store(key, record)
         else:
             stats.bypasses += 1
         return status
@@ -390,7 +373,6 @@ class FunctionalRpu:
         accel = self.accelerator
         start_token = accel.replay_token() if accel is not None else None
         start_pc = cpu.pc
-        start_regs = list(cpu.regs)
         start_csrs = dict(cpu.csrs)
         start_wfi = cpu.waiting_for_interrupt
         start_send = (self._send_tag, self._send_len)
@@ -428,7 +410,7 @@ class FunctionalRpu:
         return ReplayRecord(
             descriptor=descriptor,
             start_pc=start_pc,
-            start_regs=start_regs,
+            live_in=tuple(recorder.live_in.items()),
             start_csrs=start_csrs,
             start_wfi=start_wfi,
             start_send=start_send,
@@ -440,7 +422,7 @@ class FunctionalRpu:
             ),
             accel_token=accel_token,
             end_pc=cpu.pc,
-            end_regs=list(cpu.regs),
+            reg_writes=tuple((r, cpu.regs[r]) for r in sorted(recorder.written_regs)),
             end_csrs=end_csrs,
             end_wfi=cpu.waiting_for_interrupt,
             end_send=(self._send_tag, self._send_len),

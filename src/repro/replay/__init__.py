@@ -1,4 +1,4 @@
-"""Packet-class replay cache (PR 4).
+"""Packet-class replay cache.
 
 The paper's workloads spend almost all simulated CPU time re-executing
 the *same* firmware path for behaviourally identical packets: same
@@ -6,11 +6,13 @@ headers, same size, same accelerator verdict, different payload bytes.
 :class:`ReplayCache` memoizes that work for the functional simulator
 (``core.funcsim``), at the instruction level.  A miss records the packet
 bracket (every bus transaction the firmware performs between picking
-up a descriptor and posting its send) together with the architectural
-start/end state; a hit re-validates the start state and the record's
-read set against live memory and then applies the captured effects —
-identical register file, identical memory, identical cycle stamps —
-without entering the CPU.
+up a descriptor and posting its send) together with the registers it
+reads before writing them (its live-in set), the registers it writes,
+and the CSRs.  A hit re-validates the live-in values, the CSRs and the
+record's read set against live memory, then applies the captured
+effects — memory, cycle stamps, and the end values of the registers the
+bracket wrote — without entering the CPU.  Registers the bracket never
+touched keep their values, as real execution would leave them.
 
 The contract is **correctness over hit rate**.  Any read outside the
 packet class (mutable per-flow state, cycle counters, un-tokenized

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from .record import ReplayRecord
 from .stats import ReplayStats
@@ -11,11 +11,11 @@ from .stats import ReplayStats
 class ReplayCache:
     """Instruction-level record store for :class:`~repro.core.funcsim.FunctionalRpu`.
 
-    Keys are ``(class signature, slot tag)``; the class signature
-    promises byte-identical frame contents, the tag pins the packet
-    slot (records capture absolute slot addresses).  Each key holds a
-    short list of start-state variants — steady-state loops produce
-    one, mixed traffic (imix) produces one per predecessor class.
+    Keys are ``(class signature, ingress port, slot tag)``; the class
+    signature promises byte-identical frame contents, the tag pins the
+    packet slot (records capture absolute slot addresses).  Each key
+    holds a short list of start-state variants: one per start pc,
+    live-in register values and CSRs the bracket was recorded from.
 
     The cache is **per CPU**: records embed the CPU's code-epoch
     counter, and any epoch change (firmware reload, self-modifying
@@ -35,41 +35,29 @@ class ReplayCache:
         self._records: Dict[Any, List[ReplayRecord]] = {}
         self._size = 0
         self._code_epoch: Optional[int] = None
-        #: verified chain edges ``(id(prev), id(next))``: next's start
-        #: arch state equals prev's (fixed) end state, so a hit that
-        #: directly follows prev may skip the register/CSR compares.
-        #: Cleared with the records — ids are only unique while the
-        #: records they name are alive.
-        self._edges: set = set()
 
-    def lookup(self, key: Any, code_epoch: int) -> Tuple[ReplayRecord, ...]:
+    def lookup(self, key: Any, code_epoch: int) -> Sequence[ReplayRecord]:
         """Candidate records for ``key``, flushing first if the code
         epoch moved (stale decode ⇒ every record is suspect)."""
         if code_epoch != self._code_epoch:
             if self._records:
                 self.invalidate("code epoch changed")
             self._code_epoch = code_epoch
-        recs = self._records.get(key)
-        return tuple(recs) if recs else ()
+        return self._records.get(key, ())
 
-    def store(self, key: Any, record: ReplayRecord) -> bool:
-        """Retain ``record`` under ``key``; False when capacity-refused.
-
-        Records are never evicted individually (a full cache just stops
-        accepting), so a stored record stays alive — and its ``id()``
-        unambiguous in the chain-edge set — until the next flush."""
+    def store(self, key: Any, record: ReplayRecord) -> None:
+        """Retain ``record`` under ``key`` unless the store or the key is
+        full.  Records are never evicted individually: a full cache just
+        keeps serving what it has."""
         if self._size >= self.max_records:
-            return False  # full: keep serving what we have
+            return
         variants = self._records.setdefault(key, [])
-        if len(variants) >= self.max_variants:
-            return False
-        variants.append(record)
-        self._size += 1
-        return True
+        if len(variants) < self.max_variants:
+            variants.append(record)
+            self._size += 1
 
     def invalidate(self, reason: str = "") -> None:
         self._records.clear()
-        self._edges.clear()
         self._size = 0
         self.stats.invalidations += 1
 

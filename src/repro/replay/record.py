@@ -5,6 +5,11 @@ posted descriptor and retiring the send that answers it.  During a
 recording run the CPU's data bus is swapped for a
 :class:`TraceRecorder`, which classifies every transaction:
 
+* **Register reads** of a register the bracket has not written yet
+  form the *live-in set* (``RiscvCpu.record_run`` traces them): a hit
+  requires the same values, and restores only the registers the
+  bracket wrote.  A register overwritten before it is read (a previous
+  packet's header field) is no guard at all.
 * **RAM reads** become the record's *guard set* — re-read and compared
   against live memory before a replay commits.  Reads that land inside
   the packet slot or its header copy are *class-covered* (the class
@@ -89,6 +94,8 @@ class TraceRecorder:
         "_guard_seen",
         "_written",
         "_released",
+        "live_in",
+        "written_regs",
         "unreplayable",
         "reason",
     )
@@ -114,6 +121,10 @@ class TraceRecorder:
         self._guard_seen: set = set()
         self._written: set = set()
         self._released = 0
+        #: filled by ``RiscvCpu.record_run``: registers read before the
+        #: bracket wrote them (index -> value), and every written index
+        self.live_in: Dict[int, int] = {}
+        self.written_regs: set = set()
         self.unreplayable = False
         self.reason = ""
 
@@ -217,7 +228,7 @@ class ReplayRecord:
     __slots__ = (
         "descriptor",
         "start_pc",
-        "start_regs",
+        "live_in",
         "start_csrs",
         "start_wfi",
         "start_send",
@@ -230,7 +241,7 @@ class ReplayRecord:
         "sends",
         "accel_token",
         "end_pc",
-        "end_regs",
+        "reg_writes",
         "end_csrs",
         "end_wfi",
         "end_send",
@@ -244,7 +255,7 @@ class ReplayRecord:
         self,
         descriptor: Tuple[int, int, int, int],
         start_pc: int,
-        start_regs: List[int],
+        live_in: Tuple[Tuple[int, int], ...],
         start_csrs: Dict[int, int],
         start_wfi: bool,
         start_send: Tuple[int, int],
@@ -253,7 +264,7 @@ class ReplayRecord:
         sends: Tuple[Tuple[int, bytes, int, int], ...],
         accel_token: Any,
         end_pc: int,
-        end_regs: List[int],
+        reg_writes: Tuple[Tuple[int, int], ...],
         end_csrs: Optional[Dict[int, int]],
         end_wfi: bool,
         end_send: Tuple[int, int],
@@ -264,14 +275,14 @@ class ReplayRecord:
     ) -> None:
         self.descriptor = descriptor
         self.start_pc = start_pc
-        self.start_regs = start_regs
+        self.live_in = live_in
         self.start_csrs = start_csrs
         self.start_wfi = start_wfi
         self.start_send = start_send
         self.guard_reads = guard_reads
         self.accel_token = accel_token
         self.end_pc = end_pc
-        self.end_regs = end_regs
+        self.reg_writes = reg_writes
         self.end_csrs = end_csrs
         self.end_wfi = end_wfi
         self.end_send = end_send
@@ -321,10 +332,13 @@ class ReplayRecord:
             cpu.halted
             or cpu.waiting_for_interrupt is not self.start_wfi
             or cpu.pc != self.start_pc
-            or cpu.regs != self.start_regs
             or cpu.csrs != self.start_csrs
         ):
             return False
+        regs = cpu.regs
+        for idx, value in self.live_in:
+            if regs[idx] != value:
+                return False
         rx = rpu._rx
         if not rx or rx[0] != self.descriptor:
             return False
@@ -338,28 +352,6 @@ class ReplayRecord:
         for addr, nbytes, value in self.guard_reads:
             if read(addr, nbytes) != value:
                 return False
-        return True
-
-    def validate_chained(self, rpu: Any) -> bool:
-        """Guard for a hit that directly follows a record whose end
-        state this record's start state has already been verified
-        against (a chain edge).  The architectural compares are implied
-        by that edge — apply() restores the predecessor's end state
-        verbatim and nothing executed since — so only the inputs that
-        can still change are checked: the head descriptor, the
-        accelerator token, and the guarded RAM reads."""
-        rx = rpu._rx
-        if not rx or rx[0] != self.descriptor:
-            return False
-        if self.accel_token is not NO_ACCEL_TOKEN:
-            accel = rpu.accelerator
-            if accel is None or accel.replay_token() != self.accel_token:
-                return False
-        if self.guard_reads:
-            read = rpu.bus.read
-            for addr, nbytes, value in self.guard_reads:
-                if read(addr, nbytes) != value:
-                    return False
         return True
 
     def _compile_acc(self, rpu: Any) -> list:
@@ -383,8 +375,8 @@ class ReplayRecord:
         """Commit the bracket: re-apply RAM writes (store hooks fire),
         re-issue accelerator MMIO (counters and faults stay exact),
         retire descriptors, append the precomputed sends with their
-        recorded cycle offsets, then restore the architectural end
-        state."""
+        recorded cycle offsets, then set the registers the bracket
+        wrote and the rest of the architectural end state."""
         global _SENT_PACKET
         cpu = rpu.cpu
         start_cycles = cpu.cycles
@@ -442,7 +434,9 @@ class ReplayRecord:
             for tag, data, port, cyc in self.sends:
                 sent_append(_SENT_PACKET(tag, data, port, start_cycles + cyc))
         rpu._send_tag, rpu._send_len = self.end_send
-        cpu.regs[:] = self.end_regs
+        regs = cpu.regs
+        for idx, value in self.reg_writes:
+            regs[idx] = value
         cpu.pc = self.end_pc
         if self.end_csrs is not None:
             cpu.csrs.clear()

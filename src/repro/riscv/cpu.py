@@ -30,6 +30,8 @@ from .isa import (
     DecodeError,
     Instruction,
     decode,
+    reads_regs,
+    writes_rd,
 )
 
 MASK32 = 0xFFFFFFFF
@@ -394,10 +396,15 @@ class RiscvCpu:
         are cycle-identical (pinned by the differential backend suite),
         so records captured here replay exactly under either.  Unstable
         inputs (``mcycle``/``minstret`` CSR reads, host ecall handlers)
-        mark the recording unreplayable as they occur.
+        mark the recording unreplayable as they occur.  A register read
+        before the bracket writes it lands in ``recorder.live_in`` with its
+        value; written ones in ``recorder.written_regs``.
         """
         real_bus = self.bus
         self.bus = recorder
+        regs = self.regs
+        live_in = recorder.live_in
+        written = recorder.written_regs
         try:
             executed = 0
             while executed < max_instructions and not self.halted:
@@ -412,6 +419,11 @@ class RiscvCpu:
                     continue
                 inst = self.fetch_decode(self.pc)
                 m = inst.mnemonic
+                for r in reads_regs(m, inst.rs1, inst.rs2):
+                    if r not in written and r not in live_in:
+                        live_in[r] = regs[r]
+                if writes_rd(m, inst.rd):
+                    written.add(inst.rd)
                 if m.startswith("csr"):
                     if inst.csr in (CSR_MCYCLE, CSR_MINSTRET):
                         recorder.mark_unreplayable("reads mcycle/minstret")

@@ -22,7 +22,7 @@ suites compare the table against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
 
@@ -270,6 +270,18 @@ def writes_rd(mnemonic: str, rd: int) -> bool:
     side.
     """
     return rd != 0 and "rd" in OPS[mnemonic].operands
+
+
+@lru_cache(maxsize=None)
+def reads_regs(mnemonic: str, rs1: int, rs2: int) -> Tuple[int, ...]:
+    """The registers the instruction reads, x0 (constant zero) excluded.
+
+    A ``mem`` operand (``imm(rs1)``) reads its base register; the
+    ``zimm`` CSR forms keep an immediate in the rs1 field and read none.
+    """
+    operands = OPS[mnemonic].operands
+    uses = (("rs1" in operands or "mem" in operands, rs1), ("rs2" in operands, rs2))
+    return tuple(r for used, r in uses if used and r)
 
 
 def writes_csr(inst: "Instruction") -> bool:

@@ -5,7 +5,16 @@ from hypothesis import given, strategies as st
 
 from repro.riscv import DecodeError, assemble, decode, parse_register, sign_extend
 from repro.riscv.disasm import format_instruction
-from repro.riscv.isa import OP_IMM, OPS, encode_b, encode_i, encode_j, encode_s, encode_u
+from repro.riscv.isa import (
+    OP_IMM,
+    OPS,
+    encode_b,
+    encode_i,
+    encode_j,
+    encode_s,
+    encode_u,
+    reads_regs,
+)
 
 # One (source line, word, decoded fields) triple per row of the
 # instruction table.  The words are worked out by hand from the
@@ -247,3 +256,32 @@ class TestRegisters:
         assert sign_extend(0xFFF, 12) == -1
         assert sign_extend(0x7FF, 12) == 2047
         assert sign_extend(0x800, 12) == -2048
+
+
+class TestReadsRegs:
+    """``reads_regs`` against the operand roles of each row's kind,
+    written out here independently of the table's operand shapes."""
+
+    #: kind -> registers read out of (rs1=5, rs2=6)
+    BY_KIND = {
+        "alu-rr": (5, 6),
+        "alu-imm": (5,),
+        "shift-imm": (5,),
+        "upper": (),
+        "load": (5,),
+        "store": (5, 6),  # base address, then the stored value
+        "branch": (5, 6),
+        "system": (),  # mret reads mepc/mstatus, not a register
+    }
+
+    @pytest.mark.parametrize("mnemonic", sorted(OPS))
+    def test_every_row(self, mnemonic):
+        kind = OPS[mnemonic].kind
+        if kind == "jump":
+            expected = (5,) if mnemonic == "jalr" else ()
+        elif kind == "csr":
+            expected = () if mnemonic.endswith("i") else (5,)  # zimm forms
+        else:
+            expected = self.BY_KIND[kind]
+        assert reads_regs(mnemonic, 5, 6) == expected
+        assert reads_regs(mnemonic, 0, 0) == ()  # x0 always reads zero
