@@ -218,8 +218,9 @@ def update_baselines(
 ) -> Dict[str, Dict[str, Any]]:
     """Regenerate the baseline file from ``results``.
 
-    Existing entries keep their (possibly hand-tuned) tolerance and
-    direction; only the reference value moves.  New metrics get
+    Existing entries keep their (possibly hand-tuned) band — an
+    ``exact`` gate stays exact, a tolerance band keeps its tolerance
+    and direction; only the reference value moves.  New metrics get
     :func:`default_band`; metrics that vanished from the results are
     dropped.
     """
@@ -230,7 +231,9 @@ def update_baselines(
     for key in sorted(results):
         band = default_band(key, results[key])
         old = previous.get(key)
-        if old is not None and not band.get("exact"):
+        if old is not None and old.get("exact"):
+            band = {"value": results[key], "exact": True}
+        elif old is not None and not band.get("exact"):
             band["tolerance"] = old.get("tolerance", band["tolerance"])
             band["direction"] = old.get("direction", band["direction"])
         metrics[key] = band

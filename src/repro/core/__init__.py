@@ -22,11 +22,6 @@ from .lb import (
     flow_hash,
 )
 from .mac import MacPort
-from .memory import (
-    DualPortRam,
-    MemoryAccessError,
-    RpuMemorySubsystem,
-)
 from .messaging import BroadcastMessage, BroadcastSystem, LoopbackPort, MessageChannel
 from .pcie import DmaError, HostDmaEngine, PCIE_GBPS, VirtualEthernet
 from .profiler import Sample, StatsSampler
@@ -62,9 +57,6 @@ __all__ = [
     "RoundRobinLB",
     "flow_hash",
     "MacPort",
-    "DualPortRam",
-    "MemoryAccessError",
-    "RpuMemorySubsystem",
     "DmaError",
     "HostDmaEngine",
     "PCIE_GBPS",

@@ -105,7 +105,7 @@ class FunctionalRpu:
         self.program = self.load_firmware(firmware_asm)
 
         self._rx: Deque[Tuple[int, int, int, int]] = deque()  # tag, len, port, addr
-        self._slots_in_use: Dict[int, int] = {}
+        self.pushed = 0
         self._next_tag = 1
         self._send_tag = 0
         self._send_len = 0
@@ -156,6 +156,16 @@ class FunctionalRpu:
 
     # -- packet injection -------------------------------------------------------------
 
+    @property
+    def in_flight(self) -> int:
+        """Slot credits taken: packets pushed and not yet sent.
+
+        A credit returns when its packet leaves the RPU, not when the
+        firmware releases the RX descriptor (§4.2): a released packet
+        still occupies its slot until the send has copied it out.
+        """
+        return self.pushed - len(self.sent)
+
     def push_packet(self, data: bytes, port: int = 0, class_key=None) -> int:
         """DMA a packet into a free slot and post its descriptor.
 
@@ -168,11 +178,12 @@ class FunctionalRpu:
         slot_bytes = self.config.slot_bytes
         if len(data) + PKT_OFFSET > slot_bytes:
             raise ValueError("packet exceeds slot size")
-        if len(self._rx) >= self.config.slots_per_rpu:
+        if self.in_flight >= self.config.slots_per_rpu:
             raise RuntimeError(
                 "no free packet slots: drain the RPU before pushing more "
                 "(the LB would withhold this packet in hardware)"
             )
+        self.pushed += 1
         tag = self._next_tag
         self._next_tag = self._next_tag % self.config.slots_per_rpu + 1
         offset = self._slot_offsets[tag - 1]

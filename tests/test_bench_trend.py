@@ -195,6 +195,22 @@ def test_update_preserves_hand_tuned_bands(results_dir, tmp_path):
     assert metrics["demo_probe.gbps"]["tolerance"] == 0.33
 
 
+def test_update_keeps_exact_numeric_gates(results_dir, tmp_path):
+    """An identity count (``verify_probe.proven_accesses``) stays an
+    exact gate across ``--update``: it must not turn into a 5% band
+    that a lost proof slips through."""
+    baselines_path = tmp_path / "baselines.json"
+    trend.update_baselines(trend.collect_results(results_dir), baselines_path)
+    doc = json.loads(baselines_path.read_text())
+    doc["metrics"]["demo_probe.gbps"] = {"value": 100.0, "exact": True}
+    baselines_path.write_text(json.dumps(doc))
+    metrics = trend.update_baselines(
+        trend.collect_results(results_dir), baselines_path
+    )
+    assert metrics["demo_probe.gbps"] == {"value": 100.0, "exact": True}
+    assert trend.check_metric(metrics["demo_probe.gbps"], 97.0)["status"] == "REGRESSED"
+
+
 def test_band_classes():
     assert trend.default_band("p.elapsed_s", 2.0)["direction"] == "lower"
     assert (

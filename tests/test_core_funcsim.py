@@ -200,3 +200,33 @@ class TestDebugFacilities:
         rpu = FunctionalRpu("spin: j spin")
         with pytest.raises(RuntimeError):
             rpu.run_until_sent(1, max_instructions=1000)
+
+
+class TestSlotCredits:
+    def test_released_packet_keeps_its_slot_until_sent(self, blacklist):
+        """A slot credit returns when the packet leaves, not when the
+        firmware releases its RX descriptor: pushing into a released but
+        unsent slot would overwrite the frame the core is about to send."""
+        from repro.core import RosebudConfig
+
+        rpu = FunctionalRpu(
+            FIREWALL_ASM,
+            accelerator=IpBlacklistMatcher(blacklist),
+            config=RosebudConfig(slots_per_rpu=2),
+            cpu_backend="interp",
+        )
+        a, b, c = (
+            build_tcp(f"10.0.0.{i}", "2.2.2.2", i, 80, pad_to=256).data for i in (1, 2, 3)
+        )
+        rpu.push_packet(a)
+        rpu.push_packet(b)
+        rpu.cpu.run(max_instructions=10_000, until=lambda cpu: len(rpu._rx) == 1)
+        assert not rpu.sent and rpu.in_flight == 2
+        with pytest.raises(RuntimeError, match="no free packet slots"):
+            rpu.push_packet(c)
+        rpu.run_until_sent(1)
+        assert rpu.sent[0].data == a
+        assert rpu.in_flight == 1
+        rpu.push_packet(c)
+        rpu.run_until_sent(3)
+        assert [s.data for s in rpu.sent] == [a, b, c]
