@@ -1,6 +1,6 @@
 """RPU accelerators: framework, firewall IP matcher, Pigasus engines."""
 
-from .base import Accelerator, AcceleratorError, AcceleratorWrapper
+from .base import Accelerator, AcceleratorError
 from .checksum_accel import ChecksumUpdateAccelerator, incremental_update, update_for_fields
 from .hash import FlowHashAccelerator
 from .firewall import (
@@ -15,7 +15,6 @@ from .firewall import (
 __all__ = [
     "Accelerator",
     "AcceleratorError",
-    "AcceleratorWrapper",
     "IpBlacklistMatcher",
     "FlowHashAccelerator",
     "ChecksumUpdateAccelerator",

@@ -7,10 +7,9 @@ An accelerator inside an RPU exposes two interfaces:
 * optionally a *streaming port* fed by the DMA engine from packet
   memory (the Pigasus matcher consumes payloads this way).
 
-:class:`AcceleratorWrapper` is the "basic wrapper" Appendix A.2
-describes: it assigns register addresses, provides blocking and
-non-blocking access semantics, and adds the small hardware queue that
-lets software treat the accelerator like an asynchronous worker.
+:class:`Accelerator` plays the "basic wrapper" Appendix A.2 describes:
+it assigns register addresses and declares each register's access
+contract (value ranges, bounded streams) for the firmware verifier.
 
 Concrete accelerators implement :meth:`read_reg`/:meth:`write_reg`
 against their register map and a cycle-cost model; the same object
@@ -20,8 +19,7 @@ the instruction-set simulator (mapped as an MMIO region).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 
 class AcceleratorError(RuntimeError):
@@ -150,36 +148,3 @@ class Accelerator:
 
     def reset(self) -> None:
         """Return to power-on state (PR load or RPU reboot)."""
-
-
-class AcceleratorWrapper:
-    """The per-accelerator request queue from Appendix A.2.
-
-    Software pushes work descriptors; the accelerator drains them in
-    order.  This keeps orchestration "similar to an asynchronous
-    scheduling software that manages local resources".
-    """
-
-    def __init__(self, accelerator: Accelerator, queue_depth: int = 4) -> None:
-        self.accelerator = accelerator
-        self.queue_depth = queue_depth
-        self._queue: Deque = deque()
-
-    @property
-    def backlog(self) -> int:
-        return len(self._queue)
-
-    def can_enqueue(self) -> bool:
-        return len(self._queue) < self.queue_depth
-
-    def enqueue(self, work) -> bool:
-        """Non-blocking submit; False when the hardware FIFO is full."""
-        if not self.can_enqueue():
-            return False
-        self._queue.append(work)
-        return True
-
-    def pop(self):
-        if not self._queue:
-            return None
-        return self._queue.popleft()

@@ -14,6 +14,10 @@ and can refresh them later to change the ruleset without a new FPGA
 image (§7.1.2).  :meth:`load_rules` is that operation; until it has
 been called the matcher reports itself unready, like uninitialized
 hardware.
+
+Search is a pure function of (tables, payload), so each automaton
+memoises it by payload content, counting hits and misses; :meth:`load_rules`
+builds a fresh automaton, so a table load is the memo's only invalidation.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ TABLE_LOAD_BYTES_PER_CYCLE = 16
 #: firmware drain loops by it, so the functional model must enforce it
 #: (overflowing matches are dropped and counted, as the RTL would).
 MATCH_FIFO_DEPTH = 8
+
+#: Payloads one automaton's memo holds; it stops growing, never evicts.
+MEMO_CAPACITY = 1024
 
 
 class AhoCorasick:
@@ -80,21 +87,33 @@ class AhoCorasick:
                     self._fail[nxt] = 0
                 self._output[nxt] |= self._output[self._fail[nxt]]
 
+        self._memo: Dict[bytes, Tuple[Tuple[int, int], ...]] = {}
+        self.memo_hits = 0
+        self.memo_misses = 0
+
     @property
     def n_states(self) -> int:
         return len(self._goto)
 
     def search(self, data: bytes) -> List[Tuple[int, int]]:
         """All matches as (end_offset, pattern_id), in stream order."""
+        key = bytes(data)
+        memo = self._memo.get(key)
+        if memo is not None:
+            self.memo_hits += 1
+            return list(memo)
+        self.memo_misses += 1
         matches: List[Tuple[int, int]] = []
         state = 0
-        for offset, byte in enumerate(data):
+        for offset, byte in enumerate(key):
             while state and byte not in self._goto[state]:
                 state = self._fail[state]
             state = self._goto[state].get(byte, 0)
             if self._output[state]:
                 for pid in sorted(self._output[state]):
                     matches.append((offset, pid))
+        if len(self._memo) < MEMO_CAPACITY:
+            self._memo[key] = tuple(matches)
         return matches
 
 

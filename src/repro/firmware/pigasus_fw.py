@@ -71,7 +71,7 @@ class _PigasusBase(FirmwareModel):
         other.port_matcher = self.port_matcher
         other.rules = self.rules
 
-    def _scan(self, packet: Packet) -> List[int]:
+    def _scan(self, packet: Packet, payload: bytes) -> List[int]:
         parsed = packet.parsed
         if parsed.tcp is not None:
             proto, sport, dport = "tcp", parsed.tcp.src_port, parsed.tcp.dst_port
@@ -79,13 +79,14 @@ class _PigasusBase(FirmwareModel):
             proto, sport, dport = "udp", parsed.udp.src_port, parsed.udp.dst_port
         else:
             return []
-        return self.matcher.scan(packet.payload, proto, sport, dport)
+        return self.matcher.scan(payload, proto, sport, dport)
 
     def _verdict(
         self, packet: Packet, sw_cycles: float, to_host: bool = False
     ) -> FirmwareResult:
-        sids = self._scan(packet)
-        accel = self.matcher.scan_cycles(len(packet.payload))
+        payload = packet.payload
+        sids = self._scan(packet, payload)
+        accel = self.matcher.scan_cycles(len(payload))
         if sids:
             self.matched_packets += 1
             packet.rule_ids = list(sids)

@@ -30,22 +30,7 @@ def internet_checksum(data: bytes) -> int:
 
 def pseudo_header(src_ip: int, dst_ip: int, protocol: int, length: int) -> bytes:
     """IPv4 pseudo-header used by TCP/UDP checksums."""
-    return bytes(
-        [
-            (src_ip >> 24) & 0xFF,
-            (src_ip >> 16) & 0xFF,
-            (src_ip >> 8) & 0xFF,
-            src_ip & 0xFF,
-            (dst_ip >> 24) & 0xFF,
-            (dst_ip >> 16) & 0xFF,
-            (dst_ip >> 8) & 0xFF,
-            dst_ip & 0xFF,
-            0,
-            protocol & 0xFF,
-            (length >> 8) & 0xFF,
-            length & 0xFF,
-        ]
-    )
+    return struct.pack("!IIBBH", src_ip, dst_ip, 0, protocol & 0xFF, length & 0xFFFF)
 
 
 def transport_checksum(

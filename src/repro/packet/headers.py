@@ -184,9 +184,6 @@ class IPv4Header:
         )
         return hdr, data[header_len:]
 
-    def verify_checksum(self, raw_header: bytes) -> bool:
-        return internet_checksum(raw_header[:IPV4_HEADER_SIZE]) == 0
-
 
 @dataclass
 class TCPHeader:

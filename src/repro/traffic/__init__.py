@@ -3,7 +3,6 @@
 from .attack import attack_trace_from_rules, firewall_trace
 from .flows import FlowTrafficSource
 from .generator import (
-    CallbackSource,
     IMIX_MIX,
     ImixSource,
     FixedSizeSource,
@@ -16,7 +15,6 @@ __all__ = [
     "attack_trace_from_rules",
     "firewall_trace",
     "FlowTrafficSource",
-    "CallbackSource",
     "IMIX_MIX",
     "ImixSource",
     "FixedSizeSource",

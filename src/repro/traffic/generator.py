@@ -10,7 +10,7 @@ subclasses decide what each packet looks like.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..packet.builder import build_tcp
 from ..packet.packet import Packet
@@ -184,25 +184,6 @@ class ImixSource(TrafficSource):
     def next_packet(self) -> Packet:
         size = self.rng.choice(self._sizes)
         return self.rng.choice(self._templates[size]).make_packet()
-
-
-class CallbackSource(TrafficSource):
-    """A source whose packets come from a user callable."""
-
-    def __init__(
-        self,
-        system: RosebudSystem,
-        port: int,
-        offered_gbps: float,
-        make_packet: Callable[[], Packet],
-        n_packets: Optional[int] = None,
-        respect_generator_cap: bool = True,
-    ) -> None:
-        super().__init__(system, port, offered_gbps, n_packets, respect_generator_cap)
-        self._make_packet = make_packet
-
-    def next_packet(self) -> Packet:
-        return self._make_packet()
 
 
 class ReplaySource(TrafficSource):

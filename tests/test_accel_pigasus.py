@@ -1,6 +1,8 @@
 """Tests for the Pigasus accelerators: ruleset, Aho-Corasick, matchers,
 rule packer, runtime table loading."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +19,7 @@ from repro.accel.pigasus import (
     parse_rules,
     unpack_rule_ids,
 )
+from repro.accel.pigasus import string_match
 
 
 class TestRuleParsing:
@@ -117,6 +120,78 @@ class TestAhoCorasick:
         got = sorted(set(pid for _, pid in ac.search(haystack)))
         expected = sorted(i for i, p in enumerate(patterns) if p in haystack)
         assert got == expected
+
+
+class TestSearchMemo:
+    """The automaton memoises search by payload content."""
+
+    PATTERNS = {b"abc": 1, b"bcd": 2, b"cab": 3, b"abcab": 4, b"zz": 5}
+
+    @staticmethod
+    def _payloads(rng, count=60):
+        """Random payloads over the patterns' alphabet, plus one with a
+        pattern at offset 0, one ending mid-pattern and one with
+        overlapping matches."""
+        pool = [b"abc" + bytes(rng.choice(b"abcdz") for _ in range(12)),
+                bytes(rng.choice(b"abcdz") for _ in range(12)) + b"ab",
+                b"zabcabcdzz"]
+        while len(pool) < count:
+            pool.append(bytes(rng.choice(b"abcdz") for _ in range(rng.randrange(1, 40))))
+        return pool
+
+    def test_memoised_search_equals_unmemoised(self, monkeypatch):
+        rng = random.Random(17)
+        pool = self._payloads(rng)
+        memoised = AhoCorasick(self.PATTERNS)
+        order = [rng.choice(pool) for _ in range(600)]
+        got = [memoised.search(data) for data in order]
+        monkeypatch.setattr(string_match, "MEMO_CAPACITY", 0)
+        plain = AhoCorasick(self.PATTERNS)
+        assert got == [plain.search(data) for data in order]
+        assert plain.memo_hits == 0 and not plain._memo
+        assert memoised.memo_hits > 0
+        assert got[order.index(b"zabcabcdzz")] == [(3, 1), (5, 3), (5, 4), (6, 1), (7, 2), (9, 5)]
+
+    def test_hits_and_misses_counted(self):
+        ac = AhoCorasick(self.PATTERNS)
+        for data in (b"xabcx", b"xabcx", b"zz", b"xabcx", bytearray(b"zz")):
+            ac.search(data)
+        assert (ac.memo_misses, ac.memo_hits) == (2, 3)
+
+    def test_mutating_a_result_leaves_the_memo_alone(self):
+        ac = AhoCorasick(self.PATTERNS)
+        first = ac.search(b"abcab")
+        first.append((99, 99))
+        second = ac.search(b"abcab")
+        assert second == [(2, 1), (4, 3), (4, 4)]
+        second.clear()
+        assert ac.search(b"abcab") == [(2, 1), (4, 3), (4, 4)]
+
+    def test_cap_holds(self, monkeypatch):
+        monkeypatch.setattr(string_match, "MEMO_CAPACITY", 4)
+        ac = AhoCorasick(self.PATTERNS)
+        payloads = [b"abc" + bytes([n]) for n in range(10)]
+        for data in payloads * 2:
+            assert ac.search(data) == [(2, 1)]
+        assert len(ac._memo) == 4
+        assert (ac.memo_hits, ac.memo_misses) == (4, 16)
+
+    def test_reloaded_tables_return_nothing_stale(self):
+        def rule(sid, content):
+            return parse_rules(f'alert tcp any any -> any any (content:"{content}"; sid:{sid};)')[0]
+
+        payload = b"GET /alpha HTTP"
+        matcher = PigasusStringMatcher()
+        matcher.load_rules([rule(1, "alpha"), rule(2, "omega")])
+        assert matcher.scan(payload) == matcher.scan(payload) == [1]
+        matcher.load_rules([rule(3, "omega"), rule(1, "HTTP")])
+        fresh = PigasusStringMatcher()
+        fresh.load_rules([rule(3, "omega"), rule(1, "HTTP")])
+        assert matcher.scan(payload) == fresh.scan(payload) == [1]
+        assert matcher._automaton.memo_hits == 0
+        matcher.load_rules([rule(4, "beta")])
+        assert matcher.scan(payload) == []
+        assert matcher.packets_scanned == 4
 
 
 class TestStringMatcher:

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.packet import (
     BuildError,
+    TCPHeader,
     MIN_FRAME_SIZE,
     Packet,
     TCP_OVERHEAD,
@@ -54,6 +55,52 @@ class TestBuildTcp:
         pkt = build_tcp("10.0.0.1", "10.0.0.2", 5, 6, pad_to=size)
         assert pkt.size == size
         assert pkt.is_tcp
+
+
+class TestBuildTcpGolden:
+    """``build_tcp`` frames are byte-identical to the ones the header
+    classes (``IPv4Header.pack`` + ``TCPHeader.pack_with_checksum``)
+    produced before frames came from a ``TcpFrameTemplate``."""
+
+    CASES = {
+        "min_frame_empty": (
+            dict(src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=1234, dst_port=80),
+            "02000000000202000000000108004500002800000000400666ce0a0000010a00000204d2"
+            "005000000000000000005010ffff96b00000000000000000",
+        ),
+        "min_frame_odd_payload": (
+            dict(src_ip="192.168.1.7", dst_ip="8.8.4.4", src_port=40000, dst_port=53,
+                 payload=b"hello"),
+            "02000000000202000000000108004500002d000000004006ad10c0a80107080804049c40"
+            "003500000000000000005010ffff01cd000068656c6c6f00",
+        ),
+        "vlan_pad_to": (
+            dict(src_ip="10.1.1.1", dst_ip="10.2.2.2", src_port=5, dst_port=80, payload=b"abc",
+                 vlan=7, pad_to=128),
+            "0200000000020200000000018100000708004500006e00000000400663850a0101010a02"
+            "02020005005000000000000000005010ffffd3d10000616263" + "00" * 67,
+        ),
+        "flags_ack_seq_wrap": (
+            dict(src_ip="172.16.0.9", dst_ip="172.16.255.254", src_port=65535, dst_port=1,
+                 payload=b"xyz", seq=2**32 + 5, ack=0x12345678,
+                 flags=TCPHeader.FLAG_SYN | TCPHeader.FLAG_ACK,
+                 src_mac="aa:bb:cc:dd:ee:01", dst_mac="0a:0b:0c:0d:0e:0f"),
+            "0a0b0c0d0e0faabbccddee0108004500002b00000000400622a5ac100009ac10fffeffff"
+            "000100000005123456785012fffffc7a000078797a000000",
+        ),
+        "pad_to_flow_frame": (
+            dict(src_ip="10.1.3.17", dst_ip="10.201.0.1", src_port=51234, dst_port=443,
+                 payload=b"x" + b"GET /evil" + b"A" * 40, seq=123456789, pad_to=128),
+            "02000000000202000000000108004500007200000000400662ab0a0103110ac90001c822"
+            "01bb075bcd15000000005010ffff339a000078474554202f6576696c" + "41" * 40
+            + "00" * 24,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_frame_equals_golden(self, case):
+        kwargs, golden = self.CASES[case]
+        assert build_tcp(**kwargs).data.hex() == golden
 
 
 class TestBuildUdp:

@@ -6,6 +6,7 @@ from repro.accel import generate_blacklist, parse_blacklist, IpBlacklistMatcher
 from repro.accel.pigasus import generate_ruleset, parse_rules, PigasusStringMatcher
 from repro.core import RosebudConfig, RosebudSystem
 from repro.firmware import ForwarderFirmware
+from repro.packet import EthernetHeader, IPv4Header, Packet, TCPHeader
 from repro.traffic import (
     FixedSizeSource,
     FlowTrafficSource,
@@ -147,6 +148,66 @@ class TestFlowTrafficSource:
         with pytest.raises(ValueError):
             FlowTrafficSource(system, 0, 10.0, 60,
                               attack_payloads=[b"abcd"], attack_fraction=0.1)
+
+
+class TestFlowFrames:
+    """Flow packets are minted from per-flow templates with a seeded
+    parse; both must equal what the header classes and the lazy parse
+    produce."""
+
+    SIZE = 200
+
+    @staticmethod
+    def _reference(pkt, src_ip):
+        payload = pkt.data[54:]
+        tcp = pkt.parsed.tcp
+        eth = EthernetHeader(dst="02:00:00:00:00:02", src="02:00:00:00:00:01").pack()
+        ip = IPv4Header(src=src_ip, dst="10.201.0.1", total_length=len(pkt.data) - 14)
+        seg = TCPHeader(src_port=tcp.src_port, dst_port=tcp.dst_port, seq=pkt.seq_index)
+        return eth + ip.pack() + seg.pack_with_checksum(src_ip, "10.201.0.1", payload)
+
+    def _packets(self, n=600, start_seq=1, size=SIZE, **kwargs):
+        system = _system()
+        patterns = [b"ab", b"evil-pattern", b"L" * (size - 54 + 9)]
+        defaults = dict(attack_fraction=0.4, attack_payloads=patterns,
+                        reorder_fraction=0.2, n_flows=5, seed=11)
+        defaults.update(kwargs)
+        source = FlowTrafficSource(system, 1, 10.0, size, **defaults)
+        for flow in source.flows:
+            flow.seq = start_seq
+        return source, [source.next_packet() for _ in range(n)]
+
+    def _expected_payload(self, pkt, patterns, size):
+        room = size - 54
+        if not pkt.is_attack:
+            return [b"s" * room]
+        bodies = []
+        for pattern in patterns:
+            body = (b"x" + pattern + b"A" * max(0, room - len(pattern) - 2))[:room]
+            bodies.append(body + b"\x00" * (room - len(body)))
+        return bodies
+
+    @pytest.mark.parametrize("start_seq", [1, 2**32 - 1000])
+    def test_frames_equal_header_reference(self, start_seq):
+        source, packets = self._packets(start_seq=start_seq)
+        assert source.attack_sent > 100 and source.reordered > 50
+        src_ip = {flow.flow_id: flow.src_ip for flow in source.flows}
+        wrapped = 0
+        for pkt in packets:
+            assert pkt.data == self._reference(pkt, src_ip[pkt.flow_id])
+            assert pkt.data[54:] in self._expected_payload(pkt, source.attack_payloads, self.SIZE)
+            assert pkt.parsed.tcp.seq == pkt.seq_index % 2**32
+            wrapped += pkt.seq_index >= 2**32
+            assert pkt.class_key is None
+        assert wrapped > 0 if start_seq > 1 else wrapped == 0
+
+    @pytest.mark.parametrize("size", [62, 93, 512])
+    def test_seeded_parse_equals_lazy_parse(self, size):
+        _source, packets = self._packets(size=size, n=300)
+        for pkt in packets:
+            assert pkt._parsed is not None
+            assert pkt._parsed == Packet(pkt.data)._parse()
+            assert pkt.payload == pkt.data[54:]
 
 
 class TestAttackTraces:
