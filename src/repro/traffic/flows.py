@@ -91,12 +91,12 @@ class FlowTrafficSource(TrafficSource):
             for i in range(n_flows)
         ]
         self._pending: Deque[Packet] = deque()
-        #: attack pattern (None: benign) -> (padded body, its sum, seq advance)
-        self._variants: Dict[Optional[bytes], Tuple[bytes, int, int]] = {}
+        #: attack pattern (None: benign) -> (padded body, its sum)
+        self._variants: Dict[Optional[bytes], Tuple[bytes, int]] = {}
         self.attack_sent = 0
         self.reordered = 0
 
-    def _variant(self, pattern: Optional[bytes]) -> Tuple[bytes, int, int]:
+    def _variant(self, pattern: Optional[bytes]) -> Tuple[bytes, int]:
         payload_len = self.packet_size - TCP_OVERHEAD
         if pattern is None:
             payload = b"s" * payload_len
@@ -104,12 +104,12 @@ class FlowTrafficSource(TrafficSource):
             filler = b"A" * max(0, payload_len - len(pattern) - 2)
             payload = (b"x" + pattern + filler)[:payload_len]
         body = payload + b"\x00" * (payload_len - len(payload))
-        self._variants[pattern] = variant = (body, ones_complement_sum(body), len(payload))
+        self._variants[pattern] = variant = (body, ones_complement_sum(body))
         return variant
 
     def _build(self, flow: _Flow, attack: bool) -> Packet:
         pattern = self.rng.choice(self.attack_payloads) if attack else None
-        body, body_sum, advance = self._variants.get(pattern) or self._variant(pattern)
+        body, body_sum = self._variants.get(pattern) or self._variant(pattern)
         template = flow.template
         if template is None:  # first packet of the flow
             i = flow.flow_id
@@ -124,7 +124,7 @@ class FlowTrafficSource(TrafficSource):
                           checksum=template.ip_checksum)
         tcp = TCPHeader(flow.src_port, flow.dst_port, seq & 0xFFFFFFFF, checksum=checksum)
         packet._parsed = ParsedHeaders(_ETH, None, ipv4, tcp, payload_offset=TCP_OVERHEAD)
-        flow.seq += advance
+        flow.seq += len(body)  # the segment as sent, zero padding included
         return packet
 
     def next_packet(self) -> Packet:

@@ -209,6 +209,17 @@ class TestFlowFrames:
             assert pkt._parsed == Packet(pkt.data)._parse()
             assert pkt.payload == pkt.data[54:]
 
+    def test_attack_packets_advance_seq_by_segment_length(self):
+        """The next packet of a flow starts where the previous segment
+        ended on the wire, attack payloads (one byte short, zero-padded)
+        included, so in-order traffic shows no sequence gaps."""
+        _source, packets = self._packets(n=400, attack_fraction=0.5, reorder_fraction=0.0)
+        last = {}
+        for pkt in packets:
+            if pkt.flow_id in last:
+                assert pkt.seq_index - last[pkt.flow_id] == self.SIZE - 54
+            last[pkt.flow_id] = pkt.seq_index
+
 
 class TestAttackTraces:
     def test_rule_trace_one_packet_per_rule(self):
