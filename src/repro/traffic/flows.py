@@ -22,7 +22,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from ..core.system import RosebudSystem
 from ..packet.builder import TCP_OVERHEAD, TcpFrameTemplate
 from ..packet.checksum import ones_complement_sum
-from ..packet.headers import ETH_HEADER_SIZE, EthernetHeader, IPv4Header, TCPHeader
+from ..packet.headers import ETH_HEADER_SIZE, EthernetHeader, IPv4Header, TCPHeader, ip_to_int
 from ..packet.packet import Packet, ParsedHeaders
 from .generator import TrafficSource
 
@@ -30,7 +30,7 @@ from .generator import TrafficSource
 _ETH = EthernetHeader(dst="02:00:00:00:00:02", src="02:00:00:00:00:01")
 _ETH_BYTES = _ETH.pack()
 _DST_IP = "10.201.0.1"
-_DST_ADDR = (10 << 24) | (201 << 16) | 1
+_DST_ADDR = ip_to_int(_DST_IP)
 _TCP_CHECKSUM_AT = TCP_OVERHEAD - 4
 
 
@@ -112,7 +112,7 @@ class FlowTrafficSource(TrafficSource):
         body, body_sum = self._variants.get(pattern) or self._variant(pattern)
         template = flow.template
         if template is None:  # first packet of the flow
-            i = flow.flow_id
+            i = flow.flow_id  # src_addr == ip_to_int(flow.src_ip), without the parse
             src_addr = (10 << 24) | (self.port << 16) | ((i // 250) << 8) | (i % 250 + 1)
             template = flow.template = TcpFrameTemplate(
                 _ETH_BYTES, src_addr, _DST_ADDR, flow.src_port, flow.dst_port, len(body))
