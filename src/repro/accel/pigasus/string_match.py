@@ -47,7 +47,7 @@ MEMO_CAPACITY = 1024
 
 
 class AhoCorasick:
-    """A plain Aho–Corasick automaton over byte strings."""
+    """A plain Aho–Corasick automaton over byte strings, search memoised by content."""
 
     def __init__(self, patterns: Dict[bytes, int]) -> None:
         """``patterns`` maps pattern bytes -> opaque id (rule sid)."""
