@@ -25,12 +25,10 @@ __all__ = [
     "ClusterError",
     "ClusterShardError",
     "ClusterSpec",
-    "run_cluster_experiment",
 ]
 
 _LAZY = {
     "ClusterEngine": "engine",
-    "run_cluster_experiment": "engine",
     "ClusterShardError": "shard",
 }
 

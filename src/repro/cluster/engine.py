@@ -160,14 +160,18 @@ class ClusterEngine:
                 ProcessShard(j, self.spec, group, timeout=self.shard_timeout)
                 for j, group in enumerate(groups)
             ]
+            for shard in self._shards:
+                shard.rack = self._shards
         self._started = True
 
     def close(self) -> None:
-        for shard in self._shards:
-            try:
-                shard.close()
-            except Exception:
-                pass
+        # ask every worker to exit before reaping any, so the exits overlap
+        for reap in (False, True):
+            for shard in self._shards:
+                try:
+                    shard.close(reap)
+                except Exception:
+                    pass
         self._shards = []
         self._closed = True
 
@@ -180,13 +184,30 @@ class ClusterEngine:
 
     # -- the barrier loop --------------------------------------------------
 
+    def _round(self, cmd: str, payloads: Sequence[tuple]) -> List[Any]:
+        """Post ``cmd`` to every shard before collecting any reply.
+
+        Replies come back in shard order, whichever worker finished
+        first.  A failed round closes the engine: a sibling of the failed
+        shard may still hold an unread reply, which must never be taken
+        as the answer to a later command.
+        """
+        if self._closed:
+            raise ClusterShardError("cluster engine is closed")
+        try:
+            for shard, payload in zip(self._shards, payloads):
+                shard.post(cmd, payload)
+            return [shard.request(cmd) for shard in self._shards]
+        except ClusterShardError:
+            self.close()
+            raise
+
     @property
     def measurement_done(self) -> bool:
         return self._measurement.done
 
     def _apply_event(self, kind: str, board: int, source: str) -> None:
-        for shard in self._shards:
-            shard.apply_event(kind, board)
+        self._round("apply_event", [(kind, board)] * len(self._shards))
         if kind == "drain":
             self._admin_drained.add(board)
             self._zero_streak[board] = 0
@@ -228,24 +249,23 @@ class ClusterEngine:
         outgoing: List[tuple] = []
         previous = list(self._metrics)
         before = self._reading["completions"]
-        for shard in self._shards:
-            deliveries = {
-                b: self._pending.pop(b) for b in shard.boards if b in self._pending
-            }
-            out, metrics = shard.advance(horizon, deliveries)
-            for board, entries in out.items():
-                outgoing.extend(entries)
+        payloads = [
+            (horizon, {b: self._pending.pop(b) for b in shard.boards if b in self._pending})
+            for shard in self._shards
+        ]
+        for out, metrics in self._round("advance", payloads):
+            outgoing.extend(out)
             for board, m in metrics.items():
                 self._metrics[board] = m
 
         # deterministic merge: arrival time, then source board, then
         # per-source emission sequence — a total order identical in
-        # every process layout
+        # every process layout and whichever shard answered first
         outgoing.sort(key=lambda e: (e[0], e[1], e[2]))
         for entry in outgoing:
             self._pending.setdefault(entry[3], []).append(entry)
             self._cross_packets += 1
-            self._cross_bytes += len(entry[5].data)
+            self._cross_bytes += entry[4]
 
         self.now = horizon
         self.horizons += 1
@@ -334,8 +354,6 @@ class ClusterEngine:
             self.close()
         return self._result
 
-    run = run_to_completion
-
     def result(self) -> ExperimentResult:
         if self._result is None:
             if not self.measurement_done:
@@ -346,8 +364,8 @@ class ClusterEngine:
 
     def _assemble(self) -> ExperimentResult:
         finals: Dict[int, Dict[str, Any]] = {}
-        for shard in self._shards:
-            finals.update(shard.finalize())
+        for reply in self._round("finalize", [()] * len(self._shards)):
+            finals.update(reply)
 
         counters: Dict[str, int] = {}
         firmware_totals: Dict[str, int] = {}
@@ -538,14 +556,3 @@ class ClusterEngine:
         }
         return stamp(payload, "repro-cluster-snapshot")
 
-
-def run_cluster_experiment(
-    spec: ExperimentSpec,
-    shards: int = 1,
-    events: Sequence[Any] = (),
-    shard_timeout: Optional[float] = 120.0,
-) -> ExperimentResult:
-    """Run one cluster point to completion (the batch entry point)."""
-    return ClusterEngine(
-        spec, shards=shards, events=events, shard_timeout=shard_timeout
-    ).run_to_completion()

@@ -7,17 +7,27 @@ to another board — accounted onto the inter-board link and buffered
 for the horizon exchange instead of being delivered locally.
 
 Shards are groups of boards.  The engine drives them through one tiny
-command protocol (``advance`` / ``event`` / ``finalize`` / ``close``)
-that has two interchangeable transports:
+command protocol (``advance`` / ``apply_event`` / ``finalize`` /
+``close``), one round at a time: it *posts* a command to every shard
+and only then *collects* any reply (``post`` / ``request``).  Two
+transports implement it:
 
-* :class:`InlineShard` — the boards live in this process; commands are
-  direct method calls.  ``shards=1`` runs the whole cluster this way.
+* :class:`InlineShard` — the boards live in this process; a posted
+  command runs at once.  ``shards=1`` runs the whole cluster this way.
 * :class:`ProcessShard` — the boards live in a spawn-context worker
   process behind a :class:`multiprocessing.Pipe` (persistent state
   across commands, unlike the sweep pool's one-shot tasks, but the
-  same spawn-context plumbing).  A worker that dies or wedges raises a
-  named :class:`ClusterShardError` — it can *never* hang the horizon
-  barrier.
+  same spawn-context plumbing).  Every worker computes its round while
+  the parent waits on all pipes and worker sentinels at once.  A
+  worker that dies or wedges raises a named :class:`ClusterShardError`
+  — it can *never* hang the horizon barrier.
+
+Crossing packets travel between workers as one pickle each, without
+their parse cache (a pure function of the frame bytes); the parent
+reads only the entry's ``(arrival, src, seq, dst, size)`` and forwards
+the pickle undecoded.  The receiving worker gives each decoded packet a
+fresh id from its own counter (:meth:`Packet.from_wire`), because ids
+count per process and the sender's may be live on the receiving board.
 
 Both transports execute the identical per-board code, which is what
 makes an N-shard run byte-identical to the inline run.
@@ -26,13 +36,16 @@ makes an N-shard run byte-identical to the inline run.
 from __future__ import annotations
 
 import os
+import pickle
 import time
 import traceback
 from dataclasses import replace
+from multiprocessing.connection import wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.harness import progress_reading
 from ..analysis.spec import ExperimentSpec, MeasurementWindow
+from ..packet import Packet
 from .affinity import ClusterAffinity
 from .link import BoardLink
 
@@ -96,7 +109,8 @@ class BoardHarness:
             for dst in range(cluster.boards)
             if dst != board
         }
-        self._outbox: List[Tuple[float, int, int, int, int, Any]] = []
+        #: (arrival, src board, emission seq, dst board, size, port, packet)
+        self._outbox: List[Tuple[float, int, int, int, int, int, Any]] = []
         self._emit_seq = 0
         # intercept wire arrivals at the front-end, before MAC RX: the
         # instance attribute shadows the bound method for this system
@@ -114,19 +128,20 @@ class BoardHarness:
             # outgoing cross-board traffic: a warp would skip materializing
             # these outbox packets, so the period evidence is void
             self.fluid.note_cross_traffic(f"cross-board steer to board {owner}")
-        arrival = self.links[owner].send(self.session.sim.now, len(packet.data))
+        size = len(packet.data)
+        arrival = self.links[owner].send(self.session.sim.now, size)
         self._emit_seq += 1
-        self._outbox.append((arrival, self.board, self._emit_seq, owner, port, packet))
+        self._outbox.append((arrival, self.board, self._emit_seq, owner, size, port, packet))
 
     # -- horizon protocol --------------------------------------------------
 
-    def deliver(self, batch: Sequence[Tuple[float, int, int, int, int, Any]]) -> None:
+    def deliver(self, batch: Sequence[Tuple[float, int, int, int, int, int, Any]]) -> None:
         """Schedule cross-board arrivals (already merge-sorted by the
         engine); must run before the window they arrive in."""
         sim = self.session.sim
         offer = self._local_offer
         delivered = False
-        for arrival, _src, _seq, _dst, port, packet in batch:
+        for arrival, _src, _seq, _dst, _size, port, packet in batch:
             sim.schedule_at(
                 arrival,
                 lambda p=port, pkt=packet: offer(p, pkt),
@@ -210,15 +225,24 @@ class InlineShard:
         self.index = index
         self.boards = list(boards)
         self.harnesses = [BoardHarness(spec, b) for b in boards]
-        self._by_board = {h.board: h for h in self.harnesses}
+        self._reply: Any = None
+
+    def post(self, cmd: str, payload: tuple = ()) -> None:
+        """Run one command now; :meth:`request` hands back its reply."""
+        self._reply = getattr(self, cmd)(*payload)
+
+    def request(self, cmd: str) -> Any:
+        return self._reply
 
     def advance(self, horizon: float, deliveries: Dict[int, list]):
-        out: Dict[int, list] = {}
+        """Run every board to ``horizon``; returns (outbox entries, metrics)."""
+        out: list = []
         metrics: Dict[int, Dict[str, Any]] = {}
         for harness in self.harnesses:
             harness.deliver(deliveries.get(harness.board, ()))
         for harness in self.harnesses:
-            out[harness.board], metrics[harness.board] = harness.advance(horizon)
+            entries, metrics[harness.board] = harness.advance(horizon)
+            out.extend(entries)
         return out, metrics
 
     def apply_event(self, kind: str, board: int) -> None:
@@ -231,8 +255,27 @@ class InlineShard:
     def board_snapshots(self) -> Dict[int, Dict[str, Any]]:
         return {h.board: h.snapshot() for h in self.harnesses}
 
-    def close(self) -> None:
+    def close(self, reap: bool = True) -> None:
         pass
+
+
+def _serve(shard: InlineShard, cmd: str, payload: Any) -> Any:
+    """Run one engine command on a worker's boards.
+
+    Crossing packets arrive and leave as one pickle each (see the module
+    docstring): the parent never decodes them.
+    """
+    if cmd == "advance":
+        horizon, deliveries = payload
+        decoded = {
+            board: [(*entry[:6], Packet.from_wire(entry[6])) for entry in batch]
+            for board, batch in deliveries.items()
+        }
+        out, metrics = shard.advance(horizon, decoded)
+        return [(*e[:6], pickle.dumps(e[6], pickle.HIGHEST_PROTOCOL)) for e in out], metrics
+    if cmd in ("apply_event", "finalize"):
+        return getattr(shard, cmd)(*payload)
+    raise ClusterShardError(f"unknown shard command {cmd!r}")
 
 
 def _shard_worker(conn, spec: ExperimentSpec, boards: Sequence[int]) -> None:
@@ -265,21 +308,17 @@ def _shard_worker(conn, spec: ExperimentSpec, boards: Sequence[int]) -> None:
             conn.send(("ok", None))
             continue
         try:
-            if cmd == "advance":
-                result = shard.advance(*payload)
-            elif cmd == "event":
-                result = shard.apply_event(*payload)
-            elif cmd == "finalize":
-                result = shard.finalize()
-            else:
-                raise ClusterShardError(f"unknown shard command {cmd!r}")
-            conn.send(("ok", result))
+            conn.send(("ok", _serve(shard, cmd, payload)))
         except BaseException:
             conn.send(("error", traceback.format_exc()))
 
 
 class ProcessShard:
-    """A group of boards in a spawn-context worker behind a pipe."""
+    """A group of boards in a spawn-context worker behind a pipe.
+
+    ``rack`` lists the shards whose replies one :meth:`request` waits
+    for together (the engine sets it to all of its shards).
+    """
 
     def __init__(
         self,
@@ -293,6 +332,10 @@ class ProcessShard:
         self.index = index
         self.boards = list(boards)
         self.timeout = timeout
+        self.rack: List[ProcessShard] = [self]
+        #: the command sent and not yet answered, and its reply once read
+        self._posted: Optional[str] = None
+        self._reply: Optional[Tuple[str, Any]] = None
         context = get_context("spawn")
         self._conn, child = context.Pipe()
         self._proc = context.Process(
@@ -304,62 +347,87 @@ class ProcessShard:
     def _describe(self) -> str:
         return f"shard {self.index} (boards {self.boards})"
 
-    def request(self, cmd: str, payload: Any = None) -> Any:
+    def post(self, cmd: str, payload: Any = None) -> None:
+        """Send one command without waiting for its reply."""
+        if self._posted is not None:
+            raise ClusterShardError(
+                f"{self._describe()} still owes a reply to {self._posted!r}"
+            )
         try:
             self._conn.send((cmd, payload))
-        except (OSError, ValueError, BrokenPipeError):
+        except (OSError, ValueError):
             raise ClusterShardError(
                 f"{self._describe()} is gone: its pipe is closed "
                 f"(worker exit code {self._proc.exitcode})"
             ) from None
+        self._posted = cmd
+
+    def request(self, cmd: str, payload: Any = None) -> Any:
+        """Return this shard's reply to ``cmd``, posting it first unless
+        :meth:`post` already has (a reply owed to another command is an
+        error, never an answer).
+
+        The wait covers the pipe and the worker sentinel of every shard
+        in :attr:`rack` that owes a reply: replies are read as they
+        arrive (a sibling's is kept for its own ``request``), and a
+        sibling that dies is named at once.
+        """
+        if self._posted != cmd:
+            self.post(cmd, payload)
         deadline = None if self.timeout is None else time.monotonic() + self.timeout  # detlint: ok(worker-liveness watchdog)
-        while True:
-            if self._conn.poll(0.05):
-                try:
-                    status, reply = self._conn.recv()
-                except (EOFError, OSError):
-                    raise ClusterShardError(
-                        f"{self._describe()} died mid-reply to {cmd!r} "
-                        f"(worker exit code {self._proc.exitcode})"
-                    ) from None
-                if status == "error":
-                    raise ClusterShardError(
-                        f"{self._describe()} failed {cmd!r}:\n{reply}"
-                    )
-                return reply
-            if not self._proc.is_alive():
-                raise ClusterShardError(
-                    f"{self._describe()} died during {cmd!r} without a reply "
-                    f"(worker exit code {self._proc.exitcode}); the horizon "
-                    "barrier was released, not hung"
-                )
-            if deadline is not None and time.monotonic() > deadline:  # detlint: ok(worker-liveness watchdog)
+        while self._reply is None:
+            owing = [s for s in self.rack if s._posted is not None and s._reply is None]
+            left = None if deadline is None else max(0.0, deadline - time.monotonic())  # detlint: ok(worker-liveness watchdog)
+            ready = wait([s._conn for s in owing] + [s._proc.sentinel for s in owing], left)
+            if not ready:
                 self.close()
                 raise ClusterShardError(
                     f"{self._describe()} exceeded {self.timeout}s answering "
                     f"{cmd!r}; worker terminated"
                 )
+            for shard in owing:
+                if shard._conn in ready or shard._proc.sentinel in ready:
+                    shard._reply = shard._receive()
+        (status, reply), self._reply, self._posted = self._reply, None, None
+        if status == "error":
+            raise ClusterShardError(f"{self._describe()} failed {cmd!r}:\n{reply}")
+        return reply
+
+    def _receive(self) -> Tuple[str, Any]:
+        """Read the reply owed, or name the death that stands in for it."""
+        if self._conn.poll():
+            try:
+                return self._conn.recv()
+            except (EOFError, OSError):
+                pass
+            how = "mid-reply to"
+        else:
+            how = "without a reply to"
+        self._proc.join(timeout=1.0)  # the sentinel fires before the exit code is set
+        raise ClusterShardError(
+            f"{self._describe()} died {how} {self._posted!r} (worker exit code "
+            f"{self._proc.exitcode}); the horizon barrier was released, not hung"
+        )
 
     def advance(self, horizon: float, deliveries: Dict[int, list]):
         return self.request("advance", (horizon, deliveries))
 
-    def apply_event(self, kind: str, board: int) -> None:
-        self.request("event", (kind, board))
-
-    def finalize(self) -> Dict[int, Dict[str, Any]]:
-        return self.request("finalize")
-
     def board_snapshots(self) -> Dict[int, Dict[str, Any]]:
         return {}  # full sub-snapshots are an inline-transport feature
 
-    def close(self) -> None:
+    def close(self, reap: bool = True) -> None:
+        """Ask the worker to exit, then reap it.  ``reap=False`` only
+        asks, so a rack can ask every worker before reaping any."""
         proc = self._proc
-        if proc.is_alive():
+        if self._posted != "close" and proc.is_alive():
             try:
                 self._conn.send(("close", None))
-                proc.join(timeout=1.0)
-            except (OSError, ValueError, BrokenPipeError):
+                self._posted = "close"
+            except (OSError, ValueError):
                 pass
+        if not reap:
+            return
+        proc.join(timeout=1.0)
         if proc.is_alive():
             proc.terminate()
             proc.join(timeout=5.0)

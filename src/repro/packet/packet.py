@@ -10,6 +10,8 @@ Python runtime.
 from __future__ import annotations
 
 import itertools
+import operator
+import pickle
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -182,6 +184,26 @@ class Packet:
             return (p.ipv4.src, p.ipv4.dst, PROTO_UDP, p.udp.src_port, p.udp.dst_port)
         return (p.ipv4.src, p.ipv4.dst, p.ipv4.protocol, 0, 0)
 
+    # -- crossing a process boundary ------------------------------------------
+
+    def __getstate__(self) -> tuple:
+        # the parse cache is a pure function of ``data``: it stays behind
+        return _wire_state(self)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(_WIRE_SLOTS, state):
+            setattr(self, name, value)
+        self._parsed = None
+
+    @staticmethod
+    def from_wire(blob: bytes) -> "Packet":
+        """Unpickle a packet sent by another process.  It takes a fresh id
+        from this process's counter: ids count per process, so the
+        sender's id may belong to a packet that is live here."""
+        packet = pickle.loads(blob)
+        packet.packet_id = next(_packet_ids)
+        return packet
+
     def invalidate_parse_cache(self) -> None:
         """Call after mutating ``data`` so headers are re-parsed."""
         self._parsed = None
@@ -197,3 +219,7 @@ class Packet:
     def __repr__(self) -> str:
         kind = "tcp" if self.is_tcp else "udp" if self.is_udp else "raw"
         return f"<Packet #{self.packet_id} {self.size}B {kind} port={self.ingress_port}>"
+
+
+_WIRE_SLOTS = tuple(name for name in Packet.__slots__ if name != "_parsed")
+_wire_state = operator.attrgetter(*_WIRE_SLOTS)

@@ -5,17 +5,20 @@ per-barrier metric streams and exchanges cross-board packets in one
 deterministically sorted merge, so the process layout (how boards are
 spread over shard workers) can never leak into the measured result.
 These tests pin that as strict equality of the serialized result JSON
-across 1/2/4 shards — with and without the replay cache, and under
-live drain events.
+across 1/2/4 shards — with and without the replay cache, under live
+drain events, and for an IPS rack whose flow packets arrive with their
+parse seeded (a crossing packet leaves that parse behind).
 """
 
 import json
 
 import pytest
 
-from repro import ExperimentSpec, MeasurementWindow, TrafficProfile
+from repro import ExperimentSpec, MeasurementWindow, RosebudConfig, TrafficProfile
+from repro.accel.pigasus import generate_ruleset, parse_rules
 from repro.cluster import ClusterSpec
 from repro.cluster.engine import ClusterEngine
+from repro.firmware import PigasusHwReorderFirmware
 
 WINDOW = MeasurementWindow(
     warmup_packets=50, measure_packets=300, max_cycles=10_000_000
@@ -62,3 +65,27 @@ def test_excess_shards_clamp_to_board_count():
     assert engine.shards == 2
     blob = json.dumps(engine.run_to_completion().to_dict(), sort_keys=True)
     assert blob == result_blob(spec, shards=1)
+
+
+def test_ips_rack_on_flows_is_byte_identical():
+    rules = parse_rules(generate_ruleset(200, seed=1))
+    spec = ExperimentSpec(
+        config=RosebudConfig(n_rpus=4, slots_per_rpu=32),
+        firmware=PigasusHwReorderFirmware,
+        firmware_args=(rules,),
+        traffic=TrafficProfile(
+            packet_size=512,
+            offered_gbps=100.0,
+            source="flows",
+            source_kwargs={
+                "attack_fraction": 0.05,
+                "attack_payloads": tuple(r.content for r in rules),
+                "n_flows": 256,
+            },
+        ),
+        window=WINDOW,
+        cluster=ClusterSpec(boards=2, affinity="hash"),
+    )
+    inline = result_blob(spec, shards=1)
+    assert json.loads(inline)["cluster"]["cross_board"]["packets"] > 0
+    assert result_blob(spec, shards=2) == inline

@@ -1,5 +1,7 @@
 """Tests for packet crafting, parsing, and pcap I/O."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -167,6 +169,33 @@ class TestPacketObject:
         pkt = Packet(full.data[:40])  # eth + ipv4 + 6 bytes of tcp
         assert pkt.is_ipv4
         assert not pkt.is_tcp
+
+
+class TestPacketPickle:
+    @staticmethod
+    def _busy_packet():
+        pkt = build_tcp("10.1.2.3", "10.4.5.6", 1111, 443, payload=b"abc", pad_to=200)
+        for value, name in enumerate(Packet.__slots__):
+            if name not in ("data", "_parsed"):
+                setattr(pkt, name, (name, value))  # a distinct value per slot
+        pkt.parsed  # fill the cache
+        return pkt
+
+    def test_every_slot_but_the_parse_cache_survives(self):
+        pkt = self._busy_packet()
+        back = pickle.loads(pickle.dumps(pkt, pickle.HIGHEST_PROTOCOL))
+        for name in Packet.__slots__:
+            if name != "_parsed":
+                assert getattr(back, name) == getattr(pkt, name), name
+        assert back._parsed is None
+        assert back.parsed == pkt.parsed
+
+    def test_from_wire_takes_a_fresh_id(self):
+        pkt = self._busy_packet()
+        pkt.packet_id = build_raw(64).packet_id
+        back = Packet.from_wire(pickle.dumps(pkt))
+        assert back.packet_id > pkt.packet_id
+        assert back.data == pkt.data and back.timestamps == pkt.timestamps
 
 
 class TestPcap:
