@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench bench-smoke bench-fluid bench-fluid-contended bench-trend bench-trend-update serve-smoke verify-fw ci lint isa-doc-check examples results clean
+.PHONY: install test test-fast bench bench-smoke bench-fluid bench-fluid-contended bench-reach bench-trend bench-trend-update serve-smoke verify-fw ci lint isa-doc-check examples results clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -31,6 +31,14 @@ bench-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/loc_probe.py
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_resilience.py \
 		benchmarks/test_cluster_resilience.py -q
+
+# Reachability probe: run every front door (workloads, examples, CLI
+# subcommands, serve scenario, paper benchmarks, probes) in one process
+# under a profile hook and count, per package, the functions none of
+# them reach that carry no `# front door:` note.  Several minutes; the
+# counts are gated by bench-trend at tolerance 0.
+bench-reach:
+	PYTHONPATH=src $(PYTHON) benchmarks/reach_probe.py
 
 # Trend gate: compare the probe JSONs under benchmarks/results/ against
 # the committed baselines.json with per-metric tolerance bands.  Run

@@ -57,17 +57,19 @@ FLOOR_CLUSTER_FLUID_SPEEDUP = 3.0 if REPRO_CI else 10.0
 FLOOR_CLUSTER_DIP_FRACTION = 0.9
 
 
-def persist_probe_json(name: str, metrics: dict) -> Path:
+def persist_probe_json(name: str, metrics: dict, **extra) -> Path:
     """Write one probe's metrics as a schema-stamped JSON document.
 
     Every ``make bench-smoke`` probe prints its table *and* persists its
     numbers under ``benchmarks/results/<name>.json`` so regressions can
-    be diffed across runs instead of scraped from CI logs.
+    be diffed across runs instead of scraped from CI logs.  ``extra``
+    keys land beside ``metrics`` and are never gated.
     """
     from repro.schema import stamp
 
     RESULTS_DIR.mkdir(exist_ok=True)
-    payload = stamp({"probe": name, "ci": REPRO_CI, "metrics": metrics}, "repro-bench")
+    payload = stamp({"probe": name, "ci": REPRO_CI, "metrics": metrics, **extra},
+                    "repro-bench")
     path = RESULTS_DIR / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path

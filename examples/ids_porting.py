@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Porting the Pigasus IDS to Rosebud (§7.1, Appendix A).
 
-Follows the case study: load a ruleset into the string/port matchers at
-runtime (the URAM trick), verify firmware + accelerator on the ISS,
-compare HW- vs SW-reordering at 200 G against the Snort baseline, and
+Follows the case study: load a ruleset into the string matcher (which
+also applies each rule's port groups) at runtime (the URAM trick),
+verify firmware + accelerator on the ISS, compare HW- vs SW-reordering
+at 200 G against the Snort baseline, and
 finally update the ruleset at runtime without reloading anything —
 the capability the original Pigasus lacked.
 

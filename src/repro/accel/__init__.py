@@ -2,7 +2,6 @@
 
 from .base import Accelerator, AcceleratorError
 from .checksum_accel import ChecksumUpdateAccelerator, incremental_update, update_for_fields
-from .hash import FlowHashAccelerator
 from .firewall import (
     IpBlacklistMatcher,
     LOOKUP_CYCLES,
@@ -16,7 +15,6 @@ __all__ = [
     "Accelerator",
     "AcceleratorError",
     "IpBlacklistMatcher",
-    "FlowHashAccelerator",
     "ChecksumUpdateAccelerator",
     "incremental_update",
     "update_for_fields",

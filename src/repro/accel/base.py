@@ -130,6 +130,7 @@ class Accelerator:
 
     # -- ISS replay cache (repro.replay) -----------------------------------------
 
+    # front door: the replay cache's safe default for an accelerator without a token
     def replay_token(self):
         """Digest of every piece of mutable state the accelerator's MMIO
         *reads* depend on, or ``None`` when no such digest exists.
@@ -143,8 +144,3 @@ class Accelerator:
         stay exact.
         """
         return None
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def reset(self) -> None:
-        """Return to power-on state (PR load or RPU reboot)."""

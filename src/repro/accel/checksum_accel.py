@@ -47,6 +47,7 @@ def words_of_ip(ip_value: int) -> Tuple[int, int]:
     return (ip_value >> 16) & 0xFFFF, ip_value & 0xFFFF
 
 
+# front door: the NAT firmware's accelerator; an assembly NAT drives its registers
 class ChecksumUpdateAccelerator(Accelerator):
     """The MMIO wrapper around the incremental update."""
 
@@ -83,6 +84,3 @@ class ChecksumUpdateAccelerator(Accelerator):
     @property
     def update_cycles(self) -> int:
         return UPDATE_CYCLES
-
-    def reset(self) -> None:
-        self._old = self._new = self._csum = 0

@@ -136,9 +136,6 @@ class IpBlacklistMatcher(Accelerator):
                 return True
         return False
 
-    def check_str(self, ip: str) -> bool:
-        return self.check(ip_to_int(ip))
-
     @property
     def lookup_cycles(self) -> int:
         return LOOKUP_CYCLES
@@ -148,10 +145,6 @@ class IpBlacklistMatcher(Accelerator):
         # immutable after construction, so (fault arm, flag) is the
         # whole mutable slice a bracket's reads can depend on
         return (self._fault_active, self._match_flag)
-
-    def reset(self) -> None:
-        self._match_flag = 0
-        self.lookups = 0
 
 
 def generate_blacklist(n_rules: int = 1050, seed: int = 7) -> str:

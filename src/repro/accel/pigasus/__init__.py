@@ -1,12 +1,5 @@
-"""Ported Pigasus IDS accelerators: ruleset, string matcher, port matcher."""
+"""Ported Pigasus IDS accelerators: ruleset and string matcher."""
 
-from .port_match import PigasusPortMatcher
-from .rule_packer import (
-    CHUNK_BITS,
-    extract_appended_rule_ids,
-    pack_rule_ids,
-    unpack_rule_ids,
-)
 from .ruleset import (
     PortSpec,
     Rule,
@@ -22,11 +15,6 @@ from .string_match import (
 )
 
 __all__ = [
-    "PigasusPortMatcher",
-    "CHUNK_BITS",
-    "extract_appended_rule_ids",
-    "pack_rule_ids",
-    "unpack_rule_ids",
     "PortSpec",
     "Rule",
     "RulesetError",

@@ -174,10 +174,6 @@ class PigasusStringMatcher(Accelerator):
 
     # -- runtime table loading (the URAM trick) -----------------------------------
 
-    @property
-    def ready(self) -> bool:
-        return self._automaton is not None
-
     def load_rules(self, rules: Iterable[Rule]) -> int:
         """Fill the lookup tables at runtime; returns the load cost in
         cycles (table bytes / write-port width)."""
@@ -254,14 +250,9 @@ class PigasusStringMatcher(Accelerator):
         self._src_port = ((value & 0xFF) << 8) | ((value >> 8) & 0xFF)
         self._dst_port = ((value >> 8) & 0xFF00) | ((value >> 24) & 0xFF)
 
+    # front door: ACC_PIG_MATCH of Appendix B (PIGASUS_ASM polls the rule-id FIFO)
     def _read_match_flag(self) -> int:
         return int(bool(self._match_fifo))
 
     def _read_rule_id(self) -> int:
         return self._match_fifo[0] if self._match_fifo else 0
-
-    def reset(self) -> None:
-        self._match_fifo.clear()
-        self._payload = b""
-        self._dma_len = 0
-        self._dma_addr = 0

@@ -22,11 +22,11 @@ from .lb import (
     flow_hash,
 )
 from .mac import MacPort
-from .messaging import BroadcastMessage, BroadcastSystem, LoopbackPort, MessageChannel
-from .pcie import DmaError, HostDmaEngine, PCIE_GBPS, VirtualEthernet
+from .messaging import BroadcastMessage, BroadcastSystem, LoopbackPort
+from .pcie import PCIE_GBPS, VirtualEthernet
 from .profiler import Sample, StatsSampler
 from .rpu import RpuModel
-from .switch import ClusterSwitch, DistributionFabric, PortIngress, RpuLink
+from .switch import ClusterSwitch, DistributionFabric, PortIngress
 from .system import RosebudSystem
 from .tracing import PacketTrace, PacketTracer, TraceEvent
 
@@ -57,12 +57,9 @@ __all__ = [
     "RoundRobinLB",
     "flow_hash",
     "MacPort",
-    "DmaError",
-    "HostDmaEngine",
     "PCIE_GBPS",
     "VirtualEthernet",
     "BroadcastMessage",
-    "MessageChannel",
     "Sample",
     "StatsSampler",
     "BroadcastSystem",
@@ -71,7 +68,6 @@ __all__ = [
     "ClusterSwitch",
     "DistributionFabric",
     "PortIngress",
-    "RpuLink",
     "RosebudSystem",
     "PacketTrace",
     "PacketTracer",

@@ -116,29 +116,6 @@ class RosebudConfig:
     def n_clusters(self) -> int:
         return max(1, self.n_rpus // self.rpus_per_cluster)
 
-    @property
-    def cluster_gbps(self) -> float:
-        """Raw cluster-switch bandwidth (512 bit x 250 MHz = 128 Gbps)."""
-        return self.cluster_bus_bits * self.clock.freq_hz / 1e9
-
-    @property
-    def rpu_link_gbps(self) -> float:
-        """Raw per-RPU link bandwidth (128 bit x 250 MHz = 32 Gbps)."""
-        return self.rpu_bus_bits * self.clock.freq_hz / 1e9
-
-    @property
-    def fixed_path_cycles(self) -> int:
-        """Fixed (size-independent) datapath latency excluding firmware."""
-        return (
-            self.mac_rx_fixed_cycles
-            + self.dist_in_fixed_cycles
-            + self.rpu_in_fixed_cycles
-            + self.rpu_out_fixed_cycles
-            + self.dist_out_fixed_cycles
-            + self.mac_tx_fixed_cycles
-            + 2 * self.cluster_cut_through_cycles
-        )
-
     def rpu_cluster(self, rpu_index: int) -> int:
         """Which cluster switch serves this RPU."""
         if not 0 <= rpu_index < self.n_rpus:
@@ -160,6 +137,7 @@ class RosebudConfig:
                 out[field_info.name] = value
         return out
 
+    # front door: the inverse of to_dict, whose output every result JSON carries
     @classmethod
     def from_dict(cls, data: dict) -> "RosebudConfig":
         data = dict(data)
@@ -167,17 +145,6 @@ class RosebudConfig:
         if clock_hz is not None:
             data["clock"] = Clock(clock_hz)
         return cls(**data)
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RosebudConfig":
-        import json
-
-        return cls.from_dict(json.loads(text))
 
     def cluster_members(self, cluster: int) -> Tuple[int, ...]:
         return tuple(

@@ -75,9 +75,11 @@ class FirmwareModel:
     def on_boot(self, rpu_index: int, config) -> None:
         """Called when the RPU boots; default is stateless."""
 
+    # front door: abstract; every bundled firmware model overrides it
     def process(self, packet: Packet, rpu_index: int) -> FirmwareResult:
         raise NotImplementedError
 
+    # front door: abstract; every bundled firmware model overrides it
     def clone(self) -> "FirmwareModel":
         """A fresh instance for another RPU (firmware state is per-RPU)."""
         return type(self)()

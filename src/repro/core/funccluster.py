@@ -11,12 +11,12 @@ with every core really executing its instructions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..accel.base import Accelerator
 from ..replay import ReplayCache, ReplayStats
 from .config import RosebudConfig
-from .funcsim import FunctionalRpu, SentPacket
+from .funcsim import FunctionalRpu
 
 
 class ClusterError(RuntimeError):
@@ -95,15 +95,3 @@ class FunctionalCluster:
                 before = cpu.instret
                 rpu.step_packet(max_instructions=left)
                 left -= max(1, cpu.instret - before)
-
-    # -- results ----------------------------------------------------------------------
-
-    def sent_by_port(self) -> Dict[int, List[SentPacket]]:
-        out: Dict[int, List[SentPacket]] = {}
-        for rpu in self.rpus:
-            for sent in rpu.sent:
-                out.setdefault(sent.port, []).append(sent)
-        return out
-
-    def per_rpu_counts(self) -> List[int]:
-        return [len(rpu.sent) for rpu in self.rpus]

@@ -143,11 +143,6 @@ class FunctionalRpu:
         self.cpu.invalidate_icache()
         return program
 
-    def load_accel_table(self, offset: int, blob: bytes) -> None:
-        """Host fills accelerator local memory before boot (§4.1) —
-        the runtime URAM-initialization path."""
-        self.accmem.load_bytes(offset, blob)
-
     def dump_memory(self, which: str = "pmem") -> bytes:
         """Host-side debugging: dump an entire RPU memory (§3.4)."""
         self._flush_dma()

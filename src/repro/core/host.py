@@ -80,17 +80,24 @@ class HostInterface:
             out[f"port{idx}"] = mac.counters.snapshot()
         return out
 
+    # front door: the host's per-RPU status counters (§4.3), read interactively
     def read_rpu_counters(self) -> List[Dict[str, int]]:
         return [rpu.counters.snapshot() for rpu in self.system.rpus]
 
     # -- LB register channel -----------------------------------------------------------
 
+    # front door: the host's LB register channel (§4.2), read side
     def lb_read(self, addr: int) -> int:
         return self.system.lb.host_read(addr)
 
+    # front door: set_receive_mask; the host's LB register channel (§4.2)
     def lb_write(self, addr: int, value: int) -> None:
         self.system.lb.host_write(addr, value)
+        # a mask that re-enables RPUs or a flush that frees slots must
+        # wake the ports blocked on the old state
+        self.system.retry_blocked_ports()
 
+    # front door: serve `control` method set_receive_mask
     def set_receive_mask(self, mask: int) -> None:
         """The artifact's RECV= mask: which RPUs take incoming traffic."""
         self.lb_write(self.system.lb.REG_ENABLE_MASK, mask)
@@ -110,6 +117,7 @@ class HostInterface:
         model.resume()
         return state
 
+    # front door: the §3.4 status-word breakpoints, read interactively
     def read_status_registers(self) -> List[int]:
         """The breakpoint-like mechanism of §3.4: firmware sets status
         words, the host watches them change."""
@@ -139,8 +147,7 @@ class HostInterface:
         self.system.lb.slots.flush(rpu)
         # abandoned slots will never come back through the fabric; let
         # head-of-line blocked ports retry against the flushed table
-        for ingress in self.system.port_ingress:
-            ingress.slot_freed()
+        self.system.retry_blocked_ports()
         return len(abandoned)
 
     # -- hang watchdog (Appendix A.8 automated) ----------------------------------------
@@ -185,14 +192,9 @@ class HostInterface:
             self._watchdog_event.cancel()
             self._watchdog_event = None
 
-    # -- host DMA (firmware / table load & readback, Appendix A.6-A.7) -----------------
+    # -- virtual Ethernet (Appendix A.6-A.7) -------------------------------------------
 
-    def dma_write(self, target, payload: bytes, on_done=None) -> None:
-        self.system.host_dma.write(target, payload, on_done)
-
-    def dma_read(self, source, on_done) -> None:
-        self.system.host_dma.read(source, on_done)
-
+    # front door: serve `inject` without a port (the host's trace-injection path)
     def inject_packet(self, packet) -> None:
         """Send a frame through the virtual Ethernet interface (the
         artifact's trace-injection path)."""
@@ -232,8 +234,7 @@ class HostInterface:
             model.pause()
             model.reboot(new_firmware)
             self.system.lb.enable_rpu(rpu)
-            for ingress in self.system.port_ingress:
-                ingress.slot_freed()
+            self.system.retry_blocked_ports()
             record.booted_at = sim.now
             if on_complete is not None:
                 on_complete(record)

@@ -32,6 +32,7 @@ class LBPolicy:
 
     name = "base"
 
+    # front door: abstract; every LB policy overrides it
     def choose(self, packet: Packet, candidates: Sequence[int], slots: SlotTable) -> Optional[int]:
         raise NotImplementedError
 
@@ -190,6 +191,7 @@ class LoadBalancer:
     REG_FREE_SLOTS_BASE = 0x0000_0100
     REG_FLUSH_BASE = 0x0000_0200
 
+    # front door: HostInterface.lb_read
     def host_read(self, addr: int) -> int:
         if addr == self.REG_ENABLE_MASK:
             mask = 0

@@ -162,10 +162,6 @@ class MacPort:
         else:
             self._tx_link.pause()
 
-    def tx_backlog(self) -> int:
-        """Frames waiting in (or blocked behind) the TX serializer."""
-        return len(self._tx_link.queue) + int(self._tx_link.busy)
-
     # -- TX --------------------------------------------------------------------
 
     def transmit(self, packet: Packet) -> None:

@@ -199,85 +199,7 @@ class BroadcastSystem:
 
     # -- receiver side --------------------------------------------------------------
 
-    def set_interrupt_mask(self, rpu: int, mask: Callable[[int], bool]) -> None:
-        self.interrupt_masks[rpu] = mask
-
-    def drain(self, rpu: int) -> List[BroadcastMessage]:
-        """Pop everything pending at a receiver, in order."""
-        out: List[BroadcastMessage] = []
-        while True:
-            msg = self.poll(rpu)
-            if msg is None:
-                return out
-            out.append(msg)
-
     def poll(self, rpu: int) -> Optional[BroadcastMessage]:
         """Receiver pops the next notification, in order."""
         fifo = self._rx_fifos[rpu]
         return fifo.popleft() if fifo else None
-
-    def pending(self, rpu: int) -> int:
-        return len(self._rx_fifos[rpu])
-
-
-class MessageChannel:
-    """Multi-word messages over the broadcast region (§4.4).
-
-    The paper's interrupt masking exists precisely for this pattern:
-    data words go to a non-interrupting address range, and only the
-    final word (written to the interrupting *doorbell* address) wakes
-    the receivers, which then reassemble the payload in order.
-
-    The address map per logical channel: words stream to
-    ``data_base + i*4`` and the doorbell is ``data_base + DOORBELL``.
-    """
-
-    DOORBELL_OFFSET = 0x7C
-    _WORDS_PER_MESSAGE = DOORBELL_OFFSET // 4  # payload words before doorbell
-
-    def __init__(self, bcast: BroadcastSystem, data_base: int = 0x1000) -> None:
-        self.bcast = bcast
-        self.data_base = data_base
-        self._rx_partial: dict = {}
-
-    def doorbell_address(self) -> int:
-        return self.data_base + self.DOORBELL_OFFSET
-
-    def configure_receiver(self, rpu: int) -> None:
-        """Mask everything but the doorbell for interrupt purposes —
-        but still record data words (they carry the payload)."""
-        # all channel words are recorded; interrupts conceptually fire
-        # only on the doorbell.  The simulation stores all words in the
-        # rx FIFO; receive() reassembles on the doorbell.
-        self.bcast.set_interrupt_mask(
-            rpu, lambda addr: self.data_base <= addr <= self.doorbell_address()
-        )
-
-    def send(self, sender: int, payload: bytes) -> None:
-        """Send up to 31 words (124 B) of payload + a doorbell word."""
-        if len(payload) > self._WORDS_PER_MESSAGE * 4:
-            raise ValueError(
-                f"payload exceeds one message ({self._WORDS_PER_MESSAGE * 4} bytes)"
-            )
-        padded = payload + b"\x00" * (-len(payload) % 4)
-        for index in range(0, len(padded), 4):
-            word = int.from_bytes(padded[index : index + 4], "little")
-            self.bcast.send(sender, self.data_base + index, word)
-        # doorbell carries the true payload length
-        self.bcast.send(sender, self.doorbell_address(), len(payload))
-
-    def receive(self, rpu: int) -> Optional[bytes]:
-        """Reassemble the next complete message at a receiver."""
-        words = self._rx_partial.setdefault(rpu, {})
-        while True:
-            msg = self.bcast.poll(rpu)
-            if msg is None:
-                return None
-            if msg.address == self.doorbell_address():
-                length = msg.value
-                data = bytearray()
-                for index in range(0, length + (-length % 4), 4):
-                    data += words.get(self.data_base + index, 0).to_bytes(4, "little")
-                words.clear()
-                return bytes(data[:length])
-            words[msg.address] = msg.value

@@ -1,23 +1,18 @@
 """PCIe host connectivity (§4.3, §5).
 
-The Corundum-based PCIe subsystem gives the host three capabilities:
+The Corundum-based PCIe subsystem gives the host two capabilities
+modelled here:
 
-* **host DMA** — read/write RPU memories (firmware load, table init,
-  debugging readback) with Gen3 x16 bandwidth and microsecond-scale
-  round-trip latency;
 * a **virtual Ethernet interface** — the host can source and sink
   packets through the same distribution infrastructure as the physical
   ports (this is how the artifact's scripts inject attack traces);
 * the control path used by :class:`repro.core.host.HostInterface`.
-
-Host DRAM transfers are packetized with *DRAM tags* in place of the
-LB's packet slots (§4.2).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque
 
 from ..packet.packet import Packet
 from ..sim.kernel import Simulator
@@ -27,90 +22,9 @@ from .config import RosebudConfig
 
 #: Effective PCIe Gen3 x16 payload bandwidth (Gbps).
 PCIE_GBPS = 100.0
-#: One-way DMA latency over the PCIe bus (§4.3 argues this is the
-#: microsecond-scale budget middleboxes already tolerate).
-PCIE_LATENCY_US = 1.0
-#: Number of outstanding DRAM tags.
-DRAM_TAGS = 64
 
 
-class DmaError(RuntimeError):
-    """Raised on invalid DMA requests (no tags, bad target)."""
-
-
-class HostDmaEngine:
-    """Host-initiated reads/writes of RPU memory over PCIe.
-
-    Completion is asynchronous: callbacks fire after the serialization
-    and bus-latency delays.  Tags bound the outstanding operations the
-    way the hardware's DRAM tags do.
-    """
-
-    def __init__(self, sim: Simulator, config: RosebudConfig) -> None:
-        self.sim = sim
-        self.config = config
-        self.counters = CounterSet(["reads", "writes", "bytes", "tag_waits"])
-        self._free_tags: Deque[int] = deque(range(DRAM_TAGS))
-        period = config.clock.period_ns
-
-        def service(item, nbytes: int) -> float:
-            return nbytes * 8 / PCIE_GBPS / period
-
-        self._link = SerialLink(sim, "pcie.dma", service, self._transfer_done)
-        self._latency_cycles = config.clock.ns_to_cycles(PCIE_LATENCY_US * 1e3)
-
-    @property
-    def free_tags(self) -> int:
-        return len(self._free_tags)
-
-    def write(
-        self,
-        target: Callable[[bytes], None],
-        payload: bytes,
-        on_done: Optional[Callable[[], None]] = None,
-    ) -> None:
-        """DMA ``payload`` toward an RPU memory (``target`` applies it)."""
-        self._submit(("write", target, payload, on_done))
-
-    def read(
-        self,
-        source: Callable[[], bytes],
-        on_done: Callable[[bytes], None],
-    ) -> None:
-        """DMA a region of RPU memory back to the host."""
-        self._submit(("read", source, None, on_done))
-
-    def _submit(self, op) -> None:
-        if not self._free_tags:
-            # all tags outstanding: retry shortly (host driver behaviour)
-            self.counters.add("tag_waits")
-            self.sim.schedule(8, lambda: self._submit(op), name="dma_tag_wait")
-            return
-        tag = self._free_tags.popleft()
-        kind, endpoint, payload, on_done = op
-        nbytes = len(payload) if payload is not None else 4096
-        self._link.offer((tag, kind, endpoint, payload, on_done), nbytes)
-
-    def _transfer_done(self, op) -> None:
-        tag, kind, endpoint, payload, on_done = op
-
-        def complete() -> None:
-            self._free_tags.append(tag)
-            if kind == "write":
-                endpoint(payload)
-                self.counters.add("writes")
-                self.counters.add("bytes", len(payload))
-                if on_done is not None:
-                    on_done()
-            else:
-                data = endpoint()
-                self.counters.add("reads")
-                self.counters.add("bytes", len(data))
-                on_done(data)
-
-        self.sim.schedule(self._latency_cycles, complete, name="pcie_latency")
-
-
+# front door: serve `inject` without a port (HostInterface.inject_packet)
 class VirtualEthernet:
     """The Corundum vNIC: host-sourced packets entering the LB.
 

@@ -3,9 +3,9 @@
 The host utility prints a status table while traffic flows ("wait for
 the packets to flow for a minute... the last print of the status table
 is the average values").  :class:`StatsSampler` records the same rates
-on a fixed simulated interval so tests can assert *time-series*
-properties, e.g. that throughput does not dip while an RPU is being
-reconfigured.
+on a fixed simulated interval: the time series behind the resilience
+reports (``repro.faults.metrics``), e.g. that throughput does not dip
+while an RPU is being reconfigured.
 """
 
 from __future__ import annotations
@@ -69,29 +69,3 @@ class StatsSampler:
 
     def stop(self) -> None:
         self._running = False
-
-    # -- analysis helpers ------------------------------------------------------------
-
-    def steady_samples(self, skip: int = 1) -> List[Sample]:
-        """Samples after a warmup prefix (and before the cooldown tail
-        if traffic has a fixed packet count)."""
-        return self.samples[skip:]
-
-    def min_gbps(self, skip: int = 1) -> float:
-        steady = self.steady_samples(skip)
-        return min(s.gbps for s in steady) if steady else 0.0
-
-    def mean_gbps(self, skip: int = 1) -> float:
-        steady = self.steady_samples(skip)
-        if not steady:
-            return 0.0
-        return sum(s.gbps for s in steady) / len(steady)
-
-    def dip_fraction(self, skip: int = 1) -> float:
-        """Worst-interval throughput relative to the mean — 1.0 means
-        perfectly flat; the no-pause reconfiguration claim is that this
-        stays near 1 during an RPU reload."""
-        mean = self.mean_gbps(skip)
-        if mean == 0:
-            return 0.0
-        return self.min_gbps(skip) / mean

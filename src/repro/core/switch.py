@@ -159,27 +159,6 @@ class ClusterSwitch:
         self.sim.schedule(service, self._grant, name=self.name)
 
 
-class RpuLink:
-    """One direction of one RPU's 128-bit (32 Gbps) link."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        config: RosebudConfig,
-        name: str,
-        on_done: Callable[[Packet], None],
-    ) -> None:
-        self.config = config
-
-        def service(packet: Packet, nbytes: int) -> float:
-            return float(config.rpu_link_service_cycles(packet.size))
-
-        self.link = SerialLink(sim, name, service, on_done)
-
-    def send(self, packet: Packet) -> None:
-        self.link.offer(packet, packet.size)
-
-
 class DistributionFabric:
     """All switches for one direction (ingress or egress).
 
@@ -205,10 +184,14 @@ class DistributionFabric:
         self.deliver = deliver
         self.on_rpu_out = on_rpu_out
 
+        def service(packet: Packet, nbytes: int) -> float:
+            return float(config.rpu_link_service_cycles(packet.size))
+
+        # one 128-bit (32 Gbps) link per RPU in this direction
         if direction == "in":
             # cluster switch feeds per-RPU links
             self.rpu_links = [
-                RpuLink(sim, config, f"rpu{i}.in", self._rpu_in_done)
+                SerialLink(sim, f"rpu{i}.in", service, self._rpu_in_done)
                 for i in range(config.n_rpus)
             ]
             self.cluster_switches = [
@@ -222,7 +205,7 @@ class DistributionFabric:
                 for c in range(config.n_clusters)
             ]
             self.rpu_links = [
-                RpuLink(sim, config, f"rpu{i}.out", partial(self._rpu_out_done, i))
+                SerialLink(sim, f"rpu{i}.out", service, partial(self._rpu_out_done, i))
                 for i in range(config.n_rpus)
             ]
 
@@ -237,7 +220,7 @@ class DistributionFabric:
         assert packet.dest_rpu is not None
         self.sim.schedule(
             self.config.dist_in_fixed_cycles,
-            lambda: self.rpu_links[packet.dest_rpu].send(packet),
+            lambda: self.rpu_links[packet.dest_rpu].offer(packet, packet.size),
             name="dist_in_fixed",
         )
 
@@ -252,7 +235,7 @@ class DistributionFabric:
 
     def send_from_rpu(self, packet: Packet, rpu_index: int) -> None:
         assert self.direction == "out"
-        self.rpu_links[rpu_index].send(packet)
+        self.rpu_links[rpu_index].offer(packet, packet.size)
 
     def _rpu_out_done(self, rpu_index: int, packet: Packet) -> None:
         if self.on_rpu_out is not None:

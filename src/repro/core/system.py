@@ -34,7 +34,7 @@ from .firmware_api import ACTION_DROP, ACTION_HOST, ACTION_LOOPBACK, FirmwareMod
 from .lb import LBPolicy, LoadBalancer
 from .mac import MacPort
 from .messaging import BroadcastSystem, LoopbackPort
-from .pcie import HostDmaEngine, PCIE_GBPS, VirtualEthernet
+from .pcie import PCIE_GBPS, VirtualEthernet
 from .rpu import RpuModel
 from .switch import DistributionFabric, PortIngress
 
@@ -105,7 +105,6 @@ class RosebudSystem:
             self.sim, "pcie", pcie_service, self._host_received
         )
         self.host_rx: List[Packet] = []
-        self.host_dma = HostDmaEngine(self.sim, config)
         self.virtual_ethernet = VirtualEthernet(
             self.sim, config, self._assign_from_host
         )
@@ -161,6 +160,7 @@ class RosebudSystem:
     def _dispatch(self, packet: Packet) -> None:
         self.fabric_in.send_to_rpu(packet)
 
+    # front door: VirtualEthernet's assignment callback
     def _assign_from_host(self, packet: Packet) -> bool:
         """Virtual-Ethernet ingress: LB labels host-sourced frames like
         any other ingress; False defers (no free slot)."""
@@ -219,6 +219,11 @@ class RosebudSystem:
             self.lb.slot_freed(rpu, slot)
         except SlotError:
             return  # slot was flushed by the host during reconfiguration
+        self.retry_blocked_ports()
+
+    def retry_blocked_ports(self) -> None:
+        """Let every head-of-line blocked port retry its LB assignment:
+        after anything that frees a slot or re-enables an RPU."""
         for ingress in self.port_ingress:
             ingress.slot_freed()
 
@@ -266,18 +271,6 @@ class RosebudSystem:
                 for key in packet.timestamps:
                     packet.timestamps[key] += delta
         return len(self._live_packets)
-
-    # -- running ----------------------------------------------------------------------
-
-    def run_cycles(self, cycles: float) -> None:
-        self.sim.run(until=self.sim.now + cycles)
-
-    def run_us(self, microseconds: float) -> None:
-        self.run_cycles(self.config.clock.ns_to_cycles(microseconds * 1e3))
-
-    def drain(self, max_cycles: float = 10_000_000) -> None:
-        """Run until no events remain (all offered packets settled)."""
-        self.sim.run(until=self.sim.now + max_cycles)
 
     # -- results -----------------------------------------------------------------------
 

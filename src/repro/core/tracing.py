@@ -90,6 +90,7 @@ class PacketTracer:
         if self._prev_on_delivery is not None:
             self._prev_on_delivery(packet)
 
+    # front door: a traced packet that the firmware sends to the host
     def _on_host(self, packet: Packet) -> None:
         self._capture(packet, completed=True)
         self._orig_record_host(packet)
@@ -123,6 +124,7 @@ class PacketTracer:
     def trace_of(self, packet_id: int) -> Optional[PacketTrace]:
         return self.traces.get(packet_id)
 
+    # front door: interactive debugging (§3.4); no scripted caller
     def slowest(self, n: int = 5) -> List[PacketTrace]:
         done = [t for t in self.traces.values() if t.total_cycles is not None]
         return sorted(done, key=lambda t: t.total_cycles, reverse=True)[:n]
@@ -137,6 +139,7 @@ class PacketTracer:
                 counts[event.stage] = counts.get(event.stage, 0) + 1
         return {stage: sums[stage] / counts[stage] for stage in sums}
 
+    # front door: interactive debugging (§3.4); no scripted caller
     def detach(self) -> None:
         self.system.on_delivery = self._prev_on_delivery
         self.system._record_host = self._orig_record_host

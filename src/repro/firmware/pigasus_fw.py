@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from ..accel.pigasus.port_match import PigasusPortMatcher
 from ..accel.pigasus.ruleset import Rule
 from ..accel.pigasus.string_match import PigasusStringMatcher
 from ..core.firmware_api import (
@@ -60,15 +59,12 @@ class _PigasusBase(FirmwareModel):
         self.rules = list(rules)
         self.matcher = PigasusStringMatcher()
         self.matcher.load_rules(self.rules)
-        self.port_matcher = PigasusPortMatcher()
-        self.port_matcher.load_rules(self.rules)
         self.matched_packets = 0
 
     def _share_engines(self, other: "_PigasusBase") -> None:
         """Clones share the functional matcher (identical tables in
         every RPU's accelerator)."""
         other.matcher = self.matcher
-        other.port_matcher = self.port_matcher
         other.rules = self.rules
 
     def _scan(self, packet: Packet, payload: bytes) -> List[int]:

@@ -54,7 +54,7 @@ def _fabric_state(fabric) -> Tuple:
         )
         for sw in fabric.cluster_switches
     )
-    links = tuple(_link_state(rl.link) for rl in fabric.rpu_links)
+    links = tuple(_link_state(link) for link in fabric.rpu_links)
     return switches, links
 
 
@@ -82,8 +82,8 @@ def queue_occupancy(system) -> Tuple[int, ...]:
     for fabric in (system.fabric_in, system.fabric_out):
         for sw in fabric.cluster_switches:
             out.append(sum(len(sw._queues[cls]) for cls in sw.INPUT_CLASSES))
-        for rl in fabric.rpu_links:
-            out.append(len(rl.link.queue))
+        for link in fabric.rpu_links:
+            out.append(len(link.queue))
     for rpu in system.rpus:
         out.append(len(rpu._in_queue))
         out.append(len(rpu._accel_queue))

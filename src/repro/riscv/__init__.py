@@ -6,7 +6,6 @@ from .blocks import (
     TERMINAL_MNEMONICS,
     image_decoder,
     is_block_terminal,
-    superblock_pcs,
 )
 from .bus import BusError, MemoryBus, MmioRegion, RamRegion
 from .cpu import (
@@ -28,7 +27,6 @@ __all__ = [
     "TERMINAL_MNEMONICS",
     "image_decoder",
     "is_block_terminal",
-    "superblock_pcs",
     "BusError",
     "MemoryBus",
     "MmioRegion",

@@ -24,6 +24,7 @@ from .isa import CSR_NAMES, OPS, PSEUDO, DecodeError, check_range, encode, parse
 class AssemblerError(ValueError):
     """Raised with source line context on any assembly problem."""
 
+    # front door: every malformed line of firmware source
     def __init__(self, message: str, lineno: Optional[int] = None) -> None:
         if lineno is not None:
             message = f"line {lineno}: {message}"
@@ -37,12 +38,6 @@ class Program:
     image: bytes
     symbols: Dict[str, int]
     base: int = 0
-
-    def symbol(self, name: str) -> int:
-        try:
-            return self.symbols[name]
-        except KeyError as exc:
-            raise AssemblerError(f"unknown symbol {name!r}") from exc
 
 
 _MEM_OPERAND = re.compile(r"^(.*)\(\s*([a-zA-Z0-9]+)\s*\)$")
@@ -438,6 +433,7 @@ def _split_operands(text: str) -> List[str]:
     return out
 
 
+# front door: the `.string`/`.ascii` directives (no bundled firmware uses them)
 def _parse_string(text: str, lineno: int) -> bytes:
     text = text.strip()
     if len(text) < 2 or text[0] != '"' or text[-1] != '"':

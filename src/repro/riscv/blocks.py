@@ -18,7 +18,7 @@ closure and ends the block there.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .isa import OPS, DecodeError, Instruction, decode
 
@@ -87,24 +87,3 @@ def image_decoder(image: bytes, base: int = 0) -> DecodeAt:
             return None
 
     return decode_at
-
-
-def superblock_pcs(
-    decode_at: DecodeAt, entry_pc: int, max_block: int = MAX_BLOCK
-) -> List[int]:
-    """The instruction addresses the translator would fuse at ``entry_pc``.
-
-    Mirrors ``TranslatedEngine.translate_block`` exactly: walk forward
-    from the entry, stop *after* a terminal instruction (or an
-    undecodable word, which the translator turns into a terminal fault
-    closure), or at the ``max_block`` cap.
-    """
-    pcs: List[int] = []
-    pc = entry_pc & _MASK32
-    for _ in range(max_block):
-        pcs.append(pc)
-        inst = decode_at(pc)
-        if inst is None or is_block_terminal(inst.mnemonic):
-            break
-        pc = (pc + 4) & _MASK32
-    return pcs

@@ -26,9 +26,6 @@ class _Region:
     def contains(self, addr: int) -> bool:
         return self.base <= addr < self.base + self.size
 
-    def read_u32(self, addr: int) -> int:
-        return self.read(addr, 4)  # type: ignore[attr-defined]
-
 
 class RamRegion(_Region):
     """A byte-addressable RAM block (little-endian).
@@ -58,6 +55,7 @@ class RamRegion(_Region):
         d = self.data
         return d[off] | (d[off + 1] << 8) | (d[off + 2] << 16) | (d[off + 3] << 24)
 
+    # front door: the RAM half of MemoryBus.write
     def write(self, addr: int, value: int, nbytes: int) -> None:
         off = addr - self.base
         if off + nbytes > self.size:
@@ -120,6 +118,7 @@ class MmioRegion(_Region):
     def read(self, addr: int, nbytes: int) -> int:
         return self._read(addr - self.base, nbytes) & ((1 << (nbytes * 8)) - 1)
 
+    # front door: a word fetch or load from an MMIO window
     def read_u32(self, addr: int) -> int:
         return self._read(addr - self.base, 4) & 0xFFFFFFFF
 
@@ -151,6 +150,7 @@ class MemoryBus:
         ``callback(addr, nbytes)``.  Chains with any previous watcher."""
         previous = self._store_watch
         if previous is not None:
+            # front door: a second store watcher on the same bus
             def callback(addr: int, nbytes: int, _prev=previous, _new=callback) -> None:
                 _prev(addr, nbytes)
                 _new(addr, nbytes)
@@ -204,25 +204,10 @@ class MemoryBus:
     def write(self, addr: int, value: int, nbytes: int) -> None:
         self._find(addr).write(addr, value, nbytes)
 
-    # convenience accessors used by firmware loaders and tests
-    def read_u8(self, addr: int) -> int:
-        return self.read(addr, 1)
-
-    def read_u16(self, addr: int) -> int:
-        return self.read(addr, 2)
-
     def read_u32(self, addr: int) -> int:
         return self._find(addr).read_u32(addr)
 
-    def write_u8(self, addr: int, value: int) -> None:
-        self.write(addr, value, 1)
-
-    def write_u16(self, addr: int, value: int) -> None:
-        self.write(addr, value, 2)
-
-    def write_u32(self, addr: int, value: int) -> None:
-        self.write(addr, value, 4)
-
+    # front door: the host-side RAM load, the pair of dump()
     def load_blob(self, addr: int, blob: bytes) -> None:
         """Copy ``blob`` into RAM starting at ``addr`` (may span words)."""
         region = self._find(addr)

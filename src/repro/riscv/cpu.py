@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, Optional
 
 from .bus import MemoryBus
 from .isa import (
-    CC_BRANCH,
     CC_CSR,
     CC_DIV,
     CC_JUMP,
@@ -43,6 +42,7 @@ BACKENDS = ("interp", "translated")
 _DEFAULT_BACKEND = "translated"
 
 
+# front door: SimSession on a spec that sets cpu_backend (serve `open`)
 def set_default_backend(name: str) -> None:
     """Select the backend new :class:`RiscvCpu` instances use when the
     constructor is not told otherwise (the ``--cpu-backend`` CLI knob)."""
@@ -97,6 +97,7 @@ class CycleModel:
         """The default: 5-stage VexRiscv with hardware mul/div."""
         return cls()
 
+    # front door: §4.1's "customize the core" (docs/ARCHITECTURE.md)
     @classmethod
     def vexriscv_light(cls) -> "CycleModel":
         """A 2-stage minimal VexRiscv configuration: cheaper fabric
@@ -130,11 +131,6 @@ class CycleModel:
     @property
     def branch_taken_cost(self) -> int:
         return self.base + self.branch_taken_penalty
-
-    def cost(self, inst: Instruction, taken: bool) -> int:
-        if inst.cost_class == CC_BRANCH:
-            return self.branch_taken_cost if taken else self.base
-        return self.cost_table()[inst.cost_class]
 
 
 class CpuHalted(Exception):
@@ -208,6 +204,7 @@ class RiscvCpu:
 
     # -- cycle model (swappable; costs are baked into caches) ----------------
 
+    # front door: the read side of the swappable cycle model
     @property
     def cycle_model(self) -> CycleModel:
         return self._cycle_model
@@ -232,6 +229,7 @@ class RiscvCpu:
 
     # -- reset / interrupt lines ---------------------------------------------
 
+    # front door: the RV32 architectural reset state
     def reset(self) -> None:
         # in place: translated closures capture the list itself
         self.regs[:] = [0] * 32
@@ -245,6 +243,7 @@ class RiscvCpu:
         self.invalidate_icache()
         self._break_block = False
 
+    # front door: the RV32 interrupt path (FORWARDER_IRQ_ASM's timer and poke lines, §3.4)
     def raise_interrupt(self, line: int) -> None:
         """Assert platform interrupt ``line`` (0 = timer, >=1 external)."""
         if line == 0:
@@ -256,6 +255,7 @@ class RiscvCpu:
         # check so latency stays at instruction granularity
         self._break_block = True
 
+    # front door: the RV32 interrupt path (FORWARDER_IRQ_ASM's timer and poke lines, §3.4)
     def clear_interrupt(self, line: int) -> None:
         if line == 0:
             self.csrs[CSR_MIP] &= ~(1 << IRQ_TIMER)
@@ -271,6 +271,7 @@ class RiscvCpu:
         # lowest set bit wins (deterministic priority)
         return (pending & -pending).bit_length() - 1
 
+    # front door: the RV32 interrupt path (FORWARDER_IRQ_ASM's timer and poke lines, §3.4)
     def _take_interrupt(self, cause_bit: int) -> None:
         # platform lines are latched: taking the interrupt consumes it
         # (one-shot semantics, like Rosebud's poke/evict interrupts)
@@ -329,6 +330,7 @@ class RiscvCpu:
             if word in self._code_words:
                 self._invalidate_word(word)
 
+    # front door: self-modifying code (a store into a decoded word)
     def _invalidate_word(self, word: int) -> None:
         self._code_words.discard(word)
         self._decode_cache.pop(word, None)
@@ -570,6 +572,7 @@ class RiscvCpu:
             self.cycles += self._cost_table[inst.cost_class]
         self.pc = next_pc
 
+    # front door: the Zicsr instructions, which no front door's firmware executes
     def _execute_csr(self, inst: Instruction) -> None:
         csr = inst.csr
         old = self._read_csr(csr)
@@ -587,6 +590,7 @@ class RiscvCpu:
         self._write_csr(csr, new)
         self.write_reg(inst.rd, old)
 
+    # front door: the Zicsr instructions, which no front door's firmware executes
     def _read_csr(self, csr: int) -> int:
         if csr == CSR_MCYCLE:
             return self.cycles & MASK32
@@ -596,6 +600,7 @@ class RiscvCpu:
             return self.hartid
         return self.csrs.get(csr, 0)
 
+    # front door: the Zicsr instructions, which no front door's firmware executes
     def _write_csr(self, csr: int, value: int) -> None:
         if csr in (CSR_MCYCLE, CSR_MINSTRET, CSR_MHARTID):
             return  # read-only in this model
@@ -606,11 +611,13 @@ def _signed(value: int) -> int:
     return value - (1 << 32) if value & 0x80000000 else value
 
 
+# front door: RV32M div/rem, which no front door's firmware executes
 def _sext(value: int, bits: int) -> int:
     mask = 1 << (bits - 1)
     return ((value & (mask - 1)) - (value & mask)) & MASK32
 
 
+# front door: RV32M div/rem, which no front door's firmware executes
 def _div(a: int, b: int) -> int:
     if b == 0:
         return MASK32
@@ -622,6 +629,7 @@ def _div(a: int, b: int) -> int:
     return q & MASK32
 
 
+# front door: RV32M div/rem, which no front door's firmware executes
 def _rem(a: int, b: int) -> int:
     if b == 0:
         return a & MASK32

@@ -52,6 +52,7 @@ def reg_name(index: int) -> str:
     return _REG_NAMES[index]
 
 
+# front door: `repro disasm` of a firmware that uses CSRs
 def csr_name(address: int) -> str:
     return _CSR_NAMES.get(address, f"{address:#x}")
 

@@ -1,11 +1,11 @@
-"""Firmware image format and loader.
+"""Firmware image format.
 
 The artifact loads RPU instruction/data/accelerator memories "directly
 from the ELF output file of GCC" (Appendix A.6).  Our toolchain is the
 built-in assembler, so we define a compact equivalent — the **RFW**
 (Rosebud FirmWare) image: a header, a segment table, and per-segment
-payloads with CRC32 integrity, covering exactly what the host DMA path
-writes at boot (imem, dmem, accelerator tables).
+payloads with CRC32 integrity, covering exactly what the host writes
+at boot (imem, dmem, accelerator tables).
 
 Layout (little-endian)::
 
@@ -51,10 +51,6 @@ class Segment:
     kind: int
     address: int
     payload: bytes
-
-    @property
-    def kind_name(self) -> str:
-        return _SEGMENT_KINDS.get(self.kind, f"kind{self.kind}")
 
     def __post_init__(self) -> None:
         if self.kind not in _SEGMENT_KINDS:
@@ -142,21 +138,3 @@ class FirmwareImage:
         for kind, (address, payload) in (data_blobs or {}).items():
             image.add_segment(kind, address, payload)
         return image
-
-
-def load_into_rpu(image: FirmwareImage, rpu) -> None:
-    """Load an image into a :class:`repro.core.funcsim.FunctionalRpu` —
-    the host-side boot path of Appendix A.6."""
-    for seg in image.segments:
-        if seg.kind == SEG_IMEM:
-            if seg.address + len(seg.payload) > rpu.config.imem_bytes:
-                raise ImageError("imem segment does not fit")
-            rpu.imem.load_bytes(seg.address, seg.payload)
-        elif seg.kind == SEG_DMEM:
-            if seg.address + len(seg.payload) > rpu.config.dmem_bytes:
-                raise ImageError("dmem segment does not fit")
-            rpu.dmem.load_bytes(seg.address, seg.payload)
-        elif seg.kind == SEG_ACCMEM:
-            rpu.load_accel_table(seg.address, seg.payload)
-    rpu.cpu.invalidate_icache()
-    rpu.cpu.pc = image.entry_point

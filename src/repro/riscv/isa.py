@@ -315,9 +315,6 @@ class Instruction:
         op = OPS.get(self.mnemonic)
         object.__setattr__(self, "cost_class", op.cost if op else CC_SIMPLE)
 
-    def __str__(self) -> str:
-        return f"{self.mnemonic} rd=x{self.rd} rs1=x{self.rs1} rs2=x{self.rs2} imm={self.imm}"
-
 
 def constant_result(
     inst: Instruction, pc: int, a: Optional[int], b: Optional[int]
@@ -439,30 +436,6 @@ def encode(op: Op, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0, csr: i
     elif fmt == "CSR":
         fmt, imm = "I", sign_extend(check_range("csr", csr), 12)
     return op.match | _pack(fmt, rd, rs1, rs2, imm)
-
-
-def encode_r(funct7: int, rs2: int, rs1: int, funct3: int, rd: int, opcode: int) -> int:
-    return funct7 << 25 | funct3 << 12 | opcode | _pack("R", rd, rs1, rs2)
-
-
-def encode_i(imm: int, rs1: int, funct3: int, rd: int, opcode: int) -> int:
-    return funct3 << 12 | opcode | _pack("I", rd, rs1, imm=imm)
-
-
-def encode_s(imm: int, rs2: int, rs1: int, funct3: int, opcode: int) -> int:
-    return funct3 << 12 | opcode | _pack("S", 0, rs1, rs2, imm)
-
-
-def encode_b(imm: int, rs2: int, rs1: int, funct3: int, opcode: int) -> int:
-    return funct3 << 12 | opcode | _pack("B", 0, rs1, rs2, imm)
-
-
-def encode_u(imm: int, rd: int, opcode: int) -> int:
-    return opcode | _pack("U", rd, imm=imm)
-
-
-def encode_j(imm: int, rd: int, opcode: int) -> int:
-    return opcode | _pack("J", rd, imm=imm)
 
 
 # ---------------------------------------------------------------------------

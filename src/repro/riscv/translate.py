@@ -165,6 +165,7 @@ def _factory(op):
 _FACTORIES = {m: _factory(op) for m, op in OPS.items() if op.kind in _TEMPLATES}
 
 
+# front door: the closures of opcodes that no bundled firmware uses
 def _compile(cpu, inst, pc: int) -> Tuple[_OpFn, bool]:
     """Compile ``inst`` at ``pc`` into ``(closure, is_block_terminal)``."""
     m = inst.mnemonic
@@ -316,6 +317,7 @@ class TranslatedEngine:
                 "before running"
             )
 
+    # front door: self-modifying code (RiscvCpu._invalidate_word)
     def invalidate_word(self, word: int) -> None:
         self.ops.pop(word, None)
         for entry in self.block_index.pop(word, ()):
@@ -330,6 +332,7 @@ class TranslatedEngine:
         except (BusError, DecodeError) as exc:
             err = exc
 
+            # front door: a fetch that faults (bus error or undecodable word)
             def fn() -> int:  # fault lazily, exactly when executed
                 raise err
 

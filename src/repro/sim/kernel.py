@@ -112,16 +112,6 @@ class Simulator:
         heapq.heappush(self._heap, (time, seq, event))
         return event
 
-    def peek(self) -> Optional[float]:
-        """Time of the next live event, or None if none is pending
-        (cancelled entries at the top of the heap are dropped)."""
-        heap = self._heap
-        while heap:
-            if not heap[0][2].cancelled:
-                return heap[0][0]
-            heapq.heappop(heap)
-        return None
-
     def iter_pending(self) -> Iterator[Tuple[float, str]]:
         """Yield ``(time, name)`` for every live pending event.
 

@@ -42,10 +42,6 @@ class BoundedFifo:
         self._items: Deque[Tuple[Any, int]] = deque()
         self._occupancy = 0
 
-    @property
-    def occupancy_bytes(self) -> int:
-        return self._occupancy
-
     def __len__(self) -> int:
         return len(self._items)
 
@@ -67,9 +63,6 @@ class BoundedFifo:
         item, nbytes = self._items.popleft()
         self._occupancy -= nbytes
         return item, nbytes
-
-    def peek(self) -> Optional[Tuple[Any, int]]:
-        return self._items[0] if self._items else None
 
 
 class SerialLink:
@@ -164,6 +157,7 @@ class RoundRobinArbiter:
         return None
 
 
+# front door: RosebudConfig(cluster_arbitration="priority")
 class PriorityArbiter:
     """Fixed-priority arbitration (lowest index wins), the alternative
     policy §4.3 mentions can replace round robin."""

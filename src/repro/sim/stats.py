@@ -24,9 +24,6 @@ class Counter:
             raise ValueError("counters only increase")
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0
-
 
 class CounterSet:
     """A named group of counters, like one interface's status block."""
@@ -49,10 +46,6 @@ class CounterSet:
 
     def snapshot(self) -> Dict[str, int]:
         return {name: c.value for name, c in sorted(self._counters.items())}
-
-    def reset(self) -> None:
-        for counter in self._counters.values():
-            counter.reset()
 
 
 class Histogram:
@@ -101,9 +94,6 @@ class Histogram:
         which sorts in place)."""
         return list(self._samples[start:])
 
-    def __len__(self) -> int:
-        return self.count
-
     @property
     def count(self) -> int:
         return len(self._samples) + sum(len(v) * r for v, r in self._bulk)
@@ -133,17 +123,6 @@ class Histogram:
             candidates.append(max(self._samples))
         candidates.extend(max(v) for v, _r in self._bulk)
         return max(candidates) if candidates else 0.0
-
-    @property
-    def stddev(self) -> float:
-        n = self.count
-        if n < 2:
-            return 0.0
-        mu = self.mean
-        acc = sum((x - mu) ** 2 for x in self._samples)
-        for values, repeat in self._bulk:
-            acc += sum((x - mu) ** 2 for x in values) * repeat
-        return math.sqrt(acc / (n - 1))
 
     def percentile(self, pct: float) -> float:
         """Exact percentile by nearest-rank on the (weighted) samples."""

@@ -72,9 +72,9 @@ class TestMatcher:
             assert matcher.check(ip)
 
     def test_outside_addresses_clean(self, matcher):
-        assert not matcher.check_str("10.0.0.1")
-        assert not matcher.check_str("192.168.1.1")
-        assert not matcher.check_str("127.0.0.1")
+        assert not matcher.check(ip_to_int("10.0.0.1"))
+        assert not matcher.check(ip_to_int("192.168.1.1"))
+        assert not matcher.check(ip_to_int("127.0.0.1"))
 
     def test_exhaustive_against_linear_scan(self, matcher):
         """The two-stage structure equals a linear prefix scan."""
@@ -103,16 +103,8 @@ class TestMatcher:
 
     def test_short_prefix_wildcard_path(self):
         matcher = IpBlacklistMatcher([Prefix(ip_to_int("32.0.0.0"), 3)])
-        assert matcher.check_str("33.1.2.3")
-        assert not matcher.check_str("64.0.0.1")
-
-    def test_reset_clears_flag(self, matcher):
-        matcher.write_reg(
-            matcher.REG_SRC_IP,
-            int.from_bytes(matcher.prefixes[0].network.to_bytes(4, "big"), "little"),
-        )
-        matcher.reset()
-        assert matcher.read_reg(matcher.REG_MATCH, 1) == 0
+        assert matcher.check(ip_to_int("33.1.2.3"))
+        assert not matcher.check(ip_to_int("64.0.0.1"))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_prefix_matches_is_consistent(self, ip):

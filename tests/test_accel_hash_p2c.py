@@ -1,9 +1,7 @@
-"""Tests for the flow-hash accelerator and the power-of-two-choices LB."""
+"""Tests for the power-of-two-choices LB."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.accel import FlowHashAccelerator
 from repro.core import (
     LoadBalancer,
     PowerOfTwoChoicesLB,
@@ -16,54 +14,6 @@ from repro.packet import build_tcp
 
 def _pkt(sport=1, dport=80):
     return build_tcp("10.0.0.1", "10.0.0.2", sport, dport, pad_to=128)
-
-
-class TestFlowHashAccelerator:
-    def test_deterministic(self):
-        accel = FlowHashAccelerator()
-        a = accel.hash_tuple("1.1.1.1", "2.2.2.2", 6, 10, 20)
-        b = accel.hash_tuple("1.1.1.1", "2.2.2.2", 6, 10, 20)
-        assert a == b
-
-    def test_field_sensitivity(self):
-        accel = FlowHashAccelerator()
-        base = accel.hash_tuple("1.1.1.1", "2.2.2.2", 6, 10, 20)
-        assert base != accel.hash_tuple("1.1.1.2", "2.2.2.2", 6, 10, 20)
-        assert base != accel.hash_tuple("1.1.1.1", "2.2.2.2", 17, 10, 20)
-        assert base != accel.hash_tuple("1.1.1.1", "2.2.2.2", 6, 11, 20)
-
-    def test_hash_packet_uses_five_tuple(self):
-        accel = FlowHashAccelerator()
-        pkt = _pkt(sport=100)
-        assert accel.hash_packet(pkt) == accel.hash_tuple(
-            "10.0.0.1", "10.0.0.2", 6, 100, 80
-        )
-
-    def test_non_ip_returns_none(self):
-        from repro.packet import build_raw
-
-        accel = FlowHashAccelerator()
-        assert accel.hash_packet(build_raw(64)) is None
-
-    def test_inline_latency_small(self):
-        accel = FlowHashAccelerator()
-        assert accel.latency_cycles() <= 10  # negligible vs serialization
-
-    def test_mmio_streaming_interface(self):
-        accel = FlowHashAccelerator()
-        for word in (0x11111111, 0x22222222):
-            accel.write_reg(accel.REG_WORD_IN, word)
-        first = accel.read_reg(accel.REG_HASH_OUT)
-        # reading resets the CRC for the next packet
-        accel.write_reg(accel.REG_WORD_IN, 0x11111111)
-        second = accel.read_reg(accel.REG_HASH_OUT)
-        assert first != second
-
-    @given(st.integers(1, 65535), st.integers(1, 65535))
-    def test_uniformish_distribution(self, sport, dport):
-        accel = FlowHashAccelerator()
-        value = accel.hash_tuple("9.9.9.9", "8.8.8.8", 6, sport, dport)
-        assert 0 <= value < 2**32
 
 
 class TestPowerOfTwoChoicesLB:

@@ -1,5 +1,5 @@
-"""Tests for the Pigasus accelerators: ruleset, Aho-Corasick, matchers,
-rule packer, runtime table loading."""
+"""Tests for the Pigasus accelerators: ruleset, Aho-Corasick, the string
+matcher, runtime table loading."""
 
 import random
 
@@ -8,16 +8,12 @@ from hypothesis import given, strategies as st
 
 from repro.accel.pigasus import (
     AhoCorasick,
-    PigasusPortMatcher,
     PigasusStringMatcher,
     PortSpec,
     Rule,
     RulesetError,
-    extract_appended_rule_ids,
     generate_ruleset,
-    pack_rule_ids,
     parse_rules,
-    unpack_rule_ids,
 )
 from repro.accel.pigasus import string_match
 
@@ -194,6 +190,41 @@ class TestSearchMemo:
         assert matcher.packets_scanned == 4
 
 
+class TestPortMatcher:
+    """The port-group filter the string matcher applies to every hit."""
+
+    @pytest.fixture(scope="class")
+    def rules(self):
+        return parse_rules(generate_ruleset(80))
+
+    @pytest.fixture(scope="class")
+    def loaded(self, rules):
+        matcher = PigasusStringMatcher()
+        matcher.load_rules(rules)
+        return matcher
+
+    @pytest.fixture(scope="class")
+    def every_content(self, rules):
+        return b"|".join(rule.content for rule in rules)
+
+    def test_candidates_match_bruteforce(self, rules, loaded, every_content):
+        for proto, sport, dport in [("tcp", 1000, 80), ("udp", 5, 53), ("tcp", 1, 9999)]:
+            got = set(loaded.scan(every_content, proto, sport, dport))
+            expected = {r.sid for r in rules if r.matches_ports(proto, sport, dport)}
+            assert got == expected
+
+    def test_non_transport_protocol_empty(self, loaded, every_content):
+        assert loaded.scan(every_content, "icmp", 0, 0) == []
+
+    def test_wide_ranges_treated_as_any(self):
+        rule = Rule(sid=1, protocol="tcp", src_ports=PortSpec(0, 65535),
+                    dst_ports=PortSpec(1024, 65535), content=b"abcd")
+        matcher = PigasusStringMatcher()
+        matcher.load_rules([rule])
+        assert matcher.scan(b"xxabcd", "tcp", 5, 2000) == [1]
+        assert matcher.scan(b"xxabcd", "tcp", 5, 80) == []
+
+
 class TestStringMatcher:
     @pytest.fixture(scope="class")
     def rules(self):
@@ -203,7 +234,6 @@ class TestStringMatcher:
         """Uninitialized URAMs: the matcher is unusable until the host
         fills its tables at runtime (§7.1.2)."""
         matcher = PigasusStringMatcher()
-        assert not matcher.ready
         with pytest.raises(RuntimeError):
             matcher.scan(b"anything")
 
@@ -211,7 +241,7 @@ class TestStringMatcher:
         matcher = PigasusStringMatcher()
         cycles = matcher.load_rules(rules)
         assert cycles > 0
-        assert matcher.ready
+        matcher.scan(b"anything")  # loaded: no longer raises
 
     def test_scan_finds_pattern(self, rules):
         matcher = PigasusStringMatcher()
@@ -269,61 +299,3 @@ class TestStringMatcher:
         assert matcher.bytes_scanned == 100
 
 
-class TestPortMatcher:
-    @pytest.fixture(scope="class")
-    def rules(self):
-        return parse_rules(generate_ruleset(80))
-
-    def test_unloaded_raises(self):
-        matcher = PigasusPortMatcher()
-        with pytest.raises(RuntimeError):
-            matcher.candidates("tcp", 1, 2)
-
-    def test_candidates_match_bruteforce(self, rules):
-        matcher = PigasusPortMatcher()
-        matcher.load_rules(rules)
-        for proto, sport, dport in [("tcp", 1000, 80), ("udp", 5, 53), ("tcp", 1, 9999)]:
-            got = {r.sid for r in matcher.candidates(proto, sport, dport)}
-            expected = {r.sid for r in rules if r.matches_ports(proto, sport, dport)}
-            assert got == expected
-
-    def test_non_transport_protocol_empty(self, rules):
-        matcher = PigasusPortMatcher()
-        matcher.load_rules(rules)
-        assert matcher.candidates("icmp", 0, 0) == []
-
-    def test_wide_ranges_treated_as_any(self):
-        rule = Rule(sid=1, protocol="tcp", src_ports=PortSpec(0, 65535),
-                    dst_ports=PortSpec(1024, 65535), content=b"abcd")
-        matcher = PigasusPortMatcher()
-        matcher.load_rules([rule])
-        assert [r.sid for r in matcher.candidates("tcp", 5, 2000)] == [1]
-        assert matcher.candidates("tcp", 5, 80) == []
-
-
-class TestRulePacker:
-    def test_round_trip(self):
-        blob = pack_rule_ids([5, 1000, 2**31])
-        assert unpack_rule_ids(blob) == [5, 1000, 2**31]
-
-    def test_zero_terminated(self):
-        blob = pack_rule_ids([7])
-        assert blob.endswith(b"\x00\x00\x00\x00")
-
-    def test_zero_sid_rejected(self):
-        with pytest.raises(ValueError):
-            pack_rule_ids([0])
-
-    def test_unterminated_rejected(self):
-        with pytest.raises(ValueError):
-            unpack_rule_ids(b"\x01\x00\x00\x00")
-
-    def test_misaligned_rejected(self):
-        with pytest.raises(ValueError):
-            unpack_rule_ids(b"\x01\x00\x00")
-
-    def test_extract_from_packet_aligns(self):
-        payload = b"P" * 123  # unaligned original length
-        appended = pack_rule_ids([42])
-        data = payload + b"\x00" * (124 - 123) + appended
-        assert extract_appended_rule_ids(data, 123) == [42]

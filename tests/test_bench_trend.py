@@ -8,17 +8,14 @@ booleans are exact, missing metrics are loud by default, and
 baselines stay consistent with the tool's own schema.
 """
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-BENCH_DIR = Path(__file__).parent.parent / "benchmarks"
+from .conftest import BENCH_DIR, load_bench_module
 
-spec = importlib.util.spec_from_file_location("bench_trend", BENCH_DIR / "trend.py")
-trend = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(trend)
+trend = load_bench_module("trend")
 
 
 def write_probe(directory: Path, probe: str, metrics: dict) -> None:
@@ -174,6 +171,12 @@ def test_source_size_metrics_may_shrink_but_not_grow():
     loc = {k: v for k, v in committed.items() if k.startswith("loc_probe.")}
     assert "loc_probe.total_lines" in loc
     assert all(v["direction"] == "lower" and v["tolerance"] == 0 for v in loc.values())
+    # reach_probe's unexplained dead code per package: the same ratchet
+    assert trend.default_band("core_unreached", 0) == {
+        "value": 0, "tolerance": 0.0, "direction": "lower"}
+    reach = {k: v for k, v in committed.items() if k.startswith("reach_probe.")}
+    assert "reach_probe.total_unreached" in reach
+    assert all(v["direction"] == "lower" and v["tolerance"] == 0 for v in reach.values())
 
 
 def test_update_preserves_hand_tuned_bands(results_dir, tmp_path):

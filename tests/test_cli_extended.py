@@ -52,18 +52,13 @@ class TestDisasmCommand:
 
 class TestImageCommand:
     def test_builds_loadable_image(self, tmp_path, capsys):
-        from repro.core.funcsim import FunctionalRpu
-        from repro.packet import build_tcp
-        from repro.riscv.image import FirmwareImage, load_into_rpu
+        from repro.firmware import FORWARDER_ASM
+        from repro.riscv.image import FirmwareImage
 
         image_path = tmp_path / "fwd.rfw"
         assert main(["image", "forwarder", "--out", str(image_path)]) == 0
         image = FirmwareImage.from_bytes(image_path.read_bytes())
-        rpu = FunctionalRpu("nop\nebreak")
-        load_into_rpu(image, rpu)
-        rpu.push_packet(build_tcp("1.1.1.1", "2.2.2.2", 1, 2, pad_to=64).data)
-        rpu.run_until_sent(1)
-        assert rpu.sent[0].port == 1
+        assert image.to_bytes() == FirmwareImage.from_asm(FORWARDER_ASM).to_bytes()
 
     def test_unknown_firmware(self, capsys):
         assert main(["image", "bogus"]) == 2  # cmd_verify's convention

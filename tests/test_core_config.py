@@ -1,5 +1,7 @@
 """Tests for RosebudConfig: derived quantities and paper constants."""
 
+import json
+
 import pytest
 
 from repro.core import CONFIG_16_RPU, CONFIG_8_RPU, ConfigError, RosebudConfig
@@ -19,8 +21,9 @@ class TestDefaults:
 
     def test_bus_bandwidths_match_paper(self):
         # 512-bit at 250 MHz = 128 Gbps; 128-bit = 32 Gbps (§5)
-        assert CONFIG_16_RPU.cluster_gbps == pytest.approx(128.0)
-        assert CONFIG_16_RPU.rpu_link_gbps == pytest.approx(32.0)
+        freq_hz = CONFIG_16_RPU.clock.freq_hz
+        assert CONFIG_16_RPU.cluster_bus_bits * freq_hz / 1e9 == pytest.approx(128.0)
+        assert CONFIG_16_RPU.rpu_bus_bits * freq_hz / 1e9 == pytest.approx(32.0)
 
     def test_slot_defaults(self):
         assert CONFIG_16_RPU.slot_bytes == 16 * 1024
@@ -39,7 +42,13 @@ class TestDefaults:
         # overheads make up the intercept (checked end-to-end in the
         # latency integration test)
         total = (
-            CONFIG_16_RPU.fixed_path_cycles
+            CONFIG_16_RPU.mac_rx_fixed_cycles
+            + CONFIG_16_RPU.dist_in_fixed_cycles
+            + CONFIG_16_RPU.rpu_in_fixed_cycles
+            + CONFIG_16_RPU.rpu_out_fixed_cycles
+            + CONFIG_16_RPU.dist_out_fixed_cycles
+            + CONFIG_16_RPU.mac_tx_fixed_cycles
+            + 2 * CONFIG_16_RPU.cluster_cut_through_cycles
             + 16  # forwarder
             + CONFIG_16_RPU.port_ingress_cycles
             + CONFIG_16_RPU.rpu_ingress_overhead_cycles * 2
@@ -119,7 +128,7 @@ class TestValidation:
 class TestSerialization:
     def test_round_trip_default(self):
         cfg = CONFIG_16_RPU
-        back = RosebudConfig.from_json(cfg.to_json())
+        back = RosebudConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert back == cfg
 
     def test_round_trip_custom(self):
@@ -127,7 +136,7 @@ class TestSerialization:
             n_rpus=8, slots_per_rpu=32, cluster_arbitration="priority",
             mac_rx_fifo_packets=50,
         )
-        back = RosebudConfig.from_json(cfg.to_json())
+        back = RosebudConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert back == cfg
         assert back.cluster_arbitration == "priority"
 
@@ -139,7 +148,7 @@ class TestSerialization:
         assert back.clock.freq_hz == 300e6
 
     def test_json_is_human_readable(self):
-        text = CONFIG_8_RPU.to_json()
+        text = json.dumps(CONFIG_8_RPU.to_dict())
         assert '"n_rpus": 8' in text
         assert '"clock_hz": 250000000.0' in text
 

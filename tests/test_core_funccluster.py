@@ -30,15 +30,15 @@ class TestRoundRobinCluster:
         for i in range(16):
             cluster.push_packet(_data(sport=i + 1))
         cluster.run_until_all_sent()
-        assert cluster.per_rpu_counts() == [4, 4, 4, 4]
+        assert [len(rpu.sent) for rpu in cluster.rpus] == [4, 4, 4, 4]
 
     def test_all_forwarded_with_port_swap(self):
         cluster = self.cluster(2)
         for i in range(6):
             cluster.push_packet(_data(sport=i + 1), port=i % 2)
         cluster.run_until_all_sent()
-        by_port = cluster.sent_by_port()
-        assert len(by_port[0]) == 3 and len(by_port[1]) == 3
+        ports = [s.port for rpu in cluster.rpus for s in rpu.sent]
+        assert ports.count(0) == 3 and ports.count(1) == 3
 
     def test_payloads_intact_across_cores(self):
         cluster = self.cluster(4)
@@ -127,7 +127,7 @@ class TestFirewallCluster:
         forwarded = sum(not s.dropped for rpu in cluster.rpus for s in rpu.sent)
         assert dropped == 6 and forwarded == 6
         # the work really was distributed
-        assert sum(1 for c in cluster.per_rpu_counts() if c > 0) >= 3
+        assert sum(1 for rpu in cluster.rpus if rpu.sent) >= 3
 
 
 class TestFirewallClusterCached(TestFirewallCluster):

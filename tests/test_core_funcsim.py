@@ -186,11 +186,6 @@ class TestDebugFacilities:
         rpu.cpu.run()
         assert rpu.debug_out == 0x5678_0000_1234
 
-    def test_accel_table_load(self):
-        rpu = FunctionalRpu(FORWARDER_ASM)
-        rpu.load_accel_table(0x100, b"\xAA" * 16)
-        assert rpu.dump_memory("accmem")[0x100:0x110] == b"\xAA" * 16
-
     def test_oversized_firmware_rejected(self):
         big = ".space %d\n nop" % (64 * 1024)
         with pytest.raises(ValueError):

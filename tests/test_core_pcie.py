@@ -1,6 +1,4 @@
-"""Tests for PCIe host DMA, virtual Ethernet, and watchdogs."""
-
-import pytest
+"""Tests for the PCIe virtual Ethernet interface and watchdogs."""
 
 from repro.core import (
     HostInterface,
@@ -8,61 +6,12 @@ from repro.core import (
     RosebudSystem,
 )
 from repro.core.firmware_api import ACTION_FORWARD, FirmwareModel, FirmwareResult
-from repro.core.pcie import DRAM_TAGS, HostDmaEngine, PCIE_LATENCY_US
 from repro.firmware import ForwarderFirmware
 from repro.packet import build_tcp
-from repro.sim import Simulator
 
 
 def _pkt(size=256, sport=1):
     return build_tcp("10.0.0.1", "10.0.0.2", sport, 80, pad_to=size)
-
-
-class TestHostDma:
-    def _engine(self):
-        sim = Simulator()
-        return sim, HostDmaEngine(sim, RosebudConfig(n_rpus=16))
-
-    def test_write_applies_payload_after_latency(self):
-        sim, dma = self._engine()
-        store = {}
-        done_at = []
-        dma.write(lambda data: store.__setitem__("x", data), b"firmware-image",
-                  on_done=lambda: done_at.append(sim.now))
-        sim.run()
-        assert store["x"] == b"firmware-image"
-        latency_cycles = RosebudConfig(n_rpus=16).clock.ns_to_cycles(PCIE_LATENCY_US * 1e3)
-        assert done_at[0] >= latency_cycles
-
-    def test_read_returns_data(self):
-        sim, dma = self._engine()
-        got = []
-        dma.read(lambda: b"table-contents", got.append)
-        sim.run()
-        assert got == [b"table-contents"]
-
-    def test_tags_bound_outstanding_ops(self):
-        sim, dma = self._engine()
-        completions = []
-        for i in range(DRAM_TAGS + 10):
-            dma.write(lambda data: None, b"x" * 64,
-                      on_done=lambda i=i: completions.append(i))
-        # more requests than tags: the excess waited for a tag
-        sim.run()
-        assert len(completions) == DRAM_TAGS + 10
-        assert dma.counters.value("tag_waits") > 0
-        assert dma.free_tags == DRAM_TAGS
-
-    def test_bandwidth_serializes_large_transfers(self):
-        sim, dma = self._engine()
-        times = []
-        for _ in range(3):
-            dma.write(lambda data: None, b"z" * 125_000,
-                      on_done=lambda: times.append(sim.now))
-        sim.run()
-        # 125 KB at 100 Gbps = 10 us = 2500 cycles apart
-        gaps = [b - a for a, b in zip(times, times[1:])]
-        assert all(g == pytest.approx(2500, rel=0.01) for g in gaps)
 
 
 class TestVirtualEthernet:

@@ -1,79 +1,10 @@
-"""Tests for multi-word broadcast messages and the stats sampler."""
+"""Tests for the stats sampler."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    BroadcastSystem,
-    HostInterface,
-    MessageChannel,
-    RosebudConfig,
-    RosebudSystem,
-    StatsSampler,
-)
+from repro.core import HostInterface, RosebudConfig, RosebudSystem, StatsSampler
 from repro.firmware import ForwarderFirmware
-from repro.sim import Simulator
 from repro.traffic import FixedSizeSource
-
-
-class TestMessageChannel:
-    def _make(self, n_rpus=8):
-        sim = Simulator()
-        bcast = BroadcastSystem(sim, RosebudConfig(n_rpus=n_rpus))
-        channel = MessageChannel(bcast)
-        return sim, bcast, channel
-
-    def test_round_trip(self):
-        sim, bcast, channel = self._make()
-        channel.send(0, b"state update: flow table generation 7")
-        sim.run()
-        assert channel.receive(3) == b"state update: flow table generation 7"
-
-    def test_unaligned_length_preserved(self):
-        sim, _, channel = self._make()
-        channel.send(0, b"abcde")  # 5 bytes: 2 words published
-        sim.run()
-        assert channel.receive(1) == b"abcde"
-
-    def test_empty_message(self):
-        sim, _, channel = self._make()
-        channel.send(0, b"")
-        sim.run()
-        assert channel.receive(1) == b""
-
-    def test_multiple_messages_in_order(self):
-        sim, _, channel = self._make()
-        channel.send(0, b"first")
-        channel.send(0, b"second!")
-        sim.run()
-        assert channel.receive(2) == b"first"
-        assert channel.receive(2) == b"second!"
-
-    def test_all_receivers_get_it(self):
-        sim, _, channel = self._make(n_rpus=4)
-        channel.send(2, b"hello all")
-        sim.run()
-        for rpu in (0, 1, 3):
-            assert channel.receive(rpu) == b"hello all"
-
-    def test_no_doorbell_no_message(self):
-        sim, bcast, channel = self._make()
-        bcast.send(0, channel.data_base, 0x41414141)  # data word only
-        sim.run()
-        assert channel.receive(1) is None
-
-    def test_oversized_rejected(self):
-        _, _, channel = self._make()
-        with pytest.raises(ValueError):
-            channel.send(0, b"x" * 200)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.binary(max_size=124))
-    def test_arbitrary_payload_round_trips(self, payload):
-        sim, _, channel = self._make()
-        channel.send(0, payload)
-        sim.run()
-        assert channel.receive(1) == payload
 
 
 class TestStatsSampler:
@@ -89,7 +20,7 @@ class TestStatsSampler:
             source.start()
         system.sim.run(until=400_000)
         sampler.stop()
-        steady = sampler.steady_samples(skip=2)[:-1]
+        steady = sampler.samples[2:-1]
         assert len(steady) >= 5
         mean = sum(s.gbps for s in steady) / len(steady)
         assert mean == pytest.approx(100.0, rel=0.05)
@@ -111,8 +42,11 @@ class TestStatsSampler:
         system.sim.schedule(60_000, lambda: host.reconfigure_rpu(4, ForwarderFirmware()))
         system.sim.run(until=600_000)
         sampler.stop()
-        # skip warmup and the trailing partial interval
-        assert sampler.dip_fraction(skip=2) > 0.9
+        # skip warmup; a stall for good leaves a zero-throughput minimum
+        steady = [s.gbps for s in sampler.samples[2:]]
+        mean = sum(steady) / len(steady)
+        assert mean == pytest.approx(120.0, rel=0.05)
+        assert min(steady) / mean > 0.9
 
     def test_double_start_rejected(self):
         system = RosebudSystem(RosebudConfig(n_rpus=16), ForwarderFirmware())

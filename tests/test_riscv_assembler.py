@@ -99,7 +99,7 @@ class TestLabelsAndSymbols:
         here:
             nop
         """)
-        assert program.symbol("here") == 4
+        assert program.symbols["here"] == 4
 
     def test_la_loads_address(self):
         cpu = execute("""
@@ -310,4 +310,4 @@ class TestOperandSyntax:
 
     def test_base_address(self):
         program = assemble("target:\n j target", base=0x1000)
-        assert program.symbol("target") == 0x1000
+        assert program.symbols["target"] == 0x1000

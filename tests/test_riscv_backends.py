@@ -200,7 +200,7 @@ def test_smc_host_patch_between_runs():
         cpu, bus = _build(source, backend)
         cpu.run()
         first = cpu.read_reg(10)
-        bus.write_u32(0, patch)
+        bus.write(0, patch, 4)
         cpu.halted = False
         cpu.pc = 0
         cpu.run()

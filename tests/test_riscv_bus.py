@@ -10,22 +10,22 @@ class TestRamRegions:
     def test_read_write_round_trip(self):
         bus = MemoryBus()
         bus.add_ram(0x1000, 256)
-        bus.write_u32(0x1010, 0xDEADBEEF)
+        bus.write(0x1010, 0xDEADBEEF, 4)
         assert bus.read_u32(0x1010) == 0xDEADBEEF
 
     def test_little_endian(self):
         bus = MemoryBus()
         bus.add_ram(0, 16)
-        bus.write_u32(0, 0x11223344)
-        assert bus.read_u8(0) == 0x44
-        assert bus.read_u8(3) == 0x11
-        assert bus.read_u16(0) == 0x3344
+        bus.write(0, 0x11223344, 4)
+        assert bus.read(0, 1) == 0x44
+        assert bus.read(3, 1) == 0x11
+        assert bus.read(0, 2) == 0x3344
 
     def test_partial_width_write(self):
         bus = MemoryBus()
         bus.add_ram(0, 16)
-        bus.write_u32(0, 0xFFFFFFFF)
-        bus.write_u8(1, 0)
+        bus.write(0, 0xFFFFFFFF, 4)
+        bus.write(1, 0, 1)
         assert bus.read_u32(0) == 0xFFFF00FF
 
     def test_unmapped_access_raises(self):
@@ -50,9 +50,9 @@ class TestRamRegions:
         bus = MemoryBus()
         bus.add_ram(0, 32)
         bus.add_ram(32, 32)
-        bus.write_u8(31, 1)
-        bus.write_u8(32, 2)
-        assert bus.read_u8(31) == 1 and bus.read_u8(32) == 2
+        bus.write(31, 1, 1)
+        bus.write(32, 2, 1)
+        assert bus.read(31, 1) == 1 and bus.read(32, 1) == 2
 
     def test_load_blob_and_dump(self):
         bus = MemoryBus()
@@ -69,14 +69,14 @@ class TestRamRegions:
     def test_write_masks_value(self):
         bus = MemoryBus()
         bus.add_ram(0, 8)
-        bus.write_u8(0, 0x1FF)
-        assert bus.read_u8(0) == 0xFF
+        bus.write(0, 0x1FF, 1)
+        assert bus.read(0, 1) == 0xFF
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_u32_round_trip(self, value):
         bus = MemoryBus()
         bus.add_ram(0, 8)
-        bus.write_u32(0, value)
+        bus.write(0, value, 4)
         assert bus.read_u32(0) == value
 
 
@@ -91,14 +91,14 @@ class TestMmio:
             write_handler=lambda off, val, n: log.append((off, val)),
         )
         assert bus.read_u32(0x4004) == 4
-        bus.write_u32(0x4010, 99)
+        bus.write(0x4010, 99, 4)
         assert log == [(0x10, 99)]
 
     def test_mmio_read_masked_to_width(self):
         bus = MemoryBus()
         bus.add_mmio(0, 0x10, lambda off, n: 0x12345678, lambda off, v, n: None)
-        assert bus.read_u8(0) == 0x78
-        assert bus.read_u16(0) == 0x5678
+        assert bus.read(0, 1) == 0x78
+        assert bus.read(0, 2) == 0x5678
 
     def test_load_blob_into_mmio_rejected(self):
         bus = MemoryBus()
@@ -115,7 +115,7 @@ class TestMmio:
             lambda off, n: state.get(off, 0),
             lambda off, v, n: state.__setitem__(off, v),
         )
-        bus.write_u32(0x10, 5)
-        bus.write_u32(0x1000, 6)
+        bus.write(0x10, 5, 4)
+        bus.write(0x1000, 6, 4)
         assert bus.read_u32(0x10) == 5
         assert bus.read_u32(0x1000) == 6

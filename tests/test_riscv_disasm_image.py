@@ -3,9 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.funcsim import FunctionalRpu
 from repro.firmware import FORWARDER_ASM
-from repro.packet import build_tcp
 from repro.riscv import assemble
 from repro.riscv.disasm import disassemble, disassemble_word, reg_name
 from repro.riscv.image import (
@@ -14,7 +12,6 @@ from repro.riscv.image import (
     SEG_ACCMEM,
     SEG_DMEM,
     SEG_IMEM,
-    load_into_rpu,
 )
 
 
@@ -134,26 +131,6 @@ class TestFirmwareImage:
         image = FirmwareImage.from_asm("nop\nebreak")
         assert image.segment(SEG_IMEM) is not None
         assert len(image.segment(SEG_IMEM).payload) == 8
-
-    def test_load_into_rpu_and_run(self):
-        image = FirmwareImage.from_asm(
-            FORWARDER_ASM,
-            data_blobs={SEG_ACCMEM: (0x10, b"\xAA" * 8)},
-        )
-        rpu = FunctionalRpu("nop\nebreak")  # placeholder firmware
-        load_into_rpu(image, rpu)
-        assert rpu.dump_memory("accmem")[0x10:0x18] == b"\xAA" * 8
-        data = build_tcp("1.1.1.1", "2.2.2.2", 1, 2, pad_to=64).data
-        rpu.push_packet(data)
-        rpu.run_until_sent(1)
-        assert rpu.sent[0].port == 1  # the loaded forwarder runs
-
-    def test_oversized_segment_rejected(self):
-        image = FirmwareImage()
-        image.add_segment(SEG_IMEM, 0, b"\x00" * (64 * 1024))
-        rpu = FunctionalRpu("nop\nebreak")
-        with pytest.raises(ImageError):
-            load_into_rpu(image, rpu)
 
     @given(st.binary(max_size=64), st.binary(max_size=64))
     def test_arbitrary_payloads_round_trip(self, a, b):

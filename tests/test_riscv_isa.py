@@ -6,13 +6,8 @@ from hypothesis import given, strategies as st
 from repro.riscv import DecodeError, assemble, decode, parse_register, sign_extend
 from repro.riscv.disasm import format_instruction
 from repro.riscv.isa import (
-    OP_IMM,
     OPS,
-    encode_b,
-    encode_i,
-    encode_j,
-    encode_s,
-    encode_u,
+    encode,
     reads_regs,
 )
 
@@ -189,7 +184,7 @@ class TestEncodeDecodeRoundTrip:
         st.integers(min_value=-2048, max_value=2047),
     )
     def test_i_type_round_trip(self, rd, rs1, imm):
-        word = encode_i(imm, rs1, 0, rd, OP_IMM)
+        word = encode(OPS["addi"], rd=rd, rs1=rs1, imm=imm)
         inst = decode(word)
         assert inst.mnemonic == "addi"
         assert (inst.rd, inst.rs1, inst.imm) == (rd, rs1, imm)
@@ -200,37 +195,37 @@ class TestEncodeDecodeRoundTrip:
         st.integers(min_value=-2048, max_value=2047),
     )
     def test_s_type_round_trip(self, rs1, rs2, imm):
-        word = encode_s(imm, rs2, rs1, 0b010, 0b0100011)
+        word = encode(OPS["sw"], rs1=rs1, rs2=rs2, imm=imm)
         inst = decode(word)
         assert inst.mnemonic == "sw"
         assert (inst.rs1, inst.rs2, inst.imm) == (rs1, rs2, imm)
 
     @given(st.integers(min_value=-2048, max_value=2046).map(lambda x: x * 2))
     def test_b_type_round_trip(self, imm):
-        word = encode_b(imm, 1, 2, 0b000, 0b1100011)
+        word = encode(OPS["beq"], rs1=2, rs2=1, imm=imm)
         inst = decode(word)
         assert inst.mnemonic == "beq" and inst.imm == imm
 
     @given(st.integers(min_value=-(2**19), max_value=2**19 - 1).map(lambda x: x * 2))
     def test_j_type_round_trip(self, imm):
-        word = encode_j(imm, 1, 0b1101111)
+        word = encode(OPS["jal"], rd=1, imm=imm)
         inst = decode(word)
         assert inst.mnemonic == "jal" and inst.imm == imm
 
     @given(st.integers(min_value=0, max_value=0xFFFFF))
     def test_u_type_round_trip(self, imm20):
-        word = encode_u(imm20 << 12, 5, 0b0110111)
+        word = encode(OPS["lui"], rd=5, imm=imm20 << 12)
         inst = decode(word)
         assert inst.mnemonic == "lui"
         assert (inst.imm & 0xFFFFFFFF) == ((imm20 << 12) & 0xFFFFFFFF)
 
     def test_b_imm_out_of_range(self):
         with pytest.raises(DecodeError):
-            encode_b(4096, 0, 0, 0, 0b1100011)
+            encode(OPS["beq"], imm=4096)
 
     def test_b_imm_odd_rejected(self):
         with pytest.raises(DecodeError):
-            encode_b(3, 0, 0, 0, 0b1100011)
+            encode(OPS["beq"], imm=3)
 
 
 class TestRegisters:

@@ -28,6 +28,8 @@ from repro.fluid import diff_results
 from repro.serve import SessionError, spec_from_params
 from repro.traffic import FixedSizeSource
 
+from .conftest import next_time
+
 FAST = MeasurementWindow(warmup_packets=200, measure_packets=600)
 
 
@@ -191,10 +193,10 @@ class TestSessionLifecycle:
         out = session.step(n_events=5, until_ts=2_000.0)
         assert out["events"] == 5 == session.sim.events_processed
         assert out["now"] == session.sim.now < 2_000.0
-        assert session.sim.peek() <= 2_000.0
+        assert next_time(session.sim) <= 2_000.0
         # with the time bound the nearer one, the clock lands on it
         fired = session.step(n_events=10**6, until_ts=2_000.0)["events"]
-        assert session.sim.now == 2_000.0 < session.sim.peek()
+        assert session.sim.now == 2_000.0 < next_time(session.sim)
         assert session.sim.events_processed == 5 + fired
 
     def test_spec_sessions_reject_manual_measurements(self):
@@ -266,6 +268,22 @@ class TestLiveControl:
         )
         session.step(cycles=150_000.0)
         assert session.snapshot()["watchdog"] == []
+
+    def test_receive_mask_reenable_wakes_blocked_ports(self):
+        """A mask of 0 head-of-line blocks every port; writing the full
+        mask back must let them retry, not leave them blocked for good."""
+        session = self._live_session(n_rpus=8, gbps=100.0, n_packets=20_000)
+        delivered = session.system.counters.value
+        session.step(cycles=20_000.0)
+        session.control("set_receive_mask", mask=0)
+        session.step(cycles=20_000.0)
+        ingress = session.system.port_ingress[0]  # the source's port
+        assert ingress._waiting_for_slot
+        blocked_at = delivered("delivered")
+        session.control("set_receive_mask", mask=0xFF)
+        session.step(cycles=20_000.0)
+        assert delivered("delivered") > blocked_at + 1000
+        assert not ingress._waiting_for_slot
 
     def test_lb_swap_mid_flight(self):
         session = self._live_session()

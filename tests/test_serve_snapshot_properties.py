@@ -28,6 +28,8 @@ from repro.firmware import ForwarderFirmware
 from repro.serve.session import SimSession
 from repro.traffic import FixedSizeSource
 
+from .conftest import next_time
+
 N_PACKETS_PER_PORT = 2_000
 
 #: snapshot fields that must never decrease between successive polls
@@ -58,10 +60,10 @@ def _random_schedule(session, seed, max_chunks=200):
         else:
             session.step(until_ts=session.sim.now + rng.randrange(1, 5_000))
         snaps.append(session.snapshot())
-        if session.sim.peek() is None:
+        if next_time(session.sim) is None:
             break
     # drain whatever is left so conservation can be checked exactly
-    while session.sim.peek() is not None:
+    while next_time(session.sim) is not None:
         session.step(n_events=10_000)
     snaps.append(session.snapshot())
     return snaps

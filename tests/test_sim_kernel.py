@@ -7,6 +7,8 @@ import pytest
 
 from repro.sim import SimulationError, Simulator
 
+from .conftest import next_time
+
 
 class TestScheduling:
     def test_events_fire_in_time_order(self):
@@ -159,7 +161,7 @@ class TestCancellation:
         event = sim.schedule(5, lambda: None)
         sim.schedule(10, lambda: None)
         event.cancel()
-        assert sim.peek() == 10
+        assert next_time(sim) == 10
 
     def test_events_processed_excludes_cancelled(self):
         # Invariant: events_processed counts only fired callbacks.
@@ -220,14 +222,14 @@ class TestOrdering:
         assert order == ["first", "second", "nested"]
 
     def test_schedule_earlier_than_peeked_time(self):
-        # An event scheduled earlier than a time peek() already
-        # returned still fires first.
+        # An event scheduled earlier than the queue head already
+        # observed still fires first.
         sim = Simulator()
         order = []
         sim.schedule(10, lambda: order.append("late"))
-        assert sim.peek() == 10
+        assert next_time(sim) == 10
         sim.schedule(5, lambda: order.append("early"))
-        assert sim.peek() == 5
+        assert next_time(sim) == 5
         sim.run()
         assert order == ["early", "late"]
 
@@ -260,7 +262,7 @@ class TestWarp:
         _logged(sim, log, [(1, "a"), (3, "c"), (2, "b"), (2, "b2")])
         sim.warp(10)
         assert sim.now == 10
-        assert sim.peek() == 11
+        assert next_time(sim) == 11
         sim.run()
         assert log == [("a", 11), ("b", 12), ("b2", 12), ("c", 13)]
         assert sim.events_processed == 4
@@ -281,7 +283,7 @@ class TestWarp:
         with pytest.raises(SimulationError, match="frozen event at t=30"):
             sim.warp(40, freeze_after=10)
         assert sim.now == 0
-        assert sim.peek() == 5
+        assert next_time(sim) == 5
         sim.run()
         assert log == [("a", 5), ("frozen", 30)]
 
@@ -306,7 +308,7 @@ class TestWarp:
         with pytest.raises(SimulationError, match="must be positive"):
             sim.warp(delta)
         assert sim.now == 0
-        assert sim.peek() == 5
+        assert next_time(sim) == 5
 
     def test_warp_from_observer_continues_the_run(self):
         # the fluid tier warps from inside run()'s observer
@@ -462,7 +464,7 @@ class _Kernel:
             self.handles[label].cancel()
 
     def peek(self):
-        return self.sim.peek()
+        return next_time(self.sim)
 
     def iter_pending(self):
         return list(self.sim.iter_pending())
@@ -524,7 +526,7 @@ def _execute(driver, program):
         if kind == "schedule":
             driver.schedule(op[1], op[2])
         elif kind == "earlier":
-            # earlier than a time peek() has already returned
+            # earlier than the queue head already observed
             head = driver.peek()
             driver.schedule(op[1] if head is None else (head - driver.now) / 2, op[2])
         elif kind == "cancel":

@@ -22,12 +22,12 @@ class TestBoundedFifo:
         assert fifo.pop() is None
 
     def test_occupancy_tracking(self):
-        fifo = BoundedFifo()
+        fifo = BoundedFifo(capacity_bytes=40)
         fifo.push("a", 10)
         fifo.push("b", 20)
-        assert fifo.occupancy_bytes == 30
+        assert fifo.space_for(10) and not fifo.space_for(11)  # 30 held
         fifo.pop()
-        assert fifo.occupancy_bytes == 20
+        assert fifo.space_for(20) and not fifo.space_for(21)  # 20 held
 
     def test_capacity_enforced(self):
         fifo = BoundedFifo(capacity_bytes=100)
@@ -48,12 +48,6 @@ class TestBoundedFifo:
         fifo.pop()
         assert fifo.push("b", 10)
 
-    def test_peek_does_not_remove(self):
-        fifo = BoundedFifo()
-        fifo.push("a", 1)
-        assert fifo.peek() == ("a", 1)
-        assert len(fifo) == 1
-
     @given(st.lists(st.integers(min_value=1, max_value=100), max_size=50))
     def test_occupancy_never_negative_and_conserved(self, sizes):
         fifo = BoundedFifo(capacity_bytes=500)
@@ -68,7 +62,7 @@ class TestBoundedFifo:
                 break
             popped.append(entry)
         assert popped == pushed
-        assert fifo.occupancy_bytes == 0
+        assert fifo.space_for(500)  # every byte returned
 
 
 class TestSerialLink:

@@ -6,7 +6,7 @@ from repro.accel import generate_blacklist, parse_blacklist, IpBlacklistMatcher
 from repro.accel.pigasus import generate_ruleset, parse_rules, PigasusStringMatcher
 from repro.core import RosebudConfig, RosebudSystem
 from repro.firmware import ForwarderFirmware
-from repro.packet import EthernetHeader, IPv4Header, Packet, TCPHeader
+from repro.packet import EthernetHeader, IPv4Header, Packet, TCPHeader, ip_to_int
 from repro.traffic import (
     FixedSizeSource,
     FlowTrafficSource,
@@ -256,9 +256,9 @@ class TestAttackTraces:
         trace = firewall_trace(prefixes, safe_packets=4)
         assert len(trace) == 1054
         for pkt in trace[:-4]:
-            assert matcher.check_str(pkt.parsed.ipv4.src)
+            assert matcher.check(ip_to_int(pkt.parsed.ipv4.src))
         for pkt in trace[-4:]:
-            assert not matcher.check_str(pkt.parsed.ipv4.src)
+            assert not matcher.check(ip_to_int(pkt.parsed.ipv4.src))
 
 
 class TestReplaySource:

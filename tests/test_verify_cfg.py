@@ -19,7 +19,8 @@ from repro.firmware.asm_sources import (
     PIGASUS_ASM,
     PKT_GEN_ASM,
 )
-from repro.riscv import assemble, image_decoder, superblock_pcs
+from repro.riscv import assemble, image_decoder
+from repro.riscv.blocks import MAX_BLOCK, is_block_terminal
 from repro.verify import MachineEnv, analyze_firmware, analyze_source, build_cfg
 from repro.verify.registry import _check_mmio
 
@@ -31,6 +32,25 @@ ALL_ASMS = {
     "pkt_gen": PKT_GEN_ASM,
     "pigasus": PIGASUS_ASM,
 }
+
+
+def superblock_pcs(decode_at, entry_pc: int, max_block: int = MAX_BLOCK) -> list:
+    """The instruction addresses the translator would fuse at ``entry_pc``.
+
+    Mirrors ``TranslatedEngine.translate_block`` exactly: walk forward
+    from the entry, stop *after* a terminal instruction (or an
+    undecodable word, which the translator turns into a terminal fault
+    closure), or at the ``max_block`` cap.
+    """
+    pcs = []
+    pc = entry_pc & 0xFFFFFFFF
+    for _ in range(max_block):
+        pcs.append(pc)
+        inst = decode_at(pc)
+        if inst is None or is_block_terminal(inst.mnemonic):
+            break
+        pc = (pc + 4) & 0xFFFFFFFF
+    return pcs
 
 
 @pytest.fixture(params=sorted(ALL_ASMS))
