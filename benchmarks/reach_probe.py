@@ -10,10 +10,19 @@ front doors are what a user of the reproduction runs:
   ``benchmarks/e2e/workloads.py``) at a reduced ``scale``; the sharded
   rack runs through its in-process twin, ``ClusterEngine(shards=1)``;
 * every ``examples/*.py``;
-* ``repro serve --script examples/serve_session.jsonl --check``;
 * every subcommand ``repro.cli.build_parser()`` registers, with its
-  cheapest arguments, once per code path a flag selects (``sweep
-  --jobs 1`` is the in-process twin of the worker pool);
+  cheapest arguments, once per code path a flag selects:
+  ``profile --cpu-backend``, ``sweep --cache-dir`` twice (the second
+  run reads the cache back; ``--jobs 1`` is the in-process twin of the
+  worker pool), ``verify --deep`` and ``verify --json``, ``chaos
+  --json``, ``cluster --shards 2 --event`` (the parent side of the
+  shard workers) and ``cluster --fidelity fluid``, ``trace`` for both
+  kinds, ``disasm`` of the image ``image`` wrote, and ``serve --check``
+  on ``examples/serve_session.jsonl`` and on :func:`serve_script`, a
+  scenario written to the scratch directory that drives every live
+  control action, a pcap inject of the trace ``trace`` wrote, the fluid
+  tier under control and injection, a fault list and an IMIX source
+  given as JSON, pre-flight verification, and a cluster session;
 * the paper-claim ``benchmarks/test_*.py`` files, through
   ``pytest.main``;
 * ``kernel_probe``, ``verify_probe`` and ``loc_probe``;
@@ -24,15 +33,18 @@ deleted or carries a one-line ``# front door: <who needs it>`` comment
 directly above its ``def`` (above its decorators); the same note on a
 class covers its methods, on a function its nested closures, and
 between a module's docstring and its first statement the whole module.
-Code that only runs in a spawned worker process (the shard workers, the
-sweep pool) is noted the same way.
+A note names what no in-process door can run: code that only runs in a
+spawned worker process (the shard workers, the sweep pool), error
+paths, RV32 forms no bundled firmware executes, or a reference a named
+test compares against.
 
 The probe persists ``<package>_unreached`` — the unreached functions
 *without* a note, per top-level package as ``loc_probe`` groups them —
 plus ``total_unreached``.  ``benchmarks/baselines.json`` holds each with
 ``direction: lower`` and ``tolerance: 0``, so ``make bench-trend`` fails
 when new dead code appears.  The JSON also lists every unreached and
-every noted function by qualified name.
+every noted function by qualified name, and the probe itself exits 1
+after printing the unreached names to stderr when there are any.
 """
 
 from __future__ import annotations
@@ -42,6 +54,7 @@ import ast
 import contextlib
 import cProfile
 import io
+import json
 import os
 import runpy
 import sys
@@ -198,39 +211,102 @@ def _examples() -> None:
         runpy.run_path(str(path), run_name="__main__")
 
 
+def serve_script(path: Path, pcap: Path) -> Path:
+    """Write the scenario the probe's second ``serve`` run replays: every
+    ``SimSession._ctl_*`` action, an ``inject`` of ``pcap``, of built
+    packets to a port and through the host's virtual Ethernet, a fluid
+    session under control and injection, JSON faults with an IMIX
+    source, a failing pre-flight (``verify: warn``), and a cluster
+    session through step/control/snapshot/run/result."""
+    small = {"rpus": 8, "warmup": 100, "packets": 400}
+    requests = [
+        ("open", {"firmware": "firewall", "rules": 20, "size": 64, "gbps": 200,
+                  "verify": "warn", **small}),
+        ("step", {"n_events": 2000}),
+        ("control", {"action": "set_lb", "policy": "rr"}),
+        ("control", {"action": "set_receive_mask", "mask": 255}),
+        ("control", {"action": "wedge", "rpu": 3}),
+        ("control", {"action": "unwedge", "rpu": 3}),
+        ("control", {"action": "evict", "rpu": 2}),
+        ("inject", {"pcap": str(pcap), "gbps": 5}),
+        ("inject", {"count": 8, "size": 128}),
+        ("inject", {"count": 4, "size": 128, "port": None}),
+        ("snapshot", None), ("run", None), ("close", None),
+        ("open", {"size": 512, "gbps": 100, "fidelity": "fluid", **small}),
+        ("step", {"n_events": 2000}),
+        ("control", {"action": "set_lb", "policy": "rr"}),
+        ("inject", {"pcap": str(pcap), "gbps": 5}),
+        ("run", None), ("close", None),
+        ("open", {"gbps": 50, "fidelity": "fluid", "source": "imix",
+                  "faults": [{"kind": "watchdog"}], **small}),
+        ("run", None), ("close", None),
+        ("open", {"size": 512, "gbps": 40, "cluster": 2, **small}),
+        ("step", {"n_events": 3}),
+        ("control", {"action": "drain", "board": 1}),
+        ("snapshot", None),
+        ("control", {"action": "restore", "board": 1}),
+        ("run", None), ("result", None), ("close", None),
+    ]
+    lines = []
+    for index, (method, params) in enumerate(requests, 1):
+        request = {"id": index, "method": method}
+        if params is not None:
+            request["params"] = params
+        lines.append(json.dumps(request))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def _cli_invocations(scratch: Path) -> Dict[str, List[List[str]]]:
     """The cheapest invocations of each registered subcommand, one per
-    code path a flag selects (``image`` writes what ``disasm`` reads)."""
+    code path a flag selects, in run order (``image`` writes what
+    ``disasm`` reads, ``trace`` the pcap the serve scenario injects)."""
     small = ["--warmup", "100", "--packets", "300"]
     image = str(scratch / "fw.rfw")
+    attack = scratch / "attack.pcap"
+    sweep = ["sweep", "--sizes", "512", "--rpu-set", "8", "--gbps-set", "100",
+             "--jobs", "1", "--cache-dir", str(scratch / "cache"),
+             "--out", str(scratch / "sweep.csv"), *small]
     return {
-        "profile": [["profile", "--rpus", "8", "--size", "512", *small]],
+        "profile": [["profile", "--rpus", "8", "--size", "512", *small],
+                    ["profile", "--rpus", "8", "--size", "512", "--cpu-backend",
+                     "translated", *small]],
         "firewall": [["firewall", "--rpus", "8", *small]],
         "ids": [["ids", "--rpus", "8", *small]],
         "nat": [["nat", "--rpus", "8", *small]],
         "loopback": [["loopback", "--rpus", "8", *small]],
         "latency": [["latency", "--rpus", "8", "--sizes", "512", "--packets", "100"]],
-        "sweep": [["sweep", "--sizes", "512", "--rpu-set", "8", "--gbps-set", "100",
-                   "--jobs", "1", *small]],
+        "sweep": [sweep, sweep],
         "chaos": [
             ["chaos", "--rpus", "8", "--warmup", "200", "--packets", "2000",
-             "--fault", "rpu_wedge:at=20000,target=3", "--fault", "watchdog"],
+             "--fault", "rpu_wedge:at=20000,target=3", "--fault", "watchdog",
+             "--json", str(scratch / "chaos.json")],
             ["chaos", "--rpus", "8", "--warmup", "200", "--packets", "2000",
              "--firmware", "firewall", "--rules", "20",
              "--fault", "link_flap:at=20000,target=0,duration=5000",
              "--fault", "accel_fault:at=20000,target=-1,duration=5000"],
         ],
-        "cluster": [["cluster", "--boards", "2", "--rpus", "8", *small]],
+        "cluster": [
+            ["cluster", "--boards", "2", "--rpus", "8", *small],
+            ["cluster", "--boards", "2", "--rpus", "8", "--shards", "2",
+             "--event", "drain:20000:1", "--event", "restore:40000:1",
+             "--json", str(scratch / "cluster.json"), *small],
+            ["cluster", "--boards", "2", "--rpus", "8", "--fidelity", "fluid", *small],
+        ],
         "resources": [["resources", "--rpus", "8"]],
         "calibrate": [["calibrate", "--packets", "50"]],
-        "serve": [["serve", "--script", str(ROOT / "examples" / "serve_session.jsonl"),
-                   "--check"]],
-        "verify": [["verify", "--all"]],
+        "verify": [["verify", "--all", "--deep"],
+                   ["verify", "--all", "--json", str(scratch / "verify.json")]],
         "image": [["image", "forwarder", "--out", image]],
         "disasm": [["disasm", "forwarder"], ["disasm", image]],
-        "trace": [["trace", "--rules", "20", "--out", str(scratch / "attack.pcap")],
+        "trace": [["trace", "--rules", "20", "--out", str(attack)],
                   ["trace", "--kind", "ids", "--rules", "20",
                    "--out", str(scratch / "ids.pcap")]],
+        "serve": [
+            ["serve", "--script", str(ROOT / "examples" / "serve_session.jsonl"), "--check"],
+            ["serve", "--script", str(serve_script(scratch / "probe.jsonl", attack)),
+             "--check"],
+        ],
     }
 
 
@@ -358,6 +434,12 @@ def main() -> int:
         unreached=sorted(d.qualname for d in counted),
         noted=sorted(d.qualname for d in noted),
     )
+    if counted:
+        print(f"reach_probe: {len(counted)} function(s) no front door reaches and no"
+              " `# front door:` note explains; delete or note each:", file=sys.stderr)
+        for d in sorted(counted, key=lambda d: d.qualname):
+            print(f"  {d.qualname}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -10,7 +10,7 @@ bottleneck; the resource side is checked against the PR-region model.
 
 
 from repro import SimSession
-from repro.analysis import format_table, software_limit_mpps
+from repro.analysis import format_table, rpu_cycle_budget_pps
 from repro.core import RosebudConfig, RosebudSystem
 from repro.firmware import ForwarderFirmware, PigasusHwReorderFirmware
 from repro.hw import PIGASUS_ACCEL, components_for
@@ -44,7 +44,7 @@ def test_ablation_pigasus_rpu_count(benchmark, emit, ids_rules):
                 n_rpus,
                 result.achieved_gbps,
                 100 * result.fraction_of_line,
-                software_limit_mpps(RosebudConfig(n_rpus=n_rpus), 61),
+                rpu_cycle_budget_pps(RosebudConfig(n_rpus=n_rpus).clock.freq_hz, n_rpus, 61) / 1e6,
                 "yes" if fits else "NO",
             ])
         return rows

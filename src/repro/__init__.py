@@ -16,7 +16,7 @@ This package reproduces the system in simulation:
 * :mod:`repro.accel` — firewall and Pigasus accelerators
 * :mod:`repro.firmware` — RPU firmware (behavioural + assembly)
 * :mod:`repro.traffic` — workload generation
-* :mod:`repro.baselines` — Snort/Hyperscan and original Pigasus
+* :mod:`repro.baselines` — Snort/Hyperscan and host-side full matching
 * :mod:`repro.analysis` — measurement harness and analytic models
 * :mod:`repro.serve` — online serving mode (sessions, feeds, JSON-RPC)
 
@@ -89,7 +89,3 @@ def __getattr__(name):
     value = getattr(importlib.import_module(module_name), attribute)
     globals()[name] = value  # cache: __getattr__ runs once per name
     return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))

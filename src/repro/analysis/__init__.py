@@ -20,32 +20,17 @@ from .latency import (
     MAC_GBPS,
     RPU_LINK_GBPS,
     SATURATED_64B_EXTRA_US,
-    estimated_latency_curve,
     estimated_latency_us,
 )
-from .crossover import (
-    DEFAULT_SIZES,
-    line_rate_knee,
-    required_cycles_for_line_rate,
-    software_limit_mpps,
-    win_factor,
-)
-from .sweep import Sweep, SweepResult
-from .report import format_table, format_utilization_row, shape_check
+from .report import format_table, format_utilization_row
 from .throughput import (
     BottleneckReport,
     cycle_budget_per_packet,
     forwarding_bounds,
-    loopback_bounds,
     rpu_cycle_budget_pps,
 )
 
 __all__ = [
-    "DEFAULT_SIZES",
-    "line_rate_knee",
-    "required_cycles_for_line_rate",
-    "software_limit_mpps",
-    "win_factor",
     "ThroughputResult",
     "ExperimentResult",
     "ExperimentSpec",
@@ -61,16 +46,11 @@ __all__ = [
     "MAC_GBPS",
     "RPU_LINK_GBPS",
     "SATURATED_64B_EXTRA_US",
-    "estimated_latency_curve",
     "estimated_latency_us",
     "format_table",
-    "Sweep",
-    "SweepResult",
     "format_utilization_row",
-    "shape_check",
     "BottleneckReport",
     "cycle_budget_per_packet",
     "forwarding_bounds",
-    "loopback_bounds",
     "rpu_cycle_budget_pps",
 ]

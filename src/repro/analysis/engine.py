@@ -92,11 +92,17 @@ def _execute_point(spec: ExperimentSpec) -> Tuple[str, Any]:
 
 
 class ResultCache:
-    """On-disk JSON store of finished points, keyed by spec hash."""
+    """On-disk JSON store of finished points, keyed by spec hash.
+
+    An entry that exists but cannot be read back is a miss that
+    ``corrupt`` counts, so the point is re-simulated and the damage is
+    reported rather than hidden.
+    """
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self.corrupt = 0
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
@@ -109,16 +115,14 @@ class ResultCache:
             data = json.loads(path.read_text())
             return ExperimentResult.from_dict(data["result"])
         except (OSError, ValueError, KeyError, TypeError):
-            return None  # treat unreadable entries as misses
+            self.corrupt += 1
+            return None
 
     def put(self, key: str, spec: ExperimentSpec, result: ExperimentResult) -> None:
         payload = {"spec": spec.to_dict(), "result": result.to_dict()}
         tmp = self._path(key).with_suffix(".tmp")
         tmp.write_text(json.dumps(payload, sort_keys=True, indent=1))
         tmp.replace(self._path(key))
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json"))
 
 
 @dataclass
@@ -147,12 +151,6 @@ class SweepOutcome:
     def __iter__(self):
         return iter(self.points)
 
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __getitem__(self, index: int) -> PointOutcome:
-        return self.points[index]
-
     @property
     def results(self) -> List[Optional[ExperimentResult]]:
         return [p.result for p in self.points]
@@ -180,7 +178,8 @@ class SweepRunner:
     :class:`ProcessPoolExecutor` so workers never inherit parent
     simulation state.  Results come back in submission order regardless
     of completion order.  ``stats`` after a run reports
-    ``{"cached", "simulated", "errors", "timeouts"}``.
+    ``{"cached", "simulated", "errors", "timeouts", "corrupt"}``, the
+    last counting cache entries that could not be read back.
     """
 
     def __init__(
@@ -203,10 +202,11 @@ class SweepRunner:
     def run(self, specs: Sequence[ExperimentSpec]) -> SweepOutcome:
         if not specs:
             raise ValueError("empty sweep")
-        self.stats = {"cached": 0, "simulated": 0, "errors": 0, "timeouts": 0}
+        self.stats = {"cached": 0, "simulated": 0, "errors": 0, "timeouts": 0, "corrupt": 0}
         outcomes: List[Optional[PointOutcome]] = [None] * len(specs)
 
         pending: List[Tuple[int, ExperimentSpec, str]] = []
+        corrupt_before = self.cache.corrupt if self.cache is not None else 0
         for index, spec in enumerate(specs):
             key = spec.cache_key()
             cached = self.cache.get(key) if self.cache is not None else None
@@ -217,6 +217,8 @@ class SweepRunner:
                 )
             else:
                 pending.append((index, spec, key))
+        if self.cache is not None:
+            self.stats["corrupt"] = self.cache.corrupt - corrupt_before
 
         poolable, inline = self._partition(pending)
         if self.jobs == 1 or len(poolable) <= 1:

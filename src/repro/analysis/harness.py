@@ -228,17 +228,12 @@ class MeasurementPhases:
             out["target"] = self.target()
         return out
 
+    # front door: error path; a run that stalls short of its target
     def stall_message(self) -> str:
         return (
             f"{self.mode} run stalled in phase {self.phase!r} at "
             f"{self.completions()} completions (target {self.target()})"
         )
-
-    def _begin_measure(self) -> None:
-        raise NotImplementedError
-
-    def _finish(self) -> None:
-        raise NotImplementedError
 
 
 class ThroughputMeasurement(MeasurementPhases):

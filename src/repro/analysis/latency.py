@@ -11,8 +11,6 @@ fixed pipeline latency measured at the smallest packet size.
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
 #: Fixed forwarding latency measured for the smallest packet (us).
 FIXED_LATENCY_US = 0.765
 
@@ -25,10 +23,6 @@ def estimated_latency_us(size: int, mac_gbps: float = MAC_GBPS, rpu_gbps: float 
     """Equation 1: expected forwarding latency for a packet size."""
     serialization = size * 8 * (2.0 / mac_gbps + 2.0 / rpu_gbps) / 1000.0
     return serialization + FIXED_LATENCY_US
-
-
-def estimated_latency_curve(sizes: Iterable[int]) -> List[float]:
-    return [estimated_latency_us(size) for size in sizes]
 
 
 #: Additional latency at saturated 64 B load: the RX FIFO fills and

@@ -6,7 +6,7 @@ these helpers keep that output consistent and readable.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence
+from typing import List, Sequence
 
 
 def format_table(
@@ -51,22 +51,3 @@ def format_utilization_row(name: str, vector, capacity) -> List[object]:
         pct = 100.0 * value / cap if cap else 0.0
         cells.append(f"{value} ({pct:.1f}%)" if value else "0")
     return cells
-
-
-def shape_check(
-    measured: Mapping[int, float],
-    expected_at_or_above: Mapping[int, float],
-    label: str = "",
-) -> List[str]:
-    """Compare a measured size->value curve against minimum expectations;
-    returns a list of violation strings (empty = shape holds)."""
-    problems: List[str] = []
-    for size, minimum in expected_at_or_above.items():
-        got = measured.get(size)
-        if got is None:
-            problems.append(f"{label}: no measurement at {size}B")
-        elif got < minimum:
-            problems.append(
-                f"{label}: {got:.1f} at {size}B below expected {minimum:.1f}"
-            )
-    return problems

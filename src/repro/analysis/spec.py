@@ -401,12 +401,6 @@ class ExperimentSpec:
                 sources.append(builder(system, port, self.traffic))
         return sources
 
-    def run(self) -> "ExperimentResult":
-        """Build and measure this point serially (see ``run_experiment``)."""
-        from .engine import run_experiment
-
-        return run_experiment(self)
-
     def with_(self, **changes: Any) -> "ExperimentSpec":
         """A copy with fields replaced (sweeps build grids this way)."""
         return replace(self, **changes)

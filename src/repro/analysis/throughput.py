@@ -82,10 +82,6 @@ class BottleneckReport:
     bottleneck: str
     per_bound_pps: Dict[str, float]
 
-    @property
-    def predicted_gbps(self) -> float:
-        return self.predicted_pps * self.packet_size * 8 / 1e9
-
 
 def forwarding_bounds(
     config: RosebudConfig,
@@ -134,18 +130,3 @@ def forwarding_bounds(
         bottleneck=bottleneck,
         per_bound_pps=bounds,
     )
-
-
-def loopback_bounds(
-    config: RosebudConfig,
-    packet_size: int,
-    port_gbps: float = 100.0,
-) -> Dict[str, float]:
-    """Loopback-path (two-step forwarding) bounds in pps: the single
-    100 G loopback port with its per-packet header-attach cost (§6.3)."""
-    clock = config.clock.freq_hz
-    return {
-        "line_rate": line_rate_pps(port_gbps, packet_size),
-        "loopback_header": clock / config.loopback_cycles,
-        "loopback_serialization": line_rate_pps(config.loopback_gbps, packet_size),
-    }

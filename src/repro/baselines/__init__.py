@@ -1,19 +1,12 @@
-"""Comparison baselines: Snort+Hyperscan on CPU, original Pigasus,
-the mechanistic CPU cost model, and host-side full rule verification."""
+"""Comparison baselines: Snort+Hyperscan on CPU and host-side full
+rule verification."""
 
-from .cpu_model import CpuIdsModel, XEON_CORES, XEON_HZ
 from .full_match import HostFullMatcher, Verdict
-from .pigasus_orig import PigasusOriginal
-from .snort import RAMDISK_SPEEDUP, SnortBaseline, SnortResult
+from .snort import RAMDISK_SPEEDUP, SnortBaseline
 
 __all__ = [
-    "CpuIdsModel",
-    "XEON_CORES",
-    "XEON_HZ",
     "HostFullMatcher",
     "Verdict",
-    "PigasusOriginal",
     "RAMDISK_SPEEDUP",
     "SnortBaseline",
-    "SnortResult",
 ]

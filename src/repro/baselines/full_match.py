@@ -70,9 +70,3 @@ class HostFullMatcher:
 
     def verify_all(self, packets: Iterable[Packet]) -> List[Verdict]:
         return [self.verify(packet) for packet in packets]
-
-    @property
-    def false_positive_rate(self) -> float:
-        if self.packets_verified == 0:
-            return 0.0
-        return self.false_positives / self.packets_verified

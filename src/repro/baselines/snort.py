@@ -14,8 +14,7 @@ and reports throughput from a calibrated per-packet CPU cost model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from ..accel.pigasus.ruleset import Rule
 from ..accel.pigasus.string_match import PigasusStringMatcher
@@ -30,17 +29,6 @@ SNORT_MPPS_AT_2048B = 4.7
 #: from 60 to 70 Gbps (~17 %), showing the kernel path is not the
 #: primary bottleneck.
 RAMDISK_SPEEDUP = 70.0 / 60.0
-
-
-@dataclass
-class SnortResult:
-    """Aggregate outcome of running the baseline over a workload."""
-
-    packets: int
-    alerts: int
-    matched_sids: List[int]
-    mpps: float
-    gbps: float
 
 
 class SnortBaseline:
@@ -76,6 +64,9 @@ class SnortBaseline:
 
     # -- functional matching ----------------------------------------------------------
 
+    # front door: the reference that
+    # `tests/test_core_variants.py::TestVerdictParity` compares the
+    # Pigasus firmware's alerts against, packet by packet
     def inspect(self, packet: Packet) -> List[int]:
         """Fast-pattern + port-group match, identical to the accelerator."""
         parsed = packet.parsed
@@ -88,23 +79,3 @@ class SnortBaseline:
                 packet.payload, "udp", parsed.udp.src_port, parsed.udp.dst_port
             )
         return []
-
-    def run(self, packets: Iterable[Packet], packet_size: int = 1024) -> SnortResult:
-        """Inspect a workload and report alerts + modelled throughput."""
-        count = 0
-        alerts = 0
-        sids: List[int] = []
-        for packet in packets:
-            count += 1
-            matched = self.inspect(packet)
-            if matched:
-                alerts += 1
-                sids.extend(matched)
-        mpps = self.peak_mpps(packet_size)
-        return SnortResult(
-            packets=count,
-            alerts=alerts,
-            matched_sids=sids,
-            mpps=mpps,
-            gbps=mpps * 1e6 * packet_size * 8 / 1e9,
-        )

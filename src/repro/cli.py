@@ -25,6 +25,7 @@ Each subcommand accepts only the flags it reads.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import os
@@ -35,7 +36,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from .analysis import (
     ExperimentSpec,
     SweepRunner,
-    SweepResult,
     estimated_latency_us,
     format_table,
     format_utilization_row,
@@ -288,12 +288,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows,
         title=(
             f"{args.firmware} sweep ({len(specs)} points, jobs={args.jobs}, "
-            f"{runner.stats['cached']} cached, {runner.stats['simulated']} simulated)"
+            f"{runner.stats['cached']} cached, {runner.stats['simulated']} simulated, "
+            f"{runner.stats['corrupt']} corrupt)"
         ),
     ))
     if args.out and csv_rows:
-        columns = list(csv_rows[0].keys())
-        SweepResult(columns=columns, rows=csv_rows).to_csv(args.out)
+        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+        with open(args.out, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(csv_rows[0]))
+            writer.writeheader()
+            writer.writerows(csv_rows)
         print(f"wrote {len(csv_rows)} rows to {args.out}")
     return 0 if not outcome.failed else 1
 

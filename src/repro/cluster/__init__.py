@@ -5,12 +5,14 @@ models the general N-board rack: a :class:`ClusterSpec` inside an
 :class:`~repro.analysis.spec.ExperimentSpec` (spec v7), flow-affine
 steering with pinning and failover (:mod:`repro.cluster.affinity`),
 deterministic inter-board links (:mod:`repro.cluster.link`), and a
-bounded-lag :class:`ClusterEngine` that can shard the boards across
-worker processes byte-identically (:mod:`repro.cluster.shard`).
+bounded-lag :class:`~repro.cluster.engine.ClusterEngine` that can
+shard the boards across worker processes byte-identically
+(:mod:`repro.cluster.shard`).
 
-``ClusterEngine`` is imported lazily: :mod:`repro.analysis.spec` pulls
-:class:`ClusterSpec` from here at import time, while the engine itself
-leans on the analysis and serve layers — eager re-export would cycle.
+The engine is not re-exported here: :mod:`repro.analysis.spec` pulls
+:class:`ClusterSpec` from this package at import time, while the engine
+leans on the analysis and serve layers, so an eager import would cycle.
+Import it as ``repro.ClusterEngine`` or from :mod:`repro.cluster.engine`.
 """
 
 from .affinity import ClusterAffinity
@@ -21,25 +23,6 @@ __all__ = [
     "AFFINITY_POLICIES",
     "BoardLink",
     "ClusterAffinity",
-    "ClusterEngine",
     "ClusterError",
-    "ClusterShardError",
     "ClusterSpec",
 ]
-
-_LAZY = {
-    "ClusterEngine": "engine",
-    "ClusterShardError": "shard",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    mod = importlib.import_module(f".{module}", __name__)
-    value = getattr(mod, name)
-    globals()[name] = value
-    return value

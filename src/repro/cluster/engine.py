@@ -525,9 +525,10 @@ class ClusterEngine:
                     "fluid": m.get("fluid"),
                 }
             )
-        detail = {}
-        for shard in self._shards:
-            detail.update(shard.board_snapshots())
+        detail: Dict[int, Dict[str, Any]] = {}
+        if not self._closed:
+            for reply in self._round("board_snapshots", [()] * len(self._shards)):
+                detail.update(reply)
         window = self.spec.window
         payload: Dict[str, Any] = {
             "seq": self._snapshot_seq,

@@ -8,7 +8,7 @@ for the horizon exchange instead of being delivered locally.
 
 Shards are groups of boards.  The engine drives them through one tiny
 command protocol (``advance`` / ``apply_event`` / ``finalize`` /
-``close``), one round at a time: it *posts* a command to every shard
+``board_snapshots`` / ``close``), one round at a time: it *posts* a command to every shard
 and only then *collects* any reply (``post`` / ``request``).  Two
 transports implement it:
 
@@ -211,7 +211,7 @@ class BoardHarness:
         }
 
     def snapshot(self) -> Dict[str, Any]:
-        """The board's full repro-snapshot/2 block (inline shards only)."""
+        """The board's full repro-snapshot/2 block."""
         return self.session.snapshot()
 
 
@@ -259,6 +259,7 @@ class InlineShard:
         pass
 
 
+# front door: runs only in a spawned shard worker (`cluster --shards 2`)
 def _serve(shard: InlineShard, cmd: str, payload: Any) -> Any:
     """Run one engine command on a worker's boards.
 
@@ -273,11 +274,12 @@ def _serve(shard: InlineShard, cmd: str, payload: Any) -> Any:
         }
         out, metrics = shard.advance(horizon, decoded)
         return [(*e[:6], pickle.dumps(e[6], pickle.HIGHEST_PROTOCOL)) for e in out], metrics
-    if cmd in ("apply_event", "finalize"):
+    if cmd in ("apply_event", "finalize", "board_snapshots"):
         return getattr(shard, cmd)(*payload)
     raise ClusterShardError(f"unknown shard command {cmd!r}")
 
 
+# front door: the spawn target of every shard worker (`cluster --shards 2`)
 def _shard_worker(conn, spec: ExperimentSpec, boards: Sequence[int]) -> None:
     """Worker entry (spawn target): serve shard commands forever.
 
@@ -344,6 +346,7 @@ class ProcessShard:
         self._proc.start()
         child.close()
 
+    # front door: error paths only (a dead, wedged or failing worker)
     def _describe(self) -> str:
         return f"shard {self.index} (boards {self.boards})"
 
@@ -408,12 +411,6 @@ class ProcessShard:
             f"{self._describe()} died {how} {self._posted!r} (worker exit code "
             f"{self._proc.exitcode}); the horizon barrier was released, not hung"
         )
-
-    def advance(self, horizon: float, deliveries: Dict[int, list]):
-        return self.request("advance", (horizon, deliveries))
-
-    def board_snapshots(self) -> Dict[int, Dict[str, Any]]:
-        return {}  # full sub-snapshots are an inline-transport feature
 
     def close(self, reap: bool = True) -> None:
         """Ask the worker to exit, then reap it.  ``reap=False`` only

@@ -90,14 +90,12 @@ class HostInterface:
     def lb_read(self, addr: int) -> int:
         return self.system.lb.host_read(addr)
 
-    # front door: set_receive_mask; the host's LB register channel (§4.2)
     def lb_write(self, addr: int, value: int) -> None:
         self.system.lb.host_write(addr, value)
         # a mask that re-enables RPUs or a flush that frees slots must
         # wake the ports blocked on the old state
         self.system.retry_blocked_ports()
 
-    # front door: serve `control` method set_receive_mask
     def set_receive_mask(self, mask: int) -> None:
         """The artifact's RECV= mask: which RPUs take incoming traffic."""
         self.lb_write(self.system.lb.REG_ENABLE_MASK, mask)
@@ -194,7 +192,6 @@ class HostInterface:
 
     # -- virtual Ethernet (Appendix A.6-A.7) -------------------------------------------
 
-    # front door: serve `inject` without a port (the host's trace-injection path)
     def inject_packet(self, packet) -> None:
         """Send a frame through the virtual Ethernet interface (the
         artifact's trace-injection path)."""

@@ -24,7 +24,6 @@ from .config import RosebudConfig
 PCIE_GBPS = 100.0
 
 
-# front door: serve `inject` without a port (HostInterface.inject_packet)
 class VirtualEthernet:
     """The Corundum vNIC: host-sourced packets entering the LB.
 

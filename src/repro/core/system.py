@@ -160,7 +160,6 @@ class RosebudSystem:
     def _dispatch(self, packet: Packet) -> None:
         self.fabric_in.send_to_rpu(packet)
 
-    # front door: VirtualEthernet's assignment callback
     def _assign_from_host(self, packet: Packet) -> bool:
         """Virtual-Ethernet ingress: LB labels host-sourced frames like
         any other ingress; False defers (no free slot)."""

@@ -35,9 +35,6 @@ class FaultInjector:
         self.spec = spec
         self.rng = random.Random(spec.seed)
 
-    def install(self, controller: "FaultController") -> None:
-        raise NotImplementedError
-
     # -- helpers ---------------------------------------------------------------
 
     def _mark(self, controller: "FaultController", phase: str) -> None:
@@ -82,9 +79,6 @@ class InjectorRegistry:
         if cls is None:
             raise FaultSpecError(f"no injector registered for kind {spec.kind!r}")
         return cls(spec)
-
-    def kinds(self) -> List[str]:
-        return sorted(self._kinds)
 
 
 REGISTRY = InjectorRegistry()

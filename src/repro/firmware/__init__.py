@@ -4,7 +4,7 @@ from .asm_sources import FIREWALL_ASM, FORWARDER_ASM, IO_BASE, IO_EXT_BASE, PIGA
 from .firewall_fw import FIREWALL_CYCLES, FirewallFirmware
 from .chain_fw import ChainStageFirmware, build_chain
 from .nat_fw import NatFirmware
-from .forwarder import FORWARDER_CYCLES, ForwarderFirmware, NicFirmware, TwoStepForwarder
+from .forwarder import FORWARDER_CYCLES, ForwarderFirmware, TwoStepForwarder
 from .pigasus_fw import (
     ATTACK_CYCLES,
     PigasusHwReorderFirmware,
@@ -27,7 +27,6 @@ __all__ = [
     "ChainStageFirmware",
     "build_chain",
     "ForwarderFirmware",
-    "NicFirmware",
     "TwoStepForwarder",
     "ATTACK_CYCLES",
     "PigasusHwReorderFirmware",

@@ -56,9 +56,6 @@ class ChainStageFirmware(FirmwareModel):
             )
         return result
 
-    def clone(self) -> "ChainStageFirmware":
-        return ChainStageFirmware(self.inner.clone(), self.next_rpu)
-
 
 def build_chain(
     stages: Sequence[Sequence[FirmwareModel]],

@@ -49,34 +49,6 @@ class ForwarderFirmware(FirmwareModel):
         return ForwarderFirmware(self.sw_cycles, self.single_port)
 
 
-class NicFirmware(FirmwareModel):
-    """Rosebud operating as a plain NIC (§5: the Corundum subsystem
-    "enables Rosebud's operation as a NIC").
-
-    Wire traffic is punted to the host over PCIe; host-sourced traffic
-    (via the virtual Ethernet interface) goes out a physical port.
-    """
-
-    name = "nic"
-
-    def __init__(self, sw_cycles: int = FORWARDER_CYCLES, egress_port: int = 0) -> None:
-        self.sw_cycles = sw_cycles
-        self.egress_port = egress_port
-
-    def process(self, packet: Packet, rpu_index: int) -> FirmwareResult:
-        if packet.timestamps.get("mac_rx_done") is not None:
-            # arrived on a physical port: deliver to the host
-            return FirmwareResult(action="host", sw_cycles=self.sw_cycles)
-        # host-sourced (vNIC): transmit on the wire
-        return FirmwareResult(
-            action=ACTION_FORWARD, sw_cycles=self.sw_cycles,
-            egress_port=self.egress_port,
-        )
-
-    def clone(self) -> "NicFirmware":
-        return NicFirmware(self.sw_cycles, self.egress_port)
-
-
 class TwoStepForwarder(FirmwareModel):
     """The inter-core loopback benchmark firmware (§6.3).
 

@@ -113,6 +113,8 @@ class NatFirmware(FirmwareModel):
         packet.invalidate_parse_cache()
         self.csum_accel.updates += len(edits) + len(tcp_edits)
 
+    # front door: a reply to an allocated NAT port; no bundled source,
+    # trace or inject addresses one, since the port is allocated at run time
     def _rewrite_inbound(self, packet: Packet, inside: Tuple[str, int]) -> None:
         parsed = packet.parsed
         inside_ip, inside_port = inside

@@ -7,13 +7,12 @@ periods of event simulation are replaced by ledger arithmetic.  See
 :mod:`repro.verify.fluidgate` for the static eligibility half.
 """
 
-from .compare import assert_equivalent, diff_results
+from .compare import diff_results
 from .engine import FluidEngine
 from .signature import queue_occupancy, state_signature
 
 __all__ = [
     "FluidEngine",
-    "assert_equivalent",
     "diff_results",
     "queue_occupancy",
     "state_signature",

@@ -59,15 +59,6 @@ def diff_results(
     return out
 
 
-def assert_equivalent(fluid: Any, event: Any, events_atol: int = _EVENTS_ATOL) -> None:
-    """Raise AssertionError with every mismatch if the trees diverge."""
-    problems = diff_results(fluid, event, events_atol=events_atol)
-    if problems:
-        raise AssertionError(
-            "fluid/event results diverge:\n  " + "\n  ".join(problems)
-        )
-
-
 def _walk(a: Any, b: Any, path: str, events_atol: int, out: List[str]) -> None:
     if isinstance(a, dict) and isinstance(b, dict):
         keys_a = set(a) - _SKIP_KEYS

@@ -4,8 +4,8 @@ Models what the paper's Figures 5 & 6 show: a VU9P device split into a
 static region (MACs, PCIe, switching, interconnects) plus one PR region
 per RPU and one PR region for the LB.  The model enforces the PR
 discipline Rosebud relies on: a PR region can be reconfigured only
-after its traffic is drained, and a new accelerator must fit inside the
-region's remaining capacity.
+after its traffic is drained, and whatever is loaded into a region
+(the base RPU logic plus an accelerator) must fit its capacity.
 """
 
 from __future__ import annotations
@@ -34,26 +34,19 @@ class PRRegion:
     occupant: Optional[str] = None
     occupant_resources: ResourceVector = field(default_factory=ResourceVector)
 
-    @property
-    def remaining(self) -> ResourceVector:
-        return self.capacity - self.occupant_resources
-
     def load(self, name: str, resources: ResourceVector) -> None:
         if not resources.fits_within(self.capacity):
+            capacity = self.capacity.as_dict()
             over = {
-                kind: val
-                for kind, val in (resources - self.capacity).as_dict().items()
-                if val > 0
+                kind: val - capacity[kind]
+                for kind, val in resources.as_dict().items()
+                if val > capacity[kind]
             }
             raise PlacementError(
                 f"{name} does not fit in PR region {self.name}: over by {over}"
             )
         self.occupant = name
         self.occupant_resources = resources
-
-    def clear(self) -> None:
-        self.occupant = None
-        self.occupant_resources = ResourceVector()
 
 
 class FpgaDevice:
@@ -79,31 +72,7 @@ class FpgaDevice:
         for region in self.rpu_regions:
             region.load("rpu_base", base)
 
-    # -- accelerator placement --------------------------------------------------
-
-    def load_accelerator(self, rpu_index: int, name: str, resources: ResourceVector) -> None:
-        """Place an accelerator into RPU ``rpu_index`` alongside the base
-        RPU logic; raises :class:`PlacementError` on overflow (the
-        paper's first Pigasus build hit exactly this, §7.1.2)."""
-        region = self.rpu_regions[rpu_index]
-        total = self.components.rpu_base + resources
-        region.load(name, total)
-
-    def load_lb(self, name: str, resources: ResourceVector) -> None:
-        self.lb_region.load(name, resources)
-
     # -- reporting ----------------------------------------------------------------
-
-    def static_utilization(self) -> ResourceVector:
-        return self.components.complete_design()
-
-    def total_utilization(self) -> ResourceVector:
-        dynamic = ResourceVector.total(
-            r.occupant_resources - self.components.rpu_base
-            for r in self.rpu_regions
-            if r.occupant not in (None, "rpu_base")
-        )
-        return self.static_utilization() + dynamic
 
     def utilization_report(self) -> Dict[str, Dict[str, float]]:
         """A Vivado-like per-component utilization report (fractions of
@@ -133,6 +102,6 @@ class FpgaDevice:
         }
 
     def check_fits(self) -> None:
-        total = self.total_utilization()
+        total = self.components.complete_design()
         if not total.fits_within(self.capacity):
             raise PlacementError(f"design exceeds device: {total.as_dict()}")

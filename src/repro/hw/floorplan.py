@@ -68,10 +68,6 @@ class CrossingLink:
         low, high = sorted((self.src_slr, self.dst_slr))
         return list(range(low, high))
 
-    @property
-    def sll_bits(self) -> int:
-        return axi_stream_bits(self.bits) * len(self.boundaries)
-
 
 class Floorplan:
     """SLR placement + SLL accounting for one Rosebud configuration."""
@@ -168,10 +164,3 @@ class Floorplan:
                 raise FloorplanError(
                     f"boundary {boundary} needs {bits} SLLs of {SLL_PER_BOUNDARY}"
                 )
-
-    def report(self) -> Dict[str, object]:
-        return {
-            "blocks": {name: block.slr for name, block in self.blocks.items()},
-            "sll_bits_per_boundary": self.sll_bits_per_boundary(),
-            "crossing_register_utilization": self.crossing_register_utilization(),
-        }

@@ -10,7 +10,7 @@ paper's Tables 1–4 by composition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict
 
 RESOURCE_KINDS = ("luts", "registers", "bram", "uram", "dsp")
 
@@ -34,15 +34,6 @@ class ResourceVector:
             self.dsp + other.dsp,
         )
 
-    def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(
-            self.luts - other.luts,
-            self.registers - other.registers,
-            self.bram - other.bram,
-            self.uram - other.uram,
-            self.dsp - other.dsp,
-        )
-
     def __mul__(self, factor: int) -> "ResourceVector":
         return ResourceVector(
             self.luts * factor,
@@ -59,9 +50,6 @@ class ResourceVector:
             getattr(self, kind) <= getattr(capacity, kind) for kind in RESOURCE_KINDS
         )
 
-    def is_nonnegative(self) -> bool:
-        return all(getattr(self, kind) >= 0 for kind in RESOURCE_KINDS)
-
     def utilization_of(self, capacity: "ResourceVector") -> Dict[str, float]:
         """Fractional utilization per resource kind against ``capacity``."""
         out: Dict[str, float] = {}
@@ -72,13 +60,6 @@ class ResourceVector:
 
     def as_dict(self) -> Dict[str, int]:
         return {kind: getattr(self, kind) for kind in RESOURCE_KINDS}
-
-    @staticmethod
-    def total(vectors: Iterable["ResourceVector"]) -> "ResourceVector":
-        result = ResourceVector()
-        for vector in vectors:
-            result = result + vector
-        return result
 
 
 #: The XCVU9P device on the VCU1525 board (paper Tables 1/2 bottom row).

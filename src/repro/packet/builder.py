@@ -155,11 +155,3 @@ def build_udp(
         frame = frame + b"\x00" * (MIN_FRAME_SIZE - len(frame))
     return Packet(frame, **packet_kwargs)
 
-
-def build_raw(size: int, ethertype: int = 0x88B5, **packet_kwargs) -> Packet:
-    """A non-IP Ethernet frame of exactly ``size`` bytes."""
-    if size < ETH_HEADER_SIZE:
-        raise BuildError(f"size {size} below Ethernet header {ETH_HEADER_SIZE}")
-    eth = EthernetHeader(ethertype=ethertype)
-    frame = eth.pack() + b"\x00" * (size - ETH_HEADER_SIZE)
-    return Packet(frame, **packet_kwargs)

@@ -95,12 +95,15 @@ class VlanTag:
     dei: int = 0
     inner_ethertype: int = ETHERTYPE_IPV4
 
+    # front door: 802.1Q tags; no bundled source or `trace` builds a tagged
+    # frame, so only a user's own pcap (`serve inject {"pcap": ...}`) has one
     def pack(self) -> bytes:
         if not 0 <= self.vid <= 0xFFF:
             raise HeaderError(f"VLAN id {self.vid} out of range")
         tci = (self.pcp << 13) | (self.dei << 12) | self.vid
         return struct.pack("!HH", tci, self.inner_ethertype)
 
+    # front door: as `VlanTag.pack`
     @classmethod
     def unpack(cls, data: bytes) -> Tuple["VlanTag", bytes]:
         if len(data) < VLAN_TAG_SIZE:
@@ -202,6 +205,8 @@ class TCPHeader:
     FLAG_PSH = 0x08
     FLAG_ACK = 0x10
 
+    # front door: with `pack_with_checksum`, the reference frame layout that
+    # `tests/test_packet_builder.py` checks `TcpFrameTemplate` against
     def pack(self) -> bytes:
         data_offset = (5 << 4)
         return struct.pack(
@@ -217,6 +222,7 @@ class TCPHeader:
             self.urgent,
         )
 
+    # front door: as `TCPHeader.pack`
     def pack_with_checksum(self, src_ip: str, dst_ip: str, payload: bytes) -> bytes:
         segment = self.pack() + payload
         csum = transport_checksum(

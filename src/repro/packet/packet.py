@@ -157,18 +157,6 @@ class Packet:
         return parsed
 
     @property
-    def is_ipv4(self) -> bool:
-        return self.parsed.ipv4 is not None
-
-    @property
-    def is_tcp(self) -> bool:
-        return self.parsed.tcp is not None
-
-    @property
-    def is_udp(self) -> bool:
-        return self.parsed.udp is not None
-
-    @property
     def payload(self) -> bytes:
         return self.data[self.parsed.payload_offset :]
 
@@ -186,15 +174,19 @@ class Packet:
 
     # -- crossing a process boundary ------------------------------------------
 
+    # front door: pickled and unpickled only inside a shard worker
+    # (`cluster._serve`); the parent forwards crossing packets undecoded
     def __getstate__(self) -> tuple:
         # the parse cache is a pure function of ``data``: it stays behind
         return _wire_state(self)
 
+    # front door: as `__getstate__`, inside a shard worker only
     def __setstate__(self, state: tuple) -> None:
         for name, value in zip(_WIRE_SLOTS, state):
             setattr(self, name, value)
         self._parsed = None
 
+    # front door: as `__getstate__`, inside a shard worker only
     @staticmethod
     def from_wire(blob: bytes) -> "Packet":
         """Unpickle a packet sent by another process.  It takes a fresh id
@@ -215,10 +207,6 @@ class Packet:
         firmware appending rule IDs, NAT rewrites)."""
         self._parsed = None
         self.class_key = None
-
-    def __repr__(self) -> str:
-        kind = "tcp" if self.is_tcp else "udp" if self.is_udp else "raw"
-        return f"<Packet #{self.packet_id} {self.size}B {kind} port={self.ingress_port}>"
 
 
 _WIRE_SLOTS = tuple(name for name in Packet.__slots__ if name != "_parsed")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Iterable, Iterator, List, Union
+from typing import Iterable, List, Union
 
 from .packet import Packet
 
@@ -51,12 +51,8 @@ def write_pcap(
 
 
 def read_pcap(path: Union[str, Path]) -> List[Packet]:
-    """Read all packets from a classic pcap file."""
-    return list(iter_pcap(path))
-
-
-def iter_pcap(path: Union[str, Path]) -> Iterator[Packet]:
-    """Iterate packets in a classic pcap file (both endiannesses)."""
+    """Read all packets from a classic pcap file (both endiannesses)."""
+    packets = []
     with open(path, "rb") as fh:
         header = fh.read(_GLOBAL_HEADER.size)
         if len(header) < _GLOBAL_HEADER.size:
@@ -71,7 +67,7 @@ def iter_pcap(path: Union[str, Path]) -> Iterator[Packet]:
         while True:
             rec = fh.read(record.size)
             if not rec:
-                return
+                return packets
             if len(rec) < record.size:
                 raise PcapError("truncated pcap record header")
             ts_sec, ts_usec, incl_len, orig_len = record.unpack(rec)
@@ -80,4 +76,4 @@ def iter_pcap(path: Union[str, Path]) -> Iterator[Packet]:
                 raise PcapError("truncated pcap record body")
             pkt = Packet(data)
             pkt.born_at = (ts_sec * 1_000_000 + ts_usec) * 1000 / 4.0  # us -> cycles
-            yield pkt
+            packets.append(pkt)

@@ -70,9 +70,6 @@ class PacketTemplate:
         packet._parsed = self.parsed
         return packet
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<PacketTemplate {len(self.data)}B port={self.port}>"
-
 
 def intern_template(data: bytes, port: int = 0) -> PacketTemplate:
     """The canonical template for ``(port, data)`` — one instance per

@@ -41,7 +41,9 @@ class ReplayCache:
         epoch moved (stale decode ⇒ every record is suspect)."""
         if code_epoch != self._code_epoch:
             if self._records:
-                self.invalidate("code epoch changed")
+                self._records.clear()
+                self._size = 0
+                self.stats.invalidations += 1
             self._code_epoch = code_epoch
         return self._records.get(key, ())
 
@@ -55,11 +57,3 @@ class ReplayCache:
         if len(variants) < self.max_variants:
             variants.append(record)
             self._size += 1
-
-    def invalidate(self, reason: str = "") -> None:
-        self._records.clear()
-        self._size = 0
-        self.stats.invalidations += 1
-
-    def __len__(self) -> int:
-        return self._size

@@ -130,6 +130,8 @@ class TraceRecorder:
 
     # -- policy ------------------------------------------------------------
 
+    # front door: brackets that read unmapped I/O, CSRs or self-written
+    # bytes, or run an ecall; no bundled firmware executes one
     def mark_unreplayable(self, reason: str) -> None:
         if not self.unreplayable:
             self.unreplayable = True

@@ -29,22 +29,9 @@ class ReplayStats:
         self.bypasses = 0
         self.invalidations = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses + self.fallbacks + self.bypasses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.lookups
-        return self.hits / total if total else 0.0
-
     def snapshot(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.FIELDS}
 
     def delta(self, base: Dict[str, int]) -> Dict[str, int]:
         """Counters accumulated since ``base`` (a prior snapshot)."""
         return {name: getattr(self, name) - base.get(name, 0) for name in self.FIELDS}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = ", ".join(f"{n}={getattr(self, n)}" for n in self.FIELDS)
-        return f"<ReplayStats {body}>"

@@ -42,7 +42,6 @@ BACKENDS = ("interp", "translated")
 _DEFAULT_BACKEND = "translated"
 
 
-# front door: SimSession on a spec that sets cpu_backend (serve `open`)
 def set_default_backend(name: str) -> None:
     """Select the backend new :class:`RiscvCpu` instances use when the
     constructor is not told otherwise (the ``--cpu-backend`` CLI knob)."""

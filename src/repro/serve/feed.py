@@ -1,17 +1,17 @@
 """Traffic feeds: one streaming interface over every packet origin.
 
 A :class:`SimSession` does not care whether its packets come from a
-rate-controlled generator (:mod:`repro.traffic`), a pcap trace replay
-(:mod:`repro.packet.pcap`), or programmatic injection over the serve
-RPC loop — each is wrapped in a :class:`TrafficFeed` that binds to the
-session's live system when the session starts.  Feeds can also be
+rate-controlled generator (:mod:`repro.traffic`) or a pcap trace replay
+(:mod:`repro.packet.pcap`) — each is wrapped in a :class:`TrafficFeed`
+that binds to the session's live system when the session starts
+(one-shot packets go through :meth:`SimSession.inject` instead).  Feeds can also be
 added mid-flight (:meth:`SimSession.add_feed`), which is how a serving
 session layers an attack trace on top of steady background load.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict
 
 from ..traffic.generator import ReplaySource, TrafficSource
 
@@ -20,7 +20,8 @@ class TrafficFeed:
     """One packet origin, bound to a session when traffic starts.
 
     Subclasses implement :meth:`_bind` (build whatever simulation
-    machinery the feed needs against the session's system) — ``start``
+    machinery the feed needs against the session's system) and
+    :meth:`describe` (a JSON-safe summary) — ``start``
     is idempotent so a feed added after the session is already running
     starts exactly once.
     """
@@ -33,12 +34,6 @@ class TrafficFeed:
             return
         self._started = True
         self._bind(session, delay)
-
-    def _bind(self, session, delay: float) -> None:
-        raise NotImplementedError
-
-    def describe(self) -> Dict[str, Any]:
-        return {"kind": type(self).__name__, "started": self._started}
 
 
 class SourceFeed(TrafficFeed):
@@ -107,43 +102,5 @@ class PcapFeed(TrafficFeed):
             "port": self.port,
             "offered_gbps": self.offered_gbps,
             "packets": self._count,
-            "started": self._started,
-        }
-
-
-class PacketBurstFeed(TrafficFeed):
-    """Programmatic injection: offer a fixed packet list to one port.
-
-    Packets are offered ``gap_cycles`` apart starting ``delay`` cycles
-    after the feed binds — the same path :meth:`SimSession.inject` uses
-    for immediate one-shot injection, packaged as a feed so scripted
-    scenarios can schedule bursts alongside generator traffic.
-    """
-
-    def __init__(
-        self,
-        packets: Sequence,
-        port: Optional[int] = 0,
-        gap_cycles: float = 0.0,
-    ) -> None:
-        super().__init__()
-        self.packets: List = list(packets)
-        self.port = port
-        self.gap_cycles = gap_cycles
-
-    def _bind(self, session, delay: float) -> None:
-        sim = session.system.sim
-        for index, packet in enumerate(self.packets):
-            sim.schedule(
-                delay + index * self.gap_cycles,
-                lambda p=packet: session.inject([p], port=self.port),
-                name="feed.burst",
-            )
-
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "kind": "PacketBurstFeed",
-            "port": self.port,
-            "packets": len(self.packets),
             "started": self._started,
         }

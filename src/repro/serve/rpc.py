@@ -204,15 +204,8 @@ def serve_loop(
     return 1 if (check and server.errors) else 0
 
 
-def run_script(path: str, out_stream: IO[str] = None, check: bool = True) -> int:
-    """Replay a ``.jsonl`` scenario file through the serve loop."""
-    with open(path) as fh:
-        return serve_loop(fh, out_stream, check=check)
-
-
 #: Replies that only echo state never appear here; kept for reference.
 __all__: List[str] = [
     "ServeServer",
     "serve_loop",
-    "run_script",
 ]

@@ -100,7 +100,7 @@ class SimSession:
         if spec.cluster is not None:
             raise SessionError(
                 "a SimSession is one board; drive cluster specs with "
-                "repro.cluster.ClusterEngine (or run_experiment / "
+                "repro.ClusterEngine (or run_experiment / "
                 "`repro cluster`, which route there)"
             )
 

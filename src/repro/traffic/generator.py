@@ -46,9 +46,9 @@ class TrafficSource:
         self.sent = 0
         self._started = False
 
-    def next_packet(self) -> Packet:
-        raise NotImplementedError
-
+    # front door: the default for a `SimSession.for_system` caller's own
+    # aperiodic sources; the static fluid gate refuses IMIX and flows specs
+    # before the engine asks
     def fluid_profile(self):
         """``(period_packets, phase)`` when the emission stream is a
         deterministic cycle, else ``None``.
@@ -177,10 +177,6 @@ class ImixSource(TrafficSource):
                 for flow in range(max(1, n_flows // len(mix)))
             ]
 
-    @property
-    def average_size(self) -> float:
-        return sum(self._sizes) / len(self._sizes)
-
     def next_packet(self) -> Packet:
         size = self.rng.choice(self._sizes)
         return self.rng.choice(self._templates[size]).make_packet()
@@ -218,8 +214,3 @@ class ReplaySource(TrafficSource):
         return template.make_packet(
             is_attack=is_attack, flow_id=flow_id, seq_index=seq_index
         )
-
-    def fluid_profile(self):
-        if self.n_packets is not None:  # finite replay: drains, not steady
-            return None
-        return len(self._packets), self._index % len(self._packets)

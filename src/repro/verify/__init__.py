@@ -89,8 +89,6 @@ from .replaylint import (
     CLASS_UNSAFE,
     LintFinding,
     ReplayLintReport,
-    bundled_firmware_classes,
-    lint_all_models,
     lint_firmware_class,
 )
 from .wcet import (
@@ -149,12 +147,10 @@ __all__ = [
     "deep_analyze",
     "fluid_gate",
     "build_cfg",
-    "bundled_firmware_classes",
     "bundled_firmware_names",
     "bundled_firmwares",
     "induction_clamps",
     "infer_loop_bounds",
-    "lint_all_models",
     "lint_firmware_class",
     "lint_paths",
     "lint_source",

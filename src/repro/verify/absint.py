@@ -172,6 +172,7 @@ def _add(a: AbsVal, b: AbsVal) -> AbsVal:
     return _sym(a.base, lc, lo, hi)
 
 
+# front door: `sub`, an RV32 form no bundled firmware executes
 def _sub(a: AbsVal, b: AbsVal) -> AbsVal:
     if b.base != "num":
         return TOP  # x - pointer: not representable
@@ -422,6 +423,8 @@ class AbsState:
         regs[2] = AbsVal("sp", 0, 0, 0)
         return cls(regs, mie=False)
 
+    # front door: the fallback seed of a handler entry with no entry state;
+    # every bundled firmware's entries are seeded
     @classmethod
     def unknown(cls) -> "AbsState":
         regs = [TOP] * 32
@@ -560,6 +563,7 @@ class _Transfer:
 
     # register-register ALU forms --------------------------------------------
 
+    # front door: an RV32 form no bundled firmware executes
     def _and_rr(self, a: AbsVal, b: AbsVal) -> AbsVal:
         if b.is_const:
             return _and_imm(a, b.lo - _TWO32 if b.lo & 0x8000_0000 else b.lo)
@@ -569,6 +573,7 @@ class _Transfer:
             return AbsVal("num", 0, 0, min(a.hi, b.hi))
         return TOP
 
+    # front door: an RV32 form no bundled firmware executes
     def _or_rr(self, a: AbsVal, b: AbsVal) -> AbsVal:
         if a.is_plain and b.is_plain:
             return AbsVal("num", 0, max(a.lo, b.lo), _bit_hi(a, b))
@@ -579,6 +584,7 @@ class _Transfer:
             return AbsVal("num", 0, 0, _bit_hi(a, b))
         return TOP
 
+    # front door: an RV32 form no bundled firmware executes
     def _shift_rr(self, m: str, a: AbsVal, b: AbsVal) -> AbsVal:
         if b.is_const:
             imm_map = {"sll": "slli", "srl": "srli", "sra": "srai"}
@@ -587,21 +593,25 @@ class _Transfer:
             return AbsVal("num", 0, 0, a.hi)
         return TOP
 
+    # front door: an RV32 form no bundled firmware executes
     def _mul_rr(self, a: AbsVal, b: AbsVal) -> AbsVal:
         if a.is_plain and b.is_plain and a.hi * b.hi <= U32:
             return AbsVal("num", 0, a.lo * b.lo, a.hi * b.hi)
         return TOP
 
+    # front door: an RV32 form no bundled firmware executes
     def _divu_rr(self, a: AbsVal, b: AbsVal) -> AbsVal:
         if a.is_plain and b.is_plain and b.lo >= 1:
             return AbsVal("num", 0, a.lo // b.hi, a.hi // b.lo)
         return TOP
 
+    # front door: an RV32 form no bundled firmware executes
     def _remu_rr(self, a: AbsVal, b: AbsVal) -> AbsVal:
         if a.is_plain and b.is_plain and b.lo >= 1:
             return AbsVal("num", 0, 0, min(a.hi, b.hi - 1))
         return TOP
 
+    # front door: an RV32 form no bundled firmware executes
     def _slt_rr(self, a: AbsVal, b: AbsVal) -> AbsVal:
         if a.is_plain and b.is_plain and a.hi < 0x8000_0000 and b.hi < 0x8000_0000:
             if a.hi < b.lo:
@@ -610,6 +620,7 @@ class _Transfer:
                 return const(0)
         return interval(0, 1)
 
+    # front door: an RV32 form no bundled firmware executes
     def _sltu_rr(self, a: AbsVal, b: AbsVal) -> AbsVal:
         if a.is_plain and b.is_plain:
             if a.hi < b.lo:
@@ -738,12 +749,6 @@ class AbsintResult:
         for _ in _replay(block, state, _Transfer(self.env), self._clobber_union, stop=pc):
             pass
         return state
-
-    def access_at(self, pc: int) -> Optional[AbsAccess]:
-        for acc in self.accesses:
-            if acc.pc == pc:
-                return acc
-        return None
 
     def resolved(self) -> Iterator[Tuple[AbsAccess, Optional[str], int]]:
         """``(access, region name, offset)`` for every site whose address

@@ -18,7 +18,6 @@ interpreter in :mod:`repro.verify.absint`, which runs over this graph.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
@@ -75,11 +74,6 @@ class BasicBlock:
     def last(self) -> Optional[Instruction]:
         return self.insts[-1] if self.insts else None
 
-    @property
-    def end(self) -> int:
-        """pc just past the last instruction."""
-        return (self.pcs[-1] + 4) & _MASK32 if self.pcs else self.start
-
 
 @dataclass
 class Loop:
@@ -129,37 +123,6 @@ class FirmwareCfg:
             seen.add(node)
             work.extend(self.blocks[node].successors)
         return seen
-
-    def errors(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.level == "error"]
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "entry": self.entry,
-            "blocks": {
-                f"0x{b.start:x}": {
-                    "pcs": [f"0x{pc:x}" for pc in b.pcs],
-                    "mnemonics": [i.mnemonic for i in b.insts],
-                    "successors": sorted(f"0x{s:x}" for s in b.successors),
-                    "end_reason": b.end_reason,
-                }
-                for b in sorted(self.blocks.values(), key=lambda b: b.start)
-            },
-            "loops": {
-                f"0x{lp.header:x}": {
-                    "body": sorted(f"0x{s:x}" for s in lp.body),
-                    "bound": lp.bound,
-                    "annotated": lp.annotated,
-                }
-                for lp in sorted(self.loops.values(), key=lambda lp: lp.header)
-            },
-            "diagnostics": [d.to_dict() for d in self.diagnostics],
-        }
-
-    def fingerprint(self) -> str:
-        """Deterministic digest of the whole analysis (stability tests)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # -- successor rules ----------------------------------------------------------
@@ -277,7 +240,7 @@ def build_cfg(
         elif end_reason == "join":
             block.successors = (pc,)
         elif end_reason == "cap":
-            block.successors = ((block.end) & _MASK32,) if block.end in insts else ()
+            block.successors = (pc,) if pc in insts else ()
         cfg.blocks[leader] = block
 
     _find_loops(cfg)

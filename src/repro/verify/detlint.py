@@ -85,6 +85,8 @@ class Finding:
     code: str  # "wall-clock" | "unseeded-rng" | "set-iteration"
     message: str
 
+    # front door: printed only when detlint finds a violation, and the
+    # tree it lints is kept free of them
     def format(self) -> str:
         return f"{self.path}:{self.line}: {self.code}: {self.message}"
 

@@ -39,19 +39,6 @@ class FluidGate:
         self.eligible = False
         self.reasons.append(reason)
 
-    def to_dict(self) -> dict:
-        return {
-            "firmware_cls": self.firmware_cls,
-            "eligible": self.eligible,
-            "reasons": list(self.reasons),
-            "lint_classification": self.lint_classification,
-            "asm_twin": self.asm_twin,
-            "wcet_cycles": self.wcet_cycles,
-            "analytic_pps": self.analytic_pps,
-            "offered_pps": self.offered_pps,
-            "contended": self.contended,
-        }
-
 
 def fluid_gate(spec) -> FluidGate:
     """Decide statically whether ``spec`` may use the fluid tier.

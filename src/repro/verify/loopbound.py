@@ -70,12 +70,6 @@ class LoopBoundReport:
     bounds: Dict[int, LoopBound] = field(default_factory=dict)
     diagnostics: List[Diagnostic] = field(default_factory=list)
 
-    def bound_map(self) -> Dict[int, int]:
-        """``{header pc: iteration bound}`` for the WCET engine."""
-        return {h: lb.bound for h, lb in self.bounds.items()}
-
-    def provenance(self) -> Dict[int, str]:
-        return {h: lb.source for h, lb in self.bounds.items()}
 
 
 # -- loop-local dominators ----------------------------------------------------

@@ -161,6 +161,8 @@ def _check_pkt(acc: AbsAccess, env: MachineEnv) -> AccessCheck:
     )
 
 
+# front door: stack-relative loads and stores; no bundled firmware
+# touches its stack
 def _check_sp(acc: AbsAccess, env: MachineEnv) -> AccessCheck:
     lo, hi = acc.addr.lo, acc.addr.hi
     if -env.stack_bytes <= lo and hi + acc.nbytes <= 0:

@@ -28,6 +28,7 @@ from .wcet import WcetReport
 class VerificationError(RuntimeError):
     """A spec with ``verify="fail"`` failed static verification."""
 
+    # front door: error path; a `verify="fail"` spec that fails pre-flight
     def __init__(self, message: str, report: "PreflightReport" = None) -> None:
         super().__init__(message)
         self.report = report
@@ -87,18 +88,6 @@ class PreflightReport:
                 f"{self.lint.classification}"
             )
         return "; ".join(parts) or "nothing verified"
-
-    def to_dict(self) -> dict:
-        return {
-            "spec_name": self.spec_name,
-            "firmware_cls": self.firmware_cls,
-            "asm_twin": self.asm_twin,
-            "failed": self.failed,
-            "verdict": self.verdict.to_dict() if self.verdict else None,
-            "safety": self.safety.to_dict() if self.safety else None,
-            "lint": self.lint.to_dict() if self.lint else None,
-            "diagnostics": [d.to_dict() for d in self.diagnostics],
-        }
 
 
 def _twin_wcet(asm_name: str):

@@ -86,7 +86,7 @@ def bundled_firmwares() -> List[BundledFirmware]:
     return [
         BundledFirmware(
             "forwarder", FORWARDER_ASM, OperatingPoint(16, 512, 200.0),
-            models=("ForwarderFirmware", "TwoStepForwarder", "NicFirmware"),
+            models=("ForwarderFirmware", "TwoStepForwarder"),
             note="basic_fw; paper §6.1 holds 200G from 512B up",
         ),
         BundledFirmware(

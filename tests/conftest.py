@@ -4,7 +4,14 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from repro.packet import EthernetHeader, Packet
+
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def build_raw(size, ethertype=0x88B5):
+    """A non-IP Ethernet frame of exactly ``size`` bytes."""
+    return Packet(EthernetHeader(ethertype=ethertype).pack() + bytes(size - 14))
 
 
 def next_time(sim):

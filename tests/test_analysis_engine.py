@@ -47,7 +47,7 @@ class TestSerialRunner:
         outcome = SweepRunner(jobs=1).run(specs)
         assert [p.index for p in outcome] == [0, 1]
         assert all(p.status == "ok" for p in outcome)
-        assert outcome[0].result.throughput.packet_size == 256
+        assert outcome.points[0].result.throughput.packet_size == 256
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
@@ -63,7 +63,7 @@ class TestSerialRunner:
         specs.append(_grid(sizes=(512,))[0])
         outcome = SweepRunner(jobs=1).run(specs)
         assert [p.status for p in outcome] == ["ok", "error", "ok"]
-        assert "synthetic diverging config" in outcome[1].error
+        assert "synthetic diverging config" in outcome.points[1].error
         with pytest.raises(RuntimeError, match="1 sweep point"):
             outcome.raise_on_failure()
 
@@ -106,7 +106,7 @@ class TestParallelDeterminism:
         ]
         outcome = SweepRunner(jobs=2).run(specs)
         assert [p.status for p in outcome] == ["ok", "error", "ok"]
-        assert "worker process died" in outcome[1].error
+        assert "worker process died" in outcome.points[1].error
 
 
 class TestCache:
@@ -128,7 +128,7 @@ class TestCache:
         other = SweepRunner(jobs=1, cache_dir=tmp_path / "c")
         other.run(specs)
         assert other.stats == {
-            "cached": 1, "simulated": 0, "errors": 0, "timeouts": 0,
+            "cached": 1, "simulated": 0, "errors": 0, "timeouts": 0, "corrupt": 0,
         }
 
     def test_changed_window_misses_cache(self, tmp_path):
@@ -147,6 +147,22 @@ class TestCache:
             entry.write_text("{not json")
         runner.run(specs)
         assert runner.stats["simulated"] == 1
+        assert runner.stats["corrupt"] == 1
+
+    def test_truncated_entry_is_recomputed_and_counted(self, tmp_path, capsys):
+        from repro.cli import main
+
+        argv = ["sweep", "--sizes", "256,512", "--rpu-set", "8", "--jobs", "1",
+                "--warmup", "150", "--packets", "400", "--cache-dir", str(tmp_path / "c")]
+        assert main(argv) == 0
+        assert "0 cached, 2 simulated, 0 corrupt" in capsys.readouterr().out
+        entry = sorted((tmp_path / "c").glob("*.json"))[0]
+        entry.write_text(entry.read_text()[:100])
+        assert main(argv) == 0
+        assert "1 cached, 1 simulated, 1 corrupt" in capsys.readouterr().out
+        # the recomputed point was stored again
+        assert main(argv) == 0
+        assert "2 cached, 0 simulated, 0 corrupt" in capsys.readouterr().out
 
     def test_firewall_spec_hits_cache_across_builds(self, tmp_path):
         from repro.serve import spec_from_params
@@ -159,4 +175,4 @@ class TestCache:
 
         SweepRunner(jobs=1, cache_dir=tmp_path / "c").run([build()])
         outcome = SweepRunner(jobs=1, cache_dir=tmp_path / "c").run([build()])
-        assert outcome[0].status == "cached"
+        assert outcome.points[0].status == "cached"

@@ -1,90 +1,54 @@
-"""Tests for the sweep runner and its CSV artifacts."""
+"""Sweep CSV artifacts (``repro sweep --out``) and a real sweep grid."""
+
+import csv
 
 import pytest
 
-from repro.analysis.sweep import Sweep, SweepResult
+from repro import ExperimentSpec, MeasurementWindow, SweepRunner, TrafficProfile
+from repro.cli import main
+from repro.core import RosebudConfig
+from repro.firmware import ForwarderFirmware
 
-
-def _fake_experiment(size, rpus):
-    return {"gbps": size * rpus / 10.0, "note": f"{rpus}rpu"}
-
-
-class TestGrid:
-    def test_cartesian_product(self):
-        points = Sweep.grid(a=[1, 2], b=["x", "y", "z"])
-        assert len(points) == 6
-        assert {"a": 2, "b": "y"} in points
-
-    def test_single_axis(self):
-        assert Sweep.grid(size=[64, 128]) == [{"size": 64}, {"size": 128}]
-
-
-class TestSweep:
-    def test_rows_merge_params_and_results(self):
-        sweep = Sweep(_fake_experiment)
-        result = sweep.run(Sweep.grid(size=[64, 128], rpus=[8, 16]))
-        assert len(result.rows) == 4
-        assert result.columns == ["size", "rpus", "gbps", "note"]
-        assert result.filtered(size=64, rpus=8)[0]["gbps"] == pytest.approx(51.2)
-
-    def test_column_extraction(self):
-        result = Sweep(_fake_experiment).run(Sweep.grid(size=[64], rpus=[8, 16]))
-        assert result.column("rpus") == [8, 16]
-        with pytest.raises(KeyError):
-            result.column("nope")
-
-    def test_on_point_callback(self):
-        seen = []
-        sweep = Sweep(_fake_experiment, on_point=seen.append)
-        sweep.run(Sweep.grid(size=[64], rpus=[8]))
-        assert len(seen) == 1 and seen[0]["gbps"] > 0
-
-    def test_empty_sweep_rejected(self):
-        with pytest.raises(ValueError):
-            Sweep(_fake_experiment).run([])
+SWEEP = ["sweep", "--sizes", "512,1024", "--rpu-set", "8", "--gbps-set", "100",
+         "--warmup", "150", "--packets", "400"]
 
 
 class TestCsv:
-    def test_round_trip(self, tmp_path):
-        result = Sweep(_fake_experiment).run(Sweep.grid(size=[64, 128], rpus=[8]))
-        path = result.to_csv(tmp_path / "sweep.csv")
-        back = SweepResult.from_csv(path)
-        assert back.columns == result.columns
-        assert back.column("size") == [64, 128]
-        assert back.column("gbps") == [pytest.approx(51.2), pytest.approx(102.4)]
-        assert back.column("note") == ["8rpu", "8rpu"]
+    def test_round_trip(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        assert main([*SWEEP, "--out", str(path)]) == 0
+        assert "wrote 2 rows" in capsys.readouterr().out
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(row["size"]) for row in rows] == [512, 1024]
+        assert {row["rpus"] for row in rows} == {"8"}
+        assert all(0 < float(row["achieved_gbps"]) <= 100.0 for row in rows)
+        assert {row["status"] for row in rows} == {"ok"}
 
     def test_creates_parent_dirs(self, tmp_path):
-        result = Sweep(_fake_experiment).run(Sweep.grid(size=[64], rpus=[8]))
-        path = result.to_csv(tmp_path / "deep" / "dir" / "sweep.csv")
+        path = tmp_path / "deep" / "dir" / "sweep.csv"
+        assert main([*SWEEP, "--out", str(path)]) == 0
         assert path.exists()
 
 
 class TestWithRealExperiment:
-    def test_forwarding_sweep_end_to_end(self, tmp_path):
-        from repro import (
-            ExperimentSpec, MeasurementWindow, TrafficProfile, run_experiment,
-        )
-        from repro.core import RosebudConfig
-        from repro.firmware import ForwarderFirmware
-
-        def experiment(size, rpus):
-            result = run_experiment(ExperimentSpec(
+    def test_forwarding_sweep_end_to_end(self):
+        grid = {
+            (size, rpus): ExperimentSpec(
                 config=RosebudConfig(n_rpus=rpus),
                 firmware=ForwarderFirmware,
                 traffic=TrafficProfile(packet_size=size, offered_gbps=200),
                 window=MeasurementWindow(warmup_packets=300, measure_packets=800),
-            )).throughput
-            return {
-                "gbps": result.achieved_gbps,
-                "fraction": result.fraction_of_line,
-            }
-
-        sweep = Sweep(experiment)
-        result = sweep.run(Sweep.grid(size=[512, 1024], rpus=[8, 16]))
-        result.to_csv(tmp_path / "fwd.csv")
+            )
+            for size in (512, 1024)
+            for rpus in (8, 16)
+        }
+        outcome = SweepRunner(jobs=1).run(list(grid.values())).raise_on_failure()
+        gbps = {
+            point: result.throughput.achieved_gbps
+            for point, result in zip(grid, outcome.results)
+        }
         # 16-RPU >= 8-RPU at every size
         for size in (512, 1024):
-            r8 = result.filtered(size=size, rpus=8)[0]
-            r16 = result.filtered(size=size, rpus=16)[0]
-            assert r16["gbps"] >= r8["gbps"] - 1.0
+            assert gbps[(size, 16)] >= gbps[(size, 8)] - 1.0
+        assert gbps[(1024, 16)] == pytest.approx(200.0, rel=0.05)

@@ -1,50 +1,11 @@
-"""Tests for the mechanistic CPU model and host-side full matching."""
-
-import pytest
+"""Tests for host-side full matching."""
 
 from repro.accel.pigasus import generate_ruleset, parse_rules
 from repro.accel.pigasus.ruleset import PortSpec, Rule
-from repro.baselines import CpuIdsModel, HostFullMatcher
+from repro.baselines import HostFullMatcher
 from repro.core import RosebudConfig, RosebudSystem
 from repro.firmware import PigasusHwReorderFirmware
 from repro.packet import build_tcp
-
-
-class TestCpuIdsModel:
-    def test_plateau_matches_paper(self):
-        model = CpuIdsModel()
-        assert model.peak_mpps(64) == pytest.approx(5.6, rel=0.01)
-        assert model.peak_mpps(2048) == pytest.approx(4.7, rel=0.01)
-
-    def test_nearly_flat_in_size(self):
-        model = CpuIdsModel()
-        assert model.peak_mpps(64) / model.peak_mpps(2048) < 1.25
-
-    def test_ramdisk_delta_matches_paper(self):
-        """60 -> 70 Gbps at 2048 B when AF_PACKET is removed."""
-        normal = CpuIdsModel()
-        ramdisk = CpuIdsModel(ramdisk=True)
-        ratio = ramdisk.throughput_gbps(2048) / normal.throughput_gbps(2048)
-        assert ratio == pytest.approx(70 / 60, rel=0.02)
-
-    def test_afpacket_not_primary_bottleneck(self):
-        """The paper's conclusion from the ramdisk run: the kernel path
-        is a minor share of the per-packet cost."""
-        shares = CpuIdsModel().bottleneck_share(2048)
-        assert shares["af_packet"] < 0.2
-        assert shares["parse_dispatch"] > shares["af_packet"]
-
-    def test_scan_share_grows_with_size(self):
-        model = CpuIdsModel()
-        assert (
-            model.bottleneck_share(2048)["hyperscan"]
-            > model.bottleneck_share(64)["hyperscan"]
-        )
-
-    def test_more_cores_scale_linearly(self):
-        half = CpuIdsModel(cores=16)
-        full = CpuIdsModel(cores=32)
-        assert full.peak_mpps(800) == pytest.approx(2 * half.peak_mpps(800))
 
 
 def _rule_with_extra():
@@ -76,7 +37,7 @@ class TestHostFullMatcher:
         verdict = matcher.verify(pkt)
         assert not verdict.is_alert
         assert verdict.refuted_sids == [5000]
-        assert matcher.false_positive_rate == 1.0
+        assert matcher.false_positives == matcher.packets_verified == 1
 
     def test_unknown_sid_refuted(self):
         matcher = HostFullMatcher([_rule_with_extra()])

@@ -208,7 +208,7 @@ def test_step_control_snapshot_surface():
         snap = engine.snapshot()
         check(snap, "repro-cluster-snapshot")
         assert [b["live"] for b in snap["boards"]] == [True, False]
-        # inline transport exposes full per-board sub-snapshots
+        # every transport exposes full per-board sub-snapshots
         detail = snap["per_board_detail"]
         assert set(detail) == {"0", "1"}
         assert detail["0"]["schema"].startswith("repro-snapshot/")

@@ -21,6 +21,7 @@ import repro.cluster.shard as shard_module
 import repro.packet.packet as packet_module
 from repro import ExperimentSpec, MeasurementWindow, TrafficProfile
 from repro.cluster import ClusterSpec
+from repro.fluid import diff_results
 from repro.cluster.engine import ClusterEngine
 from repro.cluster.shard import ClusterShardError, InlineShard, ProcessShard
 
@@ -57,7 +58,7 @@ def test_worker_exception_travels_back_with_traceback():
         with pytest.raises(ClusterShardError, match="unknown shard command"):
             shard.request("frobnicate")
         # the worker survives a failed command and keeps serving
-        out, metrics = shard.advance(250.0, {})
+        out, metrics = shard.request("advance", (250.0, {}))
         assert 0 in metrics
     finally:
         shard.close()
@@ -174,9 +175,6 @@ class _InProcessWorker:
     def request(self, cmd, payload=None):
         return self._reply
 
-    def board_snapshots(self):
-        return {}
-
     def close(self, reap=True):
         pass
 
@@ -207,3 +205,19 @@ def test_crossing_packets_never_share_an_id_with_a_live_packet(monkeypatch):
     result = engine.run_to_completion()
     assert result.cluster["cross_board"]["packets"] > 0
     assert collisions == [0, 0]
+
+
+def test_sharded_snapshot_keeps_every_board_detail():
+    """The serve snapshot of a sharded rack carries the same per-board
+    blocks as the inline rack after the same horizons (1 == N shards)."""
+    details = []
+    for shards in (1, 2):
+        engine = ClusterEngine(SPEC, shards=shards)
+        try:
+            engine.step(n_events=4)
+            details.append(engine.snapshot()["per_board_detail"])
+        finally:
+            engine.close()
+    inline, sharded = details
+    assert set(inline) == {"0", "1"}
+    assert diff_results(sharded, inline) == []

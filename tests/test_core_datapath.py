@@ -12,8 +12,10 @@ from repro.core.firmware_api import (
 from repro.core.mac import MacPort
 from repro.core.rpu import RpuModel
 from repro.firmware import ForwarderFirmware
-from repro.packet import build_raw, build_tcp
+from repro.packet import build_tcp
 from repro.sim import Simulator
+
+from .conftest import build_raw
 
 
 class TestMacPort:

@@ -166,7 +166,7 @@ class TestHashPolicy:
         assert tcp != udp
 
     def test_non_ip_packet_still_hashes(self):
-        from repro.packet import build_raw
+        from .conftest import build_raw
 
         assert flow_hash(build_raw(64)) is not None
 

@@ -83,7 +83,7 @@ class TestFirewallFirmware:
         assert rpu.sent[0].port == 1
 
     def test_non_ipv4_dropped(self, blacklist):
-        from repro.packet import build_raw
+        from .conftest import build_raw
 
         rpu = FunctionalRpu(FIREWALL_ASM, accelerator=IpBlacklistMatcher(blacklist))
         rpu.push_packet(build_raw(64).data)

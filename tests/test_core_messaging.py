@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core import BroadcastSystem, LoopbackPort, RosebudConfig
-from repro.packet import build_raw
 from repro.sim import Simulator
+
+from .conftest import build_raw
 
 
 class TestLoopbackPort:

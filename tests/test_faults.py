@@ -335,4 +335,4 @@ class TestCliFaultParsing:
         for kind in KNOWN_FAULT_KINDS:
             if kind == "sampler":  # consumed by install_faults directly
                 continue
-            assert kind in REGISTRY.kinds()
+            assert REGISTRY.create(FaultSpec(kind=kind)).kind == kind

@@ -23,7 +23,9 @@ from repro.firmware import (
     TwoStepForwarder,
     UDP_SAFE_CYCLES,
 )
-from repro.packet import build_raw, build_tcp, build_udp
+from repro.packet import build_tcp, build_udp
+
+from .conftest import build_raw
 
 
 @pytest.fixture(scope="module")

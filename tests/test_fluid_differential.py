@@ -20,7 +20,7 @@ import pytest
 from repro.accel import IpBlacklistMatcher, generate_blacklist, parse_blacklist
 from repro.analysis.spec import ExperimentSpec, MeasurementWindow, TrafficProfile
 from repro.core import RosebudConfig
-from repro.firmware import FirewallFirmware, ForwarderFirmware, NicFirmware
+from repro.firmware import FirewallFirmware, ForwarderFirmware
 from repro.serve.session import SimSession
 
 WINDOW = MeasurementWindow(warmup_packets=1500, measure_packets=20_000)
@@ -249,7 +249,7 @@ class TestEligibilityGates:
 
 
 class TestAllBundledThroughputFirmwares:
-    @pytest.mark.parametrize("firmware", [ForwarderFirmware, NicFirmware])
+    @pytest.mark.parametrize("firmware", [ForwarderFirmware])
     def test_parity(self, firmware):
         spec = ExperimentSpec(
             firmware=firmware,

@@ -4,7 +4,9 @@
 from repro.core import RosebudConfig, RosebudSystem
 from repro.core.mac import MAX_FRAME_BYTES, MIN_FRAME_BYTES
 from repro.firmware import ForwarderFirmware
-from repro.packet import Packet, build_raw, build_tcp
+from repro.packet import Packet, build_tcp
+
+from .conftest import build_raw
 
 
 def _system(**kwargs):

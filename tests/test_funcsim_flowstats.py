@@ -6,7 +6,9 @@ import struct
 
 from repro.core.funcsim import FunctionalRpu
 from repro.firmware.asm_sources import FLOW_COUNTER_ASM
-from repro.packet import build_raw, build_tcp, ip_to_int
+from repro.packet import build_tcp, ip_to_int
+
+from .conftest import build_raw
 
 
 def _bucket(src_ip: str) -> int:

@@ -2,8 +2,27 @@
 
 
 from repro.core import HostInterface, RosebudConfig, RosebudSystem
-from repro.firmware import ForwarderFirmware, NicFirmware
+from repro.core.firmware_api import ACTION_FORWARD, ACTION_HOST, FirmwareModel, FirmwareResult
+from repro.firmware import FORWARDER_CYCLES, ForwarderFirmware
 from repro.packet import build_tcp
+
+
+class NicFirmware(FirmwareModel):
+    """Rosebud as a plain NIC (§5): wire traffic goes to the host over
+    PCIe, host-sourced traffic (virtual Ethernet) out a physical port."""
+
+    def __init__(self, egress_port: int = 0) -> None:
+        self.egress_port = egress_port
+
+    def process(self, packet, rpu_index):
+        if packet.timestamps.get("mac_rx_done") is not None:
+            return FirmwareResult(action=ACTION_HOST, sw_cycles=FORWARDER_CYCLES)
+        return FirmwareResult(
+            action=ACTION_FORWARD, sw_cycles=FORWARDER_CYCLES, egress_port=self.egress_port
+        )
+
+    def clone(self):
+        return NicFirmware(self.egress_port)
 
 
 class TestNicMode:

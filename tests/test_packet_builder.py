@@ -12,7 +12,7 @@ from repro.packet import (
     Packet,
     TCP_OVERHEAD,
     UDP_OVERHEAD,
-    build_raw,
+    EthernetHeader,
     build_tcp,
     build_udp,
     read_pcap,
@@ -27,7 +27,7 @@ class TestBuildTcp:
 
     def test_parses_back(self):
         pkt = build_tcp("10.1.2.3", "10.4.5.6", 1111, 443, payload=b"abc", pad_to=200)
-        assert pkt.is_ipv4 and pkt.is_tcp
+        assert pkt.parsed.ipv4 is not None and pkt.parsed.tcp is not None
         assert pkt.parsed.ipv4.src == "10.1.2.3"
         assert pkt.parsed.tcp.dst_port == 443
         assert pkt.payload.startswith(b"abc")
@@ -56,7 +56,7 @@ class TestBuildTcp:
     def test_any_size_round_trips(self, size):
         pkt = build_tcp("10.0.0.1", "10.0.0.2", 5, 6, pad_to=size)
         assert pkt.size == size
-        assert pkt.is_tcp
+        assert pkt.parsed.tcp is not None
 
 
 class TestBuildTcpGolden:
@@ -108,7 +108,7 @@ class TestBuildTcpGolden:
 class TestBuildUdp:
     def test_udp_parses(self):
         pkt = build_udp("10.0.0.1", "10.0.0.2", 53, 53, payload=b"q", pad_to=128)
-        assert pkt.is_udp and not pkt.is_tcp
+        assert pkt.parsed.udp is not None and pkt.parsed.tcp is None
         assert pkt.five_tuple[2] == 17
 
     def test_udp_overhead_boundary(self):
@@ -125,50 +125,46 @@ class TestBuildUdp:
 
 class TestBuildRaw:
     def test_non_ip_frame(self):
-        pkt = build_raw(100)
+        pkt = Packet(EthernetHeader(ethertype=0x88B5).pack() + bytes(86))
         assert pkt.size == 100
-        assert not pkt.is_ipv4
+        assert pkt.parsed.ipv4 is None
         assert pkt.five_tuple is None
-
-    def test_too_small_rejected(self):
-        with pytest.raises(BuildError):
-            build_raw(10)
 
 
 class TestPacketObject:
     def test_ids_unique(self):
-        a = build_raw(64)
-        b = build_raw(64)
+        a = Packet(bytes(64))
+        b = Packet(bytes(64))
         assert a.packet_id != b.packet_id
 
     def test_drop_records_reason(self):
-        pkt = build_raw(64)
+        pkt = Packet(bytes(64))
         pkt.drop("test reason")
         assert pkt.dropped and pkt.drop_reason == "test reason"
 
     def test_parse_cache_invalidation(self):
         pkt = build_tcp("1.1.1.1", "2.2.2.2", 1, 2, pad_to=128)
-        assert pkt.is_tcp
+        assert pkt.parsed.tcp is not None
         pkt.data = build_udp("1.1.1.1", "2.2.2.2", 1, 2, pad_to=128).data
-        assert pkt.is_tcp  # stale cache
+        assert pkt.parsed.tcp is not None  # stale cache
         pkt.invalidate_parse_cache()
-        assert pkt.is_udp
+        assert pkt.parsed.udp is not None
 
     def test_stamp(self):
-        pkt = build_raw(64)
+        pkt = Packet(bytes(64))
         pkt.stamp("x", 12.5)
         assert pkt.timestamps["x"] == 12.5
 
     def test_malformed_bytes_parse_safely(self):
         pkt = Packet(b"\x00" * 20)
-        assert not pkt.is_ipv4
+        assert pkt.parsed.ipv4 is None
         assert pkt.five_tuple is None
 
     def test_truncated_tcp_parses_as_ipv4_only(self):
         full = build_tcp("1.1.1.1", "2.2.2.2", 1, 2, pad_to=128)
         pkt = Packet(full.data[:40])  # eth + ipv4 + 6 bytes of tcp
-        assert pkt.is_ipv4
-        assert not pkt.is_tcp
+        assert pkt.parsed.ipv4 is not None
+        assert pkt.parsed.tcp is None
 
 
 class TestPacketPickle:
@@ -192,7 +188,7 @@ class TestPacketPickle:
 
     def test_from_wire_takes_a_fresh_id(self):
         pkt = self._busy_packet()
-        pkt.packet_id = build_raw(64).packet_id
+        pkt.packet_id = Packet(bytes(64)).packet_id
         back = Packet.from_wire(pickle.dumps(pkt))
         assert back.packet_id > pkt.packet_id
         assert back.data == pkt.data and back.timestamps == pkt.timestamps
@@ -221,7 +217,7 @@ class TestPcap:
 
     def test_truncated_record_rejected(self, tmp_path):
         path = tmp_path / "trunc.pcap"
-        write_pcap(path, [build_raw(64)])
+        write_pcap(path, [Packet(bytes(64))])
         data = path.read_bytes()
         path.write_bytes(data[:-10])
         from repro.packet import PcapError
@@ -231,6 +227,6 @@ class TestPcap:
 
     def test_snaplen_truncates(self, tmp_path):
         path = tmp_path / "snap.pcap"
-        write_pcap(path, [build_raw(1000)], snaplen=100)
+        write_pcap(path, [Packet(bytes(1000))], snaplen=100)
         loaded = read_pcap(path)
         assert len(loaded[0].data) == 100

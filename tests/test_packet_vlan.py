@@ -50,7 +50,7 @@ class TestVlanParsing:
         pkt = build_tcp("10.1.1.1", "10.2.2.2", 5, 80, vlan=7, pad_to=128)
         assert pkt.parsed.eth.ethertype == ETHERTYPE_VLAN
         assert pkt.parsed.vlan.vid == 7
-        assert pkt.is_ipv4 and pkt.is_tcp
+        assert pkt.parsed.ipv4 is not None and pkt.parsed.tcp is not None
         assert pkt.five_tuple == ("10.1.1.1", "10.2.2.2", 6, 5, 80)
 
     def test_untagged_frame_has_no_vlan(self):
@@ -70,7 +70,7 @@ class TestVlanParsing:
     def test_truncated_tag_parses_as_non_ip(self):
         pkt = build_tcp("10.1.1.1", "10.2.2.2", 5, 80, vlan=7, pad_to=128)
         cut = Packet(pkt.data[:16])  # eth + 2 bytes of tag
-        assert not cut.is_ipv4
+        assert cut.parsed.ipv4 is None
         assert cut.parsed.vlan is None
 
 

@@ -21,10 +21,12 @@ from repro.core.funccluster import FunctionalCluster
 from repro.core.funcsim import FunctionalRpu
 from repro.firmware import FIREWALL_ASM, FORWARDER_ASM, PIGASUS_ASM
 from repro.firmware.asm_sources import FLOW_COUNTER_ASM, FORWARDER_IRQ_ASM
-from repro.packet import build_raw, build_tcp, build_udp, int_to_ip
+from repro.packet import build_tcp, build_udp, int_to_ip
 from repro.replay import ReplayCache
 from repro.riscv.isa import reads_regs, writes_rd
 from repro.verify import analyze_source
+
+from .conftest import build_raw
 
 # -- shared traffic ---------------------------------------------------------
 

@@ -14,15 +14,37 @@ import pytest
 
 from repro.analysis import ExperimentSpec
 from repro.core.firmware_api import ACTION_FORWARD, FirmwareModel, FirmwareResult
+from repro.firmware import (
+    ChainStageFirmware,
+    FirewallFirmware,
+    ForwarderFirmware,
+    NatFirmware,
+    PigasusHwReorderFirmware,
+    PigasusSwReorderFirmware,
+    TwoStepForwarder,
+)
 from repro.verify import (
     CLASS_REPLAY_SAFE,
     CLASS_STATEFUL,
     CLASS_UNSAFE,
-    bundled_firmware_classes,
-    lint_all_models,
     lint_firmware_class,
 )
 from repro.verify.fluidgate import fluid_gate
+
+#: Every behavioural ``FirmwareModel`` the repo ships.
+BUNDLED = [
+    ForwarderFirmware,
+    TwoStepForwarder,
+    FirewallFirmware,
+    NatFirmware,
+    PigasusHwReorderFirmware,
+    PigasusSwReorderFirmware,
+    ChainStageFirmware,
+]
+
+
+def lint_all_models():
+    return [lint_firmware_class(cls) for cls in BUNDLED]
 
 
 class TestBundledClassifications:
@@ -30,7 +52,6 @@ class TestBundledClassifications:
 
     EXPECTED = {
         "ForwarderFirmware": CLASS_REPLAY_SAFE,
-        "NicFirmware": CLASS_STATEFUL,
         "TwoStepForwarder": CLASS_REPLAY_SAFE,
         "FirewallFirmware": CLASS_REPLAY_SAFE,
         "NatFirmware": CLASS_STATEFUL,
@@ -54,7 +75,7 @@ class TestBundledClassifications:
         )
 
     def test_classification_matches_token_override(self):
-        reports = zip(bundled_firmware_classes(), lint_all_models())
+        reports = zip(BUNDLED, lint_all_models())
         for cls, report in reports:
             assert (report.classification == CLASS_REPLAY_SAFE) == (
                 cls.replay_safe and not report.findings
@@ -64,7 +85,7 @@ class TestBundledClassifications:
 class TestRuntimeDifferential:
     """lint says replay-safe  <=>  the fluid gate admits the class."""
 
-    @pytest.mark.parametrize("cls", bundled_firmware_classes(),
+    @pytest.mark.parametrize("cls", BUNDLED,
                              ids=lambda c: c.__name__)
     def test_lint_agrees_with_cache_bypass(self, cls):
         # the gate reads the class off the spec without building it
@@ -77,7 +98,7 @@ class TestRuntimeDifferential:
         )
 
     def test_runtime_token_is_none_iff_lint_stateful(self):
-        for cls in bundled_firmware_classes():
+        for cls in BUNDLED:
             report = lint_firmware_class(cls)
             assert (report.classification == CLASS_STATEFUL) == (
                 not cls.replay_safe

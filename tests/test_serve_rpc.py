@@ -173,10 +173,9 @@ class TestServeLoop:
 
     def test_bundled_scenario_passes(self):
         """The repo's example scenario is the CI smoke contract."""
-        from repro.serve import run_script
-
         out = io.StringIO()
-        assert run_script("examples/serve_session.jsonl", out, check=True) == 0
+        with open("examples/serve_session.jsonl") as fh:
+            assert serve_loop(fh, out, check=True) == 0
         replies = [json.loads(line) for line in out.getvalue().splitlines()]
         assert all(r["ok"] for r in replies)
         snapshots = [

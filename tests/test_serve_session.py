@@ -333,7 +333,8 @@ class TestSnapshots:
     def test_drop_taxonomy_partitions_offered(self):
         """Every offered frame lands in exactly one snapshot sink,
         including a frame that passes the MAC but not its packet slot."""
-        from repro.packet import build_raw, build_udp
+        from repro.packet import build_udp
+        from .conftest import build_raw
 
         system = RosebudSystem(
             RosebudConfig(n_rpus=2, slot_bytes=2048, mac_rx_fifo_packets=100),
@@ -367,8 +368,22 @@ class TestSnapshots:
 
 class TestStableApi:
     def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None
+        """Every name ``repro`` and its packages export resolves, so a
+        deletion that leaves a name behind in an ``__all__`` fails here."""
+        import importlib
+        import pkgutil
+
+        modules = [repro] + [
+            importlib.import_module(f"repro.{info.name}")
+            for info in pkgutil.iter_modules(repro.__path__)
+            if info.ispkg
+        ]
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(module, name) is not None, (module.__name__, name)
+        for name, (module_name, attribute) in repro._LAZY_EXPORTS.items():
+            assert name in repro.__all__
+            assert getattr(importlib.import_module(module_name), attribute) is getattr(repro, name)
 
     def test_api_version(self):
         assert repro.__api_version__ == "1"

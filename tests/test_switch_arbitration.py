@@ -4,8 +4,9 @@ import pytest
 
 from repro.core import RosebudConfig
 from repro.core.switch import ClusterSwitch
-from repro.packet import build_raw
 from repro.sim import Simulator
+
+from .conftest import build_raw
 
 
 def _switch(arbitration="rr"):

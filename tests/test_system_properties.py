@@ -32,7 +32,7 @@ class _MixedFirmware(FirmwareModel):
     name = "mixed"
 
     def process(self, packet, rpu_index):
-        dport = packet.parsed.tcp.dst_port if packet.is_tcp else 80
+        dport = packet.parsed.tcp.dst_port if packet.parsed.tcp is not None else 80
         action = (ACTION_FORWARD, ACTION_DROP, ACTION_HOST)[dport % 3]
         return FirmwareResult(
             action=action,

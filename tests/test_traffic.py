@@ -15,6 +15,8 @@ from repro.traffic import (
     firewall_trace,
 )
 
+from .conftest import build_raw
+
 
 def _system(**kwargs):
     return RosebudSystem(RosebudConfig(n_rpus=16, **kwargs), ForwarderFirmware())
@@ -52,7 +54,7 @@ class TestFixedSizeSource:
         system = _system()
         capped = FixedSizeSource(system, 0, 100.0, 64, n_packets=100)
         assert capped.interarrival_cycles(
-            __import__("repro.packet", fromlist=["build_raw"]).build_raw(64)
+            build_raw(64)
         ) == pytest.approx(2.0)
 
     def test_uncapped_runs_at_line_rate(self):
@@ -60,8 +62,6 @@ class TestFixedSizeSource:
         source = FixedSizeSource(
             system, 0, 100.0, 64, n_packets=10, respect_generator_cap=False
         )
-        from repro.packet import build_raw
-
         assert source.interarrival_cycles(build_raw(64)) == pytest.approx(1.76)
 
     def test_distinct_flows(self):

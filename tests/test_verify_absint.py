@@ -136,7 +136,7 @@ def _check_containment(asm: str, seed: int) -> int:
                     f"seed {seed} pc {pc:#x}: x{idx}={cpu.read_reg(idx)} "
                     f"outside {v.describe()}"
                 )
-        acc = absres.access_at(pc)
+        acc = next((a for a in absres.accesses if a.pc == pc), None)
         if acc is not None and acc.addr.is_plain:
             concrete = (cpu.read_reg(inst.rs1) + inst.imm) & U32
             assert _contains(acc.addr, concrete), (
@@ -185,7 +185,7 @@ class TestWidening:
         # ... and induction analysis still recovers the exact bound
         header = cfg.program.symbols["loopz"]
         assert absres.loop_bounds is not None
-        assert absres.loop_bounds.bound_map()[header] == 2000
+        assert absres.loop_bounds.bounds[header].bound == 2000
         # pass 2's clamp keeps the counter interval finite and tight
         state = absres.state_before(header)
         assert state is not None

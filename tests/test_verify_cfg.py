@@ -69,7 +69,8 @@ class TestCfgStructure:
     def test_every_firmware_builds(self, named_cfg):
         name, cfg = named_cfg
         assert cfg.blocks, name
-        assert not cfg.errors(), [d.format() for d in cfg.errors()]
+        errors = [d.format() for d in cfg.diagnostics if d.level == "error"]
+        assert not errors, errors
 
     def test_blocks_partition_reachable_code(self, named_cfg):
         _, cfg = named_cfg
@@ -93,7 +94,9 @@ class TestCfgStructure:
     def test_deterministic(self, named_cfg):
         name, cfg = named_cfg
         again = analyze_source(ALL_ASMS[name], name=name)
-        assert cfg.fingerprint() == again.fingerprint()
+        assert cfg.blocks == again.blocks
+        assert cfg.loops == again.loops
+        assert cfg.diagnostics == again.diagnostics
 
     def test_entries_include_handlers(self):
         cfg = analyze_source(FORWARDER_IRQ_ASM, name="fwd_irq")

@@ -240,7 +240,6 @@ class TestVerifyFirmware:
         assert FIRMWARE_ASM_TWINS == {
             "ForwarderFirmware": "forwarder",
             "TwoStepForwarder": "forwarder",
-            "NicFirmware": "forwarder",
             "FirewallFirmware": "firewall",
             "PigasusHwReorderFirmware": "pigasus",
             "PigasusSwReorderFirmware": "pigasus",
@@ -320,8 +319,8 @@ class TestPreflight:
 
     def test_sweep_point_surfaces_error_status(self):
         outcome = SweepRunner(jobs=1).run([self._bad_spec("fail")])
-        assert outcome[0].status == "error"
-        assert "VerificationError" in outcome[0].error
+        assert outcome.points[0].status == "error"
+        assert "VerificationError" in outcome.points[0].error
 
     def test_memory_unsafe_twin_raises_the_named_error(self, monkeypatch):
         # a twin with one violating access: the report must summarise
