@@ -53,25 +53,6 @@ def cycle_budget_per_packet(
     return n_rpus * clock_hz / line_rate_pps(target_gbps, packet_size)
 
 
-def fluid_reference_pps(
-    clock_hz: float,
-    n_rpus: int,
-    wcet_cycles: float,
-    accel_cycles: float = 0.0,
-) -> float:
-    """The analytic RPU-bound service rate at a verified WCET.
-
-    The fluid fast-forward tier uses this as its cross-check: a
-    detected steady-state period whose measured packet rate exceeds the
-    WCET-derived budget would contradict the static bound, so the
-    engine records both and refuses to engage when the measurement is
-    infeasible under the verdict.  Same arithmetic as
-    :func:`rpu_cycle_budget_pps` — the WCET simply pins the worst-case
-    software cycles.
-    """
-    return rpu_cycle_budget_pps(clock_hz, n_rpus, wcet_cycles, accel_cycles)
-
-
 @dataclass
 class BottleneckReport:
     """Predicted packet rate and which resource binds it."""

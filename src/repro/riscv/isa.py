@@ -7,11 +7,12 @@ timer/interrupt machinery.
 
 :data:`OPS` is the single source of truth for what an instruction *is*:
 its encoding, assembly operand shape, cost class, kind, block-ending
-behaviour, access width, branch relation, and its concrete value or
-condition as one Python expression.  The decoder and encoder here, the
-assembler, the disassembler, the block-boundary rules, the closure
-translator's templates and the constant folding of both static
-analyzers read the rows; none keeps a per-mnemonic table of its own.
+behaviour, access width, branch relation, ALU operation, and its
+concrete value or condition as one Python expression.  The decoder and
+encoder here, the assembler, the disassembler, the block-boundary rules,
+the closure translator's templates, the constant folding of both static
+analyzers and the abstract interpreter's interval transfers (one per ALU
+operation) read the rows; none keeps a per-mnemonic table of its own.
 The one deliberate second copy is the interpreter
 (``RiscvCpu._execute``), the hand-written reference the differential
 suites compare the table against.
@@ -106,6 +107,7 @@ class Op:
     nbytes: int = 0  # memory access width
     signed: bool = False  # sign-extending load / signed compare
     relation: str = ""  # branch relation over (rs1, rs2): eq ne lt ge
+    alu: str = ""  # ALU operation, shared by a register row and its immediate form
 
     @cached_property
     def fold(self) -> Callable[..., int]:
@@ -198,38 +200,38 @@ OPS: Dict[str, Op] = {op.mnemonic: op for op in (
     _row("sb", "store", 0b000, nbytes=1),
     _row("sh", "store", 0b001, nbytes=2),
     _row("sw", "store", 0b010, nbytes=4),
-    _row("addi", "alu-imm", 0b000, expr="(a + b) & M"),
-    _row("slti", "alu-imm", 0b010, expr=_SLT),
-    _row("sltiu", "alu-imm", 0b011, expr=_SLTU),
-    _row("xori", "alu-imm", 0b100, expr="a ^ b"),
-    _row("ori", "alu-imm", 0b110, expr="a | b"),
-    _row("andi", "alu-imm", 0b111, expr="a & b"),
-    _row("slli", "shift-imm", 0b001, 0b0000000, "(a << b) & M"),
-    _row("srli", "shift-imm", 0b101, 0b0000000, "a >> b"),
-    _row("srai", "shift-imm", 0b101, 0b0100000, "(s(a) >> b) & M"),
-    _row("add", "alu-rr", 0b000, 0b0000000, "(a + b) & M"),
-    _row("sub", "alu-rr", 0b000, 0b0100000, "(a - b) & M"),
-    _row("sll", "alu-rr", 0b001, 0b0000000, "(a << (b & 31)) & M"),
-    _row("slt", "alu-rr", 0b010, 0b0000000, _SLT),
-    _row("sltu", "alu-rr", 0b011, 0b0000000, _SLTU),
-    _row("xor", "alu-rr", 0b100, 0b0000000, "a ^ b"),
-    _row("srl", "alu-rr", 0b101, 0b0000000, "a >> (b & 31)"),
-    _row("sra", "alu-rr", 0b101, 0b0100000, "(s(a) >> (b & 31)) & M"),
-    _row("or", "alu-rr", 0b110, 0b0000000, "a | b"),
-    _row("and", "alu-rr", 0b111, 0b0000000, "a & b"),
-    _row("mul", "alu-rr", 0b000, 0b0000001, "(a * b) & M", cost=CC_MUL),
-    _row("mulh", "alu-rr", 0b001, 0b0000001, "((s(a) * s(b)) >> 32) & M", cost=CC_MUL),
-    _row("mulhsu", "alu-rr", 0b010, 0b0000001, "((s(a) * b) >> 32) & M", cost=CC_MUL),
-    _row("mulhu", "alu-rr", 0b011, 0b0000001, "(a * b) >> 32", cost=CC_MUL),
+    _row("addi", "alu-imm", 0b000, expr="(a + b) & M", alu="add"),
+    _row("slti", "alu-imm", 0b010, expr=_SLT, alu="slt"),
+    _row("sltiu", "alu-imm", 0b011, expr=_SLTU, alu="sltu"),
+    _row("xori", "alu-imm", 0b100, expr="a ^ b", alu="xor"),
+    _row("ori", "alu-imm", 0b110, expr="a | b", alu="or"),
+    _row("andi", "alu-imm", 0b111, expr="a & b", alu="and"),
+    _row("slli", "shift-imm", 0b001, 0b0000000, "(a << b) & M", alu="sll"),
+    _row("srli", "shift-imm", 0b101, 0b0000000, "a >> b", alu="srl"),
+    _row("srai", "shift-imm", 0b101, 0b0100000, "(s(a) >> b) & M", alu="sra"),
+    _row("add", "alu-rr", 0b000, 0b0000000, "(a + b) & M", alu="add"),
+    _row("sub", "alu-rr", 0b000, 0b0100000, "(a - b) & M", alu="sub"),
+    _row("sll", "alu-rr", 0b001, 0b0000000, "(a << (b & 31)) & M", alu="sll"),
+    _row("slt", "alu-rr", 0b010, 0b0000000, _SLT, alu="slt"),
+    _row("sltu", "alu-rr", 0b011, 0b0000000, _SLTU, alu="sltu"),
+    _row("xor", "alu-rr", 0b100, 0b0000000, "a ^ b", alu="xor"),
+    _row("srl", "alu-rr", 0b101, 0b0000000, "a >> (b & 31)", alu="srl"),
+    _row("sra", "alu-rr", 0b101, 0b0100000, "(s(a) >> (b & 31)) & M", alu="sra"),
+    _row("or", "alu-rr", 0b110, 0b0000000, "a | b", alu="or"),
+    _row("and", "alu-rr", 0b111, 0b0000000, "a & b", alu="and"),
+    _row("mul", "alu-rr", 0b000, 0b0000001, "(a * b) & M", cost=CC_MUL, alu="mul"),
+    _row("mulh", "alu-rr", 0b001, 0b0000001, "((s(a) * s(b)) >> 32) & M", cost=CC_MUL, alu="mulh"),
+    _row("mulhsu", "alu-rr", 0b010, 0b0000001, "((s(a) * b) >> 32) & M", cost=CC_MUL, alu="mulhsu"),
+    _row("mulhu", "alu-rr", 0b011, 0b0000001, "(a * b) >> 32", cost=CC_MUL, alu="mulhu"),
     # truncating division on magnitudes; -2^31 / -1 wraps to -2^31 by the mask
     _row("div", "alu-rr", 0b100, 0b0000001,
          "M if b == 0 else (abs(s(a)) // abs(s(b)) * (-1 if (a ^ b) & SIGN else 1)) & M",
-         cost=CC_DIV),
-    _row("divu", "alu-rr", 0b101, 0b0000001, "M if b == 0 else a // b", cost=CC_DIV),
+         cost=CC_DIV, alu="div"),
+    _row("divu", "alu-rr", 0b101, 0b0000001, "M if b == 0 else a // b", cost=CC_DIV, alu="divu"),
     _row("rem", "alu-rr", 0b110, 0b0000001,
          "a if b == 0 else (abs(s(a)) % abs(s(b)) * (-1 if a & SIGN else 1)) & M",
-         cost=CC_DIV),
-    _row("remu", "alu-rr", 0b111, 0b0000001, "a if b == 0 else a % b", cost=CC_DIV),
+         cost=CC_DIV, alu="rem"),
+    _row("remu", "alu-rr", 0b111, 0b0000001, "a if b == 0 else a % b", cost=CC_DIV, alu="remu"),
     _row("fence", "system", expr="no-op (one in-order core)",
          opcode=OP_FENCE, terminal=False),
     _row("ecall", "system", 0b000, funct12=0x000, expr="run the host ecall handler, or halt"),
@@ -538,10 +540,14 @@ field is zero.  The expressions are the ones the translator compiles into
 its closures and the static analyzers fold constants with; the interpreter
 (`RiscvCpu._execute`) is written out separately as their reference.
 
+The ALU column names the operation a register row shares with its
+immediate form (`add` for both `add` and `addi`); the abstract interpreter
+keeps one interval transfer per operation.
+
 ## Instructions
 
-| Syntax | Kind | Format | opcode | funct3 | funct7/12 | Cost | Ends block | Meaning |
-| --- | --- | --- | --- | --- | --- | --- | --- | --- |
+| Syntax | Kind | Format | opcode | funct3 | funct7/12 | Cost | Ends block | ALU | Meaning |
+| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |
 {instructions}
 
 ## Operand ranges the assembler enforces
@@ -583,7 +589,7 @@ def isa_markdown() -> str:
         instructions.append(
             f"| `{op.syntax}` | {op.kind} | {op.fmt} | `{op.match & 0x7F:07b}` | {funct3} "
             f"| {high} | {_COST_NAMES[op.cost]} | {'yes' if op.terminal else ''} "
-            f"| `{meaning}` |"
+            f"| {op.alu} | `{meaning}` |"
         )
     ranges = [
         f"| {f'{what}-format immediate' if what.isupper() else f'`{what}`'} | {lo} | {hi} | {step} |"

@@ -46,12 +46,12 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core import funcsim
 from ..core.config import RosebudConfig
-from ..riscv.blocks import BRANCH_MNEMONICS
 from ..riscv.isa import (
     BRANCH_RELATIONS,
     NEGATED_RELATION,
     OPS,
     constant_result,
+    sign_extend,
     writes_csr,
     writes_rd,
 )
@@ -137,28 +137,25 @@ def _sym(base: str, lc: int, lo: int, hi: int, tag=None) -> AbsVal:
 
 
 # -- interval arithmetic ------------------------------------------------------
-
-
-def _add_imm(a: AbsVal, imm: int) -> AbsVal:
-    if imm == 0:
-        return a
-    lo, hi = a.lo + imm, a.hi + imm
-    if a.is_plain:
-        if 0 <= lo and hi <= U32:
-            return AbsVal("num", 0, lo, hi)
-        if hi < 0:
-            return AbsVal("num", 0, lo + _TWO32, hi + _TWO32)
-        if lo >= _TWO32:
-            return AbsVal("num", 0, lo - _TWO32, hi - _TWO32)
-        return TOP
-    return _sym(a.base, a.lc, lo, hi)
+#
+# One transfer per ALU operation, keyed by the instruction table's ``alu``
+# column and shared by the register row and its immediate form: the
+# immediate arrives as ``const(imm)``, so a rule that needs the signed
+# reading (pointer offsets, alignment masks, ``slt``) takes it from the
+# constant.
 
 
 def _add(a: AbsVal, b: AbsVal) -> AbsVal:
+    if b == ZERO:
+        return a  # `mv`: the value keeps its stream tag
     if b.base != "num":
         a, b = b, a
     if b.base != "num":
         return TOP  # pointer + pointer
+    if b.is_const and not a.is_plain:
+        # a symbolic offset moves by the constant's signed value
+        offset = sign_extend(b.lo, 32)
+        return _sym(a.base, a.lc, a.lo + offset, a.hi + offset)
     lc = a.lc + b.lc
     if lc > 1:
         return TOP
@@ -189,26 +186,113 @@ def _sub(a: AbsVal, b: AbsVal) -> AbsVal:
     return _sym(a.base, lc, lo, hi)
 
 
-def _and_imm(a: AbsVal, imm: int) -> AbsVal:
-    if imm >= 0:
+def _and(a: AbsVal, b: AbsVal) -> AbsVal:
+    if a.is_const and not b.is_const:
+        a, b = b, a
+    if not b.is_const:
+        return AbsVal("num", 0, 0, min(a.hi, b.hi)) if a.is_plain and b.is_plain else TOP
+    mask = sign_extend(b.lo, 32)
+    if mask >= 0:
         # masking drops the base: result is a small plain number
-        hi = min(a.hi, imm) if a.is_plain else imm
-        return AbsVal("num", 0, 0, hi)
-    # negative imm = alignment mask: x & imm == x - (x mod 2^k) for
-    # power-of-two alignments, and in general subtracts at most the
-    # cleared low bits — base and pkt_len term survive
-    cleared = (~imm) & U32
-    return (
-        AbsVal("num", 0, max(0, a.lo - cleared), a.hi)
-        if a.is_plain
-        else _sym(a.base, a.lc, a.lo - cleared, a.hi)
-    )
+        return AbsVal("num", 0, 0, min(a.hi, mask) if a.is_plain else mask)
+    # negative mask = alignment: x & mask == x - (x & ~mask), so it
+    # subtracts at most the cleared low bits — base and pkt_len term survive
+    cleared = ~mask & U32
+    if a.is_plain:
+        return AbsVal("num", 0, max(0, a.lo - cleared), a.hi)
+    return _sym(a.base, a.lc, a.lo - cleared, a.hi)
 
 
 def _bit_hi(a: AbsVal, b: AbsVal) -> int:
     """Upper bound for or/xor of two plain intervals."""
     bits = max(a.hi.bit_length(), b.hi.bit_length())
     return (1 << bits) - 1 if bits else 0
+
+
+# front door: `or`/`ori`, RV32 forms no bundled firmware executes
+def _or(a: AbsVal, b: AbsVal) -> AbsVal:
+    if a.is_plain and b.is_plain:
+        return AbsVal("num", 0, max(a.lo, b.lo), _bit_hi(a, b))
+    return TOP
+
+
+def _xor(a: AbsVal, b: AbsVal) -> AbsVal:
+    if a.is_plain and b.is_plain:
+        return AbsVal("num", 0, 0, _bit_hi(a, b))
+    return TOP
+
+
+def _sll(a: AbsVal, b: AbsVal) -> AbsVal:
+    if a.is_plain and b.is_const and a.hi << (b.lo & 0x1F) <= U32:
+        return AbsVal("num", 0, a.lo << (b.lo & 0x1F), a.hi << (b.lo & 0x1F))
+    return TOP
+
+
+def _srl(a: AbsVal, b: AbsVal) -> AbsVal:
+    if not a.is_plain:
+        return TOP
+    if b.is_const:
+        return AbsVal("num", 0, a.lo >> (b.lo & 0x1F), a.hi >> (b.lo & 0x1F))
+    return AbsVal("num", 0, 0, a.hi)  # a shift right never grows the value
+
+
+# front door: `sra`/`srai`, RV32 forms no bundled firmware executes
+def _sra(a: AbsVal, b: AbsVal) -> AbsVal:
+    return _srl(a, b) if a.is_plain and a.hi < 0x8000_0000 else TOP
+
+
+# front door: `sltu`/`sltiu`, RV32 forms no bundled firmware executes
+def _sltu(a: AbsVal, b: AbsVal) -> AbsVal:
+    if a.is_plain and b.is_plain:
+        if a.hi < b.lo:
+            return const(1)
+        if a.lo >= b.hi:
+            return const(0)
+    return interval(0, 1)
+
+
+# front door: `slt`/`slti`, RV32 forms no bundled firmware executes
+def _slt(a: AbsVal, b: AbsVal) -> AbsVal:
+    """``a ^ SIGN < b ^ SIGN`` unsigned, as the table writes it: the flip
+    keeps an interval whole unless it straddles the sign bit (then TOP)."""
+    flipped = []
+    for v in (a, b):
+        if v.is_plain and (v.hi < 0x8000_0000 or v.lo >= 0x8000_0000):
+            v = AbsVal("num", 0, v.lo ^ 0x8000_0000, v.hi ^ 0x8000_0000)
+        elif v.is_plain:
+            v = TOP
+        flipped.append(v)
+    return _sltu(*flipped)
+
+
+# front door: `mul`, an RV32 form no bundled firmware executes
+def _mul(a: AbsVal, b: AbsVal) -> AbsVal:
+    if a.is_plain and b.is_plain and a.hi * b.hi <= U32:
+        return AbsVal("num", 0, a.lo * b.lo, a.hi * b.hi)
+    return TOP
+
+
+# front door: `divu`, an RV32 form no bundled firmware executes
+def _divu(a: AbsVal, b: AbsVal) -> AbsVal:
+    if a.is_plain and b.is_plain and b.lo >= 1:
+        return AbsVal("num", 0, a.lo // b.hi, a.hi // b.lo)
+    return TOP
+
+
+# front door: `remu`, an RV32 form no bundled firmware executes
+def _remu(a: AbsVal, b: AbsVal) -> AbsVal:
+    if a.is_plain and b.is_plain and b.lo >= 1:
+        return AbsVal("num", 0, 0, min(a.hi, b.hi - 1))
+    return TOP
+
+
+#: ALU operation (the ``alu`` column of ``OPS``) -> interval transfer.
+#: The operations missing here (``mulh*``, ``div``, ``rem``) give TOP.
+_ALU = {
+    "add": _add, "sub": _sub, "and": _and, "or": _or, "xor": _xor,
+    "sll": _sll, "srl": _srl, "sra": _sra, "slt": _slt, "sltu": _sltu,
+    "mul": _mul, "divu": _divu, "remu": _remu,
+}
 
 
 def _join_val(a: AbsVal, b: AbsVal) -> AbsVal:
@@ -483,15 +567,15 @@ class _Transfer:
         self.env = env
 
     def step(self, inst, pc: int, state: AbsState) -> Optional[AbsAccess]:
-        m = inst.mnemonic
-        op = OPS[m]
+        op = OPS[inst.mnemonic]
         regs = state.regs
-        rd, imm = inst.rd, inst.imm
-        a, b = regs[inst.rs1], regs[inst.rs2]
+        rd = inst.rd
+        a = regs[inst.rs1]
+        b = regs[inst.rs2] if op.kind == "alu-rr" else const(inst.imm)
         access = None
 
         if op.kind in ("load", "store"):
-            addr = _add_imm(a, imm)
+            addr = _add(a, b)
             access = AbsAccess(pc, op.kind, op.nbytes, addr)
             if op.kind == "load" and rd:
                 regs[rd] = self.env.load_value(addr, op.signed, op.nbytes, pc)
@@ -500,151 +584,17 @@ class _Transfer:
                 state.mie = True
             if rd:
                 regs[rd] = TOP
-        elif writes_rd(m, rd):
+        elif writes_rd(op.mnemonic, rd):
             # known inputs fold through the table row's own expression
             # (tagged values keep their identity instead); the
-            # per-operator rules below only ever see intervals
+            # per-operation transfers only ever see intervals
             value = constant_result(inst, pc, _known(a), _known(b))
             if value is not None:
                 regs[rd] = const(value)
-            elif m == "addi":
-                regs[rd] = _add_imm(a, imm)
-            elif m == "andi":
-                regs[rd] = _and_imm(a, imm)
-            elif op.kind == "alu-rr":
-                regs[rd] = _RR_OPS[m](self, a, b) if m in _RR_OPS else TOP
             else:
-                regs[rd] = self._alu_imm(m, a, imm)
+                regs[rd] = _ALU[op.alu](a, b) if op.alu in _ALU else TOP
         regs[0] = ZERO
         return access
-
-    # immediate ALU forms beyond addi/andi -----------------------------------
-
-    def _alu_imm(self, m: str, a: AbsVal, imm: int) -> AbsVal:
-        if m == "ori":
-            if a.is_plain and imm >= 0:
-                return AbsVal("num", 0, max(a.lo, imm), _bit_hi(a, const(imm)))
-            return TOP
-        if m == "xori":
-            if a.is_plain and imm >= 0:
-                return AbsVal("num", 0, 0, _bit_hi(a, const(imm)))
-            return TOP
-        if m == "slli":
-            s = imm & 0x1F
-            if a.is_plain and (a.hi << s) <= U32:
-                return AbsVal("num", 0, a.lo << s, a.hi << s)
-            return TOP
-        if m == "srli":
-            s = imm & 0x1F
-            if a.is_plain:
-                return AbsVal("num", 0, a.lo >> s, a.hi >> s)
-            return TOP
-        if m == "srai":
-            s = imm & 0x1F
-            if a.is_plain and a.hi < 0x8000_0000:
-                return AbsVal("num", 0, a.lo >> s, a.hi >> s)
-            return TOP
-        if m == "slti":
-            if a.is_plain and a.hi < 0x8000_0000:
-                if a.hi < imm:
-                    return const(1)
-                if a.lo >= imm:
-                    return const(0)
-            return interval(0, 1)
-        if m == "sltiu":
-            u = imm & U32
-            if a.is_plain:
-                if a.hi < u:
-                    return const(1)
-                if a.lo >= u:
-                    return const(0)
-            return interval(0, 1)
-        return TOP
-
-    # register-register ALU forms --------------------------------------------
-
-    # front door: an RV32 form no bundled firmware executes
-    def _and_rr(self, a: AbsVal, b: AbsVal) -> AbsVal:
-        if b.is_const:
-            return _and_imm(a, b.lo - _TWO32 if b.lo & 0x8000_0000 else b.lo)
-        if a.is_const:
-            return _and_imm(b, a.lo - _TWO32 if a.lo & 0x8000_0000 else a.lo)
-        if a.is_plain and b.is_plain:
-            return AbsVal("num", 0, 0, min(a.hi, b.hi))
-        return TOP
-
-    # front door: an RV32 form no bundled firmware executes
-    def _or_rr(self, a: AbsVal, b: AbsVal) -> AbsVal:
-        if a.is_plain and b.is_plain:
-            return AbsVal("num", 0, max(a.lo, b.lo), _bit_hi(a, b))
-        return TOP
-
-    def _xor_rr(self, a: AbsVal, b: AbsVal) -> AbsVal:
-        if a.is_plain and b.is_plain:
-            return AbsVal("num", 0, 0, _bit_hi(a, b))
-        return TOP
-
-    # front door: an RV32 form no bundled firmware executes
-    def _shift_rr(self, m: str, a: AbsVal, b: AbsVal) -> AbsVal:
-        if b.is_const:
-            imm_map = {"sll": "slli", "srl": "srli", "sra": "srai"}
-            return self._alu_imm(imm_map[m], a, b.lo & 0x1F)
-        if m in ("srl", "sra") and a.is_plain and a.hi < 0x8000_0000:
-            return AbsVal("num", 0, 0, a.hi)
-        return TOP
-
-    # front door: an RV32 form no bundled firmware executes
-    def _mul_rr(self, a: AbsVal, b: AbsVal) -> AbsVal:
-        if a.is_plain and b.is_plain and a.hi * b.hi <= U32:
-            return AbsVal("num", 0, a.lo * b.lo, a.hi * b.hi)
-        return TOP
-
-    # front door: an RV32 form no bundled firmware executes
-    def _divu_rr(self, a: AbsVal, b: AbsVal) -> AbsVal:
-        if a.is_plain and b.is_plain and b.lo >= 1:
-            return AbsVal("num", 0, a.lo // b.hi, a.hi // b.lo)
-        return TOP
-
-    # front door: an RV32 form no bundled firmware executes
-    def _remu_rr(self, a: AbsVal, b: AbsVal) -> AbsVal:
-        if a.is_plain and b.is_plain and b.lo >= 1:
-            return AbsVal("num", 0, 0, min(a.hi, b.hi - 1))
-        return TOP
-
-    # front door: an RV32 form no bundled firmware executes
-    def _slt_rr(self, a: AbsVal, b: AbsVal) -> AbsVal:
-        if a.is_plain and b.is_plain and a.hi < 0x8000_0000 and b.hi < 0x8000_0000:
-            if a.hi < b.lo:
-                return const(1)
-            if a.lo >= b.hi:
-                return const(0)
-        return interval(0, 1)
-
-    # front door: an RV32 form no bundled firmware executes
-    def _sltu_rr(self, a: AbsVal, b: AbsVal) -> AbsVal:
-        if a.is_plain and b.is_plain:
-            if a.hi < b.lo:
-                return const(1)
-            if a.lo >= b.hi:
-                return const(0)
-        return interval(0, 1)
-
-
-_RR_OPS = {
-    "add": lambda t, a, b: _add(a, b),
-    "sub": lambda t, a, b: _sub(a, b),
-    "and": _Transfer._and_rr,
-    "or": _Transfer._or_rr,
-    "xor": _Transfer._xor_rr,
-    "sll": lambda t, a, b: t._shift_rr("sll", a, b),
-    "srl": lambda t, a, b: t._shift_rr("srl", a, b),
-    "sra": lambda t, a, b: t._shift_rr("sra", a, b),
-    "slt": _Transfer._slt_rr,
-    "sltu": _Transfer._sltu_rr,
-    "mul": _Transfer._mul_rr,
-    "divu": _Transfer._divu_rr,
-    "remu": _Transfer._remu_rr,
-}
 
 
 # -- branch refinement --------------------------------------------------------
@@ -734,9 +684,7 @@ class AbsintResult:
         for block in self.cfg.blocks.values():
             for pc in block.pcs:
                 self._pc_block[pc] = block.start
-        self._clobber_union: Set[int] = set()
-        for regs in self.handler_clobbers.values():
-            self._clobber_union |= regs
+        self._clobber_union: Set[int] = set().union(*self.handler_clobbers.values())
 
     def state_before(self, pc: int) -> Optional[AbsState]:
         """Abstract state just before the instruction at ``pc`` executes
@@ -787,20 +735,11 @@ def _replay(
 
 def _out_edges(block, state: AbsState) -> Iterator[Tuple[int, Optional[AbsState]]]:
     """``(successor, state on that edge)`` out of ``block``; the state is
-    ``None`` when a conditional branch proves the edge infeasible."""
-    last = block.last
-    if (
-        block.end_reason == "terminal"
-        and last is not None
-        and last.mnemonic in BRANCH_MNEMONICS
-    ):
-        target = (block.pcs[-1] + last.imm) & U32
-        if target != (block.pcs[-1] + 4) & U32:
-            for succ in block.successors:
-                yield succ, _refine_edge(state, last, taken=(succ == target))
-            return
+    ``None`` when a conditional branch proves the edge infeasible (a
+    branch to its own fall-through decides nothing)."""
+    decides = block.taken is not None and block.taken != (block.pcs[-1] + 4) & U32
     for succ in block.successors:
-        yield succ, state
+        yield succ, _refine_edge(state, block.last, succ == block.taken) if decides else state
 
 
 # -- the fixpoint engine ------------------------------------------------------
@@ -841,9 +780,7 @@ class _Engine:
                     if writes_rd(inst.mnemonic, inst.rd):
                         regs.add(inst.rd)
             self.handler_clobbers[root] = regs
-        self.clobber_union: Set[int] = set()
-        for regs in self.handler_clobbers.values():
-            self.clobber_union |= regs
+        self.clobber_union: Set[int] = set().union(*self.handler_clobbers.values())
 
     # -- state propagation ---------------------------------------------------
 

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..riscv.assembler import Program, assemble
 from ..riscv.blocks import (
+    BRANCH_MNEMONICS,
     MAX_BLOCK,
     image_decoder,
     is_block_terminal,
@@ -69,6 +70,9 @@ class BasicBlock:
     #: "join" (next pc is another block's entry), "fault" (undecodable
     #: word), or "cap" (MAX_BLOCK limit).
     end_reason: str = "terminal"
+    #: taken target of the conditional branch that ends the block (the
+    #: other edge is the fall-through); ``None`` for any other ending
+    taken: Optional[int] = None
 
     @property
     def last(self) -> Optional[Instruction]:
@@ -123,13 +127,6 @@ class FirmwareCfg:
             seen.add(node)
             work.extend(self.blocks[node].successors)
         return seen
-
-
-# -- successor rules ----------------------------------------------------------
-
-# Edge rules live in repro.riscv.blocks next to the block-boundary
-# rules; this alias keeps the historical local name for in-module use.
-_successor_pcs = static_successors
 
 
 # -- builder ------------------------------------------------------------------
@@ -187,7 +184,7 @@ def build_cfg(
             continue
         insts[pc] = inst
         if is_block_terminal(inst.mnemonic):
-            succs = _successor_pcs(inst, pc)
+            succs = static_successors(inst, pc)
             leaders.update(succs)
             worklist.extend(succs)
             if inst.mnemonic == "jalr":
@@ -235,8 +232,10 @@ def build_cfg(
         block = BasicBlock(leader, pcs, block_insts, end_reason=end_reason)
         if end_reason == "terminal":
             block.successors = tuple(
-                s for s in _successor_pcs(block.last, block.pcs[-1]) if s in insts
+                s for s in static_successors(block.last, block.pcs[-1]) if s in insts
             )
+            if block.last.mnemonic in BRANCH_MNEMONICS:
+                block.taken = (block.pcs[-1] + block.last.imm) & _MASK32
         elif end_reason == "join":
             block.successors = (pc,)
         elif end_reason == "cap":

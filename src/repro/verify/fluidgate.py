@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .preflight import FIRMWARE_ASM_TWINS, _twin_wcet
-from .replaylint import CLASS_REPLAY_SAFE, lint_firmware_class
+from ..analysis.throughput import rpu_cycle_budget_pps
+from .preflight import preflight_spec
+from .replaylint import CLASS_REPLAY_SAFE
 
 
 @dataclass
@@ -44,20 +45,12 @@ def fluid_gate(spec) -> FluidGate:
     """Decide statically whether ``spec`` may use the fluid tier.
 
     Never raises: an ineligible spec simply runs pure event simulation,
-    with the reasons recorded in the result's ``fluid`` block.
+    with the reasons recorded in the result's ``fluid`` block.  The
+    firmware class, its assembly twin, WCET and replay lint are the
+    pre-flight's (:func:`~repro.verify.preflight.preflight_spec`).
     """
-    firmware = spec.firmware
-    if isinstance(firmware, type):
-        cls = firmware
-    else:
-        # factory callables (lambdas, partials) hide the class; build one
-        # instance to see what actually runs — specs do the same thing at
-        # system construction, so this is cheap and side-effect free
-        try:
-            cls = type(spec.build_firmware())
-        except Exception:
-            cls = type(firmware)
-    cls_name = getattr(cls, "__name__", str(cls))
+    pre = preflight_spec(spec)
+    cls_name = pre.firmware_cls
     gate = FluidGate(firmware_cls=cls_name)
 
     if spec.faults:
@@ -70,37 +63,29 @@ def fluid_gate(spec) -> FluidGate:
             f"traffic source {spec.traffic.source!r} is not provably periodic"
         )
 
-    try:
-        lint = lint_firmware_class(cls)
-        gate.lint_classification = lint.classification
-        if lint.classification != CLASS_REPLAY_SAFE:
+    if pre.lint is None:
+        gate.block(f"replay lint could not analyze {cls_name}")
+    else:
+        gate.lint_classification = pre.lint.classification
+        if pre.lint.classification != CLASS_REPLAY_SAFE:
             gate.block(
-                f"replay lint classifies {cls_name} as {lint.classification}; "
+                f"replay lint classifies {cls_name} as {pre.lint.classification}; "
                 "only replay-safe firmware has a provably periodic effect"
             )
-    except Exception:
-        gate.block(f"replay lint could not analyze {cls_name}")
 
-    twin = FIRMWARE_ASM_TWINS.get(cls_name)
-    if twin is None:
+    verdict = pre.verdict
+    if verdict is None:
         gate.block(f"{cls_name} has no assembly twin, so no static WCET bound")
     else:
-        gate.asm_twin = twin
-        wcet, accel, safety = _twin_wcet(twin)
-        gate.wcet_cycles = wcet.wcet_cycles
-        if not safety.passed:
+        gate.asm_twin = pre.asm_twin
+        gate.wcet_cycles = verdict.wcet_cycles
+        if not pre.safety.passed:
             gate.block(
-                f"{twin} fails memory-safety verification; a firmware "
+                f"{pre.asm_twin} fails memory-safety verification; a firmware "
                 "with unsound accesses has no trustworthy steady state"
             )
-        from ..analysis.throughput import fluid_reference_pps
-        from .registry import _accel_worst_cycles
-
-        gate.analytic_pps = fluid_reference_pps(
-            clock_hz=spec.config.clock.freq_hz,
-            n_rpus=spec.config.n_rpus,
-            wcet_cycles=wcet.wcet_cycles,
-            accel_cycles=_accel_worst_cycles(accel, spec.traffic.packet_size),
+        gate.analytic_pps = rpu_cycle_budget_pps(
+            verdict.clock_hz, verdict.n_rpus, verdict.wcet_cycles, verdict.accel_cycles
         )
     # contended classification: offered load above the WCET-derived
     # service capacity means backlogged queues and drops are *expected*,

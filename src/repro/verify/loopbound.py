@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..riscv.isa import BRANCH_RELATIONS, NEGATED_RELATION, writes_rd
+from ..riscv.isa import BRANCH_RELATIONS, NEGATED_RELATION, OPS, writes_rd
 from .absint import U32, AbsintResult, AbsVal, MachineEnv, _sym
 from .cfg import Diagnostic, FirmwareCfg, Loop
 
@@ -69,7 +69,6 @@ class LoopBoundReport:
 
     bounds: Dict[int, LoopBound] = field(default_factory=dict)
     diagnostics: List[Diagnostic] = field(default_factory=list)
-
 
 
 # -- loop-local dominators ----------------------------------------------------
@@ -144,7 +143,8 @@ def _stepped_registers(cfg: FirmwareCfg, loop: Loop) -> Dict[int, Tuple[int, int
         if len(defs) != 1:
             continue
         start, _, inst = defs[0]
-        if inst.mnemonic != "addi" or inst.rs1 != reg or inst.imm == 0:
+        op = OPS[inst.mnemonic]
+        if op.kind != "alu-imm" or op.alu != "add" or inst.rs1 != reg or inst.imm == 0:
             continue
         if any(start in body for body in deeper):
             continue
@@ -162,10 +162,7 @@ def _guard_blocks(cfg: FirmwareCfg, loop: Loop, doms: Dict[int, Set[int]]) -> Li
     out = []
     for start in sorted(loop.body):
         block = cfg.blocks.get(start)
-        if block is None or block.end_reason != "terminal":
-            continue
-        last = block.last
-        if last is None or last.mnemonic not in BRANCH_RELATIONS:
+        if block is None or block.taken is None:
             continue
         if not _dominates_all_tails(doms, loop, start):
             continue
@@ -180,11 +177,9 @@ def _continue_relation(cfg: FirmwareCfg, loop: Loop, guard: int) -> Tuple[str, b
     """``(relation, signed, continue successor)`` on the stay-in-loop
     edge of the guard branch."""
     block = cfg.blocks[guard]
-    last = block.last
-    relation, signed = BRANCH_RELATIONS[last.mnemonic]
-    target = (block.pcs[-1] + last.imm) & U32
+    relation, signed = BRANCH_RELATIONS[block.last.mnemonic]
     stay = next(s for s in block.successors if s in loop.body)
-    if stay != target:
+    if stay != block.taken:
         relation = NEGATED_RELATION[relation]
     return relation, signed, stay
 
@@ -315,7 +310,7 @@ def _infer_stream(
     for guard in _guard_blocks(cfg, loop, doms):
         block = cfg.blocks[guard]
         last = block.last
-        if last.mnemonic not in ("beq", "bne"):
+        if BRANCH_RELATIONS[last.mnemonic][0] not in ("eq", "ne"):
             continue
         if last.rs2 == 0 and last.rs1 != 0:
             tested = last.rs1

@@ -108,8 +108,14 @@ def preflight_spec(spec) -> PreflightReport:
     what a failure means (warn vs :class:`VerificationError`)."""
     from .registry import _accel_worst_cycles
 
-    firmware = spec.firmware
-    cls = firmware if isinstance(firmware, type) else type(firmware)
+    cls = spec.firmware
+    if not isinstance(cls, type):
+        # a factory (lambda, partial) hides the class: build one instance,
+        # as the system build will, to see what actually runs
+        try:
+            cls = type(spec.build_firmware())
+        except Exception:
+            cls = type(spec.firmware)
     cls_name = getattr(cls, "__name__", str(cls))
     report = PreflightReport(spec_name=spec.describe(), firmware_cls=cls_name)
 

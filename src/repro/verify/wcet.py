@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..riscv.blocks import BRANCH_MNEMONICS
 from ..riscv.cpu import CycleModel
 from .absint import AbsintResult
 from .cfg import BasicBlock, Diagnostic, FirmwareCfg, Loop
@@ -48,8 +47,6 @@ __all__ = [
     "IrreducibleCfgError",
     "analyze_wcet",
 ]
-
-_MASK32 = 0xFFFFFFFF
 
 #: Iteration cap assumed for inner loops without a ``# loop-bound N``
 #: annotation.  Deliberately conservative: an unannotated drain loop is
@@ -152,16 +149,8 @@ class _Wcet:
         last = block.last
         if last is None:
             return 0
-        if last.mnemonic in BRANCH_MNEMONICS and block.end_reason == "terminal":
-            target = (block.pcs[-1] + last.imm) & _MASK32
-            fall = (block.pcs[-1] + 4) & _MASK32
-            if target == fall:
-                return self.taken  # degenerate: both edges identical
-            if succ == target:
-                return self.taken
-            if succ == fall:
-                return self.costs[last.cost_class]
-        return self.costs[last.cost_class]
+        # a branch to its own fall-through has only the taken edge to pay
+        return self.taken if succ == block.taken else self.costs[last.cost_class]
 
     def bound_for(self, header: int) -> int:
         label = self.cfg.label_at(header) or f"0x{header:x}"

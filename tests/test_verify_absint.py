@@ -8,6 +8,11 @@ assert the concrete register file and every concrete memory address
 lie within the intervals the fixpoint computed.  A single containment
 failure is an unsoundness bug in the analyzer, not test flakiness.
 
+A second property runs one instruction at a time: for every pure row
+of the instruction table, a concrete ``a``/``b`` drawn inside plain
+intervals (or the row's immediate) folds, through the row's own
+expression, to a value inside what the row's interval transfer gives.
+
 Regression tests pin the mechanisms individually: widening on a
 long-trip-count loop, induction clamping recovering the counter bound,
 infeasible-edge pruning tightening the WCET, and an intentional
@@ -17,10 +22,13 @@ out-of-range store producing a memory-safety violation.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.funcsim import DMEM_BASE
-from repro.riscv import MemoryBus, RiscvCpu, assemble
+from repro.riscv import CycleModel, MemoryBus, RiscvCpu, assemble, sign_extend
+from repro.riscv.isa import IMM_RANGES, OPS, PURE_KINDS, Instruction
 from repro.verify import analyze_firmware, analyze_wcet
+from repro.verify.absint import AbsState, MachineEnv, _Transfer, interval
 
 U32 = 0xFFFFFFFF
 
@@ -50,13 +58,14 @@ def _random_program(rng: random.Random) -> str:
         rb = rng.choice(_OP_REGS)[0]
         if kind < 4:
             op = rng.choice(["add", "sub", "and", "or", "xor", "sltu",
-                             "slt", "mul"])
+                             "slt", "mul", "divu", "remu", "sll", "srl", "sra"])
             lines.append(f"{op} {rd}, {ra}, {rb}")
         elif kind < 7:
-            op = rng.choice(["addi", "andi", "ori", "xori", "slli", "srli"])
-            if op in ("slli", "srli"):
+            op = rng.choice(["addi", "andi", "ori", "xori", "slli", "srli",
+                             "srai", "slti", "sltiu"])
+            if op in ("slli", "srli", "srai"):
                 imm = rng.randrange(32)
-            elif op == "addi":
+            elif op in ("addi", "slti", "sltiu"):
                 imm = rng.randrange(-2048, 2048)
             else:
                 imm = rng.randrange(2048)
@@ -165,6 +174,50 @@ class TestRandomProgramContainment:
         assert total > 0
 
 
+@st.composite
+def _operand(draw):
+    """A plain interval and a concrete value inside it."""
+    lo, hi = sorted((draw(st.integers(0, U32)), draw(st.integers(0, U32))))
+    return interval(lo, hi), draw(st.integers(lo, hi))
+
+
+@st.composite
+def _immediate(draw, op):
+    """An immediate in the row's encodable range, as ``Instruction.imm``."""
+    if op.fmt == "U":  # the 20-bit operand; imm is the value it loads
+        lo, hi, _ = IMM_RANGES["U"]
+        return sign_extend((draw(st.integers(lo, hi)) << 12) & U32, 32)
+    lo, hi, _ = IMM_RANGES["shamt" if op.fmt == "SH" else op.fmt]
+    return draw(st.integers(lo, hi))
+
+
+class TestTransferContainsFold:
+    """Each pure row's interval transfer over-approximates its ``expr``."""
+
+    @pytest.mark.parametrize(
+        "mnemonic", sorted(m for m, op in OPS.items() if op.kind in PURE_KINDS)
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_fold_lies_inside_the_transfer(self, mnemonic, data):
+        op = OPS[mnemonic]
+        state = AbsState.reset()
+        state.regs[5], a = data.draw(_operand())
+        if op.kind == "alu-rr":
+            state.regs[6], b = data.draw(_operand())
+            imm = 0
+        else:
+            imm = data.draw(_immediate(op))
+            b = imm & U32
+        pc = 0x100
+        _Transfer(MachineEnv()).step(Instruction(mnemonic, rd=7, rs1=5, rs2=6, imm=imm), pc, state)
+        result = state.regs[7]
+        value = op.fold(0 if op.kind == "upper" else a, b, pc)
+        assert result.is_plain and result.lo <= value <= result.hi, (
+            f"{mnemonic}: a={a:#x} b={b:#x} gives {value:#x}, outside {result.describe()}"
+        )
+
+
 class TestWidening:
     def test_long_loop_widens_then_clamps(self):
         asm = """
@@ -235,6 +288,16 @@ class TestInfeasibleEdges:
         # the pruned mul chain
         assert pruned.loop_bounds == {"loopz": 4}
         assert pruned.bound_provenance == {"loopz": "inferred"}
+
+    def test_branch_to_its_own_fall_through_decides_nothing(self):
+        # both outcomes land on `next`: the one edge is never pruned (3 != 10
+        # would refute the taken case) and always pays the taken cost
+        asm = "li t0, 3\nli t1, 10\nbeq t0, t1, next\nnext:\nebreak\n"
+        _, absres, branchy, _ = analyze_firmware(asm, name="degenerate")
+        assert not absres.infeasible_edges
+        plain = analyze_firmware(asm.replace("beq t0, t1, next", ""), name="plain").wcet
+        taken = CycleModel.vexriscv_full().branch_taken_cost
+        assert branchy.wcet_cycles - plain.wcet_cycles == taken
 
 
 class TestIntentionalViolation:

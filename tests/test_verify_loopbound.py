@@ -98,6 +98,14 @@ class TestStreamRule:
         assert lb.source == "stream"
         assert "depth 8" in lb.detail
 
+    def test_a_moved_stream_word_keeps_its_bound(self):
+        # `mv` (addi rd, rs, 0) passes the loaded word on unchanged, stream
+        # tag included, so a guard on the copy still drains the FIFO
+        asm = PIGASUS_ASM.replace("beqz t5, done", "mv   s4, t5\n    beqz s4, done")
+        cfg, report = _bounds(asm, name="pigasus_mv", accel=PigasusStringMatcher())
+        lb = report.bounds[cfg.program.symbols["drain"]]
+        assert (lb.bound, lb.source) == (8, "stream")
+
     def test_without_accel_the_drain_is_unbounded(self):
         cfg, report = _bounds(PIGASUS_ASM, name="pigasus_noaccel")
         drain = cfg.program.symbols["drain"]

@@ -7,8 +7,10 @@ and the pre-flight on an :class:`ExperimentSpec` must agree with
 formula in ``repro.analysis.throughput``.
 """
 
+import functools
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -33,9 +35,11 @@ from repro.verify import (
     budget_verdict,
     parse_loop_bounds,
     preflight_spec,
+    reports_to_json,
     verify_all,
     verify_firmware,
 )
+from repro.verify.fluidgate import fluid_gate
 
 
 def _measured_cycles(asm, packets, **kwargs):
@@ -259,6 +263,16 @@ class TestVerifyFirmware:
         assert any(d.code == "floorplan" for d in r.diagnostics)
         assert not r.passed
 
+    def test_json_matches_the_golden_file(self):
+        # the safety details print every proven abstract address, so a
+        # bit of analyzer precision lost (or gained) changes this output
+        golden = Path(__file__).resolve().parents[1] / "benchmarks/results/verify_all.json"
+        assert reports_to_json(verify_all()) + "\n" == golden.read_text(), (
+            "repro verify output changed; if that is intended, regenerate with "
+            "`PYTHONPATH=src python -m repro.cli verify --all --deep --json "
+            "benchmarks/results/verify_all.json`"
+        )
+
 
 class TestSpecVerifyField:
     def test_default_off(self):
@@ -279,9 +293,9 @@ class TestSpecVerifyField:
 
 
 class TestPreflight:
-    def _bad_spec(self, verify="fail"):
+    def _bad_spec(self, verify="fail", firmware=ForwarderFirmware):
         return ExperimentSpec(
-            firmware=ForwarderFirmware,
+            firmware=firmware,
             traffic=TrafficProfile(packet_size=64, offered_gbps=400.0),
             window=MeasurementWindow(warmup_packets=10, measure_packets=20),
             verify=verify,
@@ -343,6 +357,30 @@ class TestPreflight:
         with pytest.raises(VerificationError) as excinfo:
             SimSession(spec)
         assert excinfo.value.report.safety.violations == 1
+
+    @pytest.mark.parametrize(
+        "firmware",
+        [ForwarderFirmware, functools.partial(ForwarderFirmware), lambda: ForwarderFirmware()],
+        ids=["class", "partial", "lambda"],
+    )
+    def test_factory_firmware_is_checked_like_its_class(self, firmware):
+        # a factory hides the class: the pre-flight builds one instance to
+        # find the twin, so an infeasible point fails whichever form it has
+        spec = self._bad_spec(firmware=firmware)
+        pre = preflight_spec(spec)
+        assert (pre.firmware_cls, pre.asm_twin) == ("ForwarderFirmware", "forwarder")
+        assert pre.failed
+        with pytest.raises(VerificationError):
+            run_experiment(spec)
+        # the fluid gate reads the same resolution
+        gate = fluid_gate(spec)
+        assert (gate.asm_twin, gate.wcet_cycles) == ("forwarder", pre.verdict.wcet_cycles)
+        assert gate.analytic_pps == rpu_cycle_budget_pps(
+            spec.config.clock.freq_hz,
+            spec.config.n_rpus,
+            pre.verdict.wcet_cycles,
+            pre.verdict.accel_cycles,
+        )
 
     def test_unknown_firmware_is_nonfailing_note(self):
         spec = ExperimentSpec(firmware=NatFirmware, verify="fail")
