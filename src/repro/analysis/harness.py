@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, List
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..sim.clock import Clock, max_effective_gbps
 from ..sim.stats import Histogram
@@ -70,22 +70,26 @@ class ThroughputResult:
 # -- readings ----------------------------------------------------------------
 
 
-def completions(system, include_host: bool = True) -> int:
-    """Packets that left the board: MAC TX, plus the host link and
-    firmware drops when ``include_host`` (so drop/punt middleboxes
-    measure their full served rate)."""
-    counters = system.counters
-    done = counters["delivered"].value
-    if include_host:
-        done += counters["to_host"].value + counters["dropped_by_firmware"].value
-    return done
+def completion_cells(system, include_host: bool = True) -> tuple:
+    """The counter cells whose sum counts packets that left the board:
+    MAC TX, plus the host link and firmware drops when ``include_host``
+    (so drop/punt middleboxes measure their full served rate)."""
+    names = ("delivered", "to_host", "dropped_by_firmware") if include_host else ("delivered",)
+    return tuple(system.counters[name] for name in names)
+
+
+def cells_total(cells) -> int:
+    total = 0  # a loop, not sum(): no generator frame per call
+    for cell in cells:
+        total += cell.value
+    return total
 
 
 def progress_reading(system, include_host: bool = True) -> Reading:
     """The board's cumulative progress counters.  Plain ints (and an
     int tuple), so a reading crosses a shard pipe exactly."""
     return {
-        "completions": completions(system, include_host),
+        "completions": cells_total(completion_cells(system, include_host)),
         "tx_bytes": sum(m.bytes_total for m in system.tx_meters),
         "tx_packets": sum(m.packets_total for m in system.tx_meters),
         "host_bytes": system.host_meter.bytes_total,
@@ -186,17 +190,21 @@ def throughput_result(
 class MeasurementPhases:
     """``warmup`` -> ``measure`` -> ``done``, driven by a completions count.
 
-    Model state only changes inside events (and fluid warps), so a
-    caller that calls :meth:`pump` after each one sees every transition
-    on the event that caused it, however it chunks its stepping.
+    ``cells`` are the counter cells summed by :meth:`completions` (None
+    for a rack).  A session arms their ``watch`` to stop its run on the
+    event that reaches :meth:`target` and pumps between runs, so every
+    transition lands on the event that caused it, however it chunks its
+    stepping.
     """
 
     mode = ""
 
-    def __init__(self, window, now: Callable[[], float], completions: Callable[[], int]) -> None:
+    def __init__(self, window, now: Callable[[], float], completions: Callable[[], int],
+                 cells: Optional[tuple] = None) -> None:
         self.window = window
         self.now = now
         self.completions = completions
+        self.cells = cells
         #: a run still short of its target past this time has stalled
         self.deadline = now() + window.max_cycles
         self.phase = "warmup"
@@ -243,8 +251,9 @@ class ThroughputMeasurement(MeasurementPhases):
 
     mode = "throughput"
 
-    def __init__(self, window, now, read: Callable[[], Reading], completions, **rates) -> None:
-        super().__init__(window, now, completions)
+    def __init__(self, window, now, read: Callable[[], Reading], completions, cells=None,
+                 **rates) -> None:
+        super().__init__(window, now, completions, cells)
         self.read = read
         self.rates = rates
         self.t0 = 0.0
@@ -261,11 +270,13 @@ class ThroughputMeasurement(MeasurementPhases):
         include_absorbed: bool = False,
     ) -> "ThroughputMeasurement":
         """Measure one board from its own counters and clock."""
+        cells = completion_cells(system, include_host)
         return cls(
             window,
             lambda: system.sim.now,
             partial(progress_reading, system, include_host),
-            partial(completions, system, include_host),
+            partial(cells_total, cells),
+            cells,
             clock=system.config.clock,
             packet_size=packet_size,
             offered_gbps=offered_gbps,
@@ -295,9 +306,8 @@ class LatencyMeasurement(MeasurementPhases):
     mode = "latency"
 
     def __init__(self, system, window) -> None:
-        super().__init__(
-            window, lambda: system.sim.now, lambda: system.counters.value("delivered")
-        )
+        cells = completion_cells(system, include_host=False)
+        super().__init__(window, lambda: system.sim.now, partial(cells_total, cells), cells)
         self.system = system
 
     def _begin_measure(self) -> None:

@@ -54,6 +54,10 @@ class MacPort:
             ["rx_frames", "rx_bytes", "rx_drops", "rx_runts", "rx_giants",
              "rx_csum_drops", "rx_link_drops", "tx_frames", "tx_bytes"]
         )
+        self._rx_frames = self.counters["rx_frames"]
+        self._rx_bytes = self.counters["rx_bytes"]
+        tx_frames = self.counters["tx_frames"]
+        tx_bytes = self.counters["tx_bytes"]
         self._on_rx = on_rx
         #: fault-injection hook applied to every frame on the wire
         #: before policing: return a (possibly mutated) packet, or None
@@ -84,8 +88,8 @@ class MacPort:
             return wire_bytes(packet.size) * 8 / gbps / period
 
         def tx_done(packet: Packet) -> None:
-            self.counters.add("tx_frames")
-            self.counters.add("tx_bytes", packet.size)
+            tx_frames.add()
+            tx_bytes.add(packet.size)
             on_tx_done(packet)
 
         self._tx_link = SerialLink(sim, f"mac{index}.tx", tx_service, tx_done)
@@ -136,8 +140,8 @@ class MacPort:
             self.counters.add("rx_drops")
             packet.drop("mac rx fifo full")
             return
-        self.counters.add("rx_frames")
-        self.counters.add("rx_bytes", packet.size)
+        self._rx_frames.add()
+        self._rx_bytes.add(packet.size)
         packet.stamp("mac_rx_done", self.sim.now)
         self._on_rx()
 

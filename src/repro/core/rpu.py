@@ -42,6 +42,8 @@ class RpuModel:
         self.firmware = firmware
         self.on_action = on_action
         self.counters = CounterSet(["packets", "sw_cycles", "accel_cycles"])
+        self._packets = self.counters["packets"]
+        self._sw_cycles = self.counters["sw_cycles"]
         self.paused = False
 
         self._in_queue: Deque[Packet] = deque()
@@ -101,8 +103,8 @@ class RpuModel:
         result = self.firmware.process(packet, self.index)
         self._results[packet.packet_id] = result
         self._sw_busy = True
-        self.counters.add("packets")
-        self.counters.add("sw_cycles", int(result.sw_cycles))
+        self._packets.add()
+        self._sw_cycles.add(int(result.sw_cycles))
         generation = self._generation
         self.sim.schedule(
             result.sw_cycles,

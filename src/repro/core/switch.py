@@ -15,8 +15,9 @@ which is what fills the MAC FIFO under overload.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from ..packet.packet import Packet
 from ..sim.kernel import Simulator
@@ -125,7 +126,9 @@ class ClusterSwitch:
         self.config = config
         self.name = name
         self._on_done = on_done
-        self._queues = {cls: [] for cls in self.INPUT_CLASSES}
+        self._queues = {cls: deque() for cls in self.INPUT_CLASSES}
+        self._queue_list = [self._queues[cls] for cls in self.INPUT_CLASSES]
+        self._timing: Dict[int, Tuple[float, float]] = {}  # size -> (service, cut-through)
         self._busy = False
         if config.cluster_arbitration == "rr":
             self._arbiter = RoundRobinArbiter(len(self.INPUT_CLASSES))
@@ -144,15 +147,18 @@ class ClusterSwitch:
             self._grant()
 
     def _grant(self) -> None:
-        ready = [bool(self._queues[cls]) for cls in self.INPUT_CLASSES]
-        winner = self._arbiter.select(ready)
+        winner = self._arbiter.select(list(map(bool, self._queue_list)))
         if winner is None:
             self._busy = False
             return
-        packet = self._queues[self.INPUT_CLASSES[winner]].pop(0)
+        packet = self._queue_list[winner].popleft()
         self._busy = True
-        service = float(self.config.cluster_service_cycles(packet.size))
-        cut_through = min(service, float(self.config.cluster_cut_through_cycles))
+        size = packet.size
+        if size not in self._timing:
+            service = float(self.config.cluster_service_cycles(size))
+            cut = min(service, float(self.config.cluster_cut_through_cycles))
+            self._timing[size] = (service, cut)
+        service, cut_through = self._timing[size]
         self.sim.schedule(
             cut_through, lambda: self._on_done(packet), name=self.name
         )

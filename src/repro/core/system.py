@@ -113,6 +113,9 @@ class RosebudSystem:
         self.counters = CounterSet(
             ["delivered", "dropped_by_firmware", "to_host", "loopbacked"]
         )
+        self._delivered = self.counters["delivered"]
+        self._to_host = self.counters["to_host"]
+        self._dropped_by_firmware = self.counters["dropped_by_firmware"]
         self.tx_meters: List[RateMeter] = [RateMeter() for _ in range(config.n_ports)]
         self.host_meter = RateMeter()
         self.latency_us = Histogram("forwarding_latency_us")
@@ -148,7 +151,7 @@ class RosebudSystem:
         def tx_done(packet: Packet) -> None:
             if self.track_live_packets:
                 self._live_packets.pop(packet.packet_id, None)
-            self.counters.add("delivered")
+            self._delivered.add()
             self.tx_meters[port].record_packet(packet.size)
             latency_cycles = self.sim.now - packet.born_at
             self.latency_us.record(self.config.clock.cycles_to_us(latency_cycles))
@@ -181,7 +184,7 @@ class RosebudSystem:
         if result.action == ACTION_DROP:
             if self.track_live_packets:
                 self._live_packets.pop(packet.packet_id, None)
-            self.counters.add("dropped_by_firmware")
+            self._dropped_by_firmware.add()
             self._free_slot(rpu_index, packet.slot)
             return
         packet.src_slot = (rpu_index, packet.slot)
@@ -244,7 +247,7 @@ class RosebudSystem:
     def _host_received(self, packet: Packet) -> None:
         if self.track_live_packets:
             self._live_packets.pop(packet.packet_id, None)
-        self.counters.add("to_host")
+        self._to_host.add()
         self.host_meter.record_packet(packet.size)
         self._record_host(packet)
 

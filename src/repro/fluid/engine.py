@@ -507,8 +507,8 @@ class FluidEngine:
 
     def pre_step(self, until_ts: Optional[float] = None) -> None:
         """If armed at a confirmed boundary, warp as many whole periods as
-        the caps allow.  Called by the session between events, after the
-        measurement pump."""
+        the caps allow.  Called by the session between events (after the
+        measurement pump when an event reached a phase target)."""
         if not (self.enabled and self._armed and self._steady is not None):
             return
         st = self._steady

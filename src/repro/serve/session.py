@@ -8,8 +8,8 @@ traffic feeds and exposes:
 
 * :meth:`step` — advance the event simulation by ``n_events`` fired
   events and/or up to an absolute timestamp ``until_ts`` (or a relative
-  ``cycles`` budget), with the measurement state machine pumped at
-  every event boundary;
+  ``cycles`` budget), stopped by the measurement's completion cells
+  on the event that reaches a phase target;
 * :meth:`inject` — offer packets mid-flight (port ingress or the
   host's virtual-Ethernet trace path);
 * :meth:`control` — live control-plane actions: hot firmware
@@ -22,13 +22,13 @@ traffic feeds and exposes:
 Batch :func:`repro.analysis.engine.run_experiment` is a thin wrapper —
 open a session from the spec, :meth:`run_to_completion` — and produces
 byte-identical :class:`~repro.analysis.spec.ExperimentResult`s because
-there is one loop: :meth:`step` hands :meth:`Simulator.run
-<repro.sim.kernel.Simulator.run>` an observer that pumps the
-measurement (:mod:`repro.analysis.harness`) after every fired event
-and stops the run on the event that completes it, so the base and
-final readings land on the same events however the caller chunks its
-stepping, and an interactive ``step`` overshooting the window cannot
-perturb the result.
+there is one loop: :meth:`step` arms a watch on the measurement's
+completion counters (:mod:`repro.analysis.harness`) that stops
+:meth:`Simulator.run <repro.sim.kernel.Simulator.run>` after the event
+whose increment reaches the phase target, then pumps the measurement
+and runs on.  The base and final readings land on the same events
+however the caller chunks its stepping, and an interactive ``step``
+overshooting the window cannot perturb the result.
 """
 
 from __future__ import annotations
@@ -221,13 +221,13 @@ class SimSession:
         Fires at most ``n_events`` events and/or every event up to
         absolute time ``until_ts`` (``cycles`` is relative shorthand);
         with no bound, runs until the event queue drains or the active
-        measurement completes.  The measurement is pumped after every
-        event (and once before the first), and the run stops on the
-        event that completes it, so the result is frozen at that event
-        however large the step.  When both bounds are given and
-        ``n_events`` runs out first, the clock stays at the last fired
-        event; it reaches ``until_ts`` only once nothing is left to
-        fire before it.
+        measurement completes.  The measurement's completion cells stop
+        the run on the event that reaches the phase target; the step
+        then pumps the measurement and runs on, so the result is frozen
+        at the completing event however large the step.  When both
+        bounds are given and ``n_events`` runs out first, the clock
+        stays at the last fired event; it reaches ``until_ts`` only once
+        nothing is left to fire before it.
         """
         self.start()
         sim = self.sim
@@ -237,33 +237,51 @@ class SimSession:
         driver = self._measurement
         if driver is not None and driver.done:
             driver = None
+        cells = driver.cells if driver is not None else ()
         fluid = self._fluid
         fired = 0
+        target = tripped = None
 
-        def settle() -> bool:
-            """Between events: pump, then let the fluid tier warp.
-            True once the measurement has just completed."""
-            if driver is not None:
-                driver.pump()
-                if driver.done:
-                    self._finalize()
-                    return True
-            if fluid is not None and fired != n_events:
-                # a warp belongs to the step that fires the next event:
-                # that step's until_ts is its cap
-                fluid.pre_step(until_ts)
-            return False
+        def watch() -> None:
+            nonlocal tripped  # stop only: tx_done meters bytes after counting
+            if driver.completions() >= target:
+                tripped = True
+                sim.stop()
 
         def after(event) -> None:
             nonlocal fired
             fired += 1
-            if fluid is not None:
-                fluid.after_event()
-            if settle():
-                sim.stop()
+            fluid.after_event()
+            if not tripped and fired != n_events:
+                # a warp belongs to the step that fires the next event:
+                # that step's until_ts is its cap
+                fluid.pre_step(until_ts)
 
-        if not settle():
-            sim.run(until=until_ts, max_events=n_events, observer=after)
+        for cell in cells:
+            cell.watch = watch
+        try:
+            while True:
+                if driver is not None:
+                    driver.pump()
+                    if driver.done:
+                        self._finalize()
+                        break
+                    target = driver.target()
+                if tripped is not None and (not tripped or fired == n_events):
+                    break
+                tripped = False
+                budget = None if n_events is None else n_events - fired
+                if fluid is None:
+                    before = sim.events_processed
+                    sim.run(until=until_ts, max_events=budget)
+                    fired += sim.events_processed - before
+                else:
+                    if fired != n_events:
+                        fluid.pre_step(until_ts)
+                    sim.run(until=until_ts, max_events=budget, observer=after)
+        finally:
+            for cell in cells:
+                cell.watch = None
         return {
             "events": fired,
             "now": sim.now,
@@ -302,8 +320,8 @@ class SimSession:
         if self.spec is None:
             self._result = driver.result
             return
-        # assembled inside the completing event's observer call: no
-        # event fires between the final reading and this envelope
+        # assembled right after the run stopped on the completing
+        # event: no event fires between the final reading and this envelope
         from ..analysis.engine import _firmware_totals
 
         if self.spec.measure == "latency":

@@ -9,20 +9,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 
-@dataclass
 class Counter:
-    """A monotonically increasing event counter."""
+    """A monotonically increasing event counter; ``watch``, when set, is
+    called after every increment (a session's measurement arms it)."""
 
-    name: str
-    value: int = 0
+    __slots__ = ("name", "value", "watch")
+
+    def __init__(self, name: str, value: int = 0) -> None:
+        self.name = name
+        self.value = value
+        self.watch: Optional[Callable[[], None]] = None
 
     def add(self, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError("counters only increase")
         self.value += amount
+        if self.watch is not None:
+            self.watch()
 
 
 class CounterSet:

@@ -603,7 +603,8 @@ class _Transfer:
 def _refine_edge(state: AbsState, inst, taken: bool) -> Optional[AbsState]:
     """State on the taken/not-taken edge of a conditional branch, or
     ``None`` when the edge is provably infeasible.  Refines only plain
-    intervals (signed relations only away from the sign boundary)."""
+    intervals; a signed relation flips both operands' sign bits, as
+    ``_slt`` does, unless one straddles the sign boundary."""
     relation, signed = BRANCH_RELATIONS[inst.mnemonic]
     if not taken:
         relation = NEGATED_RELATION[relation]
@@ -616,9 +617,10 @@ def _refine_edge(state: AbsState, inst, taken: bool) -> Optional[AbsState]:
     a, b = state.regs[rs1], state.regs[rs2]
     if not (a.is_plain and b.is_plain):
         return state
-    if signed and (a.hi >= 0x8000_0000 or b.hi >= 0x8000_0000):
+    flip = 0x8000_0000 if signed else 0
+    if flip and any(v.lo < flip <= v.hi for v in (a, b)):
         return state
-    alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
+    alo, ahi, blo, bhi = a.lo ^ flip, a.hi ^ flip, b.lo ^ flip, b.hi ^ flip
     if relation == "eq":
         lo, hi = max(alo, blo), min(ahi, bhi)
         if lo > hi:
@@ -652,9 +654,9 @@ def _refine_edge(state: AbsState, inst, taken: bool) -> Optional[AbsState]:
         bhi = min(bhi, ahi)
     out = state.copy()
     if rs1:
-        out.regs[rs1] = AbsVal("num", 0, alo, ahi, a.tag)
+        out.regs[rs1] = AbsVal("num", 0, alo ^ flip, ahi ^ flip, a.tag)
     if rs2:
-        out.regs[rs2] = AbsVal("num", 0, blo, bhi, b.tag)
+        out.regs[rs2] = AbsVal("num", 0, blo ^ flip, bhi ^ flip, b.tag)
     return out
 
 

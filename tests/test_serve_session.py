@@ -160,6 +160,22 @@ class TestStepperBatchIdentity:
         )
         _assert_identical(spec, cycles=10_000.0)
 
+    def test_event_budget_ending_on_the_completing_event(self):
+        """A step whose last allowed event completes the window
+        finalizes the result in that step, as the batch loop does."""
+        batch = SimSession(_forwarder_spec())
+        expected = json.dumps(batch.run_to_completion().to_dict(), sort_keys=True)
+        k = batch.sim.events_processed
+        whole = SimSession(_forwarder_spec())
+        assert whole.step(n_events=k) == {
+            "events": k, "now": batch.sim.now, "measurement_done": True
+        }
+        split = SimSession(_forwarder_spec())
+        assert not split.step(n_events=k - 1)["measurement_done"]
+        assert split.step(n_events=1)["measurement_done"]
+        for session in (whole, split):
+            assert json.dumps(session.result().to_dict(), sort_keys=True) == expected
+
     def test_overshooting_step_does_not_perturb_result(self):
         """A single huge step freezes the result at the same boundary as
         the batch loop (the window must not stretch to the step size)."""

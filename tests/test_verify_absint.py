@@ -289,6 +289,17 @@ class TestInfeasibleEdges:
         assert pruned.loop_bounds == {"loopz": 4}
         assert pruned.bound_provenance == {"loopz": "inferred"}
 
+    @pytest.mark.parametrize("value, dead", [(-5, "taken"), (5, "fall-through")])
+    def test_signed_branch_on_a_negative_constant_prunes(self, value, dead):
+        # bgez is bge t0, zero: a signed compare whose operand sits above
+        # 2^31 unsigned when negative; the sign flip refines both halves
+        asm = f"li t0, {value}\nbgez t0, pos\naddi a0, a0, 1\npos:\nebreak\n"
+        cfg, absres, _, _ = analyze_firmware(asm, name="signed")
+        block = next(b for b in cfg.blocks.values() if b.taken is not None)
+        taken = (block.start, block.taken)
+        assert len(absres.infeasible_edges) == 1
+        assert (taken in absres.infeasible_edges) == (dead == "taken")
+
     def test_branch_to_its_own_fall_through_decides_nothing(self):
         # both outcomes land on `next`: the one edge is never pruned (3 != 10
         # would refute the taken case) and always pays the taken cost
