@@ -5,25 +5,39 @@ An accelerator inside an RPU exposes two interfaces:
 * a *register file* reached over MMIO from the RISC-V core — the
   ``ACC_*`` defines in the paper's firmware listings;
 * optionally a *streaming port* fed by the DMA engine from packet
-  memory (the Pigasus matcher consumes payloads this way).
+  memory (the Pigasus matcher consumes payloads this way).  The
+  accelerator owns the stream: a register write pulls
+  ``dma_read(addr, length)`` itself, through the port the mounting RPU
+  binds to its bus, and ``reads_packet_memory`` declares that it does.
 
 :class:`Accelerator` plays the "basic wrapper" Appendix A.2 describes:
 it assigns register addresses and declares each register's access
 contract (value ranges, bounded streams) for the firmware verifier.
 
-Concrete accelerators implement :meth:`read_reg`/:meth:`write_reg`
-against their register map and a cycle-cost model; the same object
-serves both the behavioural system simulator (functional calls) and
-the instruction-set simulator (mapped as an MMIO region).
+Concrete accelerators define their register map and a cycle-cost
+model; the instruction-set simulator maps :meth:`read_reg`/
+:meth:`write_reg` at ``IO_EXT_BASE``, and the verifier and the replay
+cache read the map through :attr:`registers`.  The same object serves
+the behavioural system simulator through its functional methods.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 
 class AcceleratorError(RuntimeError):
     """Raised on register protocol violations."""
+
+
+class Register(NamedTuple):
+    """One accelerator register: its handlers (``None`` where the
+    register is write- or read-only) and its width."""
+
+    read: Optional[Callable[[], int]]
+    write: Optional[Callable[[int], None]]
+    nbytes: int
 
 
 class Accelerator:
@@ -35,9 +49,14 @@ class Accelerator:
     """
 
     name = "accelerator"
+    #: a register write streams packet memory through :attr:`dma_read`
+    reads_packet_memory = False
 
     def __init__(self) -> None:
-        self._regs: Dict[int, Tuple[Optional[callable], Optional[callable], int]] = {}
+        self._regs: Dict[int, Register] = {}
+        #: the DMA engine's read port, ``(addr, length) -> bytes``; bound
+        #: by the RPU that mounts the accelerator
+        self.dma_read: Optional[Callable[[int, int], bytes]] = None
         self._reg_meta: Dict[int, Dict[str, object]] = {}
         self._fault_active = False
         #: results that went through the poisoned response path
@@ -69,7 +88,7 @@ class Accelerator:
         verifier unsound, so implementations must enforce it (see the
         Pigasus matcher's FIFO cap).
         """
-        self._regs[offset] = (read, write, nbytes)
+        self._regs[offset] = Register(read, write, nbytes)
         meta: Dict[str, object] = {}
         if value_range is not None:
             meta["value_range"] = (int(value_range[0]), int(value_range[1]))
@@ -79,6 +98,11 @@ class Accelerator:
             meta["stream_advance"] = True
         if meta:
             self._reg_meta[offset] = meta
+
+    @property
+    def registers(self) -> Mapping[int, Register]:
+        """The register map, offset -> :class:`Register` (read-only)."""
+        return MappingProxyType(self._regs)
 
     def reg_meta(self, offset: int) -> Dict[str, object]:
         """Static-contract metadata for one register (may be empty)."""
@@ -101,10 +125,6 @@ class Accelerator:
                 f"{self.name}: write of unmapped register {offset:#x}"
             )
         entry[1](value)
-
-    def mmio_handlers(self):
-        """(read, write) pair suitable for ``MemoryBus.add_mmio``."""
-        return (lambda off, n: self.read_reg(off, n), lambda off, v, n: self.write_reg(off, v, n))
 
     # -- fault injection (repro.faults) ------------------------------------------
 

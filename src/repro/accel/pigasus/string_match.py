@@ -125,11 +125,12 @@ class PigasusStringMatcher(Accelerator):
         0x00  ACC_PIG_CTRL   (write 1: start, write 2: release match/EoP)
         0x00  ACC_PIG_MATCH  (read: 1 when a match word is waiting)
         0x04  ACC_DMA_LEN    (payload length)
-        0x08  ACC_DMA_ADDR   (payload address — functional model takes bytes)
+        0x08  ACC_DMA_ADDR   (payload address in packet memory)
         0x1c  ACC_PIG_RULE_ID (read: matched rule id, 0 = end of packet)
     """
 
     name = "pigasus_sme"
+    reads_packet_memory = True
 
     REG_CTRL = 0x00
     REG_DMA_LEN = 0x04
@@ -148,7 +149,6 @@ class PigasusStringMatcher(Accelerator):
         self._match_fifo: deque = deque()
         self._dma_len = 0
         self._dma_addr = 0
-        self._payload: bytes = b""
         self._src_port = 0
         self._dst_port = 0
         self.packets_scanned = 0
@@ -216,13 +216,10 @@ class PigasusStringMatcher(Accelerator):
 
     # -- MMIO behaviour (used by the functional ISS RPU) ------------------------------
 
-    def set_payload(self, payload: bytes) -> None:
-        """Functional stand-in for the DMA stream into the matcher."""
-        self._payload = payload
-
     def _write_ctrl(self, value: int) -> None:
-        if value == 1:  # start
-            payload = self._payload[: self._dma_len] if self._dma_len else self._payload
+        if value == 1:  # start: stream the payload in over the DMA port
+            length = self._dma_len
+            payload = self.dma_read(self._dma_addr, length) if length else b""
             sids = self.scan(payload, "tcp", self._src_port, self._dst_port)
             # the hardware FIFO holds MATCH_FIFO_DEPTH words including
             # the EoP marker; matches past the cap are dropped (the rule

@@ -90,8 +90,8 @@ def progress_reading(system, include_host: bool = True) -> Reading:
     int tuple), so a reading crosses a shard pipe exactly."""
     return {
         "completions": cells_total(completion_cells(system, include_host)),
-        "tx_bytes": sum(m.bytes_total for m in system.tx_meters),
-        "tx_packets": sum(m.packets_total for m in system.tx_meters),
+        "tx_bytes": sum(mac.counters.value("tx_bytes") for mac in system.macs),
+        "tx_packets": sum(mac.counters.value("tx_frames") for mac in system.macs),
         "host_bytes": system.host_meter.bytes_total,
         "host_packets": system.host_meter.packets_total,
         "absorbed_bytes": sum(mac.counters.value("rx_bytes") for mac in system.macs),

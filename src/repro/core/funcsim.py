@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from ..accel.base import Accelerator
 from ..replay.record import (
     NO_ACCEL_TOKEN,
     OP_ACC_R,
     OP_ACC_W,
+    IoRoles,
     ReplayRecord,
     TraceRecorder,
 )
@@ -39,11 +40,71 @@ PMEM_BASE = 0x0010_0000
 ACCMEM_BASE = 0x0080_0000
 IO_BASE = 0x0100_0000
 IO_EXT_BASE = 0x0200_0000
+#: Size of each MMIO window: the interconnect's at ``IO_BASE`` and the
+#: accelerator's at ``IO_EXT_BASE``.
+MMIO_WINDOW = 0x1000
 
 #: Packets are written at this offset within their slot so the IPv4
 #: source address lands word-aligned (the artifact uses PKT_OFFSET 10
 #: with its header layout; ours differs by the descriptor framing).
 PKT_OFFSET = 2
+
+
+class IoRegister(NamedTuple):
+    """One interconnect register.
+
+    ``access`` is ``"r"`` or ``"w"``.  ``contract`` is what a read can
+    return, the fact the firmware verifier builds on: ``flag`` (0 or
+    1), ``tag`` (a slot tag), ``pkt_len``, ``port`` (an ingress port),
+    ``pkt_ptr`` (the head packet's data pointer), or ``""`` (anything).
+    """
+
+    offset: int
+    name: str
+    access: str
+    contract: str
+    meaning: str
+
+
+#: The interconnect register map.  The ISS dispatches on it, the replay
+#: recorder and the verifier read it, and the firmware docs render it.
+INTERCONNECT_REGISTERS: Tuple[IoRegister, ...] = (
+    IoRegister(0x00, "RECV_READY", "r", "flag", "1 when a descriptor is waiting"),
+    IoRegister(0x04, "RECV_TAG", "r", "tag", "slot tag of the head descriptor"),
+    IoRegister(0x08, "RECV_LEN", "r", "pkt_len", "packet length"),
+    IoRegister(0x0C, "RECV_PORT", "r", "port", "ingress port"),
+    IoRegister(0x10, "RECV_DATA", "r", "pkt_ptr", "packet data pointer (in packet memory)"),
+    IoRegister(0x14, "RECV_RELEASE", "w", "", "pop the descriptor queue"),
+    IoRegister(0x18, "SEND_TAG", "w", "", "slot tag to send"),
+    IoRegister(0x1C, "SEND_LEN", "w", "", "length to send (0 = drop)"),
+    IoRegister(0x20, "SEND_PORT_GO", "w", "", "egress port; the write fires the send"),
+    IoRegister(0x28, "DEBUG_OUT_L", "w", "", "64-bit debug channel to the host, low word"),
+    IoRegister(0x2C, "DEBUG_OUT_H", "w", "", "debug channel, high word"),
+    IoRegister(0x30, "CYCLES", "r", "", "free-running cycle counter"),
+)
+IO_REGISTERS: Dict[int, IoRegister] = {reg.offset: reg for reg in INTERCONNECT_REGISTERS}
+
+_OFFSET_OF = {reg.name: reg.offset for reg in INTERCONNECT_REGISTERS}
+_RECV_READY = _OFFSET_OF["RECV_READY"]
+_RECV_RELEASE = _OFFSET_OF["RECV_RELEASE"]
+_SEND_TAG = _OFFSET_OF["SEND_TAG"]
+_SEND_LEN = _OFFSET_OF["SEND_LEN"]
+_SEND_PORT_GO = _OFFSET_OF["SEND_PORT_GO"]
+_DEBUG_OUT_L = _OFFSET_OF["DEBUG_OUT_L"]
+_DEBUG_OUT_H = _OFFSET_OF["DEBUG_OUT_H"]
+_CYCLES = _OFFSET_OF["CYCLES"]
+#: The descriptor reads: offset -> field of an RX-queue entry
+#: ``(tag, len, port, addr)``.
+_RECV_FIELD = {
+    _OFFSET_OF[name]: field
+    for field, name in enumerate(("RECV_TAG", "RECV_LEN", "RECV_PORT", "RECV_DATA"))
+}
+#: The replay recorder's view of the map (it cannot import this module).
+_REPLAY_ROLES = IoRoles(
+    descriptor_reads=frozenset((_RECV_READY, *_RECV_FIELD)),
+    release=_RECV_RELEASE,
+    sends=frozenset((_SEND_TAG, _SEND_LEN, _SEND_PORT_GO)),
+)
 
 
 @dataclass
@@ -76,30 +137,13 @@ class FunctionalRpu:
         self.dmem = self.bus.add_ram(DMEM_BASE, self.config.dmem_bytes, "dmem")
         self.pmem = self.bus.add_ram(PMEM_BASE, self.config.packet_mem_bytes, "pmem")
         self.accmem = self.bus.add_ram(ACCMEM_BASE, self.config.accel_mem_bytes, "accmem")
-        self.bus.add_mmio(IO_BASE, 0x1000, self._io_read, self._io_write, "interconnect")
+        self.bus.add_mmio(IO_BASE, MMIO_WINDOW, self._io_read, self._io_write, "interconnect")
         self.accelerator = accelerator
-        self._accel_read = None
-        self._accel_write = None
         if accelerator is not None:
-            read, write = accelerator.mmio_handlers()
-            if hasattr(accelerator, "set_payload"):
-
-                def dma_aware_write(offset: int, value: int, nbytes: int) -> None:
-                    # a CTRL start kicks the DMA stream: feed the payload
-                    # from packet memory into the accelerator first
-                    if offset == 0x00 and value == 1:
-                        addr = getattr(accelerator, "_dma_addr", 0)
-                        length = getattr(accelerator, "_dma_len", 0)
-                        if addr and length > 0:
-                            accelerator.set_payload(self.bus.dump(addr, length))
-                    write(offset, value, nbytes)
-
-                accel_write = dma_aware_write
-            else:
-                accel_write = write
-            self.bus.add_mmio(IO_EXT_BASE, 0x1000, read, accel_write, "accel")
-            self._accel_read = read
-            self._accel_write = accel_write
+            accelerator.dma_read = self.bus.dump
+            self.bus.add_mmio(
+                IO_EXT_BASE, MMIO_WINDOW, accelerator.read_reg, accelerator.write_reg, "accel"
+            )
 
         self.cpu = RiscvCpu(self.bus, reset_pc=IMEM_BASE, backend=cpu_backend)
         self.program = self.load_firmware(firmware_asm)
@@ -120,17 +164,12 @@ class FunctionalRpu:
         #: copies are postponed until something can observe them)
         self._pending_dma: Dict[int, bytes] = {}
         # per-tag DMA landing offsets, precomputed for the push hot loop
-        slot_bytes = self.config.slot_bytes
-        hdr_bytes = self.config.header_slot_bytes
-        hdr_base = self.config.dmem_bytes // 2
-        self._slot_offsets = [
-            (tag - 1) * slot_bytes + PKT_OFFSET
-            for tag in range(1, self.config.slots_per_rpu + 1)
-        ]
-        self._hdr_offsets = [
-            hdr_base + (tag - 1) * hdr_bytes
-            for tag in range(1, self.config.slots_per_rpu + 1)
-        ]
+        cfg = self.config
+        tags = range(1, cfg.slots_per_rpu + 1)
+        self._slot_offsets = {tag: (tag - 1) * cfg.slot_bytes + PKT_OFFSET for tag in tags}
+        self._hdr_offsets = {
+            tag: cfg.dmem_bytes // 2 + (tag - 1) * cfg.header_slot_bytes for tag in tags
+        }
 
     # -- firmware and memory loading ------------------------------------------------
 
@@ -170,8 +209,7 @@ class FunctionalRpu:
         sound; bytes objects cache their hash, so reused templates cost
         one hash total).
         """
-        slot_bytes = self.config.slot_bytes
-        if len(data) + PKT_OFFSET > slot_bytes:
+        if len(data) + PKT_OFFSET > self.config.slot_bytes:
             raise ValueError("packet exceeds slot size")
         if self.in_flight >= self.config.slots_per_rpu:
             raise RuntimeError(
@@ -181,7 +219,6 @@ class FunctionalRpu:
         self.pushed += 1
         tag = self._next_tag
         self._next_tag = self._next_tag % self.config.slots_per_rpu + 1
-        offset = self._slot_offsets[tag - 1]
         if self.replay_cache is not None:
             # defer the DMA: the bytes only land when something can
             # observe them (real execution, a guard read, a dump)
@@ -192,87 +229,65 @@ class FunctionalRpu:
                 # tail outlives the new (shorter) frame in the slot —
                 # write exactly that residue so memory stays byte-equal
                 # to an uncached run
-                self.pmem.load_bytes(offset + len(data), old[len(data):])
-                old_hdr = old[: self.config.header_slot_bytes]
-                if len(old_hdr) > len(data):
-                    hdr_offset = self._hdr_offsets[tag - 1]
-                    if hdr_offset + len(old_hdr) <= self.config.dmem_bytes:
-                        self.dmem.load_bytes(
-                            hdr_offset + len(data), old_hdr[len(data):]
-                        )
+                self._land(tag, old, len(data))
             self._pending_dma[tag] = data
             self._class_by_tag[tag] = class_key if class_key is not None else data
         else:
-            self.pmem.load_bytes(offset, data)
-            # the DMA engine also copies the header into local memory for
-            # low-latency parsing; we keep the header copy in dmem's top half
-            header = data[: self.config.header_slot_bytes]
-            hdr_offset = self._hdr_offsets[tag - 1]
-            if hdr_offset + len(header) <= self.config.dmem_bytes:
-                self.dmem.load_bytes(hdr_offset, header)
-        self._rx.append((tag, len(data), port, PMEM_BASE + offset))
+            self._land(tag, data)
+        self._rx.append((tag, len(data), port, PMEM_BASE + self._slot_offsets[tag]))
         return tag
+
+    def _land(self, tag: int, data: bytes, start: int = 0) -> None:
+        """DMA ``data[start:]`` into slot ``tag``, and the same bytes of
+        its header into the header copy the engine keeps in dmem's top
+        half (when the copy fits) for low-latency parsing."""
+        self.pmem.load_bytes(self._slot_offsets[tag] + start, data[start:])
+        header = data[: self.config.header_slot_bytes]
+        if len(header) > start:
+            hdr_offset = self._hdr_offsets[tag]
+            if hdr_offset + len(header) <= self.config.dmem_bytes:
+                self.dmem.load_bytes(hdr_offset + start, header[start:])
 
     def _flush_dma(self) -> None:
         """Materialize all deferred packet DMA into pmem/dmem."""
         if not self._pending_dma:
             return
-        hdr_bytes = self.config.header_slot_bytes
-        dmem_bytes = self.config.dmem_bytes
         for tag, data in self._pending_dma.items():
-            self.pmem.load_bytes(self._slot_offsets[tag - 1], data)
-            header = data[:hdr_bytes]
-            hdr_offset = self._hdr_offsets[tag - 1]
-            if hdr_offset + len(header) <= dmem_bytes:
-                self.dmem.load_bytes(hdr_offset, header)
+            self._land(tag, data)
         self._pending_dma.clear()
 
     # -- interconnect MMIO ---------------------------------------------------------------
 
     def _io_read(self, offset: int, nbytes: int) -> int:
-        if offset == 0x00:
+        if offset == _RECV_READY:
             return int(bool(self._rx))
-        if not self._rx and offset in (0x04, 0x08, 0x0C, 0x10):
-            return 0
-        if offset == 0x04:
-            return self._rx[0][0]
-        if offset == 0x08:
-            return self._rx[0][1]
-        if offset == 0x0C:
-            return self._rx[0][2]
-        if offset == 0x10:
-            return self._rx[0][3]
-        if offset == 0x30:
+        field = _RECV_FIELD.get(offset)
+        if field is not None:
+            return self._rx[0][field] if self._rx else 0
+        if offset == _CYCLES:
             return self.cpu.cycles & 0xFFFFFFFF
         return 0
 
     def _io_write(self, offset: int, value: int, nbytes: int) -> None:
-        if offset == 0x14:  # RECV_RELEASE
+        if offset == _RECV_RELEASE:
             if self._rx:
                 self._rx.popleft()
-            return
-        if offset == 0x18:
+        elif offset == _SEND_TAG:
             self._send_tag = value
-            return
-        if offset == 0x1C:
+        elif offset == _SEND_LEN:
             self._send_len = value
-            return
-        if offset == 0x20:  # SEND_PORT_GO
+        elif offset == _SEND_PORT_GO:
             tag = self._send_tag
             length = self._send_len
             if length:
-                addr = PMEM_BASE + (tag - 1) * self.config.slot_bytes + PKT_OFFSET
-                data = self.bus.dump(addr, length)
+                data = self.bus.dump(PMEM_BASE + self._slot_offsets[tag], length)
             else:
                 data = b""
             self.sent.append(SentPacket(tag, data, value, self.cpu.cycles))
-            return
-        if offset == 0x28:
+        elif offset == _DEBUG_OUT_L:
             self.debug_out = (self.debug_out & ~0xFFFFFFFF) | value
-            return
-        if offset == 0x2C:
+        elif offset == _DEBUG_OUT_H:
             self.debug_out = (self.debug_out & 0xFFFFFFFF) | (value << 32)
-            return
 
     # -- running -----------------------------------------------------------------------------
 
@@ -369,11 +384,7 @@ class FunctionalRpu:
         # the class signature (byte-identical frames): no guard needed
         covered = [(addr, addr + length)]
         hdr_len = min(length, self.config.header_slot_bytes)
-        hdr_addr = (
-            DMEM_BASE
-            + self.config.dmem_bytes // 2
-            + (tag - 1) * self.config.header_slot_bytes
-        )
+        hdr_addr = DMEM_BASE + self._hdr_offsets[tag]
         if hdr_addr + hdr_len <= DMEM_BASE + self.config.dmem_bytes:
             covered.append((hdr_addr, hdr_addr + hdr_len))
         accel = self.accelerator
@@ -388,9 +399,10 @@ class FunctionalRpu:
         start_sent = len(self.sent)
         recorder = TraceRecorder(
             cpu,
-            (IO_BASE, IO_BASE + 0x1000),
-            (IO_EXT_BASE, IO_EXT_BASE + 0x1000) if accel is not None else None,
+            (IO_BASE, IO_BASE + MMIO_WINDOW),
+            (IO_EXT_BASE, IO_EXT_BASE + MMIO_WINDOW) if accel is not None else None,
             covered,
+            _REPLAY_ROLES,
         )
         sent = self.sent
         cpu.record_run(
@@ -435,7 +447,7 @@ class FunctionalRpu:
             cycles_delta=cpu.cycles - start_cycles,
             instret_delta=cpu.instret - start_instret,
             code_epoch=cpu.code_epoch,
-            dma_accel=accel is not None and hasattr(accel, "set_payload"),
+            dma_accel=accel is not None and accel.reads_packet_memory,
         )
 
     def measure_cycles_per_packet(self, packets: List[bytes], port: int = 0) -> List[int]:

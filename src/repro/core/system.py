@@ -64,7 +64,7 @@ class RosebudSystem:
                 config,
                 port,
                 on_rx=self._make_rx_kicker(port),
-                on_tx_done=self._make_tx_done(port),
+                on_tx_done=self._tx_done,
             )
             self.macs.append(mac)
         for port, mac in enumerate(self.macs):
@@ -116,7 +116,6 @@ class RosebudSystem:
         self._delivered = self.counters["delivered"]
         self._to_host = self.counters["to_host"]
         self._dropped_by_firmware = self.counters["dropped_by_firmware"]
-        self.tx_meters: List[RateMeter] = [RateMeter() for _ in range(config.n_ports)]
         self.host_meter = RateMeter()
         self.latency_us = Histogram("forwarding_latency_us")
         #: optional hook on every MAC TX completion
@@ -147,18 +146,15 @@ class RosebudSystem:
 
         return kick
 
-    def _make_tx_done(self, port: int) -> Callable[[Packet], None]:
-        def tx_done(packet: Packet) -> None:
-            if self.track_live_packets:
-                self._live_packets.pop(packet.packet_id, None)
-            self._delivered.add()
-            self.tx_meters[port].record_packet(packet.size)
-            latency_cycles = self.sim.now - packet.born_at
-            self.latency_us.record(self.config.clock.cycles_to_us(latency_cycles))
-            if self.on_delivery is not None:
-                self.on_delivery(packet)
-
-        return tx_done
+    def _tx_done(self, packet: Packet) -> None:
+        """A frame finished leaving a physical port (the MAC counts it)."""
+        if self.track_live_packets:
+            self._live_packets.pop(packet.packet_id, None)
+        self._delivered.add()
+        latency_cycles = self.sim.now - packet.born_at
+        self.latency_us.record(self.config.clock.cycles_to_us(latency_cycles))
+        if self.on_delivery is not None:
+            self.on_delivery(packet)
 
     def _dispatch(self, packet: Packet) -> None:
         self.fabric_in.send_to_rpu(packet)

@@ -1,6 +1,6 @@
 """RPU firmware: behavioural models + assembly sources for the ISS."""
 
-from .asm_sources import FIREWALL_ASM, FORWARDER_ASM, IO_BASE, IO_EXT_BASE, PIGASUS_ASM
+from .asm_sources import FIREWALL_ASM, FORWARDER_ASM, PIGASUS_ASM
 from .firewall_fw import FIREWALL_CYCLES, FirewallFirmware
 from .chain_fw import ChainStageFirmware, build_chain
 from .nat_fw import NatFirmware
@@ -17,8 +17,6 @@ from .pigasus_fw import (
 __all__ = [
     "FIREWALL_ASM",
     "FORWARDER_ASM",
-    "IO_BASE",
-    "IO_EXT_BASE",
     "PIGASUS_ASM",
     "FIREWALL_CYCLES",
     "FirewallFirmware",

@@ -18,15 +18,12 @@ Interconnect register map (``IO_BASE`` = 0x0100_0000)::
     0x18  SEND_TAG      (w)  slot tag to send
     0x1c  SEND_LEN      (w)  length to send (0 = drop)
     0x20  SEND_PORT_GO  (w)  egress port; the write fires the send
-    0x28  DEBUG_OUT_L   (w)  64-bit debug channel to the host
-    0x2c  DEBUG_OUT_H   (w)
+    0x28  DEBUG_OUT_L   (w)  64-bit debug channel to the host, low word
+    0x2c  DEBUG_OUT_H   (w)  debug channel, high word
     0x30  CYCLES        (r)  free-running cycle counter
 
 Accelerator windows sit at ``IO_EXT_BASE`` = 0x0200_0000.
 """
-
-IO_BASE = 0x0100_0000
-IO_EXT_BASE = 0x0200_0000
 
 #: Basic forwarder (basic_fw): read descriptor, flip port, send.
 FORWARDER_ASM = """

@@ -254,9 +254,6 @@ class FluidEngine:
                 value = getattr(rpu.firmware, attr)
                 if isinstance(value, int) and not isinstance(value, bool):
                     ints.append((f"rpu{i}.fw.{attr}", rpu.firmware, attr))
-        for i, meter in enumerate(system.tx_meters):
-            ints.append((f"tx_meter{i}.bytes", meter, "bytes_total"))
-            ints.append((f"tx_meter{i}.packets", meter, "packets_total"))
         ints.append(("host_meter.bytes", system.host_meter, "bytes_total"))
         ints.append(("host_meter.packets", system.host_meter, "packets_total"))
         for src in self.sources:

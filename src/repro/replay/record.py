@@ -38,16 +38,22 @@ The cache then simply never stores it: correctness over hit rate.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
-#: Interconnect register offsets a bracket may read before its release
-#: (see ``repro.firmware.asm_sources`` for the map).
-_DESCRIPTOR_READ_OFFSETS = frozenset((0x00, 0x04, 0x08, 0x0C, 0x10))
-_IO_RELEASE_OFFSET = 0x14
-#: Send-path offsets; their effects are precomputed at record time (the
-#: sent frames are a pure function of the packet class), so replay
-#: skips the MMIO dispatch and the packet-memory re-dump entirely.
-_IO_SEND_OFFSETS = frozenset((0x18, 0x1C, 0x20))
+
+class IoRoles(NamedTuple):
+    """What the recorder must know of the interconnect register map
+    (the ISS declares the map and hands these over)."""
+
+    #: offsets a bracket may read before its release
+    descriptor_reads: FrozenSet[int]
+    #: the offset whose write retires the head descriptor
+    release: int
+    #: send-path offsets: their effects are precomputed at record time
+    #: (the sent frames are a pure function of the packet class), so
+    #: replay skips the MMIO dispatch and the packet-memory re-dump
+    sends: FrozenSet[int]
+
 
 #: Lazily bound to funcsim's SentPacket (importing it eagerly would be
 #: circular: funcsim imports this module).
@@ -58,6 +64,7 @@ OP_RAM_W = 0
 OP_IO_W = 1
 OP_ACC_R = 2
 OP_ACC_W = 3
+OP_IO_RELEASE = 4
 
 #: Sentinel: the bracket performed no accelerator MMIO, skip the token check.
 NO_ACCEL_TOKEN = object()
@@ -88,6 +95,7 @@ class TraceRecorder:
         "_acc_lo",
         "_acc_hi",
         "_covered",
+        "_roles",
         "_start_cycles",
         "ops",
         "guard_reads",
@@ -106,6 +114,7 @@ class TraceRecorder:
         io_range: Tuple[int, int],
         acc_range: Optional[Tuple[int, int]],
         covered_ranges: Sequence[Tuple[int, int]],
+        io_roles: IoRoles,
     ) -> None:
         self.bus = cpu.bus
         self._cpu = cpu
@@ -115,6 +124,7 @@ class TraceRecorder:
         else:
             self._acc_lo, self._acc_hi = acc_range
         self._covered = tuple(covered_ranges)
+        self._roles = io_roles
         self._start_cycles = cpu.cycles
         self.ops: List[tuple] = []
         self.guard_reads: List[Tuple[int, int, int]] = []
@@ -154,7 +164,7 @@ class TraceRecorder:
         if addr >= self._io_lo:
             if addr < self._io_hi:
                 offset = addr - self._io_lo
-                if offset not in _DESCRIPTOR_READ_OFFSETS:
+                if offset not in self._roles.descriptor_reads:
                     self.mark_unreplayable(f"interconnect read at +0x{offset:x}")
                 elif self._released:
                     # the head descriptor changed under the bracket
@@ -189,11 +199,14 @@ class TraceRecorder:
         if addr >= self._io_lo:
             if addr < self._io_hi:
                 offset = addr - self._io_lo
-                if offset == _IO_RELEASE_OFFSET:
+                roles = self._roles
+                if offset == roles.release:
                     self._released += 1
-                self.ops.append(
-                    (OP_IO_W, offset, value, nbytes, self._cpu.cycles - self._start_cycles)
-                )
+                    self.ops.append((OP_IO_RELEASE,))
+                elif offset not in roles.sends:
+                    self.ops.append(
+                        (OP_IO_W, offset, value, nbytes, self._cpu.cycles - self._start_cycles)
+                    )
                 self.bus.write(addr, value, nbytes)
                 return
             if self._acc_lo <= addr < self._acc_hi:
@@ -301,11 +314,9 @@ class ReplayRecord:
             if code == OP_RAM_W:
                 ram_writes.append((op[1], op[2], op[3]))
             elif code == OP_IO_W:
-                offset = op[1]
-                if offset == _IO_RELEASE_OFFSET:
-                    releases += 1
-                elif offset not in _IO_SEND_OFFSETS:
-                    io_other.append((offset, op[2], op[3]))
+                io_other.append((op[1], op[2], op[3]))
+            elif code == OP_IO_RELEASE:
+                releases += 1
             else:  # OP_ACC_R / OP_ACC_W
                 acc_ops.append(op)
         self.ram_writes = ram_writes
@@ -314,13 +325,13 @@ class ReplayRecord:
         self.releases = releases
         self.sends = sends
         #: resolved (is_write, handler, value-or-expected, mask) list,
-        #: filled lazily on first apply when the accelerator has no DMA
-        #: wrapper (handlers are bound once at define_register time)
-        self.acc_compiled: Optional[list] = None if (acc_ops and not dma_accel) else ()
+        #: filled lazily on first apply (handlers are bound once at
+        #: define_register time)
+        self.acc_compiled: Optional[list] = None
         #: a *pure* record touches no memory on either side of a hit:
         #: no guarded reads to re-check, no RAM writes to re-apply, and
-        #: no DMA-streaming accelerator that would read packet memory.
-        #: Pure hits never need the deferred packet DMA materialized.
+        #: no accelerator op on one that DMAs from packet memory.  Pure
+        #: hits never need the deferred packet DMA materialized.
         self.pure = not guard_reads and not ram_writes and not (
             acc_ops and dma_accel
         )
@@ -358,19 +369,17 @@ class ReplayRecord:
 
     def _compile_acc(self, rpu: Any) -> list:
         """Resolve accelerator ops to their bound register handlers —
-        skips the MMIO lambda/dispatch layers on every later hit.  Only
-        reached for non-DMA accelerators (``acc_compiled`` starts as an
-        empty tuple otherwise)."""
-        regs = rpu.accelerator._regs
+        skips the MMIO dispatch layer on every later hit."""
+        registers = rpu.accelerator.registers
         out = []
         for op in self.acc_ops:
-            entry = regs[op[1]]
+            reg = registers[op[1]]
             if op[0] == OP_ACC_W:
                 # op layout: (code, offset, value, nbytes, cycle-offset)
-                out.append((True, entry[1], op[2], 0))
+                out.append((True, reg.write, op[2], 0))
             else:
                 # op layout: (code, offset, nbytes, value)
-                out.append((False, entry[0], op[3], (1 << (op[2] * 8)) - 1))
+                out.append((False, reg.read, op[3], (1 << (op[2] * 8)) - 1))
         return out
 
     def apply(self, rpu: Any) -> None:
@@ -391,36 +400,18 @@ class ReplayRecord:
             if compiled is None:
                 compiled = self._compile_acc(rpu)
                 self.acc_compiled = compiled
-            if compiled:
-                for is_write, handler, val, mask in compiled:
-                    if is_write:
-                        handler(val)
-                    else:
-                        got = handler() & mask
-                        if got != val:
-                            raise ReplayDivergenceError(
-                                f"accelerator read returned 0x{got:x}, record "
-                                f"expected 0x{val:x}: the accelerator's "
-                                "replay_token() does not cover all state its "
-                                "MMIO depends on"
-                            )
-            else:
-                # DMA-streaming accelerator: go through the wrapper so a
-                # CTRL start replays the payload stream from packet memory
-                acc_read = rpu._accel_read
-                acc_write = rpu._accel_write
-                for op in self.acc_ops:
-                    if op[0] == OP_ACC_W:
-                        acc_write(op[1], op[2], op[3])
-                    else:  # OP_ACC_R
-                        value = acc_read(op[1], op[2])
-                        if value != op[3]:
-                            raise ReplayDivergenceError(
-                                f"accelerator read +0x{op[1]:x} returned "
-                                f"0x{value:x}, record expected 0x{op[3]:x}: "
-                                "the accelerator's replay_token() does not "
-                                "cover all state its MMIO depends on"
-                            )
+            for is_write, handler, val, mask in compiled:
+                if is_write:
+                    handler(val)
+                else:
+                    got = handler() & mask
+                    if got != val:
+                        raise ReplayDivergenceError(
+                            f"accelerator read returned 0x{got:x}, record "
+                            f"expected 0x{val:x}: the accelerator's "
+                            "replay_token() does not cover all state its "
+                            "MMIO depends on"
+                        )
         rx = rpu._rx
         for _ in range(self.releases):
             if rx:

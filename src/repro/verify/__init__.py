@@ -33,12 +33,10 @@ chains.  See ``docs/STATIC_ANALYSIS.md``.
 """
 
 from .absint import (
-    IO_REGISTER_SPECS,
     AbsAccess,
     AbsintResult,
     AbsState,
     AbsVal,
-    IoRegister,
     MachineEnv,
     Region,
     analyze_cfg,
@@ -70,7 +68,6 @@ from .preflight import (
     preflight_spec,
 )
 from .registry import (
-    INTERCONNECT_REGISTERS,
     BundledFirmware,
     FirmwareAnalysis,
     FirmwareVerifyReport,
@@ -121,9 +118,6 @@ __all__ = [
     "FirmwareCfg",
     "FluidGate",
     "FirmwareVerifyReport",
-    "INTERCONNECT_REGISTERS",
-    "IO_REGISTER_SPECS",
-    "IoRegister",
     "IrreducibleCfgError",
     "LintFinding",
     "Loop",

@@ -32,9 +32,10 @@ registers dropped to TOP and (b) joins into the handler's entry state,
 so handler analysis sees exactly the states it can really interrupt.
 
 Machine facts (memory regions, interconnect register value ranges,
-accelerator register metadata) come from :class:`MachineEnv` — the
-single source of truth the registry's ``INTERCONNECT_REGISTERS`` map is
-now derived from.
+accelerator register metadata) come from :class:`MachineEnv`, which
+reads the interconnect map from the ISS (``core.funcsim``'s
+``INTERCONNECT_REGISTERS``) and each register's read contract from its
+row.
 
 See ``docs/STATIC_ANALYSIS.md`` for the domain write-up.
 """
@@ -69,9 +70,6 @@ WIDEN_AFTER = 3
 
 #: ``mstatus`` CSR address (its MIE bit gates all interrupts).
 MSTATUS_CSR = 0x300
-
-#: Interconnect window size (matches ``MemoryBus.add_mmio`` in funcsim).
-IO_WINDOW = 0x1000
 
 
 # -- the value domain ---------------------------------------------------------
@@ -340,38 +338,6 @@ def _meet_val(a: AbsVal, clamp: AbsVal) -> AbsVal:
 
 
 @dataclass(frozen=True)
-class IoRegister:
-    """One interconnect-window register: offset, name, and the abstract
-    value its reads produce (``kind`` selects the rule)."""
-
-    offset: int
-    name: str
-    readable: bool
-    writable: bool
-    kind: str = ""  # "range" | "tag" | "pkt_len" | "port" | "pkt_ptr" | "top"
-    lo: int = 0
-    hi: int = 0
-
-
-#: The interconnect register map — the single source of truth shared by
-#: the registry's MMIO-footprint check and the abstract interpreter.
-IO_REGISTER_SPECS: Tuple[IoRegister, ...] = (
-    IoRegister(0x00, "RECV_READY", True, False, "range", 0, 1),
-    IoRegister(0x04, "RECV_TAG", True, False, "tag"),
-    IoRegister(0x08, "RECV_LEN", True, False, "pkt_len"),
-    IoRegister(0x0C, "RECV_PORT", True, False, "port"),
-    IoRegister(0x10, "RECV_DATA", True, False, "pkt_ptr"),
-    IoRegister(0x14, "RECV_RELEASE", False, True),
-    IoRegister(0x18, "SEND_TAG", False, True),
-    IoRegister(0x1C, "SEND_LEN", False, True),
-    IoRegister(0x20, "SEND_PORT_GO", False, True),
-    IoRegister(0x28, "DEBUG_OUT_L", False, True),
-    IoRegister(0x2C, "DEBUG_OUT_H", False, True),
-    IoRegister(0x30, "CYCLES", True, False, "top"),
-)
-
-
-@dataclass(frozen=True)
 class Region:
     name: str
     base: int
@@ -406,10 +372,9 @@ class MachineEnv:
             Region("dmem", funcsim.DMEM_BASE, cfg.dmem_bytes, True),
             Region("pmem", funcsim.PMEM_BASE, cfg.packet_mem_bytes, True),
             Region("accmem", funcsim.ACCMEM_BASE, cfg.accel_mem_bytes, True),
-            Region("interconnect", funcsim.IO_BASE, IO_WINDOW, True),
-            Region("accel", funcsim.IO_EXT_BASE, IO_WINDOW, True),
+            Region("interconnect", funcsim.IO_BASE, funcsim.MMIO_WINDOW, True),
+            Region("accel", funcsim.IO_EXT_BASE, funcsim.MMIO_WINDOW, True),
         )
-        self._io_specs = {spec.offset: spec for spec in IO_REGISTER_SPECS}
 
     # -- concrete bounds for symbolic values --------------------------------
 
@@ -431,18 +396,17 @@ class MachineEnv:
     # -- MMIO read semantics -------------------------------------------------
 
     def _io_value(self, offset: int) -> AbsVal:
-        spec = self._io_specs.get(offset)
-        if spec is None or not spec.readable:
-            return TOP
-        if spec.kind == "range":
-            return interval(spec.lo, spec.hi)
-        if spec.kind == "tag":
+        reg = funcsim.IO_REGISTERS.get(offset)
+        contract = reg.contract if reg is not None and reg.access == "r" else ""
+        if contract == "flag":
+            return interval(0, 1)
+        if contract == "tag":
             return interval(0, self.config.slots_per_rpu)
-        if spec.kind == "pkt_len":
+        if contract == "pkt_len":
             return AbsVal("num", 1, 0, 0)
-        if spec.kind == "port":
+        if contract == "port":
             return interval(0, max(0, self.config.n_ports - 1))
-        if spec.kind == "pkt_ptr":
+        if contract == "pkt_ptr":
             return AbsVal("pkt", 0, 0, 0)
         return TOP
 

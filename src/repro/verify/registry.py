@@ -20,18 +20,13 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from ..riscv.cpu import CycleModel
 from ..sim.clock import ROSEBUD_CLOCK
-from .absint import IO_REGISTER_SPECS, AbsintResult, MachineEnv, deep_analyze
+from ..core.funcsim import IO_REGISTERS
+from .absint import AbsintResult, MachineEnv, deep_analyze
 from .budget import BudgetVerdict, budget_verdict
 from .cfg import Diagnostic, FirmwareCfg, analyze_source
 from .memsafe import MemSafetyReport, check_memory_safety
 from .replaylint import ReplayLintReport, lint_firmware_class
 from .wcet import WcetReport, analyze_wcet
-
-#: Offsets of the interconnect window registers, derived from the
-#: abstract interpreter's register specs so the footprint check and the
-#: value-range semantics can never disagree on the map (which is also
-#: the one documented in ``repro/firmware/asm_sources.py``).
-INTERCONNECT_REGISTERS = {spec.offset: spec.name for spec in IO_REGISTER_SPECS}
 
 
 @dataclass(frozen=True)
@@ -236,8 +231,8 @@ def _check_mmio(
             )
         )
     footprint = absres.mmio_footprint()
-    for offset, kinds in sorted(footprint["interconnect"].items()):
-        if offset not in INTERCONNECT_REGISTERS:
+    for offset in sorted(footprint["interconnect"]):
+        if offset not in IO_REGISTERS:
             diags.append(
                 Diagnostic(
                     "error",
@@ -261,8 +256,8 @@ def _check_mmio(
         )
         return
     for offset, kinds in sorted(accel_offsets.items()):
-        entry = accel._regs.get(offset) if accel is not None else None
-        if entry is None:
+        reg = accel.registers.get(offset)
+        if reg is None:
             diags.append(
                 Diagnostic(
                     "error",
@@ -274,8 +269,7 @@ def _check_mmio(
                 )
             )
             continue
-        read, write, _nbytes = entry
-        if "load" in kinds and read is None:
+        if "load" in kinds and reg.read is None:
             diags.append(
                 Diagnostic(
                     "error",
@@ -284,7 +278,7 @@ def _check_mmio(
                     firmware=name,
                 )
             )
-        if "store" in kinds and write is None:
+        if "store" in kinds and reg.write is None:
             diags.append(
                 Diagnostic(
                     "error",

@@ -2,6 +2,7 @@
 single-RPU simulation of §3.4 / Appendix A.4."""
 
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -11,14 +12,18 @@ from repro.accel.pigasus import (
     generate_ruleset,
     parse_rules,
 )
-from repro.core.funcsim import FunctionalRpu, PKT_OFFSET
+from repro.core.funcsim import INTERCONNECT_REGISTERS, FunctionalRpu, PKT_OFFSET
 from repro.firmware import (
     FIREWALL_ASM,
     FORWARDER_ASM,
     FORWARDER_CYCLES,
     PIGASUS_ASM,
+    asm_sources,
 )
 from repro.packet import build_tcp, build_udp, int_to_ip
+from repro.verify.registry import bundled_firmwares
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +166,52 @@ class TestPigasusFirmware:
         rpu.push_packet(pkt.data, port=0)
         rpu.run_until_sent(1)
         assert rpu.sent[0].port == 1  # forwarded as safe
+
+
+    def test_header_only_frame_scans_an_empty_payload(self):
+        """A frame with no TCP payload streams nothing into the matcher:
+        it must not be scanned against the previous packet's payload."""
+        pigasus = next(e for e in bundled_firmwares() if e.name == "pigasus")
+        # the registry's matcher loads generate_ruleset(16)
+        rule = next(r for r in parse_rules(generate_ruleset(16)) if r.sid == 1002)
+        dport = rule.dst_ports.low
+        attack = build_tcp("1.2.3.4", "5.6.7.8", 1500, dport, payload=rule.content, pad_to=128)
+        header_only = build_tcp("1.2.3.4", "5.6.7.8", 1500, dport).data[:54]
+
+        rpu = FunctionalRpu(PIGASUS_ASM, accelerator=pigasus.accel_factory())
+        rpu.push_packet(attack.data)
+        rpu.push_packet(header_only)
+        rpu.run_until_sent(2)
+        assert rpu.sent[0].port == 2  # punted with its rule id
+        fresh = FunctionalRpu(PIGASUS_ASM, accelerator=pigasus.accel_factory())
+        fresh.push_packet(header_only)
+        fresh.run_until_sent(1)
+        for sent in (rpu.sent[1], fresh.sent[0]):
+            assert (sent.port, sent.data) == (1, header_only)
+
+
+class TestInterconnectMap:
+    """The firmware-facing copies of the interconnect map are renderings
+    of the one table the ISS dispatches on."""
+
+    def test_asm_sources_docstring_lists_the_table(self):
+        rows = "\n".join(
+            f"    0x{r.offset:02x}  {r.name:<13} ({r.access})  {r.meaning}"
+            for r in INTERCONNECT_REGISTERS
+        )
+        assert f"::\n\n{rows}\n\n" in asm_sources.__doc__
+
+    def test_firmware_api_doc_lists_the_table(self):
+        rows = "\n".join(
+            f"| 0x{r.offset:02x}   | {r.name:<13} | {r.access:<6} | {r.meaning} |"
+            for r in INTERCONNECT_REGISTERS
+        )
+        header = (
+            "| offset | name          | access | meaning |\n"
+            "|--------|---------------|--------|---------|\n"
+        )
+        text = (ROOT / "docs" / "FIRMWARE_API.md").read_text()
+        assert f"{header}{rows}\n\n" in text
 
 
 class TestDebugFacilities:

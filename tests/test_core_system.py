@@ -31,8 +31,8 @@ class TestForwardPath:
         system.offer_packet(0, pkt)
         system.sim.run()
         assert system.counters.value("delivered") == 1
-        assert system.tx_meters[1].packets_total == 1
-        assert system.tx_meters[0].packets_total == 0
+        assert system.macs[1].counters.value("tx_frames") == 1
+        assert system.macs[0].counters.value("tx_frames") == 0
 
     def test_latency_recorded(self):
         system = RosebudSystem(RosebudConfig(n_rpus=16), ForwarderFirmware())

@@ -42,7 +42,7 @@ class TestNicMode:
             host.inject_packet(build_tcp("10.0.0.1", "8.8.8.8", i + 1, 53, pad_to=200))
         system.sim.run()
         assert system.counters.value("delivered") == 6
-        assert system.tx_meters[1].packets_total == 6
+        assert system.macs[1].counters.value("tx_frames") == 6
 
     def test_bidirectional_nic(self):
         system = RosebudSystem(RosebudConfig(n_rpus=16), NicFirmware())

@@ -72,9 +72,12 @@ def _firewall_matcher():
     return IpBlacklistMatcher(BLACKLIST)
 
 
+RULES = parse_rules(generate_ruleset(60))
+
+
 def _pigasus_matcher():
     matcher = PigasusStringMatcher()
-    matcher.load_rules(parse_rules(generate_ruleset(60)))
+    matcher.load_rules(RULES)
     return matcher
 
 
@@ -221,6 +224,31 @@ class TestFuncsimDifferential:
                                 accel=None):
             assert on["stats"].hits == 0
             assert on["stats"].fallbacks == 64 - 16
+
+    def test_dma_accelerator_replays_through_its_own_port(self):
+        """A matcher that pulls its payload over its DMA port replays
+        by re-issuing its register writes: the CTRL start re-reads the
+        slot, so a hit must land the deferred frames first."""
+
+        class TokenedMatcher(PigasusStringMatcher):
+            def replay_token(self):
+                return self.table_generation, tuple(self._match_fifo)
+
+        def matcher():
+            accel = TokenedMatcher()
+            accel.load_rules(RULES)
+            return accel
+
+        rule = next(r for r in RULES if r.protocol == "tcp" and r.dst_ports.matches(80))
+        attack = build_tcp("1.2.3.4", "5.6.7.8", 1500, 80,
+                           payload=b"AA" + rule.content, pad_to=256).data
+        benign = build_tcp("1.2.3.4", "5.6.7.8", 1500, 80,
+                           payload=b"benign", pad_to=300).data
+        rng = random.Random(3)
+        frames = [rng.choice((attack, benign)) for _ in range(160)]
+        for on in _differential([(f, f, 0) for f in frames], asm=PIGASUS_ASM,
+                                accel=matcher):
+            assert on["stats"].hits > 0
 
     def test_self_modifying_code_forces_bypass(self):
         """An SMC store inside the bracket makes it unreplayable: no
