@@ -13,6 +13,9 @@ bundled firmware at its documented operating point and asserts:
   FPGA build" pitch, statically);
 * no error-level diagnostics (unknown MMIO, self-modifying stores,
   unplaceable RPU counts, loop-bound mismatches);
+* the abstract interpreter runs one fixpoint per firmware: the number
+  of fixpoint engines built (``fixpoints``) is at most the number of
+  firmwares;
 * the whole deep pass stays under ``FLOOR_VERIFY_SECONDS`` wall clock,
   so the engine pre-flight stays effectively free per sweep point.
 
@@ -28,13 +31,25 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import FLOOR_VERIFY_SECONDS, persist_probe_json  # noqa: E402
 
-from repro.verify import verify_all  # noqa: E402
+from repro.verify import absint, verify_all  # noqa: E402
+
+
+class _CountingEngine(absint._Engine):
+    """The fixpoint engine, counting how many are built."""
+
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        _CountingEngine.built += 1
+        super().__init__(*args, **kwargs)
 
 
 def main() -> int:
+    absint._Engine = _CountingEngine
     start = time.perf_counter()
     reports = verify_all()
     elapsed = time.perf_counter() - start
+    fixpoints = _CountingEngine.built
 
     failed = []
     unsafe = []
@@ -62,9 +77,10 @@ def main() -> int:
     print(f"\nverified {len(reports)} firmwares in {elapsed:.2f}s "
           f"(floor {FLOOR_VERIFY_SECONDS:.0f}s); "
           f"{proven} access sites proven, {inferred_bounds} loop bound(s) "
-          "inferred")
+          f"inferred, {fixpoints} fixpoint(s)")
     persist_probe_json("verify_probe", {
         "firmwares": len(reports),
+        "fixpoints": fixpoints,
         "elapsed_s": elapsed,
         "ceiling_s": FLOOR_VERIFY_SECONDS,
         "failed": failed,
@@ -79,6 +95,10 @@ def main() -> int:
         return 1
     if unsafe:
         print(f"FAIL: {unsafe} have unproven or violating memory accesses")
+        return 1
+    if fixpoints > len(reports):
+        print(f"FAIL: {fixpoints} fixpoints for {len(reports)} firmwares; "
+              "the analysis must run one per firmware")
         return 1
     if elapsed > FLOOR_VERIFY_SECONDS:
         print(f"FAIL: verification took {elapsed:.2f}s "

@@ -8,7 +8,8 @@ The subsystem answers, *before* any simulation runs:
   does the worst-case stack depth fit the per-RPU stack allocation?
   (:mod:`repro.verify.absint` + :mod:`repro.verify.memsafe`)
 * what bounds its loops?  Induction-variable and accelerator-stream
-  analysis infer them; ``# loop-bound`` annotations are cross-checks
+  analysis infer them inside the fixpoint, whose loop headers they
+  clamp; ``# loop-bound`` annotations are cross-checks
   (:mod:`repro.verify.loopbound`).
 * does its MMIO footprint — trap handlers included — match the
   interconnect map and the configured accelerator's register set?
@@ -39,7 +40,6 @@ from .absint import (
     AbsVal,
     MachineEnv,
     Region,
-    analyze_cfg,
     deep_analyze,
 )
 from .budget import BudgetVerdict, budget_verdict
@@ -53,13 +53,7 @@ from .cfg import (
     parse_loop_bounds,
 )
 from .detlint import Finding, lint_paths, lint_source
-from .loopbound import (
-    LoopBound,
-    LoopBoundReport,
-    induction_clamps,
-    infer_loop_bounds,
-    local_dominators,
-)
+from .loopbound import LoopBound, LoopBoundReport, local_dominators
 from .memsafe import AccessCheck, MemSafetyReport, check_memory_safety
 from .preflight import (
     FIRMWARE_ASM_TWINS,
@@ -132,7 +126,6 @@ __all__ = [
     "TRAP_ENTRY_CYCLES",
     "VerificationError",
     "WcetReport",
-    "analyze_cfg",
     "analyze_firmware",
     "analyze_source",
     "analyze_wcet",
@@ -143,8 +136,6 @@ __all__ = [
     "build_cfg",
     "bundled_firmware_names",
     "bundled_firmwares",
-    "induction_clamps",
-    "infer_loop_bounds",
     "lint_firmware_class",
     "lint_paths",
     "lint_source",

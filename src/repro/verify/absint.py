@@ -21,9 +21,10 @@ Widening fires at loop headers after :data:`WIDEN_AFTER` in-state
 changes (``num`` intervals jump to ``[0, 2^32-1]``, pointer offsets to
 ±``OFF_INF``), which makes the fixpoint terminate on any CFG the
 builder produces — every cycle passes through a detected back-edge
-target.  A second pass re-runs the fixpoint with **induction clamps**
-from :mod:`repro.verify.loopbound` (``r ∈ init + step*[0, bound]`` at a
-bounded header), recovering the precision widening gave away.
+target.  Every header update also meets the header state with that
+loop's **induction clamp** from :mod:`repro.verify.loopbound` (``r ∈
+init + step*[0, bound]``, re-derived from the current states), which
+recovers the precision widening gave away in the same fixpoint.
 
 Interrupts are modelled soundly: a ``csr*`` write that can set
 ``mstatus.MIE`` flips an abstract *maybe-enabled* flag; from then on
@@ -642,7 +643,8 @@ class AbsintResult:
     widened: Set[int] = field(default_factory=set)
     iterations: int = 0
     incomplete: bool = False
-    #: set by :func:`deep_analyze`: the loop-bound inference report
+    #: the :class:`~repro.verify.loopbound.LoopBoundReport`, read off
+    #: the final states by :func:`deep_analyze`
     loop_bounds: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -712,31 +714,30 @@ def _out_edges(block, state: AbsState) -> Iterator[Tuple[int, Optional[AbsState]
 
 
 class _Engine:
-    def __init__(
-        self,
-        cfg: FirmwareCfg,
-        env: MachineEnv,
-        clamps: Optional[Dict[int, Dict[int, AbsVal]]] = None,
-    ) -> None:
+    """The worklist fixpoint, writing straight into its
+    :class:`AbsintResult`; ``shapes`` holds every loop's
+    :class:`~repro.verify.loopbound.LoopShape`, keyed by header."""
+
+    def __init__(self, cfg: FirmwareCfg, env: MachineEnv, shapes: dict) -> None:
         self.cfg = cfg
-        self.env = env
         self.transfer = _Transfer(env)
-        self.clamps = clamps or {}
+        self.shapes = shapes
         self.back_edges: Set[Tuple[int, int]] = {
             (tail, lp.header)
             for lp in cfg.loops.values()
             for tail, _ in lp.back_edges
         }
-        self.headers = set(cfg.loops)
-        self.in_states: Dict[int, AbsState] = {}
-        self.entry_joins: Dict[int, AbsState] = {}
+        #: header -> every block with an edge into it
+        self.preds: Dict[int, List[int]] = {
+            h: [b.start for b in cfg.blocks.values() if h in b.successors]
+            for h in shapes
+        }
+        #: header -> the clamp its in-state was last met with
+        self.applied: Dict[int, Dict[int, AbsVal]] = {}
         self.update_counts: Dict[int, int] = {}
-        self.widened: Set[int] = set()
         self.worklist: List[int] = []
-        self.iterations = 0
-        self.incomplete = False
         # handler clobbers: syntactic rd scan over handler-reachable blocks
-        self.handler_clobbers: Dict[int, Set[int]] = {}
+        handler_clobbers: Dict[int, Set[int]] = {}
         for root in cfg.entries[1:]:
             if root not in cfg.blocks:
                 continue
@@ -745,8 +746,11 @@ class _Engine:
                 for inst in cfg.blocks[start].insts:
                     if writes_rd(inst.mnemonic, inst.rd):
                         regs.add(inst.rd)
-            self.handler_clobbers[root] = regs
-        self.clobber_union: Set[int] = set().union(*self.handler_clobbers.values())
+            handler_clobbers[root] = regs
+        self.result = AbsintResult(cfg, env, handler_clobbers=handler_clobbers)
+        self.in_states = self.result.in_states
+        self.entry_joins = self.result.entry_joins
+        self.clobber_union = self.result._clobber_union
 
     # -- state propagation ---------------------------------------------------
 
@@ -754,10 +758,23 @@ class _Engine:
         if start not in self.worklist:
             self.worklist.append(start)
 
+    def _clamp(self, header: int) -> Dict[int, AbsVal]:
+        """``header``'s clamp, derived from the current states.  A clamp
+        that moved re-queues every block flowing into the header, so each
+        entry and back-edge state is met again with the current one."""
+        clamp = self.shapes[header].clamp(self.result)
+        if clamp != self.applied.get(header, {}):
+            self.applied[header] = clamp
+            for pred in self.preds[header]:
+                if pred in self.in_states:
+                    self._push(pred)
+        return clamp
+
     def _update(self, pred: int, succ: int, state: AbsState) -> None:
         if succ not in self.cfg.blocks:
             return
-        if succ in self.headers and (pred, succ) not in self.back_edges:
+        header = succ in self.shapes
+        if header and (pred, succ) not in self.back_edges:
             ej = self.entry_joins.get(succ)
             self.entry_joins[succ] = (
                 state.copy() if ej is None else _join_states(ej, state)[0]
@@ -767,19 +784,20 @@ class _Engine:
             new, changed = state.copy(), True
         else:
             new, changed = _join_states(prev, state)
-        if changed and prev is not None and succ in self.headers:
-            count = self.update_counts.get(succ, 0) + 1
-            self.update_counts[succ] = count
-            if count > WIDEN_AFTER:
-                new = _widen_states(prev, new)
-                self.widened.add(succ)
-        clamp = self.clamps.get(succ)
-        if clamp:
-            regs = list(new.regs)
-            for r, cv in clamp.items():
-                regs[r] = _meet_val(regs[r], cv)
-            new = AbsState(regs, new.mie)
-            changed = prev is None or new != prev
+        if header:
+            if changed and prev is not None:
+                count = self.update_counts.get(succ, 0) + 1
+                self.update_counts[succ] = count
+                if count > WIDEN_AFTER:
+                    new = _widen_states(prev, new)
+                    self.result.widened.add(succ)
+            clamp = self._clamp(succ)
+            if clamp:
+                regs = list(new.regs)
+                for r, cv in clamp.items():
+                    regs[r] = _meet_val(regs[r], cv)
+                new = AbsState(regs, new.mie)
+                changed = prev is None or new != prev
         if changed:
             self.in_states[succ] = new
             self._push(succ)
@@ -795,14 +813,18 @@ class _Engine:
         self._push(root)
 
     def run(self) -> None:
+        """Drain the worklist; then re-derive every reached header's
+        clamp from the final states and drain again until none moves, so
+        each header state is met with a clamp that holds of them."""
         cap = 256 * max(1, len(self.cfg.blocks))
         blocks = self.cfg.blocks
+        result = self.result
         while self.worklist:
-            self.iterations += 1
-            if self.iterations > cap:
+            result.iterations += 1
+            if result.iterations > cap:
                 # widening makes this unreachable in practice; if it
                 # ever fires, fall to TOP everywhere reachable (sound)
-                self.incomplete = True
+                result.incomplete = True
                 for start in list(self.in_states):
                     self.in_states[start] = AbsState.unknown()
                 self.worklist.clear()
@@ -814,6 +836,10 @@ class _Engine:
             for succ, out in _out_edges(blocks[start], state):
                 if out is not None:
                     self._update(start, succ, out)
+            if not self.worklist:
+                for header in self.shapes:
+                    if header in self.in_states:
+                        self._clamp(header)
 
     def _replay(self, start: int, state: AbsState):
         return _replay(self.cfg.blocks[start], state, self.transfer, self.clobber_union)
@@ -834,77 +860,43 @@ class _Engine:
                     acc = snap if acc is None else _join_states(acc, snap)[0]
         return acc
 
-    def final_sweep(self) -> Tuple[List[AbsAccess], Set[Tuple[int, int]]]:
-        accesses: List[AbsAccess] = []
-        infeasible: Set[Tuple[int, int]] = set()
+    def final_sweep(self) -> None:
+        result = self.result
         for start in sorted(self.in_states):
             state = self.in_states[start].copy()
-            accesses.extend(acc for acc in self._replay(start, state) if acc is not None)
+            result.accesses.extend(acc for acc in self._replay(start, state) if acc is not None)
             for succ, out in _out_edges(self.cfg.blocks[start], state):
                 if out is None:
-                    infeasible.add((start, succ))
-        return accesses, infeasible
+                    result.infeasible_edges.add((start, succ))
 
 
-def analyze_cfg(
-    cfg: FirmwareCfg,
-    env: Optional[MachineEnv] = None,
-    *,
-    clamps: Optional[Dict[int, Dict[int, AbsVal]]] = None,
-) -> AbsintResult:
-    """One widening fixpoint over ``cfg`` (main entry, then handlers
-    from their soundly-joined entry states), plus the final collection
-    sweep.  ``clamps`` are per-header register overrides from loop-bound
-    inference (see :func:`deep_analyze` for the two-pass pipeline)."""
-    env = env or MachineEnv()
-    engine = _Engine(cfg, env, clamps=clamps)
+def deep_analyze(cfg: FirmwareCfg, env: Optional[MachineEnv] = None) -> AbsintResult:
+    """One widening fixpoint over ``cfg`` — main entry, then handlers
+    from their soundly-joined entry states — with loop-bound clamps met
+    into it at every header update, plus the final collection sweep.
+    ``# loop-bound`` annotations, already on ``cfg.loops``, are the
+    bounds' cross-checks; the result carries the
+    :class:`~repro.verify.loopbound.LoopBoundReport` read off the final
+    states in ``loop_bounds``."""
+    from .loopbound import LoopShape, infer_loop_bounds
+
+    shapes = {header: LoopShape(cfg, loop) for header, loop in cfg.loops.items()}
+    engine = _Engine(cfg, env or MachineEnv(), shapes)
+    result = engine.result
 
     engine.seed(cfg.entry, AbsState.reset())
     engine.run()
 
-    main_blocks = cfg.reachable(cfg.entry)
-    handler_entries: Dict[int, AbsState] = {}
     handler_roots = [r for r in cfg.entries[1:] if r in cfg.blocks]
-    if handler_roots and not engine.incomplete:
-        entry = engine.collect_handler_entry(main_blocks)
+    if handler_roots and not result.incomplete:
+        entry = engine.collect_handler_entry(cfg.reachable(cfg.entry))
         for root in handler_roots:
             seed = entry.copy() if entry is not None else AbsState.unknown()
             seed.mie = False  # hardware clears MIE on trap entry
-            handler_entries[root] = seed.copy()
+            result.handler_entries[root] = seed.copy()
             engine.seed(root, seed)
         engine.run()
 
-    accesses, infeasible = engine.final_sweep()
-    return AbsintResult(
-        cfg=cfg,
-        env=env,
-        in_states=engine.in_states,
-        accesses=accesses,
-        infeasible_edges=infeasible,
-        entry_joins=engine.entry_joins,
-        handler_entries=handler_entries,
-        handler_clobbers=engine.handler_clobbers,
-        widened=engine.widened,
-        iterations=engine.iterations,
-        incomplete=engine.incomplete,
-    )
-
-
-def deep_analyze(cfg: FirmwareCfg, env: Optional[MachineEnv] = None) -> AbsintResult:
-    """The two-pass pipeline: widening fixpoint, loop-bound inference
-    (``# loop-bound`` annotations, already on ``cfg.loops``, are its
-    cross-checks), then a clamped re-run that recovers
-    induction-variable precision.  The result carries the
-    :class:`~repro.verify.loopbound.LoopBoundReport` in ``loop_bounds``."""
-    from .loopbound import induction_clamps, infer_loop_bounds
-
-    env = env or MachineEnv()
-    first = analyze_cfg(cfg, env)
-    report = infer_loop_bounds(cfg, first, env)
-    clamps = induction_clamps(cfg, first, report)
-    if clamps:
-        second = analyze_cfg(cfg, env, clamps=clamps)
-        second.loop_bounds = report
-        return second
-    first.loop_bounds = report
-    return first
+    engine.final_sweep()
+    result.loop_bounds = infer_loop_bounds(result, shapes)
+    return result

@@ -2,7 +2,7 @@
 
 PR 5's WCET engine trusted ``# loop-bound N`` annotations.  This module
 *derives* bounds from the program instead, using two rules over the
-abstract-interpretation fixpoint (:mod:`repro.verify.absint`):
+abstract-interpretation states (:mod:`repro.verify.absint`):
 
 **Induction rule.**  A register ``r`` with exactly one definition in the
 loop body, that definition an ``addi r, r, c`` which dominates every
@@ -30,10 +30,14 @@ inputs: an annotation that disagrees with an inferred bound is an
 ``error[loop-bound-mismatch]``; an annotation on a loop the engine
 cannot bound is used, but flagged ``warning[loop-bound-trusted]``.
 
-:func:`induction_clamps` converts inferred bounds back into abstract
-facts — ``r ∈ init + c*[0, n]`` at the header — for the second fixpoint
-pass, which is how the widened pigasus byte-copy offset collapses back
-to ``len + [0, 35]`` and the append store proves in-slot.
+The rules run inside the one fixpoint.  :class:`LoopShape` is a loop's
+structure, computed once from the CFG; every time a loop header's
+in-state is updated, the engine asks it for a clamp — ``r ∈ init +
+c*[0, n]`` for every stepped register, from the current entry join and
+guard states — and meets the header state with it.  That is how the
+widened pigasus append offset collapses back to ``len + [0, 32]`` and
+the append store proves in-slot.  :func:`infer_loop_bounds` reads the
+report off the final states.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..riscv.isa import BRANCH_RELATIONS, NEGATED_RELATION, OPS, writes_rd
-from .absint import U32, AbsintResult, AbsVal, MachineEnv, _sym
+from .absint import U32, AbsintResult, AbsVal, _add, _sym, const
 from .cfg import Diagnostic, FirmwareCfg, Loop
 
 #: Bounds larger than this are rejected as widening artifacts — no
@@ -110,80 +114,6 @@ def local_dominators(cfg: FirmwareCfg, loop: Loop) -> Dict[int, Set[int]]:
     return doms
 
 
-# -- helpers ------------------------------------------------------------------
-
-
-def _defs_of(cfg: FirmwareCfg, loop: Loop, reg: int) -> List[Tuple[int, int, object]]:
-    """``(block start, pc, inst)`` for every write of ``reg`` in the body."""
-    out = []
-    for start in sorted(loop.body):
-        block = cfg.blocks.get(start)
-        if block is None:
-            continue
-        for pc, inst in zip(block.pcs, block.insts):
-            if writes_rd(inst.mnemonic, inst.rd) and inst.rd == reg:
-                out.append((start, pc, inst))
-    return out
-
-
-def _stepped_registers(cfg: FirmwareCfg, loop: Loop) -> Dict[int, Tuple[int, int]]:
-    """``{reg: (def block, step)}`` for every register whose only write
-    in the body is an ``addi r, r, step`` at this loop's own nesting
-    level (not inside a deeper loop)."""
-    written = {
-        inst.rd
-        for start in loop.body
-        for inst in cfg.blocks[start].insts
-        if writes_rd(inst.mnemonic, inst.rd)
-    }
-    deeper = [o.body for o in cfg.loops.values() if o.parent == loop.header]
-    out: Dict[int, Tuple[int, int]] = {}
-    for reg in sorted(written):
-        defs = _defs_of(cfg, loop, reg)
-        if len(defs) != 1:
-            continue
-        start, _, inst = defs[0]
-        op = OPS[inst.mnemonic]
-        if op.kind != "alu-imm" or op.alu != "add" or inst.rs1 != reg or inst.imm == 0:
-            continue
-        if any(start in body for body in deeper):
-            continue
-        out[reg] = (start, inst.imm)
-    return out
-
-
-def _dominates_all_tails(doms: Dict[int, Set[int]], loop: Loop, start: int) -> bool:
-    return all(start in doms.get(tail, set()) for tail, _ in loop.back_edges)
-
-
-def _guard_blocks(cfg: FirmwareCfg, loop: Loop, doms: Dict[int, Set[int]]) -> List[int]:
-    """Body blocks that dominate every back edge and end in a
-    conditional branch with exactly one loop-exiting successor."""
-    out = []
-    for start in sorted(loop.body):
-        block = cfg.blocks.get(start)
-        if block is None or block.taken is None:
-            continue
-        if not _dominates_all_tails(doms, loop, start):
-            continue
-        exits = [s for s in block.successors if s not in loop.body]
-        stays = [s for s in block.successors if s in loop.body]
-        if len(exits) == 1 and len(stays) == 1:
-            out.append(start)
-    return out
-
-
-def _continue_relation(cfg: FirmwareCfg, loop: Loop, guard: int) -> Tuple[str, bool, int]:
-    """``(relation, signed, continue successor)`` on the stay-in-loop
-    edge of the guard branch."""
-    block = cfg.blocks[guard]
-    relation, signed = BRANCH_RELATIONS[block.last.mnemonic]
-    stay = next(s for s in block.successors if s in loop.body)
-    if stay != block.taken:
-        relation = NEGATED_RELATION[relation]
-    return relation, signed, stay
-
-
 _SWAPPED = {"lt": "gt", "ge": "le", "gt": "lt", "le": "ge", "eq": "eq", "ne": "ne"}
 
 
@@ -191,85 +121,191 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-# -- the induction rule -------------------------------------------------------
+# -- the per-loop structure ---------------------------------------------------
 
 
-def _infer_induction(
-    cfg: FirmwareCfg,
-    absres: AbsintResult,
-    loop: Loop,
-    doms: Dict[int, Set[int]],
-) -> Optional[LoopBound]:
-    guards = _guard_blocks(cfg, loop, doms)
-    if not guards:
+class LoopShape:
+    """What the bound rules need of one loop that no abstract state
+    changes, computed once before the fixpoint."""
+
+    def __init__(self, cfg: FirmwareCfg, loop: Loop) -> None:
+        self.cfg = cfg
+        self.loop = loop
+        self.doms = doms = local_dominators(cfg, loop)
+        #: body blocks that dominate every back edge: they run on every
+        #: iteration
+        self.every = {
+            s for s in loop.body
+            if all(s in doms.get(tail, ()) for tail, _ in loop.back_edges)
+        }
+        defs: Dict[int, List[Tuple[int, object]]] = {}
+        for start in sorted(loop.body):
+            for inst in cfg.blocks[start].insts:
+                if writes_rd(inst.mnemonic, inst.rd):
+                    defs.setdefault(inst.rd, []).append((start, inst))
+        #: registers the body writes (a guard's bound must not be one)
+        self.written = set(defs)
+        #: ``{reg: (def block, step)}`` for every register whose only
+        #: write in the body is an ``addi r, r, step`` at this loop's own
+        #: nesting level (not inside a deeper loop)
+        self.stepped: Dict[int, Tuple[int, int]] = {}
+        deeper = [o.body for o in cfg.loops.values() if o.parent == loop.header]
+        for reg, sites in sorted(defs.items()):
+            start, inst = sites[0]
+            op = OPS[inst.mnemonic]
+            if (len(sites) == 1 and op.kind == "alu-imm" and op.alu == "add"
+                    and inst.rs1 == reg and inst.imm != 0
+                    and not any(start in body for body in deeper)):
+                self.stepped[reg] = (start, inst.imm)
+        #: ``(guard block, continue relation, signed)`` for every block
+        #: that runs on every iteration and ends in a conditional branch
+        #: with exactly one loop-exiting successor
+        self.guards: List[Tuple[int, str, bool]] = []
+        for start in sorted(self.every):
+            block = cfg.blocks[start]
+            stays = [s for s in block.successors if s in loop.body]
+            if block.taken is None or len(stays) != 1 or len(block.successors) != 2:
+                continue
+            relation, signed = BRANCH_RELATIONS[block.last.mnemonic]
+            if stays[0] != block.taken:
+                relation = NEGATED_RELATION[relation]
+            self.guards.append((start, relation, signed))
+        #: stores that run on every iteration: the stream rule's advance
+        #: candidates
+        self.stores = [
+            (pc, inst)
+            for start in sorted(self.every)
+            for pc, inst in zip(cfg.blocks[start].pcs, cfg.blocks[start].insts)
+            if OPS[inst.mnemonic].kind == "store"
+        ]
+
+    def infer(self, absres: AbsintResult) -> Optional[LoopBound]:
+        """The induction rule's bound, else the stream rule's, read off
+        ``absres``'s current states."""
+        guards = []
+        for guard, relation, signed in self.guards:
+            state = absres.state_before(self.cfg.blocks[guard].pcs[-1])
+            if state is not None:
+                guards.append((guard, relation, signed, state))
+        return self._induction(absres, guards) or self._stream(absres, guards)
+
+    def _induction(self, absres: AbsintResult, guards) -> Optional[LoopBound]:
+        cfg, loop = self.cfg, self.loop
+        entry = absres.entry_joins.get(loop.header)
+        if entry is None:
+            return None
+        for guard, relation, signed, state in guards:
+            last = cfg.blocks[guard].last
+            for reg, (def_block, step) in sorted(self.stepped.items()):
+                if def_block not in self.every:
+                    continue
+                if last.rs1 == reg and last.rs2 != reg:
+                    bound_reg, rel = last.rs2, relation
+                elif last.rs2 == reg and last.rs1 != reg:
+                    bound_reg, rel = last.rs1, _SWAPPED[relation]
+                else:
+                    continue
+                # bound operand must be loop-invariant
+                if bound_reg != 0 and bound_reg in self.written:
+                    continue
+                init, bval = entry.regs[reg], state.regs[bound_reg]
+                if not init.is_plain or not bval.is_plain:
+                    continue
+                if signed and (init.hi >= 0x8000_0000 or bval.hi >= 0x8000_0000):
+                    continue
+                n = _iteration_count(rel, step, init, bval)
+                if n is None:
+                    continue
+                # the increment runs strictly before the guard test when
+                # its block dominates the guard's (the branch is last, so
+                # the same block counts)
+                if def_block not in self.doms.get(guard, ()):
+                    n += 1
+                n = max(n, 1)
+                if n > MAX_SANE_BOUND:
+                    continue
+                return LoopBound(
+                    header=loop.header,
+                    bound=n,
+                    source="induction",
+                    detail=(
+                        f"x{reg} = {init.describe()} step {step}, guard "
+                        f"{last.mnemonic} vs {bval.describe()} at "
+                        f"{cfg.describe(guard)}"
+                    ),
+                    reg=reg,
+                    step=step,
+                )
         return None
 
-    # candidate induction registers: a stepped register whose def
-    # dominates every back edge
-    candidates = {
-        reg: cand
-        for reg, cand in _stepped_registers(cfg, loop).items()
-        if _dominates_all_tails(doms, loop, cand[0])
-    }
-
-    entry = absres.entry_joins.get(loop.header)
-    if entry is None or not candidates:
-        return None
-
-    for guard in guards:
-        block = cfg.blocks[guard]
-        last = block.last
-        for reg, (def_block, step) in sorted(candidates.items()):
-            if last.rs1 == reg and last.rs2 != reg:
-                bound_reg = last.rs2
-                swap = False
-            elif last.rs2 == reg and last.rs1 != reg:
-                bound_reg = last.rs1
-                swap = True
-            else:
+    def _stream(self, absres: AbsintResult, guards) -> Optional[LoopBound]:
+        reg_meta = getattr(absres.env.accel, "reg_meta", None)
+        if not callable(reg_meta):
+            return None
+        for guard, relation, _, state in guards:
+            last = self.cfg.blocks[guard].last
+            # a drain tests one register against zero and continues while
+            # the word is nonzero
+            if relation != "ne" or (last.rs1 == 0) == (last.rs2 == 0):
                 continue
-            # bound operand must be loop-invariant
-            if bound_reg != 0 and _defs_of(cfg, loop, bound_reg):
+            tag = state.regs[last.rs1 or last.rs2].tag
+            if not tag or tag[0] != "stream":
                 continue
-            relation, signed, _ = _continue_relation(cfg, loop, guard)
-            if swap:
-                relation = _SWAPPED[relation]
-
-            init = entry.regs[reg]
-            state = absres.state_before(block.pcs[-1])
-            bval = state.regs[bound_reg] if state is not None else None
-            if bval is None or not init.is_plain or not bval.is_plain:
+            _, offset, load_pc = tag
+            depth = (reg_meta(offset) or {}).get("stream_depth")
+            # the tagged load must run on every iteration, and so must an
+            # advance of the stream, or the FIFO head never moves and the
+            # loop spins forever
+            if not depth or not any(load_pc in self.cfg.blocks[s].pcs for s in self.every):
                 continue
-            if signed and (init.hi >= 0x8000_0000 or bval.hi >= 0x8000_0000):
-                continue
-
-            n = _iteration_count(relation, step, init, bval)
-            if n is None:
-                continue
-            # increment strictly before the guard test?  same block
-            # (branch is last, so the addi precedes it) or the def
-            # block strictly dominates the guard block.
-            before = def_block == guard or (
-                def_block != guard and def_block in doms.get(guard, set())
-            )
-            if not before:
-                n += 1
-            n = max(n, 1)
-            if n > MAX_SANE_BOUND:
+            if not self._advances(absres, reg_meta):
                 continue
             return LoopBound(
-                header=loop.header,
-                bound=n,
-                source="induction",
+                header=self.loop.header,
+                bound=depth,
+                source="stream",
                 detail=(
-                    f"x{reg} = {init.describe()} step {step}, guard "
-                    f"{last.mnemonic} vs {bval.describe()} at "
-                    f"{cfg.describe(guard)}"
+                    f"drains accel stream @+{offset:#x} (depth {depth}) via "
+                    f"load at 0x{load_pc:x}"
                 ),
-                reg=reg,
-                step=step,
             )
-    return None
+        return None
+
+    def _advances(self, absres: AbsintResult, reg_meta) -> bool:
+        """Some every-iteration store lands on a ``stream_advance``
+        accelerator register."""
+        for pc, inst in self.stores:
+            state = absres.state_before(pc)
+            if state is None:
+                continue
+            addr = _add(state.regs[inst.rs1], const(inst.imm))
+            if not addr.is_const:
+                continue
+            region, offset = absres.env.region_of(addr.lo)
+            if region == "accel" and (reg_meta(offset) or {}).get("stream_advance"):
+                return True
+        return False
+
+    def clamp(self, absres: AbsintResult) -> Dict[int, AbsVal]:
+        """``r ∈ init + step*[0, n]`` at the header for every stepped
+        register — not just the guard's induction variable: the pigasus
+        drain walks its append offset — where ``n`` is the inferred
+        bound, else the annotation's.  ``init`` is the header's entry
+        join, which sees only states from outside the loop."""
+        inferred = self.infer(absres)
+        bound = inferred.bound if inferred is not None else self.loop.bound
+        entry = absres.entry_joins.get(self.loop.header)
+        clamps: Dict[int, AbsVal] = {}
+        if bound is None or entry is None:
+            return clamps
+        for reg, (_, step) in self.stepped.items():
+            init = entry.regs[reg]
+            lo, hi = init.lo + min(step, 0) * bound, init.hi + max(step, 0) * bound
+            if not init.is_plain:
+                clamps[reg] = _sym(init.base, init.lc, lo, hi)
+            elif 0 <= lo and hi <= U32:  # a range that wraps clamps nothing
+                clamps[reg] = AbsVal("num", 0, lo, hi)
+        return clamps
 
 
 def _iteration_count(relation: str, step: int, init: AbsVal, bval: AbsVal) -> Optional[int]:
@@ -292,105 +328,19 @@ def _iteration_count(relation: str, step: int, init: AbsVal, bval: AbsVal) -> Op
     return None
 
 
-# -- the stream rule ----------------------------------------------------------
+# -- the report ---------------------------------------------------------------
 
 
-def _infer_stream(
-    cfg: FirmwareCfg,
-    absres: AbsintResult,
-    env: MachineEnv,
-    loop: Loop,
-    doms: Dict[int, Set[int]],
-) -> Optional[LoopBound]:
-    accel = env.accel
-    reg_meta = getattr(accel, "reg_meta", None)
-    if not callable(reg_meta):
-        return None
-
-    for guard in _guard_blocks(cfg, loop, doms):
-        block = cfg.blocks[guard]
-        last = block.last
-        if BRANCH_RELATIONS[last.mnemonic][0] not in ("eq", "ne"):
-            continue
-        if last.rs2 == 0 and last.rs1 != 0:
-            tested = last.rs1
-        elif last.rs1 == 0 and last.rs2 != 0:
-            tested = last.rs2
-        else:
-            continue
-        relation, _, _ = _continue_relation(cfg, loop, guard)
-        if relation != "ne":
-            continue  # a drain continues while the word is nonzero
-        state = absres.state_before(block.pcs[-1])
-        if state is None:
-            continue
-        tag = state.regs[tested].tag
-        if not tag or tag[0] != "stream":
-            continue
-        _, offset, load_pc = tag
-        meta = reg_meta(offset) or {}
-        depth = meta.get("stream_depth")
-        if not depth:
-            continue
-        # the tagged load must run on every iteration
-        load_block = _body_block(cfg, loop, load_pc)
-        if load_block is None or not _dominates_all_tails(doms, loop, load_block):
-            continue
-        # ... and so must an advance of the same stream, or the FIFO
-        # head never moves and the loop spins forever
-        if not _has_dominating_advance(cfg, absres, loop, doms, reg_meta):
-            continue
-        return LoopBound(
-            header=loop.header,
-            bound=depth,
-            source="stream",
-            detail=(
-                f"drains accel stream @+{offset:#x} (depth {depth}) via "
-                f"load at 0x{load_pc:x}"
-            ),
-        )
-    return None
-
-
-def _body_block(cfg: FirmwareCfg, loop: Loop, pc: int) -> Optional[int]:
-    """The body block holding ``pc``, if any."""
-    return next((s for s in loop.body if pc in cfg.blocks[s].pcs), None)
-
-
-def _has_dominating_advance(cfg, absres, loop, doms, reg_meta) -> bool:
-    for acc, region, offset in absres.resolved():
-        if acc.kind != "store" or region != "accel":
-            continue
-        if not (reg_meta(offset) or {}).get("stream_advance"):
-            continue
-        store_block = _body_block(cfg, loop, acc.pc)
-        if store_block is not None and _dominates_all_tails(doms, loop, store_block):
-            return True
-    return False
-
-
-# -- entry points -------------------------------------------------------------
-
-
-def infer_loop_bounds(
-    cfg: FirmwareCfg,
-    absres: AbsintResult,
-    env: Optional[MachineEnv] = None,
-) -> LoopBoundReport:
-    """Infer a bound for every loop in ``cfg`` and cross-check it against
-    the ``# loop-bound N`` annotation :func:`~repro.verify.cfg.analyze_source`
-    left on the loop (``Loop.bound``), if any."""
-    env = env or absres.env
+def infer_loop_bounds(absres: AbsintResult, shapes: Dict[int, LoopShape]) -> LoopBoundReport:
+    """Every loop's bound, read off ``absres``'s final states, each
+    cross-checked against the ``# loop-bound N`` annotation
+    :func:`~repro.verify.cfg.analyze_source` left on the loop
+    (``Loop.bound``), if any."""
+    cfg = absres.cfg
     report = LoopBoundReport()
-
-    for header in sorted(cfg.loops):
-        loop = cfg.loops[header]
-        doms = local_dominators(cfg, loop)
-        inferred = _infer_induction(cfg, absres, loop, doms)
-        if inferred is None:
-            inferred = _infer_stream(cfg, absres, env, loop, doms)
-
-        annotated = loop.bound
+    for header, shape in sorted(shapes.items()):
+        inferred = shape.infer(absres)
+        annotated = shape.loop.bound
         if inferred is not None:
             if annotated is not None and annotated != inferred.bound:
                 report.diagnostics.append(
@@ -424,40 +374,3 @@ def infer_loop_bounds(
                 )
             )
     return report
-
-
-def induction_clamps(
-    cfg: FirmwareCfg,
-    absres: AbsintResult,
-    report: LoopBoundReport,
-) -> Dict[int, Dict[int, AbsVal]]:
-    """Per-header register clamps for the second fixpoint pass.
-
-    For every bounded loop, every single-def ``addi r, r, c`` register
-    (not just the guard's induction variable — the pigasus byte-copy
-    walks *two* counters) is confined to ``init + c*[0, n]``.  The init
-    value comes from the first pass's entry joins, which only see
-    states from outside the loop — a sound superset of the real entry
-    values, so meeting with the clamp at the header is sound.
-    """
-    clamps: Dict[int, Dict[int, AbsVal]] = {}
-    for header, lb in sorted(report.bounds.items()):
-        loop = cfg.loops.get(header)
-        entry = absres.entry_joins.get(header)
-        if loop is None or entry is None:
-            continue
-        for reg, (_, step) in _stepped_registers(cfg, loop).items():
-            init = entry.regs[reg]
-            span = abs(step) * lb.bound
-            if step > 0:
-                lo, hi = init.lo, init.hi + span
-            else:
-                lo, hi = init.lo - span, init.hi
-            if init.is_plain:
-                if hi > U32:
-                    continue  # wrapped: no useful clamp
-                clamp = AbsVal("num", 0, max(lo, 0), hi)
-            else:
-                clamp = _sym(init.base, init.lc, lo, hi)
-            clamps.setdefault(header, {})[reg] = clamp
-    return clamps

@@ -217,7 +217,8 @@ def _check_mmio(
 ) -> None:
     """Validate the MMIO footprint (main loop and trap handlers alike)
     against the interconnect map and the configured accelerator's
-    register set."""
+    register set, one rule for both windows: every offset is a row, a
+    load needs a readable row and a store a writable one."""
     unresolved = sum(1 for acc in absres.accesses if not acc.addr.is_const)
     if unresolved:
         diags.append(
@@ -230,63 +231,57 @@ def _check_mmio(
                 firmware=name,
             )
         )
-    footprint = absres.mmio_footprint()
-    for offset in sorted(footprint["interconnect"]):
-        if offset not in IO_REGISTERS:
+    windows = {
+        "interconnect": (
+            "interconnect", "unknown-interconnect-register",
+            "which no documented register occupies",
+            {o: (r.access == "r", r.access == "w") for o, r in IO_REGISTERS.items()},
+        ),
+        "accel": (
+            "accelerator", "unmapped-accel-register",
+            f"which '{getattr(accel, 'name', type(accel).__name__)}' does not define",
+            {o: (r.read is not None, r.write is not None)
+             for o, r in getattr(accel, "registers", {}).items()},
+        ),
+    }
+    for window, offsets in absres.mmio_footprint().items():
+        if window == "accel" and offsets and accel is None:
             diags.append(
                 Diagnostic(
                     "error",
-                    "unknown-interconnect-register",
-                    f"access to interconnect offset 0x{offset:x} which no "
-                    "documented register occupies",
+                    "no-accelerator",
+                    f"firmware touches the accelerator window at offsets "
+                    f"{sorted(hex(o) for o in offsets)} but no "
+                    "accelerator is configured for it",
                     firmware=name,
                 )
             )
-    accel_offsets = footprint["accel"]
-    if accel_offsets and accel is None:
-        diags.append(
-            Diagnostic(
-                "error",
-                "no-accelerator",
-                f"firmware touches the accelerator window at offsets "
-                f"{sorted(hex(o) for o in accel_offsets)} but no "
-                "accelerator is configured for it",
-                firmware=name,
-            )
-        )
-        return
-    for offset, kinds in sorted(accel_offsets.items()):
-        reg = accel.registers.get(offset)
-        if reg is None:
-            diags.append(
-                Diagnostic(
-                    "error",
-                    "unmapped-accel-register",
-                    f"access to accelerator offset 0x{offset:x} which "
-                    f"'{getattr(accel, 'name', type(accel).__name__)}' "
-                    "does not define",
-                    firmware=name,
+            break
+        noun, unknown, why, rows = windows[window]
+        for offset, kinds in sorted(offsets.items()):
+            row = rows.get(offset)
+            if row is None:
+                diags.append(
+                    Diagnostic(
+                        "error", unknown,
+                        f"access to {noun} offset 0x{offset:x} {why}",
+                        firmware=name,
+                    )
                 )
-            )
-            continue
-        if "load" in kinds and reg.read is None:
-            diags.append(
-                Diagnostic(
-                    "error",
-                    "accel-register-not-readable",
-                    f"load from write-only accelerator register 0x{offset:x}",
-                    firmware=name,
-                )
-            )
-        if "store" in kinds and reg.write is None:
-            diags.append(
-                Diagnostic(
-                    "error",
-                    "accel-register-not-writable",
-                    f"store to read-only accelerator register 0x{offset:x}",
-                    firmware=name,
-                )
-            )
+                continue
+            readable, writable = row
+            for kind, allowed, code, what in (
+                ("load", readable, "not-readable", "load from write-only"),
+                ("store", writable, "not-writable", "store to read-only"),
+            ):
+                if kind in kinds and not allowed:
+                    diags.append(
+                        Diagnostic(
+                            "error", f"{window}-register-{code}",
+                            f"{what} {noun} register 0x{offset:x}",
+                            firmware=name,
+                        )
+                    )
 
 
 def _check_floorplan(n_rpus: int, name: str, diags: List[Diagnostic]) -> None:

@@ -125,7 +125,7 @@ class _Wcet:
         self.used_bounds: Dict[str, int] = {}
         self.used_provenance: Dict[str, str] = {}
         #: loop header pc -> :class:`~repro.verify.loopbound.LoopBound`
-        self.bounds = absres.loop_bounds.bounds if absres.loop_bounds else {}
+        self.bounds = absres.loop_bounds.bounds
         #: CFG edges the abstract interpreter proved can never be taken;
         #: the longest-path search skips them (loop back edges are never
         #: in this set — the final-sweep refinement runs on loop-exit
@@ -324,9 +324,7 @@ def analyze_wcet(
     cm = cycle_model or CycleModel.vexriscv_full()
     if infeasible is None:
         infeasible = absres.infeasible_edges
-    diags: List[Diagnostic] = []
-    if absres.loop_bounds is not None:
-        diags.extend(absres.loop_bounds.diagnostics)
+    diags: List[Diagnostic] = list(absres.loop_bounds.diagnostics)
 
     for attempt_infeasible in (set(infeasible), set()):
         report = _analyze_with(cfg, absres, _Wcet(cfg, absres, cm, attempt_infeasible))

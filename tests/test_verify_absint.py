@@ -239,7 +239,8 @@ class TestWidening:
         header = cfg.program.symbols["loopz"]
         assert absres.loop_bounds is not None
         assert absres.loop_bounds.bounds[header].bound == 2000
-        # pass 2's clamp keeps the counter interval finite and tight
+        # the header clamp, met in the same fixpoint, keeps the counter
+        # interval finite and tight
         state = absres.state_before(header)
         assert state is not None
         counter = state.regs[5]  # t0
@@ -258,6 +259,92 @@ class TestWidening:
         ebreak
         """
         _check_containment(asm, seed=-1)
+
+    def test_a_register_stepping_below_zero_is_not_clamped(self):
+        # a2 wraps to 0xffffffff on the first iteration: the clamp
+        # 0 - 1*[0, 3] leaves the unsigned range, so it must not apply
+        asm = """
+        li s5, 0
+        li s6, 3
+        li a2, 0
+        loopz:
+        addi a2, a2, -1
+        addi s5, s5, 1
+        blt s5, s6, loopz
+        ebreak
+        """
+        _check_containment(asm, seed=-4)
+
+
+class TestClampGrowsWithTheFixpoint:
+    """A header's clamp is derived from partial states, so it must be
+    re-derived as they grow, and a header whose clamp grew must be
+    re-joined: a clamp frozen at its first non-empty value, or one that
+    re-queues nothing when it moves, excludes concrete values."""
+
+    def test_second_entry_with_a_larger_start(self):
+        # the worklist reaches the loop from the short path (start 3)
+        # and clamps it before the longer path (start 10, the one run:
+        # the dmem word is 0) arrives
+        asm = f"""
+        li s4, {DMEM_BASE}
+        lw t0, 0(s4)
+        li s5, 3
+        bnez t0, loopz
+        li s5, 10
+        bnez t0, longer
+        longer:
+        bnez t0, loopz
+        loopz:
+        addi s5, s5, -1
+        bnez s5, loopz
+        ebreak
+        """
+        _check_containment(asm, seed=-2)
+
+    def test_late_entry_inside_the_settled_header_state(self):
+        # the loop settles (a2 clamped to [0, 12]) before the long path
+        # (a2 = 5, the one run: both dmem words are 0) arrives; 5 changes
+        # no header interval, only the clamp (now [0, 17]), so the loop
+        # must be re-queued for a2 to reach 14
+        hops = "\n".join(f"bne t0, t1, hop{i}\nhop{i}:" for i in range(8))
+        asm = f"""
+        li s4, {DMEM_BASE}
+        lw t0, 0(s4)
+        lw t1, 4(s4)
+        li s5, 0
+        li s6, 4
+        li a2, 0
+        bne t0, t1, loopz
+        li a2, 5
+        {hops}
+        loopz:
+        addi a2, a2, 3
+        addi s5, s5, 1
+        blt s5, s6, loopz
+        ebreak
+        """
+        _check_containment(asm, seed=-5)
+
+    def test_inner_start_follows_the_outer_counter(self):
+        # the inner walk t3 starts at the outer counter, so its first
+        # clamp (t3 = 0 on entry: [0, 6]) is too tight for later entries
+        asm = """
+        li s2, 0
+        li s3, 4
+        outer:
+        mv t3, s2
+        li s4, 0
+        li s5, 3
+        inner:
+        addi t3, t3, 2
+        addi s4, s4, 1
+        blt s4, s5, inner
+        addi s2, s2, 1
+        blt s2, s3, outer
+        ebreak
+        """
+        _check_containment(asm, seed=-3)
 
 
 class TestInfeasibleEdges:

@@ -211,6 +211,23 @@ loop:
         assert self._mmio_errors(FORWARDER_IRQ_ASM)[1] == []
         assert self._mmio_errors(asm)[1] == ["unknown-interconnect-register"]
 
+    def test_interconnect_access_against_its_direction_is_an_error(self):
+        # the interconnect rows get the accelerator window's rule: a
+        # store needs a writable register and a load a readable one
+        asm = """
+    .equ IO_BASE, 0x01000000
+main:
+    li   a0, IO_BASE
+loop:
+    sw   zero, 0(a0)      # RECV_READY is read-only
+    lw   t0, 32(a0)       # SEND_PORT_GO is write-only
+    j    loop
+"""
+        assert self._mmio_errors(asm)[1] == [
+            "interconnect-register-not-writable",
+            "interconnect-register-not-readable",
+        ]
+
 
 class TestSelfModifyingCode:
     SMC_ASM = """

@@ -152,6 +152,56 @@ inner:
         assert wcet.loop_bounds["inner"] == 64  # conservative default
 
 
+class TestWcetFallbacks:
+    """The two ways the longest-path search can fail, and what follows."""
+
+    def test_jump_into_a_loop_body_is_irreducible(self):
+        # `b` is entered from both the packet loop's head and `a`, so
+        # the a/b cycle has no single header to collapse it at
+        asm = """
+    .equ IO_BASE, 0x01000000
+main:
+    li   a0, IO_BASE
+loop:
+    lw   t0, 0(a0)        # RECV_READY
+    bnez t0, b            # into the a/b cycle, past its head
+a:
+    lw   t1, 4(a0)
+b:
+    lw   t2, 8(a0)
+    bnez t2, a
+    sw   zero, 20(a0)     # release
+    j    loop
+"""
+        wcet = analyze_firmware(asm, name="irreducible").wcet
+        errors = [d for d in wcet.diagnostics if d.code == "irreducible-cfg"]
+        assert len(errors) == 1 and errors[0].level == "error"
+        assert wcet.wcet_cycles == float("inf")
+
+    def test_pruning_that_cuts_the_back_edge_is_retried_without_it(self):
+        # `t1` is the constant 1, so the fall-through toward the back
+        # edge is infeasible: the pruned packet loop has no way around
+        asm = """
+    .equ IO_BASE, 0x01000000
+main:
+    li   a0, IO_BASE
+    li   t1, 1
+loop:
+    lw   t0, 0(a0)        # RECV_READY
+    bnez t1, out
+    sw   zero, 20(a0)     # release
+    j    loop
+out:
+    ebreak
+"""
+        analysis = analyze_firmware(asm, name="disconnected")
+        assert analysis.absres.infeasible_edges
+        codes = [d.code for d in analysis.wcet.diagnostics]
+        assert codes == ["infeasible-pruning-disabled"]
+        assert math.isfinite(analysis.wcet.wcet_cycles)
+        assert analysis.wcet.packet_loop == analysis.cfg.program.symbols["loop"]
+
+
 class TestLoopBoundParsing:
     def test_same_line_annotation(self):
         bounds = parse_loop_bounds("drain:   # loop-bound 8\n    j drain\n")
