@@ -11,14 +11,15 @@ An accelerator inside an RPU exposes two interfaces:
   binds to its bus, and ``reads_packet_memory`` declares that it does.
 
 :class:`Accelerator` plays the "basic wrapper" Appendix A.2 describes:
-it assigns register addresses and declares each register's access
-contract (value ranges, bounded streams) for the firmware verifier.
+it assigns register addresses, and each register's row carries its
+contract (value range, bounded stream) for the firmware verifier.
 
 Concrete accelerators define their register map and a cycle-cost
 model; the instruction-set simulator maps :meth:`read_reg`/
 :meth:`write_reg` at ``IO_EXT_BASE``, and the verifier and the replay
-cache read the map through :attr:`registers`.  The same object serves
-the behavioural system simulator through its functional methods.
+cache read the map through :attr:`registers`, the budget the cost
+through :meth:`worst_cycles`.  The same object serves the behavioural
+system simulator through its functional methods.
 """
 
 from __future__ import annotations
@@ -33,11 +34,18 @@ class AcceleratorError(RuntimeError):
 
 class Register(NamedTuple):
     """One accelerator register: its handlers (``None`` where the
-    register is write- or read-only) and its width."""
+    register is write- or read-only), its width, and its contract for
+    the firmware verifier: every read lies in ``value_range``; reads pop
+    a FIFO of at most ``stream_depth`` words ending in a zero marker
+    (so a drain loop is bounded by it); writing a value in
+    ``advance_on`` pops that FIFO's head, any other value does not."""
 
     read: Optional[Callable[[], int]]
     write: Optional[Callable[[int], None]]
     nbytes: int
+    value_range: Optional[Tuple[int, int]] = None
+    stream_depth: Optional[int] = None
+    advance_on: Tuple[int, ...] = ()
 
 
 class Accelerator:
@@ -57,7 +65,6 @@ class Accelerator:
         #: the DMA engine's read port, ``(addr, length) -> bytes``; bound
         #: by the RPU that mounts the accelerator
         self.dma_read: Optional[Callable[[int, int], bytes]] = None
-        self._reg_meta: Dict[int, Dict[str, object]] = {}
         self._fault_active = False
         #: results that went through the poisoned response path
         self.results_poisoned = 0
@@ -71,42 +78,29 @@ class Accelerator:
         *,
         value_range: Optional[Tuple[int, int]] = None,
         stream_depth: Optional[int] = None,
-        stream_advance: bool = False,
+        advance_on: Tuple[int, ...] = (),
     ) -> None:
-        """Register a handler: ``read()`` -> int, ``write(value)``.
-
-        The keyword metadata is the accelerator's *static contract*,
-        consumed by the firmware verifier (``repro.verify.absint``):
-
-        * ``value_range`` — every read provably lies in ``[lo, hi]``;
-        * ``stream_depth`` — reads pop a hardware FIFO of at most this
-          many words, ending with a zero marker (drain loops over the
-          register are therefore bounded by the depth);
-        * ``stream_advance`` — writes advance that FIFO's head.
+        """Register a handler: ``read()`` -> int, ``write(value)``; the
+        keywords are the row's contract (see :class:`Register`).
 
         Declaring a contract the hardware does not keep would make the
         verifier unsound, so implementations must enforce it (see the
         Pigasus matcher's FIFO cap).
         """
-        self._regs[offset] = Register(read, write, nbytes)
-        meta: Dict[str, object] = {}
-        if value_range is not None:
-            meta["value_range"] = (int(value_range[0]), int(value_range[1]))
-        if stream_depth is not None:
-            meta["stream_depth"] = int(stream_depth)
-        if stream_advance:
-            meta["stream_advance"] = True
-        if meta:
-            self._reg_meta[offset] = meta
+        self._regs[offset] = Register(
+            read, write, nbytes, value_range, stream_depth, tuple(advance_on)
+        )
 
     @property
     def registers(self) -> Mapping[int, Register]:
         """The register map, offset -> :class:`Register` (read-only)."""
         return MappingProxyType(self._regs)
 
-    def reg_meta(self, offset: int) -> Dict[str, object]:
-        """Static-contract metadata for one register (may be empty)."""
-        return dict(self._reg_meta.get(offset, ()))
+    # front door: the budget's answer for an accelerator with no occupancy model
+    def worst_cycles(self, packet_size: int) -> float:
+        """Worst-case occupancy, in cycles, for one packet of
+        ``packet_size`` bytes (the verifier's throughput budget)."""
+        return 0.0
 
     # -- MMIO entry points (offset within the accelerator window) --------------
 

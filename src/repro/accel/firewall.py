@@ -6,15 +6,6 @@ of the source IP in one cycle and the remaining bits the next cycle —
 a two-cycle lookup.  Here the same structure is a two-level dict: a
 first-level table keyed by the top 9 bits, each entry holding the set
 of (remaining-bits, prefix-length) patterns to check in stage two.
-
-Register map (matches the firmware listing in Appendix C):
-
-========  =====================================================
-offset    register
-========  =====================================================
-0x00      ``ACC_SRC_IP`` (write: IP to check, starts the lookup)
-0x04      ``ACC_FW_MATCH`` (read: 1 if blacklisted)
-========  =====================================================
 """
 
 from __future__ import annotations
@@ -82,6 +73,11 @@ class IpBlacklistMatcher(Accelerator):
     Stage one indexes the top 9 bits of the IP; stage two linearly
     checks the (tiny) per-bucket pattern list — in hardware both are
     single-cycle because each bucket is a parallel comparator bank.
+
+    Register map (matches the firmware listing in Appendix C)::
+
+        0x00  ACC_SRC_IP   (write: IP to check, starts the lookup)
+        0x04  ACC_FW_MATCH (read: 1 if blacklisted)
     """
 
     name = "ip_blacklist"
@@ -139,6 +135,9 @@ class IpBlacklistMatcher(Accelerator):
     @property
     def lookup_cycles(self) -> int:
         return LOOKUP_CYCLES
+
+    def worst_cycles(self, packet_size: int) -> float:
+        return float(self.lookup_cycles)
 
     def replay_token(self):
         # MMIO reads expose only the match flag; the prefix tables are

@@ -126,6 +126,7 @@ class PigasusStringMatcher(Accelerator):
         0x00  ACC_PIG_MATCH  (read: 1 when a match word is waiting)
         0x04  ACC_DMA_LEN    (payload length)
         0x08  ACC_DMA_ADDR   (payload address in packet memory)
+        0x0c  ACC_PIG_PORTS  (TCP source/destination ports, one LE word)
         0x1c  ACC_PIG_RULE_ID (read: matched rule id, 0 = end of packet)
     """
 
@@ -160,7 +161,7 @@ class PigasusStringMatcher(Accelerator):
             read=self._read_match_flag,
             write=self._write_ctrl,
             value_range=(0, 1),
-            stream_advance=True,
+            advance_on=(2,),
         )
         self.define_register(self.REG_DMA_LEN, 4, write=self._write_len)
         self.define_register(self.REG_DMA_ADDR, 4, write=self._write_addr)
@@ -213,6 +214,9 @@ class PigasusStringMatcher(Accelerator):
     def scan_cycles(self, payload_len: int) -> int:
         """Accelerator occupancy: 16 B of payload per cycle, min 1."""
         return max(1, -(-payload_len // BYTES_PER_CYCLE))
+
+    def worst_cycles(self, packet_size: int) -> float:
+        return float(self.scan_cycles(max(0, packet_size - 54)))  # eth+ip+tcp: 54 B
 
     # -- MMIO behaviour (used by the functional ISS RPU) ------------------------------
 

@@ -357,24 +357,25 @@ class FunctionalRpu:
         else:
             stats.misses += 1
             status = "miss"
-        if len(candidates) >= cache.max_variants:
+        if len(candidates) >= cache.max_variants or key in cache.refused:
             # key saturated with variants that keep missing their
-            # guards (per-flow state): stop paying the recording tax
-            # and run on the fast translated backend instead
+            # guards (per-flow state), or refused outright: stop paying
+            # the recording tax and run on the fast translated backend
             self.run_until_sent(target, max_instructions)
             return status
-        record = self._record_bracket(target, max_instructions)
+        record = self._record_bracket(target, max_instructions, key)
         if record is not None:
             cache.store(key, record)
         else:
             stats.bypasses += 1
         return status
 
-    def _record_bracket(self, target: int, max_instructions: int):
+    def _record_bracket(self, target: int, max_instructions: int, key):
         """Really execute the head bracket while capturing a replay record.
 
         Returns ``None`` when the bracket proved unreplayable (unstable
-        reads, accelerator without a token, self-modifying code, ...).
+        reads, accelerator without a token, self-modifying code, ...);
+        a bracket refused for the token also refuses ``key``.
         """
         cpu = self.cpu
         self._flush_dma()
@@ -421,6 +422,7 @@ class FunctionalRpu:
         if any(op[0] in (OP_ACC_R, OP_ACC_W) for op in recorder.ops):
             if start_token is None:
                 recorder.mark_unreplayable("accelerator has no replay token")
+                self.replay_cache.refused.add(key)
             accel_token = start_token
         if recorder.unreplayable:
             return None

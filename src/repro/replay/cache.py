@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from .record import ReplayRecord
 from .stats import ReplayStats
@@ -17,10 +17,15 @@ class ReplayCache:
     holds a short list of start-state variants: one per start pc,
     live-in register values and CSRs the bracket was recorded from.
 
+    A key whose bracket drove an accelerator with no replay token goes
+    into :attr:`refused`: its later packets run without recording, as
+    those of a key full of variants do.
+
     The cache is **per CPU**: records embed the CPU's code-epoch
     counter, and any epoch change (firmware reload, self-modifying
-    code) flushes the whole store on the next lookup.  Do not share one
-    instance between cores — share a :class:`ReplayStats` instead.
+    code) flushes the whole store, refusals included, on the next
+    lookup.  Do not share one instance between cores — share a
+    :class:`ReplayStats` instead.
     """
 
     def __init__(
@@ -33,6 +38,8 @@ class ReplayCache:
         self.max_records = max_records
         self.max_variants = max_variants
         self._records: Dict[Any, List[ReplayRecord]] = {}
+        #: keys whose brackets drive an accelerator with no replay token
+        self.refused: Set[Any] = set()
         self._size = 0
         self._code_epoch: Optional[int] = None
 
@@ -40,8 +47,9 @@ class ReplayCache:
         """Candidate records for ``key``, flushing first if the code
         epoch moved (stale decode ⇒ every record is suspect)."""
         if code_epoch != self._code_epoch:
-            if self._records:
+            if self._records or self.refused:
                 self._records.clear()
+                self.refused.clear()
                 self._size = 0
                 self.stats.invalidations += 1
             self._code_epoch = code_epoch

@@ -9,7 +9,7 @@ class ReplayStats:
     """Counters proving what the cache did.
 
     * ``hits`` — packets applied from a record without executing.
-    * ``misses`` — no record for the key yet; real execution recorded.
+    * ``misses`` — no record for the key; real execution, recorded unless refused.
     * ``fallbacks`` — a record existed but its guard failed (start
       state, read set, or accelerator token diverged); real execution.
     * ``bypasses`` — caching declined up front (no class signature, or

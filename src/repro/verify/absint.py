@@ -33,10 +33,10 @@ registers dropped to TOP and (b) joins into the handler's entry state,
 so handler analysis sees exactly the states it can really interrupt.
 
 Machine facts (memory regions, interconnect register value ranges,
-accelerator register metadata) come from :class:`MachineEnv`, which
+accelerator register contracts) come from :class:`MachineEnv`, which
 reads the interconnect map from the ISS (``core.funcsim``'s
-``INTERCONNECT_REGISTERS``) and each register's read contract from its
-row.
+``INTERCONNECT_REGISTERS``) and the accelerator's from its
+``registers``: each register's read contract is on its row.
 
 See ``docs/STATIC_ANALYSIS.md`` for the domain write-up.
 """
@@ -412,17 +412,11 @@ class MachineEnv:
         return TOP
 
     def _accel_value(self, offset: int, pc: int) -> AbsVal:
-        accel = self.accel
-        if accel is None:
+        reg = self.accel.registers.get(offset) if self.accel is not None else None
+        if reg is None:
             return TOP
-        meta = {}
-        reg_meta = getattr(accel, "reg_meta", None)
-        if callable(reg_meta):
-            meta = reg_meta(offset) or {}
-        depth = meta.get("stream_depth")
-        vr = meta.get("value_range")
-        value = interval(vr[0], vr[1]) if vr else TOP
-        if depth:
+        value = interval(*reg.value_range) if reg.value_range else TOP
+        if reg.stream_depth:
             value = AbsVal(value.base, value.lc, value.lo, value.hi, ("stream", offset, pc))
         return value
 

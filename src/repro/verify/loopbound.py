@@ -19,11 +19,12 @@ iteration: the guard re-tests the pre-increment value once more.
 **Stream rule.**  Drain loops (pigasus: pop match FIFO until the
 end-of-packet marker) have no induction variable — their trip count is
 a property of the *device*.  When the guard tests a value loaded from
-an accelerator register declaring ``stream_depth=d`` (see
-``Accelerator.define_register``), the loop body also advances the
-stream (a store to a ``stream_advance`` register), and the continue
-relation is "while nonzero", the FIFO capacity bounds the loop: at most
-``d`` iterations (``d - 1`` data words plus the zero marker).
+an accelerator register whose row declares ``stream_depth=d`` (see
+``repro.accel.base.Register``), the loop body also advances the stream
+(a store of a value that provably lies in some row's ``advance_on``),
+and the continue relation is "while nonzero", the FIFO capacity bounds
+the loop: at most ``d`` iterations (``d - 1`` data words plus the zero
+marker).
 
 ``# loop-bound`` annotations are **cross-checks** now, not trusted
 inputs: an annotation that disagrees with an inferred bound is an
@@ -239,9 +240,6 @@ class LoopShape:
         return None
 
     def _stream(self, absres: AbsintResult, guards) -> Optional[LoopBound]:
-        reg_meta = getattr(absres.env.accel, "reg_meta", None)
-        if not callable(reg_meta):
-            return None
         for guard, relation, _, state in guards:
             last = self.cfg.blocks[guard].last
             # a drain tests one register against zero and continues while
@@ -252,13 +250,14 @@ class LoopShape:
             if not tag or tag[0] != "stream":
                 continue
             _, offset, load_pc = tag
-            depth = (reg_meta(offset) or {}).get("stream_depth")
+            registers = absres.env.accel.registers
+            depth = registers[offset].stream_depth
             # the tagged load must run on every iteration, and so must an
             # advance of the stream, or the FIFO head never moves and the
             # loop spins forever
-            if not depth or not any(load_pc in self.cfg.blocks[s].pcs for s in self.every):
+            if not any(load_pc in self.cfg.blocks[s].pcs for s in self.every):
                 continue
-            if not self._advances(absres, reg_meta):
+            if not self._advances(absres, registers):
                 continue
             return LoopBound(
                 header=self.loop.header,
@@ -271,9 +270,10 @@ class LoopShape:
             )
         return None
 
-    def _advances(self, absres: AbsintResult, reg_meta) -> bool:
-        """Some every-iteration store lands on a ``stream_advance``
-        accelerator register."""
+    def _advances(self, absres: AbsintResult, registers) -> bool:
+        """Some every-iteration store writes an accelerator register a
+        value that provably pops the stream: the stored value's whole
+        interval lies inside the row's ``advance_on``."""
         for pc, inst in self.stores:
             state = absres.state_before(pc)
             if state is None:
@@ -282,7 +282,14 @@ class LoopShape:
             if not addr.is_const:
                 continue
             region, offset = absres.env.region_of(addr.lo)
-            if region == "accel" and (reg_meta(offset) or {}).get("stream_advance"):
+            reg = registers.get(offset) if region == "accel" else None
+            if reg is None or not reg.advance_on:
+                continue
+            value = state.regs[inst.rs2]
+            # the write handler sees the whole register, whatever the width
+            if value.is_plain and value.hi - value.lo < len(reg.advance_on) and all(
+                v in reg.advance_on for v in range(value.lo, value.hi + 1)
+            ):
                 return True
         return False
 

@@ -106,8 +106,6 @@ def _twin_wcet(asm_name: str):
 def preflight_spec(spec) -> PreflightReport:
     """Statically verify ``spec``; never raises — the caller decides
     what a failure means (warn vs :class:`VerificationError`)."""
-    from .registry import _accel_worst_cycles
-
     cls = spec.firmware
     if not isinstance(cls, type):
         # a factory (lambda, partial) hides the class: build one instance,
@@ -127,7 +125,9 @@ def preflight_spec(spec) -> PreflightReport:
         report.verdict = budget_verdict(
             firmware=f"{cls_name} (asm twin: {twin})",
             wcet_cycles=wcet.wcet_cycles,
-            accel_cycles=_accel_worst_cycles(accel, spec.traffic.packet_size),
+            accel_cycles=(
+                accel.worst_cycles(spec.traffic.packet_size) if accel is not None else 0.0
+            ),
             n_rpus=spec.config.n_rpus,
             packet_size=spec.traffic.packet_size,
             target_gbps=spec.traffic.offered_gbps,

@@ -198,20 +198,6 @@ class FirmwareVerifyReport:
         }
 
 
-def _accel_worst_cycles(accel, packet_size: int) -> float:
-    """Worst-case accelerator occupancy per packet at ``packet_size``."""
-    if accel is None:
-        return 0.0
-    scan = getattr(accel, "scan_cycles", None)
-    if callable(scan):
-        # payload-proportional (Pigasus): eth+ip+tcp headers are 54 B
-        return float(scan(max(0, packet_size - 54)))
-    lookup = getattr(accel, "lookup_cycles", None)
-    if isinstance(lookup, (int, float)):
-        return float(lookup)
-    return 0.0
-
-
 def _check_mmio(
     absres: AbsintResult, accel, name: str, diags: List[Diagnostic]
 ) -> None:
@@ -239,9 +225,9 @@ def _check_mmio(
         ),
         "accel": (
             "accelerator", "unmapped-accel-register",
-            f"which '{getattr(accel, 'name', type(accel).__name__)}' does not define",
+            f"which '{accel.name if accel is not None else None}' does not define",
             {o: (r.read is not None, r.write is not None)
-             for o, r in getattr(accel, "registers", {}).items()},
+             for o, r in (accel.registers if accel is not None else {}).items()},
         ),
     }
     for window, offsets in absres.mmio_footprint().items():
@@ -344,7 +330,7 @@ def verify_firmware(
     verdict = budget_verdict(
         firmware=name,
         wcet_cycles=wcet.wcet_cycles,
-        accel_cycles=_accel_worst_cycles(accel, point.packet_size),
+        accel_cycles=accel.worst_cycles(point.packet_size) if accel is not None else 0.0,
         n_rpus=point.n_rpus,
         packet_size=point.packet_size,
         target_gbps=point.gbps,

@@ -1,6 +1,7 @@
 """Tests for the functional (ISS-backed) RPU — the cocotb-style
 single-RPU simulation of §3.4 / Appendix A.4."""
 
+import re
 import struct
 from pathlib import Path
 
@@ -212,6 +213,22 @@ class TestInterconnectMap:
         )
         text = (ROOT / "docs" / "FIRMWARE_API.md").read_text()
         assert f"{header}{rows}\n\n" in text
+
+
+class TestAcceleratorMaps:
+    """Each accelerator's docstring register map shows exactly the
+    offsets of the rows it defines."""
+
+    @pytest.mark.parametrize(
+        "factory", [f.accel_factory for f in bundled_firmwares() if f.accel_factory]
+    )
+    def test_docstring_lists_every_register(self, factory):
+        accel = factory()
+        listed = {
+            int(m, 16)
+            for m in re.findall(r"^\s+0x([0-9a-f]{2})  ", type(accel).__doc__, re.M)
+        }
+        assert listed == set(accel.registers)
 
 
 class TestDebugFacilities:

@@ -13,6 +13,10 @@ here.
 Every frame is at least 60 bytes: a header-only TCP frame gives the
 Pigasus matcher an empty DMA stream, which has its own test.
 
+Every run mounts its accelerator behind :func:`_check_contracts`, so
+each MMIO read is also held to the contract its register row declares
+to the verifier; matching digests show the checker is transparent.
+
 After an intended change, regenerate with
 ``PYTHONPATH=src python -m tests.test_funcsim_digests``.
 """
@@ -24,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.accel import generate_blacklist, parse_blacklist
+from repro.accel import Accelerator, generate_blacklist, parse_blacklist
 from repro.accel.pigasus import generate_ruleset, parse_rules
 from repro.core.funcsim import FunctionalRpu
 from repro.packet import EthernetHeader, Packet, build_tcp, build_udp, int_to_ip
@@ -77,8 +81,69 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+class ContractViolation(AssertionError):
+    """An accelerator read broke the contract its register row declares."""
+
+
+def _check_contracts(accel):
+    """Re-define every row of ``accel`` with its handlers wrapped by a
+    checker of the row's contract, and return ``accel``.
+
+    A read outside ``value_range`` raises :class:`ContractViolation`,
+    and so does a ``stream_depth`` register that yields ``stream_depth``
+    nonzero words without its zero marker between them.  A write of an
+    ``advance_on`` value pops the stream, so the next read of it is a
+    new word; a read with no pop since the last one re-reads the head.
+    """
+    popped = [True]
+    words = {}
+
+    def checked_read(offset, row):
+        def read():
+            value = row.read()
+            if row.value_range and not row.value_range[0] <= value <= row.value_range[1]:
+                raise ContractViolation(
+                    f"{accel.name} @+{offset:#x} read {value}, outside "
+                    f"value_range {row.value_range}"
+                )
+            if row.stream_depth and popped[0]:
+                popped[0] = False
+                words[offset] = words.get(offset, 0) + 1 if value else 0
+                if words[offset] >= row.stream_depth:
+                    raise ContractViolation(
+                        f"{accel.name} @+{offset:#x} yielded {words[offset]} "
+                        f"words without its zero marker (stream_depth "
+                        f"{row.stream_depth})"
+                    )
+            return value
+
+        return read
+
+    def checked_write(row):
+        def write(value):
+            if value in row.advance_on:
+                popped[0] = True
+            row.write(value)
+
+        return write
+
+    for offset, row in list(accel.registers.items()):
+        accel.define_register(
+            offset,
+            row.nbytes,
+            checked_read(offset, row) if row.read else None,
+            checked_write(row) if row.write and row.advance_on else row.write,
+            value_range=row.value_range,
+            stream_depth=row.stream_depth,
+            advance_on=row.advance_on,
+        )
+    return accel
+
+
 def _run(entry, backend, cached):
     accel = entry.accel_factory() if entry.accel_factory is not None else None
+    if accel is not None:
+        _check_contracts(accel)
     rpu = FunctionalRpu(entry.asm, accelerator=accel, cpu_backend=backend)
     if cached:
         rpu.attach_replay_cache(ReplayCache())
@@ -122,6 +187,36 @@ def test_run_matches_the_golden_digest(case):
         f"{case}: ISS run changed; if that is intended, regenerate "
         "with `PYTHONPATH=src python -m tests.test_funcsim_digests`"
     )
+
+
+class _BrokenAccelerator(Accelerator):
+    """Declares a 0/1 flag that reads 2, and a 3-deep stream that never
+    ends: both break the contract their rows give the verifier."""
+
+    def __init__(self):
+        super().__init__()
+        self.define_register(0x0, 4, read=lambda: 2, value_range=(0, 1))
+        self.define_register(0x4, 4, read=lambda: 7, stream_depth=3)
+        self.define_register(0x8, 4, write=lambda value: None, advance_on=(2,))
+
+
+def test_a_read_outside_its_declared_range_is_caught():
+    accel = _check_contracts(_BrokenAccelerator())
+    with pytest.raises(ContractViolation, match="outside value_range"):
+        accel.read_reg(0x0)
+
+
+def test_a_stream_without_its_zero_marker_is_caught():
+    accel = _check_contracts(_BrokenAccelerator())
+    accel.read_reg(0x4)
+    accel.read_reg(0x4)  # no pop in between: the same head word
+    accel.write_reg(0x8, 1)  # not in advance_on: still the same word
+    accel.read_reg(0x4)
+    accel.write_reg(0x8, 2)
+    accel.read_reg(0x4)
+    accel.write_reg(0x8, 2)
+    with pytest.raises(ContractViolation, match="without its zero marker"):
+        accel.read_reg(0x4)
 
 
 if __name__ == "__main__":

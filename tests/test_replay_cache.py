@@ -250,6 +250,21 @@ class TestFuncsimDifferential:
                                 accel=matcher):
             assert on["stats"].hits > 0
 
+    def test_tokenless_accelerator_refuses_each_key_once(self):
+        """Pigasus has no replay token: the first bracket of each key is
+        recorded and refused, the key joins ``refused``, and its later
+        packets run unrecorded — one bypass per key, identical output.
+        A code-epoch flush forgets the refusals with the records."""
+        frame = build_tcp("1.2.3.4", "5.6.7.8", 1500, 80,
+                          payload=b"benign", pad_to=300).data
+        for on in _differential([(frame, frame, 0)] * 64, asm=PIGASUS_ASM,
+                                accel=_pigasus_matcher):
+            cache = on["cache"]
+            assert on["stats"].hits == 0
+            assert on["stats"].bypasses == len(cache.refused) == 16
+        cache.lookup(None, code_epoch=-1)
+        assert not cache.refused
+
     def test_self_modifying_code_forces_bypass(self):
         """An SMC store inside the bracket makes it unreplayable: no
         hits, identical output."""

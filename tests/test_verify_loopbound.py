@@ -87,6 +87,13 @@ class TestInductionRule:
         assert (lb.bound, lb.source, lb.step) == (5, "induction", -2)
 
 
+#: the drain storing 3 to ACC_PIG_CTRL: the matcher ignores it, so the
+#: FIFO head never moves and the loop spins on its first word
+NON_POPPING_DRAIN = PIGASUS_ASM.replace(
+    "li   t6, 2\n    sb   t6, 0(a1)", "li   t6, 3\n    sb   t6, 0(a1)"
+)
+
+
 class TestStreamRule:
     def test_pigasus_drain_bounded_by_fifo_depth(self):
         cfg, report = _bounds(
@@ -97,6 +104,13 @@ class TestStreamRule:
         assert lb.bound == 8
         assert lb.source == "stream"
         assert "depth 8" in lb.detail
+        # only a store of a value in the CTRL row's advance_on pops the
+        # stream: the same loop storing 3 gets no stream bound
+        assert NON_POPPING_DRAIN != PIGASUS_ASM
+        cfg, report = _bounds(
+            NON_POPPING_DRAIN, name="pigasus_ctrl3", accel=PigasusStringMatcher()
+        )
+        assert cfg.program.symbols["drain"] not in report.bounds
 
     def test_a_moved_stream_word_keeps_its_bound(self):
         # `mv` (addi rd, rs, 0) passes the loaded word on unchanged, stream
