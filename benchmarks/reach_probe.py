@@ -12,7 +12,7 @@ front doors are what a user of the reproduction runs:
 * every ``examples/*.py``;
 * every subcommand ``repro.cli.build_parser()`` registers, with its
   cheapest arguments, once per code path a flag selects:
-  ``profile --cpu-backend``, ``sweep --cache-dir`` twice (the second
+  ``calibrate --cpu-backend``, ``sweep --cache-dir`` twice (the second
   run reads the cache back; ``--jobs 1`` is the in-process twin of the
   worker pool), ``verify --deep`` and ``verify --json``, ``chaos
   --json``, ``cluster --shards 2 --event`` (the parent side of the
@@ -268,9 +268,7 @@ def _cli_invocations(scratch: Path) -> Dict[str, List[List[str]]]:
              "--jobs", "1", "--cache-dir", str(scratch / "cache"),
              "--out", str(scratch / "sweep.csv"), *small]
     return {
-        "profile": [["profile", "--rpus", "8", "--size", "512", *small],
-                    ["profile", "--rpus", "8", "--size", "512", "--cpu-backend",
-                     "translated", *small]],
+        "profile": [["profile", "--rpus", "8", "--size", "512", *small]],
         "firewall": [["firewall", "--rpus", "8", *small]],
         "ids": [["ids", "--rpus", "8", *small]],
         "nat": [["nat", "--rpus", "8", *small]],
@@ -294,7 +292,8 @@ def _cli_invocations(scratch: Path) -> Dict[str, List[List[str]]]:
             ["cluster", "--boards", "2", "--rpus", "8", "--fidelity", "fluid", *small],
         ],
         "resources": [["resources", "--rpus", "8"]],
-        "calibrate": [["calibrate", "--packets", "50"]],
+        "calibrate": [["calibrate", "--packets", "50"],
+                      ["calibrate", "--packets", "50", "--cpu-backend", "interp"]],
         "verify": [["verify", "--all", "--deep"],
                    ["verify", "--all", "--json", str(scratch / "verify.json")]],
         "image": [["image", "forwarder", "--out", image]],

@@ -20,9 +20,6 @@ from typing import Sequence, Tuple
 
 from .base import Accelerator
 
-#: One cycle per (old, new) field pair.
-UPDATE_CYCLES = 1
-
 
 def incremental_update(checksum: int, old_word: int, new_word: int) -> int:
     """RFC 1624 eqn. 3: update ``checksum`` for one 16-bit field edit."""
@@ -80,7 +77,3 @@ class ChecksumUpdateAccelerator(Accelerator):
 
     def _read_csum(self) -> int:
         return self._csum
-
-    @property
-    def update_cycles(self) -> int:
-        return UPDATE_CYCLES

@@ -38,7 +38,7 @@ from ..faults.spec import FaultSpec
 #: Part of every cache key: bump when a field or the measurement
 #: semantics change, so entries written by older code miss instead of
 #: satisfying a new run (per-version history is in ``CHANGES.md``).
-SPEC_VERSION = 9
+SPEC_VERSION = 10
 
 #: Named load-balancer policies (constructed per-spec so state is fresh).
 LB_REGISTRY: Dict[str, Callable[[int], LBPolicy]] = {
@@ -254,12 +254,11 @@ class ExperimentSpec:
     ``lb`` is a registered policy name (``hash``/``rr``/``p2c``/
     ``least``), an :class:`LBPolicy` instance, or None for the default.
     ``setup`` is an optional post-build hook ``setup(system)`` for
-    register pokes (e.g. the loopback enable mask).  ``source_factory``
-    overrides the traffic registry with a custom callable
-    ``(system, port, per_port_gbps) -> source``; specs using live
+    register pokes (e.g. the loopback enable mask).  Specs using live
     objects for these escape hatches still run, but lose spawn-pool
     eligibility and cache stability is only as good as the callable's
-    import path.
+    import path.  The ISS backend is not a spec field: the spec's run
+    builds no :class:`~repro.riscv.RiscvCpu` (``calibrate`` picks one).
     """
 
     config: RosebudConfig = field(default_factory=RosebudConfig)
@@ -273,8 +272,6 @@ class ExperimentSpec:
     include_host: bool = True
     include_absorbed: bool = False
     setup: Optional[Callable[[RosebudSystem], None]] = None
-    source_factory: Optional[Callable[[RosebudSystem, int, float], Any]] = None
-    cpu_backend: Optional[str] = None
     faults: Tuple[FaultSpec, ...] = ()
     #: static pre-flight verification (repro.verify) before building
     #: the system: False (off), "warn" (run + warn on FAIL), or "fail"
@@ -305,14 +302,6 @@ class ExperimentSpec:
                 f"verify must be False, True, 'warn' or 'fail', "
                 f"not {self.verify!r}"
             )
-        if self.cpu_backend is not None:
-            from ..riscv.cpu import BACKENDS
-
-            if self.cpu_backend not in BACKENDS:
-                raise SpecError(
-                    f"unknown cpu backend {self.cpu_backend!r}; "
-                    f"choices: {BACKENDS}"
-                )
         if self.firmware is None:
             from ..firmware import ForwarderFirmware
 
@@ -329,10 +318,7 @@ class ExperimentSpec:
             raise SpecError(
                 f"unknown lb policy {self.lb!r}; choices: {sorted(LB_REGISTRY)}"
             )
-        if (
-            self.source_factory is None
-            and self.traffic.source not in SOURCE_REGISTRY
-        ):
+        if self.traffic.source not in SOURCE_REGISTRY:
             raise SpecError(
                 f"unknown traffic source {self.traffic.source!r}; "
                 f"choices: {sorted(SOURCE_REGISTRY)}"
@@ -390,16 +376,8 @@ class ExperimentSpec:
         return system
 
     def build_sources(self, system: RosebudSystem) -> List[Any]:
-        sources = []
-        for port in range(self.traffic.n_ports):
-            if self.source_factory is not None:
-                sources.append(
-                    self.source_factory(system, port, self.traffic.per_port_gbps)
-                )
-            else:
-                builder = SOURCE_REGISTRY[self.traffic.source]
-                sources.append(builder(system, port, self.traffic))
-        return sources
+        builder = SOURCE_REGISTRY[self.traffic.source]
+        return [builder(system, port, self.traffic) for port in range(self.traffic.n_ports)]
 
     def with_(self, **changes: Any) -> "ExperimentSpec":
         """A copy with fields replaced (sweeps build grids this way)."""
@@ -423,10 +401,6 @@ class ExperimentSpec:
             "include_host": self.include_host,
             "include_absorbed": self.include_absorbed,
             "setup": None if self.setup is None else _qualname(self.setup),
-            "source_factory": None
-            if self.source_factory is None
-            else _qualname(self.source_factory),
-            "cpu_backend": self.cpu_backend,
             "faults": [f.to_dict() for f in self.faults],
             "verify": self.verify,
             "fidelity": self.fidelity,
@@ -507,9 +481,8 @@ def spec_from_params(params: Dict[str, Any]) -> ExperimentSpec:
         spec_kwargs["cluster"] = cluster
     if "include_host" in p:
         spec_kwargs["include_host"] = bool(p.pop("include_host"))
-    for key in ("cpu_backend", "verify"):
-        if key in p:
-            spec_kwargs[key] = p.pop(key)
+    if "verify" in p:
+        spec_kwargs["verify"] = p.pop("verify")
     if p:
         raise SpecError(f"unknown open parameters: {sorted(p)}")
     return ExperimentSpec(**spec_kwargs)

@@ -45,6 +45,7 @@ from .analysis.spec import spec_from_params
 from .faults import KNOWN_FAULT_KINDS, FaultSpec
 from .firmware import TwoStepForwarder
 from .hw import FpgaDevice, VU9P_CAPACITY
+from .riscv import BACKENDS
 
 LB_CHOICES = ["none", "hash", "rr", "p2c", "least"]
 
@@ -60,8 +61,6 @@ FLAGS: Dict[str, Dict[str, Any]] = {
                    help="warmup packets before the window"),
     "packets": dict(type=int, default=3000,
                     help="packets in the measurement window"),
-    "cpu_backend": dict(choices=["interp", "translated"], default=None,
-                        help="ISS execution backend (default: translated)"),
     "fidelity": dict(choices=["event", "fluid"], default=None,
                      help="simulation fidelity tier: event (pure "
                           "discrete-event) or fluid (skip provably "
@@ -71,7 +70,7 @@ FLAGS: Dict[str, Dict[str, Any]] = {
 
 #: Parsed flags that are ``spec_from_params`` params of the same name.
 _PARAMS = ("firmware", "rules", "rpus", "size", "gbps", "ports", "warmup",
-           "packets", "cpu_backend", "fidelity")
+           "packets", "fidelity")
 
 
 def _add_flags(parser: argparse.ArgumentParser, *names: str, **defaults: Any) -> None:
@@ -531,9 +530,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
     from .core.funcsim import FunctionalRpu
     from .firmware import FORWARDER_ASM
-    from .riscv import get_default_backend
 
-    backend = args.cpu_backend or get_default_backend()
+    backend = args.cpu_backend
     rpu = FunctionalRpu(FORWARDER_ASM, cpu_backend=backend)
     payload = bytes(range(256)) * ((args.size + 255) // 256)
     packets = max(args.packets, 10)
@@ -743,13 +741,13 @@ def build_parser() -> argparse.ArgumentParser:
     # no prefix matching where a point flag would abbreviate a grid
     # flag (--size -> --sizes, --gbps -> --gbps-set) instead of failing
     p = sub.add_parser("latency", help="latency sweep vs Eq.1", allow_abbrev=False)
-    _add_flags(p, "rpus", "lb", "packets", "cpu_backend", "fidelity", packets=200)
+    _add_flags(p, "rpus", "lb", "packets", "fidelity", packets=200)
     p.add_argument("--sizes", default="64,512,1500")
     p.set_defaults(func=cmd_latency)
 
     p = sub.add_parser("sweep", help="grid sweep through the parallel engine",
                        allow_abbrev=False)
-    _add_flags(p, "lb", "warmup", "packets", "cpu_backend", "fidelity")
+    _add_flags(p, "lb", "warmup", "packets", "fidelity")
     p.add_argument("--firmware", choices=["forwarder", "nat"], default="forwarder")
     p.add_argument("--sizes", default="64,512,1500",
                    help="comma-separated packet sizes")
@@ -801,7 +799,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_resources)
 
     p = sub.add_parser("calibrate", help="ISS speed/cycles-per-packet calibration")
-    _add_flags(p, "size", "packets", "cpu_backend", packets=200)
+    _add_flags(p, "size", "packets", packets=200)
+    p.add_argument("--cpu-backend", choices=BACKENDS, default="translated",
+                   help="ISS execution backend")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("serve",

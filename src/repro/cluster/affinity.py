@@ -72,6 +72,5 @@ class ClusterAffinity:
         else:
             primary = h % n
             target = primary if self.live[primary] else live[h % len(live)]
-        if self.cluster.pin_flows:
-            self.pins[h] = target
+        self.pins[h] = target
         return target

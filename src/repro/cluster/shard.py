@@ -55,6 +55,9 @@ from .link import BoardLink
 #: the session mid-horizon).
 _NEVER_PACKETS = 10**18
 
+#: Board ``b`` draws its traffic from ``seed_base + b * SEED_STRIDE``.
+SEED_STRIDE = 101
+
 
 class ClusterShardError(RuntimeError):
     """A board shard died or stopped responding mid-synchronisation."""
@@ -64,15 +67,11 @@ def board_spec(spec: ExperimentSpec, board: int) -> ExperimentSpec:
     """The per-board derivative of a cluster spec.
 
     The board runs the host spec's config/firmware/traffic with its
-    generator seeds decorrelated by ``seed_stride``, no ``cluster``
+    generator seeds decorrelated by :data:`SEED_STRIDE`, no ``cluster``
     field (it *is* one board) and an unbounded measurement window (see
     :data:`_NEVER_PACKETS`).
     """
-    cluster = spec.cluster
-    traffic = replace(
-        spec.traffic,
-        seed_base=spec.traffic.seed_base + board * cluster.seed_stride,
-    )
+    traffic = replace(spec.traffic, seed_base=spec.traffic.seed_base + board * SEED_STRIDE)
     window = MeasurementWindow(
         warmup_packets=0,
         measure_packets=_NEVER_PACKETS,

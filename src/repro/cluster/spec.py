@@ -6,14 +6,13 @@ N-board rack.  It rides inside :class:`~repro.analysis.spec.ExperimentSpec`
 (spec v7's ``cluster`` field) as plain frozen data, so cluster points
 hash, pickle, and cache exactly like single-board points.
 
-The one simulation-critical knob is ``sync_horizon_cycles``: the
-bounded-lag window at which board simulations synchronise.  Cross-board
-packets ride a link with ``link_latency_cycles`` of lookahead, so any
-horizon no larger than the link latency makes the conservative
-parallel simulation *exact* — a packet emitted inside window ``k``
-cannot arrive before window ``k+1`` begins, hence exchanging emissions
-at window barriers loses nothing.  ``0`` (the default) auto-selects
-the link latency itself, the largest exact horizon.
+Board simulations synchronise at a bounded-lag window, the
+``horizon_cycles``.  Cross-board packets ride a link with
+``link_latency_cycles`` of lookahead, so a horizon no larger than the
+link latency makes the conservative parallel simulation *exact* — a
+packet emitted inside window ``k`` cannot arrive before window ``k+1``
+begins, hence exchanging emissions at window barriers loses nothing.
+The horizon is the link latency itself, the largest exact choice.
 """
 
 from __future__ import annotations
@@ -34,19 +33,17 @@ class ClusterSpec:
     """An N-board Rosebud rack, declaratively.
 
     * ``boards`` — number of boards; each runs the host spec's config,
-      firmware, and per-board traffic profile (seeds decorrelated by
-      ``seed_stride``).
+      firmware, and per-board traffic profile (seeds decorrelated per
+      board, see :func:`~repro.cluster.shard.board_spec`).
     * ``link_gbps`` / ``link_latency_cycles`` — the inter-board MAC
       link: serialization at ``link_gbps`` plus a fixed propagation
       latency (also the simulation lookahead).
     * ``affinity`` — ``hash`` partitions flows across live boards by
       the 5-tuple CRC (the paper's LB hash, lifted one level up);
       ``local`` keeps flows on their arrival board and only re-steers
-      away from dead boards.
-    * ``pin_flows`` — pin a flow to its first owner so established
-      flows never migrate while their owner stays live.
-    * ``sync_horizon_cycles`` — bounded-lag barrier interval
-      (0 = auto: the link latency, the largest exact choice).
+      away from dead boards.  Either way a flow is pinned to its
+      first owner, so established flows never migrate while their
+      owner stays live.
     * ``sample_cycles`` — cluster-level rate sampling interval for the
       resilience (dip/MTTR) report.
     * ``watchdog_horizons`` — consecutive zero-progress horizons before
@@ -58,11 +55,8 @@ class ClusterSpec:
     link_gbps: float = 100.0
     link_latency_cycles: float = 250.0
     affinity: str = "hash"
-    pin_flows: bool = True
-    sync_horizon_cycles: float = 0.0
     sample_cycles: float = 25_000.0
     watchdog_horizons: int = 8
-    seed_stride: int = 101
 
     def __post_init__(self) -> None:
         if self.boards < 1:
@@ -76,26 +70,15 @@ class ClusterSpec:
                 f"unknown affinity policy {self.affinity!r}; "
                 f"choices: {list(AFFINITY_POLICIES)}"
             )
-        if self.sync_horizon_cycles < 0:
-            raise ClusterError("sync horizon cannot be negative")
-        if self.sync_horizon_cycles > self.link_latency_cycles:
-            raise ClusterError(
-                f"sync horizon {self.sync_horizon_cycles} exceeds the link "
-                f"latency {self.link_latency_cycles}; the bounded-lag "
-                "exchange is only exact when the horizon is within the "
-                "link lookahead"
-            )
         if self.sample_cycles <= 0:
             raise ClusterError("sample interval must be positive")
         if self.watchdog_horizons < 0:
             raise ClusterError("watchdog_horizons cannot be negative")
-        if self.seed_stride < 1:
-            raise ClusterError("seed_stride must be >= 1")
 
     @property
     def horizon_cycles(self) -> float:
-        """The effective barrier interval (auto = link latency)."""
-        return self.sync_horizon_cycles or self.link_latency_cycles
+        """The barrier interval: the link latency, the largest exact one."""
+        return self.link_latency_cycles
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -103,11 +86,8 @@ class ClusterSpec:
             "link_gbps": self.link_gbps,
             "link_latency_cycles": self.link_latency_cycles,
             "affinity": self.affinity,
-            "pin_flows": self.pin_flows,
-            "sync_horizon_cycles": self.sync_horizon_cycles,
             "sample_cycles": self.sample_cycles,
             "watchdog_horizons": self.watchdog_horizons,
-            "seed_stride": self.seed_stride,
         }
 
     @classmethod
@@ -119,11 +99,8 @@ class ClusterSpec:
                 "link_gbps",
                 "link_latency_cycles",
                 "affinity",
-                "pin_flows",
-                "sync_horizon_cycles",
                 "sample_cycles",
                 "watchdog_horizons",
-                "seed_stride",
             )
             if k in data
         }

@@ -40,7 +40,7 @@ class FunctionalCluster:
         firmware_asm: str,
         accelerator_factory: Optional[Callable[[], Accelerator]] = None,
         config: Optional[RosebudConfig] = None,
-        cpu_backend: Optional[str] = None,
+        cpu_backend: str = "translated",
         replay_cache: bool = False,
     ) -> None:
         self.config = config or RosebudConfig(n_rpus=n_rpus)

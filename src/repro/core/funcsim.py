@@ -129,7 +129,7 @@ class FunctionalRpu:
         firmware_asm: str,
         accelerator: Optional[Accelerator] = None,
         config: Optional[RosebudConfig] = None,
-        cpu_backend: Optional[str] = None,
+        cpu_backend: str = "translated",
     ) -> None:
         self.config = config or RosebudConfig()
         self.bus = MemoryBus()

@@ -78,14 +78,12 @@ class MacPort:
         self.rx_fifo = BoundedFifo(f"mac{index}.rxfifo", capacity_bytes=fifo_bytes)
 
         def rx_service(packet: Packet, nbytes: int) -> float:
-            return wire_bytes(packet.size) * 8 / gbps / period  # ns -> cycles
+            return wire_bytes(nbytes) * 8 / gbps / period  # ns -> cycles
 
-        self._rx_link = SerialLink(
-            sim, f"mac{index}.rx", rx_service, self._rx_serialized
-        )
+        self._rx_link = SerialLink(sim, f"mac{index}.rx", rx_service, self._rx_serialized)
 
         def tx_service(packet: Packet, nbytes: int) -> float:
-            return wire_bytes(packet.size) * 8 / gbps / period
+            return wire_bytes(nbytes) * 8 / gbps / period
 
         def tx_done(packet: Packet) -> None:
             tx_frames.add()
@@ -110,17 +108,18 @@ class MacPort:
                 packet.drop("lost on the wire")
                 return
             packet = mutated
-        if packet.size < MIN_FRAME_BYTES:
+        size = packet.size
+        if size < MIN_FRAME_BYTES:
             self.counters.add("rx_runts")
             self.counters.add("rx_drops")
             packet.drop("runt frame")
             return
-        if packet.size > MAX_FRAME_BYTES:
+        if size > MAX_FRAME_BYTES:
             self.counters.add("rx_giants")
             self.counters.add("rx_drops")
             packet.drop("giant frame")
             return
-        self._rx_link.offer(packet, packet.size)
+        self._rx_link.offer(packet, size)
 
     def _rx_serialized(self, packet: Packet) -> None:
         # CMAC pipeline delay between the wire and the FIFO
@@ -136,12 +135,13 @@ class MacPort:
             self.counters.add("rx_drops")
             packet.drop("ipv4 header checksum mismatch")
             return
-        if not self.rx_fifo.push(packet, packet.size + _FIFO_BYTES_PER_FRAME):
+        size = packet.size
+        if not self.rx_fifo.push(packet, size + _FIFO_BYTES_PER_FRAME):
             self.counters.add("rx_drops")
             packet.drop("mac rx fifo full")
             return
         self._rx_frames.add()
-        self._rx_bytes.add(packet.size)
+        self._rx_bytes.add(size)
         packet.stamp("mac_rx_done", self.sim.now)
         self._on_rx()
 

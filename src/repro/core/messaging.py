@@ -42,7 +42,7 @@ class LoopbackPort:
         period = config.clock.period_ns
 
         def service(packet: Packet, nbytes: int) -> float:
-            serialize = wire_bytes(packet.size) * 8 / config.loopback_gbps / period
+            serialize = wire_bytes(nbytes) * 8 / config.loopback_gbps / period
             return max(serialize, float(config.loopback_cycles))
 
         def done(packet: Packet) -> None:

@@ -191,7 +191,7 @@ class DistributionFabric:
         self.on_rpu_out = on_rpu_out
 
         def service(packet: Packet, nbytes: int) -> float:
-            return float(config.rpu_link_service_cycles(packet.size))
+            return float(config.rpu_link_service_cycles(nbytes))
 
         # one 128-bit (32 Gbps) link per RPU in this direction
         if direction == "in":

@@ -99,7 +99,7 @@ class RosebudSystem:
         period = config.clock.period_ns
 
         def pcie_service(packet: Packet, nbytes: int) -> float:
-            return packet.size * 8 / PCIE_GBPS / period
+            return nbytes * 8 / PCIE_GBPS / period
 
         self.host_link = SerialLink(
             self.sim, "pcie", pcie_service, self._host_received

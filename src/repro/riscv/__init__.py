@@ -8,14 +8,7 @@ from .blocks import (
     is_block_terminal,
 )
 from .bus import BusError, MemoryBus, MmioRegion, RamRegion
-from .cpu import (
-    BACKENDS,
-    CycleModel,
-    CpuHalted,
-    RiscvCpu,
-    get_default_backend,
-    set_default_backend,
-)
+from .cpu import BACKENDS, CycleModel, CpuHalted, RiscvCpu
 from .isa import ABI_NAMES, DecodeError, Instruction, decode, parse_register, sign_extend
 
 __all__ = [
@@ -35,8 +28,6 @@ __all__ = [
     "CycleModel",
     "CpuHalted",
     "RiscvCpu",
-    "get_default_backend",
-    "set_default_backend",
     "ABI_NAMES",
     "DecodeError",
     "Instruction",

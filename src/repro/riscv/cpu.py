@@ -39,21 +39,6 @@ MASK32 = 0xFFFFFFFF
 #: closure-translation fast path (see :mod:`repro.riscv.translate`).
 BACKENDS = ("interp", "translated")
 
-_DEFAULT_BACKEND = "translated"
-
-
-def set_default_backend(name: str) -> None:
-    """Select the backend new :class:`RiscvCpu` instances use when the
-    constructor is not told otherwise (the ``--cpu-backend`` CLI knob)."""
-    global _DEFAULT_BACKEND
-    if name not in BACKENDS:
-        raise ValueError(f"unknown cpu backend {name!r}; choices: {BACKENDS}")
-    _DEFAULT_BACKEND = name
-
-
-def get_default_backend() -> str:
-    return _DEFAULT_BACKEND
-
 # CSR addresses (subset)
 CSR_MSTATUS = 0x300
 CSR_MIE = 0x304
@@ -150,7 +135,7 @@ class RiscvCpu:
         reset_pc: int = 0,
         hartid: int = 0,
         cycle_model: Optional[CycleModel] = None,
-        backend: Optional[str] = None,
+        backend: str = "translated",
     ) -> None:
         self.bus = bus
         self.regs: List[int] = [0] * 32
@@ -190,7 +175,6 @@ class RiscvCpu:
         self.code_epoch = 0
         bus.watch_stores(self._store_watch)
 
-        backend = backend or _DEFAULT_BACKEND
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown cpu backend {backend!r}; choices: {BACKENDS}"
@@ -481,7 +465,8 @@ class RiscvCpu:
         elif m in ("sb", "sh", "sw"):
             addr = (regs[inst.rs1] + inst.imm) & MASK32
             nbytes = {"sb": 1, "sh": 2, "sw": 4}[m]
-            self.bus.write(addr, regs[inst.rs2], nbytes)
+            # the bus sees the byte lane, as RAM and MMIO hardware would
+            self.bus.write(addr, regs[inst.rs2] & ((1 << (nbytes * 8)) - 1), nbytes)
         elif m == "addi":
             self.write_reg(inst.rd, regs[inst.rs1] + inst.imm)
         elif m == "slti":

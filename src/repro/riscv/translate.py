@@ -200,6 +200,7 @@ def _compile(cpu, inst, pc: int) -> Tuple[_OpFn, bool]:
     if op.kind == "store":
         find = cpu.bus._find
         nbytes = op.nbytes
+        lane = (1 << (nbytes * 8)) - 1
         cache = [1, 0, None]  # inline cache, as in _LOAD_TEMPLATE
 
         def fn() -> int:
@@ -209,7 +210,7 @@ def _compile(cpu, inst, pc: int) -> Tuple[_OpFn, bool]:
                 cache[0] = region.base
                 cache[1] = region.base + region.size
                 cache[2] = region._write
-            cache[2](addr - cache[0], regs[rs2], nbytes)
+            cache[2](addr - cache[0], regs[rs2] & lane, nbytes)
             cpu.cycles += cost
             cpu.instret += 1
             if cpu._break_block:

@@ -68,10 +68,9 @@ class SimSession:
     Two construction paths:
 
     * ``SimSession(spec)`` builds everything the batch engine would —
-      backend, verification pre-flight, system, sources, fault
-      campaign — in the same order, so stepping to completion
-      reproduces :func:`~repro.analysis.engine.run_experiment` byte for
-      byte.
+      verification pre-flight, system, sources, fault campaign — in
+      the same order, so stepping to completion reproduces
+      :func:`~repro.analysis.engine.run_experiment` byte for byte.
     * :meth:`SimSession.for_system` wraps a hand-built system (and
       optional already-constructed sources) for interactive use and
       for :meth:`measure_throughput` / :meth:`measure_latency` on a live
@@ -103,13 +102,6 @@ class SimSession:
                 "repro.ClusterEngine (or run_experiment / "
                 "`repro cluster`, which route there)"
             )
-
-        if spec.cpu_backend is not None:
-            # set before build: workers in a spawn pool don't inherit the
-            # parent's default, so the spec carries the backend choice
-            from ..riscv.cpu import set_default_backend
-
-            set_default_backend(spec.cpu_backend)
 
         if spec.verify:
             # static pre-flight: cheap (cached CFG/WCET + arithmetic),

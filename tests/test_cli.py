@@ -211,10 +211,13 @@ class TestOneBuilder:
         assert captured[0].lb == "rr"
 
 
-#: Point flags each subcommand used to accept and ignore.
+#: Flags each subcommand does not read (some it once accepted and ignored).
 _IGNORED = {
-    "latency": ["--size", "--gbps", "--warmup"],
-    "sweep": ["--size", "--gbps", "--rpus"],
+    "profile": ["--cpu-backend"],
+    "latency": ["--size", "--gbps", "--warmup", "--cpu-backend"],
+    "sweep": ["--size", "--gbps", "--rpus", "--cpu-backend"],
+    "chaos": ["--cpu-backend"],
+    "cluster": ["--cpu-backend"],
     "resources": ["--size", "--gbps", "--lb", "--warmup", "--packets",
                   "--cpu-backend", "--fidelity"],
     "trace": ["--rpus", "--gbps", "--lb", "--warmup", "--packets",

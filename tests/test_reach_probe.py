@@ -115,7 +115,7 @@ def test_cli_doors_pass_every_flag_path(tmp_path):
     assert some("chaos", "--json")
     assert some("cluster", "--shards", "--event", "--json")
     assert some("cluster", "--fidelity")
-    assert some("profile", "--cpu-backend")
+    assert some("calibrate", "--cpu-backend")
     # the second sweep over the same cache directory reads every point back
     sweeps = [argv for argv in argvs if argv[0] == "sweep"]
     assert len(sweeps) == 2 and sweeps[0] == sweeps[1]

@@ -11,14 +11,7 @@ after translation has already cached closures.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.riscv import (
-    BACKENDS,
-    MemoryBus,
-    RiscvCpu,
-    assemble,
-    get_default_backend,
-    set_default_backend,
-)
+from repro.riscv import BACKENDS, MemoryBus, RiscvCpu, assemble
 from repro.riscv.cpu import CycleModel
 
 SCRATCH = 0x2000  # data region the random programs load/store through
@@ -246,6 +239,28 @@ def test_interrupt_raised_mid_block():
     assert state["halted"]
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_subword_mmio_store_delivers_byte_lane(backend):
+    writes = []
+
+    def setup(cpu, bus):
+        bus.add_mmio(0x8000, 16, lambda off, nbytes: 0,
+                     lambda off, value, nbytes: writes.append((off, value, nbytes)),
+                     name="lanes")
+
+    source = """
+    li s0, 0x8000
+    li t6, 0x12345
+    sb t6, 0(s0)
+    sh t6, 4(s0)
+    sw t6, 8(s0)
+    ebreak
+"""
+    cpu, _ = _build(source, backend, setup=setup)
+    cpu.run(max_instructions=100)
+    assert writes == [(0, 0x45, 1), (4, 0x2345, 2), (8, 0x12345, 4)]
+
+
 def test_host_interrupt_and_wfi_parity():
     source = """
         la t0, handler
@@ -346,18 +361,3 @@ def test_backend_selection_and_validation():
     assert RiscvCpu(bus2, backend="translated")._engine is not None
     with pytest.raises(ValueError):
         RiscvCpu(bus, backend="threaded-jit")
-    with pytest.raises(ValueError):
-        set_default_backend("bogus")
-
-
-def test_default_backend_round_trip():
-    original = get_default_backend()
-    try:
-        set_default_backend("interp")
-        assert get_default_backend() == "interp"
-        bus = MemoryBus()
-        bus.add_ram(0, 4096)
-        bus.load_blob(0, assemble("ebreak").image)
-        assert RiscvCpu(bus)._engine is None
-    finally:
-        set_default_backend(original)
