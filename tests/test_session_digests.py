@@ -1,10 +1,12 @@
 """Golden digests of whole session results.
 
 ``benchmarks/results/session_digests.json`` holds the SHA-256 of
-``json.dumps(result.to_dict(), sort_keys=True)`` for six specs that
+``json.dumps(result.to_dict(), sort_keys=True)`` for eight specs that
 between them cover the session's stepping paths: throughput with and
-without the host link, latency mode, a chaos campaign, the fluid tier
-and a two-board rack.  A change to how the session steps or reads its
+without the host link, latency mode, two chaos campaigns (a wedged RPU
+under a watchdog, and a link flap on each port that pauses a TX link
+holding frames booked ahead), the Pigasus accelerator on the flows
+source, the fluid tier and a two-board rack.  A change to how the session steps or reads its
 counters that moves any result by one bit fails here.
 
 After an intended change to results, regenerate with
@@ -70,6 +72,21 @@ def _specs():
                 ),
             ),
         ),
+        "chaos_link_flap": _forwarder(
+            traffic=TrafficProfile(packet_size=512, offered_gbps=180.0),
+            window=MeasurementWindow(warmup_packets=300, measure_packets=1500),
+            faults=(
+                FaultSpec(kind="link_flap", at_cycles=3_000.0, target=0,
+                          duration_cycles=1_200.0),
+                FaultSpec(kind="link_flap", at_cycles=6_500.0, target=1,
+                          duration_cycles=800.0),
+            ),
+        ),
+        # the ids-event shape (HW reorder on the flows source) at a small window
+        "pigasus_hw_flows": spec_from_params({
+            "firmware": "pigasus_hw", "rules": 200, "rpus": 8, "ports": 2,
+            "size": 512, "gbps": 200, "warmup": 200, "packets": 600,
+        }),
         # the contended fluid spec of tests/test_serve_session.py
         "contended_fluid": ExperimentSpec(
             config=RosebudConfig(n_rpus=4, mac_rx_fifo_packets=8),
