@@ -1,13 +1,13 @@
 """The inter-board MAC link: a deterministic serialization model.
 
-Unlike the in-board :class:`~repro.core.mac.SerialLink` this model is
-*eventless*: the source board computes each crossing packet's arrival
-time arithmetically (``max(emit, busy) + serialization + latency``)
-and the destination schedules the delivery at the next horizon
-barrier.  Keeping the link stateless apart from one ``busy_until``
-float is what makes an N-shard run bit-identical to the inline run —
-the same float operations execute in the same order per link
-regardless of which process hosts the source board.
+The source board computes each crossing packet's arrival time
+arithmetically (``max(emit, busy) + serialization + latency``, the rule
+the in-board :class:`~repro.sim.resources.SerialLink` books by too), but
+this link schedules no event: the destination schedules the delivery at
+the next horizon barrier.  Keeping the link stateless apart from one
+``busy_until`` float is what makes an N-shard run bit-identical to the
+inline run — the same float operations execute in the same order per
+link regardless of which process hosts the source board.
 
 Every ordered board pair gets its own link (the artifact's two boards
 are joined by two unidirectional 100G cables; an N-board rack is the

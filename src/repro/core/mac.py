@@ -49,7 +49,6 @@ class MacPort:
     ) -> None:
         self.sim = sim
         self.config = config
-        self.index = index
         self.counters = CounterSet(
             ["rx_frames", "rx_bytes", "rx_drops", "rx_runts", "rx_giants",
              "rx_csum_drops", "rx_link_drops", "tx_frames", "tx_bytes"]
@@ -77,20 +76,20 @@ class MacPort:
         fifo_bytes = config.mac_rx_fifo_packets * (64 + _FIFO_BYTES_PER_FRAME)
         self.rx_fifo = BoundedFifo(f"mac{index}.rxfifo", capacity_bytes=fifo_bytes)
 
-        def rx_service(packet: Packet, nbytes: int) -> float:
+        def service(packet: Packet, nbytes: int) -> float:
             return wire_bytes(nbytes) * 8 / gbps / period  # ns -> cycles
 
-        self._rx_link = SerialLink(sim, f"mac{index}.rx", rx_service, self._rx_serialized)
-
-        def tx_service(packet: Packet, nbytes: int) -> float:
-            return wire_bytes(nbytes) * 8 / gbps / period
+        # the CMAC pipeline delay between the wire and the FIFO
+        self._rx_link = SerialLink(
+            sim, f"mac{index}.rx", service, self._rx_enqueue, config.mac_rx_fixed_cycles
+        )
 
         def tx_done(packet: Packet) -> None:
             tx_frames.add()
             tx_bytes.add(packet.size)
             on_tx_done(packet)
 
-        self._tx_link = SerialLink(sim, f"mac{index}.tx", tx_service, tx_done)
+        self._tx_link = SerialLink(sim, f"mac{index}.tx", service, tx_done)
 
     # -- RX --------------------------------------------------------------------
 
@@ -120,14 +119,6 @@ class MacPort:
             packet.drop("giant frame")
             return
         self._rx_link.offer(packet, size)
-
-    def _rx_serialized(self, packet: Packet) -> None:
-        # CMAC pipeline delay between the wire and the FIFO
-        self.sim.schedule(
-            self.config.mac_rx_fixed_cycles,
-            lambda: self._rx_enqueue(packet),
-            name=f"mac{self.index}.rx_fixed",
-        )
 
     def _rx_enqueue(self, packet: Packet) -> None:
         if self.verify_checksums and ipv4_header_checksum_ok(packet.data) is False:
@@ -168,11 +159,10 @@ class MacPort:
 
     # -- TX --------------------------------------------------------------------
 
-    def transmit(self, packet: Packet) -> None:
-        """Queue a frame for transmission (TX FIFO is effectively
-        unbounded here; upstream slot credits bound it in practice)."""
-        self.sim.schedule(
-            self.config.mac_tx_fixed_cycles,
-            lambda: self._tx_link.offer(packet, packet.size),
-            name=f"mac{self.index}.tx_fixed",
-        )
+    def transmit(self, packet: Packet, ready: Optional[float] = None) -> None:
+        """Queue a frame reaching the MAC at ``ready`` (default: now) for
+        the TX serializer, ``mac_tx_fixed_cycles`` later (the TX FIFO is
+        unbounded; upstream slot credits bound it in practice)."""
+        if ready is None:
+            ready = self.sim.now
+        self._tx_link.offer(packet, packet.size, ready + self.config.mac_tx_fixed_cycles)

@@ -52,8 +52,8 @@ class LoopbackPort:
 
         self.link = SerialLink(sim, "loopback", service, done)
 
-    def send(self, packet: Packet) -> None:
-        self.link.offer(packet, packet.size)
+    def send(self, packet: Packet, ready: Optional[float] = None) -> None:
+        self.link.offer(packet, packet.size, ready)
 
 
 @dataclass
@@ -111,11 +111,9 @@ class BroadcastSystem:
         self._arbiter_ptr = 0
         self._arbiter_running = False
 
-        def serial_service(msg: BroadcastMessage, nbytes: int) -> float:
-            return 1.0
-
+        # one message per cycle, then the propagation delay
         self._out_serializer = SerialLink(
-            sim, "bcast.serial", serial_service, self._serialized
+            sim, "bcast.serial", lambda msg, nbytes: 1.0, self._deliver, self.PROPAGATION_CYCLES
         )
 
     # -- sending ----------------------------------------------------------------
@@ -178,11 +176,6 @@ class BroadcastSystem:
         self.sim.schedule(1, self._arbiter_tick, name="bcast_arbiter")
 
     # -- delivery -------------------------------------------------------------------
-
-    def _serialized(self, msg: BroadcastMessage) -> None:
-        self.sim.schedule(
-            self.PROPAGATION_CYCLES, lambda: self._deliver(msg), name="bcast_prop"
-        )
 
     def _deliver(self, msg: BroadcastMessage) -> None:
         msg.delivered_at = self.sim.now

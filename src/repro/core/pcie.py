@@ -24,6 +24,12 @@ from .config import RosebudConfig
 PCIE_GBPS = 100.0
 
 
+def pcie_link(sim: Simulator, config: RosebudConfig, name: str, on_done) -> SerialLink:
+    """One direction of the PCIe link: store-and-forward at ``PCIE_GBPS``."""
+    period = config.clock.period_ns
+    return SerialLink(sim, name, lambda packet, nbytes: nbytes * 8 / PCIE_GBPS / period, on_done)
+
+
 class VirtualEthernet:
     """The Corundum vNIC: host-sourced packets entering the LB.
 
@@ -43,12 +49,7 @@ class VirtualEthernet:
         self.config = config
         self.counters = CounterSet(["tx_frames", "tx_bytes", "deferred"])
         self._assign = assign_and_dispatch
-        period = config.clock.period_ns
-
-        def service(packet: Packet, nbytes: int) -> float:
-            return nbytes * 8 / PCIE_GBPS / period
-
-        self._link = SerialLink(sim, "pcie.veth", service, self._arrived)
+        self._link = pcie_link(sim, config, "pcie.veth", self._arrived)
         self._waiting: Deque[Packet] = deque()
 
     def send(self, packet: Packet) -> None:

@@ -109,7 +109,9 @@ class ClusterSwitch:
 
     Service time is the beat count of the frame (plus internal header)
     over the 512-bit bus plus the arbitration overhead; delivery is
-    cut-through while the link stays occupied for the full beat count.
+    cut-through while the link stays occupied for the full beat count:
+    at grant, ``on_done(packet, at)`` hands the frame on with the time
+    ``at`` its head reaches the next stage.
     """
 
     #: input classes, in priority order for the priority arbiter
@@ -120,7 +122,7 @@ class ClusterSwitch:
         sim: Simulator,
         config: RosebudConfig,
         name: str,
-        on_done: Callable[[Packet], None],
+        on_done: Callable[[Packet, float], None],
     ) -> None:
         self.sim = sim
         self.config = config
@@ -159,17 +161,16 @@ class ClusterSwitch:
             cut = min(service, float(self.config.cluster_cut_through_cycles))
             self._timing[size] = (service, cut)
         service, cut_through = self._timing[size]
-        self.sim.schedule(
-            cut_through, lambda: self._on_done(packet), name=self.name
-        )
+        self._on_done(packet, self.sim.now + cut_through)
         self.sim.schedule(service, self._grant, name=self.name)
 
 
 class DistributionFabric:
     """All switches for one direction (ingress or egress).
 
-    Ingress: cluster switch -> RPU link -> deliver(packet, rpu).
-    Egress: RPU link -> cluster switch -> deliver(packet).
+    Ingress: cluster switch -> RPU link -> deliver(packet).
+    Egress: RPU link -> cluster switch -> deliver(packet, ready), where
+    ``ready`` is when the frame leaves the fabric.
     The two directions instantiate this class separately with the
     stage order expressed by the wiring below.
     """
@@ -179,7 +180,7 @@ class DistributionFabric:
         sim: Simulator,
         config: RosebudConfig,
         direction: str,
-        deliver: Callable[[Packet], None],
+        deliver: Callable[..., None],
         on_rpu_out: Optional[Callable[[Packet, int], None]] = None,
     ) -> None:
         if direction not in ("in", "out"):
@@ -197,7 +198,7 @@ class DistributionFabric:
         if direction == "in":
             # cluster switch feeds per-RPU links
             self.rpu_links = [
-                SerialLink(sim, f"rpu{i}.in", service, self._rpu_in_done)
+                SerialLink(sim, f"rpu{i}.in", service, deliver, config.rpu_in_fixed_cycles)
                 for i in range(config.n_rpus)
             ]
             self.cluster_switches = [
@@ -222,20 +223,9 @@ class DistributionFabric:
         cluster = self.config.rpu_cluster(packet.dest_rpu)
         self.cluster_switches[cluster].send(packet, input_class)
 
-    def _cluster_in_done(self, packet: Packet) -> None:
-        assert packet.dest_rpu is not None
-        self.sim.schedule(
-            self.config.dist_in_fixed_cycles,
-            lambda: self.rpu_links[packet.dest_rpu].offer(packet, packet.size),
-            name="dist_in_fixed",
-        )
-
-    def _rpu_in_done(self, packet: Packet) -> None:
-        self.sim.schedule(
-            self.config.rpu_in_fixed_cycles,
-            lambda: self.deliver(packet),
-            name="rpu_in_fixed",
-        )
+    def _cluster_in_done(self, packet: Packet, at: float) -> None:
+        link = self.rpu_links[packet.dest_rpu]
+        link.offer(packet, packet.size, at + self.config.dist_in_fixed_cycles)
 
     # -- egress direction ----------------------------------------------------
 
@@ -253,9 +243,5 @@ class DistributionFabric:
             name="rpu_out_fixed",
         )
 
-    def _cluster_out_done(self, packet: Packet) -> None:
-        self.sim.schedule(
-            self.config.dist_out_fixed_cycles,
-            lambda: self.deliver(packet),
-            name="dist_out_fixed",
-        )
+    def _cluster_out_done(self, packet: Packet, at: float) -> None:
+        self.deliver(packet, at + self.config.dist_out_fixed_cycles)

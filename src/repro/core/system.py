@@ -26,7 +26,6 @@ from typing import Callable, List, Optional, Sequence, Union
 
 from ..packet.packet import Packet
 from ..sim.kernel import Simulator
-from ..sim.resources import SerialLink
 from ..sim.stats import CounterSet, Histogram, RateMeter
 from .config import RosebudConfig
 from .descriptors import SlotError
@@ -34,7 +33,7 @@ from .firmware_api import ACTION_DROP, ACTION_HOST, ACTION_LOOPBACK, FirmwareMod
 from .lb import LBPolicy, LoadBalancer
 from .mac import MacPort
 from .messaging import BroadcastSystem, LoopbackPort
-from .pcie import PCIE_GBPS, VirtualEthernet
+from .pcie import VirtualEthernet, pcie_link
 from .rpu import RpuModel
 from .switch import DistributionFabric, PortIngress
 
@@ -63,7 +62,7 @@ class RosebudSystem:
                 self.sim,
                 config,
                 port,
-                on_rx=self._make_rx_kicker(port),
+                on_rx=lambda port=port: self.port_ingress[port].kick(),
                 on_tx_done=self._tx_done,
             )
             self.macs.append(mac)
@@ -96,14 +95,7 @@ class RosebudSystem:
         self.loopback = LoopbackPort(self.sim, config, self._loopback_done)
         self.broadcast = BroadcastSystem(self.sim, config)
 
-        period = config.clock.period_ns
-
-        def pcie_service(packet: Packet, nbytes: int) -> float:
-            return nbytes * 8 / PCIE_GBPS / period
-
-        self.host_link = SerialLink(
-            self.sim, "pcie", pcie_service, self._host_received
-        )
+        self.host_link = pcie_link(self.sim, config, "pcie", self._host_received)
         self.host_rx: List[Packet] = []
         self.virtual_ethernet = VirtualEthernet(
             self.sim, config, self._assign_from_host
@@ -139,12 +131,6 @@ class RosebudSystem:
         self.macs[port].receive(packet)
 
     # -- wiring callbacks ------------------------------------------------------------
-
-    def _make_rx_kicker(self, port: int) -> Callable[[], None]:
-        def kick() -> None:
-            self.port_ingress[port].kick()
-
-        return kick
 
     def _tx_done(self, packet: Packet) -> None:
         """A frame finished leaving a physical port (the MAC counts it)."""
@@ -225,15 +211,15 @@ class RosebudSystem:
         for ingress in self.port_ingress:
             ingress.slot_freed()
 
-    def _egress_done(self, packet: Packet) -> None:
+    def _egress_done(self, packet: Packet, ready: float) -> None:
         result = packet.route
         assert result is not None
         if result.action == ACTION_HOST:
-            self.host_link.offer(packet, packet.size)
+            self.host_link.offer(packet, packet.size, ready)
         elif result.action == ACTION_LOOPBACK:
-            self.loopback.send(packet)
+            self.loopback.send(packet, ready)
         else:
-            self.macs[result.egress_port].transmit(packet)
+            self.macs[result.egress_port].transmit(packet, ready)
 
     def _loopback_done(self, packet: Packet) -> None:
         """Loopback port delivered the packet to the ingress fabric of
@@ -252,12 +238,22 @@ class RosebudSystem:
 
     # -- fluid fast-forward (repro.fluid) -----------------------------------------------
 
-    def shift_live_packets(self, delta: float) -> int:
-        """Translate every in-flight packet's absolute timestamps by
-        ``delta`` (a clock warp moved the simulation's epoch).  Packets
-        that were dropped at the MAC level (their drop path does not
-        come back through the system callbacks) are pruned lazily here.
-        Returns the number of live packets shifted."""
+    def shift_clock(self, delta: float) -> None:
+        """Translate every absolute time the system holds by ``delta`` (a
+        clock warp moved the simulation's epoch): each RPU's last
+        progress, each link's bookings and every in-flight packet's
+        timestamps.  Packets that were dropped at the MAC level (their
+        drop path does not come back through the system callbacks) are
+        pruned lazily here."""
+        for rpu in self.rpus:
+            rpu.last_progress += delta
+        links = [self.host_link, self.loopback.link, self.virtual_ethernet._link,
+                 self.broadcast._out_serializer, *self.fabric_in.rpu_links,
+                 *self.fabric_out.rpu_links]
+        for mac in self.macs:
+            links += (mac._rx_link, mac._tx_link)
+        for link in links:
+            link.shift(delta)
         dead = [
             pid for pid, packet in self._live_packets.items() if packet.dropped
         ]
@@ -268,7 +264,6 @@ class RosebudSystem:
             if packet.timestamps:
                 for key in packet.timestamps:
                     packet.timestamps[key] += delta
-        return len(self._live_packets)
 
     # -- results -----------------------------------------------------------------------
 

@@ -556,9 +556,7 @@ class FluidEngine:
         for (label, obj, attr), d in zip(self._int_cells, st.int_deltas):
             if d:
                 setattr(obj, attr, getattr(obj, attr) + k * d)
-        for rpu in self.system.rpus:
-            rpu.last_progress += delta
-        self.system.shift_live_packets(delta)
+        self.system.shift_clock(delta)
         if st.period_samples:
             self.system.latency_us.record_repeated(st.period_samples, k)
 

@@ -10,8 +10,9 @@ Three primitives cover nearly every contended element in Rosebud:
 * :class:`RoundRobinArbiter` — the default arbitration policy between
   inputs contending for the same output (§4.3).
 
-The links are *event-driven*: callers hand items to the resource and
-get a callback when the item has passed through.  None of these
+A link *books* each item when it is offered: callers hand it the item
+and the time it arrives, and get one callback when it has passed
+through.  None of these
 primitives counts anything; the host-visible counters live on the
 components that own them (``MacPort``, ``RpuModel``, ``RosebudSystem``).
 """
@@ -19,7 +20,7 @@ components that own them (``MacPort``, ``RpuModel``, ``RosebudSystem``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
 
 from .kernel import Simulator
 
@@ -66,14 +67,17 @@ class BoundedFifo:
 
 
 class SerialLink:
-    """A work-conserving serializer.
+    """A work-conserving serializer that books each item when offered.
 
-    Items queue in arrival order (the queue is unbounded: upstream slot
-    credits bound it in practice); each occupies the link for a service
-    time computed by ``service_time(item, nbytes)``.  ``on_done(item)``
-    fires when the item fully exits the link, i.e. after store-and-
-    forward serialization — matching how a packet must fully land in an
-    RPU's memory before the core is notified (§6.2).
+    An item offered at ``ready`` (default: now) starts at
+    ``max(ready, free_at)`` and holds the link for ``service_time(item,
+    nbytes)``; ``on_done(item)`` fires ``latency`` cycles after it fully
+    exits (store-and-forward, as a packet must fully land in an RPU's
+    memory before the core is notified, §6.2).  This is ``BoardLink``'s
+    max-plus rule, so a fixed delay next to a link is an offset and each
+    item is one kernel event.  Items are served in ``ready`` order (one
+    that overtakes earlier offers re-books them); the queue is unbounded,
+    as upstream slot credits bound it in practice.
     """
 
     def __init__(
@@ -82,55 +86,86 @@ class SerialLink:
         name: str,
         service_time: Callable[[Any, int], float],
         on_done: Callable[[Any], None],
+        latency: float = 0.0,
     ) -> None:
         self.sim = sim
         self.name = name
         self._service_time = service_time
         self._on_done = on_done
-        #: ``(item, nbytes)`` waiting for the link, oldest first
-        self.queue: Deque[Tuple[Any, int]] = deque()
-        self._busy = False
-        self._paused = False
+        self.latency = latency
+        #: ``[ready, item, nbytes, start, finish, event]`` per item whose
+        #: ``on_done`` has not fired, in ``ready`` order
+        self._bookings: Deque[list] = deque()
+        #: ``(ready, item, nbytes)`` waiting for :meth:`resume`
+        self._held: List[Sequence] = []
+        self._free_at = 0.0
+        self.paused = False
 
     @property
     def busy(self) -> bool:
-        return self._busy
+        now = self.sim.now
+        return any(b[3] <= now < b[4] for b in self._bookings)
 
     @property
-    def paused(self) -> bool:
-        return self._paused
+    def queue(self) -> List[Tuple[Any, int]]:
+        """``(item, nbytes)`` of each item that has arrived but not started."""
+        now = self.sim.now
+        rows = [b[:3] for b in self._bookings if now < b[3]] + self._held
+        return [(item, nbytes) for ready, item, nbytes in rows if ready <= now]
 
     def pause(self) -> None:
-        """Stop starting new items (the in-flight one completes); queued
-        items wait — how a downed link backpressures its FIFO."""
-        self._paused = True
+        """Stop starting items (the in-flight one completes); items not
+        yet started are held — how a downed link backpressures its FIFO."""
+        if not self.paused:
+            self._held, self.paused = self._unbook(lambda b: b[3] > self.sim.now), True
 
     def resume(self) -> None:
-        if not self._paused:
-            return
-        self._paused = False
-        if not self._busy:
-            self._start_next()
+        if self.paused:
+            self.paused, held, self._held = False, self._held, []
+            self._free_at = max(self._free_at, self.sim.now)
+            for ready, item, nbytes in held:
+                self.offer(item, nbytes, ready)
 
-    def offer(self, item: Any, nbytes: int) -> None:
-        """Enqueue an item; an idle link starts serializing it at once."""
-        self.queue.append((item, nbytes))
-        if not self._busy:
-            self._start_next()
+    def offer(self, item: Any, nbytes: int, ready: Optional[float] = None) -> None:
+        """Book ``item``, arriving at ``ready`` (default: now)."""
+        if ready is None:
+            ready = self.sim.now
+        if self.paused:
+            self._held.append((ready, item, nbytes))
+        elif self._bookings and self._bookings[-1][0] > ready:
+            later = self._unbook(lambda b: b[0] > ready)
+            for entry in [(ready, item, nbytes), *later]:
+                self._book(*entry)
+        else:
+            self._book(ready, item, nbytes)
 
-    def _start_next(self) -> None:
-        if self._paused or not self.queue:
-            self._busy = False
-            return
-        item, nbytes = self.queue.popleft()
-        self._busy = True
-        self.sim.schedule(
-            self._service_time(item, nbytes), lambda: self._finish(item), name=self.name
-        )
+    def shift(self, delta: float) -> None:
+        """Translate every booking by ``delta``: a clock warp moved the
+        epoch, and the kernel has already moved their events."""
+        for b in self._bookings:
+            b[0], b[3], b[4] = b[0] + delta, b[3] + delta, b[4] + delta
+        self._held = [(ready + delta, *rest) for ready, *rest in self._held]
+        self._free_at += delta
 
-    def _finish(self, item: Any) -> None:
-        self._on_done(item)
-        self._start_next()
+    def _book(self, ready: float, item: Any, nbytes: int) -> None:
+        start = ready if ready > self._free_at else self._free_at
+        finish = self._free_at = start + self._service_time(item, nbytes)
+        event = self.sim.schedule_at(finish + self.latency, self._fire, self.name)
+        self._bookings.append([ready, item, nbytes, start, finish, event])
+
+    def _unbook(self, pred: Callable[[list], bool]) -> List[Sequence]:
+        """Cancel the trailing bookings ``pred`` holds for; returns their
+        ``[ready, item, nbytes]``, oldest first."""
+        bookings, out = self._bookings, []
+        while bookings and pred(bookings[-1]):
+            booking = bookings.pop()
+            booking[5].cancel()
+            out.insert(0, booking[:3])
+        self._free_at = bookings[-1][4] if bookings else 0.0
+        return out
+
+    def _fire(self) -> None:
+        self._on_done(self._bookings.popleft()[1])
 
 
 class RoundRobinArbiter:

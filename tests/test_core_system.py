@@ -1,5 +1,6 @@
 """Integration tests for the assembled system."""
 
+import pytest
 
 from repro.core import (
     HashLB,
@@ -17,6 +18,7 @@ from repro.core.firmware_api import (
 )
 from repro.firmware import ForwarderFirmware, TwoStepForwarder
 from repro.packet import build_tcp
+from repro.sim.clock import wire_bytes
 from repro.traffic import FixedSizeSource
 
 
@@ -238,3 +240,25 @@ class TestReconfiguration:
         system.sim.run()
         assert record.drained_at >= 5000  # waited for the slow packet
         assert system.counters.value("delivered") == 1
+
+
+class TestClockWarp:
+    def test_translated_link_keeps_its_booking(self):
+        system = RosebudSystem(RosebudConfig(n_rpus=8), ForwarderFirmware())
+        sim, mac = system.sim, system.macs[0]
+        sent = []
+        system.on_delivery = lambda packet: sent.append(sim.now)
+        first, second, third = _pkt(1500), _pkt(1500, sport=2), _pkt(1500, sport=3)
+        mac.transmit(first)
+        mac.transmit(second)
+        sim.run(until=30)  # first serializes from cycle 20, second waits
+        link = mac._tx_link
+        assert link.busy and link.queue == [(second, 1500)]
+        sim.warp(1000)
+        system.shift_clock(1000)
+        assert link.busy and link.queue == [(second, 1500)]
+        mac.transmit(third)
+        sim.run()
+        service = wire_bytes(1500) * 8 / 100 / 4  # cycles at 100 G, 250 MHz
+        # the third frame waits for the second, which follows the first
+        assert sent == pytest.approx([1020 + k * service for k in (1, 2, 3)])

@@ -66,9 +66,17 @@ class TestBoundedFifo:
 
 
 class TestSerialLink:
-    def _make(self, sim, rate=1.0):
+    def _make(self, sim, rate=1.0, latency=0.0):
         done = []
-        link = SerialLink(sim, "l", lambda item, n: n / rate, done.append)
+        link = SerialLink(sim, "l", lambda item, n: n / rate, done.append, latency)
+        return link, done
+
+    def _timed(self, sim, latency=0.0):
+        """A link whose ``done`` list records ``(item, time)``."""
+        done = []
+        link = SerialLink(
+            sim, "l", lambda item, n: n, lambda item: done.append((item, sim.now)), latency
+        )
         return link, done
 
     def test_items_serialize_in_order(self):
@@ -88,6 +96,74 @@ class TestSerialLink:
         sim.schedule(5, lambda: link.offer("b", 10))
         sim.run()
         assert sim.now == 25  # 10 done, idle 5 (starts at 15), +10
+
+    def test_item_offered_with_future_ready_starts_then(self):
+        sim = Simulator()
+        link, done = self._timed(sim)
+        link.offer("a", 10, ready=5)
+        assert not link.busy and link.queue == []  # not arrived yet
+        sim.run()
+        assert done == [("a", 15)]
+
+    def test_latency_delays_done_without_holding_the_link(self):
+        sim = Simulator()
+        link, done = self._timed(sim, latency=7)
+        link.offer("a", 10)
+        link.offer("b", 5)
+        sim.run()
+        # b starts when a finishes (10), not when a's on_done fires (17)
+        assert done == [("a", 17), ("b", 22)]
+
+    def test_item_that_overtakes_earlier_offers_is_served_first(self):
+        sim = Simulator()
+        link, done = self._timed(sim)
+        link.offer("late", 10, ready=8)
+        link.offer("early", 4, ready=2)
+        sim.run()
+        assert done == [("early", 6), ("late", 18)]
+
+    def test_pause_holds_items_not_started_until_resume(self):
+        sim = Simulator()
+        link, done = self._timed(sim)
+        link.offer("a", 10)  # in flight from 0
+        link.offer("b", 10, ready=20)
+        sim.schedule(5, link.pause)
+        sim.schedule(40, link.resume)
+        sim.run(until=30)
+        assert done == [("a", 10)]  # the in-flight frame completed
+        assert link.paused and link.queue == [("b", 10)]
+        sim.run()
+        assert done == [("a", 10), ("b", 50)]  # b starts at the resume
+
+    def test_resume_before_ready_keeps_the_ready_time(self):
+        sim = Simulator()
+        link, done = self._timed(sim)
+        link.offer("a", 10, ready=20)
+        sim.schedule(5, link.pause)
+        sim.schedule(15, link.resume)
+        sim.run()
+        assert done == [("a", 30)]
+
+    def test_one_kernel_event_per_item(self):
+        sim = Simulator()
+        link, done = self._make(sim, latency=25)
+        for i in range(5):
+            link.offer(i, 10, ready=3 * i)
+        sim.run()
+        assert done == list(range(5))
+        assert sim.events_processed == 5
+
+    def test_busy_and_queue_follow_the_clock(self):
+        sim = Simulator()
+        link, _ = self._make(sim, latency=5)
+        link.offer("a", 10)
+        link.offer("b", 10)
+        sim.run(until=3)
+        assert link.busy and link.queue == [("b", 10)]
+        sim.run(until=12)
+        assert link.busy and link.queue == []
+        sim.run(until=22)
+        assert not link.busy  # b is in the latency stage behind the link
 
 
 class TestArbiters:

@@ -13,7 +13,8 @@ def _switch(arbitration="rr"):
     sim = Simulator()
     config = RosebudConfig(n_rpus=16, cluster_arbitration=arbitration)
     done = []
-    switch = ClusterSwitch(sim, config, "test", done.append)
+    # the switch hands each frame on at grant, with its cut-through time
+    switch = ClusterSwitch(sim, config, "test", lambda packet, at: done.append(packet))
     return sim, switch, done
 
 
