@@ -239,21 +239,13 @@ class RosebudSystem:
     # -- fluid fast-forward (repro.fluid) -----------------------------------------------
 
     def shift_clock(self, delta: float) -> None:
-        """Translate every absolute time the system holds by ``delta`` (a
-        clock warp moved the simulation's epoch): each RPU's last
-        progress, each link's bookings and every in-flight packet's
-        timestamps.  Packets that were dropped at the MAC level (their
-        drop path does not come back through the system callbacks) are
-        pruned lazily here."""
+        """Translate the absolute times the system holds by ``delta`` after
+        a clock warp (which moved the links' bookings itself): each RPU's
+        last progress and every in-flight packet's timestamps.  Packets
+        that were dropped at the MAC level (their drop path does not come
+        back through the system callbacks) are pruned lazily here."""
         for rpu in self.rpus:
             rpu.last_progress += delta
-        links = [self.host_link, self.loopback.link, self.virtual_ethernet._link,
-                 self.broadcast._out_serializer, *self.fabric_in.rpu_links,
-                 *self.fabric_out.rpu_links]
-        for mac in self.macs:
-            links += (mac._rx_link, mac._tx_link)
-        for link in links:
-            link.shift(delta)
         dead = [
             pid for pid, packet in self._live_packets.items() if packet.dropped
         ]

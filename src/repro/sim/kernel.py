@@ -84,6 +84,9 @@ class Simulator:
         self._now = 0.0
         self._stopped = False
         self.events_processed = 0
+        #: ``shift(delta)`` of each object that holds absolute times
+        #: :meth:`warp` translates too (every ``SerialLink``'s bookings)
+        self.warp_shifts: List[Callable[[float], None]] = []
 
     @property
     def now(self) -> float:
@@ -145,7 +148,8 @@ class Simulator:
         Raises :class:`SimulationError`, changing nothing, if ``delta``
         is not positive or a live frozen event lies in the skipped
         interval.  Cancelled events are dropped.  The heap is rebuilt in
-        place because :meth:`run`'s observer may warp.
+        place because :meth:`run`'s observer may warp.  Last, each of
+        :attr:`warp_shifts` is called with ``delta``.
         """
         if delta <= 0:
             raise SimulationError(f"warp delta must be positive (got {delta})")
@@ -168,6 +172,8 @@ class Simulator:
         heapq.heapify(entries)
         heap[:] = entries
         self._now = new_now
+        for shift in self.warp_shifts:
+            shift(delta)
 
     def run(
         self,

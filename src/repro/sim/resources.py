@@ -100,6 +100,7 @@ class SerialLink:
         self._held: List[Sequence] = []
         self._free_at = 0.0
         self.paused = False
+        sim.warp_shifts.append(self.shift)
 
     @property
     def busy(self) -> bool:
@@ -123,7 +124,7 @@ class SerialLink:
         if self.paused:
             self.paused, held, self._held = False, self._held, []
             self._free_at = max(self._free_at, self.sim.now)
-            for ready, item, nbytes in held:
+            for ready, item, nbytes in sorted(held, key=lambda h: h[0]):
                 self.offer(item, nbytes, ready)
 
     def offer(self, item: Any, nbytes: int, ready: Optional[float] = None) -> None:
@@ -140,8 +141,8 @@ class SerialLink:
             self._book(ready, item, nbytes)
 
     def shift(self, delta: float) -> None:
-        """Translate every booking by ``delta``: a clock warp moved the
-        epoch, and the kernel has already moved their events."""
+        """Translate every booking by ``delta``: :meth:`Simulator.warp`
+        moved the epoch and their events, and calls this last."""
         for b in self._bookings:
             b[0], b[3], b[4] = b[0] + delta, b[3] + delta, b[4] + delta
         self._held = [(ready + delta, *rest) for ready, *rest in self._held]
@@ -161,7 +162,7 @@ class SerialLink:
             booking = bookings.pop()
             booking[5].cancel()
             out.insert(0, booking[:3])
-        self._free_at = bookings[-1][4] if bookings else 0.0
+        self._free_at = max(bookings[-1][4] if bookings else 0.0, self.sim.now)
         return out
 
     def _fire(self) -> None:

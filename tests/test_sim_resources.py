@@ -144,6 +144,28 @@ class TestSerialLink:
         sim.run()
         assert done == [("a", 30)]
 
+    def test_resume_serves_held_items_in_ready_order_from_the_resume(self):
+        sim = Simulator()
+        link, done = self._timed(sim)
+        link.pause()
+        link.offer("a", 10, ready=8)
+        link.offer("b", 1, ready=2)  # arrives first, offered second
+        sim.schedule(50, link.resume)
+        sim.run()
+        assert done == [("b", 51), ("a", 61)]
+
+    def test_warp_translates_bookings(self):
+        sim = Simulator()
+        link, done = self._timed(sim)
+        link.offer("a", 10)
+        link.offer("b", 10)
+        sim.run(until=5)
+        sim.warp(1000)
+        assert link.busy and link.queue == [("b", 10)]
+        link.offer("c", 10)  # queues behind b, not inside a's service
+        sim.run()
+        assert done == [("a", 1010), ("b", 1020), ("c", 1030)]
+
     def test_one_kernel_event_per_item(self):
         sim = Simulator()
         link, done = self._make(sim, latency=25)
