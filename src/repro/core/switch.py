@@ -3,7 +3,9 @@
 Two stages of unidirectional switches carry packets between ports and
 RPUs: full-rate 512-bit cluster switches, then 128-bit (32 Gbps) links
 into each RPU.  Separate instances exist for the incoming and outgoing
-directions, so they never block each other.
+directions, so they never block each other.  An ingress switch
+arbitrates; an egress switch has one input class and is booked like a
+link (:class:`DistributionFabric`).
 
 :class:`PortIngress` models the per-port front end: it pulls frames
 from the MAC RX FIFO, spends the (calibrated) per-packet cycles that
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..packet.packet import Packet
 from ..sim.kernel import Simulator
@@ -96,8 +98,25 @@ class PortIngress:
             self.sim.schedule(1, self._try_assign, name="port_ingress_retry")
 
 
+class SwitchTiming(dict):
+    """``size -> (service, cut-through)`` cycles of one frame on a 512-bit
+    cluster switch, filled on first use: the beat count of the frame
+    (plus internal header) plus the arbitration overhead, and the cycles
+    until its head reaches the next stage (cut-through)."""
+
+    def __init__(self, config: RosebudConfig) -> None:
+        super().__init__()
+        self.config = config
+
+    def __missing__(self, size: int) -> Tuple[float, float]:
+        service = float(self.config.cluster_service_cycles(size))
+        cut = min(service, float(self.config.cluster_cut_through_cycles))
+        self[size] = (service, cut)
+        return service, cut
+
+
 class ClusterSwitch:
-    """One direction of one cluster's 512-bit switch.
+    """One cluster's 512-bit ingress switch.
 
     The real switch keeps a FIFO per input interface ("non-blocking
     forwarding: each FIFO provides bit-width conversion without
@@ -107,11 +126,10 @@ class ClusterSwitch:
     default, replaceable with fixed priority "if desired" (§4.3), which
     ``config.cluster_arbitration`` selects.
 
-    Service time is the beat count of the frame (plus internal header)
-    over the 512-bit bus plus the arbitration overhead; delivery is
-    cut-through while the link stays occupied for the full beat count:
-    at grant, ``on_done(packet, at)`` hands the frame on with the time
-    ``at`` its head reaches the next stage.
+    A grant holds the switch for the frame's :class:`SwitchTiming`
+    service time; delivery is cut-through: at grant, ``on_done(packet,
+    at)`` hands the frame on with the time ``at`` its head reaches the
+    next stage.
     """
 
     #: input classes, in priority order for the priority arbiter
@@ -130,7 +148,7 @@ class ClusterSwitch:
         self._on_done = on_done
         self._queues = {cls: deque() for cls in self.INPUT_CLASSES}
         self._queue_list = [self._queues[cls] for cls in self.INPUT_CLASSES]
-        self._timing: Dict[int, Tuple[float, float]] = {}  # size -> (service, cut-through)
+        self._timing = SwitchTiming(config)
         self._busy = False
         if config.cluster_arbitration == "rr":
             self._arbiter = RoundRobinArbiter(len(self.INPUT_CLASSES))
@@ -155,24 +173,28 @@ class ClusterSwitch:
             return
         packet = self._queue_list[winner].popleft()
         self._busy = True
-        size = packet.size
-        if size not in self._timing:
-            service = float(self.config.cluster_service_cycles(size))
-            cut = min(service, float(self.config.cluster_cut_through_cycles))
-            self._timing[size] = (service, cut)
-        service, cut_through = self._timing[size]
+        service, cut_through = self._timing[packet.size]
         self._on_done(packet, self.sim.now + cut_through)
         self.sim.schedule(service, self._grant, name=self.name)
 
 
 class DistributionFabric:
-    """All switches for one direction (ingress or egress).
+    """The switches and links of one direction (ingress or egress).
 
-    Ingress: cluster switch -> RPU link -> deliver(packet).
+    Ingress: cluster switch -> RPU link -> deliver(packet).  The switch
+    arbitrates among port, host and loopback frames.
+
     Egress: RPU link -> cluster switch -> deliver(packet, ready), where
-    ``ready`` is when the frame leaves the fabric.
-    The two directions instantiate this class separately with the
-    stage order expressed by the wiring below.
+    ``ready`` is when the frame leaves the fabric.  Only the RPU links
+    feed an egress switch, so it is a FIFO server and is booked the way
+    a :class:`SerialLink` is, with no kernel event: a frame whose RPU
+    link finishes at ``now`` is ready at ``now + rpu_out_fixed``, starts
+    at ``max(ready, free_at)``, holds the switch for its service time
+    and is handed on at once, ``cut + dist_out_fixed`` after its start.
+    Frames are booked in the order their RPU links finish, which is
+    their ``ready`` order, and two frames from different clusters that
+    reach one MAC at the same ``ready`` are served there in the order
+    their RPU links finished.
     """
 
     def __init__(
@@ -196,7 +218,6 @@ class DistributionFabric:
 
         # one 128-bit (32 Gbps) link per RPU in this direction
         if direction == "in":
-            # cluster switch feeds per-RPU links
             self.rpu_links = [
                 SerialLink(sim, f"rpu{i}.in", service, deliver, config.rpu_in_fixed_cycles)
                 for i in range(config.n_rpus)
@@ -206,15 +227,15 @@ class DistributionFabric:
                 for c in range(config.n_clusters)
             ]
         else:
-            # per-RPU links feed cluster switches
-            self.cluster_switches = [
-                ClusterSwitch(sim, config, f"cluster{c}.out", self._cluster_out_done)
-                for c in range(config.n_clusters)
-            ]
+            #: when each cluster's egress switch is next free
+            self.free_at = [0.0] * config.n_clusters
+            self._timing = SwitchTiming(config)
             self.rpu_links = [
-                SerialLink(sim, f"rpu{i}.out", service, partial(self._rpu_out_done, i))
+                SerialLink(sim, f"rpu{i}.out", service,
+                           partial(self._rpu_out_done, i, config.rpu_cluster(i)))
                 for i in range(config.n_rpus)
             ]
+            sim.warp_shifts.append(self._shift)
 
     # -- ingress direction -------------------------------------------------
 
@@ -233,15 +254,16 @@ class DistributionFabric:
         assert self.direction == "out"
         self.rpu_links[rpu_index].offer(packet, packet.size)
 
-    def _rpu_out_done(self, rpu_index: int, packet: Packet) -> None:
+    def _rpu_out_done(self, rpu_index: int, cluster: int, packet: Packet) -> None:
         if self.on_rpu_out is not None:
             self.on_rpu_out(packet, rpu_index)
-        cluster = self.config.rpu_cluster(rpu_index)
-        self.sim.schedule(
-            self.config.rpu_out_fixed_cycles,
-            lambda: self.cluster_switches[cluster].send(packet),
-            name="rpu_out_fixed",
-        )
+        service, cut = self._timing[packet.size]
+        ready = self.sim.now + self.config.rpu_out_fixed_cycles
+        free_at = self.free_at[cluster]
+        start = ready if ready > free_at else free_at
+        self.free_at[cluster] = start + service
+        self.deliver(packet, start + cut + self.config.dist_out_fixed_cycles)
 
-    def _cluster_out_done(self, packet: Packet, at: float) -> None:
-        self.deliver(packet, at + self.config.dist_out_fixed_cycles)
+    def _shift(self, delta: float) -> None:
+        """:meth:`Simulator.warp` moved the epoch by ``delta``."""
+        self.free_at = [t + delta for t in self.free_at]

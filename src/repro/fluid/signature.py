@@ -42,7 +42,7 @@ def _link_state(link) -> Tuple:
     )
 
 
-def _fabric_state(fabric) -> Tuple:
+def _ingress_state(fabric) -> Tuple:
     switches = tuple(
         (
             sw._busy,
@@ -56,6 +56,13 @@ def _fabric_state(fabric) -> Tuple:
     )
     links = tuple(_link_state(link) for link in fabric.rpu_links)
     return switches, links
+
+
+def _egress_state(fabric, now: float) -> Tuple:
+    # a booked egress switch has no pending event carrying when it is
+    # next free, so its offset is part of the signature (0 when idle)
+    busy = tuple(max(0.0, round(t - now, _REL_DIGITS)) for t in fabric.free_at)
+    return busy, tuple(_link_state(link) for link in fabric.rpu_links)
 
 
 def queue_occupancy(system) -> Tuple[int, ...]:
@@ -79,9 +86,9 @@ def queue_occupancy(system) -> Tuple[int, ...]:
         out.append(len(mac._tx_link.queue))
     for ing in system.port_ingress:
         out.append(0 if ing._current is None else 1)
+    for sw in system.fabric_in.cluster_switches:
+        out.append(sum(len(sw._queues[cls]) for cls in sw.INPUT_CLASSES))
     for fabric in (system.fabric_in, system.fabric_out):
-        for sw in fabric.cluster_switches:
-            out.append(sum(len(sw._queues[cls]) for cls in sw.INPUT_CLASSES))
         for link in fabric.rpu_links:
             out.append(len(link.queue))
     for rpu in system.rpus:
@@ -162,8 +169,8 @@ def state_signature(system, sources, horizon: float) -> Tuple:
         lb_state,
         macs,
         ingress,
-        _fabric_state(system.fabric_in),
-        _fabric_state(system.fabric_out),
+        _ingress_state(system.fabric_in),
+        _egress_state(system.fabric_out, now),
         rpus,
         _link_state(system.host_link),
         _link_state(system.loopback.link),

@@ -11,6 +11,7 @@ from repro.core.firmware_api import (
 )
 from repro.core.mac import MacPort
 from repro.core.rpu import RpuModel
+from repro.core.switch import DistributionFabric, SwitchTiming
 from repro.firmware import ForwarderFirmware
 from repro.packet import build_tcp
 from repro.sim import Simulator
@@ -205,3 +206,68 @@ class TestDistributionTiming:
         assert system.config.rpu_cluster(a.dest_rpu) == system.config.rpu_cluster(b.dest_rpu)
         # b waited for a's beats on the shared cluster link
         assert b.timestamps["rpu_deliver"] > a.timestamps["rpu_deliver"]
+
+
+class TestEgressBooking:
+    """An egress cluster switch is booked like a link, with no kernel event."""
+
+    def _fabric(self):
+        cfg = RosebudConfig(n_rpus=8)
+        sim = Simulator()
+        handed = []  # (packet, ready, time of the hand-off)
+        fabric = DistributionFabric(
+            sim, cfg, "out", lambda p, ready: handed.append((p, ready, sim.now)),
+            on_rpu_out=lambda p, i: None,
+        )
+        return cfg, sim, fabric, handed
+
+    def test_frame_reaching_a_busy_switch_is_handed_on_when_its_link_finishes(self):
+        cfg, sim, fabric, handed = self._fabric()
+        big = build_tcp("10.0.0.1", "10.0.0.2", 1, 2, pad_to=1500)
+        small = build_tcp("10.0.0.1", "10.0.0.2", 1, 3, pad_to=64)
+        fabric.send_from_rpu(big, 0)
+        sim.schedule(100, lambda: fabric.send_from_rpu(small, 1))  # same cluster
+        sim.run()
+        big_service, big_cut = SwitchTiming(cfg)[1500]
+        small_service, small_cut = SwitchTiming(cfg)[64]
+        big_done = cfg.rpu_link_service_cycles(1500)
+        big_start = big_done + cfg.rpu_out_fixed_cycles
+        small_done = 100 + cfg.rpu_link_service_cycles(64)
+        # the small frame is ready while the big one holds the switch
+        assert big_start < small_done + cfg.rpu_out_fixed_cycles < big_start + big_service
+        free_at = big_start + big_service
+        assert handed == [
+            (big, big_start + big_cut + cfg.dist_out_fixed_cycles, big_done),
+            (small, free_at + small_cut + cfg.dist_out_fixed_cycles, small_done),
+        ]
+        assert fabric.free_at == [free_at + small_service, 0.0]
+
+    def test_simultaneous_finishes_are_served_in_link_finish_order(self):
+        cfg, sim, fabric, handed = self._fabric()
+        first = build_tcp("10.0.0.1", "10.0.0.2", 1, 2, pad_to=512)
+        second = build_tcp("10.0.0.1", "10.0.0.2", 1, 3, pad_to=512)
+        fabric.send_from_rpu(first, 2)  # its link event is scheduled first
+        fabric.send_from_rpu(second, 1)
+        sim.run()
+        done = cfg.rpu_link_service_cycles(512)
+        service, cut = SwitchTiming(cfg)[512]
+        start = done + cfg.rpu_out_fixed_cycles
+        tail = cut + cfg.dist_out_fixed_cycles
+        assert handed == [(first, start + tail, done), (second, start + service + tail, done)]
+
+    def test_no_egress_switch_or_fixed_stage_event_is_scheduled(self):
+        system = RosebudSystem(RosebudConfig(n_rpus=8), ForwarderFirmware())
+        names = set()
+        schedule_at = system.sim.schedule_at
+
+        def record(time, callback, name=""):
+            names.add(name)
+            return schedule_at(time, callback, name)
+
+        system.sim.schedule_at = record
+        for sport in range(1, 41):
+            system.offer_packet(sport % 2, build_tcp("10.0.0.1", "10.0.0.2", sport, 80))
+        system.sim.run()
+        assert system.counters.value("delivered") == 40
+        assert "cluster0.in" in names and "rpu0.out" in names
+        assert not {"rpu_out_fixed", "cluster0.out", "cluster1.out"} & names

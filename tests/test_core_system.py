@@ -261,3 +261,15 @@ class TestClockWarp:
         service = wire_bytes(1500) * 8 / 100 / 4  # cycles at 100 G, 250 MHz
         # the third frame waits for the second, which follows the first
         assert sent == pytest.approx([1020 + k * service for k in (1, 2, 3)])
+
+    def test_booked_egress_switch_moves_with_the_clock(self):
+        system = RosebudSystem(RosebudConfig(n_rpus=8), ForwarderFirmware())
+        sim, fabric = system.sim, system.fabric_out
+        packet = _pkt(1500)
+        packet.route = FirmwareResult(action=ACTION_FORWARD, sw_cycles=16, egress_port=1)
+        fabric.send_from_rpu(packet, 0)
+        sim.run(until=fabric.rpu_links[0]._bookings[0][4])  # the RPU link finishes
+        free_at = fabric.free_at[0]
+        assert free_at > sim.now
+        sim.warp(1000)
+        assert fabric.free_at[0] == free_at + 1000

@@ -283,3 +283,18 @@ class TestSpecPlumbing:
         assert result.fluid is not None
         again = ExperimentResult.from_dict(result.to_dict())
         assert again.fluid == result.fluid
+
+
+class TestSignature:
+    def test_egress_switch_offset_is_part_of_the_signature(self):
+        from repro.core import RosebudSystem
+        from repro.fluid import state_signature
+
+        system = RosebudSystem(RosebudConfig(n_rpus=8), ForwarderFirmware())
+        system.sim.run(until=100.0)
+        fabric = system.fabric_out
+        idle = state_signature(system, [], horizon=1e6)
+        fabric.free_at[1] = 40.0  # idle at another past time: same state
+        assert state_signature(system, [], horizon=1e6) == idle
+        fabric.free_at[1] = 105.0  # busy for 5 more cycles, with no event
+        assert state_signature(system, [], horizon=1e6) != idle
