@@ -38,7 +38,7 @@ from ..faults.spec import FaultSpec
 #: Part of every cache key: bump when a field or the measurement
 #: semantics change, so entries written by older code miss instead of
 #: satisfying a new run (per-version history is in ``CHANGES.md``).
-SPEC_VERSION = 10
+SPEC_VERSION = 11
 
 #: Named load-balancer policies (constructed per-spec so state is fresh).
 LB_REGISTRY: Dict[str, Callable[[int], LBPolicy]] = {

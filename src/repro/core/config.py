@@ -53,9 +53,6 @@ class RosebudConfig:
     port_ingress_cycles: int = 2
     loopback_cycles: int = 3
     loopback_gbps: float = 100.0
-    #: arbitration among switch inputs: "rr" (default) or "priority"
-    #: (ports over host over loopback), the §4.3 alternative
-    cluster_arbitration: str = "rr"
 
     # memories and slots (§4.1, §7.1.2)
     slots_per_rpu: int = 16

@@ -37,7 +37,6 @@ class LoopbackPort:
         config: RosebudConfig,
         on_done: Callable[[Packet], None],
     ) -> None:
-        self.config = config
         self.counters = CounterSet(["frames", "bytes"])
         period = config.clock.period_ns
 

@@ -46,7 +46,6 @@ class VirtualEthernet:
         assign_and_dispatch: Callable[[Packet], bool],
     ) -> None:
         self.sim = sim
-        self.config = config
         self.counters = CounterSet(["tx_frames", "tx_bytes", "deferred"])
         self._assign = assign_and_dispatch
         self._link = pcie_link(sim, config, "pcie.veth", self._arrived)

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Tuple
 
 from ..packet.packet import Packet
 from ..sim.kernel import Simulator
-from ..sim.resources import PriorityArbiter, RoundRobinArbiter, SerialLink
+from ..sim.resources import RoundRobinArbiter, SerialLink
 from ..sim.stats import CounterSet
 from .config import RosebudConfig
 from .lb import LoadBalancer
@@ -122,9 +122,7 @@ class ClusterSwitch:
     forwarding: each FIFO provides bit-width conversion without
     blocking the other incoming interfaces", §4.3) and arbitrates only
     when two inputs target the same output.  This model keeps per-
-    input-class queues and a pluggable arbiter — round robin by
-    default, replaceable with fixed priority "if desired" (§4.3), which
-    ``config.cluster_arbitration`` selects.
+    input-class queues and grants them round robin (§4.3).
 
     A grant holds the switch for the frame's :class:`SwitchTiming`
     service time; delivery is cut-through: at grant, ``on_done(packet,
@@ -132,7 +130,7 @@ class ClusterSwitch:
     next stage.
     """
 
-    #: input classes, in priority order for the priority arbiter
+    #: input classes, in round-robin order
     INPUT_CLASSES = ("port", "host", "loopback")
 
     def __init__(
@@ -150,14 +148,7 @@ class ClusterSwitch:
         self._queue_list = [self._queues[cls] for cls in self.INPUT_CLASSES]
         self._timing = SwitchTiming(config)
         self._busy = False
-        if config.cluster_arbitration == "rr":
-            self._arbiter = RoundRobinArbiter(len(self.INPUT_CLASSES))
-        elif config.cluster_arbitration == "priority":
-            self._arbiter = PriorityArbiter(len(self.INPUT_CLASSES))
-        else:
-            raise ValueError(
-                f"unknown cluster arbitration {config.cluster_arbitration!r}"
-            )
+        self._arbiter = RoundRobinArbiter(len(self.INPUT_CLASSES))
 
     def send(self, packet: Packet, input_class: str = "port") -> None:
         if input_class not in self._queues:

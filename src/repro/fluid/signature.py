@@ -46,7 +46,7 @@ def _ingress_state(fabric) -> Tuple:
     switches = tuple(
         (
             sw._busy,
-            getattr(sw._arbiter, "_last", None),
+            sw._arbiter._last,
             tuple(
                 tuple(_packet_key(p) for p in sw._queues[cls])
                 for cls in sw.INPUT_CLASSES

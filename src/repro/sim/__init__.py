@@ -10,7 +10,7 @@ from .clock import (
     wire_bytes,
 )
 from .kernel import Event, SimProfile, SimulationError, Simulator
-from .resources import BoundedFifo, PriorityArbiter, RoundRobinArbiter, SerialLink
+from .resources import BoundedFifo, RoundRobinArbiter, SerialLink
 from .stats import Counter, CounterSet, Histogram, RateMeter
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "BoundedFifo",
-    "PriorityArbiter",
     "RoundRobinArbiter",
     "SerialLink",
     "Counter",

@@ -7,8 +7,8 @@ Three primitives cover nearly every contended element in Rosebud:
 * :class:`SerialLink` — a store-and-forward link that serializes items
   for a computed service time, modelling MAC serialization, the 32 Gbps
   per-RPU links, PCIe and the loopback port.
-* :class:`RoundRobinArbiter` — the default arbitration policy between
-  inputs contending for the same output (§4.3).
+* :class:`RoundRobinArbiter` — the arbitration policy between inputs
+  contending for the same output (§4.3).
 
 A link *books* each item when it is offered: callers hand it the item
 and the time it arrives, and get one callback when it has passed
@@ -189,24 +189,5 @@ class RoundRobinArbiter:
             idx = (self._last + offset) % self.n_inputs
             if ready[idx]:
                 self._last = idx
-                return idx
-        return None
-
-
-# front door: RosebudConfig(cluster_arbitration="priority")
-class PriorityArbiter:
-    """Fixed-priority arbitration (lowest index wins), the alternative
-    policy §4.3 mentions can replace round robin."""
-
-    def __init__(self, n_inputs: int) -> None:
-        if n_inputs <= 0:
-            raise ValueError("arbiter needs at least one input")
-        self.n_inputs = n_inputs
-
-    def select(self, ready: List[bool]) -> Optional[int]:
-        if len(ready) != self.n_inputs:
-            raise ValueError("ready vector length mismatch")
-        for idx, is_ready in enumerate(ready):
-            if is_ready:
                 return idx
         return None

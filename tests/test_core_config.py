@@ -133,12 +133,12 @@ class TestSerialization:
 
     def test_round_trip_custom(self):
         cfg = RosebudConfig(
-            n_rpus=8, slots_per_rpu=32, cluster_arbitration="priority",
+            n_rpus=8, slots_per_rpu=32, loopback_gbps=50.0,
             mac_rx_fifo_packets=50,
         )
         back = RosebudConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert back == cfg
-        assert back.cluster_arbitration == "priority"
+        assert back.loopback_gbps == 50.0
 
     def test_clock_preserved(self):
         from repro.sim import Clock

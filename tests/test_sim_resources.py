@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.sim import (
     BoundedFifo,
-    PriorityArbiter,
     RoundRobinArbiter,
     SerialLink,
     Simulator,
@@ -217,13 +216,6 @@ class TestArbiters:
         with pytest.raises(ValueError):
             arb.select([True])
 
-    def test_priority_prefers_lowest(self):
-        arb = PriorityArbiter(4)
-        assert arb.select([False, True, True, False]) == 1
-        assert arb.select([False, True, True, False]) == 1  # no rotation
-
     def test_zero_inputs_rejected(self):
         with pytest.raises(ValueError):
             RoundRobinArbiter(0)
-        with pytest.raises(ValueError):
-            PriorityArbiter(0)
