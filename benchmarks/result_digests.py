@@ -14,13 +14,11 @@ what the eight session goldens do not: IMIX (throughput, latency, link
 flaps), 16 RPUs at both ends of the size range, jumbo frames, the
 loopback port, the host link, Pigasus SW, NAT, an RPU wedge, an
 uncontended fluid run and a two-board rack on one and on two shards
-(whose rows must match each other).  ``--workloads`` adds the
-``fwd-event``, ``ids-event`` and ``fluid-contended`` specs of
-``benchmarks/e2e`` on seeds 1 and 2 (about a minute more);
-``--goldens`` adds the eight specs of ``tests/test_session_digests.py``.
+(whose rows must match each other).  It also runs the ``fwd-event``,
+``ids-event`` and ``fluid-contended`` specs of ``benchmarks/e2e`` on
+seeds 1 and 2 and the eight specs of ``tests/test_session_digests.py``.
 """
 
-import argparse
 import functools
 import hashlib
 import json
@@ -136,9 +134,9 @@ def _sha(tree):
     return hashlib.sha256(json.dumps(tree, sort_keys=True).encode()).hexdigest()
 
 
-def _row(spec, shards=None):
+def _row(spec, shards=1):
     if spec.cluster is not None:
-        engine = ClusterEngine(spec, shards=shards or 1)
+        engine = ClusterEngine(spec, shards=shards)
         result, events = engine.run_to_completion(), None
     else:
         session = SimSession(spec)
@@ -150,18 +148,8 @@ def _row(spec, shards=None):
     return {"full": full, "sans_spec_key": _sha(tree), "events": events}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workloads", action="store_true",
-                        help="add the fwd-event/ids-event/fluid-contended specs")
-    parser.add_argument("--goldens", action="store_true",
-                        help="add the eight session-golden specs")
-    args = parser.parse_args(argv)
-    todo = specs()
-    if args.workloads:
-        todo.update(_workload_specs())
-    if args.goldens:
-        todo.update(_golden_specs())
+def main() -> int:
+    todo = {**specs(), **_workload_specs(), **_golden_specs()}
     rows = {name: _row(spec) for name, spec in todo.items()}
     rows["rack_2_boards_sharded"] = _row(todo["rack_2_boards"], shards=2)
     json.dump(rows, sys.stdout, indent=1, sort_keys=True)

@@ -86,10 +86,6 @@ class HostInterface:
 
     # -- LB register channel -----------------------------------------------------------
 
-    # front door: the host's LB register channel (§4.2), read side
-    def lb_read(self, addr: int) -> int:
-        return self.system.lb.host_read(addr)
-
     def lb_write(self, addr: int, value: int) -> None:
         self.system.lb.host_write(addr, value)
         # a mask that re-enables RPUs or a flush that frees slots must

@@ -191,7 +191,7 @@ class LoadBalancer:
     REG_FREE_SLOTS_BASE = 0x0000_0100
     REG_FLUSH_BASE = 0x0000_0200
 
-    # front door: HostInterface.lb_read
+    # front door: the host's LB register channel (§4.2), read side
     def host_read(self, addr: int) -> int:
         if addr == self.REG_ENABLE_MASK:
             mask = 0

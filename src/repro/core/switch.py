@@ -3,9 +3,7 @@
 Two stages of unidirectional switches carry packets between ports and
 RPUs: full-rate 512-bit cluster switches, then 128-bit (32 Gbps) links
 into each RPU.  Separate instances exist for the incoming and outgoing
-directions, so they never block each other.  An ingress switch
-arbitrates; an egress switch has one input class and is booked like a
-link (:class:`DistributionFabric`).
+directions, so they never block each other.
 
 :class:`PortIngress` models the per-port front end: it pulls frames
 from the MAC RX FIFO, spends the (calibrated) per-packet cycles that
@@ -99,10 +97,8 @@ class PortIngress:
 
 
 class SwitchTiming(dict):
-    """``size -> (service, cut-through)`` cycles of one frame on a 512-bit
-    cluster switch, filled on first use: the beat count of the frame
-    (plus internal header) plus the arbitration overhead, and the cycles
-    until its head reaches the next stage (cut-through)."""
+    """``size -> (service, cut-through)`` cycles of a frame on a 512-bit
+    cluster switch (its beats plus arbitration; its head's delay)."""
 
     def __init__(self, config: RosebudConfig) -> None:
         super().__init__()
@@ -176,16 +172,14 @@ class DistributionFabric:
     arbitrates among port, host and loopback frames.
 
     Egress: RPU link -> cluster switch -> deliver(packet, ready), where
-    ``ready`` is when the frame leaves the fabric.  Only the RPU links
-    feed an egress switch, so it is a FIFO server and is booked the way
-    a :class:`SerialLink` is, with no kernel event: a frame whose RPU
-    link finishes at ``now`` is ready at ``now + rpu_out_fixed``, starts
-    at ``max(ready, free_at)``, holds the switch for its service time
+    ``ready`` is when the frame leaves the fabric.  Only RPU links feed
+    an egress switch, so it is a FIFO server, booked like a
+    :class:`SerialLink` with no kernel event: a frame whose RPU link
+    finishes at ``now`` starts at ``max(now + rpu_out_fixed, free_at)``
     and is handed on at once, ``cut + dist_out_fixed`` after its start.
-    Frames are booked in the order their RPU links finish, which is
-    their ``ready`` order, and two frames from different clusters that
-    reach one MAC at the same ``ready`` are served there in the order
-    their RPU links finished.
+    Frames are booked in RPU-link finish order, which is ``ready``
+    order; two frames from different clusters that reach one MAC at the
+    same ``ready`` are served there in that order too.
     """
 
     def __init__(

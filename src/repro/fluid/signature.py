@@ -42,27 +42,17 @@ def _link_state(link) -> Tuple:
     )
 
 
-def _ingress_state(fabric) -> Tuple:
+def _fabric_state(fabric, now: float) -> Tuple:
+    links = tuple(_link_state(link) for link in fabric.rpu_links)
+    if fabric.direction == "out":
+        # a booked egress switch has no pending event that says when it
+        # is next free, so its offset from now is state (0 when idle)
+        return tuple(max(0.0, round(t - now, _REL_DIGITS)) for t in fabric.free_at), links
     switches = tuple(
-        (
-            sw._busy,
-            sw._arbiter._last,
-            tuple(
-                tuple(_packet_key(p) for p in sw._queues[cls])
-                for cls in sw.INPUT_CLASSES
-            ),
-        )
+        (sw._busy, sw._arbiter._last, tuple(tuple(map(_packet_key, q)) for q in sw._queue_list))
         for sw in fabric.cluster_switches
     )
-    links = tuple(_link_state(link) for link in fabric.rpu_links)
     return switches, links
-
-
-def _egress_state(fabric, now: float) -> Tuple:
-    # a booked egress switch has no pending event carrying when it is
-    # next free, so its offset is part of the signature (0 when idle)
-    busy = tuple(max(0.0, round(t - now, _REL_DIGITS)) for t in fabric.free_at)
-    return busy, tuple(_link_state(link) for link in fabric.rpu_links)
 
 
 def queue_occupancy(system) -> Tuple[int, ...]:
@@ -87,7 +77,7 @@ def queue_occupancy(system) -> Tuple[int, ...]:
     for ing in system.port_ingress:
         out.append(0 if ing._current is None else 1)
     for sw in system.fabric_in.cluster_switches:
-        out.append(sum(len(sw._queues[cls]) for cls in sw.INPUT_CLASSES))
+        out.append(sum(map(len, sw._queue_list)))
     for fabric in (system.fabric_in, system.fabric_out):
         for link in fabric.rpu_links:
             out.append(len(link.queue))
@@ -169,8 +159,8 @@ def state_signature(system, sources, horizon: float) -> Tuple:
         lb_state,
         macs,
         ingress,
-        _ingress_state(system.fabric_in),
-        _egress_state(system.fabric_out, now),
+        _fabric_state(system.fabric_in, now),
+        _fabric_state(system.fabric_out, now),
         rpus,
         _link_state(system.host_link),
         _link_state(system.loopback.link),
