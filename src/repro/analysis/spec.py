@@ -281,8 +281,8 @@ class ExperimentSpec:
     verify: Any = False
     #: simulation fidelity tier: "event" (pure discrete-event) or
     #: "fluid" (repro.fluid fast-forward — provably repetitive periods
-    #: are skipped arithmetically; integer counters stay byte-identical,
-    #: float-derived readings agree to declared tolerance).  Ineligible
+    #: are skipped arithmetically; totals match the event run, but a
+    #: float-time tie can move a per-port split, see fluid.engine).  Ineligible
     #: specs under "fluid" silently run event-accurate, with the
     #: reasons recorded in the result's ``fluid`` block.
     fidelity: str = "event"

@@ -26,7 +26,7 @@ from .messaging import BroadcastMessage, BroadcastSystem, LoopbackPort
 from .pcie import PCIE_GBPS, VirtualEthernet
 from .profiler import Sample, StatsSampler
 from .rpu import RpuModel
-from .switch import ClusterSwitch, DistributionFabric, PortIngress
+from .switch import DistributionFabric, PortIngress
 from .system import RosebudSystem
 from .tracing import PacketTrace, PacketTracer, TraceEvent
 
@@ -65,7 +65,6 @@ __all__ = [
     "BroadcastSystem",
     "LoopbackPort",
     "RpuModel",
-    "ClusterSwitch",
     "DistributionFabric",
     "PortIngress",
     "RosebudSystem",

@@ -49,8 +49,9 @@ class RpuModel:
         self._in_queue: Deque[Packet] = deque()
         self._accel_queue: Deque[Packet] = deque()
         self._results: Dict[int, FirmwareResult] = {}
-        self._sw_busy = False
-        self._accel_busy = False
+        #: the packet each stage is serving (None when idle)
+        self._sw_packet: Optional[Packet] = None
+        self._accel_packet: Optional[Packet] = None
         #: firmware hang (infinite loop / WFI-stuck core): descriptors
         #: queue up but nothing retires until eviction or :meth:`unwedge`
         self._wedged = False
@@ -76,8 +77,8 @@ class RpuModel:
         return (
             len(self._in_queue)
             + len(self._accel_queue)
-            + int(self._sw_busy)
-            + int(self._accel_busy)
+            + (self._sw_packet is not None)
+            + (self._accel_packet is not None)
         )
 
     # -- packet entry -----------------------------------------------------------
@@ -97,12 +98,11 @@ class RpuModel:
     # -- core (software) stage -----------------------------------------------------
 
     def _kick_sw(self) -> None:
-        if self._sw_busy or self.paused or self._wedged or not self._in_queue:
+        if self._sw_packet is not None or self.paused or self._wedged or not self._in_queue:
             return
-        packet = self._in_queue.popleft()
+        packet = self._sw_packet = self._in_queue.popleft()
         result = self.firmware.process(packet, self.index)
         self._results[packet.packet_id] = result
-        self._sw_busy = True
         self._packets.add()
         self._sw_cycles.add(int(result.sw_cycles))
         generation = self._generation
@@ -118,7 +118,7 @@ class RpuModel:
         if self._wedged:
             self._stuck.append(("sw", packet))
             return  # completion swallowed by the hung core
-        self._sw_busy = False
+        self._sw_packet = None
         result = self._results[packet.packet_id]
         if result.accel_cycles > 0:
             self._accel_queue.append(packet)
@@ -130,11 +130,10 @@ class RpuModel:
     # -- accelerator stage --------------------------------------------------------
 
     def _kick_accel(self) -> None:
-        if self._accel_busy or not self._accel_queue:
+        if self._accel_packet is not None or not self._accel_queue:
             return
-        packet = self._accel_queue.popleft()
+        packet = self._accel_packet = self._accel_queue.popleft()
         result = self._results[packet.packet_id]
-        self._accel_busy = True
         self.counters.add("accel_cycles", int(result.accel_cycles))
         generation = self._generation
         self.sim.schedule(
@@ -149,7 +148,7 @@ class RpuModel:
         if self._wedged:
             self._stuck.append(("accel", packet))
             return  # completion swallowed by the hung core
-        self._accel_busy = False
+        self._accel_packet = None
         self._finish(packet)
         self._kick_accel()
 
@@ -219,8 +218,7 @@ class RpuModel:
         self._accel_queue.clear()
         self._stuck.clear()
         self._results.clear()
-        self._sw_busy = False
-        self._accel_busy = False
+        self._sw_packet = self._accel_packet = None
         self._generation += 1
         self.paused = True
         self._evicted = True

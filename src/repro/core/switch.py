@@ -111,76 +111,40 @@ class SwitchTiming(dict):
         return service, cut
 
 
-class ClusterSwitch:
-    """One cluster's 512-bit ingress switch.
-
-    The real switch keeps a FIFO per input interface ("non-blocking
-    forwarding: each FIFO provides bit-width conversion without
-    blocking the other incoming interfaces", §4.3) and arbitrates only
-    when two inputs target the same output.  This model keeps per-
-    input-class queues and grants them round robin (§4.3).
-
-    A grant holds the switch for the frame's :class:`SwitchTiming`
-    service time; delivery is cut-through: at grant, ``on_done(packet,
-    at)`` hands the frame on with the time ``at`` its head reaches the
-    next stage.
-    """
-
-    #: input classes, in round-robin order
-    INPUT_CLASSES = ("port", "host", "loopback")
-
-    def __init__(
-        self,
-        sim: Simulator,
-        config: RosebudConfig,
-        name: str,
-        on_done: Callable[[Packet, float], None],
-    ) -> None:
-        self.sim = sim
-        self.config = config
-        self.name = name
-        self._on_done = on_done
-        self._queues = {cls: deque() for cls in self.INPUT_CLASSES}
-        self._queue_list = [self._queues[cls] for cls in self.INPUT_CLASSES]
-        self._timing = SwitchTiming(config)
-        self._busy = False
-        self._arbiter = RoundRobinArbiter(len(self.INPUT_CLASSES))
-
-    def send(self, packet: Packet, input_class: str = "port") -> None:
-        if input_class not in self._queues:
-            raise ValueError(f"unknown input class {input_class!r}")
-        self._queues[input_class].append(packet)
-        if not self._busy:
-            self._grant()
-
-    def _grant(self) -> None:
-        winner = self._arbiter.select(list(map(bool, self._queue_list)))
-        if winner is None:
-            self._busy = False
-            return
-        packet = self._queue_list[winner].popleft()
-        self._busy = True
-        service, cut_through = self._timing[packet.size]
-        self._on_done(packet, self.sim.now + cut_through)
-        self.sim.schedule(service, self._grant, name=self.name)
-
-
 class DistributionFabric:
-    """The switches and links of one direction (ingress or egress).
+    """The cluster switches and RPU links of one direction (ingress or
+    egress).
 
-    Ingress: cluster switch -> RPU link -> deliver(packet).  The switch
-    arbitrates among port, host and loopback frames.
+    Ingress: cluster switch -> RPU link -> deliver(packet).  Egress: RPU
+    link -> cluster switch -> deliver(packet, ready), where ``ready`` is
+    when the frame leaves the fabric.
 
-    Egress: RPU link -> cluster switch -> deliver(packet, ready), where
-    ``ready`` is when the frame leaves the fabric.  Only RPU links feed
-    an egress switch, so it is a FIFO server, booked like a
-    :class:`SerialLink` with no kernel event: a frame whose RPU link
-    finishes at ``now`` starts at ``max(now + rpu_out_fixed, free_at)``
-    and is handed on at once, ``cut + dist_out_fixed`` after its start.
-    Frames are booked in RPU-link finish order, which is ``ready``
-    order; two frames from different clusters that reach one MAC at the
-    same ``ready`` are served there in that order too.
+    Each cluster's 512-bit switch is booked like a :class:`SerialLink`:
+    :meth:`_book` starts a frame at ``max(ready, free_at)``, holds the
+    switch for the frame's :class:`SwitchTiming` service and hands it on
+    cut-through, its head ``cut`` cycles after its start.
+
+    The real ingress switch keeps a FIFO per input interface ("non-
+    blocking forwarding: each FIFO provides bit-width conversion without
+    blocking the other incoming interfaces", §4.3) and arbitrates only
+    when two inputs target the same output.  So a frame that reaches a
+    free switch with no frame waiting is booked at once, with no kernel
+    event; otherwise it joins its input class's queue, and one
+    ``cluster{c}.in`` event at ``free_at`` grants the port, host and
+    loopback queues round robin, rescheduling itself while frames wait.
+    A frame that arrives at the instant its switch frees is booked at
+    once if no frame waits.
+
+    Only RPU links feed an egress switch, so it never queues: a frame
+    whose RPU link finishes at ``now`` is ready ``rpu_out_fixed`` later
+    and is handed on at once, ``dist_out_fixed`` after its head leaves
+    the switch.  Frames are booked in RPU-link finish order, which is
+    ``ready`` order; two frames from different clusters that reach one
+    MAC at the same ``ready`` are served there in that order too.
     """
+
+    #: ingress input classes, in round-robin order
+    INPUT_CLASSES = ("port", "host", "loopback")
 
     def __init__(
         self,
@@ -197,6 +161,10 @@ class DistributionFabric:
         self.direction = direction
         self.deliver = deliver
         self.on_rpu_out = on_rpu_out
+        #: when each cluster's switch is next free
+        self.free_at = [0.0] * config.n_clusters
+        self._timing = SwitchTiming(config)
+        sim.warp_shifts.append(self._shift)
 
         def service(packet: Packet, nbytes: int) -> float:
             return float(config.rpu_link_service_cycles(nbytes))
@@ -207,31 +175,61 @@ class DistributionFabric:
                 SerialLink(sim, f"rpu{i}.in", service, deliver, config.rpu_in_fixed_cycles)
                 for i in range(config.n_rpus)
             ]
-            self.cluster_switches = [
-                ClusterSwitch(sim, config, f"cluster{c}.in", self._cluster_in_done)
-                for c in range(config.n_clusters)
+            #: per cluster, the frames waiting in each input class
+            self.queues = [
+                [deque() for _ in self.INPUT_CLASSES] for _ in range(config.n_clusters)
+            ]
+            self.arbiters = [
+                RoundRobinArbiter(len(self.INPUT_CLASSES)) for _ in range(config.n_clusters)
             ]
         else:
-            #: when each cluster's egress switch is next free
-            self.free_at = [0.0] * config.n_clusters
-            self._timing = SwitchTiming(config)
             self.rpu_links = [
                 SerialLink(sim, f"rpu{i}.out", service,
                            partial(self._rpu_out_done, i, config.rpu_cluster(i)))
                 for i in range(config.n_rpus)
             ]
-            sim.warp_shifts.append(self._shift)
+
+    def _book(self, cluster: int, packet: Packet, ready: float) -> float:
+        """Book ``packet`` on ``cluster``'s switch; return when its head
+        reaches the next stage."""
+        service, cut = self._timing[packet.size]
+        free_at = self.free_at[cluster]
+        start = ready if ready > free_at else free_at
+        self.free_at[cluster] = start + service
+        return start + cut
+
+    def _shift(self, delta: float) -> None:
+        """:meth:`Simulator.warp` moved the epoch by ``delta``."""
+        self.free_at = [t + delta for t in self.free_at]
 
     # -- ingress direction -------------------------------------------------
 
     def send_to_rpu(self, packet: Packet, input_class: str = "port") -> None:
         assert self.direction == "in" and packet.dest_rpu is not None
+        if input_class not in self.INPUT_CLASSES:
+            raise ValueError(f"unknown input class {input_class!r}")
         cluster = self.config.rpu_cluster(packet.dest_rpu)
-        self.cluster_switches[cluster].send(packet, input_class)
+        queues = self.queues[cluster]
+        waiting = any(queues)
+        queues[self.INPUT_CLASSES.index(input_class)].append(packet)
+        if not waiting:  # else the pending grant serves it
+            self._grant(cluster)
 
-    def _cluster_in_done(self, packet: Packet, at: float) -> None:
-        link = self.rpu_links[packet.dest_rpu]
-        link.offer(packet, packet.size, at + self.config.dist_in_fixed_cycles)
+    def _grant(self, cluster: int) -> None:
+        """Grant one waiting frame if the switch is free; while frames
+        wait, grant again when it next frees."""
+        queues = self.queues[cluster]
+        if self.sim.now >= self.free_at[cluster]:
+            packet = queues[self.arbiters[cluster].select(list(map(bool, queues)))].popleft()
+            at = self._book(cluster, packet, self.sim.now)
+            self.rpu_links[packet.dest_rpu].offer(
+                packet, packet.size, at + self.config.dist_in_fixed_cycles
+            )
+            if not any(queues):
+                return
+        self.sim.schedule_at(
+            self.free_at[cluster], partial(self._grant, cluster), name=f"cluster{cluster}.in"
+        )
 
     # -- egress direction ----------------------------------------------------
 
@@ -242,13 +240,5 @@ class DistributionFabric:
     def _rpu_out_done(self, rpu_index: int, cluster: int, packet: Packet) -> None:
         if self.on_rpu_out is not None:
             self.on_rpu_out(packet, rpu_index)
-        service, cut = self._timing[packet.size]
-        ready = self.sim.now + self.config.rpu_out_fixed_cycles
-        free_at = self.free_at[cluster]
-        start = ready if ready > free_at else free_at
-        self.free_at[cluster] = start + service
-        self.deliver(packet, start + cut + self.config.dist_out_fixed_cycles)
-
-    def _shift(self, delta: float) -> None:
-        """:meth:`Simulator.warp` moved the epoch by ``delta``."""
-        self.free_at = [t + delta for t in self.free_at]
+        at = self._book(cluster, packet, self.sim.now + self.config.rpu_out_fixed_cycles)
+        self.deliver(packet, at + self.config.dist_out_fixed_cycles)

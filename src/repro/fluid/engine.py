@@ -31,10 +31,10 @@ whole periods with arithmetic:
    ``k x delta`` to every ledger cell — counters, meters, drop
    counters, ``events_processed`` — shifts in-flight packet
    timestamps and RPU progress marks, and bulk-records ``k`` copies of
-   the period's latency samples.  Integer counters after a warp are
-   **byte-identical** to what event simulation would have produced;
-   float-derived readings agree to ~1e-9 relative (clock ulp
-   accumulation).
+   the period's latency samples.  Event times are floats (ROADMAP item
+   23), so a tie can flip after a warp: on ``CONTENDED`` in
+   ``tests/test_fluid_contended.py`` the per-port MAC counters then
+   differ from the event run while every total agrees.
 
 4. **Phase-indexed re-arming.** Because counter deltas over one *full*
    period are the same from any phase of the orbit (a cyclic sum), the

@@ -43,16 +43,16 @@ def _link_state(link) -> Tuple:
 
 
 def _fabric_state(fabric, now: float) -> Tuple:
+    # no pending event says when a booked switch is next free (0: idle)
+    free = tuple(max(0.0, round(t - now, _REL_DIGITS)) for t in fabric.free_at)
     links = tuple(_link_state(link) for link in fabric.rpu_links)
     if fabric.direction == "out":
-        # a booked egress switch has no pending event that says when it
-        # is next free, so its offset from now is state (0 when idle)
-        return tuple(max(0.0, round(t - now, _REL_DIGITS)) for t in fabric.free_at), links
+        return free, links
     switches = tuple(
-        (sw._busy, sw._arbiter._last, tuple(tuple(map(_packet_key, q)) for q in sw._queue_list))
-        for sw in fabric.cluster_switches
+        (arbiter._last, tuple(tuple(map(_packet_key, q)) for q in queues))
+        for arbiter, queues in zip(fabric.arbiters, fabric.queues)
     )
-    return switches, links
+    return free, switches, links
 
 
 def queue_occupancy(system) -> Tuple[int, ...]:
@@ -76,8 +76,8 @@ def queue_occupancy(system) -> Tuple[int, ...]:
         out.append(len(mac._tx_link.queue))
     for ing in system.port_ingress:
         out.append(0 if ing._current is None else 1)
-    for sw in system.fabric_in.cluster_switches:
-        out.append(sum(map(len, sw._queue_list)))
+    for queues in system.fabric_in.queues:
+        out.append(sum(map(len, queues)))
     for fabric in (system.fabric_in, system.fabric_out):
         for link in fabric.rpu_links:
             out.append(len(link.queue))
@@ -139,8 +139,8 @@ def state_signature(system, sources, horizon: float) -> Tuple:
 
     rpus = tuple(
         (
-            rpu._sw_busy,
-            rpu._accel_busy,
+            None if rpu._sw_packet is None else _packet_key(rpu._sw_packet),
+            None if rpu._accel_packet is None else _packet_key(rpu._accel_packet),
             bool(rpu.paused),
             rpu._wedged,
             rpu._evicted,

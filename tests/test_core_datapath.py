@@ -208,6 +208,58 @@ class TestDistributionTiming:
         assert b.timestamps["rpu_deliver"] > a.timestamps["rpu_deliver"]
 
 
+class TestIngressBooking:
+    """An ingress cluster switch fires an event only when a frame waits."""
+
+    def _fabric(self):
+        cfg = RosebudConfig(n_rpus=8)
+        sim = Simulator()
+        delivered = []  # (packet, time)
+        fabric = DistributionFabric(sim, cfg, "in", lambda p: delivered.append((p, sim.now)))
+        scheduled = []  # (time, name)
+        schedule_at = sim.schedule_at
+
+        def record(time, callback, name=""):
+            scheduled.append((time, name))
+            return schedule_at(time, callback, name)
+
+        sim.schedule_at = record
+        return cfg, sim, fabric, scheduled, delivered
+
+    @staticmethod
+    def _frame(size, rpu):
+        packet = build_tcp("10.0.0.1", "10.0.0.2", 1, 2, pad_to=size)
+        packet.dest_rpu = rpu
+        return packet
+
+    def test_frame_reaching_an_idle_switch_is_handed_on_at_once(self):
+        cfg, sim, fabric, scheduled, _ = self._fabric()
+        packet = self._frame(512, 0)
+        sim.run(until=50)
+        fabric.send_to_rpu(packet)
+        service, cut = SwitchTiming(cfg)[512]
+        # the RPU link is offered the frame when its head leaves the switch
+        assert [name for _t, name in scheduled] == ["rpu0.in"]
+        assert fabric.rpu_links[0]._bookings[0][:2] == [50 + cut + cfg.dist_in_fixed_cycles, packet]
+        assert fabric.free_at[0] == 50 + service
+
+    def test_frame_reaching_a_busy_switch_is_granted_at_free_at_by_one_event(self):
+        cfg, sim, fabric, scheduled, delivered = self._fabric()
+        big, small = self._frame(1500, 0), self._frame(64, 1)  # one cluster
+        fabric.send_to_rpu(big)
+        sim.schedule(10, lambda: fabric.send_to_rpu(small, "host"))
+        sim.run()
+        big_service, _ = SwitchTiming(cfg)[1500]
+        small_service, small_cut = SwitchTiming(cfg)[64]
+        assert 10 < big_service
+        grants = [t for t, name in scheduled if name.startswith("cluster")]
+        assert grants == [big_service]
+        ready = big_service + small_cut + cfg.dist_in_fixed_cycles
+        landed = ready + cfg.rpu_link_service_cycles(64) + cfg.rpu_in_fixed_cycles
+        assert (small, landed) in delivered
+        assert fabric.free_at[0] == big_service + small_service
+
+
 class TestEgressBooking:
     """An egress cluster switch is booked like a link, with no kernel event."""
 

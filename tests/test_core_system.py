@@ -273,3 +273,15 @@ class TestClockWarp:
         assert free_at > sim.now
         sim.warp(1000)
         assert fabric.free_at[0] == free_at + 1000
+
+    def test_booked_ingress_switch_moves_with_the_clock(self):
+        system = RosebudSystem(RosebudConfig(n_rpus=8), ForwarderFirmware())
+        sim, fabric = system.sim, system.fabric_in
+        packet = _pkt(1500)
+        packet.dest_rpu = 0
+        fabric.send_to_rpu(packet)
+        sim.run(until=1)
+        free_at = fabric.free_at[0]
+        assert free_at > sim.now
+        sim.warp(1000)
+        assert fabric.free_at[0] == free_at + 1000

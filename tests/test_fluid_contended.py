@@ -90,6 +90,24 @@ class TestRotatingPeriodDetection:
         assert rf.fluid["drops_per_period"] > 0
         assert rf.fluid["contended"] is True
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 23: the warped period's source emission times drift in float, "
+        "so a port_ingress_retry/src_port tie flips order after the warp and the per-port "
+        "split moves while the totals agree",
+    )
+    def test_per_port_mac_counters_match_event(self):
+        (rf, sf), (re_, se) = _pair(ExperimentSpec(**CONTENDED))
+        assert rf.fluid["warps"] >= 1
+
+        def macs(session):
+            return [
+                (mac.counters.value("rx_frames"), mac.counters.value("tx_frames"))
+                for mac in session.system.macs
+            ]
+
+        assert macs(sf) == macs(se)
+
     def test_backlog_telemetry_reports_standing_queue(self):
         spec = ExperimentSpec(**CONTENDED, fidelity="fluid")
         result = SimSession(spec).run_to_completion()

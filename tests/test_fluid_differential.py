@@ -298,3 +298,31 @@ class TestSignature:
         assert state_signature(system, [], horizon=1e6) == idle
         fabric.free_at[1] = 105.0  # busy for 5 more cycles, with no event
         assert state_signature(system, [], horizon=1e6) != idle
+
+    def test_ingress_switch_offset_is_part_of_the_signature(self):
+        from repro.core import RosebudSystem
+        from repro.fluid import state_signature
+
+        system = RosebudSystem(RosebudConfig(n_rpus=8), ForwarderFirmware())
+        system.sim.run(until=100.0)
+        fabric = system.fabric_in
+        idle = state_signature(system, [], horizon=1e6)
+        fabric.free_at[0] = 40.0  # idle at another past time: same state
+        assert state_signature(system, [], horizon=1e6) == idle
+        fabric.free_at[0] = 105.0  # busy for 5 more cycles, with no event
+        assert state_signature(system, [], horizon=1e6) != idle
+
+    def test_packet_in_a_core_stage_is_part_of_the_signature(self):
+        from repro.core import RosebudSystem
+        from repro.fluid import state_signature
+        from repro.packet import build_tcp
+
+        signatures = []
+        for port in (0, 1):
+            system = RosebudSystem(RosebudConfig(n_rpus=8), ForwarderFirmware())
+            packet = build_tcp("10.0.0.1", "10.0.0.2", 1, 80, pad_to=256)
+            packet.ingress_port = port  # the forwarder sends it out the other port
+            system.rpus[0].deliver(packet)
+            assert system.rpus[0].in_flight == 1 and not system.rpus[0]._in_queue
+            signatures.append(state_signature(system, [], horizon=1e6))
+        assert signatures[0] != signatures[1]

@@ -2,50 +2,55 @@
 
 import pytest
 
-from repro.core import RosebudConfig
-from repro.core.switch import ClusterSwitch
+from repro.core import DistributionFabric, RosebudConfig
 from repro.sim import Simulator
 
 from .conftest import build_raw
 
 
-def _switch():
+def _fabric():
     sim = Simulator()
     config = RosebudConfig(n_rpus=16)
     done = []
-    # the switch hands each frame on at grant, with its cut-through time
-    switch = ClusterSwitch(sim, config, "test", lambda packet, at: done.append(packet))
-    return sim, switch, done
+    fabric = DistributionFabric(sim, config, "in", done.append)
+    return sim, fabric, done
+
+
+def _to_rpu0(packet):
+    # one RPU link keeps the switch's grant order
+    packet.dest_rpu = 0
+    return packet
 
 
 class TestRoundRobinArbitration:
     def test_interleaves_contending_inputs(self):
-        sim, switch, done = _switch()
-        port_pkts = [build_raw(512) for _ in range(3)]
-        loop_pkts = [build_raw(512) for _ in range(3)]
+        sim, fabric, done = _fabric()
+        port_pkts = [_to_rpu0(build_raw(512)) for _ in range(3)]
+        loop_pkts = [_to_rpu0(build_raw(512)) for _ in range(3)]
         for p, l in zip(port_pkts, loop_pkts):
-            switch.send(p, "port")
-            switch.send(l, "loopback")
+            fabric.send_to_rpu(p, "port")
+            fabric.send_to_rpu(l, "loopback")
         sim.run()
         order = [p.packet_id for p in done]
-        # strict alternation between the two classes
+        # the first port frame finds the switch free and is booked at
+        # once; after it, strict alternation between the two classes
         expected = []
         for p, l in zip(port_pkts, loop_pkts):
             expected.extend([p.packet_id, l.packet_id])
         assert order == expected
 
     def test_single_input_runs_uninterrupted(self):
-        sim, switch, done = _switch()
-        packets = [build_raw(256) for _ in range(4)]
+        sim, fabric, done = _fabric()
+        packets = [_to_rpu0(build_raw(256)) for _ in range(4)]
         for pkt in packets:
-            switch.send(pkt, "port")
+            fabric.send_to_rpu(pkt, "port")
         sim.run()
         assert [p.packet_id for p in done] == [p.packet_id for p in packets]
 
     def test_unknown_class_rejected(self):
-        _, switch, _ = _switch()
+        _, fabric, _ = _fabric()
         with pytest.raises(ValueError):
-            switch.send(build_raw(64), "mystery")
+            fabric.send_to_rpu(_to_rpu0(build_raw(64)), "mystery")
 
 
 class TestArbitrationConfig:
