@@ -21,14 +21,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from ..accel.base import Accelerator
-from ..replay.record import (
-    NO_ACCEL_TOKEN,
-    OP_ACC_R,
-    OP_ACC_W,
-    IoRoles,
-    ReplayRecord,
-    TraceRecorder,
-)
+from ..replay.record import NO_ACCEL_TOKEN, IoRoles, ReplayRecord, TraceRecorder
 from ..riscv.assembler import Program, assemble
 from ..riscv.bus import MemoryBus
 from ..riscv.cpu import RiscvCpu
@@ -137,11 +130,15 @@ class FunctionalRpu:
         self.dmem = self.bus.add_ram(DMEM_BASE, self.config.dmem_bytes, "dmem")
         self.pmem = self.bus.add_ram(PMEM_BASE, self.config.packet_mem_bytes, "pmem")
         self.accmem = self.bus.add_ram(ACCMEM_BASE, self.config.accel_mem_bytes, "accmem")
-        self.bus.add_mmio(IO_BASE, MMIO_WINDOW, self._io_read, self._io_write, "interconnect")
+        #: the two MMIO windows, handed to the replay recorder
+        self._io_region = self.bus.add_mmio(
+            IO_BASE, MMIO_WINDOW, self._io_read, self._io_write, "interconnect"
+        )
+        self._acc_region = None
         self.accelerator = accelerator
         if accelerator is not None:
             accelerator.dma_read = self.bus.dump
-            self.bus.add_mmio(
+            self._acc_region = self.bus.add_mmio(
                 IO_EXT_BASE, MMIO_WINDOW, accelerator.read_reg, accelerator.write_reg, "accel"
             )
 
@@ -379,8 +376,8 @@ class FunctionalRpu:
         """
         cpu = self.cpu
         self._flush_dma()
-        tag, length, port, addr = self._rx[0]
         descriptor = self._rx[0]
+        tag, length, _port, addr = descriptor
         # reads of the packet slot and its header copy are covered by
         # the class signature (byte-identical frames): no guard needed
         covered = [(addr, addr + length)]
@@ -398,13 +395,7 @@ class FunctionalRpu:
         start_instret = cpu.instret
         start_epoch = cpu.code_epoch
         start_sent = len(self.sent)
-        recorder = TraceRecorder(
-            cpu,
-            (IO_BASE, IO_BASE + MMIO_WINDOW),
-            (IO_EXT_BASE, IO_EXT_BASE + MMIO_WINDOW) if accel is not None else None,
-            covered,
-            _REPLAY_ROLES,
-        )
+        recorder = TraceRecorder(cpu, self._io_region, self._acc_region, covered, _REPLAY_ROLES)
         sent = self.sent
         cpu.record_run(
             recorder, max_instructions, until=lambda c: len(sent) >= target
@@ -419,7 +410,7 @@ class FunctionalRpu:
         if cpu.code_epoch != start_epoch:
             recorder.mark_unreplayable("self-modifying code inside the bracket")
         accel_token = NO_ACCEL_TOKEN
-        if any(op[0] in (OP_ACC_R, OP_ACC_W) for op in recorder.ops):
+        if recorder.touched_accel:
             if start_token is None:
                 recorder.mark_unreplayable("accelerator has no replay token")
                 self.replay_cache.refused.add(key)

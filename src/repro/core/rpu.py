@@ -208,12 +208,17 @@ class RpuModel:
     def evict(self) -> list:
         """The evict interrupt (Appendix A.8): abandon queued and
         in-flight packets so the RPU can be reloaded even when hung.
-        Returns the abandoned packets (the host frees their slots)."""
-        abandoned = (
-            list(self._in_queue)
-            + list(self._accel_queue)
-            + [packet for _stage, packet in self._stuck]
-        )
+        Returns the abandoned packets (the host frees their slots),
+        the ones the two stages are serving included."""
+        stuck = [packet for _stage, packet in self._stuck]
+        # a wedged core's swallowed completion is also the packet its
+        # stage still holds: count it once
+        serving = [
+            packet
+            for packet in (self._sw_packet, self._accel_packet)
+            if packet is not None and not any(packet is s for s in stuck)
+        ]
+        abandoned = list(self._in_queue) + list(self._accel_queue) + serving + stuck
         self._in_queue.clear()
         self._accel_queue.clear()
         self._stuck.clear()

@@ -84,14 +84,17 @@ class TraceRecorder:
 
     Instruction fetches go through :meth:`read_u32` untraced — code is
     guarded by the CPU's code-epoch counter instead of a per-fetch
-    read set.
+    read set.  Interconnect and accelerator accesses go straight to
+    their MMIO regions, which the recorder classifies them by anyway.
     """
 
     __slots__ = (
         "bus",
         "_cpu",
+        "_io",
         "_io_lo",
         "_io_hi",
+        "_acc",
         "_acc_lo",
         "_acc_hi",
         "_covered",
@@ -104,6 +107,7 @@ class TraceRecorder:
         "_released",
         "live_in",
         "written_regs",
+        "touched_accel",
         "unreplayable",
         "reason",
     )
@@ -111,19 +115,23 @@ class TraceRecorder:
     def __init__(
         self,
         cpu: Any,
-        io_range: Tuple[int, int],
-        acc_range: Optional[Tuple[int, int]],
+        io_region: Any,
+        acc_region: Optional[Any],
         covered_ranges: Sequence[Tuple[int, int]],
         io_roles: IoRoles,
     ) -> None:
         self.bus = cpu.bus
         self._cpu = cpu
-        self._io_lo, self._io_hi = io_range
-        if acc_range is None:
+        self._io = io_region
+        self._io_lo = io_region.base
+        self._io_hi = io_region.base + io_region.size
+        self._acc = acc_region
+        if acc_region is None:
             self._acc_lo, self._acc_hi = -1, -1
         else:
-            self._acc_lo, self._acc_hi = acc_range
-        self._covered = tuple(covered_ranges)
+            self._acc_lo = acc_region.base
+            self._acc_hi = acc_region.base + acc_region.size
+        self._covered = covered_ranges
         self._roles = io_roles
         self._start_cycles = cpu.cycles
         self.ops: List[tuple] = []
@@ -135,6 +143,8 @@ class TraceRecorder:
         #: bracket wrote them (index -> value), and every written index
         self.live_in: Dict[int, int] = {}
         self.written_regs: set = set()
+        #: whether the bracket read or wrote an accelerator register
+        self.touched_accel = False
         self.unreplayable = False
         self.reason = ""
 
@@ -160,9 +170,9 @@ class TraceRecorder:
         return self.bus.read_u32(addr)
 
     def read(self, addr: int, nbytes: int) -> int:
-        value = self.bus.read(addr, nbytes)
         if addr >= self._io_lo:
             if addr < self._io_hi:
+                value = self._io.read(addr, nbytes)
                 offset = addr - self._io_lo
                 if offset not in self._roles.descriptor_reads:
                     self.mark_unreplayable(f"interconnect read at +0x{offset:x}")
@@ -171,11 +181,15 @@ class TraceRecorder:
                     self.mark_unreplayable("descriptor read after release")
                 return value
             if self._acc_lo <= addr < self._acc_hi:
+                value = self._acc.read(addr, nbytes)
+                self.touched_accel = True
                 self.ops.append((OP_ACC_R, addr - self._acc_lo, nbytes, value))
                 return value
+            value = self.bus.read(addr, nbytes)
             self.mark_unreplayable(f"read of unmapped I/O 0x{addr:x}")
             return value
         # RAM
+        value = self.bus.read(addr, nbytes)
         if self._is_covered(addr, nbytes):
             return value
         written = self._written
@@ -207,9 +221,10 @@ class TraceRecorder:
                     self.ops.append(
                         (OP_IO_W, offset, value, nbytes, self._cpu.cycles - self._start_cycles)
                     )
-                self.bus.write(addr, value, nbytes)
+                self._io.write(addr, value, nbytes)
                 return
             if self._acc_lo <= addr < self._acc_hi:
+                self.touched_accel = True
                 self.ops.append(
                     (
                         OP_ACC_W,
@@ -219,14 +234,13 @@ class TraceRecorder:
                         self._cpu.cycles - self._start_cycles,
                     )
                 )
-                self.bus.write(addr, value, nbytes)
+                self._acc.write(addr, value, nbytes)
                 return
             self.mark_unreplayable(f"write to unmapped I/O 0x{addr:x}")
             self.bus.write(addr, value, nbytes)
             return
         self.ops.append((OP_RAM_W, addr, value, nbytes))
-        for b in range(addr, addr + nbytes):
-            self._written.add(b)
+        self._written.update(range(addr, addr + nbytes))
         self.bus.write(addr, value, nbytes)
 
 

@@ -23,9 +23,6 @@ class _Region:
     size: int
     name: str
 
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.base + self.size
-
 
 class RamRegion(_Region):
     """A byte-addressable RAM block (little-endian).
@@ -189,11 +186,13 @@ class MemoryBus:
     def _find(self, addr: int) -> _Region:
         # most accesses stream into the region hit last time (imem for
         # fetch, pmem for payload walks), so try it before scanning
+        # (the bounds test is inline: a method call per region tested
+        # was most of a lookup's cost)
         region = self._last
-        if region is not None and region.contains(addr):
+        if region is not None and region.base <= addr < region.base + region.size:
             return region
         for region in self._regions:
-            if region.contains(addr):
+            if region.base <= addr < region.base + region.size:
                 self._last = region
                 return region
         raise BusError(f"bus access to unmapped address {addr:#010x}")

@@ -16,7 +16,7 @@ the core traps to ``mtvec`` with ``mcause`` indicating the line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .bus import MemoryBus
 from .isa import (
@@ -58,6 +58,29 @@ MSTATUS_MPIE = 1 << 7
 # Interrupt cause numbers (machine external uses platform-custom lines)
 IRQ_TIMER = 7
 IRQ_EXTERNAL_BASE = 16  # custom platform lines: 16+line
+
+
+#: Why a recording that runs the instruction cannot be replayed.
+UNSTABLE_COUNTER = "reads mcycle/minstret"
+#: ... and an ``ecall``'s, which holds only while a handler is installed.
+UNSTABLE_ECALL = "ecall handler side effects"
+
+
+def record_facts(inst: Instruction) -> Tuple[Tuple[int, ...], int, str]:
+    """What a replay recording needs of one instruction: the registers
+    it reads, the register it writes (0 for none), and why a bracket
+    that runs it cannot be replayed ("" when it can).  The interpreter's
+    recording loop asks per instruction; the translated backend folds
+    the answers over a block once, when it traces the block."""
+    m = inst.mnemonic
+    if m.startswith("csr") and inst.csr in (CSR_MCYCLE, CSR_MINSTRET):
+        unstable = UNSTABLE_COUNTER
+    elif m == "ecall":
+        unstable = UNSTABLE_ECALL
+    else:
+        unstable = ""
+    write = inst.rd if writes_rd(m, inst.rd) else 0
+    return reads_regs(m, inst.rs1, inst.rs2), write, unstable
 
 
 @dataclass
@@ -147,7 +170,6 @@ class RiscvCpu:
         self.waiting_for_interrupt = False
         self.hartid = hartid
         self._engine = None
-        self.cycle_model = cycle_model or CycleModel()
         self.csrs: Dict[int, int] = {
             CSR_MSTATUS: 0,
             CSR_MIE: 0,
@@ -170,9 +192,11 @@ class RiscvCpu:
         self._code_hi = -1
         self._break_block = False
         #: bumped whenever decoded code may be stale (icache flush or a
-        #: store into decoded words) — replay records pin this so stale
-        #: brackets can never be replayed against patched firmware
+        #: store into decoded words) or its cycle costs change — replay
+        #: records pin this so stale brackets can never be replayed
+        #: against patched firmware or a swapped cycle model
         self.code_epoch = 0
+        self.cycle_model = cycle_model or CycleModel()
         bus.watch_stores(self._store_watch)
 
         if backend not in BACKENDS:
@@ -200,6 +224,8 @@ class RiscvCpu:
         if self._engine is not None:
             # translated closures embed their cycle costs
             self._engine.flush()
+        # ... and so do replay records, as cycle deltas
+        self.code_epoch += 1
 
     # -- register access ----------------------------------------------------
 
@@ -373,53 +399,62 @@ class RiscvCpu:
         max_instructions: int = 1_000_000,
         until: Optional[Callable[["RiscvCpu"], bool]] = None,
     ) -> int:
-        """Interpreter run with every data-bus transaction routed through
+        """``run`` with every data-bus transaction routed through
         ``recorder`` (replay capture, see ``repro.replay``).
 
-        The translated engine is bypassed — its closures bind region
-        handlers at decode time and cannot be traced — but both backends
-        are cycle-identical (pinned by the differential backend suite),
-        so records captured here replay exactly under either.  Unstable
-        inputs (``mcycle``/``minstret`` CSR reads, host ecall handlers)
-        mark the recording unreplayable as they occur.  A register read
-        before the bracket writes it lands in ``recorder.live_in`` with its
-        value; written ones in ``recorder.written_regs``.
+        The translated backend runs *traced* blocks: the same superblocks
+        as ``run``, whose loads and stores go through ``cpu.bus`` (the
+        recorder) and which carry their register facts, so ``until`` is
+        polled at the same block boundaries as an unrecorded run.  The
+        interpreter traces one instruction at a time.  Either way a
+        register read before the bracket writes it lands in
+        ``recorder.live_in`` with its value, and every written one in
+        ``recorder.written_regs``; unstable inputs (``mcycle``/``minstret``
+        CSR reads, ``ecall`` with a handler installed) mark the recording
+        unreplayable.
         """
         real_bus = self.bus
         self.bus = recorder
+        try:
+            if self._engine is not None:
+                return self._engine.record(recorder, max_instructions, until)
+            return self._record_interp(recorder, max_instructions, until)
+        finally:
+            self.bus = real_bus
+
+    def _record_interp(self, recorder, max_instructions, until) -> int:
         regs = self.regs
         live_in = recorder.live_in
         written = recorder.written_regs
-        try:
-            executed = 0
-            while executed < max_instructions and not self.halted:
-                if until is not None and until(self):
-                    break
-                cause = self._pending_interrupt()
-                if cause is not None:
-                    self._take_interrupt(cause)
-                if self.waiting_for_interrupt:
-                    self.cycles += 1
-                    executed += 1
-                    continue
-                inst = self.fetch_decode(self.pc)
-                m = inst.mnemonic
-                for r in reads_regs(m, inst.rs1, inst.rs2):
-                    if r not in written and r not in live_in:
-                        live_in[r] = regs[r]
-                if writes_rd(m, inst.rd):
-                    written.add(inst.rd)
-                if m.startswith("csr"):
-                    if inst.csr in (CSR_MCYCLE, CSR_MINSTRET):
-                        recorder.mark_unreplayable("reads mcycle/minstret")
-                elif m == "ecall" and self.ecall_handler is not None:
-                    recorder.mark_unreplayable("ecall handler side effects")
-                self._execute(inst)
-                self.instret += 1
+        executed = 0
+        while executed < max_instructions and not self.halted:
+            if until is not None and until(self):
+                break
+            cause = self._pending_interrupt()
+            if cause is not None:
+                self._take_interrupt(cause)
+            if self.waiting_for_interrupt:
+                self.cycles += 1
                 executed += 1
-            return executed
-        finally:
-            self.bus = real_bus
+                continue
+            inst = self.fetch_decode(self.pc)
+            reads, write, unstable = record_facts(inst)
+            for r in reads:
+                if r not in written and r not in live_in:
+                    live_in[r] = regs[r]
+            if write:
+                written.add(write)
+            if unstable and self.is_unstable(unstable):
+                recorder.mark_unreplayable(unstable)
+            self._execute(inst)
+            self.instret += 1
+            executed += 1
+        return executed
+
+    def is_unstable(self, reason: str) -> bool:
+        """Whether ``reason`` (from :func:`record_facts`) holds now: an
+        ``ecall`` is unstable only while a handler is installed."""
+        return reason != UNSTABLE_ECALL or self.ecall_handler is not None
 
     # -- the big dispatch ------------------------------------------------------
 

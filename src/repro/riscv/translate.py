@@ -32,12 +32,18 @@ IC), closures generated per table row with the row's expression in the
 closure body (no generic-lambda frame), signed compares via the
 XOR-``0x80000000`` bias, and a rare-exception protocol (:class:`_BlockAbort`) instead of a
 per-instruction flag check for mid-block invalidation/interrupts.
+
+Replay recording (``RiscvCpu.record_run``) runs *traced* blocks: the
+same superblocks from the same templates, except that loads and stores
+call ``cpu.bus`` per access (the replay recorder while a bracket is
+captured) instead of an inline cache, and each block carries the
+register facts a recording needs, folded once when it is traced.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .blocks import MAX_BLOCK, is_block_terminal
 from .bus import BusError
@@ -51,6 +57,7 @@ from .cpu import (
     MSTATUS_MIE,
     MSTATUS_MPIE,
     CpuHalted,
+    record_facts,
 )
 
 _OpFn = Callable[[], int]
@@ -136,6 +143,21 @@ _LOAD_TEMPLATE = """
         return next_pc
 """
 
+#: A traced load: no inline cache, the access goes through ``cpu.bus``
+#: so a replay recorder swapped in there sees it.
+_TRACED_LOAD_TEMPLATE = """
+    def fn():
+        v = cpu.bus.read((regs[rs1] + imm) & 0xFFFFFFFF, {nbytes})
+        if rd:
+            regs[rd] = {expr}
+        cpu.cycles += cost
+        cpu.instret += 1
+        if cpu._break_block:
+            cpu.pc = next_pc
+            raise _BlockAbort
+        return next_pc
+"""
+
 _TEMPLATES = {
     "alu-rr": _ALU_TEMPLATE, "alu-imm": _ALU_TEMPLATE, "shift-imm": _ALU_TEMPLATE,
     "upper": _ALU_TEMPLATE, "branch": _BRANCH_TEMPLATE, "jump": _JUMP_TEMPLATE,
@@ -143,8 +165,9 @@ _TEMPLATES = {
 }
 
 
-def _factory(op):
-    """Compile ``op``'s template with its expression in the closure body."""
+def _factory(op, template=None):
+    """Compile ``op``'s template (or ``template``) with its expression
+    in the closure body."""
     names = {
         "a": "regs[rs1]",
         "b": "regs[rs2]" if "rs2" in op.operands else "imm",
@@ -156,18 +179,21 @@ def _factory(op):
     if "regs[" not in expr and op.kind != "load":
         # no register input (lui, auipc, jal): evaluate once per site
         hoist, expr = f"    value = {expr}", "value"
-    body = _TEMPLATES[op.kind].format(expr=expr, nbytes=op.nbytes)
+    body = (template or _TEMPLATES[op.kind]).format(expr=expr, nbytes=op.nbytes)
     scope = {"s": EXPR_GLOBALS["s"], "_BlockAbort": _BlockAbort}
     exec(f"def make({_FACTORY_ARGS}):\n{hoist}{body}    return fn\n", scope)
     return scope["make"]
 
 
 _FACTORIES = {m: _factory(op) for m, op in OPS.items() if op.kind in _TEMPLATES}
+#: traced load factories, generated on a core's first recording
+_TRACED_FACTORIES: Dict[str, Callable] = {}
 
 
 # front door: the closures of opcodes that no bundled firmware uses
-def _compile(cpu, inst, pc: int) -> Tuple[_OpFn, bool]:
-    """Compile ``inst`` at ``pc`` into ``(closure, is_block_terminal)``."""
+def _compile(cpu, inst, pc: int, traced: bool = False) -> Tuple[_OpFn, bool]:
+    """Compile ``inst`` at ``pc`` into ``(closure, is_block_terminal)``;
+    ``traced`` loads and stores go through ``cpu.bus`` on every access."""
     m = inst.mnemonic
     op = OPS[m]
     # single source of truth for block boundaries, shared with the
@@ -191,6 +217,10 @@ def _compile(cpu, inst, pc: int) -> Tuple[_OpFn, bool]:
         return fn, terminal
 
     factory = _FACTORIES.get(m)
+    if traced and op.kind == "load":
+        factory = _TRACED_FACTORIES.get(m)
+        if factory is None:
+            factory = _TRACED_FACTORIES[m] = _factory(op, _TRACED_LOAD_TEMPLATE)
     if factory is not None:
         return (
             factory(cpu, regs, rd, rs1, rs2, imm, pc, next_pc, cost, cpu._branch_taken_cost),
@@ -198,9 +228,21 @@ def _compile(cpu, inst, pc: int) -> Tuple[_OpFn, bool]:
         )
 
     if op.kind == "store":
-        find = cpu.bus._find
         nbytes = op.nbytes
         lane = (1 << (nbytes * 8)) - 1
+        if traced:
+            def fn() -> int:
+                cpu.bus.write((regs[rs1] + imm) & MASK32, regs[rs2] & lane, nbytes)
+                cpu.cycles += cost
+                cpu.instret += 1
+                if cpu._break_block:
+                    cpu.pc = next_pc
+                    raise _BlockAbort
+                return next_pc
+
+            return fn, terminal
+
+        find = cpu.bus._find
         cache = [1, 0, None]  # inline cache, as in _LOAD_TEMPLATE
 
         def fn() -> int:
@@ -282,8 +324,42 @@ def _compile(cpu, inst, pc: int) -> Tuple[_OpFn, bool]:
     raise DecodeError(f"unimplemented mnemonic {m}")  # pragma: no cover
 
 
+#: The facts of a word that does not decode: it faults when run.
+_NO_FACTS = ((), 0, "")
+
+
+def _fold_facts(facts: Sequence[Tuple[Tuple[int, ...], int, str]]):
+    """``(reads, writes)`` of a straight-line run of instructions: the
+    registers it reads before writing them, and the ones it writes."""
+    reads: List[int] = []
+    writes: Set[int] = set()
+    for regs_read, write, _unstable in facts:
+        for r in regs_read:
+            if r not in writes and r not in reads:
+                reads.append(r)
+        if write:
+            writes.add(write)
+    return tuple(reads), frozenset(writes)
+
+
+class _TracedBlock:
+    """A superblock for replay recording: its closures, and what a
+    recording needs of it as a whole, computed once."""
+
+    __slots__ = ("ops", "reads", "writes", "unstable", "facts")
+
+    def __init__(self, ops: List[_OpFn], facts: list) -> None:
+        self.ops = ops
+        #: per instruction, from ``record_facts``: a run cut short folds
+        #: the prefix that retired
+        self.facts = facts
+        self.reads, self.writes = _fold_facts(facts)
+        # only a block's terminal instruction can be unstable
+        self.unstable = facts[-1][2]
+
+
 class TranslatedEngine:
-    """Owns the per-word closure cache and the superblock cache."""
+    """Owns the per-word closure cache and the superblock caches."""
 
     def __init__(self, cpu) -> None:
         self.cpu = cpu
@@ -291,14 +367,18 @@ class TranslatedEngine:
         self.ops: Dict[int, Tuple[_OpFn, bool]] = {}
         #: entry pc -> fused closure list
         self.blocks: Dict[int, List[_OpFn]] = {}
-        #: word addr -> entry pcs of blocks spanning it
+        #: entry pc -> traced block, filled by the first recording
+        self.traced: Dict[int, _TracedBlock] = {}
+        #: word addr -> entry pcs of the blocks (of either cache)
+        #: spanning it; a block and its traced twin span the same words
         self.block_index: Dict[int, Set[int]] = {}
         #: the bus object the cached closures were compiled against.
-        #: Closures bind ``bus._find`` and region handlers at compile
-        #: time, so running them after a bus swap (e.g. the replay
-        #: cache's ``record_run`` tracing wrapper) would silently read
-        #: and write the *old* bus.  ``run``/``step`` check identity
-        #: once per call and fail loudly instead.
+        #: Their loads and stores bind ``bus._find`` and region handlers
+        #: at compile time, so running them after a bus swap would
+        #: silently read and write the *old* bus.  ``run``/``step``
+        #: check identity once per call and fail loudly instead.
+        #: Replay recording swaps the bus on purpose and runs the traced
+        #: blocks, which look ``cpu.bus`` up on every access.
         self.compiled_bus = None
 
     # -- cache maintenance ---------------------------------------------------
@@ -306,6 +386,7 @@ class TranslatedEngine:
     def flush(self) -> None:
         self.ops.clear()
         self.blocks.clear()
+        self.traced.clear()
         self.block_index.clear()
         self.compiled_bus = None
 
@@ -314,7 +395,7 @@ class TranslatedEngine:
             raise RuntimeError(
                 "cpu.bus was swapped under the translated engine's "
                 "compiled closures; trace through RiscvCpu.record_run "
-                "(which bypasses the engine) or invalidate_icache() "
+                "(which runs traced blocks) or invalidate_icache() "
                 "before running"
             )
 
@@ -323,10 +404,13 @@ class TranslatedEngine:
         self.ops.pop(word, None)
         for entry in self.block_index.pop(word, ()):
             self.blocks.pop(entry, None)
+            self.traced.pop(entry, None)
 
     # -- translation ---------------------------------------------------------
 
-    def _compile_at(self, pc: int) -> Tuple[_OpFn, bool]:
+    def _compile_at(self, pc: int, traced: bool = False):
+        """``(closure, terminal, facts)`` for the word at ``pc``; the
+        ``record_facts`` of its instruction only when ``traced``."""
         cpu = self.cpu
         try:
             inst = decode(cpu.bus.read_u32(pc))
@@ -337,14 +421,15 @@ class TranslatedEngine:
             def fn() -> int:  # fault lazily, exactly when executed
                 raise err
 
-            return fn, True  # decode faults end the block (see blocks.py)
-        return _compile(cpu, inst, pc)
+            return fn, True, _NO_FACTS  # decode faults end the block (see blocks.py)
+        fn, terminal = _compile(cpu, inst, pc, traced)
+        return fn, terminal, record_facts(inst) if traced else None
 
     def _translate_op(self, pc: int) -> Tuple[_OpFn, bool]:
         entry = self.ops.get(pc)
         if entry is None:
             self.compiled_bus = self.cpu.bus
-            entry = self._compile_at(pc)
+            entry = self._compile_at(pc)[:2]
             self.ops[pc] = entry
             self.cpu._note_code_word(pc)
         return entry
@@ -362,6 +447,25 @@ class TranslatedEngine:
             pc = (pc + 4) & MASK32
         self.blocks[entry_pc] = ops_list
         return ops_list
+
+    def trace_block(self, entry_pc: int) -> _TracedBlock:
+        """Translate the superblock at ``entry_pc`` for recording."""
+        cpu = self.cpu
+        block_index = self.block_index
+        ops_list: List[_OpFn] = []
+        facts = []
+        pc = entry_pc
+        for _ in range(MAX_BLOCK):
+            fn, terminal, fact = self._compile_at(pc, traced=True)
+            ops_list.append(fn)
+            facts.append(fact)
+            cpu._note_code_word(pc)
+            block_index.setdefault(pc, set()).add(entry_pc)
+            if terminal:
+                break
+            pc = (pc + 4) & MASK32
+        block = self.traced[entry_pc] = _TracedBlock(ops_list, facts)
+        return block
 
     # -- execution -----------------------------------------------------------
 
@@ -431,4 +535,78 @@ class TranslatedEngine:
                 # re-enter through the checks above
                 pass
             executed += cpu.instret - before
+        return executed
+
+    def record(self, recorder, max_instructions: int, until) -> int:
+        """:meth:`run` on traced blocks, with ``cpu.bus`` already the
+        ``recorder``: each block adds the registers it reads before
+        writing them to ``recorder.live_in`` and its write set to
+        ``recorder.written_regs``.  A block cut short by ``_BlockAbort``
+        or by ``max_instructions`` contributes the facts of the prefix
+        that retired, never its whole write set, which could hide a
+        register the next block reads."""
+        cpu = self.cpu
+        traced = self.traced
+        csrs = cpu.csrs
+        regs = cpu.regs
+        live_in = recorder.live_in
+        written = recorder.written_regs
+        #: registers already classified, live-in or written
+        seen = set(written)
+        seen.update(live_in)
+        executed = 0
+        while executed < max_instructions and not cpu.halted:
+            if until is not None and until(cpu):
+                break
+
+            if csrs[CSR_MSTATUS] & MSTATUS_MIE and csrs[CSR_MIP] & csrs[CSR_MIE]:
+                cause = cpu._pending_interrupt()
+                if cause is not None:
+                    cpu._take_interrupt(cause)
+            if cpu.waiting_for_interrupt:
+                cpu.cycles += 1
+                executed += 1
+                continue
+
+            pc = cpu.pc
+            try:
+                block = traced[pc]
+            except KeyError:
+                block = self.trace_block(pc)
+            ops_list = block.ops
+            remaining = max_instructions - executed
+            if len(ops_list) > remaining:
+                ops_list = ops_list[:remaining]
+
+            fresh: Sequence[int] = ()
+            if not seen.issuperset(block.reads):
+                fresh = [r for r in block.reads if r not in seen]
+                for r in fresh:
+                    live_in[r] = regs[r]
+                seen.update(fresh)
+            unstable = block.unstable and cpu.is_unstable(block.unstable)
+
+            cpu._break_block = False
+            before = cpu.instret
+            try:
+                for fn in ops_list:
+                    cpu.pc = fn()
+            except _BlockAbort:
+                pass
+            retired = cpu.instret - before
+            executed += retired
+            if retired == len(block.ops):
+                written.update(block.writes)
+                seen.update(block.writes)
+                if unstable:
+                    recorder.mark_unreplayable(block.unstable)
+                continue
+            # cut short: only the prefix that retired read and wrote
+            reads, writes = _fold_facts(block.facts[:retired])
+            for r in fresh:
+                if r not in reads:
+                    del live_in[r]
+                    seen.discard(r)
+            written.update(writes)
+            seen.update(writes)
         return executed

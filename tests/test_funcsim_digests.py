@@ -189,6 +189,16 @@ def test_run_matches_the_golden_digest(case):
     )
 
 
+@pytest.mark.parametrize(
+    "case", sorted(case for case in _cases() if case.endswith("/cache"))
+)
+def test_the_golden_cache_row_equals_its_nocache_row(case):
+    """The replay cache is invisible: on every firmware and backend, the
+    cached run's digests are the uncached run's."""
+    golden = json.loads(GOLDEN.read_text())
+    assert golden[case] == golden[case.removesuffix("cache") + "nocache"]
+
+
 class _BrokenAccelerator(Accelerator):
     """Declares a 0/1 flag that reads 2, and a 3-deep stream that never
     ends: both break the contract their rows give the verifier."""

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import HostInterface, RosebudConfig, RosebudSystem
 from repro.firmware import ForwarderFirmware
+from repro.packet import Packet
 from repro.traffic import FixedSizeSource
 
 FAST_LOAD_MS = 0.01  # 2_500 cycles at 250 MHz: keeps tests quick
@@ -76,6 +77,28 @@ class TestEvictEdgeCases:
         # after the reload: service resumed and drained the backlog
         assert system.counters.value("delivered") > checkpoints["delivered_mid"]
         assert system.rpus[0].in_flight == 0
+
+    def test_evict_mid_service_abandons_the_packet_being_served(self):
+        """An RPU that is not wedged holds two delivered packets, one in
+        its core stage and one queued: evicting it abandons both."""
+        system, host = _system()
+        rpu = system.rpus[0]
+        for _ in range(2):
+            rpu.deliver(Packet(bytes(512)))
+        assert rpu.in_flight == 2
+        assert host.evict_rpu(0) == 2
+        assert rpu.in_flight == 0
+
+    def test_evict_counts_a_swallowed_completion_once(self):
+        """A wedged core's swallowed completion is both the packet its
+        stage holds and a stuck completion: it is one abandoned packet."""
+        system, host = _system()
+        rpu = system.rpus[0]
+        for _ in range(2):
+            rpu.deliver(Packet(bytes(512)))
+        rpu.wedge()
+        system.sim.run()
+        assert host.evict_rpu(0) == 2
 
     def test_evict_idle_rpu_is_a_noop_count(self):
         system, host = _system()

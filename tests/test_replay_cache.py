@@ -18,11 +18,13 @@ import pytest
 from repro.accel import IpBlacklistMatcher, generate_blacklist, parse_blacklist
 from repro.accel.pigasus import PigasusStringMatcher, generate_ruleset, parse_rules
 from repro.core.funccluster import FunctionalCluster
-from repro.core.funcsim import FunctionalRpu
+from repro.core.funcsim import IMEM_BASE, FunctionalRpu
 from repro.firmware import FIREWALL_ASM, FORWARDER_ASM, PIGASUS_ASM
 from repro.firmware.asm_sources import FLOW_COUNTER_ASM, FORWARDER_IRQ_ASM
 from repro.packet import build_tcp, build_udp, int_to_ip
 from repro.replay import ReplayCache
+from repro.riscv import assemble
+from repro.riscv.cpu import CycleModel
 from repro.riscv.isa import reads_regs, writes_rd
 from repro.verify import analyze_source
 
@@ -57,6 +59,48 @@ loop:
     sw   t3, 32(a0)
     j    main
 """
+
+#: forwarder with a poke handler that copies ``t3`` (the previous
+#: packet's egress port) into ``t6``.  :class:`_PokingRpu` raises the
+#: poke from the tag read, so the block that loads ``t1``..``t3`` is
+#: cut after its first load and the handler reads a ``t3`` that only the
+#: rest of that block overwrites: ``t3`` is live-in.
+POKE_FORWARDER_ASM = """
+.equ IO_BASE, 0x01000000
+
+main:
+    la   t0, poke_handler
+    csrw mtvec, t0
+    li   t0, 0x10000       # enable external line 1 (poke)
+    csrw mie, t0
+    li   a0, IO_BASE
+    csrrsi x0, mstatus, 8
+loop:
+    lw   t0, 0(a0)         # RECV_READY
+    beqz t0, loop
+    lw   t1, 4(a0)         # tag: raises the poke
+    lw   t2, 8(a0)
+    lw   t3, 12(a0)
+    sw   zero, 20(a0)
+    xori t3, t3, 1
+    sw   t1, 24(a0)
+    sw   t2, 28(a0)
+    sw   t3, 32(a0)
+    j    loop
+
+poke_handler:
+    mv   t6, t3
+    mret
+"""
+
+
+class _PokingRpu(FunctionalRpu):
+    """Raises the poke line from every read of a descriptor's tag."""
+
+    def _io_read(self, offset, nbytes):
+        if offset == 4:
+            self.cpu.raise_interrupt(1)
+        return super()._io_read(offset, nbytes)
 
 
 def _clean_frame(size=512, src="10.0.0.1"):
@@ -107,10 +151,11 @@ def _sent_stream(rpu):
 
 
 def _run(frames, cached, asm=FIREWALL_ASM, accel=_firewall_matcher,
-         backend="interp", max_variants=4):
-    """Drive ``frames`` (data, class_key, port) through one RPU."""
+         backend="interp", max_variants=4, rpu_class=FunctionalRpu, after=None):
+    """Drive ``frames`` (data, class_key, port) through one RPU, calling
+    ``after(rpu, n)`` once ``n`` packets are done."""
     accelerator = accel() if accel is not None else None
-    rpu = FunctionalRpu(asm, accelerator=accelerator, cpu_backend=backend)
+    rpu = rpu_class(asm, accelerator=accelerator, cpu_backend=backend)
     cache = None
     if cached:
         cache = ReplayCache(max_variants=max_variants)
@@ -126,6 +171,8 @@ def _run(frames, cached, asm=FIREWALL_ASM, accel=_firewall_matcher,
         for _ in batch:
             rpu.step_packet()
             arch.append((cpu.pc, tuple(cpu.regs), dict(cpu.csrs)))
+            if after is not None:
+                after(rpu, len(arch))
         done += len(batch)
     lookups = getattr(accelerator, "lookups", 0)
     return {
@@ -139,29 +186,34 @@ def _run(frames, cached, asm=FIREWALL_ASM, accel=_firewall_matcher,
     }
 
 
-def _assert_identical(off, on, arch):
+def _assert_identical(off, on):
     assert on["sent"] == off["sent"]
     assert on["pmem"] == off["pmem"]
     assert on["dmem"] == off["dmem"]
     assert on["lookups"] == off["lookups"]
-    if arch:
-        assert on["arch"] == off["arch"]
+    assert on["arch"] == off["arch"]
 
 
 def _differential(frames, backends=("interp", "translated"), **kw):
     """Cached ≡ uncached on each backend; the cached runs, in order.
 
-    The architectural state after every packet is compared on the
-    interpreter only: it stops exactly at each send, while the
-    translated backend (the one the ``iss-replay-*`` workloads run) may
-    retire a few instructions past it."""
+    The architectural state after every packet is compared on both
+    backends.  The interpreter stops exactly at each send; the
+    translated backend (the one the ``iss-replay-*`` workloads run)
+    stops at the first block boundary after it, recorded or not, so a
+    record's end state is the one an uncached run reaches."""
     runs = []
     for backend in backends:
         off = _run(frames, cached=False, backend=backend, **kw)
         on = _run(frames, cached=True, backend=backend, **kw)
-        _assert_identical(off, on, arch=backend == "interp")
+        _assert_identical(off, on)
         runs.append(on)
     return runs
+
+
+def _records(run):
+    """Every record a cached run's store holds."""
+    return [r for variants in run["cache"]._records.values() for r in variants]
 
 
 # -- functional-simulator differentials -------------------------------------
@@ -273,6 +325,47 @@ class TestFuncsimDifferential:
                                 accel=None):
             assert on["stats"].hits == 0
             assert on["stats"].bypasses > 0
+
+    def test_interrupt_cuts_a_recorded_block(self):
+        """A poke taken inside a recorded block: only the block's retired
+        prefix counts as written, so the handler's read of ``t3`` is a
+        live-in guard and a hit never restores a stale ``t6``."""
+        frame = _clean_frame()
+        rng = random.Random(5)
+        frames = [(frame, frame, rng.randrange(2)) for _ in range(160)]
+        for on in _differential(frames, asm=POKE_FORWARDER_ASM, accel=None,
+                                rpu_class=_PokingRpu):
+            assert on["stats"].hits > 0
+            assert any(idx == 28 for r in _records(on) for idx, _ in r.live_in)
+
+    @pytest.mark.parametrize("event", ["cycle_model", "invalidate_icache", "host_patch"])
+    def test_translation_flush_between_packets(self, event):
+        """A cycle-model swap, an icache flush and a host store into the
+        firmware each drop the traced blocks and move the code epoch: the
+        records and recordings after it carry the new costs and run the
+        new code, as an uncached run does."""
+        frame = _clean_frame()
+        patch = int.from_bytes(assemble("xori t3, t3, 0").image[:4], "little")
+        flip = assemble(FORWARDER_ASM).image.index(assemble("xori t3, t3, 1").image)
+
+        def after(rpu, done):
+            if done != 24:
+                return
+            if event == "cycle_model":
+                rpu.cpu.cycle_model = CycleModel.vexriscv_light()
+            elif event == "invalidate_icache":
+                rpu.cpu.invalidate_icache()
+            else:
+                rpu.bus.write(IMEM_BASE + flip, patch, 4)
+            spans = [(entry, entry + 4 * len(block.ops))
+                     for entry, block in rpu.cpu._engine.traced.items()]
+            assert not any(lo <= IMEM_BASE + flip < hi for lo, hi in spans)
+
+        for on in _differential([(frame, frame, i % 2) for i in range(64)],
+                                backends=("translated",), asm=FORWARDER_ASM,
+                                accel=None, after=after):
+            assert on["stats"].invalidations == 1
+            assert on["stats"].hits > 0
 
     def test_icache_invalidate_flushes_cache(self):
         """A firmware-reload-style epoch bump must flush the store and
@@ -411,11 +504,10 @@ class TestLivenessContract:
         ids=["forwarder", "firewall", "forwarder_irq", "flow_counter", "pigasus"],
     )
     def test_dynamic_live_in_within_static_liveness(self, asm, accel):
-        (on,) = _differential(_imix_frames(rounds=8), backends=("interp",),
-                              asm=asm, accel=accel)
         static = _static_live(asm)
-        records = [r for variants in on["cache"]._records.values() for r in variants]
-        assert records
-        for record in records:
-            live_in = {idx for idx, _ in record.live_in}
-            assert live_in <= static[record.start_pc], hex(record.start_pc)
+        for on in _differential(_imix_frames(rounds=8), asm=asm, accel=accel):
+            records = _records(on)
+            assert records
+            for record in records:
+                live_in = {idx for idx, _ in record.live_in}
+                assert live_in <= static[record.start_pc], hex(record.start_pc)

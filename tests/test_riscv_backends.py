@@ -347,6 +347,174 @@ def test_cycle_model_swap_flushes_translations():
     assert states["translated"] == states["interp"]
 
 
+# -- replay recording parity ----------------------------------------------------
+#
+# ``record_run`` interprets one instruction at a time on the interpreter
+# and runs traced superblocks on the translated backend, whose register
+# facts are folded per block.  Stopped at the same instruction, both
+# must leave the same state and report the same live-in registers (with
+# their values), written registers and first unreplayable reason.
+
+
+class _Tap:
+    """A pass-through recorder: the bus interface and the register
+    facts ``record_run`` fills in."""
+
+    def __init__(self, bus):
+        self.bus = bus
+        self.live_in = {}
+        self.written_regs = set()
+        self.reason = ""
+
+    def read(self, addr, nbytes):
+        return self.bus.read(addr, nbytes)
+
+    def write(self, addr, value, nbytes):
+        self.bus.write(addr, value, nbytes)
+
+    def read_u32(self, addr):
+        return self.bus.read_u32(addr)
+
+    def mark_unreplayable(self, reason):
+        self.reason = self.reason or reason
+
+
+def record_both(source, caps=(100_000,), setup=None, between=None):
+    """Record ``source`` under both backends, one ``record_run`` per
+    entry of ``caps`` into the same recorder with ``between(cpu, bus)``
+    after each, and assert identical state and register facts after
+    every run; returns the interpreter's facts after the last."""
+    results = {}
+    for backend in ("interp", "translated"):
+        cpu, bus = _build(source, backend, setup=setup)
+        tap = _Tap(bus)
+        snapshots = []
+        for cap in caps:
+            cpu.record_run(tap, max_instructions=cap)
+            assert cpu.bus is bus
+            snapshots.append(
+                (_state(cpu, bus), dict(tap.live_in), set(tap.written_regs), tap.reason)
+            )
+            if between is not None:
+                between(cpu, bus)
+        results[backend] = snapshots
+    assert results["translated"] == results["interp"]
+    return results["interp"][-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_programs(), st.integers(min_value=1, max_value=40))
+def test_random_programs_record_identically(source, cap):
+    # a cap cuts a block short: only its retired prefix read and wrote
+    record_both(source, caps=(cap, 100_000))
+
+
+def test_record_cut_inside_block():
+    # the cap stops inside the block: its unretired suffix neither
+    # writes a1/a2 nor reads a1 yet
+    source = "\n".join(
+        ["addi a0, a0, 1"] * 6 + ["addi a1, a1, 1", "addi a2, a1, 1", "ebreak"]
+    )
+    _state, live_in, written, _reason = record_both(source, caps=(6, 100))
+    assert live_in == {10: 0, 11: 0}
+    assert written == {10, 11, 12}
+
+
+def test_record_interrupt_raised_mid_block():
+    # the doorbell store aborts its block; the handler then reads a5,
+    # which the rest of that block writes (without reading it) only
+    # after the mret, so a5 is live-in
+    source = _IRQ_SOURCE.replace("addi a0, a0, 8", "li a5, 8")
+
+    def setup(cpu, bus):
+        def on_write(off, value, nbytes):
+            cpu.raise_interrupt(1)
+        bus.add_mmio(0x8000, 16, lambda off, nbytes: 0, on_write, name="doorbell")
+
+    state, live_in, written, _reason = record_both(setup=setup, source=source)
+    assert state["regs"][15] == 8
+    assert live_in[15] == 0
+    assert 15 in written
+
+
+def test_record_ecall_handler_installed_after_tracing():
+    # the first run traces the block that ends in the ecall but stops
+    # before the ecall; re-entered with a handler installed, the same
+    # block must make the recording unreplayable
+    source = """
+        addi a0, a0, 1
+        ecall
+        ebreak
+    """
+    calls = []
+
+    def rerun_with_handler(cpu, bus):
+        cpu.pc = 0
+        cpu.ecall_handler = lambda c: calls.append(c.pc)
+
+    _state, _live_in, _written, reason = record_both(
+        source, caps=(1, 100), between=rerun_with_handler
+    )
+    assert reason == "ecall handler side effects"
+    assert calls == [4, 4]  # once per backend
+
+
+def test_record_mcycle_read_is_unstable():
+    _state, _live_in, _written, reason = record_both("csrrs a0, mcycle, x0\nebreak")
+    assert reason == "reads mcycle/minstret"
+
+
+@pytest.mark.parametrize("event", ["cycle_model", "invalidate_icache", "host_patch"])
+def test_record_after_translation_flush(event):
+    # each event between two recordings must drop the traced blocks of
+    # the first: they embed the old cycle costs and the old code
+    source = """
+        li s1, 3
+    loop:
+    target:
+        addi a0, a0, 1
+        mul a1, a0, a0
+        addi s1, s1, -1
+        bne s1, x0, loop
+        ebreak
+    """
+    patch = _word_of("addi a0, a0, 100")
+    target = assemble(source).symbols["target"]
+
+    def between(cpu, bus):
+        if cpu.halted:
+            return
+        if event == "cycle_model":
+            cpu.cycle_model = CycleModel.vexriscv_light()
+        elif event == "invalidate_icache":
+            cpu.invalidate_icache()
+        else:
+            bus.write(target, patch, 4)
+        if cpu._engine is not None:
+            assert not cpu._engine.traced
+
+    state, _live_in, _written, _reason = record_both(source, caps=(6, 100_000), between=between)
+    assert state["halted"]
+
+
+def test_record_smc_store_into_own_block():
+    # the store patches a word of the block that runs it
+    patch = _word_of("addi a0, a0, 100")
+    state, _live_in, _written, _reason = record_both(f"""
+        li a0, 0
+        li s1, 2
+        li t0, {patch}
+    loop:
+    target:
+        addi a0, a0, 1
+        sw t0, target(x0)
+        addi s1, s1, -1
+        bne s1, x0, loop
+        ebreak
+    """)
+    assert state["regs"][10] == 101
+
+
 # -- backend selection API ----------------------------------------------------
 
 def test_backend_selection_and_validation():
