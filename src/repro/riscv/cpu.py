@@ -422,6 +422,8 @@ class RiscvCpu:
         finally:
             self.bus = real_bus
 
+    # front door: interpreter-backend recording, the per-packet
+    # reference of the replay tests (every workload records translated)
     def _record_interp(self, recorder, max_instructions, until) -> int:
         regs = self.regs
         live_in = recorder.live_in
@@ -451,6 +453,8 @@ class RiscvCpu:
             executed += 1
         return executed
 
+    # front door: brackets that read mcycle/minstret or run an ecall;
+    # no bundled firmware executes one
     def is_unstable(self, reason: str) -> bool:
         """Whether ``reason`` (from :func:`record_facts`) holds now: an
         ``ecall`` is unstable only while a handler is installed."""
