@@ -288,16 +288,19 @@ class FunctionalRpu:
 
     # -- running -----------------------------------------------------------------------------
 
-    def run_until_sent(self, count: int, max_instructions: int = 2_000_000) -> None:
-        """Run the core until ``count`` descriptors have been sent."""
+    def run_until_sent(self, count: int, max_instructions: int = 2_000_000, recorder=None) -> None:
+        """Run the core until ``count`` descriptors have been sent, through
+        ``cpu.record_run`` into ``recorder`` when one is given."""
         self._flush_dma()
-        self.cpu.run(
-            max_instructions=max_instructions,
-            until=lambda cpu: len(self.sent) >= count,
-        )
-        if len(self.sent) < count:
+        sent = self.sent
+        until = lambda cpu: len(sent) >= count
+        if recorder is None:
+            self.cpu.run(max_instructions, until)
+        else:
+            self.cpu.record_run(recorder, max_instructions, until)
+        if len(sent) < count:
             raise RuntimeError(
-                f"firmware sent only {len(self.sent)}/{count} packets "
+                f"firmware sent only {len(sent)}/{count} packets "
                 f"within {max_instructions} instructions"
             )
 
@@ -396,15 +399,7 @@ class FunctionalRpu:
         start_epoch = cpu.code_epoch
         start_sent = len(self.sent)
         recorder = TraceRecorder(cpu, self._io_region, self._acc_region, covered, _REPLAY_ROLES)
-        sent = self.sent
-        cpu.record_run(
-            recorder, max_instructions, until=lambda c: len(sent) >= target
-        )
-        if len(sent) < target:
-            raise RuntimeError(
-                f"firmware sent only {len(sent)}/{target} packets "
-                f"within {max_instructions} instructions"
-            )
+        self.run_until_sent(target, max_instructions, recorder)
         if cpu.halted:
             recorder.mark_unreplayable("core halted inside the bracket")
         if cpu.code_epoch != start_epoch:
@@ -429,7 +424,7 @@ class FunctionalRpu:
             ops=recorder.ops,
             sends=tuple(
                 (s.tag, s.data, s.port, s.cycle - start_cycles)
-                for s in sent[start_sent:]
+                for s in self.sent[start_sent:]
             ),
             accel_token=accel_token,
             end_pc=cpu.pc,

@@ -351,9 +351,6 @@ class RiscvCpu:
 
     def step(self) -> int:
         """Execute one instruction; returns the cycles it consumed."""
-        if self._engine is not None:
-            return self._engine.step()
-
         if self.halted:
             raise CpuHalted("core is halted")
 
@@ -365,10 +362,12 @@ class RiscvCpu:
             self.cycles += 1
             return 1
 
-        inst = self.fetch_decode(self.pc)
         start_cycles = self.cycles
-        self._execute(inst)
-        self.instret += 1
+        if self._engine is not None:
+            self._engine.run(1)
+        else:
+            self._execute(self.fetch_decode(self.pc))
+            self.instret += 1
         return self.cycles - start_cycles
 
     def run(
@@ -402,22 +401,22 @@ class RiscvCpu:
         """``run`` with every data-bus transaction routed through
         ``recorder`` (replay capture, see ``repro.replay``).
 
-        The translated backend runs *traced* blocks: the same superblocks
-        as ``run``, whose loads and stores go through ``cpu.bus`` (the
-        recorder) and which carry their register facts, so ``until`` is
-        polled at the same block boundaries as an unrecorded run.  The
-        interpreter traces one instruction at a time.  Either way a
-        register read before the bracket writes it lands in
-        ``recorder.live_in`` with its value, and every written one in
-        ``recorder.written_regs``; unstable inputs (``mcycle``/``minstret``
-        CSR reads, ``ecall`` with a handler installed) mark the recording
-        unreplayable.
+        The translated backend's one ``run`` loop takes the recorder
+        and runs *traced* blocks: the same superblocks, whose loads and
+        stores go through ``cpu.bus`` (the recorder) and which carry
+        their register facts, so ``until`` is polled at the same block
+        boundaries as an unrecorded run.  The interpreter traces one
+        instruction at a time.  Either way a register read before the
+        bracket writes it lands in ``recorder.live_in`` with its value,
+        and every written one in ``recorder.written_regs``; unstable
+        inputs (``mcycle``/``minstret`` CSR reads, ``ecall`` with a
+        handler installed) mark the recording unreplayable.
         """
         real_bus = self.bus
         self.bus = recorder
         try:
             if self._engine is not None:
-                return self._engine.record(recorder, max_instructions, until)
+                return self._engine.run(max_instructions, until, recorder)
             return self._record_interp(recorder, max_instructions, until)
         finally:
             self.bus = real_bus

@@ -33,16 +33,22 @@ closure body (no generic-lambda frame), signed compares via the
 XOR-``0x80000000`` bias, and a rare-exception protocol (:class:`_BlockAbort`) instead of a
 per-instruction flag check for mid-block invalidation/interrupts.
 
-Replay recording (``RiscvCpu.record_run``) runs *traced* blocks: the
-same superblocks from the same templates, except that loads and stores
-call ``cpu.bus`` per access (the replay recorder while a bracket is
-captured) instead of an inline cache, and each block carries the
-register facts a recording needs, folded once when it is traced.
+Replay recording (``RiscvCpu.record_run``) is :meth:`TranslatedEngine.run`
+over *traced* blocks: the same superblocks, fused by the same
+:meth:`~TranslatedEngine.translate_block` from the same templates, whose
+loads and stores differ only in their access line: ``cpu.bus`` (the
+replay recorder while a bracket is captured) on every access instead of
+the inline cache.  Each traced block carries the register facts a
+recording needs, folded once when it is built, and a :class:`_Recording`
+books them into the recorder before and after each block.  Traced blocks
+are built on a core's first recording, so an unrecorded run pays nothing
+for them.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .blocks import MAX_BLOCK, is_block_terminal
@@ -56,7 +62,6 @@ from .cpu import (
     MASK32,
     MSTATUS_MIE,
     MSTATUS_MPIE,
-    CpuHalted,
     record_facts,
 )
 
@@ -115,24 +120,20 @@ _JUMP_TEMPLATE = """
         return target
 """
 
-# The inline cache: a given load site almost always hits the same
-# region, so remember [base, limit, innermost reader] and skip the bus
-# scan plus all dispatch frames on the hit path.  The cached callable is
-# the offset-based ``_read`` - the raw MMIO handler itself, or
-# RamRegion's offset twin - so RAM and MMIO cost one call frame alike;
-# the row expression masks or sign-extends the result because raw
-# handlers are allowed to return unmasked values.
+# The inline cache: a given load or store site almost always hits the
+# same region, so remember [base, limit, innermost handler] and skip the
+# bus scan plus all dispatch frames on the hit path.  The cached callable
+# is the offset-based ``_read``/``_write`` - the raw MMIO handler itself,
+# or RamRegion's offset twin - so RAM and MMIO cost one call frame alike;
+# the load row's expression masks or sign-extends the result because raw
+# handlers are allowed to return unmasked values.  A traced site skips
+# the cache: its access goes through ``cpu.bus``, so a replay recorder
+# swapped in there sees it.  The two differ only in the ``{access}`` line.
 _LOAD_TEMPLATE = """
-    find = cpu.bus._find
     cache = [1, 0, None]
     def fn():
         addr = (regs[rs1] + imm) & 0xFFFFFFFF
-        if not cache[0] <= addr < cache[1]:
-            region = find(addr)
-            cache[0] = region.base
-            cache[1] = region.base + region.size
-            cache[2] = region._read
-        v = cache[2](addr - cache[0], {nbytes})
+        v = {access}
         if rd:
             regs[rd] = {expr}
         cpu.cycles += cost
@@ -143,13 +144,11 @@ _LOAD_TEMPLATE = """
         return next_pc
 """
 
-#: A traced load: no inline cache, the access goes through ``cpu.bus``
-#: so a replay recorder swapped in there sees it.
-_TRACED_LOAD_TEMPLATE = """
+_STORE_TEMPLATE = """
+    cache = [1, 0, None]
     def fn():
-        v = cpu.bus.read((regs[rs1] + imm) & 0xFFFFFFFF, {nbytes})
-        if rd:
-            regs[rd] = {expr}
+        addr = (regs[rs1] + imm) & 0xFFFFFFFF
+        {access}
         cpu.cycles += cost
         cpu.instret += 1
         if cpu._break_block:
@@ -157,17 +156,46 @@ _TRACED_LOAD_TEMPLATE = """
             raise _BlockAbort
         return next_pc
 """
+
+#: the site's cached handler, refilled on a miss (the callee is
+#: evaluated before the arguments, so they see the refilled base)
+_CACHED = "(cache[2] if cache[0] <= addr < cache[1] else _fill(cache, cpu.bus, addr, '{handler}'))"
+#: kind -> (cached, traced) access line
+_ACCESS = {
+    "load": (
+        _CACHED.format(handler="_read") + "(addr - cache[0], {nbytes})",
+        "cpu.bus.read(addr, {nbytes})",
+    ),
+    "store": (
+        _CACHED.format(handler="_write") + "(addr - cache[0], regs[rs2] & {lane}, {nbytes})",
+        "cpu.bus.write(addr, regs[rs2] & {lane}, {nbytes})",
+    ),
+}
+
+
+def _fill(cache: list, bus, addr: int, handler: str):
+    """Point a site's inline cache at the region holding ``addr``;
+    returns the region's offset-based ``handler``."""
+    region = bus._find(addr)
+    cache[0] = region.base
+    cache[1] = region.base + region.size
+    cache[2] = access = getattr(region, handler)
+    return access
+
 
 _TEMPLATES = {
     "alu-rr": _ALU_TEMPLATE, "alu-imm": _ALU_TEMPLATE, "shift-imm": _ALU_TEMPLATE,
     "upper": _ALU_TEMPLATE, "branch": _BRANCH_TEMPLATE, "jump": _JUMP_TEMPLATE,
-    "load": _LOAD_TEMPLATE,
+    "load": _LOAD_TEMPLATE, "store": _STORE_TEMPLATE,
 }
 
 
-def _factory(op, template=None):
-    """Compile ``op``'s template (or ``template``) with its expression
-    in the closure body."""
+@lru_cache(maxsize=None)
+def _factory(m: str, traced: bool = False):
+    """Compile row ``m``'s template with its expression in the closure
+    body, on first use; a ``traced`` load or store (built on a core's
+    first recording) gets the traced access line."""
+    op = OPS[m]
     names = {
         "a": "regs[rs1]",
         "b": "regs[rs2]" if "rs2" in op.operands else "imm",
@@ -176,18 +204,15 @@ def _factory(op, template=None):
     }
     expr = re.sub(r"\b(a|b|M|SIGN)\b", lambda match: names[match.group()], op.expr)
     hoist = ""
-    if "regs[" not in expr and op.kind != "load":
+    if "regs[" not in expr and op.kind not in _ACCESS:
         # no register input (lui, auipc, jal): evaluate once per site
         hoist, expr = f"    value = {expr}", "value"
-    body = (template or _TEMPLATES[op.kind]).format(expr=expr, nbytes=op.nbytes)
-    scope = {"s": EXPR_GLOBALS["s"], "_BlockAbort": _BlockAbort}
+    lines = _ACCESS.get(op.kind)
+    access = lines[traced].format(nbytes=op.nbytes, lane=(1 << 8 * op.nbytes) - 1) if lines else ""
+    body = _TEMPLATES[op.kind].format(expr=expr, access=access)
+    scope = {"s": EXPR_GLOBALS["s"], "_BlockAbort": _BlockAbort, "_fill": _fill}
     exec(f"def make({_FACTORY_ARGS}):\n{hoist}{body}    return fn\n", scope)
     return scope["make"]
-
-
-_FACTORIES = {m: _factory(op) for m, op in OPS.items() if op.kind in _TEMPLATES}
-#: traced load factories, generated on a core's first recording
-_TRACED_FACTORIES: Dict[str, Callable] = {}
 
 
 # front door: the closures of opcodes that no bundled firmware uses
@@ -216,51 +241,9 @@ def _compile(cpu, inst, pc: int, traced: bool = False) -> Tuple[_OpFn, bool]:
             return next_pc
         return fn, terminal
 
-    factory = _FACTORIES.get(m)
-    if traced and op.kind == "load":
-        factory = _TRACED_FACTORIES.get(m)
-        if factory is None:
-            factory = _TRACED_FACTORIES[m] = _factory(op, _TRACED_LOAD_TEMPLATE)
-    if factory is not None:
-        return (
-            factory(cpu, regs, rd, rs1, rs2, imm, pc, next_pc, cost, cpu._branch_taken_cost),
-            terminal,
-        )
-
-    if op.kind == "store":
-        nbytes = op.nbytes
-        lane = (1 << (nbytes * 8)) - 1
-        if traced:
-            def fn() -> int:
-                cpu.bus.write((regs[rs1] + imm) & MASK32, regs[rs2] & lane, nbytes)
-                cpu.cycles += cost
-                cpu.instret += 1
-                if cpu._break_block:
-                    cpu.pc = next_pc
-                    raise _BlockAbort
-                return next_pc
-
-            return fn, terminal
-
-        find = cpu.bus._find
-        cache = [1, 0, None]  # inline cache, as in _LOAD_TEMPLATE
-
-        def fn() -> int:
-            addr = (regs[rs1] + imm) & MASK32
-            if not cache[0] <= addr < cache[1]:
-                region = find(addr)
-                cache[0] = region.base
-                cache[1] = region.base + region.size
-                cache[2] = region._write
-            cache[2](addr - cache[0], regs[rs2] & lane, nbytes)
-            cpu.cycles += cost
-            cpu.instret += 1
-            if cpu._break_block:
-                cpu.pc = next_pc
-                raise _BlockAbort
-            return next_pc
-
-        return fn, terminal
+    if op.kind in _TEMPLATES:
+        make = _factory(m, traced and op.kind in _ACCESS)
+        return make(cpu, regs, rd, rs1, rs2, imm, pc, next_pc, cost, cpu._branch_taken_cost), terminal
 
     if m == "ecall":
         def fn() -> int:
@@ -273,27 +256,21 @@ def _compile(cpu, inst, pc: int, traced: bool = False) -> Tuple[_OpFn, bool]:
             cpu.instret += 1
             return next_pc
 
-        return fn, terminal
-
-    if m == "ebreak":
+    elif m == "ebreak":
         def fn() -> int:
             cpu.halted = True
             cpu.cycles += cost
             cpu.instret += 1
             return next_pc
 
-        return fn, terminal
-
-    if m == "wfi":
+    elif m == "wfi":
         def fn() -> int:
             cpu.waiting_for_interrupt = True
             cpu.cycles += cost
             cpu.instret += 1
             return next_pc
 
-        return fn, terminal
-
-    if m == "mret":
+    elif m == "mret":
         def fn() -> int:
             csrs = cpu.csrs
             status = csrs[CSR_MSTATUS]
@@ -307,9 +284,7 @@ def _compile(cpu, inst, pc: int, traced: bool = False) -> Tuple[_OpFn, bool]:
             cpu.instret += 1
             return csrs[CSR_MEPC]
 
-        return fn, terminal
-
-    if op.kind == "csr":
+    elif op.kind == "csr":
         # csr* can flip mstatus.MIE / mie, so blocks end here and the
         # run loop re-checks pending interrupts — same boundary as the
         # interpreter's per-step check
@@ -319,9 +294,9 @@ def _compile(cpu, inst, pc: int, traced: bool = False) -> Tuple[_OpFn, bool]:
             cpu.instret += 1
             return next_pc
 
-        return fn, terminal
-
-    raise DecodeError(f"unimplemented mnemonic {m}")  # pragma: no cover
+    else:  # pragma: no cover
+        raise DecodeError(f"unimplemented mnemonic {m}")
+    return fn, terminal
 
 
 #: The facts of a word that does not decode: it faults when run.
@@ -342,14 +317,14 @@ def _fold_facts(facts: Sequence[Tuple[Tuple[int, ...], int, str]]):
     return tuple(reads), frozenset(writes)
 
 
-class _TracedBlock:
+class _TracedBlock(list):
     """A superblock for replay recording: its closures, and what a
     recording needs of it as a whole, computed once."""
 
-    __slots__ = ("ops", "reads", "writes", "unstable", "facts")
+    __slots__ = ("reads", "writes", "unstable", "facts")
 
     def __init__(self, ops: List[_OpFn], facts: list) -> None:
-        self.ops = ops
+        super().__init__(ops)
         #: per instruction, from ``record_facts``: a run cut short folds
         #: the prefix that retired
         self.facts = facts
@@ -358,13 +333,61 @@ class _TracedBlock:
         self.unstable = facts[-1][2]
 
 
+class _Recording:
+    """The register bookkeeping of one recorded run.  Before each traced
+    block, the registers it reads before the bracket wrote them go to
+    ``recorder.live_in`` with their values; after it, its write set goes
+    to ``recorder.written_regs``.  A block cut short by ``_BlockAbort``
+    or by the instruction cap books the facts of the prefix that
+    retired, never its whole write set, which could hide a register the
+    next block reads."""
+
+    __slots__ = ("cpu", "recorder", "seen", "fresh", "unstable")
+
+    def __init__(self, cpu, recorder) -> None:
+        self.cpu = cpu
+        self.recorder = recorder
+        #: registers already classified, live-in or written
+        self.seen = set(recorder.written_regs) | recorder.live_in.keys()
+        #: the live-ins the running block added
+        self.fresh: Sequence[int] = ()
+        self.unstable = False
+
+    def enter(self, block: _TracedBlock) -> None:
+        seen = self.seen
+        self.fresh = ()
+        if not seen.issuperset(block.reads):
+            self.fresh = [r for r in block.reads if r not in seen]
+            regs = self.cpu.regs
+            for r in self.fresh:
+                self.recorder.live_in[r] = regs[r]
+            seen.update(self.fresh)
+        self.unstable = block.unstable and self.cpu.is_unstable(block.unstable)
+
+    def leave(self, block: _TracedBlock, retired: int) -> None:
+        recorder = self.recorder
+        if retired == len(block):
+            writes = block.writes
+            if self.unstable:
+                recorder.mark_unreplayable(block.unstable)
+        else:
+            # cut short: only the prefix that retired read and wrote
+            reads, writes = _fold_facts(block.facts[:retired])
+            for r in self.fresh:
+                if r not in reads:
+                    del recorder.live_in[r]
+                    self.seen.discard(r)
+        recorder.written_regs.update(writes)
+        self.seen.update(writes)
+
+
 class TranslatedEngine:
     """Owns the per-word closure cache and the superblock caches."""
 
     def __init__(self, cpu) -> None:
         self.cpu = cpu
-        #: word addr -> (closure, terminal)
-        self.ops: Dict[int, Tuple[_OpFn, bool]] = {}
+        #: word addr -> (closure, terminal, None)
+        self.ops: Dict[int, tuple] = {}
         #: entry pc -> fused closure list
         self.blocks: Dict[int, List[_OpFn]] = {}
         #: entry pc -> traced block, filled by the first recording
@@ -373,12 +396,12 @@ class TranslatedEngine:
         #: spanning it; a block and its traced twin span the same words
         self.block_index: Dict[int, Set[int]] = {}
         #: the bus object the cached closures were compiled against.
-        #: Their loads and stores bind ``bus._find`` and region handlers
-        #: at compile time, so running them after a bus swap would
-        #: silently read and write the *old* bus.  ``run``/``step``
-        #: check identity once per call and fail loudly instead.
-        #: Replay recording swaps the bus on purpose and runs the traced
-        #: blocks, which look ``cpu.bus`` up on every access.
+        #: Their loads and stores keep region handlers in their inline
+        #: caches, so running them after a bus swap would silently read
+        #: and write the *old* bus: ``run`` checks identity once per call
+        #: and fails loudly instead.  Replay recording swaps the bus on
+        #: purpose and runs the traced blocks, which look ``cpu.bus`` up
+        #: on every access.
         self.compiled_bus = None
 
     # -- cache maintenance ---------------------------------------------------
@@ -408,10 +431,17 @@ class TranslatedEngine:
 
     # -- translation ---------------------------------------------------------
 
-    def _compile_at(self, pc: int, traced: bool = False):
-        """``(closure, terminal, facts)`` for the word at ``pc``; the
-        ``record_facts`` of its instruction only when ``traced``."""
+    def _translate_op(self, pc: int, traced: bool = False):
+        """``(closure, terminal, facts)`` for the word at ``pc``: the
+        ``record_facts`` of its instruction when ``traced``, else
+        ``None``.  Untraced closures are cached per word."""
         cpu = self.cpu
+        if not traced:
+            entry = self.ops.get(pc)
+            if entry is not None:
+                return entry
+            self.compiled_bus = cpu.bus
+        cpu._note_code_word(pc)
         try:
             inst = decode(cpu.bus.read_u32(pc))
         except (BusError, DecodeError) as exc:
@@ -421,85 +451,55 @@ class TranslatedEngine:
             def fn() -> int:  # fault lazily, exactly when executed
                 raise err
 
-            return fn, True, _NO_FACTS  # decode faults end the block (see blocks.py)
-        fn, terminal = _compile(cpu, inst, pc, traced)
-        return fn, terminal, record_facts(inst) if traced else None
-
-    def _translate_op(self, pc: int) -> Tuple[_OpFn, bool]:
-        entry = self.ops.get(pc)
-        if entry is None:
-            self.compiled_bus = self.cpu.bus
-            entry = self._compile_at(pc)[:2]
+            entry = fn, True, _NO_FACTS  # decode faults end the block (see blocks.py)
+        else:
+            fn, terminal = _compile(cpu, inst, pc, traced)
+            entry = fn, terminal, record_facts(inst) if traced else None
+        if not traced:
             self.ops[pc] = entry
-            self.cpu._note_code_word(pc)
         return entry
 
-    def translate_block(self, entry_pc: int) -> List[_OpFn]:
-        block_index = self.block_index
-        ops_list: List[_OpFn] = []
-        pc = entry_pc
-        for _ in range(MAX_BLOCK):
-            fn, terminal = self._translate_op(pc)
-            ops_list.append(fn)
-            block_index.setdefault(pc, set()).add(entry_pc)
-            if terminal:
-                break
-            pc = (pc + 4) & MASK32
-        self.blocks[entry_pc] = ops_list
-        return ops_list
-
-    def trace_block(self, entry_pc: int) -> _TracedBlock:
-        """Translate the superblock at ``entry_pc`` for recording."""
-        cpu = self.cpu
+    def translate_block(self, entry_pc: int, traced: bool = False) -> List[_OpFn]:
+        """Fuse the superblock at ``entry_pc`` and cache it: its closure
+        list, or, ``traced``, a :class:`_TracedBlock` for recording."""
         block_index = self.block_index
         ops_list: List[_OpFn] = []
         facts = []
         pc = entry_pc
         for _ in range(MAX_BLOCK):
-            fn, terminal, fact = self._compile_at(pc, traced=True)
+            fn, terminal, fact = self._translate_op(pc, traced)
             ops_list.append(fn)
             facts.append(fact)
-            cpu._note_code_word(pc)
             block_index.setdefault(pc, set()).add(entry_pc)
             if terminal:
                 break
             pc = (pc + 4) & MASK32
-        block = self.traced[entry_pc] = _TracedBlock(ops_list, facts)
-        return block
+        if traced:
+            ops_list = self.traced[entry_pc] = _TracedBlock(ops_list, facts)
+        else:
+            self.blocks[entry_pc] = ops_list
+        return ops_list
 
     # -- execution -----------------------------------------------------------
-
-    def step(self) -> int:
-        """Execute exactly one instruction (interpreter-step parity)."""
-        cpu = self.cpu
-        if cpu.halted:
-            raise CpuHalted("core is halted")
-        self._check_bus()
-
-        cause = cpu._pending_interrupt()
-        if cause is not None:
-            cpu._take_interrupt(cause)
-
-        if cpu.waiting_for_interrupt:
-            cpu.cycles += 1
-            return 1
-
-        fn, _terminal = self._translate_op(cpu.pc)
-        start_cycles = cpu.cycles
-        try:
-            cpu.pc = fn()
-        except _BlockAbort:
-            pass  # closure retired fully and set pc itself
-        return cpu.cycles - start_cycles
 
     def run(
         self,
         max_instructions: int = 1_000_000,
         until: Optional[Callable[[object], bool]] = None,
+        recorder=None,
     ) -> int:
+        """Run superblocks until halt, ``until(cpu)`` or the instruction
+        cap.  Given a ``recorder`` (``cpu.bus`` already swapped to it by
+        ``RiscvCpu.record_run``), run the traced blocks and book each
+        one's register facts into it."""
         cpu = self.cpu
-        self._check_bus()
-        blocks = self.blocks
+        if recorder is None:
+            self._check_bus()
+            blocks = self.blocks
+            recording = None
+        else:
+            blocks = self.traced
+            recording = _Recording(cpu, recorder)
         csrs = cpu.csrs
         executed = 0
         while executed < max_instructions and not cpu.halted:
@@ -518,12 +518,13 @@ class TranslatedEngine:
 
             pc = cpu.pc
             try:
-                ops_list = blocks[pc]
+                block = blocks[pc]
             except KeyError:
-                ops_list = self.translate_block(pc)
+                block = self.translate_block(pc, recording is not None)
             remaining = max_instructions - executed
-            if len(ops_list) > remaining:
-                ops_list = ops_list[:remaining]
+            ops_list = block if len(block) <= remaining else block[:remaining]
+            if recording is not None:
+                recording.enter(block)
 
             cpu._break_block = False
             before = cpu.instret
@@ -534,79 +535,8 @@ class TranslatedEngine:
                 # interrupt raised or code word patched mid-block;
                 # re-enter through the checks above
                 pass
-            executed += cpu.instret - before
-        return executed
-
-    def record(self, recorder, max_instructions: int, until) -> int:
-        """:meth:`run` on traced blocks, with ``cpu.bus`` already the
-        ``recorder``: each block adds the registers it reads before
-        writing them to ``recorder.live_in`` and its write set to
-        ``recorder.written_regs``.  A block cut short by ``_BlockAbort``
-        or by ``max_instructions`` contributes the facts of the prefix
-        that retired, never its whole write set, which could hide a
-        register the next block reads."""
-        cpu = self.cpu
-        traced = self.traced
-        csrs = cpu.csrs
-        regs = cpu.regs
-        live_in = recorder.live_in
-        written = recorder.written_regs
-        #: registers already classified, live-in or written
-        seen = set(written)
-        seen.update(live_in)
-        executed = 0
-        while executed < max_instructions and not cpu.halted:
-            if until is not None and until(cpu):
-                break
-
-            if csrs[CSR_MSTATUS] & MSTATUS_MIE and csrs[CSR_MIP] & csrs[CSR_MIE]:
-                cause = cpu._pending_interrupt()
-                if cause is not None:
-                    cpu._take_interrupt(cause)
-            if cpu.waiting_for_interrupt:
-                cpu.cycles += 1
-                executed += 1
-                continue
-
-            pc = cpu.pc
-            try:
-                block = traced[pc]
-            except KeyError:
-                block = self.trace_block(pc)
-            ops_list = block.ops
-            remaining = max_instructions - executed
-            if len(ops_list) > remaining:
-                ops_list = ops_list[:remaining]
-
-            fresh: Sequence[int] = ()
-            if not seen.issuperset(block.reads):
-                fresh = [r for r in block.reads if r not in seen]
-                for r in fresh:
-                    live_in[r] = regs[r]
-                seen.update(fresh)
-            unstable = block.unstable and cpu.is_unstable(block.unstable)
-
-            cpu._break_block = False
-            before = cpu.instret
-            try:
-                for fn in ops_list:
-                    cpu.pc = fn()
-            except _BlockAbort:
-                pass
             retired = cpu.instret - before
             executed += retired
-            if retired == len(block.ops):
-                written.update(block.writes)
-                seen.update(block.writes)
-                if unstable:
-                    recorder.mark_unreplayable(block.unstable)
-                continue
-            # cut short: only the prefix that retired read and wrote
-            reads, writes = _fold_facts(block.facts[:retired])
-            for r in fresh:
-                if r not in reads:
-                    del live_in[r]
-                    seen.discard(r)
-            written.update(writes)
-            seen.update(writes)
+            if recording is not None:
+                recording.leave(block, retired)
         return executed

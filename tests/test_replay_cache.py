@@ -357,7 +357,7 @@ class TestFuncsimDifferential:
                 rpu.cpu.invalidate_icache()
             else:
                 rpu.bus.write(IMEM_BASE + flip, patch, 4)
-            spans = [(entry, entry + 4 * len(block.ops))
+            spans = [(entry, entry + 4 * len(block))
                      for entry, block in rpu.cpu._engine.traced.items()]
             assert not any(lo <= IMEM_BASE + flip < hi for lo, hi in spans)
 

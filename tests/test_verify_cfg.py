@@ -122,24 +122,35 @@ class TestBlockDifferential:
             )
 
     def test_translator_agrees_on_block_length(self):
+        """Running and recording fuse the same superblocks (so a recorded
+        bracket ends where an uncached run does), and an uncached run
+        builds no traced block: they are built on a core's first
+        recording."""
         from repro.core.funcsim import FunctionalRpu
         from repro.packet import build_tcp
         from repro.riscv.translate import TranslatedEngine
+        from repro.verify.registry import bundled_firmwares
 
-        rpu = FunctionalRpu(FORWARDER_ASM, cpu_backend="translated")
-        rpu.push_packet(build_tcp("1.1.1.1", "2.2.2.2", 1, 2, pad_to=64).data)
-        rpu.run_until_sent(1)
-        engine = rpu.cpu._engine
-        assert isinstance(engine, TranslatedEngine)
-        program = assemble(FORWARDER_ASM)
-        decode_at = image_decoder(program.image, base=0)
-        cfg = build_cfg(program, name="forwarder")
-        checked = 0
-        for start in cfg.blocks:
-            compiled = engine.translate_block(start)
-            assert len(compiled) == len(superblock_pcs(decode_at, start))
-            checked += 1
-        assert checked >= 3
+        bundled = {fw.name: fw for fw in bundled_firmwares()}
+        for name in ("forwarder", "firewall"):
+            fw = bundled[name]
+            accel = fw.accel_factory() if fw.accel_factory else None
+            rpu = FunctionalRpu(fw.asm, accelerator=accel, cpu_backend="translated")
+            rpu.push_packet(build_tcp("1.1.1.1", "2.2.2.2", 1, 2, pad_to=64).data)
+            rpu.run_until_sent(1)
+            engine = rpu.cpu._engine
+            assert isinstance(engine, TranslatedEngine)
+            assert engine.blocks and not engine.traced, name
+            program = assemble(fw.asm)
+            decode_at = image_decoder(program.image, base=0)
+            cfg = build_cfg(program, name=name)
+            checked = 0
+            for start in cfg.blocks:
+                expected = len(superblock_pcs(decode_at, start))
+                assert len(engine.translate_block(start)) == expected
+                assert len(engine.translate_block(start, traced=True)) == expected
+                checked += 1
+            assert checked >= 3, name
 
 
 class TestMmioFootprint:
